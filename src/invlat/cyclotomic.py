@@ -6,6 +6,19 @@ polynomial.  Every value is normalized to its minimal conductor (never 2 mod
 4), so two equal numbers always have identical (conductor, coeffs) data and
 equality and hashing are structural.
 
+Some constructions skip canonicalisation because their result is canonical
+by construction (CycNum._new sets the two slots directly):
+
+* rationals (CycNum.rational, as_cycnum on int/Fraction, and CycNum(1, [q])):
+  conductor 1 with one coefficient is already the minimal form;
+* a rational plus x: it moves only the z^0 coordinate (1 is a basis
+  vector) and leaves the field, hence the minimal conductor, unchanged;
+* a rational times x, and negation: scaling by a nonzero rational also
+  leaves the field unchanged and keeps the coefficients reduced (a zero
+  factor gives the shared zero);
+* the sum of two values of one conductor: both inputs are reduced modulo
+  Phi_N, so their sum is too, and only the subfield test (_descend) runs.
+
 Floating-point output exists only for diagnostics (numeric / numeric_bound);
 all decisions in this package are made on exact data.
 """
@@ -129,8 +142,16 @@ def _canonical(n, dense):
             if c:
                 out[(k * ((m + 1) // 2)) % m] += -c if k % 2 else c
         n, dense = m, out
-    coeffs = _reduce_mod_phi(_fold(dense, n), n)
-    for d in divisors(n)[:-1]:
+    return _descend(n, _reduce_mod_phi(_fold(dense, n), n))
+
+
+def _descend(n, coeffs):
+    """Minimal-conductor form of reduced coordinates at conductor n (n != 2 mod 4)."""
+    # z^0 = 1 is a basis vector, so the value is rational exactly when the
+    # other coordinates vanish; the subfield search then starts at d > 1
+    if not any(coeffs[1:]):
+        return 1, (coeffs[0],)
+    for d in divisors(n)[1:-1]:
         if d % 4 == 2:
             continue
         p_rows, q_rows = _subfield_solver(n, d)
@@ -151,15 +172,31 @@ class CycNum:
     def __init__(self, conductor, coeffs):
         if isinstance(coeffs, (int, Fraction)):
             coeffs = [coeffs]
-        n, cs = _canonical(int(conductor), [Fraction(c) for c in coeffs])
-        self.conductor = n
-        self.coeffs = cs
+        n, cs = int(conductor), [Fraction(c) for c in coeffs]
+        if n == 1 and len(cs) == 1:
+            self.conductor, self.coeffs = 1, (cs[0],)
+            return
+        self.conductor, self.coeffs = _canonical(n, cs)
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
+    def _new(n, coeffs) -> "CycNum":
+        """A value from data already in canonical form; no checks."""
+        x = object.__new__(CycNum)
+        x.conductor = n
+        x.coeffs = coeffs
+        return x
+
+    @staticmethod
     def rational(x) -> "CycNum":
-        return CycNum(1, [Fraction(x)])
+        return CycNum._new(1, (Fraction(x),))
+
+    def _scaled(self, r) -> "CycNum":
+        """r * self for a rational r."""
+        if not r:
+            return _ZERO
+        return CycNum._new(self.conductor, tuple(r * c for c in self.coeffs))
 
     def _lift_dense(self, m):
         """Dense coefficients of self at conductor m (conductor | m)."""
@@ -184,14 +221,23 @@ class CycNum:
         other = as_cycnum(other)
         if other is NotImplemented:
             return NotImplemented
-        m = lcm(self.conductor, other.conductor)
+        if self.conductor == 1:
+            self, other = other, self
+        n = self.conductor
+        if other.conductor == 1:
+            # a rational moves only the z^0 coordinate and keeps the field
+            return CycNum._new(n, (self.coeffs[0] + other.coeffs[0],) + self.coeffs[1:])
+        if n == other.conductor:
+            sums = [x + y for x, y in zip(self.coeffs, other.coeffs)]
+            return CycNum._new(*_descend(n, sums))
+        m = lcm(n, other.conductor)
         a, b = self._lift_dense(m), other._lift_dense(m)
         return CycNum(m, [x + y for x, y in zip(a, b)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.conductor, [-c for c in self.coeffs])
+        return CycNum._new(self.conductor, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         other = as_cycnum(other)
@@ -206,6 +252,10 @@ class CycNum:
         other = as_cycnum(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.conductor == 1:
+            return other._scaled(self.coeffs[0])
+        if other.conductor == 1:
+            return self._scaled(other.coeffs[0])
         m = lcm(self.conductor, other.conductor)
         a, b = self.coords_at(m), other.coords_at(m)
         prod = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -418,8 +468,11 @@ def as_cycnum(x):
     if isinstance(x, CycNum):
         return x
     if isinstance(x, (int, Fraction)):
-        return CycNum(1, [Fraction(x)])
+        return CycNum._new(1, (Fraction(x),))
     return NotImplemented
+
+
+_ZERO = CycNum.rational(0)
 
 
 def zeta(n: int, k: int = 1) -> CycNum:

@@ -160,7 +160,7 @@ def construct_rank_n(group: GroupRep, witness) -> ZLattice:
         raise InternalConsistencyError(
             f"orbit span has rank {lattice.rank}, expected {n}"
         )
-    if not invariance_check(lattice, group.elements):
+    if not invariance_check(lattice, group.generators):
         raise InternalConsistencyError("orbit lattice is not invariant")
     return lattice
 
@@ -199,7 +199,7 @@ def orbit_lattice_over_order(
         generators.append(image)
         generators.append(_scale_vector(omega, image))
     lattice = lattice_from_generators(generators, dim=group.dimension)
-    if not invariance_check(lattice, group.elements):
+    if not invariance_check(lattice, group.generators):
         raise InternalConsistencyError("orbit lattice is not invariant")
     for v in lattice.vectors():
         if not lattice.contains(_scale_vector(omega, v)):

@@ -432,16 +432,14 @@ def _classify_rank4(torus: QuatTorus, endo_basis) -> EndomorphismRing:
 
 def _classify_rank8(torus: QuatTorus, endo_basis, comm, comm_coords) -> EndomorphismRing:
     r = len(endo_basis)
+    mats = [[list(rw) for rw in e] for e in endo_basis]
     rows = []
-    for t, e2 in enumerate(endo_basis):
+    for e2 in mats:
+        # commutators [e1, e2] for every e1, one row per entry (p, s)
+        brackets = [(linalg.matmul(e1, e2), linalg.matmul(e2, e1)) for e1 in mats]
         for p in range(4):
             for s in range(4):
-                row = []
-                for e1 in endo_basis:
-                    bracket = linalg.matmul([list(rw) for rw in e1], [list(rw) for rw in e2])
-                    bracket2 = linalg.matmul([list(rw) for rw in e2], [list(rw) for rw in e1])
-                    row.append((bracket[p][s] - bracket2[p][s]).as_fraction())
-                rows.append(row)
+                rows.append([(ab[p][s] - ba[p][s]).as_fraction() for ab, ba in brackets])
     center = linalg.kernel_right(rows)
     if len(center) != 2:
         return EndomorphismRing(

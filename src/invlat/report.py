@@ -166,7 +166,7 @@ def _lattice_entry(recipe: str, lattice: ZLattice, group: GroupRep, **extra) -> 
     entry = {
         "recipe": recipe,
         "rank": lattice.rank,
-        "invariant": invariance_check(lattice, group.elements),
+        "invariant": invariance_check(lattice, group.generators),
         "lattice": lattice_to_json(lattice),
     }
     entry.update(extra)
@@ -267,7 +267,7 @@ def group_report(
             )
             c = entry.ds_scalar
             doubled = extend_rank_2n(base, c)
-            if not invariance_check(doubled, group.elements):
+            if not invariance_check(doubled, group.generators):
                 raise InvalidInputError(
                     "preset doubling lattice is not invariant under the group"
                 )

@@ -1,14 +1,20 @@
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invlat import cyclotomic
 from invlat.cyclotomic import (
     CycNum,
+    _canonical,
+    _subfield_solver,
+    as_cycnum,
     cyc_from_json,
     cyc_to_json,
     cyclotomic_polynomial,
+    divisors,
     euler_phi,
     exact_sign,
     parse_scalar,
@@ -16,6 +22,7 @@ from invlat.cyclotomic import (
     zeta,
 )
 from invlat.errors import InvalidInputError
+from invlat.linalg import rref
 
 CONDUCTORS = [1, 3, 4, 5, 7, 8, 9, 12]
 
@@ -205,3 +212,107 @@ def test_str_round_trip_examples():
     for x in [zeta(3), -zeta(4), CycNum.rational(Fraction(5, 3)),
               zeta(8) + zeta(8) ** 3, CycNum.rational(1) - zeta(7)]:
         assert parse_scalar(str(x)) == x
+
+
+# -- fast paths against the general route -----------------------------------
+
+FAST_PATH_CONDUCTORS = [1, 3, 4, 5, 8, 12, 24, 60]
+
+
+def _element(draw, n):
+    return CycNum(n, [draw(small_fractions) for _ in range(euler_phi(n))])
+
+
+@st.composite
+def same_field_pairs(draw):
+    """x in Q(z_n) and y in Q(z_n); y is free, from a subfield, or cancels x
+    down to a subfield, so that sums also descend."""
+    n = draw(st.sampled_from(FAST_PATH_CONDUCTORS))
+    x = _element(draw, n)
+    w = _element(draw, draw(st.sampled_from(divisors(n))))
+    y = draw(st.sampled_from([_element(draw, n), w, w - x]))
+    return x, y
+
+
+def _data(x):
+    assert type(x.coeffs) is tuple
+    assert all(type(c) is Fraction for c in x.coeffs)
+    return x.conductor, x.coeffs
+
+
+@given(same_field_pairs())
+@settings(max_examples=150)
+def test_sum_matches_general_route(pair):
+    x, y = pair
+    m = lcm(x.conductor, y.conductor)
+    dense = [a + b for a, b in zip(x._lift_dense(m), y._lift_dense(m))]
+    general = _canonical(m, dense)
+    assert _data(x + y) == general
+    assert _data(y + x) == general
+
+
+@given(same_field_pairs())
+@settings(max_examples=100)
+def test_product_matches_general_route(pair):
+    x, y = pair
+    m = lcm(x.conductor, y.conductor)
+    a, b = x._lift_dense(m), y._lift_dense(m)
+    dense = [Fraction(0)] * (2 * m - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            dense[i + j] += u * v
+    assert _data(x * y) == _canonical(m, dense)
+
+
+@given(same_field_pairs(), small_fractions)
+@settings(max_examples=100)
+def test_negation_and_scaling_match_general_route(pair, r):
+    x = pair[0]
+    n = x.conductor
+    dense = x._lift_dense(n)
+    assert _data(-x) == _canonical(n, [-c for c in dense])
+    scaled = _canonical(n, [r * c for c in dense])
+    assert _data(r * x) == scaled
+    assert _data(x * r) == scaled
+    assert _data(CycNum.rational(r) * x) == scaled
+
+
+@given(small_fractions, st.integers(-50, 50))
+def test_rationals_hash_and_store_fractions(q, k):
+    for value, x in [(q, CycNum.rational(q)), (q, as_cycnum(q)), (k, as_cycnum(k)),
+                     (q, CycNum(1, [q])), (q + k, CycNum.rational(q) + k)]:
+        assert hash(x) == hash(value)
+        assert _data(x) == (1, (Fraction(value),))
+
+
+def test_rational_test_agrees_with_the_subfield_solver():
+    # the d = 1 solver says "rational" exactly when coordinates 1.. vanish
+    for n in FAST_PATH_CONDUCTORS[1:]:
+        phi = euler_phi(n)
+        p_rows, q_rows = _subfield_solver(n, 1)
+        assert p_rows == (tuple(Fraction(int(k == 0)) for k in range(phi)),)
+        red, pivots = rref([list(q) for q in q_rows])
+        assert pivots == list(range(1, phi))
+        assert all(row[0] == 0 for row in red)
+
+
+def test_canonical_never_asks_for_the_rational_solver(monkeypatch):
+    asked = []
+
+    def recording(n, d):
+        asked.append(d)
+        return _subfield_solver(n, d)
+
+    monkeypatch.setattr(cyclotomic, "_subfield_solver", recording)
+    # 1 + z5 + ... + z5^4 = 0, zeta(12)^4 = zeta(3), zeta(24)^3 = zeta(8)
+    assert CycNum(5, [1, 1, 1, 1, 1]).is_zero()
+    assert zeta(12) ** 4 == zeta(3)
+    assert (zeta(24) ** 3).conductor == 8
+    assert (zeta(60) ** 12 + zeta(60) ** 20).conductor == 15
+    assert asked and 1 not in asked
+
+
+def test_prime_conductor_parse_builds_no_subfield_solver():
+    before = _subfield_solver.cache_info().currsize
+    assert parse_scalar("z1009").conductor == 1009
+    assert _subfield_solver.cache_info().currsize == before

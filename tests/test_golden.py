@@ -1,0 +1,23 @@
+"""Byte snapshots of the catalog reports.
+
+tests/golden/<name>.json holds render_json(analyze(name)) for every catalog
+entry.  A change that alters report bytes on purpose must regenerate them."""
+
+from pathlib import Path
+
+import pytest
+
+from invlat.catalog import catalog_names
+from invlat.report import analyze, render_json
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_every_catalog_entry_has_a_snapshot():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(catalog_names())
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_report_bytes_match_snapshot(name):
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert render_json(analyze(name)) == expected

@@ -4,6 +4,7 @@ import pytest
 
 from invlat.catalog import catalog_names, get_entry
 from invlat.cli import main
+from invlat.lattices import invariance_check, lattice_from_generators, lattice_from_json
 from invlat.report import analyze, render_json
 
 TOP_KEYS = {
@@ -51,6 +52,25 @@ def test_recipes_follow_clause(reports):
     for rep in reports.values():
         for entry in rep["lattices"]:
             assert entry["invariant"] is True
+
+
+def test_generators_decide_invariance_like_all_elements(reports):
+    # a generating set maps L into L exactly when the whole group does; the
+    # rank-one span of a basis vector gives cases where both answers are False
+    verdicts = set()
+    for name, rep in reports.items():
+        entry = get_entry(name)
+        if entry.kind != "group":
+            continue
+        group = entry.group()
+        for item in rep["lattices"]:
+            lattice = lattice_from_json(item["lattice"])
+            line = lattice_from_generators(lattice.vectors()[:1], dim=lattice.dim)
+            for lat in (lattice, line):
+                verdict = invariance_check(lat, group.generators)
+                assert verdict == invariance_check(lat, group.elements), name
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_structure_tags(reports):
