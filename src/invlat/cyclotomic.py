@@ -31,6 +31,7 @@ from math import gcd, isqrt, lcm
 
 import mpmath
 
+from .errors import InternalConsistencyError
 from .linalg import rref, solve_right
 
 
@@ -70,7 +71,8 @@ def _int_poly_quotient(num, den):
         out[k] = c
         for j, d in enumerate(den):
             num[k + j] -= c * d
-    assert not any(num), "non-exact polynomial division"
+    if any(num):
+        raise InternalConsistencyError("non-exact polynomial division")
     return out
 
 
@@ -125,7 +127,10 @@ def _subfield_solver(n: int, d: int):
            + [Fraction(1) if k == i else Fraction(0) for k in range(phi_n)]
            for i in range(phi_n)]
     red, pivots = rref(aug)
-    assert pivots[:phi_d] == list(range(phi_d))
+    if pivots[:phi_d] != list(range(phi_d)):
+        raise InternalConsistencyError(
+            f"subfield basis at conductor {d} is dependent at conductor {n}"
+        )
     p_rows = tuple(tuple(red[i][phi_d:]) for i in range(phi_d))
     q_rows = tuple(tuple(red[i][phi_d:]) for i in range(phi_d, len(red)))
     return p_rows, q_rows
@@ -284,7 +289,8 @@ class CycNum:
             q, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, rem
             u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        assert len(r0) == 1, "cyclotomic polynomial must be irreducible"
+        if len(r0) != 1:
+            raise InternalConsistencyError("cyclotomic polynomial must be irreducible")
         inv = [c / r0[0] for c in u0]
         return CycNum(n, inv)
 

@@ -12,7 +12,7 @@ from math import lcm
 
 from . import linalg
 from .cyclotomic import CycNum, as_cycnum, cyc_from_json, cyc_to_json, exact_sign
-from .errors import CapExceededError, InvalidInputError
+from .errors import CapExceededError, InternalConsistencyError, InvalidInputError
 
 
 def as_matrix(rows):
@@ -43,25 +43,31 @@ def trace(mat):
 
 
 class GroupRep:
-    """A finite group of invertible matrices, closed under multiplication."""
+    """A finite group of invertible matrices, closed under multiplication.
 
-    __slots__ = ("dimension", "generators", "elements", "_index", "inverse_index")
+    `inverses[k]` is the inverse matrix of `elements[k]`; `close_group` builds
+    it from the generator inverses, so no element is inverted here.  Each one
+    is looked up in the closure to give `inverse_index`.  The reflection
+    inventory is filled on the first `find_reflections` call.
+    """
 
-    def __init__(self, dimension, generators, elements):
+    __slots__ = (
+        "dimension", "generators", "elements", "_index", "inverse_index",
+        "_reflections",
+    )
+
+    def __init__(self, dimension, generators, elements, inverses):
         self.dimension = dimension
         self.generators = tuple(generators)
         self.elements = tuple(elements)
         self._index = {m: k for k, m in enumerate(self.elements)}
         inv = []
-        for m in self.elements:
-            rows = linalg.inverse([list(r) for r in m])
-            if rows is None:
-                raise InvalidInputError("group element is singular")
-            key = tuple(tuple(x for x in row) for row in rows)
-            if key not in self._index:
+        for m in inverses:
+            if m not in self._index:
                 raise InvalidInputError("element inverse escaped the closure")
-            inv.append(self._index[key])
+            inv.append(self._index[m])
         self.inverse_index = tuple(inv)
+        self._reflections = None
 
     @property
     def order(self):
@@ -84,23 +90,32 @@ class GroupRep:
 
 
 def close_group(generators, cap: int = 10000) -> GroupRep:
-    """Breadth-first closure of the generated matrix group, capped."""
+    """Breadth-first closure of the generated matrix group, capped.
+
+    Each generator is inverted once; the inverse of a new element current*g
+    is then g^-1 * current^-1, one product, so no other element is inverted.
+    """
     gens = [as_matrix(g) for g in generators]
     if not gens:
         raise InvalidInputError("at least one generator required")
     n = len(gens[0])
     if any(len(g) != n for g in gens):
         raise InvalidInputError("generators have mixed dimensions")
+    gen_inverses = []
     for g in gens:
-        if linalg.inverse([list(r) for r in g]) is None:
+        rows = linalg.inverse([list(r) for r in g])
+        if rows is None:
             raise InvalidInputError("generator is singular")
+        gen_inverses.append(tuple(tuple(row) for row in rows))
     identity = mat_identity(n)
     seen = {identity: 0}
     order = [identity]
-    queue = [identity]
+    inverses = [identity]
+    queue = [0]
     while queue:
-        current = queue.pop(0)
-        for g in gens:
+        k = queue.pop(0)
+        current = order[k]
+        for g, g_inv in zip(gens, gen_inverses):
             prod = mat_mul(current, g)
             if prod not in seen:
                 if len(order) >= cap:
@@ -108,9 +123,10 @@ def close_group(generators, cap: int = 10000) -> GroupRep:
                         f"group closure exceeded the cap of {cap} elements"
                     )
                 seen[prod] = len(order)
+                queue.append(len(order))
                 order.append(prod)
-                queue.append(prod)
-    return GroupRep(n, gens, order)
+                inverses.append(mat_mul(g_inv, inverses[k]))
+    return GroupRep(n, gens, order, inverses)
 
 
 def character(group: GroupRep):
@@ -178,7 +194,17 @@ class ReflectionData:
 
 
 def find_reflections(group: GroupRep):
-    """All reflections in the group: elements with rank(id - g) = 1."""
+    """All reflections in the group: elements with rank(id - g) = 1.
+
+    The inventory is computed once per group and kept on it; every call
+    returns a new list, so a caller may change its copy freely.
+    """
+    if group._reflections is None:
+        group._reflections = tuple(_scan_reflections(group))
+    return list(group._reflections)
+
+
+def _scan_reflections(group: GroupRep):
     n = group.dimension
     identity = mat_identity(n)
     out = []
@@ -196,9 +222,8 @@ def find_reflections(group: GroupRep):
         root = tuple(x / lead for x in root)
         theta = linalg.det([list(r) for r in mat])
         image = linalg.matvec([list(r) for r in mat], list(root))
-        assert all(
-            (a - theta * b).is_zero() for a, b in zip(image, root)
-        ), "root line is not an eigenline"
+        if not all((a - theta * b).is_zero() for a, b in zip(image, root)):
+            raise InternalConsistencyError("root line is not an eigenline")
         out.append(ReflectionData(idx, mat, theta, root))
     return out
 

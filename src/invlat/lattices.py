@@ -21,7 +21,7 @@ from math import gcd, isqrt, lcm
 
 from . import linalg
 from .cyclotomic import CycNum, as_cycnum, cyc_from_json, cyc_to_json
-from .errors import InvalidInputError, NotDiscreteError
+from .errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
 
 
 def expand_vectors(vectors):
@@ -461,9 +461,13 @@ def multiplier_ring(gamma: RankTwoLattice) -> MultiplierRing:
     p, q = -minpoly[1], -minpoly[0]  # tau^2 = p tau + q
     f = lcm(p.denominator, q.denominator)
     disc = f * f * (p * p + 4 * q)
-    assert disc.denominator == 1
+    if disc.denominator != 1:
+        raise InternalConsistencyError("scaled discriminant is not an integer")
     disc = int(disc)
-    assert disc < 0, "real quadratic multiplier is impossible for a lattice"
+    if disc >= 0:
+        raise InternalConsistencyError(
+            "real quadratic multiplier is impossible for a lattice"
+        )
     d0 = fundamental_discriminant(disc)
     cond = isqrt(disc // d0)
     return MultiplierRing("order", disc, d0, cond, f * tau)
@@ -480,7 +484,8 @@ def isogeny_test(a: RankTwoLattice, b: RankTwoLattice):
         return None
     coeffs = kernel[0]
     beta = coeffs[2] * a.g1 + coeffs[3] * a.g2
-    assert not beta.is_zero()
+    if beta.is_zero():
+        raise InternalConsistencyError("isogeny kernel vector gives a zero scalar")
     return beta / b.g1
 
 

@@ -227,10 +227,14 @@ class CmRecord:
 
 def cm_detect(dec: ReflectionDecomposition, bound: int | None = None):
     """First non-rational cycle multiplier, verified to multiply its line lattice."""
-    n = len(dec.reflections)
     if bound is None:
-        bound = n + 1
-    for cycle, value in scan_cycle_multipliers(dec.reflections, bound):
+        bound = len(dec.reflections) + 1
+    return cm_from_scan(dec, scan_cycle_multipliers(dec.reflections, bound))
+
+
+def cm_from_scan(dec: ReflectionDecomposition, scanned):
+    """`cm_detect` on an already scanned list of (cycle, value) pairs."""
+    for cycle, value in scanned:
         if value.is_rational():
             continue
         line = dec.lines[cycle[0]]
@@ -334,7 +338,7 @@ def geom_report(group: GroupRep, lattice: ZLattice, cycle_bound: int | None = No
     graph = isogeny_graph(dec, gram)
     bound = cycle_bound if cycle_bound is not None else n + 1
     multipliers = tuple(scan_cycle_multipliers(refs, bound))
-    cm = cm_detect(dec, bound)
+    cm = cm_from_scan(dec, multipliers)
     field = classify_character_field(group)
     weyl_like = field.kind == "rational"
     if weyl_like and cm is not None:

@@ -285,7 +285,8 @@ def group_report(
         detail = "no nonzero invariant lattice exists for this representation"
 
     reflection = None
-    if rank_2n_lattice is not None and find_reflections(group):
+    inventory = find_reflections(group)
+    if rank_2n_lattice is not None and inventory:
         try:
             geom = geom_report(group, rank_2n_lattice, cycle_bound)
             reflection = _geom_json(geom)
@@ -304,7 +305,7 @@ def group_report(
             "order": group.order,
             "dimension": n,
             "conductor": group.conductor,
-            "reflections": len(find_reflections(group)),
+            "reflections": len(inventory),
         },
         "profile": _profile_json(profile, gcd_cert),
         "verdict": {

@@ -204,18 +204,49 @@ def _expansion_conductor(group: GroupRep, vector) -> int:
     return lcm(group.conductor, common_conductor(vector))
 
 
+def _flatten(vector, conductor: int) -> list:
+    row = []
+    for entry in vector:
+        row.extend(entry.coords_at(conductor))
+    return row
+
+
 def _orbit_span(group: GroupRep, vector, conductor: int):
-    """Basis (rational rows) of the rational span of the G-orbit of vector."""
+    """Basis (rational rref rows) of the rational span of the G-orbit of vector.
+
+    That span is the smallest rational subspace containing vector and stable
+    under each generator, because every g^-1 is a power of g.  So it is closed
+    from the generators: each generator is applied to each new basis vector,
+    and an image is kept when it is independent of the echelon rows found so
+    far.  At most dimension * phi(conductor) rows are ever held.  The result
+    is the reduced row echelon form, which is unique for the subspace.
+    """
     width = group.dimension * len(CycNum.rational(0).coords_at(conductor))
-    rows = []
-    for mat in group.elements:
-        image = linalg.matvec([list(r) for r in mat], list(vector))
-        row = []
-        for entry in image:
-            row.extend(entry.coords_at(conductor))
-        rows.append(row)
-    reduced, _ = linalg.rref(rows)
-    assert all(len(r) == width for r in reduced)
+    echelon = []  # (pivot column, row with a 1 there and 0 at earlier pivots)
+
+    def absorb(vec) -> bool:
+        row = _flatten(vec, conductor)
+        for pivot, basis_row in echelon:
+            c = row[pivot]
+            if c:
+                row = [x - c * y for x, y in zip(row, basis_row)]
+        pivot = next((k for k, x in enumerate(row) if x), None)
+        if pivot is None:
+            return False
+        lead = row[pivot]
+        echelon.append((pivot, [x / lead for x in row]))
+        return True
+
+    queue = [tuple(vector)] if absorb(vector) else []
+    while queue:
+        current = queue.pop(0)
+        for g in group.generators:
+            image = tuple(linalg.matvec(g, current))
+            if absorb(image):
+                queue.append(image)
+    reduced, _ = linalg.rref([row for _, row in echelon])
+    if any(len(r) != width for r in reduced):
+        raise InternalConsistencyError("orbit-span row has the wrong width")
     return [tuple(r) for r in reduced]
 
 
@@ -228,12 +259,13 @@ def schur_index(
 ) -> SchurWitness:
     """Schur index via descent to a minimal rational orbit span.
 
-    Starting from the rational span of one G-orbit, regenerate from each basis
-    vector and from seeded random small-integer combinations, keeping any
-    strictly smaller span, until the required number of consecutive passes
-    makes no progress.  The stable-pass count is recorded on the witness: the
-    descent certifies an upper bound that is exact whenever the final module
-    is simple, which a stable pass supports but does not unconditionally prove.
+    Starting from the rational span of one G-orbit (closed from the
+    generators by `_orbit_span`), regenerate from each basis vector and from
+    seeded random small-integer combinations, keeping any strictly smaller
+    span, until the required number of consecutive passes makes no progress.
+    The stable-pass count is recorded on the witness: the descent certifies an
+    upper bound that is exact whenever the final module is simple, which a
+    stable pass supports but does not unconditionally prove.
     """
     n = group.dimension
     if start is None:
@@ -291,9 +323,7 @@ def schur_index(
 
 
 def _vector_in_span(vector, basis_rows, conductor: int, dim: int) -> bool:
-    row = []
-    for entry in vector:
-        row.extend(entry.coords_at(conductor))
+    row = _flatten(vector, conductor)
     mat = [list(b) for b in basis_rows]
     cols = list(zip(*mat)) if mat else []
     system = [list(col) for col in cols]

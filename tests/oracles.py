@@ -57,3 +57,17 @@ def five_starts(n):
     while len(starts) < 5:
         starts.append(tuple(CycNum.rational(7 * j + 3) for j in range(n)))
     return starts[:5]
+
+
+def orbit_span_all_elements(group, vector, conductor):
+    """Rational span of the G-orbit of vector from every element: apply all
+    |G| elements, flatten each image to rational coordinates, and rref the
+    |G| rows.  The library closes the same span from the generators."""
+    rows = []
+    for mat in group.elements:
+        row = []
+        for entry in linalg.matvec(mat, vector):
+            row.extend(entry.coords_at(conductor))
+        rows.append(row)
+    reduced, _ = linalg.rref(rows)
+    return [tuple(r) for r in reduced]

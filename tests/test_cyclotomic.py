@@ -9,6 +9,7 @@ from invlat import cyclotomic
 from invlat.cyclotomic import (
     CycNum,
     _canonical,
+    _int_poly_quotient,
     _subfield_solver,
     as_cycnum,
     cyc_from_json,
@@ -21,7 +22,7 @@ from invlat.cyclotomic import (
     sqrt_rational,
     zeta,
 )
-from invlat.errors import InvalidInputError
+from invlat.errors import InternalConsistencyError, InvalidInputError
 from invlat.linalg import rref
 
 CONDUCTORS = [1, 3, 4, 5, 7, 8, 9, 12]
@@ -70,6 +71,17 @@ def test_conductor_is_canonical():
     # rationals always canonicalize to conductor 1
     assert (zeta(5) - zeta(5)).conductor == 1
     assert (zeta(8) ** 8).conductor == 1
+
+
+def test_int_poly_quotient_divides_exactly():
+    # (x^2 - 1) / (x - 1) = x + 1
+    assert _int_poly_quotient([-1, 0, 1], [-1, 1]) == [1, 1]
+
+
+def test_int_poly_quotient_rejects_a_remainder():
+    # x^2 + 1 = (x + 1)(x - 1) + 2: a real check, not an assert that -O drops
+    with pytest.raises(InternalConsistencyError, match="non-exact"):
+        _int_poly_quotient([1, 0, 1], [1, 1])
 
 
 def test_zeta_orders():

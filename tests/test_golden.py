@@ -1,12 +1,15 @@
-"""Byte snapshots of the catalog reports.
+"""Byte snapshots of the catalog reports and of generated reflection groups.
 
 tests/golden/<name>.json holds render_json(analyze(name)) for every catalog
-entry.  A change that alters report bytes on purpose must regenerate them."""
+entry, and tests/golden/generated/<name>.json the report of each group in
+generated_groups.GENERATED.  A change that alters report bytes on purpose
+must regenerate them."""
 
 from pathlib import Path
 
 import pytest
 
+from generated_groups import GENERATED
 from invlat.catalog import catalog_names
 from invlat.report import analyze, render_json
 
@@ -21,3 +24,12 @@ def test_every_catalog_entry_has_a_snapshot():
 def test_report_bytes_match_snapshot(name):
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert render_json(analyze(name)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_report_bytes_match_snapshot(name):
+    obj, order = GENERATED[name]
+    expected = (GOLDEN / "generated" / f"{name}.json").read_text(encoding="utf-8")
+    report = analyze(obj)
+    assert report["group"]["order"] == order
+    assert render_json(report) == expected

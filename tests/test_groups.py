@@ -1,6 +1,7 @@
 import pytest
 
-from invlat.catalog import get_entry
+from invlat import groups as groups_module
+from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, exact_sign, zeta
 from invlat.errors import CapExceededError, InvalidInputError
 from invlat.groups import (
@@ -18,6 +19,11 @@ from invlat.groups import (
     mat_mul,
 )
 
+from generated_groups import GENERATED
+
+CATALOG_GROUPS = [
+    name for name in catalog_names() if get_entry(name).kind == "group"
+]
 ALL_GROUPS = ["S3-standard", "S4-standard", "WeylB2", "G4", "Q8", "C5-zeta5"]
 
 
@@ -30,12 +36,45 @@ def test_closure_orders(s3, s4, b2, g4, q8, c5):
     assert c5.order == 5
 
 
-def test_closure_contains_inverses(q8):
-    n = q8.dimension
-    for idx in range(q8.order):
-        g = q8.elements[idx]
-        inv = q8.elements[q8.inverse_index[idx]]
-        assert mat_mul(g, inv) == mat_identity(n)
+def test_closure_contains_inverses():
+    groups = [get_entry(name).group() for name in CATALOG_GROUPS]
+    groups.append(group_from_json(GENERATED["G3-1-3"][0]))
+    for group in groups:
+        identity = mat_identity(group.dimension)
+        for idx, g in enumerate(group.elements):
+            inv = group.elements[group.inverse_index[idx]]
+            assert mat_mul(g, inv) == identity
+            assert mat_mul(inv, g) == identity
+
+
+def test_closure_inverts_only_the_generators(monkeypatch):
+    calls = []
+    real_inverse = groups_module.linalg.inverse
+
+    def counting_inverse(mat):
+        calls.append(mat)
+        return real_inverse(mat)
+
+    monkeypatch.setattr(groups_module.linalg, "inverse", counting_inverse)
+    obj, order = GENERATED["G3-1-3"]
+    group = group_from_json(obj)
+    assert group.order == order
+    assert len(calls) == len(group.generators)
+
+
+def test_reflection_inventory_is_computed_once(monkeypatch):
+    group = get_entry("G4").group()
+    first = find_reflections(group)
+    monkeypatch.setattr(
+        groups_module, "_scan_reflections", lambda g: pytest.fail("rescanned")
+    )
+    second = find_reflections(group)
+    assert second == first and second is not first
+    second.clear()
+    first.append(first[0])
+    third = find_reflections(group)
+    assert len(third) == 8
+    assert third == first[:-1]
 
 
 def test_conductors(s3, g4, q8, c5):

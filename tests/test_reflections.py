@@ -9,6 +9,7 @@ from invlat.lattices import lattice_from_generators, lattice_index, scale_lattic
 from invlat.reflections import (
     choose_generating_reflections,
     cm_detect,
+    cm_from_scan,
     cycle_multiplier,
     geom_report,
     isogeny_graph,
@@ -142,6 +143,16 @@ def test_cm_detect_none_for_weyl(b2, b2_lattice):
     refs = choose_generating_reflections(b2)
     dec = line_lattice_decomposition(b2_lattice, refs)
     assert cm_detect(dec) is None
+
+
+def test_cm_from_scan_matches_cm_detect(b2, b2_lattice, g4, g4_lattice):
+    for group, lattice in [(b2, b2_lattice), (g4, g4_lattice)]:
+        dec = line_lattice_decomposition(
+            lattice, choose_generating_reflections(group)
+        )
+        for bound in (1, group.dimension + 1):
+            scanned = scan_cycle_multipliers(dec.reflections, bound)
+            assert cm_from_scan(dec, scanned) == cm_detect(dec, bound)
 
 
 def test_isogeny_graph_b2(b2, b2_lattice):

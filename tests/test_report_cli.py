@@ -1,7 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from invlat import groups, linalg
 from invlat.catalog import catalog_names, get_entry
 from invlat.cli import main
 from invlat.lattices import invariance_check, lattice_from_generators, lattice_from_json
@@ -148,6 +150,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_reports_a_failed_library_check_as_exit_4(capsys, monkeypatch):
+    # a wrong determinant in groups.py breaks the reflection eigenline check
+    wrong_det = SimpleNamespace(
+        **{k: v for k, v in vars(linalg).items() if not k.startswith("__")}
+    )
+    wrong_det.det = lambda mat: linalg.det(mat) + 1
+    monkeypatch.setattr(groups, "linalg", wrong_det)
+    code, out, err = run_cli(capsys, "analyze", "S3-standard")
+    assert code == 4
+    assert out == ""
+    assert "root line is not an eigenline" in err
 
 
 def test_cli_analyze_human(capsys):

@@ -1,11 +1,18 @@
+import random
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
-from invlat.catalog import get_entry
-from invlat.cyclotomic import CycNum, zeta
+from invlat import linalg
+from invlat.catalog import catalog_names, get_entry
+from invlat.cyclotomic import CycNum, euler_phi, zeta
 from invlat.errors import InvalidInputError
-from invlat.groups import close_group, conj_transpose, mat_mul
+from invlat.groups import close_group, conj_transpose, group_from_json, mat_mul
 from invlat.linalg import rank
 from invlat.schur import (
+    _expansion_conductor,
+    _orbit_span,
     bilinear_type,
     character_profile,
     classify_character_field,
@@ -16,7 +23,8 @@ from invlat.schur import (
 )
 
 
-from oracles import five_starts
+from generated_groups import GENERATED
+from oracles import five_starts, orbit_span_all_elements
 
 
 def test_field_classification(s3, g4, q8, c5):
@@ -164,3 +172,70 @@ def test_witness_field_form_is_g_stable(s3):
             )
             _, stacked = expand_vectors(list(witness.basis) + [image])
             assert linalg.rank(stacked) == linalg.rank(stacked[:-1])
+
+
+CATALOG_GROUPS = [
+    name for name in catalog_names() if get_entry(name).kind == "group"
+]
+
+
+def assert_spans_agree(group, start):
+    conductor = _expansion_conductor(group, start)
+    assert _orbit_span(group, start, conductor) == orbit_span_all_elements(
+        group, start, conductor
+    )
+
+
+@pytest.mark.parametrize("name", CATALOG_GROUPS)
+def test_orbit_span_matches_all_elements_route(name):
+    group = get_entry(name).group()
+    for start in five_starts(group.dimension):
+        assert_spans_agree(group, start)
+
+
+@pytest.mark.parametrize("name", CATALOG_GROUPS)
+def test_orbit_span_matches_all_elements_route_on_random_starts(name):
+    group = get_entry(name).group()
+    rng = random.Random(20050)
+    # the group's own field and a larger one, as in schur_index on a start
+    # vector with entries outside the group's field
+    for conductor in (group.conductor, lcm(group.conductor, 4)):
+        for _ in range(3):
+            start = tuple(
+                CycNum(
+                    conductor,
+                    [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for _ in range(euler_phi(conductor))],
+                )
+                for _ in range(group.dimension)
+            )
+            if all(x.is_zero() for x in start):
+                continue
+            assert_spans_agree(group, start)
+
+
+@pytest.mark.parametrize("name", ["WeylB3", "G3-1-2", "G3-1-3"])
+def test_orbit_span_matches_all_elements_route_on_generated_groups(name):
+    obj, order = GENERATED[name]
+    group = group_from_json(obj)
+    assert group.order == order
+    for start in five_starts(group.dimension):
+        assert_spans_agree(group, start)
+
+
+def test_orbit_span_row_reduces_fewer_rows_than_the_group_order(monkeypatch):
+    group = group_from_json(GENERATED["G3-1-3"][0])
+    sizes = []
+    real_rref = linalg.rref
+
+    def counting_rref(rows):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return real_rref(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    start = five_starts(group.dimension)[3]
+    span = _orbit_span(group, start, group.conductor)
+    bound = group.dimension * euler_phi(group.conductor)
+    assert sizes and max(sizes) <= bound < group.order
+    assert len(span) <= bound
