@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import linalg
-from .cyclotomic import CycNum, as_cycnum, cyc_from_json, cyc_to_json, exact_sign
+from .cyclotomic import CycNum, as_cycnum, cyc_from_json, exact_sign
 from .errors import CapExceededError, InternalConsistencyError, InvalidInputError
 
 
@@ -143,12 +143,6 @@ def character_norm(group: GroupRep) -> CycNum:
     return total / group.order
 
 
-def irreducibility_check(group: GroupRep):
-    """(is_irreducible, exact character norm)."""
-    norm = character_norm(group)
-    return norm == 1, norm
-
-
 def invariant_hermitian(group: GroupRep):
     """The averaged invariant positive-definite Hermitian form (1/|G|) sum g^H g."""
     n = group.dimension
@@ -189,9 +183,6 @@ class ReflectionData:
     theta: CycNum  # the nontrivial eigenvalue, = det(matrix)
     root: tuple  # spans the moved line, first nonzero entry normalized to 1
 
-    def moves_line_of(self, vector) -> bool:
-        return linalg.rank([list(self.root), list(vector)]) == 1
-
 
 def find_reflections(group: GroupRep):
     """All reflections in the group: elements with rank(id - g) = 1.
@@ -226,16 +217,6 @@ def _scan_reflections(group: GroupRep):
             raise InternalConsistencyError("root line is not an eigenline")
         out.append(ReflectionData(idx, mat, theta, root))
     return out
-
-
-def group_to_json(group: GroupRep) -> dict:
-    return {
-        "conductor": group.conductor,
-        "dimension": group.dimension,
-        "generators": [
-            [[cyc_to_json(x) for x in row] for row in g] for g in group.generators
-        ],
-    }
 
 
 def matrix_from_json(obj, dimension) -> tuple:

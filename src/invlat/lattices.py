@@ -206,30 +206,6 @@ def lattice_sum(a: ZLattice, b: ZLattice) -> ZLattice:
     return lattice_from_generators(list(a.vectors()) + list(b.vectors()), dim=a.dim)
 
 
-def lattice_intersect(a: ZLattice, b: ZLattice) -> ZLattice:
-    if a.dim != b.dim:
-        raise InvalidInputError("ambient dimensions differ")
-    avecs, bvecs = list(a.vectors()), list(b.vectors())
-    if not avecs or not bvecs:
-        return lattice_from_generators([], dim=a.dim, allow_zero=True)
-    _, rows = expand_vectors(avecs + bvecs)
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, x.denominator)
-    stacked = [[int(x * den) for x in row] for row in rows[: len(avecs)]]
-    stacked += [[-int(x * den) for x in row] for row in rows[len(avecs) :]]
-    kernel = linalg.int_kernel(stacked)
-    gens = []
-    for krow in kernel:
-        vec = [CycNum.rational(0)] * a.dim
-        for coeff, avec in zip(krow[: len(avecs)], avecs):
-            if coeff:
-                vec = [v + coeff * x for v, x in zip(vec, avec)]
-        gens.append(tuple(vec))
-    return lattice_from_generators(gens, dim=a.dim, allow_zero=True)
-
-
 def intersect_with_subspace(lattice: ZLattice, span_vectors, real=False) -> ZLattice:
     """Lattice points in the complex span (or, with real=True, the real span)
     of the given vectors.
@@ -288,13 +264,6 @@ def lattice_index(big: ZLattice, small: ZLattice):
         coords.append([Fraction(x) for x in big.basis_coords(vec)])
     d = linalg.det(coords)
     return abs(int(d))
-
-
-def apply_matrix(matrix, lattice: ZLattice) -> ZLattice:
-    mapped = [
-        tuple(linalg.matvec(matrix, list(vec))) for vec in lattice.vectors()
-    ]
-    return lattice_from_generators(mapped, dim=lattice.dim)
 
 
 def scale_lattice(scalar, lattice: ZLattice) -> ZLattice:
@@ -385,15 +354,6 @@ class RankTwoLattice:
             and other.contains(self.g2)
         )
 
-    def index_of_sublattice(self, other) -> int:
-        rows = []
-        for g in (other.g1, other.g2):
-            c = self.coords_of(g)
-            if c is None or any(x.denominator != 1 for x in c):
-                raise InvalidInputError("not a sublattice")
-            rows.append(c)
-        return abs(int(linalg.det(rows)))
-
     def __eq__(self, other):
         if not isinstance(other, RankTwoLattice):
             return NotImplemented
@@ -417,20 +377,6 @@ class MultiplierRing:
     fundamental_discriminant: int | None = None
     order_conductor: int | None = None
     generator: CycNum | None = None
-
-    def contains_order_of_discriminant(self, disc: int) -> bool:
-        """True when this ring contains the order of the given discriminant
-        in the same field (conductor divisibility)."""
-        if self.kind != "order":
-            return False
-        mine, theirs = self.discriminant, disc
-        if mine is None:
-            return False
-        f2 = Fraction(theirs, mine)
-        if f2.denominator != 1:
-            return False
-        s = isqrt(int(f2))
-        return s * s == int(f2)
 
 
 def squarefree_part(n: int) -> int:
@@ -488,13 +434,3 @@ def isogeny_test(a: RankTwoLattice, b: RankTwoLattice):
         raise InternalConsistencyError("isogeny kernel vector gives a zero scalar")
     return beta / b.g1
 
-
-def rank_two_to_json(gamma: RankTwoLattice) -> dict:
-    return {"g1": cyc_to_json(gamma.g1), "g2": cyc_to_json(gamma.g2)}
-
-
-def rank_two_from_json(obj) -> RankTwoLattice:
-    try:
-        return RankTwoLattice(cyc_from_json(obj["g1"]), cyc_from_json(obj["g2"]))
-    except KeyError as exc:
-        raise InvalidInputError(f"bad rank-two lattice encoding: {exc}") from exc

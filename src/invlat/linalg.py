@@ -28,10 +28,6 @@ def matmul(a, b):
     return [[sum((x * y for x, y in zip(row, col)), _zero_of(row[0])) for col in cols] for row in a]
 
 
-def transpose(mat):
-    return [list(col) for col in zip(*mat)]
-
-
 def identity(n, one=Fraction(1)):
     zero = one * 0
     return [[one if i == j else zero for j in range(n)] for i in range(n)]

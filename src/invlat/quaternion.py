@@ -14,8 +14,9 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from . import linalg
-from .cyclotomic import CycNum, as_cycnum, common_conductor, sqrt_rational
+from .cyclotomic import CycNum, as_cycnum, common_conductor
 from .errors import InternalConsistencyError, InvalidInputError
+from .forge import OrderSplit
 from .lattices import ZLattice, fundamental_discriminant, lattice_from_generators
 
 
@@ -80,12 +81,6 @@ class QuatElement:
 
     def __neg__(self):
         return QuatElement(self.algebra, tuple(-x for x in self.coords))
-
-    def scale(self, scalar) -> "QuatElement":
-        s = as_cycnum(scalar)
-        if not s.is_real():
-            raise InvalidInputError("scalar must be real")
-        return QuatElement(self.algebra, tuple(s * x for x in self.coords))
 
     def __mul__(self, other):
         self._require_same(other)
@@ -548,7 +543,11 @@ class RatLVerdict:
 
 
 def ratl_verdict(profile, n: int, evidence=None) -> RatLVerdict:
-    """Abelian-or-not verdict for the rank-2n tori of index-2 rational groups."""
+    """Abelian-or-not verdict for the rank-2n tori of index-2 rational groups.
+
+    evidence is an EndomorphismRing, an OrderSplit of the doubled lattice, or
+    None when the torus gave no evidence.
+    """
     if profile.schur.index != 2 or profile.field.kind != "rational":
         raise InvalidInputError(
             "verdict applies only to Schur index 2 with rational character"
@@ -570,9 +569,7 @@ def ratl_verdict(profile, n: int, evidence=None) -> RatLVerdict:
                 "symplectic", evidence.abelian,
                 f"endomorphism-ring evidence: the torus is {word}an abelian variety",
             )
-    if evidence == "cm-split" or (
-        evidence is not None and evidence.__class__.__name__ == "OrderSplit"
-    ):
+    if isinstance(evidence, OrderSplit):
         return RatLVerdict(
             "symplectic", True,
             "the lattice splits into CM line lattices: abelian variety",

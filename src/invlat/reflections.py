@@ -19,8 +19,6 @@ from .groups import (
     GroupRep,
     ReflectionData,
     find_reflections,
-    hermitian_inner,
-    invariant_hermitian,
     mat_identity,
     mat_mul,
 )
@@ -172,48 +170,49 @@ def line_lattice_decomposition(lattice: ZLattice, refs) -> ReflectionDecompositi
     )
 
 
-def cycle_multiplier(refs, cycle) -> CycNum:
-    """Exact eigenvalue of (id-r_{j1})(id-r_{jm})...(id-r_{j2}) on root j1.
+def root_functional_matrix(refs):
+    """A[k][j] = phi_k(alpha_j), where id - r_k = alpha_k phi_k has rank one.
 
-    Each factor has rank one, so the composition's image lies in the first
-    root line and its trace equals the eigenvalue; both computations are done
-    and compared.
+    The root alpha_k has a 1 at its first nonzero entry p, so phi_k is row p
+    of id - r_k; the factorization is checked entry by entry.
     """
-    refs = tuple(refs)
-    if not cycle or any(j < 0 or j >= len(refs) for j in cycle):
-        raise InvalidInputError("cycle indices out of range")
     n = len(refs[0].root)
     identity = mat_identity(n)
-
-    def one_minus(ref):
-        return [
-            [identity[i][j] - ref.matrix[i][j] for j in range(n)] for i in range(n)
-        ]
-
-    factors = [one_minus(refs[cycle[0]])]
-    for j in reversed(cycle[1:]):
-        factors.append(one_minus(refs[j]))
-    op = factors[0]
-    for f in factors[1:]:
-        op = linalg.matmul(op, f)
-    root = list(refs[cycle[0]].root)
-    image = linalg.matvec(op, root)
-    pivot = next(p for p, x in enumerate(root) if not x.is_zero())
-    value = image[pivot] / root[pivot]
-    if not all((x - value * y).is_zero() for x, y in zip(image, root)):
-        raise InternalConsistencyError("cycle operator does not fix the root line")
-    tr = sum((op[i][i] for i in range(n)), CycNum.rational(0))
-    if tr != value:
-        raise InternalConsistencyError("cycle trace disagrees with the eigenvalue")
-    return value
+    phis = []
+    for ref in refs:
+        alpha = ref.root
+        p = next(i for i, x in enumerate(alpha) if not x.is_zero())
+        phi = [identity[p][q] - ref.matrix[p][q] for q in range(n)]
+        for i in range(n):
+            for q in range(n):
+                if identity[i][q] - ref.matrix[i][q] != alpha[i] * phi[q]:
+                    raise InternalConsistencyError(
+                        "id - r is not its root times a functional"
+                    )
+        phis.append(phi)
+    zero = CycNum.rational(0)
+    return tuple(
+        tuple(sum((f * x for f, x in zip(phi, ref.root)), zero) for ref in refs)
+        for phi in phis
+    )
 
 
 def scan_cycle_multipliers(refs, bound: int):
-    """All cycle multipliers for index tuples of length 1..bound, in order."""
+    """All cycle multipliers for index tuples of length 1..bound, in order.
+
+    The multiplier of (j1 ... jm) is the eigenvalue of
+    (id - r_{j1})(id - r_{jm})...(id - r_{j2}) on root j1.  Each factor is
+    alpha_k phi_k, so it is the cyclic product of A[j_{i+1}][j_i] over the
+    root functional matrix A.
+    """
+    a = root_functional_matrix(refs)
     out = []
     for length in range(1, bound + 1):
         for cycle in product(range(len(refs)), repeat=length):
-            out.append((cycle, cycle_multiplier(refs, cycle)))
+            value = a[cycle[0]][cycle[-1]]
+            for j, k in zip(cycle, cycle[1:]):
+                value = value * a[k][j]
+            out.append((cycle, value))
     return out
 
 
@@ -225,15 +224,9 @@ class CmRecord:
     ring: MultiplierRing
 
 
-def cm_detect(dec: ReflectionDecomposition, bound: int | None = None):
-    """First non-rational cycle multiplier, verified to multiply its line lattice."""
-    if bound is None:
-        bound = len(dec.reflections) + 1
-    return cm_from_scan(dec, scan_cycle_multipliers(dec.reflections, bound))
-
-
 def cm_from_scan(dec: ReflectionDecomposition, scanned):
-    """`cm_detect` on an already scanned list of (cycle, value) pairs."""
+    """First non-rational multiplier of a scanned list of (cycle, value) pairs,
+    verified to multiply its line lattice."""
     for cycle, value in scanned:
         if value.is_rational():
             continue
@@ -264,20 +257,25 @@ class IsogenyGraph:
     connected: bool
 
 
-def isogeny_graph(dec: ReflectionDecomposition, gram) -> IsogenyGraph:
-    """Edges between root lines with nonzero inner product, with lattice maps."""
+def isogeny_graph(dec: ReflectionDecomposition) -> IsogenyGraph:
+    """Edges j -> k where A[k][j] = phi_k(alpha_j) is nonzero, with lattice maps.
+
+    Every reflection is unitary for the invariant Hermitian form, so
+    phi_k(alpha_j) is a nonzero multiple of <alpha_k, alpha_j>: the edges join
+    the non-orthogonal root lines, and the zero pattern of A is symmetric.
+    """
     n = len(dec.reflections)
+    a = root_functional_matrix(dec.reflections)
+    if any(a[k][j].is_zero() != a[j][k].is_zero() for j in range(n) for k in range(j)):
+        raise InternalConsistencyError(
+            "root functional matrix has an asymmetric zero pattern"
+        )
     identity = mat_identity(dec.ambient.dim)
     edges = []
     adjacency = {j: set() for j in range(n)}
     for j in range(n):
         for k in range(n):
-            if j == k:
-                continue
-            inner = hermitian_inner(
-                gram, dec.reflections[j].root, dec.reflections[k].root
-            )
-            if inner.is_zero():
+            if j == k or a[k][j].is_zero():
                 continue
             rk = dec.reflections[k]
             mat = [
@@ -334,8 +332,7 @@ def geom_report(group: GroupRep, lattice: ZLattice, cycle_bound: int | None = No
         )
     refs = choose_generating_reflections(group)
     dec = line_lattice_decomposition(lattice, refs)
-    gram = invariant_hermitian(group)
-    graph = isogeny_graph(dec, gram)
+    graph = isogeny_graph(dec)
     bound = cycle_bound if cycle_bound is not None else n + 1
     multipliers = tuple(scan_cycle_multipliers(refs, bound))
     cm = cm_from_scan(dec, multipliers)

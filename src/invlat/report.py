@@ -24,7 +24,7 @@ from .forge import (
     order_saturate,
     split_as_order_module,
 )
-from .groups import GroupRep, character_norm, find_reflections, group_from_json
+from .groups import GroupRep, find_reflections, group_from_json
 from .lattices import (
     MultiplierRing,
     RankTwoLattice,
@@ -51,7 +51,7 @@ from .schur import (
 )
 
 SCHEMA = "torus-report/1"
-DEFAULT_DOUBLING_SCALAR = "z4"
+MAX_CYCLES = 100_000  # cycles one reflection scan may enumerate
 
 
 def _vec(v) -> list:
@@ -181,6 +181,22 @@ def _scalar_order(c: CycNum) -> ImaginaryQuadraticOrder:
     return ImaginaryQuadraticOrder.from_discriminant(ring.discriminant)
 
 
+def check_cycle_bound(n: int, bound: int) -> None:
+    """Reject a cycle bound below 1, or one whose scan over n reflections
+    enumerates more than MAX_CYCLES cycles (n + n^2 + ... + n^bound)."""
+    if bound < 1:
+        raise InvalidInputError(f"cycle bound must be at least 1, got {bound}")
+    count, term = 0, 1
+    for _ in range(bound):
+        term *= n
+        count += term
+        if count > MAX_CYCLES:
+            raise InvalidInputError(
+                f"cycle bound {bound} scans more than {MAX_CYCLES} cycles "
+                f"of {n} reflections"
+            )
+
+
 def group_report(
     group: GroupRep,
     *,
@@ -192,11 +208,8 @@ def group_report(
 ) -> dict:
     """Analyze one irreducible group: profile, verdict, lattices, structure."""
     n = group.dimension
-    norm = character_norm(group)
-    if norm != 1:
-        raise InvalidInputError(
-            f"representation is reducible: character norm {norm}, need 1"
-        )
+    if cycle_bound is not None:
+        check_cycle_bound(n, cycle_bound)
     profile = character_profile(group, seed=seed)
     gcd_cert = gcd_kernel_shortcut(group)
     verdict = lattice_existence_verdict(profile, n)

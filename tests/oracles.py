@@ -2,6 +2,7 @@
 
 from invlat import linalg
 from invlat.cyclotomic import CycNum
+from invlat.groups import hermitian_inner, invariant_hermitian, mat_identity
 from invlat.lattices import ZLattice
 
 
@@ -71,3 +72,39 @@ def orbit_span_all_elements(group, vector, conductor):
         rows.append(row)
     reduced, _ = linalg.rref(rows)
     return [tuple(r) for r in reduced]
+
+
+def cycle_multiplier_by_matrices(refs, cycle):
+    """Eigenvalue of (id - r_{j1})(id - r_{jm})...(id - r_{j2}) on root j1,
+    from the n x n matrix product; the composition has rank at most one, so
+    the eigenvalue must equal its trace.  The library reads the same value
+    off the root functional matrix."""
+    n = len(refs[0].root)
+    identity = mat_identity(n)
+
+    def one_minus(ref):
+        return [[identity[i][j] - ref.matrix[i][j] for j in range(n)] for i in range(n)]
+
+    op = one_minus(refs[cycle[0]])
+    for j in reversed(cycle[1:]):
+        op = linalg.matmul(op, one_minus(refs[j]))
+    root = list(refs[cycle[0]].root)
+    image = linalg.matvec(op, root)
+    pivot = next(p for p, x in enumerate(root) if not x.is_zero())
+    value = image[pivot] / root[pivot]
+    assert image == [value * x for x in root], "cycle operator moved the root line"
+    assert sum((op[i][i] for i in range(n)), CycNum.rational(0)) == value
+    return value
+
+
+def gram_edges(group, refs):
+    """Ordered pairs (j, k), j != k, of roots with nonzero inner product under
+    the invariant Hermitian form averaged over all |G| elements.  The library
+    reads the same pairs off the zero pattern of the root functional matrix."""
+    gram = invariant_hermitian(group)
+    return {
+        (j, k)
+        for j in range(len(refs))
+        for k in range(len(refs))
+        if j != k and not hermitian_inner(gram, refs[j].root, refs[k].root).is_zero()
+    }

@@ -7,10 +7,7 @@ from invlat import linalg
 from invlat.cyclotomic import CycNum, sqrt_rational, zeta
 from invlat.errors import InvalidInputError, NotDiscreteError
 from invlat.lattices import (
-    MultiplierRing,
     RankTwoLattice,
-    ZLattice,
-    apply_matrix,
     fundamental_discriminant,
     intersect_with_subspace,
     invariance_check,
@@ -18,12 +15,9 @@ from invlat.lattices import (
     lattice_from_generators,
     lattice_from_json,
     lattice_index,
-    lattice_intersect,
     lattice_sum,
     lattice_to_json,
     multiplier_ring,
-    rank_two_from_json,
-    rank_two_to_json,
     scale_lattice,
     squarefree_part,
 )
@@ -113,21 +107,13 @@ def test_index_matches_coset_count(mat):
     assert idx == coset_count(top, sub)
 
 
-@given(nonsingular_2x2(), nonsingular_2x2())
-@settings(max_examples=80)
-def test_second_isomorphism(a_mat, b_mat):
-    a = zlattice(a_mat)
-    b = zlattice(b_mat)
-    total = lattice_sum(a, b)
-    meet = lattice_intersect(a, b)
-    assert lattice_index(total, a) == lattice_index(b, meet)
-
-
 def test_sum_and_intersect_basics():
     a = zlattice([[2, 0], [0, 1]])
     b = zlattice([[1, 0], [0, 3]])
     assert lattice_sum(a, b) == zlattice([[1, 0], [0, 1]])
-    assert lattice_intersect(a, b) == zlattice([[2, 0], [0, 3]])
+    axis = cyc_rows([[1, 0]])
+    assert intersect_with_subspace(a, axis) == zlattice([[2, 0]])
+    assert intersect_with_subspace(lattice_sum(a, b), axis) == zlattice([[1, 0]])
 
 
 def test_intersect_with_subspace():
@@ -150,10 +136,8 @@ def test_intersect_with_real_span():
     assert real_line.rank == 1
 
 
-def test_apply_matrix_and_scale():
+def test_scale_lattice():
     lat = zlattice([[1, 0], [0, 1]])
-    doubled = apply_matrix(cyc_rows([[2, 0], [0, 2]]), lat)
-    assert lattice_index(lat, doubled) == 4
     rotated = scale_lattice(zeta(4), lat)
     assert rotated.rank == 2
     assert rotated.contains((zeta(4), CycNum.rational(0)))
@@ -225,8 +209,6 @@ def test_multiplier_ring_nonmaximal():
     assert ring.discriminant == -16
     assert ring.fundamental_discriminant == -4
     assert ring.order_conductor == 2
-    assert ring.contains_order_of_discriminant(-16)
-    assert not ring.contains_order_of_discriminant(-4)
 
 
 SQUAREFREE = [1, 2, 3, 5, 7]
@@ -292,8 +274,3 @@ def test_isogeny_test_distinct_fields():
     a = RankTwoLattice(CycNum.rational(1), zeta(4))
     b = RankTwoLattice(CycNum.rational(1), zeta(3))
     assert isogeny_test(a, b) is None
-
-
-def test_rank_two_json_round_trip():
-    gamma = RankTwoLattice(CycNum.rational(2), zeta(3) + 1)
-    assert rank_two_from_json(rank_two_to_json(gamma)) == gamma

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from invlat.catalog import quaternion_preset
 from invlat.cyclotomic import CycNum, sqrt_rational, zeta
 from invlat.errors import InvalidInputError
+from invlat.forge import extend_rank_2n, maximal_order, split_as_order_module
 from invlat.lattices import lattice_from_generators
 from invlat.quaternion import (
-    EndomorphismRing,
     QuatAlgebra,
     build_quat_torus,
     imaginary_quadratic_subfield,
@@ -180,7 +180,10 @@ def test_ratl_verdict_branches(q8):
     assert open_verdict.branch == "symplectic"
     assert open_verdict.abelian is None
 
-    split_verdict = ratl_verdict(profile, 2, evidence="cm-split")
+    one, nil = CycNum.rational(1), CycNum.rational(0)
+    base = lattice_from_generators([(one, nil), (nil, one)])
+    split = split_as_order_module(extend_rank_2n(base, zeta(4)), maximal_order(-4))
+    split_verdict = ratl_verdict(profile, 2, evidence=split)
     assert split_verdict.abelian is True
 
     alg, lat, c = quaternion_preset("example-non-generic")

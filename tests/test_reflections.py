@@ -1,22 +1,29 @@
+from dataclasses import replace
+
 import pytest
 
-from invlat.catalog import get_entry
+from invlat import groups, reflections
+from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, zeta
-from invlat.errors import InvalidInputError
+from invlat.errors import InternalConsistencyError, InvalidInputError
 from invlat.forge import extend_rank_2n, maximal_order, orbit_lattice_over_order, order_saturate
-from invlat.groups import find_reflections, mat_identity
-from invlat.lattices import lattice_from_generators, lattice_index, scale_lattice
+from invlat.groups import group_from_json, mat_identity
+from invlat.lattices import lattice_from_generators, lattice_from_json, scale_lattice
 from invlat.reflections import (
     choose_generating_reflections,
-    cm_detect,
     cm_from_scan,
-    cycle_multiplier,
     geom_report,
     isogeny_graph,
     line_lattice_decomposition,
+    root_functional_matrix,
     scan_cycle_multipliers,
 )
-from invlat.groups import invariant_hermitian
+from invlat.report import analyze
+
+from generated_groups import GENERATED, weyl_from_cartan
+from oracles import cycle_multiplier_by_matrices, gram_edges
+
+CARTAN_A4 = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
 
 
 def std_lattice(n):
@@ -76,16 +83,17 @@ def test_g4_line_decomposition(g4, g4_lattice):
 
 def test_cycle_multiplier_b2(b2):
     refs = choose_generating_reflections(b2)
-    assert cycle_multiplier(refs, (0,)) == CycNum.rational(2)
-    assert cycle_multiplier(refs, (0, 1)) == CycNum.rational(2)
-    assert cycle_multiplier(refs, (1, 0)) == CycNum.rational(2)
+    values = dict(scan_cycle_multipliers(refs, 2))
+    assert values[(0,)] == CycNum.rational(2)
+    assert values[(0, 1)] == CycNum.rational(2)
+    assert values[(1, 0)] == CycNum.rational(2)
 
 
 def test_cycle_multiplier_fixed_line_identity():
     # a cycle multiplier is the eigenvalue of the composed rank-one operator
     b2 = get_entry("WeylB2").group()
     refs = choose_generating_reflections(b2)
-    value = cycle_multiplier(refs, (0, 1))
+    value = dict(scan_cycle_multipliers(refs, 2))[(0, 1)]
     n = b2.dimension
     identity = mat_identity(n)
     ops = []
@@ -127,7 +135,7 @@ def test_weyl_groups_have_rational_multipliers(s3, b2):
 def test_cm_detect_g4(g4, g4_lattice):
     refs = choose_generating_reflections(g4)
     dec = line_lattice_decomposition(g4_lattice, refs)
-    cm = cm_detect(dec)
+    cm = cm_from_scan(dec, scan_cycle_multipliers(refs, g4.dimension + 1))
     assert cm is not None
     assert cm.cycle == (0,)
     assert cm.value == CycNum.rational(1) - zeta(3)
@@ -142,23 +150,13 @@ def test_cm_detect_g4(g4, g4_lattice):
 def test_cm_detect_none_for_weyl(b2, b2_lattice):
     refs = choose_generating_reflections(b2)
     dec = line_lattice_decomposition(b2_lattice, refs)
-    assert cm_detect(dec) is None
-
-
-def test_cm_from_scan_matches_cm_detect(b2, b2_lattice, g4, g4_lattice):
-    for group, lattice in [(b2, b2_lattice), (g4, g4_lattice)]:
-        dec = line_lattice_decomposition(
-            lattice, choose_generating_reflections(group)
-        )
-        for bound in (1, group.dimension + 1):
-            scanned = scan_cycle_multipliers(dec.reflections, bound)
-            assert cm_from_scan(dec, scanned) == cm_detect(dec, bound)
+    assert cm_from_scan(dec, scan_cycle_multipliers(refs, b2.dimension + 1)) is None
 
 
 def test_isogeny_graph_b2(b2, b2_lattice):
     refs = choose_generating_reflections(b2)
     dec = line_lattice_decomposition(b2_lattice, refs)
-    graph = isogeny_graph(dec, invariant_hermitian(b2))
+    graph = isogeny_graph(dec)
     assert graph.connected
     pairs = {(e.source, e.target) for e in graph.edges}
     assert pairs == {(0, 1), (1, 0)}
@@ -192,3 +190,74 @@ def test_geom_report_a2_with_cube_root(s3):
 def test_geom_report_rejects_rank_n(s3):
     with pytest.raises(InvalidInputError):
         geom_report(s3, std_lattice(2))
+
+
+@pytest.fixture(scope="module")
+def reflection_cases():
+    """(name, group, lattice) for every reflection group of the catalog, the
+    generated groups and Weyl A4.  The lattice is the report's last rank-2n
+    recipe lattice, the one its reflection section splits, or None when the
+    report has no reflection section (C5-zeta5 has no invariant lattice)."""
+    inputs = [(name, get_entry(name).group(), name) for name in catalog_names()
+              if get_entry(name).kind == "group"]
+    generated = {name: obj for name, (obj, _) in GENERATED.items()}
+    generated["WeylA4"] = weyl_from_cartan(CARTAN_A4)
+    inputs += [(name, group_from_json(obj), obj) for name, obj in generated.items()]
+    cases = []
+    for name, group, target in inputs:
+        rep = analyze(target)
+        if not rep["group"]["reflections"]:
+            continue
+        lattice = None
+        if rep["reflection"] is not None:
+            entry = [e for e in rep["lattices"] if e["rank"] == 2 * group.dimension][-1]
+            lattice = lattice_from_json(entry["lattice"])
+        cases.append((name, group, lattice))
+    assert len(cases) == 8 + len(generated)
+    assert sum(lattice is None for _, _, lattice in cases) == 1
+    return cases
+
+
+def test_scan_matches_matrix_product_oracle(reflection_cases):
+    for name, group, _ in reflection_cases:
+        refs = choose_generating_reflections(group)
+        for cycle, value in scan_cycle_multipliers(refs, group.dimension + 1):
+            assert value == cycle_multiplier_by_matrices(refs, cycle), (name, cycle)
+
+
+def test_isogeny_graph_matches_gram_oracle(reflection_cases):
+    for name, group, lattice in reflection_cases:
+        if lattice is None:
+            continue
+        refs = choose_generating_reflections(group)
+        graph = isogeny_graph(line_lattice_decomposition(lattice, refs))
+        edges = {(e.source, e.target) for e in graph.edges}
+        assert edges == gram_edges(group, refs), name
+
+
+def test_root_functional_matrix_checks_the_factorization(b2):
+    refs = choose_generating_reflections(b2)
+    a = root_functional_matrix(refs)
+    assert [a[k][k] for k in range(2)] == [CycNum.rational(2)] * 2  # 1 - theta
+    # a root off the moved line breaks id - r = alpha phi
+    wrong = replace(refs[0], root=(CycNum.rational(1), CycNum.rational(5)))
+    with pytest.raises(InternalConsistencyError, match="root times a functional"):
+        root_functional_matrix((wrong, refs[1]))
+
+
+def test_isogeny_graph_rejects_asymmetric_zero_pattern(b2, b2_lattice, monkeypatch):
+    dec = line_lattice_decomposition(b2_lattice, choose_generating_reflections(b2))
+    one, nil = CycNum.rational(1), CycNum.rational(0)
+    monkeypatch.setattr(
+        reflections, "root_functional_matrix", lambda refs: ((one, one), (nil, one))
+    )
+    with pytest.raises(InternalConsistencyError, match="asymmetric zero pattern"):
+        isogeny_graph(dec)
+
+
+def test_geom_report_needs_no_invariant_form(g4, g4_lattice, monkeypatch):
+    def averaged_form(group):
+        raise AssertionError("invariant_hermitian called")
+
+    monkeypatch.setattr(groups, "invariant_hermitian", averaged_form)
+    assert geom_report(g4, g4_lattice).cm is not None

@@ -3,11 +3,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from invlat import groups, linalg
+from invlat import groups, linalg, report
 from invlat.catalog import catalog_names, get_entry
 from invlat.cli import main
 from invlat.lattices import invariance_check, lattice_from_generators, lattice_from_json
-from invlat.report import analyze, render_json
+from invlat.errors import InvalidInputError
+from invlat.report import MAX_CYCLES, analyze, check_cycle_bound, render_json
 
 TOP_KEYS = {
     "schema", "input", "group", "profile", "verdict",
@@ -226,11 +227,26 @@ def test_cli_decompose(capsys):
     assert "line 0" in out
     assert "line 1" in out
 
+    code, out, _ = run_cli(capsys, "decompose", "G4", "--cycle-bound", "1", "--json")
+    assert code == 0
+    cycles = [c["cycle"] for c in json.loads(out)["cycle_multipliers"]]
+    assert cycles == [[0], [1]]
 
-def test_cli_exit_codes(capsys):
+
+def test_cli_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "nosuch-entry")
     assert code == 2
     assert "unknown catalog name" in err
+
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps({
+        "dimension": 2,
+        "conductor": 1,
+        "generators": [[["1", "0"], ["0", "-1"]]],
+    }))
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert "reducible" in err
 
     code, _, err = run_cli(capsys, "construct", "C5-zeta5", "--recipe", "Zn")
     assert code == 2
@@ -240,6 +256,32 @@ def test_cli_exit_codes(capsys):
 
     code, _, err = run_cli(capsys, "analyze", "example-non-ci", "--cap", "3")
     assert code == 3  # the reference group closure exceeds a tiny cap
+
+
+def test_cycle_bound_limits_the_scan_size():
+    # the default bound n + 1 scans at most 1364 cycles (n = 4, Weyl A4)
+    for n in range(1, 5):
+        check_cycle_bound(n, n + 1)
+    check_cycle_bound(1, MAX_CYCLES)
+    check_cycle_bound(2, 15)  # 2 + 4 + ... + 2^15 = 65534 cycles
+    for n, bound in [(1, MAX_CYCLES + 1), (2, 16), (2, 40), (3, 10**18), (1, 0), (2, -3)]:
+        with pytest.raises(InvalidInputError):
+            check_cycle_bound(n, bound)
+
+
+def test_cli_rejects_cycle_bound_before_any_analysis(capsys, monkeypatch):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analysis started")
+
+    monkeypatch.setattr(report, "character_profile", no_analysis)
+    for command, bound, message in [
+        ("analyze", "40", "more than"), ("decompose", "40", "more than"),
+        ("analyze", "0", "at least 1"),
+    ]:
+        code, out, err = run_cli(capsys, command, "WeylB2", "--cycle-bound", bound)
+        assert code == 2
+        assert message in err
+        assert out == ""
 
 
 def test_cli_cap_propagates(capsys):
