@@ -24,7 +24,12 @@ from .errors import (
     InternalConsistencyError,
     InvalidInputError,
 )
-from .report import analyze, group_report, render_json
+from .report import MAX_CYCLES, analyze, group_report, render_json
+
+CYCLE_BOUND_HELP = (
+    "maximum reflection-cycle length to scan (default: dimension + 1, "
+    f"or less where that scan would pass {MAX_CYCLES} cycles)"
+)
 
 
 def _load_target(target: str):
@@ -278,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("target", help="catalog name or path to a group JSON file")
     p_an.add_argument(
         "--cycle-bound", type=int, default=None,
-        help="maximum reflection-cycle length to scan (default: dimension + 1)",
+        help=CYCLE_BOUND_HELP,
     )
     common(p_an)
     p_an.set_defaults(func=_cmd_analyze)
@@ -304,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("target", help="catalog name")
     p_dec.add_argument(
         "--cycle-bound", type=int, default=None,
-        help="maximum reflection-cycle length to scan (default: dimension + 1)",
+        help=CYCLE_BOUND_HELP,
     )
     common(p_dec)
     p_dec.set_defaults(func=_cmd_decompose)

@@ -24,7 +24,6 @@ from .lattices import (
     RankTwoLattice,
     ZLattice,
     fundamental_discriminant,
-    invariance_check,
     lattice_from_generators,
     lattice_sum,
     scale_lattice,
@@ -130,6 +129,25 @@ def _apply(mat, vector):
     return tuple(linalg.matvec([list(r) for r in mat], list(vector)))
 
 
+def _orbit_lattice(group: GroupRep, seeds) -> ZLattice:
+    """Integer span of the G-orbits of the seeds, closed from the generators.
+
+    Starting from the span of the seeds, the images of every basis vector
+    under each generator are added until the lattice stops growing.  Every
+    g^-1 is a power of g, so the result is the smallest lattice that holds the
+    seeds and is mapped into itself by the generators: the span of the orbits,
+    already certified invariant by the stopping condition.
+    """
+    lattice = lattice_from_generators(seeds, dim=group.dimension)
+    while True:
+        vecs = lattice.vectors()
+        images = [_apply(g, v) for g in group.generators for v in vecs]
+        grown = lattice_from_generators(list(vecs) + images, dim=group.dimension)
+        if grown == lattice:
+            return lattice
+        lattice = grown
+
+
 def construct_rank_n(group: GroupRep, witness) -> ZLattice:
     """Integral span of the G-orbit of a rational-form basis; rank n."""
     vectors = _witness_vectors(witness)
@@ -154,14 +172,11 @@ def construct_rank_n(group: GroupRep, witness) -> ZLattice:
                 [list(col) for col in zip(*span)], expand(image)
             ) is None:
                 raise InvalidInputError("witness span is not stable under the group")
-    generators = [_apply(g, v) for g in group.elements for v in vectors]
-    lattice = lattice_from_generators(generators, dim=n)
+    lattice = _orbit_lattice(group, vectors)
     if lattice.rank != n:
         raise InternalConsistencyError(
             f"orbit span has rank {lattice.rank}, expected {n}"
         )
-    if not invariance_check(lattice, group.generators):
-        raise InternalConsistencyError("orbit lattice is not invariant")
     return lattice
 
 
@@ -193,14 +208,7 @@ def orbit_lattice_over_order(
     if all(x.is_zero() for x in vector):
         raise InvalidInputError("starting vector must be nonzero")
     omega = order.generator
-    generators = []
-    for g in group.elements:
-        image = _apply(g, vector)
-        generators.append(image)
-        generators.append(_scale_vector(omega, image))
-    lattice = lattice_from_generators(generators, dim=group.dimension)
-    if not invariance_check(lattice, group.generators):
-        raise InternalConsistencyError("orbit lattice is not invariant")
+    lattice = _orbit_lattice(group, [vector, _scale_vector(omega, vector)])
     for v in lattice.vectors():
         if not lattice.contains(_scale_vector(omega, v)):
             raise InternalConsistencyError("orbit lattice is not order-stable")

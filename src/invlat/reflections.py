@@ -40,7 +40,8 @@ def choose_generating_reflections(group: GroupRep):
 
     Greedy pass over the reflection inventory in element order; if the greedy
     choice spans but fails to generate, falls back to scanning root-spanning
-    n-subsets in enumeration order.
+    n-subsets in enumeration order.  The reflections lie in the group, so they
+    generate it exactly when their closure holds every generator of the group.
     """
     n = group.dimension
     inventory = find_reflections(group)
@@ -48,19 +49,20 @@ def choose_generating_reflections(group: GroupRep):
         raise InvalidInputError("group contains no reflections")
 
     def generates(refs) -> bool:
-        seen = {mat_identity(n)}
-        queue = list(seen)
+        identity = mat_identity(n)
         mats = [r.matrix for r in refs]
-        while queue:
+        missing = set(group.generators).difference(mats, [identity])
+        seen = {identity}
+        queue = [identity]
+        while queue and missing:
             current = queue.pop(0)
             for m in mats:
                 nxt = mat_mul(current, m)
                 if nxt not in seen:
-                    if len(seen) >= group.order:
-                        return False
                     seen.add(nxt)
                     queue.append(nxt)
-        return len(seen) == group.order
+                    missing.discard(nxt)
+        return not missing
 
     chosen = []
     root_rows = []
@@ -195,6 +197,44 @@ def root_functional_matrix(refs):
         tuple(sum((f * x for f, x in zip(phi, ref.root)), zero) for ref in refs)
         for phi in phis
     )
+
+
+MAX_CYCLES = 100_000  # cycles one reflection scan may enumerate
+
+
+def _scan_fits(n: int, bound: int) -> bool:
+    """True when the scan of lengths 1..bound over n reflections enumerates
+    at most MAX_CYCLES cycles (n + n^2 + ... + n^bound)."""
+    count, term = 0, 1
+    for _ in range(bound):
+        term *= n
+        count += term
+        if count > MAX_CYCLES:
+            return False
+    return True
+
+
+def check_cycle_bound(n: int, bound: int) -> None:
+    """Reject a cycle bound below 1, or one whose scan exceeds MAX_CYCLES."""
+    if bound < 1:
+        raise InvalidInputError(f"cycle bound must be at least 1, got {bound}")
+    if not _scan_fits(n, bound):
+        raise InvalidInputError(
+            f"cycle bound {bound} scans more than {MAX_CYCLES} cycles "
+            f"of {n} reflections"
+        )
+
+
+def default_cycle_bound(n: int) -> int:
+    """The largest length up to n + 1 whose scan fits in MAX_CYCLES, at least 1.
+
+    This is n + 1 for every n <= 5; dimension 6 gets 6 (55986 cycles instead
+    of 335922).
+    """
+    bound = 1
+    while bound <= n and _scan_fits(n, bound + 1):
+        bound += 1
+    return bound
 
 
 def scan_cycle_multipliers(refs, bound: int):
@@ -333,7 +373,7 @@ def geom_report(group: GroupRep, lattice: ZLattice, cycle_bound: int | None = No
     refs = choose_generating_reflections(group)
     dec = line_lattice_decomposition(lattice, refs)
     graph = isogeny_graph(dec)
-    bound = cycle_bound if cycle_bound is not None else n + 1
+    bound = cycle_bound if cycle_bound is not None else default_cycle_bound(n)
     multipliers = tuple(scan_cycle_multipliers(refs, bound))
     cm = cm_from_scan(dec, multipliers)
     field = classify_character_field(group)

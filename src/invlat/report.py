@@ -42,7 +42,7 @@ from .quaternion import (
     ratl_verdict,
     torus_endomorphisms,
 )
-from .reflections import GeomReport, geom_report
+from .reflections import MAX_CYCLES, GeomReport, check_cycle_bound, geom_report
 from .schur import (
     CharacterProfile,
     character_profile,
@@ -51,7 +51,6 @@ from .schur import (
 )
 
 SCHEMA = "torus-report/1"
-MAX_CYCLES = 100_000  # cycles one reflection scan may enumerate
 
 
 def _vec(v) -> list:
@@ -181,22 +180,6 @@ def _scalar_order(c: CycNum) -> ImaginaryQuadraticOrder:
     return ImaginaryQuadraticOrder.from_discriminant(ring.discriminant)
 
 
-def check_cycle_bound(n: int, bound: int) -> None:
-    """Reject a cycle bound below 1, or one whose scan over n reflections
-    enumerates more than MAX_CYCLES cycles (n + n^2 + ... + n^bound)."""
-    if bound < 1:
-        raise InvalidInputError(f"cycle bound must be at least 1, got {bound}")
-    count, term = 0, 1
-    for _ in range(bound):
-        term *= n
-        count += term
-        if count > MAX_CYCLES:
-            raise InvalidInputError(
-                f"cycle bound {bound} scans more than {MAX_CYCLES} cycles "
-                f"of {n} reflections"
-            )
-
-
 def group_report(
     group: GroupRep,
     *,
@@ -280,11 +263,12 @@ def group_report(
             )
             c = entry.ds_scalar
             doubled = extend_rank_2n(base, c)
-            if not invariance_check(doubled, group.generators):
+            ds_entry = _lattice_entry("ds", doubled, group, scalar=str(c))
+            if not ds_entry["invariant"]:
                 raise InvalidInputError(
                     "preset doubling lattice is not invariant under the group"
                 )
-            lattices.append(_lattice_entry("ds", doubled, group, scalar=str(c)))
+            lattices.append(ds_entry)
             rank_2n_lattice = doubled
             try:
                 split = split_as_order_module(doubled, _scalar_order(c))

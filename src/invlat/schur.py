@@ -35,7 +35,6 @@ class CharacterFieldClass:
 class BilinearFormType:
     kind: str  # "orthogonal" | "symplectic" | "complex"
     indicator: int  # 1, -1, or 0
-    form: tuple | None  # invariant bilinear form certificate when indicator != 0
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ class LatticeVerdict:
 def _field_span_dim(values) -> int:
     """Dimension over the rationals of the algebra generated by the values."""
     conductor = common_conductor(values)
-    gens = [v for v in values if not v.is_rational()]
+    gens = list(dict.fromkeys(v for v in values if not v.is_rational()))
     basis_rows = []
     basis_elems = []
 
@@ -141,63 +140,18 @@ def frobenius_schur_indicator(group: GroupRep) -> int:
     return int(value)
 
 
-def _averaged_bilinear(group: GroupRep, seed_matrix):
-    n = group.dimension
-    zero = CycNum.rational(0)
-    total = [[zero] * n for _ in range(n)]
-    for mat in group.elements:
-        mt = [[mat[i][j] for i in range(n)] for j in range(n)]
-        prod = linalg.matmul(linalg.matmul(mt, seed_matrix), mat)
-        total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, prod)]
-    avg = [[x / group.order for x in row] for row in total]
-    if all(x.is_zero() for row in avg for x in row):
-        return None
-    return tuple(tuple(row) for row in avg)
+_FORM_KIND = {1: "orthogonal", -1: "symplectic", 0: "complex"}
 
 
 def bilinear_type(group: GroupRep) -> BilinearFormType:
-    """Invariant-bilinear-form type, with the averaged form as certificate."""
+    """Invariant-bilinear-form type, read off the Frobenius-Schur indicator.
+
+    For an irreducible character the indicator alone decides the type: 1
+    gives an invariant symmetric form, -1 an invariant alternating form, and 0
+    no invariant bilinear form at all.
+    """
     nu = frobenius_schur_indicator(group)
-    if nu == 0:
-        return BilinearFormType("complex", 0, None)
-    n = group.dimension
-    zero, one = CycNum.rational(0), CycNum.rational(1)
-    seeds = []
-    if nu == 1:
-        for i in range(n):
-            mat = [[zero] * n for _ in range(n)]
-            mat[i][i] = one
-            seeds.append(mat)
-        for i in range(n):
-            for j in range(i + 1, n):
-                mat = [[zero] * n for _ in range(n)]
-                mat[i][j] = one
-                mat[j][i] = one
-                seeds.append(mat)
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                mat = [[zero] * n for _ in range(n)]
-                mat[i][j] = one
-                mat[j][i] = -one
-                seeds.append(mat)
-    for seed_matrix in seeds:
-        form = _averaged_bilinear(group, seed_matrix)
-        if form is None:
-            continue
-        transposed = tuple(tuple(form[j][i] for j in range(n)) for i in range(n))
-        expected = form if nu == 1 else tuple(
-            tuple(-x for x in row) for row in form
-        )
-        if transposed != expected:
-            raise InternalConsistencyError("averaged form has the wrong symmetry")
-        if linalg.det([list(r) for r in form]).is_zero():
-            raise InternalConsistencyError("averaged invariant form is degenerate")
-        kind = "orthogonal" if nu == 1 else "symplectic"
-        return BilinearFormType(kind, nu, form)
-    raise InternalConsistencyError(
-        "nonzero indicator but every averaged bilinear form vanished"
-    )
+    return BilinearFormType(_FORM_KIND[nu], nu)
 
 
 def _expansion_conductor(group: GroupRep, vector) -> int:

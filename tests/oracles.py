@@ -3,7 +3,7 @@
 from invlat import linalg
 from invlat.cyclotomic import CycNum
 from invlat.groups import hermitian_inner, invariant_hermitian, mat_identity
-from invlat.lattices import ZLattice
+from invlat.lattices import ZLattice, lattice_from_generators
 
 
 def coset_count(big: ZLattice, small: ZLattice) -> int:
@@ -72,6 +72,37 @@ def orbit_span_all_elements(group, vector, conductor):
         rows.append(row)
     reduced, _ = linalg.rref(rows)
     return [tuple(r) for r in reduced]
+
+
+def orbit_lattice_all_elements(group, seeds):
+    """Integer span of g*s for every one of the |G| elements g and every seed
+    s, in one lattice construction.  The library closes the same lattice from
+    the generators."""
+    images = [tuple(linalg.matvec(g, list(s))) for g in group.elements for s in seeds]
+    return lattice_from_generators(images, dim=group.dimension)
+
+
+def averaged_bilinear_form(group, skew):
+    """First nonzero average (1/|G|) sum g^T S g over the unit symmetric seeds
+    S (skew=False) or the unit alternating seeds (skew=True), or None when
+    every average vanishes.  The averages span the invariant forms of that
+    symmetry, so None means there is none.  The library reads the form type
+    off the Frobenius-Schur indicator instead."""
+    n = group.dimension
+    zero, one = CycNum.rational(0), CycNum.rational(1)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1 if skew else i, n)]
+    for i, j in pairs:
+        seed = [[zero] * n for _ in range(n)]
+        seed[i][j] = one
+        seed[j][i] = -one if skew else one
+        total = [[zero] * n for _ in range(n)]
+        for g in group.elements:
+            gt = [[g[b][a] for b in range(n)] for a in range(n)]
+            prod = linalg.matmul(linalg.matmul(gt, seed), g)
+            total = [[x + y for x, y in zip(rt, rp)] for rt, rp in zip(total, prod)]
+        if any(not x.is_zero() for row in total for x in row):
+            return tuple(tuple(x / group.order for x in row) for row in total)
+    return None
 
 
 def cycle_multiplier_by_matrices(refs, cycle):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invlat.catalog import get_entry
+from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, zeta
 from invlat.errors import InvalidInputError, OutOfScopeError
 from invlat.forge import (
@@ -23,7 +23,11 @@ from invlat.lattices import (
     lattice_index,
     scale_lattice,
 )
-from invlat.schur import schur_index
+from invlat.groups import group_from_json
+from invlat.schur import character_profile, lattice_existence_verdict, schur_index
+
+from generated_groups import GENERATED
+from oracles import five_starts, orbit_lattice_all_elements
 
 
 def std_lattice(n):
@@ -124,6 +128,35 @@ def test_construct_rank_n_rejects_unstable(g4):
     # the standard basis spans a rational structure not stable under G4
     with pytest.raises(InvalidInputError):
         construct_rank_n(g4, [(one, nil), (nil, one)])
+
+
+def test_orbit_lattices_match_all_elements_oracle():
+    # both recipes close their orbits from the generators; the oracle spans
+    # the images under all |G| elements in one lattice construction
+    groups = [
+        (name, get_entry(name).group())
+        for name in catalog_names()
+        if get_entry(name).kind == "group"
+    ]
+    groups += [(name, group_from_json(obj)) for name, (obj, _) in GENERATED.items()]
+    recipes = set()
+    for name, group in groups:
+        profile = character_profile(group)
+        if lattice_existence_verdict(profile, group.dimension).clause != "c-i":
+            continue
+        if profile.field.kind == "rational":
+            witness = profile.schur.basis
+            lattice = construct_rank_n(group, witness)
+            assert lattice == orbit_lattice_all_elements(group, witness), name
+            recipes.add("Zn")
+            continue
+        order = maximal_order(profile.field.discriminant)
+        for start in five_starts(group.dimension)[::2]:
+            lattice = orbit_lattice_over_order(group, order, start)
+            seeds = [start, tuple(order.generator * x for x in start)]
+            assert lattice == orbit_lattice_all_elements(group, seeds), name
+            recipes.add("O")
+    assert recipes == {"Zn", "O"}
 
 
 def test_extend_rank_2n(s3):

@@ -7,11 +7,14 @@ from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, zeta
 from invlat.errors import InternalConsistencyError, InvalidInputError
 from invlat.forge import extend_rank_2n, maximal_order, orbit_lattice_over_order, order_saturate
-from invlat.groups import group_from_json, mat_identity
+from invlat.groups import close_group, group_from_json, mat_identity
 from invlat.lattices import lattice_from_generators, lattice_from_json, scale_lattice
 from invlat.reflections import (
+    MAX_CYCLES,
+    check_cycle_bound,
     choose_generating_reflections,
     cm_from_scan,
+    default_cycle_bound,
     geom_report,
     isogeny_graph,
     line_lattice_decomposition,
@@ -233,6 +236,47 @@ def test_isogeny_graph_matches_gram_oracle(reflection_cases):
         graph = isogeny_graph(line_lattice_decomposition(lattice, refs))
         edges = {(e.source, e.target) for e in graph.edges}
         assert edges == gram_edges(group, refs), name
+
+
+def test_chosen_reflections_close_to_the_whole_group(reflection_cases):
+    # the library stops once the closure holds the group's generators; the
+    # oracle closes the chosen reflections in full and compares orders
+    for name, group, _ in reflection_cases:
+        refs = choose_generating_reflections(group)
+        assert close_group([r.matrix for r in refs]).order == group.order, name
+
+
+def test_fallback_when_the_greedy_pair_does_not_generate():
+    # B2 from diag(-1, 1), diag(1, -1) and the swap: the greedy pair (elements
+    # 1 and 2) spans the roots but generates a subgroup of order 4
+    group = close_group(
+        [[[-1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]]]
+    )
+    assert group.order == 8
+    refs = choose_generating_reflections(group)
+    assert [r.element_index for r in refs] == [1, 3]
+    assert close_group([group.elements[1], group.elements[2]]).order == 4
+
+
+def test_default_cycle_bound_fits_the_scan_limit():
+    # arithmetic only: no scan is run
+    for n in range(1, 6):
+        assert default_cycle_bound(n) == n + 1
+    assert default_cycle_bound(6) == 6  # 6 + ... + 6^6 = 55986 cycles
+    for n in range(1, 40):
+        bound = default_cycle_bound(n)
+        assert 1 <= bound <= n + 1
+        check_cycle_bound(n, bound)
+        if bound < n + 1:
+            with pytest.raises(InvalidInputError):
+                check_cycle_bound(n, bound + 1)
+    assert default_cycle_bound(MAX_CYCLES + 1) == 1
+
+
+def test_geom_report_scans_to_the_default_bound(b2, b2_lattice, monkeypatch):
+    monkeypatch.setattr(reflections, "default_cycle_bound", lambda n: 1)
+    cycles = [cycle for cycle, _ in geom_report(b2, b2_lattice).multipliers]
+    assert cycles == [(0,), (1,)]
 
 
 def test_root_functional_matrix_checks_the_factorization(b2):

@@ -76,6 +76,21 @@ def test_generators_decide_invariance_like_all_elements(reports):
     assert verdicts == {True, False}
 
 
+def test_ds_preset_is_checked_once(monkeypatch):
+    calls = []
+
+    def counting(lattice, matrices):
+        calls.append(lattice.rank)
+        return invariance_check(lattice, matrices)
+
+    monkeypatch.setattr(report, "invariance_check", counting)
+    analyze("Q8")
+    assert calls == [4]
+    monkeypatch.setattr(report, "invariance_check", lambda lattice, matrices: False)
+    with pytest.raises(InvalidInputError, match="preset doubling lattice is not invariant"):
+        analyze("Q8")
+
+
 def test_structure_tags(reports):
     assert reports["G4"]["structure"]["tags"] == ["nonrationalT", "main2", "geom"]
     assert reports["Q8"]["structure"]["tags"] == ["ratL"]

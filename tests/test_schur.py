@@ -24,7 +24,7 @@ from invlat.schur import (
 
 
 from generated_groups import GENERATED
-from oracles import five_starts, orbit_span_all_elements
+from oracles import averaged_bilinear_form, five_starts, orbit_span_all_elements
 
 
 def test_field_classification(s3, g4, q8, c5):
@@ -53,26 +53,31 @@ def test_frobenius_schur_values(s3, s4, b2, g4, q8, c5):
     assert frobenius_schur_indicator(c5) == 0
 
 
-def test_bilinear_certificates(s3, q8, g4):
-    sym = bilinear_type(s3)
-    assert sym.kind == "orthogonal"
-    form = sym.form
-    assert form == [list(row) for row in zip(*form)] or tuple(
-        tuple(r) for r in form
-    ) == tuple(tuple(r) for r in zip(*form))
-    # invariance: g^T S g = S for every element
-    for g in s3.elements:
-        gt = tuple(tuple(g[j][i] for j in range(2)) for i in range(2))
-        assert mat_mul(gt, mat_mul(form, g)) == tuple(tuple(r) for r in form) or \
-            mat_mul(gt, mat_mul(form, g)) == form
-
-    skew = bilinear_type(q8)
-    assert skew.kind == "symplectic"
-    f = skew.form
-    neg_transpose = tuple(tuple(-f[j][i] for j in range(2)) for i in range(2))
-    assert tuple(tuple(r) for r in f) == neg_transpose
-
-    assert bilinear_type(g4).kind == "complex"
+def test_bilinear_certificates(s3, s4, b2, q8, g4):
+    # the indicator decides the type; the averaged form certifies it
+    weyl_b3 = group_from_json(GENERATED["WeylB3"][0])
+    cases = [
+        (s3, "orthogonal"), (b2, "orthogonal"), (s4, "orthogonal"),
+        (weyl_b3, "orthogonal"), (q8, "symplectic"), (g4, "complex"),
+    ]
+    for group, kind in cases:
+        assert bilinear_type(group).kind == kind
+        n = group.dimension
+        sym = averaged_bilinear_form(group, skew=False)
+        skew = averaged_bilinear_form(group, skew=True)
+        assert (sym is not None) == (kind == "orthogonal")
+        assert (skew is not None) == (kind == "symplectic")
+        for form, negate in [(sym, False), (skew, True)]:
+            if form is None:
+                continue
+            transposed = tuple(tuple(form[j][i] for j in range(n)) for i in range(n))
+            expected = tuple(tuple(-x for x in row) for row in form) if negate else form
+            assert transposed == expected
+            assert not linalg.det([list(r) for r in form]).is_zero()
+            # invariance: g^T S g = S for every element
+            for g in group.elements:
+                gt = tuple(tuple(g[j][i] for j in range(n)) for i in range(n))
+                assert mat_mul(gt, mat_mul(form, g)) == form
 
 
 def test_schur_index_from_five_starts(s3, q8, g4):
