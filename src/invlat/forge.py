@@ -19,7 +19,7 @@ from .errors import (
     InvalidInputError,
     OutOfScopeError,
 )
-from .groups import GroupRep
+from .groups import GroupRep, apply
 from .lattices import (
     RankTwoLattice,
     ZLattice,
@@ -28,7 +28,7 @@ from .lattices import (
     lattice_sum,
     scale_lattice,
 )
-from .schur import SchurWitness, classify_character_field
+from .schur import CharacterFieldClass, SchurWitness
 
 EUCLIDEAN_DISCRIMINANTS = (-3, -4, -7, -8, -11)
 
@@ -125,10 +125,6 @@ def _scale_vector(scalar, vector):
     return tuple(scalar * x for x in vector)
 
 
-def _apply(mat, vector):
-    return tuple(linalg.matvec([list(r) for r in mat], list(vector)))
-
-
 def _orbit_lattice(group: GroupRep, seeds) -> ZLattice:
     """Integer span of the G-orbits of the seeds, closed from the generators.
 
@@ -141,7 +137,7 @@ def _orbit_lattice(group: GroupRep, seeds) -> ZLattice:
     lattice = lattice_from_generators(seeds, dim=group.dimension)
     while True:
         vecs = lattice.vectors()
-        images = [_apply(g, v) for g in group.generators for v in vecs]
+        images = [apply(g, v) for g in group.sparse_generators for v in vecs]
         grown = lattice_from_generators(list(vecs) + images, dim=group.dimension)
         if grown == lattice:
             return lattice
@@ -163,9 +159,9 @@ def construct_rank_n(group: GroupRep, witness) -> ZLattice:
         return row
 
     span = [expand(v) for v in vectors]
-    for g in group.generators:
+    for g in group.sparse_generators:
         for v in vectors:
-            image = _apply(g, v)
+            image = apply(g, v)
             if lcm(conductor, common_conductor(image)) != conductor:
                 raise InvalidInputError("witness span is not stable under the group")
             if linalg.solve_right(
@@ -192,10 +188,15 @@ def extend_rank_2n(lattice: ZLattice, c) -> ZLattice:
 
 
 def orbit_lattice_over_order(
-    group: GroupRep, order: ImaginaryQuadraticOrder, vector
+    group: GroupRep,
+    order: ImaginaryQuadraticOrder,
+    vector,
+    field: CharacterFieldClass,
 ) -> ZLattice:
-    """Order-span of the G-orbit of a vector; order-stable and G-invariant."""
-    field = classify_character_field(group)
+    """Order-span of the G-orbit of a vector; order-stable and G-invariant.
+
+    `field` is the group's character field class, from its profile.
+    """
     if field.kind != "imaginary-quadratic":
         raise InvalidInputError(
             f"character field is {field.kind}, not imaginary quadratic"

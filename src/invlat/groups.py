@@ -14,6 +14,8 @@ from . import linalg
 from .cyclotomic import CycNum, as_cycnum, cyc_from_json, exact_sign
 from .errors import CapExceededError, InternalConsistencyError, InvalidInputError
 
+_ZERO, _ONE = CycNum.rational(0), CycNum.rational(1)
+
 
 def as_matrix(rows):
     """Canonical immutable matrix with CycNum entries."""
@@ -24,8 +26,63 @@ def as_matrix(rows):
     return mat
 
 
-def mat_mul(a, b):
-    return tuple(tuple(x for x in row) for row in linalg.matmul(a, b))
+class SparseMatrix:
+    """The nonzero entries of a square matrix, by row and by column.
+
+    Each entry is an (index, value) pair, with value None where the entry is
+    1, so a product with the matrix skips every zero term and multiplies by
+    no entry equal to 1.  Generators are mostly permutation, diagonal,
+    monomial or one-row Weyl matrices, so nearly all of their entries are 0
+    or 1.
+    """
+
+    __slots__ = ("matrix", "rows", "cols")
+
+    def __init__(self, mat):
+        self.matrix = mat
+        self.rows = _nonzero_entries(mat)
+        self.cols = _nonzero_entries(zip(*mat))
+
+
+def _nonzero_entries(lines):
+    return tuple(
+        tuple(
+            (k, None if x == _ONE else x)
+            for k, x in enumerate(line)
+            if not x.is_zero()
+        )
+        for line in lines
+    )
+
+
+def _sparse_dot(entries, vec):
+    """The sum of value * vec[k] over the (k, value) entries, without zero
+    terms; a value of None stands for 1."""
+    total = None
+    for k, a in entries:
+        x = vec[k]
+        if x.is_zero():
+            continue
+        if a is not None:
+            x = a * x
+        total = x if total is None else total + x
+    return _ZERO if total is None else total
+
+
+def right_mul(a, g: SparseMatrix):
+    """The matrix a * g, read off the columns of g."""
+    return tuple(tuple(_sparse_dot(col, row) for col in g.cols) for row in a)
+
+
+def left_mul(g: SparseMatrix, b):
+    """The matrix g * b, read off the rows of g."""
+    cols = tuple(zip(*b))
+    return tuple(zip(*(tuple(_sparse_dot(row, col) for row in g.rows) for col in cols)))
+
+
+def apply(g: SparseMatrix, vec):
+    """The vector g * vec, read off the rows of g."""
+    return tuple(_sparse_dot(row, vec) for row in g.rows)
 
 
 def mat_identity(n):
@@ -47,20 +104,25 @@ class GroupRep:
 
     `inverses[k]` is the inverse matrix of `elements[k]`; `close_group` builds
     it from the generator inverses, so no element is inverted here.  Each one
-    is looked up in the closure to give `inverse_index`.  The reflection
-    inventory is filled on the first `find_reflections` call.
+    is looked up in the closure to give `inverse_index`.  The sparse records
+    of the generators and of their inverses are kept for every later product
+    with a generator.  The reflection inventory is filled on the first
+    `find_reflections` call.
     """
 
     __slots__ = (
-        "dimension", "generators", "elements", "_index", "inverse_index",
-        "_reflections",
+        "dimension", "generators", "sparse_generators", "sparse_inverses",
+        "elements", "_index", "inverse_index", "_reflections",
     )
 
-    def __init__(self, dimension, generators, elements, inverses):
+    def __init__(self, dimension, sparse_generators, sparse_inverses, index, inverses):
+        """`index` maps each element to its position, in element order."""
         self.dimension = dimension
-        self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self._index = {m: k for k, m in enumerate(self.elements)}
+        self.sparse_generators = tuple(sparse_generators)
+        self.sparse_inverses = tuple(sparse_inverses)
+        self.generators = tuple(g.matrix for g in self.sparse_generators)
+        self.elements = tuple(index)
+        self._index = index
         inv = []
         for m in inverses:
             if m not in self._index:
@@ -92,8 +154,11 @@ class GroupRep:
 def close_group(generators, cap: int = 10000) -> GroupRep:
     """Breadth-first closure of the generated matrix group, capped.
 
-    Each generator is inverted once; the inverse of a new element current*g
-    is then g^-1 * current^-1, one product, so no other element is inverted.
+    Each generator is inverted once, and a sparse record of every generator
+    and generator inverse is built once.  A new element is current*g, and its
+    inverse is g^-1 * current^-1; both products read the sparse record, so
+    they skip zero terms and multiplications by 1, and no other element is
+    inverted.
     """
     gens = [as_matrix(g) for g in generators]
     if not gens:
@@ -107,26 +172,24 @@ def close_group(generators, cap: int = 10000) -> GroupRep:
         if rows is None:
             raise InvalidInputError("generator is singular")
         gen_inverses.append(tuple(tuple(row) for row in rows))
+    sparse = [SparseMatrix(g) for g in gens]
+    sparse_inverses = [SparseMatrix(g) for g in gen_inverses]
     identity = mat_identity(n)
     seen = {identity: 0}
     order = [identity]
     inverses = [identity]
-    queue = [0]
-    while queue:
-        k = queue.pop(0)
-        current = order[k]
-        for g, g_inv in zip(gens, gen_inverses):
-            prod = mat_mul(current, g)
+    for k, current in enumerate(order):  # order grows in BFS order as it is read
+        for g, g_inv in zip(sparse, sparse_inverses):
+            prod = right_mul(current, g)
             if prod not in seen:
                 if len(order) >= cap:
                     raise CapExceededError(
                         f"group closure exceeded the cap of {cap} elements"
                     )
                 seen[prod] = len(order)
-                queue.append(len(order))
                 order.append(prod)
-                inverses.append(mat_mul(g_inv, inverses[k]))
-    return GroupRep(n, gens, order, inverses)
+                inverses.append(left_mul(g_inv, inverses[k]))
+    return GroupRep(n, sparse, sparse_inverses, seen, inverses)
 
 
 def character(group: GroupRep):
@@ -196,11 +259,21 @@ def find_reflections(group: GroupRep):
 
 
 def _scan_reflections(group: GroupRep):
+    """Reflections in element order, behind an exact trace prefilter.
+
+    A reflection g of finite order has the eigenvalue 1 on its hyperplane
+    and one other eigenvalue theta != 1, a root of unity, so
+    chi(g) = n - 1 + theta with theta * conj(theta) = 1.  Only the elements
+    whose theta = chi(g) - (n - 1) passes that test get the rank test on
+    id - g, and each reflection found has its root line checked to be the
+    eigenline of det(g).
+    """
     n = group.dimension
     identity = mat_identity(n)
     out = []
-    for idx, mat in enumerate(group.elements):
-        if mat == identity:
+    for idx, (mat, chi) in enumerate(zip(group.elements, character(group))):
+        theta = chi - (n - 1)
+        if theta == _ONE or theta * theta.conjugate() != _ONE:
             continue
         diff = [[identity[i][j] - mat[i][j] for j in range(n)] for i in range(n)]
         if linalg.rank(diff) != 1:

@@ -18,9 +18,10 @@ from .errors import InternalConsistencyError, InvalidInputError
 from .groups import (
     GroupRep,
     ReflectionData,
+    SparseMatrix,
     find_reflections,
     mat_identity,
-    mat_mul,
+    right_mul,
 )
 from .lattices import (
     MultiplierRing,
@@ -32,7 +33,7 @@ from .lattices import (
     lattice_sum,
     multiplier_ring,
 )
-from .schur import classify_character_field
+from .schur import CharacterFieldClass
 
 
 def choose_generating_reflections(group: GroupRep):
@@ -51,13 +52,14 @@ def choose_generating_reflections(group: GroupRep):
     def generates(refs) -> bool:
         identity = mat_identity(n)
         mats = [r.matrix for r in refs]
+        sparse = [SparseMatrix(m) for m in mats]
         missing = set(group.generators).difference(mats, [identity])
         seen = {identity}
         queue = [identity]
         while queue and missing:
             current = queue.pop(0)
-            for m in mats:
-                nxt = mat_mul(current, m)
+            for m in sparse:
+                nxt = right_mul(current, m)
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
@@ -363,8 +365,16 @@ class GeomReport:
     tags: tuple  # subset of ("geom-i", "geom-ii", "geom-iii")
 
 
-def geom_report(group: GroupRep, lattice: ZLattice, cycle_bound: int | None = None) -> GeomReport:
-    """Full reflection-torus analysis of an invariant rank-2n lattice."""
+def geom_report(
+    group: GroupRep,
+    lattice: ZLattice,
+    field: CharacterFieldClass,
+    cycle_bound: int | None = None,
+) -> GeomReport:
+    """Full reflection-torus analysis of an invariant rank-2n lattice.
+
+    `field` is the group's character field class, from its profile.
+    """
     n = group.dimension
     if lattice.rank != 2 * n:
         raise InvalidInputError(
@@ -376,7 +386,6 @@ def geom_report(group: GroupRep, lattice: ZLattice, cycle_bound: int | None = No
     bound = cycle_bound if cycle_bound is not None else default_cycle_bound(n)
     multipliers = tuple(scan_cycle_multipliers(refs, bound))
     cm = cm_from_scan(dec, multipliers)
-    field = classify_character_field(group)
     weyl_like = field.kind == "rational"
     if weyl_like and cm is not None:
         raise InternalConsistencyError(

@@ -226,7 +226,7 @@ def group_report(
         start = tuple(
             CycNum.rational(1 if k == 0 else 0) for k in range(n)
         )
-        orbit = orbit_lattice_over_order(group, order, start)
+        orbit = orbit_lattice_over_order(group, order, start, profile.field)
         lattices.append(
             _lattice_entry("O", orbit, group, order=_order_json(order))
         )
@@ -285,7 +285,7 @@ def group_report(
     inventory = find_reflections(group)
     if rank_2n_lattice is not None and inventory:
         try:
-            geom = geom_report(group, rank_2n_lattice, cycle_bound)
+            geom = geom_report(group, rank_2n_lattice, profile.field, cycle_bound)
             reflection = _geom_json(geom)
             tags.append("geom")
         except InvalidInputError:

@@ -16,7 +16,7 @@ from math import gcd, lcm
 from . import linalg
 from .cyclotomic import CycNum, common_conductor
 from .errors import InternalConsistencyError, InvalidInputError
-from .groups import GroupRep, character, character_norm, mat_identity, mat_mul
+from .groups import GroupRep, apply, character, character_norm, mat_identity
 from .lattices import fundamental_discriminant, reassemble
 
 
@@ -121,15 +121,24 @@ def classify_character_field(group: GroupRep) -> CharacterFieldClass:
 
 
 def frobenius_schur_indicator(group: GroupRep) -> int:
-    """(1/|G|) sum chi(g^2), exact; 1, -1, or 0 for an irreducible character."""
-    chi = character(group)
-    total = CycNum.rational(0)
+    """(1/|G|) sum chi(g^2), exact; 1, -1, or 0 for an irreducible character.
+
+    chi(g^2) = tr(g^2) = sum over i, j of g_ij * g_ji, read off the entries
+    of g with no matrix product: the diagonal squares plus twice the
+    nonzero off-diagonal pairs.
+    """
+    n = group.dimension
+    diagonal = off_diagonal = CycNum.rational(0)
     for mat in group.elements:
-        sq = group.index_of(mat_mul(mat, mat))
-        if sq is None:
-            raise InternalConsistencyError("square of an element escaped the group")
-        total = total + chi[sq]
-    nu = total / group.order
+        for i, row in enumerate(mat):
+            x = row[i]
+            if not x.is_zero():
+                diagonal = diagonal + x * x
+            for j in range(i + 1, n):
+                x, y = row[j], mat[j][i]
+                if not (x.is_zero() or y.is_zero()):
+                    off_diagonal = off_diagonal + x * y
+    nu = (diagonal + 2 * off_diagonal) / group.order
     if not nu.is_rational():
         raise InvalidInputError("indicator is not rational; character not irreducible")
     value = nu.as_fraction()
@@ -194,8 +203,8 @@ def _orbit_span(group: GroupRep, vector, conductor: int):
     queue = [tuple(vector)] if absorb(vector) else []
     while queue:
         current = queue.pop(0)
-        for g in group.generators:
-            image = tuple(linalg.matvec(g, current))
+        for g in group.sparse_generators:
+            image = apply(g, current)
             if absorb(image):
                 queue.append(image)
     reduced, _ = linalg.rref([row for _, row in echelon])
@@ -206,6 +215,7 @@ def _orbit_span(group: GroupRep, vector, conductor: int):
 
 def schur_index(
     group: GroupRep,
+    degree: int,
     start=None,
     seed: int = 0,
     random_combos: int = 8,
@@ -219,7 +229,8 @@ def schur_index(
     span, until the required number of consecutive passes makes no progress.
     The stable-pass count is recorded on the witness: the descent certifies an
     upper bound that is exact whenever the final module is simple, which a
-    stable pass supports but does not unconditionally prove.
+    stable pass supports but does not unconditionally prove.  `degree` is the
+    degree of the character field, which `classify_character_field` gives.
     """
     n = group.dimension
     if start is None:
@@ -254,7 +265,6 @@ def schur_index(
                 improved = True
                 break
         stable = 0 if improved else stable + 1
-    degree = _field_span_dim(character(group))
     dim = len(basis)
     if dim % (degree * n):
         raise InternalConsistencyError(
@@ -266,8 +276,8 @@ def schur_index(
     if m == 1:
         complex_rank = linalg.rank([list(v) for v in witness])
         stable_under_g = all(
-            _vector_in_span(linalg.matvec([list(r) for r in g], list(v)), basis, conductor, n)
-            for g in group.generators
+            _vector_in_span(apply(g, v), basis, conductor, n)
+            for g in group.sparse_generators
             for v in witness
         )
         is_form = complex_rank == n and stable_under_g
@@ -287,10 +297,12 @@ def _vector_in_span(vector, basis_rows, conductor: int, dim: int) -> bool:
 def gcd_kernel_shortcut(group: GroupRep):
     """Certificate that the Schur index is 1 from kernel dimensions.
 
-    Scans rational combinations u of group elements (g - id, g + id, then
-    pairwise g - h and g + h) and collects the complex kernel dimension of
-    each; if the gcd of these together with n reaches 1, the index must be 1.
-    Returns the list of (description, dimension) pairs on success, else None.
+    Scans the rational combinations g - id and g + id of the group elements
+    and collects the complex kernel dimension of each; if the gcd of these
+    together with n reaches 1, the index must be 1.  Pairs g - h and g + h
+    cannot lower the gcd: g - h = g(id - g^-1 h) and g + h = g(id + g^-1 h)
+    have the kernel dimensions of the single element g^-1 h.  Returns the
+    list of (description, dimension) pairs on success, else None.
     """
     n = group.dimension
     identity = mat_identity(n)
@@ -317,16 +329,6 @@ def gcd_kernel_shortcut(group: GroupRep):
         plus = [[g[i][j] + identity[i][j] for j in range(n)] for i in range(n)]
         if consider(f"element {idx} + id", plus):
             return tuple(found)
-    for i, g in enumerate(group.elements):
-        for j, h in enumerate(group.elements):
-            if j <= i:
-                continue
-            diff = [[g[r][c] - h[r][c] for c in range(n)] for r in range(n)]
-            if consider(f"element {i} - element {j}", diff):
-                return tuple(found)
-            plus = [[g[r][c] + h[r][c] for c in range(n)] for r in range(n)]
-            if consider(f"element {i} + element {j}", plus):
-                return tuple(found)
     return None
 
 
@@ -339,7 +341,7 @@ def character_profile(group: GroupRep, seed: int = 0) -> CharacterProfile:
         )
     field = classify_character_field(group)
     bilinear = bilinear_type(group)
-    schur = schur_index(group, seed=seed)
+    schur = schur_index(group, field.degree, seed=seed)
     if field.kind == "rational" and field.degree != 1:
         raise InternalConsistencyError("rational field with degree > 1")
     if field.kind == "imaginary-quadratic" and (field.degree != 2 or field.real_valued):

@@ -1,7 +1,10 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from invlat.catalog import get_entry
+from invlat.catalog import catalog_names, get_entry
+from invlat.groups import group_from_json
+
+from generated_groups import CARTAN_A4, GENERATED, weyl_from_cartan
 
 settings.register_profile(
     "exact",
@@ -39,3 +42,19 @@ def q8():
 @pytest.fixture(scope="session")
 def c5():
     return get_entry("C5-zeta5").group()
+
+
+@pytest.fixture(scope="session")
+def oracle_groups():
+    """(name, group) for the 9 catalog groups, every generated group and the
+    Weyl group A4 from its Cartan matrix: the inputs the oracle comparisons
+    run on."""
+    out = [
+        (name, get_entry(name).group())
+        for name in catalog_names()
+        if get_entry(name).kind == "group"
+    ]
+    out += [(name, group_from_json(obj)) for name, (obj, _) in GENERATED.items()]
+    out.append(("WeylA4", group_from_json(weyl_from_cartan(CARTAN_A4))))
+    assert len(out) == 9 + len(GENERATED) + 1
+    return out

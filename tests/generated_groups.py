@@ -3,9 +3,10 @@
 These exercise the paths the catalog does not reach with a nontrivial
 group order: the Weyl group B3 from its Cartan matrix, and the imprimitive
 groups G(m,1,n) of Shephard-Todd, which run the O, saturate, split and CM
-steps.  Run this file to rewrite the byte snapshots in
-tests/golden/generated/ (only for a change that alters report bytes on
-purpose):
+steps; and the extraspecial group 2^{1+4}_- = Q8 o D8 in dimension 4, the
+only group input with Schur index 2 besides Q8.  Run this file to rewrite
+the byte snapshots in tests/golden/generated/ (only for a change that alters
+report bytes on purpose):
 
     PYTHONPATH=src python tests/generated_groups.py
 """
@@ -16,6 +17,8 @@ GOLDEN = Path(__file__).parent / "golden" / "generated"
 
 # Cartan matrix of B3 (Bourbaki labelling, alpha_3 short).
 CARTAN_B3 = ((2, -1, 0), (-1, 2, -2), (0, -1, 2))
+# Cartan matrix of A4; its Weyl group (order 120) has no golden snapshot.
+CARTAN_A4 = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
 
 
 def weyl_from_cartan(cartan) -> dict:
@@ -49,6 +52,21 @@ def imprimitive(m: int, n: int) -> dict:
     return {"conductor": m, "dimension": n, "generators": gens}
 
 
+def extraspecial_minus_4() -> dict:
+    """2^{1+4}_- = Q8 o D8: Q8's generators (x) I2, and I2 (x) diag(-1, 1),
+    I2 (x) swap, as Kronecker products with rows and columns indexed 2p + r."""
+    q8 = ([["z4", "0"], ["0", "-z4"]], [["0", "1"], ["-1", "0"]])
+    d8 = ([["-1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]])
+
+    def kron(entry):
+        return [[entry(p, q, r, s) for q in range(2) for s in range(2)]
+                for p in range(2) for r in range(2)]
+
+    gens = [kron(lambda p, q, r, s, g=g: g[p][q] if r == s else "0") for g in q8]
+    gens += [kron(lambda p, q, r, s, g=g: g[r][s] if p == q else "0") for g in d8]
+    return {"conductor": 4, "dimension": 4, "generators": gens}
+
+
 # snapshot name -> (group JSON, order of the closure)
 GENERATED = {
     "WeylB3": (weyl_from_cartan(CARTAN_B3), 48),
@@ -56,6 +74,7 @@ GENERATED = {
     "G4-1-2": (imprimitive(4, 2), 32),
     "G6-1-2": (imprimitive(6, 2), 72),
     "G3-1-3": (imprimitive(3, 3), 162),
+    "Extraspecial2-1-4-minus": (extraspecial_minus_4(), 32),
 }
 
 

@@ -1,9 +1,22 @@
 """Shared independent oracles for the test suite."""
 
+from math import gcd
+
 from invlat import linalg
 from invlat.cyclotomic import CycNum
-from invlat.groups import hermitian_inner, invariant_hermitian, mat_identity
+from invlat.groups import (
+    as_matrix,
+    character,
+    hermitian_inner,
+    invariant_hermitian,
+    mat_identity,
+)
 from invlat.lattices import ZLattice, lattice_from_generators
+
+
+def mat_mul(a, b):
+    """The dense n^3 product a * b, as a hashable matrix."""
+    return tuple(tuple(row) for row in linalg.matmul(a, b))
 
 
 def coset_count(big: ZLattice, small: ZLattice) -> int:
@@ -139,3 +152,99 @@ def gram_edges(group, refs):
         for k in range(len(refs))
         if j != k and not hermitian_inner(gram, refs[j].root, refs[k].root).is_zero()
     }
+
+
+def close_group_dense(generators):
+    """(elements, inverse_index) of the breadth-first closure, by dense n^3
+    matrix products: current*g for every element and generator, and
+    g^-1 * current^-1 for the inverse of each new element.  The library reads
+    the same products off sparse generator records."""
+    gens = [as_matrix(g) for g in generators]
+    n = len(gens[0])
+    gen_inverses = [
+        tuple(tuple(row) for row in linalg.inverse([list(r) for r in g]))
+        for g in gens
+    ]
+    identity = mat_identity(n)
+    seen = {identity: 0}
+    order, inverses = [identity], [identity]
+    queue = [0]
+    while queue:
+        k = queue.pop(0)
+        for g, g_inv in zip(gens, gen_inverses):
+            prod = mat_mul(order[k], g)
+            if prod not in seen:
+                seen[prod] = len(order)
+                queue.append(len(order))
+                order.append(prod)
+                inverses.append(mat_mul(g_inv, inverses[k]))
+    return tuple(order), tuple(seen[m] for m in inverses)
+
+
+def indicator_by_squares(group):
+    """(1/|G|) sum chi(g^2), with g^2 formed by a matrix product and looked up
+    in the closure, which it must not escape.  The library reads chi(g^2) off
+    the entries of g as sum g_ij * g_ji."""
+    chi = character(group)
+    total = CycNum.rational(0)
+    for mat in group.elements:
+        sq = group.index_of(mat_mul(mat, mat))
+        assert sq is not None, "square of an element escaped the group"
+        total = total + chi[sq]
+    return total / group.order
+
+
+def reflections_by_rank_scan(group):
+    """(element index, det, root) of every element g with rank(id - g) = 1,
+    from a rank test on each of the |G| elements; the root is the first
+    nonzero column of id - g scaled to lead with 1.  The library runs the
+    rank test only on elements whose character value passes a trace test."""
+    n = group.dimension
+    identity = mat_identity(n)
+    out = []
+    for idx, mat in enumerate(group.elements):
+        diff = [[identity[i][j] - mat[i][j] for j in range(n)] for i in range(n)]
+        if linalg.rank(diff) != 1:
+            continue
+        col = next(j for j in range(n) if any(not row[j].is_zero() for row in diff))
+        root = [row[col] for row in diff]
+        lead = next(x for x in root if not x.is_zero())
+        theta = linalg.det([list(r) for r in mat])
+        out.append((idx, theta, tuple(x / lead for x in root)))
+    return out
+
+
+def gcd_kernel_pairwise(group):
+    """The gcd certificate from the single elements (g - id, g + id) and then
+    every pair (g - h, g + h), in that order, or None.  O(|G|^2) kernels: run
+    it on small groups only.  The library scans the single elements alone."""
+    n = group.dimension
+    identity = mat_identity(n)
+    found = [("ambient", n)]
+    running = n
+    if running == 1:
+        return tuple(found)
+
+    def consider(label, mat) -> bool:
+        nonlocal running
+        dim = len(linalg.kernel_right([list(r) for r in mat]))
+        if 0 < dim < n and gcd(running, dim) < running:
+            found.append((label, dim))
+            running = gcd(running, dim)
+        return running == 1
+
+    def combos():
+        for idx, g in enumerate(group.elements):
+            yield f"element {idx} - id", g, identity, -1
+            yield f"element {idx} + id", g, identity, 1
+        for i, g in enumerate(group.elements):
+            for j in range(i + 1, group.order):
+                h = group.elements[j]
+                yield f"element {i} - element {j}", g, h, -1
+                yield f"element {i} + element {j}", g, h, 1
+
+    for label, g, h, sign in combos():
+        mat = [[g[r][c] + sign * h[r][c] for c in range(n)] for r in range(n)]
+        if consider(label, mat):
+            return tuple(found)
+    return None

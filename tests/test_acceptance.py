@@ -24,7 +24,6 @@ from invlat.groups import (
     character_norm,
     conj_transpose,
     invariant_hermitian,
-    mat_mul,
 )
 from invlat.lattices import (
     RankTwoLattice,
@@ -42,9 +41,14 @@ from invlat.quaternion import (
     torus_endomorphisms,
 )
 from invlat.reflections import geom_report, scan_cycle_multipliers, choose_generating_reflections
-from invlat.schur import character_profile, lattice_existence_verdict, schur_index
+from invlat.schur import (
+    character_profile,
+    classify_character_field,
+    lattice_existence_verdict,
+    schur_index,
+)
 
-from oracles import coset_count, five_starts
+from oracles import coset_count, five_starts, mat_mul
 
 
 @contextmanager
@@ -124,8 +128,9 @@ def test_acceptance_4_schur_indices_from_five_starts():
     with criterion(4, 10.0, "module search index from five start vectors"):
         for name, expected in cases:
             group = get_entry(name).group()
+            degree = classify_character_field(group).degree
             for start in five_starts(group.dimension):
-                witness = schur_index(group, start=start)
+                witness = schur_index(group, degree, start=start)
                 assert witness.index == expected, (name, start)
                 if expected == 1:
                     assert witness.is_field_form, (name, start)
@@ -138,12 +143,13 @@ def test_acceptance_5_reflection_pipeline():
         g4 = get_entry("G4").group()
         order = maximal_order(-3)
         one, nil = CycNum.rational(1), CycNum.rational(0)
+        g4_field = classify_character_field(g4)
         g4_lat = order_saturate(
-            orbit_lattice_over_order(g4, order, (one, nil)), order
+            orbit_lattice_over_order(g4, order, (one, nil), g4_field), order
         )
 
         for group, lattice in [(b2, b2_lat), (g4, g4_lat)]:
-            geom = geom_report(group, lattice)
+            geom = geom_report(group, lattice, classify_character_field(group))
             dec = geom.decomposition
             # the root lines span the whole space
             roots = [list(line.reflection.root) for line in dec.lines]
@@ -157,7 +163,7 @@ def test_acceptance_5_reflection_pipeline():
             assert geom.graph.connected
 
         # G4 carries a non-rational line multiplier in Q(sqrt(-3))
-        g4_geom = geom_report(g4, g4_lat)
+        g4_geom = geom_report(g4, g4_lat, g4_field)
         cm = g4_geom.cm
         assert cm is not None
         assert not cm.value.is_rational()
@@ -279,7 +285,7 @@ def test_acceptance_8_hexagonal_doubling():
         lat = extend_rank_2n(std_lattice(2), zeta(3))
         assert lat.rank == 4
         assert invariance_check(lat, s3.elements)
-        geom = geom_report(s3, lat)
+        geom = geom_report(s3, lat, classify_character_field(s3))
         assert geom.tags == ("geom-i", "geom-ii")
         # edge witnesses: (id - r_target) carries each line lattice into the
         # target line lattice with finite index

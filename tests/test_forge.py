@@ -24,7 +24,12 @@ from invlat.lattices import (
     scale_lattice,
 )
 from invlat.groups import group_from_json
-from invlat.schur import character_profile, lattice_existence_verdict, schur_index
+from invlat.schur import (
+    character_profile,
+    classify_character_field,
+    lattice_existence_verdict,
+    schur_index,
+)
 
 from generated_groups import GENERATED
 from oracles import five_starts, orbit_lattice_all_elements
@@ -110,14 +115,14 @@ def test_divmod_known_value():
 
 
 def test_construct_rank_n_s3(s3):
-    witness = schur_index(s3).basis
+    witness = schur_index(s3, 1).basis
     lat = construct_rank_n(s3, witness)
     assert lat.rank == 2
     assert invariance_check(lat, s3.elements)
 
 
 def test_construct_rank_n_s4(s4):
-    witness = schur_index(s4).basis
+    witness = schur_index(s4, 1).basis
     lat = construct_rank_n(s4, witness)
     assert lat.rank == 3
     assert invariance_check(lat, s4.elements)
@@ -152,7 +157,7 @@ def test_orbit_lattices_match_all_elements_oracle():
             continue
         order = maximal_order(profile.field.discriminant)
         for start in five_starts(group.dimension)[::2]:
-            lattice = orbit_lattice_over_order(group, order, start)
+            lattice = orbit_lattice_over_order(group, order, start, profile.field)
             seeds = [start, tuple(order.generator * x for x in start)]
             assert lattice == orbit_lattice_all_elements(group, seeds), name
             recipes.add("O")
@@ -175,7 +180,7 @@ def test_extend_rejects_real_scalar():
 def test_orbit_lattice_g4(g4):
     order = maximal_order(-3)
     one, nil = CycNum.rational(1), CycNum.rational(0)
-    lat = orbit_lattice_over_order(g4, order, (one, nil))
+    lat = orbit_lattice_over_order(g4, order, (one, nil), classify_character_field(g4))
     assert lat.rank == 4
     assert invariance_check(lat, g4.elements)
     # stability under the order generator
@@ -187,28 +192,36 @@ def test_orbit_lattice_g4(g4):
 def test_orbit_lattice_c3():
     group = get_entry("C3-zeta3").group()
     order = maximal_order(-3)
-    lat = orbit_lattice_over_order(group, order, (CycNum.rational(1),))
+    lat = orbit_lattice_over_order(
+        group, order, (CycNum.rational(1),), classify_character_field(group)
+    )
     assert lat.rank == 2
 
 
 def test_orbit_lattice_rejects_field_mismatch(g4):
     with pytest.raises(InvalidInputError):
         orbit_lattice_over_order(
-            g4, maximal_order(-4), (CycNum.rational(1), CycNum.rational(0))
+            g4,
+            maximal_order(-4),
+            (CycNum.rational(1), CycNum.rational(0)),
+            classify_character_field(g4),
         )
 
 
 def test_orbit_lattice_rejects_rational_group(s3):
     with pytest.raises(InvalidInputError):
         orbit_lattice_over_order(
-            s3, maximal_order(-4), (CycNum.rational(1), CycNum.rational(0))
+            s3,
+            maximal_order(-4),
+            (CycNum.rational(1), CycNum.rational(0)),
+            classify_character_field(s3),
         )
 
 
 def test_saturate_is_stable_fixed_point(g4):
     order = maximal_order(-3)
     one, nil = CycNum.rational(1), CycNum.rational(0)
-    lat = orbit_lattice_over_order(g4, order, (one, nil))
+    lat = orbit_lattice_over_order(g4, order, (one, nil), classify_character_field(g4))
     sat = order_saturate(lat, order)
     assert sat.rank == lat.rank
     assert lattice_index(sat, lat) >= 1
@@ -249,7 +262,8 @@ def test_split_g4_orbit(g4):
     order = maximal_order(-3)
     one, nil = CycNum.rational(1), CycNum.rational(0)
     sat = order_saturate(
-        orbit_lattice_over_order(g4, order, (one, nil)), order
+        orbit_lattice_over_order(g4, order, (one, nil), classify_character_field(g4)),
+        order,
     )
     split = split_as_order_module(sat, order)
     assert len(split.basis) == 2

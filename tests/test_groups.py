@@ -1,6 +1,7 @@
 import pytest
 
 from invlat import groups as groups_module
+from invlat import linalg
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, cyc_to_json, exact_sign, zeta
 from invlat.errors import CapExceededError, InvalidInputError
@@ -14,10 +15,10 @@ from invlat.groups import (
     hermitian_inner,
     invariant_hermitian,
     mat_identity,
-    mat_mul,
 )
 
 from generated_groups import GENERATED
+from oracles import close_group_dense, mat_mul, reflections_by_rank_scan
 
 CATALOG_GROUPS = [
     name for name in catalog_names() if get_entry(name).kind == "group"
@@ -43,6 +44,44 @@ def test_closure_contains_inverses():
             inv = group.elements[group.inverse_index[idx]]
             assert mat_mul(g, inv) == identity
             assert mat_mul(inv, g) == identity
+
+
+def test_closure_matches_dense_oracle(oracle_groups):
+    for name, group in oracle_groups:
+        elements, inverse_index = close_group_dense(group.generators)
+        assert group.elements == elements, name
+        assert group.inverse_index == inverse_index, name
+
+
+def test_closure_makes_no_dense_products(monkeypatch):
+    monkeypatch.setattr(
+        linalg, "matmul", lambda a, b: pytest.fail("dense matrix product")
+    )
+    for obj, order in GENERATED.values():
+        assert group_from_json(obj).order == order
+
+
+def test_reflection_scan_matches_rank_scan_oracle(oracle_groups):
+    for name, group in oracle_groups:
+        found = [(r.element_index, r.theta, r.root) for r in find_reflections(group)]
+        assert found == reflections_by_rank_scan(group), name
+
+
+def test_reflection_scan_rank_tests_only_trace_candidates(monkeypatch):
+    group = group_from_json(GENERATED["G3-1-3"][0])
+    calls = []
+    real_rank = linalg.rank
+
+    def counting_rank(rows):
+        calls.append(rows)
+        return real_rank(rows)
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    refs = groups_module._scan_reflections(group)
+    # 33 of the 162 elements have chi(g) = 2 + theta with |theta| = 1, theta
+    # != 1; 15 of them are the reflections
+    assert len(calls) == 33
+    assert len(refs) == 15
 
 
 def test_closure_inverts_only_the_generators(monkeypatch):

@@ -22,11 +22,10 @@ from invlat.reflections import (
     scan_cycle_multipliers,
 )
 from invlat.report import analyze
+from invlat.schur import classify_character_field
 
-from generated_groups import GENERATED, weyl_from_cartan
+from generated_groups import CARTAN_A4, GENERATED, weyl_from_cartan
 from oracles import cycle_multiplier_by_matrices, gram_edges
-
-CARTAN_A4 = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
 
 
 def std_lattice(n):
@@ -46,7 +45,8 @@ def g4_lattice(g4):
     order = maximal_order(-3)
     one, nil = CycNum.rational(1), CycNum.rational(0)
     return order_saturate(
-        orbit_lattice_over_order(g4, order, (one, nil)), order
+        orbit_lattice_over_order(g4, order, (one, nil), classify_character_field(g4)),
+        order,
     )
 
 
@@ -168,14 +168,14 @@ def test_isogeny_graph_b2(b2, b2_lattice):
 
 
 def test_geom_report_b2(b2, b2_lattice):
-    geom = geom_report(b2, b2_lattice)
+    geom = geom_report(b2, b2_lattice, classify_character_field(b2))
     assert geom.tags == ("geom-i", "geom-ii")
     assert geom.weyl_like
     assert geom.cm is None
 
 
 def test_geom_report_g4(g4, g4_lattice):
-    geom = geom_report(g4, g4_lattice)
+    geom = geom_report(g4, g4_lattice, classify_character_field(g4))
     assert geom.tags == ("geom-i", "geom-ii", "geom-iii")
     assert not geom.weyl_like
     assert geom.cm is not None
@@ -183,7 +183,7 @@ def test_geom_report_g4(g4, g4_lattice):
 
 def test_geom_report_a2_with_cube_root(s3):
     lat = extend_rank_2n(std_lattice(2), zeta(3))
-    geom = geom_report(s3, lat)
+    geom = geom_report(s3, lat, classify_character_field(s3))
     assert geom.decomposition.index == 1
     assert geom.tags == ("geom-i", "geom-ii")
     pairs = {(e.source, e.target, e.index) for e in geom.graph.edges}
@@ -192,7 +192,7 @@ def test_geom_report_a2_with_cube_root(s3):
 
 def test_geom_report_rejects_rank_n(s3):
     with pytest.raises(InvalidInputError):
-        geom_report(s3, std_lattice(2))
+        geom_report(s3, std_lattice(2), classify_character_field(s3))
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +203,9 @@ def reflection_cases():
     report has no reflection section (C5-zeta5 has no invariant lattice)."""
     inputs = [(name, get_entry(name).group(), name) for name in catalog_names()
               if get_entry(name).kind == "group"]
-    generated = {name: obj for name, (obj, _) in GENERATED.items()}
+    # the extraspecial group 2^{1+4}_- has no reflections
+    generated = {name: obj for name, (obj, _) in GENERATED.items()
+                 if not name.startswith("Extraspecial")}
     generated["WeylA4"] = weyl_from_cartan(CARTAN_A4)
     inputs += [(name, group_from_json(obj), obj) for name, obj in generated.items()]
     cases = []
@@ -275,7 +277,8 @@ def test_default_cycle_bound_fits_the_scan_limit():
 
 def test_geom_report_scans_to_the_default_bound(b2, b2_lattice, monkeypatch):
     monkeypatch.setattr(reflections, "default_cycle_bound", lambda n: 1)
-    cycles = [cycle for cycle, _ in geom_report(b2, b2_lattice).multipliers]
+    geom = geom_report(b2, b2_lattice, classify_character_field(b2))
+    cycles = [cycle for cycle, _ in geom.multipliers]
     assert cycles == [(0,), (1,)]
 
 
@@ -304,4 +307,4 @@ def test_geom_report_needs_no_invariant_form(g4, g4_lattice, monkeypatch):
         raise AssertionError("invariant_hermitian called")
 
     monkeypatch.setattr(groups, "invariant_hermitian", averaged_form)
-    assert geom_report(g4, g4_lattice).cm is not None
+    assert geom_report(g4, g4_lattice, classify_character_field(g4)).cm is not None

@@ -4,12 +4,13 @@ from math import lcm
 
 import pytest
 
-from invlat import linalg
+from invlat import linalg, schur
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, euler_phi, zeta
 from invlat.errors import InvalidInputError
-from invlat.groups import close_group, conj_transpose, group_from_json, mat_mul
+from invlat.groups import close_group, conj_transpose, group_from_json
 from invlat.linalg import rank
+from invlat.report import analyze
 from invlat.schur import (
     _expansion_conductor,
     _orbit_span,
@@ -24,7 +25,14 @@ from invlat.schur import (
 
 
 from generated_groups import GENERATED
-from oracles import averaged_bilinear_form, five_starts, orbit_span_all_elements
+from oracles import (
+    averaged_bilinear_form,
+    five_starts,
+    gcd_kernel_pairwise,
+    indicator_by_squares,
+    mat_mul,
+    orbit_span_all_elements,
+)
 
 
 def test_field_classification(s3, g4, q8, c5):
@@ -51,6 +59,19 @@ def test_frobenius_schur_values(s3, s4, b2, g4, q8, c5):
     assert frobenius_schur_indicator(g4) == 0
     assert frobenius_schur_indicator(q8) == -1
     assert frobenius_schur_indicator(c5) == 0
+
+
+def test_indicator_matches_squares_oracle(oracle_groups):
+    for name, group in oracle_groups:
+        assert indicator_by_squares(group) == frobenius_schur_indicator(group), name
+
+
+def test_indicator_makes_no_dense_products(oracle_groups, monkeypatch):
+    monkeypatch.setattr(
+        linalg, "matmul", lambda a, b: pytest.fail("dense matrix product")
+    )
+    values = {frobenius_schur_indicator(group) for _, group in oracle_groups}
+    assert values == {1, -1, 0}
 
 
 def test_bilinear_certificates(s3, s4, b2, q8, g4):
@@ -82,24 +103,24 @@ def test_bilinear_certificates(s3, s4, b2, q8, g4):
 
 def test_schur_index_from_five_starts(s3, q8, g4):
     for group, expected in [(s3, 1), (q8, 2), (g4, 1)]:
+        d = classify_character_field(group).degree
         for start in five_starts(group.dimension):
-            witness = schur_index(group, start=start)
+            witness = schur_index(group, d, start=start)
             assert witness.index == expected
             if expected == 1:
                 assert witness.is_field_form
                 # the witness basis has full complex span and is G-stable
-                d = classify_character_field(group).degree
                 assert witness.module_dimension == d * group.dimension
 
 
 def test_schur_witness_stability_passes(s3):
-    witness = schur_index(s3)
+    witness = schur_index(s3, 1)
     assert witness.stable_passes >= 2
 
 
 def test_schur_index_seed_independence(q8):
-    assert schur_index(q8, seed=1).index == 2
-    assert schur_index(q8, seed=2).index == 2
+    assert schur_index(q8, 1, seed=1).index == 2
+    assert schur_index(q8, 1, seed=2).index == 2
 
 
 def test_gcd_certificates(s3, s4, q8):
@@ -112,6 +133,30 @@ def test_gcd_certificates(s3, s4, q8):
     assert gcd_kernel_shortcut(s4) is not None
     # a symplectic index-2 group admits no such certificate
     assert gcd_kernel_shortcut(q8) is None
+
+
+def test_gcd_shortcut_matches_pairwise_oracle(oracle_groups):
+    # pairs g - h, g + h have the kernels of the single element g^-1 h, so
+    # scanning them never changes the certificate
+    small = [(name, group) for name, group in oracle_groups if group.order <= 32]
+    assert len(small) == 12
+    for name, group in small:
+        assert gcd_kernel_shortcut(group) == gcd_kernel_pairwise(group), name
+
+
+def test_character_field_is_classified_once_per_analysis(monkeypatch):
+    calls = []
+    real = schur._field_span_dim
+
+    def counting(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(schur, "_field_span_dim", counting)
+    for target in ["G4", "WeylB2", GENERATED["G3-1-2"][0]]:
+        calls.clear()
+        analyze(target)
+        assert len(calls) == 1, target
 
 
 def test_gcd_certificate_dimension_one():
@@ -160,7 +205,7 @@ def test_verdict_table(s3, s4, g4, q8, c5):
 
 
 def test_witness_field_form_is_g_stable(s3):
-    witness = schur_index(s3)
+    witness = schur_index(s3, 1)
     rows = []
     for vec in witness.basis:
         rows.append(list(vec))
