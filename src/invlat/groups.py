@@ -106,13 +106,13 @@ class GroupRep:
     it from the generator inverses, so no element is inverted here.  Each one
     is looked up in the closure to give `inverse_index`.  The sparse records
     of the generators and of their inverses are kept for every later product
-    with a generator.  The reflection inventory is filled on the first
-    `find_reflections` call.
+    with a generator.  The character is filled on the first `character` call
+    and the reflection inventory on the first `find_reflections` call.
     """
 
     __slots__ = (
         "dimension", "generators", "sparse_generators", "sparse_inverses",
-        "elements", "_index", "inverse_index", "_reflections",
+        "elements", "_index", "inverse_index", "_character", "_reflections",
     )
 
     def __init__(self, dimension, sparse_generators, sparse_inverses, index, inverses):
@@ -129,6 +129,7 @@ class GroupRep:
                 raise InvalidInputError("element inverse escaped the closure")
             inv.append(self._index[m])
         self.inverse_index = tuple(inv)
+        self._character = None
         self._reflections = None
 
     @property
@@ -193,8 +194,11 @@ def close_group(generators, cap: int = 10000) -> GroupRep:
 
 
 def character(group: GroupRep):
-    """Trace of each element, in element order."""
-    return tuple(trace(m) for m in group.elements)
+    """Trace of each element, in element order; computed once per group and
+    kept on it."""
+    if group._character is None:
+        group._character = tuple(trace(m) for m in group.elements)
+    return group._character
 
 
 def character_norm(group: GroupRep) -> CycNum:
@@ -224,17 +228,6 @@ def invariant_hermitian(group: GroupRep):
         if not d.is_real() or exact_sign(d) <= 0:
             raise InvalidInputError("averaged form is not positive definite")
     return gram
-
-
-def hermitian_inner(gram, u, v) -> CycNum:
-    """<u, v> with the given Gram matrix; conjugate-linear in u, linear in v."""
-    total = CycNum.rational(0)
-    for i, ui in enumerate(u):
-        uc = ui.conjugate()
-        if not uc.is_zero():
-            for j, vj in enumerate(v):
-                total = total + uc * gram[i][j] * vj
-    return total
 
 
 @dataclass(frozen=True)

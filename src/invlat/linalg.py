@@ -1,9 +1,11 @@
 """Exact linear algebra helpers.
 
 Field routines (rref, rank, solve, kernel, det, inverse) work for any element
-type with +, -, *, /, == 0 semantics, so they serve both Fraction matrices and
-cyclotomic-number matrices.  Integer routines (hnf, kernels) implement the row
-Hermite normal form with unimodular transforms.
+type with +, -, *, /, == 0 semantics whose truth value is "nonzero", so they
+serve both Fraction matrices and cyclotomic-number matrices.  Elimination
+takes one reciprocal per pivot and touches only the columns where the pivot
+row is nonzero.  Integer routines (hnf, kernels) implement the row Hermite
+normal form with unimodular transforms.
 """
 
 from __future__ import annotations
@@ -17,6 +19,25 @@ def _zero_of(x):
 
 def _one_of(x):
     return x * 0 + 1
+
+
+def pivot_row(row, col):
+    """(row scaled to 1 at col, the columns where it is nonzero).
+
+    One reciprocal is taken and every nonzero entry is multiplied by it: a
+    cyclotomic division runs an extended Euclid against the cyclotomic
+    polynomial, so dividing entry by entry would repeat it for each entry.
+    """
+    inv = _one_of(row[col]) / row[col]
+    scaled = [x * inv if x else x for x in row]
+    return scaled, [j for j, x in enumerate(scaled) if x]
+
+
+def eliminate(target, factor, row, support):
+    """target -= factor * row in place, over the support of row; every other
+    entry of target is unchanged, exactly."""
+    for j in support:
+        target[j] = target[j] - factor * row[j]
 
 
 def matvec(mat, vec):
@@ -46,12 +67,10 @@ def rref(rows):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
+        mat[r], support = pivot_row(mat[r], c)
         for i in range(len(mat)):
             if i != r and not mat[i][c] == 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                eliminate(mat[i], mat[i][c], mat[r], support)
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -125,11 +144,10 @@ def det(mat):
             a[c], a[pr] = a[pr], a[c]
             result = -result
         result = result * a[c][c]
-        inv = a[c][c]
+        row, support = pivot_row(a[c], c)
         for i in range(c + 1, n):
             if not a[i][c] == 0:
-                f = a[i][c] / inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+                eliminate(a[i], a[i][c], row, support)
     return result
 
 

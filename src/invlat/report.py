@@ -46,7 +46,6 @@ from .reflections import MAX_CYCLES, GeomReport, check_cycle_bound, geom_report
 from .schur import (
     CharacterProfile,
     character_profile,
-    gcd_kernel_shortcut,
     lattice_existence_verdict,
 )
 
@@ -73,8 +72,9 @@ def _rank_two_json(gamma: RankTwoLattice) -> dict:
     return {"g1": str(gamma.g1), "g2": str(gamma.g2)}
 
 
-def _profile_json(profile: CharacterProfile, gcd_cert) -> dict:
+def _profile_json(profile: CharacterProfile) -> dict:
     field = profile.field
+    gcd_cert = profile.gcd_certificate
     return {
         "character_field": {
             "kind": field.kind,
@@ -194,7 +194,6 @@ def group_report(
     if cycle_bound is not None:
         check_cycle_bound(n, cycle_bound)
     profile = character_profile(group, seed=seed)
-    gcd_cert = gcd_kernel_shortcut(group)
     verdict = lattice_existence_verdict(profile, n)
 
     lattices = []
@@ -304,7 +303,7 @@ def group_report(
             "conductor": group.conductor,
             "reflections": len(inventory),
         },
-        "profile": _profile_json(profile, gcd_cert),
+        "profile": _profile_json(profile),
         "verdict": {
             "clause": verdict.clause,
             "exists_any": verdict.exists_any,
@@ -367,7 +366,7 @@ def quaternion_report(name: str, *, seed: int = 0, cap: int = 10000) -> dict:
         "schema": SCHEMA,
         "input": {"name": name, "kind": "quaternion-torus", "dimension": 2},
         "group": None,
-        "profile": _profile_json(profile, gcd_kernel_shortcut(reference)),
+        "profile": _profile_json(profile),
         "verdict": None,
         "lattices": [],
         "split": None,

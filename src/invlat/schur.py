@@ -2,8 +2,9 @@
 
 Covers the character field and its classification, the invariant-bilinear-form
 type via the Frobenius-Schur indicator, the Schur index by rational orbit-span
-descent, a gcd-of-kernel-dimensions shortcut certificate, and the final
-verdict on which invariant-lattice ranks can exist.
+descent (cut short where a gcd-of-kernel-dimensions certificate or the
+Frobenius-Schur bound settles it), and the final verdict on which
+invariant-lattice ranks can exist.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class CharacterProfile:
     field: CharacterFieldClass
     bilinear: BilinearFormType
     schur: SchurWitness
+    gcd_certificate: tuple | None  # gcd_kernel_shortcut, computed once
 
     @property
     def schur_index(self) -> int:
@@ -185,19 +187,19 @@ def _orbit_span(group: GroupRep, vector, conductor: int):
     is the reduced row echelon form, which is unique for the subspace.
     """
     width = group.dimension * len(CycNum.rational(0).coords_at(conductor))
-    echelon = []  # (pivot column, row with a 1 there and 0 at earlier pivots)
+    # (pivot column, row with a 1 there and 0 at earlier pivots, its support)
+    echelon = []
 
     def absorb(vec) -> bool:
         row = _flatten(vec, conductor)
-        for pivot, basis_row in echelon:
+        for pivot, basis_row, support in echelon:
             c = row[pivot]
             if c:
-                row = [x - c * y for x, y in zip(row, basis_row)]
+                linalg.eliminate(row, c, basis_row, support)
         pivot = next((k for k, x in enumerate(row) if x), None)
         if pivot is None:
             return False
-        lead = row[pivot]
-        echelon.append((pivot, [x / lead for x in row]))
+        echelon.append((pivot, *linalg.pivot_row(row, pivot)))
         return True
 
     queue = [tuple(vector)] if absorb(vector) else []
@@ -207,7 +209,7 @@ def _orbit_span(group: GroupRep, vector, conductor: int):
             image = apply(g, current)
             if absorb(image):
                 queue.append(image)
-    reduced, _ = linalg.rref([row for _, row in echelon])
+    reduced, _ = linalg.rref([row for _, row, _ in echelon])
     if any(len(r) != width for r in reduced):
         raise InternalConsistencyError("orbit-span row has the wrong width")
     return [tuple(r) for r in reduced]
@@ -220,6 +222,7 @@ def schur_index(
     seed: int = 0,
     random_combos: int = 8,
     required_stable_passes: int = 2,
+    known_index: int | None = None,
 ) -> SchurWitness:
     """Schur index via descent to a minimal rational orbit span.
 
@@ -231,6 +234,14 @@ def schur_index(
     upper bound that is exact whenever the final module is simple, which a
     stable pass supports but does not unconditionally prove.  `degree` is the
     degree of the character field, which `classify_character_field` gives.
+
+    `known_index` is an index that theory has already fixed (see
+    `character_profile`).  Every nonzero G-stable rational subspace then has
+    dimension at least known_index * degree * n, so the descent stops as soon
+    as its span has that dimension: no later pass could shrink it, and the
+    basis is the one the full descent returns.  `stable_passes` still records
+    the required count, although fewer passes, possibly none, ran.  A descent
+    that ends at another index raises InternalConsistencyError.
     """
     n = group.dimension
     if start is None:
@@ -242,9 +253,10 @@ def schur_index(
         raise InvalidInputError("starting vector must be nonzero of matching length")
     conductor = _expansion_conductor(group, start)
     basis = _orbit_span(group, start, conductor)
+    settled = None if known_index is None else known_index * degree * n
     rng = random.Random(seed)
     stable = 0
-    while stable < required_stable_passes:
+    while stable < required_stable_passes and len(basis) != settled:
         improved = False
         candidates = [reassemble(n, conductor, row) for row in basis]
         for _ in range(random_combos):
@@ -271,6 +283,10 @@ def schur_index(
             f"module dimension {dim} is not a multiple of {degree}*{n}"
         )
     m = dim // (degree * n)
+    if known_index is not None and m != known_index:
+        raise InternalConsistencyError(
+            f"descent ended at Schur index {m}, but theory fixes {known_index}"
+        )
     witness = tuple(reassemble(n, conductor, row) for row in basis)
     is_form = False
     if m == 1:
@@ -332,8 +348,25 @@ def gcd_kernel_shortcut(group: GroupRep):
     return None
 
 
+def _settled_index(field: CharacterFieldClass, bilinear: BilinearFormType, gcd_cert):
+    """The Schur index where theory fixes it before any search, else None.
+
+    A gcd certificate gives 1: the index divides the complex kernel dimension
+    of every element of Q[G].  A real-valued character with indicator -1
+    gives 2: Frobenius-Schur puts the real Schur index 2 below it, and
+    Brauer-Speiser bounds it by 2.
+    """
+    if gcd_cert is not None:
+        return 1
+    if field.real_valued and bilinear.indicator == -1:
+        return 2
+    return None
+
+
 def character_profile(group: GroupRep, seed: int = 0) -> CharacterProfile:
-    """Field class, bilinear type, and Schur index, with consistency checks."""
+    """Field class, bilinear type, gcd certificate and Schur index, with
+    consistency checks.  The certificate is computed before the descent, and
+    the index it or the Frobenius-Schur bound settles ends the descent early."""
     norm = character_norm(group)
     if norm != 1:
         raise InvalidInputError(
@@ -341,7 +374,13 @@ def character_profile(group: GroupRep, seed: int = 0) -> CharacterProfile:
         )
     field = classify_character_field(group)
     bilinear = bilinear_type(group)
-    schur = schur_index(group, field.degree, seed=seed)
+    gcd_cert = gcd_kernel_shortcut(group)
+    schur = schur_index(
+        group,
+        field.degree,
+        seed=seed,
+        known_index=_settled_index(field, bilinear, gcd_cert),
+    )
     if field.kind == "rational" and field.degree != 1:
         raise InternalConsistencyError("rational field with degree > 1")
     if field.kind == "imaginary-quadratic" and (field.degree != 2 or field.real_valued):
@@ -355,7 +394,7 @@ def character_profile(group: GroupRep, seed: int = 0) -> CharacterProfile:
         raise InternalConsistencyError(
             "real-valued character with Schur index above 2"
         )
-    return CharacterProfile(field, bilinear, schur)
+    return CharacterProfile(field, bilinear, schur, gcd_cert)
 
 
 def lattice_existence_verdict(profile: CharacterProfile, n: int) -> LatticeVerdict:

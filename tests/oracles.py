@@ -4,19 +4,56 @@ from math import gcd
 
 from invlat import linalg
 from invlat.cyclotomic import CycNum
-from invlat.groups import (
-    as_matrix,
-    character,
-    hermitian_inner,
-    invariant_hermitian,
-    mat_identity,
-)
+from invlat.groups import as_matrix, character, invariant_hermitian, mat_identity
 from invlat.lattices import ZLattice, lattice_from_generators
 
 
 def mat_mul(a, b):
     """The dense n^3 product a * b, as a hashable matrix."""
     return tuple(tuple(row) for row in linalg.matmul(a, b))
+
+
+def rref_divide_each_entry(rows):
+    """(nonzero rows, pivot columns) of the reduced row echelon form, with the
+    pivot row divided by its pivot entry by entry and every row eliminated
+    over all columns.  The library takes one reciprocal per pivot and touches
+    only the pivot row's nonzero columns."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(mat[0])):
+        pr = next((i for i in range(r, len(mat)) if not mat[i][c] == 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        lead = mat[r][c]
+        mat[r] = [x / lead for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not mat[i][c] == 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def det_by_cofactors(mat):
+    """Determinant by cofactor expansion along the first row, with no
+    division; n! terms, so for n <= 4 only.  The library eliminates."""
+    n = len(mat)
+    assert n <= 4, "cofactor expansion is for small matrices"
+    if n == 1:
+        return mat[0][0]
+    total = mat[0][0] * 0
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = mat[0][j] * det_by_cofactors(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 def coset_count(big: ZLattice, small: ZLattice) -> int:
@@ -139,6 +176,17 @@ def cycle_multiplier_by_matrices(refs, cycle):
     assert image == [value * x for x in root], "cycle operator moved the root line"
     assert sum((op[i][i] for i in range(n)), CycNum.rational(0)) == value
     return value
+
+
+def hermitian_inner(gram, u, v) -> CycNum:
+    """<u, v> with the given Gram matrix; conjugate-linear in u, linear in v."""
+    total = CycNum.rational(0)
+    for i, ui in enumerate(u):
+        uc = ui.conjugate()
+        if not uc.is_zero():
+            for j, vj in enumerate(v):
+                total = total + uc * gram[i][j] * vj
+    return total
 
 
 def gram_edges(group, refs):

@@ -12,13 +12,18 @@ from invlat.groups import (
     conj_transpose,
     find_reflections,
     group_from_json,
-    hermitian_inner,
     invariant_hermitian,
     mat_identity,
 )
+from invlat.report import analyze
 
 from generated_groups import GENERATED
-from oracles import close_group_dense, mat_mul, reflections_by_rank_scan
+from oracles import (
+    close_group_dense,
+    hermitian_inner,
+    mat_mul,
+    reflections_by_rank_scan,
+)
 
 CATALOG_GROUPS = [
     name for name in catalog_names() if get_entry(name).kind == "group"
@@ -112,6 +117,21 @@ def test_reflection_inventory_is_computed_once(monkeypatch):
     third = find_reflections(group)
     assert len(third) == 8
     assert third == first[:-1]
+
+
+def test_character_is_computed_once_per_analysis(monkeypatch):
+    calls = []
+    real = groups_module.trace
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(groups_module, "trace", counting)
+    for target, order in [("G4", 24), ("WeylB2", 8), GENERATED["G3-1-2"]]:
+        calls.clear()
+        analyze(target)
+        assert len(calls) == order, target
 
 
 def test_conductors(s3, g4, q8, c5):

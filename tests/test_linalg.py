@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from invlat import linalg
-from invlat.cyclotomic import CycNum, zeta
+from invlat.cyclotomic import CycNum, euler_phi, zeta
+
+from oracles import det_by_cofactors, rref_divide_each_entry
 
 ints = st.integers(-9, 9)
 
@@ -133,3 +137,81 @@ def test_xgcd():
         g, x, y = linalg.xgcd(a, b)
         assert g == abs(__import__("math").gcd(a, b))
         assert a * x + b * y == g
+
+
+# elimination against the divide-every-entry and cofactor oracles
+
+
+def seeded_entry(rng, conductor):
+    """A CycNum at the conductor (a Fraction at conductor 0), zero one time in
+    three."""
+    if rng.random() < 1 / 3:
+        return Fraction(0) if conductor == 0 else CycNum.rational(0)
+    if conductor == 0:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              for _ in range(euler_phi(conductor))]
+    return CycNum(conductor, coeffs)
+
+
+def seeded_matrices(rng, conductor, count):
+    """Random matrices with zero entries, plus copies made rank-deficient by
+    replacing a row with a combination of two others."""
+    out = []
+    for _ in range(count):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        mat = [[seeded_entry(rng, conductor) for _ in range(cols)] for _ in range(rows)]
+        out.append(mat)
+        if rows >= 3:
+            a, b = seeded_entry(rng, conductor), seeded_entry(rng, conductor)
+            dependent = [a * x + b * y for x, y in zip(mat[0], mat[1])]
+            out.append(mat[:2] + [dependent] + mat[3:])
+    return out
+
+
+CONDUCTORS = [0, 3, 4, 5, 12]  # 0 stands for Fraction entries
+
+
+@pytest.mark.parametrize("conductor", CONDUCTORS)
+def test_rref_matches_divide_each_entry_oracle(conductor):
+    rng = random.Random(7000 + conductor)
+    mats = seeded_matrices(rng, conductor, 25)
+    assert any(len(linalg.rref(m)[0]) < min(len(m), len(m[0])) for m in mats)
+    for mat in mats:
+        assert linalg.rref(mat) == rref_divide_each_entry(mat)
+
+
+@pytest.mark.parametrize("conductor", CONDUCTORS)
+def test_det_matches_cofactor_oracle(conductor):
+    rng = random.Random(7100 + conductor)
+    singular = 0
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        mat = [[seeded_entry(rng, conductor) for _ in range(n)] for _ in range(n)]
+        if n >= 3:
+            mat[2] = [x + y for x, y in zip(mat[0], mat[1])]
+        expected = det_by_cofactors(mat)
+        singular += expected == 0
+        assert linalg.det(mat) == expected
+    assert singular
+
+
+def test_rref_inverts_each_pivot_once(monkeypatch):
+    calls = []
+    real = CycNum.inverse
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CycNum, "inverse", counting)
+    rng = random.Random(7200)
+    for conductor in (3, 5, 12):
+        for mat in seeded_matrices(rng, conductor, 10):
+            calls.clear()
+            _, pivots = linalg.rref(mat)
+            assert len(calls) <= len(pivots)
+            if len(mat) == len(mat[0]):
+                calls.clear()
+                linalg.det(mat)
+                assert len(calls) <= len(mat)

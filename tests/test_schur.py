@@ -7,13 +7,15 @@ import pytest
 from invlat import linalg, schur
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, euler_phi, zeta
-from invlat.errors import InvalidInputError
+from invlat.cli import main
+from invlat.errors import InternalConsistencyError, InvalidInputError
 from invlat.groups import close_group, conj_transpose, group_from_json
 from invlat.linalg import rank
 from invlat.report import analyze
 from invlat.schur import (
     _expansion_conductor,
     _orbit_span,
+    _settled_index,
     bilinear_type,
     character_profile,
     classify_character_field,
@@ -157,6 +159,70 @@ def test_character_field_is_classified_once_per_analysis(monkeypatch):
         calls.clear()
         analyze(target)
         assert len(calls) == 1, target
+
+
+def test_settled_descent_matches_full_descent(oracle_groups):
+    # where theory fixes the index the descent stops early; the full descent
+    # (no known index) must reach the same witness
+    settled = 0
+    for name, group in oracle_groups:
+        profile = character_profile(group)
+        assert profile.gcd_certificate == gcd_kernel_shortcut(group), name
+        certificate = profile.gcd_certificate
+        known = _settled_index(profile.field, profile.bilinear, certificate)
+        settled += known is not None
+        full = schur_index(group, profile.field.degree, known_index=None)
+        assert full == profile.schur, name
+        assert known in (None, full.index), name
+        assert full.stable_passes == profile.schur.stable_passes == 2
+    assert settled == len(oracle_groups)
+
+
+def count_orbit_spans(monkeypatch):
+    calls = []
+    real = schur._orbit_span
+
+    def counting(group, vector, conductor):
+        calls.append(vector)
+        return real(group, vector, conductor)
+
+    monkeypatch.setattr(schur, "_orbit_span", counting)
+    return calls
+
+
+def test_settled_index_skips_the_descent(monkeypatch):
+    calls = count_orbit_spans(monkeypatch)
+    g313 = group_from_json(GENERATED["G3-1-3"][0])
+    profile = character_profile(g313)
+    assert profile.gcd_certificate is not None and profile.schur_index == 1
+    assert len(calls) == 1
+    # settled by the Frobenius-Schur bound: no gcd certificate, nu = -1
+    for group in [get_entry("Q8").group(),
+                  group_from_json(GENERATED["Extraspecial2-1-4-minus"][0])]:
+        calls.clear()
+        profile = character_profile(group)
+        assert profile.gcd_certificate is None
+        assert profile.bilinear.indicator == -1 and profile.field.real_valued
+        assert profile.schur_index == 2 and profile.schur.stable_passes == 2
+        assert len(calls) == 1
+
+
+def test_descent_that_misses_the_known_index_raises(q8):
+    with pytest.raises(InternalConsistencyError, match="theory fixes 1"):
+        schur_index(q8, 1, known_index=1)
+
+
+def test_cli_reports_a_wrong_certificate_as_exit_4(capsys, monkeypatch):
+    # a certificate claiming index 1 on Q8, whose descent ends at index 2
+    monkeypatch.setattr(
+        schur, "gcd_kernel_shortcut", lambda group: (("ambient", 2), ("fake", 1))
+    )
+    code = main(["analyze", "Q8"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "theory fixes 1" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_gcd_certificate_dimension_one():
