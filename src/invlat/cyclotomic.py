@@ -32,7 +32,7 @@ from math import gcd, isqrt, lcm
 import mpmath
 
 from .errors import InternalConsistencyError
-from .linalg import rref, solve_right
+from .linalg import Span, rref
 
 
 def euler_phi(n: int) -> int:
@@ -357,15 +357,15 @@ class CycNum:
     def minimal_polynomial(self) -> tuple[Fraction, ...]:
         """Monic minimal polynomial over the rationals, ascending coefficients."""
         n = self.conductor
-        power_rows = [list(CycNum.rational(1).coords_at(n))]
+        powers = Span([CycNum.rational(1).coords_at(n)])
         p = CycNum.rational(1)
         for k in range(1, euler_phi(n) + 1):
             p = p * self
-            target = list(p.coords_at(n))
-            sol = _solve_columns(power_rows, target)
+            target = p.coords_at(n)
+            sol = powers.coords(target)
             if sol is not None:
                 return tuple([-c for c in sol] + [Fraction(1)])
-            power_rows.append(target)
+            powers.add(target)
         raise AssertionError("degree cannot exceed the field degree")
 
     # -- diagnostics ---------------------------------------------------------
@@ -462,12 +462,6 @@ def _poly_sub(a, b):
     for i, x in enumerate(b):
         out[i] -= x
     return out
-
-
-def _solve_columns(rows, target):
-    """Solve sum c_i * rows[i] = target; returns coefficients or None."""
-    mat = [[row[i] for row in rows] for i in range(len(target))]
-    return solve_right(mat, target)
 
 
 def as_cycnum(x):

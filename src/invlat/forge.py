@@ -23,6 +23,7 @@ from .groups import GroupRep, apply
 from .lattices import (
     RankTwoLattice,
     ZLattice,
+    flatten,
     fundamental_discriminant,
     lattice_from_generators,
     lattice_sum,
@@ -61,12 +62,10 @@ class ImaginaryQuadraticOrder:
         """(u, v) rational with x = u + v*omega, or None if x is outside the field."""
         x = as_cycnum(x)
         conductor = common_conductor([x, self.generator])
-        cols = [
-            CycNum.rational(1).coords_at(conductor),
-            self.generator.coords_at(conductor),
-        ]
-        system = [list(entry) for entry in zip(*cols)]
-        sol = linalg.solve_right(system, list(x.coords_at(conductor)))
+        basis = [CycNum.rational(1), self.generator]
+        sol = linalg.Span([y.coords_at(conductor) for y in basis]).coords(
+            x.coords_at(conductor)
+        )
         if sol is None:
             return None
         return sol[0], sol[1]
@@ -151,22 +150,13 @@ def construct_rank_n(group: GroupRep, witness) -> ZLattice:
     if len(vectors) != n or linalg.rank([list(v) for v in vectors]) != n:
         raise InvalidInputError("witness is not a rational form of the space")
     conductor = common_conductor([x for v in vectors for x in v])
-
-    def expand(vec):
-        row = []
-        for entry in vec:
-            row.extend(entry.coords_at(conductor))
-        return row
-
-    span = [expand(v) for v in vectors]
+    span = linalg.Span([flatten(v, conductor) for v in vectors])
     for g in group.sparse_generators:
         for v in vectors:
             image = apply(g, v)
             if lcm(conductor, common_conductor(image)) != conductor:
                 raise InvalidInputError("witness span is not stable under the group")
-            if linalg.solve_right(
-                [list(col) for col in zip(*span)], expand(image)
-            ) is None:
+            if span.coords(flatten(image, conductor)) is None:
                 raise InvalidInputError("witness span is not stable under the group")
     lattice = _orbit_lattice(group, vectors)
     if lattice.rank != n:
@@ -255,38 +245,22 @@ def split_as_order_module(lattice: ZLattice, order: ImaginaryQuadraticOrder) -> 
         [x for v in gens for x in v] + [omega]
     )
 
-    def expand(vec):
-        row = []
-        for entry in vec:
-            row.extend(entry.coords_at(conductor))
-        return row
-
+    # rational span of u and omega*u over the field basis vectors u found
+    span = linalg.Span()
     field_basis = []
-
-    def field_coords_in_basis(vec):
-        cols = []
-        for u in field_basis:
-            cols.append(expand(u))
-            cols.append(expand(_scale_vector(omega, u)))
-        if not cols:
-            return None
-        system = [list(col) for col in zip(*cols)]
-        sol = linalg.solve_right(system, expand(vec))
-        if sol is None:
-            return None
-        out = []
-        for t in range(len(field_basis)):
-            out.append(CycNum.rational(sol[2 * t]) + omega * sol[2 * t + 1])
-        return out
-
     rows = []
     for w in gens:
-        coords = field_coords_in_basis(w)
-        if coords is None:
+        row = flatten(w, conductor)
+        sol = span.coords(row)
+        if sol is None:
             field_basis.append(w)
+            span.add(row)
+            span.add(flatten(_scale_vector(omega, w), conductor))
             rows.append(None)
         else:
-            rows.append(coords)
+            rows.append(
+                [CycNum.rational(a) + omega * b for a, b in zip(sol[::2], sol[1::2])]
+            )
     if len(field_basis) != k:
         raise InternalConsistencyError(
             f"field span has dimension {len(field_basis)}, expected {k}"

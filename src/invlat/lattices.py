@@ -17,11 +17,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
 
 from . import linalg
 from .cyclotomic import CycNum, as_cycnum, cyc_from_json, cyc_to_json
 from .errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
+
+
+def flatten(vector, conductor):
+    """Rational row of a cyclotomic vector: the coordinates of each entry at
+    the conductor, which each entry's conductor divides, one after another."""
+    row = []
+    for x in vector:
+        row.extend(x.coords_at(conductor))
+    return row
 
 
 def expand_vectors(vectors):
@@ -30,13 +40,7 @@ def expand_vectors(vectors):
     for vec in vectors:
         for x in vec:
             conductor = lcm(conductor, x.conductor)
-    rows = []
-    for vec in vectors:
-        row = []
-        for x in vec:
-            row.extend(x.coords_at(conductor))
-        rows.append(row)
-    return conductor, rows
+    return conductor, [flatten(vec, conductor) for vec in vectors]
 
 
 def reassemble(dim, conductor, row):
@@ -68,12 +72,6 @@ class RationalSubspaceBasis:
         for row in self.rows:
             out.append(next(i for i, x in enumerate(row) if x != 0))
         return out
-
-    def coords_of(self, row):
-        """Coordinates of row in this basis, or None if outside the span."""
-        if not self.rows:
-            return None if any(x != 0 for x in row) else []
-        return linalg.coords_in_rref(list(self.rows), self.pivots(), list(row))
 
 
 @dataclass(frozen=True)
@@ -107,35 +105,30 @@ class ZLattice:
             out.append(tuple(vec))
         return tuple(out)
 
+    @cached_property
+    def _rational_span(self):
+        return linalg.Span(self.span.rows)
+
+    @cached_property
+    def _basis_span(self):
+        return linalg.Span([[Fraction(x) for x in row] for row in self.basis])
+
     def rational_coords(self, vector):
-        """Coordinates of vector in the rational span, or None if outside."""
-        conductor = self.conductor
-        for x in vector:
-            conductor = lcm(conductor, x.conductor)
-        row = []
-        for x in vector:
-            row.extend(x.coords_at(conductor))
-        if conductor == self.conductor:
-            return self.span.coords_of(row)
-        lifted = []
-        for avec in self.ambient_vectors():
-            arow = []
-            for x in avec:
-                arow.extend(x.coords_at(conductor))
-            lifted.append(arow)
-        if not lifted:
-            return [] if not any(x != 0 for x in row) else None
-        cols = [[r[i] for r in lifted] for i in range(len(row))]
-        return linalg.solve_right(cols, row)
+        """Coordinates of vector in the rational span, or None if outside.
+
+        The span lies in the field of the lattice's conductor, and an entry
+        whose (minimal) conductor does not divide it is outside that field.
+        """
+        if any(self.conductor % x.conductor for x in vector):
+            return None
+        return self._rational_span.coords(flatten(vector, self.conductor))
 
     def basis_coords(self, vector):
         """Integer coordinates of vector in the lattice basis, or None."""
         coords = self.rational_coords(vector)
         if coords is None:
             return None
-        target = [self.den * c for c in coords]
-        cols = [[Fraction(row[i]) for row in self.basis] for i in range(len(target))]
-        sol = linalg.solve_right(cols, target)
+        sol = self._basis_span.coords([self.den * c for c in coords])
         if sol is None or any(s.denominator != 1 for s in sol):
             return None
         return [int(s) for s in sol]
@@ -251,18 +244,14 @@ def intersect_with_subspace(lattice: ZLattice, span_vectors, real=False) -> ZLat
 def lattice_index(big: ZLattice, small: ZLattice):
     """Index [big : small] for small a sublattice of big; math.inf when the
     ranks differ."""
-    coords = []
-    for vec in small.vectors():
-        c = big.basis_coords(vec)
-        if c is None:
-            raise InvalidInputError("second lattice is not contained in the first")
+    coords = [big.basis_coords(vec) for vec in small.vectors()]
+    if None in coords:
+        raise InvalidInputError("second lattice is not contained in the first")
     if small.rank < big.rank:
         return math.inf
     if small.rank > big.rank:
         raise InvalidInputError("containment with larger rank is impossible")
-    for vec in small.vectors():
-        coords.append([Fraction(x) for x in big.basis_coords(vec)])
-    d = linalg.det(coords)
+    d = linalg.det([[Fraction(x) for x in c] for c in coords])
     return abs(int(d))
 
 
@@ -338,9 +327,8 @@ class RankTwoLattice:
     def coords_of(self, value):
         """Rational (x, y) with value = x*g1 + y*g2, or None."""
         value = as_cycnum(value)
-        _, rows = expand_vectors([(self.g1,), (self.g2,), (value,)])
-        cols = [[rows[0][i], rows[1][i]] for i in range(len(rows[0]))]
-        return linalg.solve_right(cols, rows[2])
+        _, (g1, g2, row) = expand_vectors([(self.g1,), (self.g2,), (value,)])
+        return linalg.Span([g1, g2]).coords(row)
 
     def contains(self, value) -> bool:
         coords = self.coords_of(value)

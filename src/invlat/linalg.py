@@ -1,11 +1,14 @@
 """Exact linear algebra helpers.
 
-Field routines (rref, rank, solve, kernel, det, inverse) work for any element
+Field routines (rref, rank, Span, kernel, det, inverse) work for any element
 type with +, -, *, /, == 0 semantics whose truth value is "nonzero", so they
 serve both Fraction matrices and cyclotomic-number matrices.  Elimination
 takes one reciprocal per pivot and touches only the columns where the pivot
-row is nonzero.  Integer routines (hnf, kernels) implement the row Hermite
-normal form with unimodular transforms.
+row is nonzero.  `Span` is the one route for span membership and
+coordinates: it keeps the rows added so far in echelon form, so a fixed
+basis is reduced once and every later question costs one reduction of the
+asked row.  Integer routines (hnf, kernels) implement the row Hermite normal
+form with unimodular transforms.
 """
 
 from __future__ import annotations
@@ -21,7 +24,11 @@ def _one_of(x):
     return x * 0 + 1
 
 
-def pivot_row(row, col):
+def _zero_for(row):
+    return _zero_of(row[0]) if row else Fraction(0)
+
+
+def _pivot_row(row, col):
     """(row scaled to 1 at col, the columns where it is nonzero).
 
     One reciprocal is taken and every nonzero entry is multiplied by it: a
@@ -33,7 +40,7 @@ def pivot_row(row, col):
     return scaled, [j for j, x in enumerate(scaled) if x]
 
 
-def eliminate(target, factor, row, support):
+def _eliminate(target, factor, row, support):
     """target -= factor * row in place, over the support of row; every other
     entry of target is unchanged, exactly."""
     for j in support:
@@ -67,10 +74,10 @@ def rref(rows):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        mat[r], support = pivot_row(mat[r], c)
+        mat[r], support = _pivot_row(mat[r], c)
         for i in range(len(mat)):
             if i != r and not mat[i][c] == 0:
-                eliminate(mat[i], mat[i][c], mat[r], support)
+                _eliminate(mat[i], mat[i][c], mat[r], support)
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -82,32 +89,67 @@ def rank(rows):
     return len(rref(rows)[0])
 
 
-def coords_in_rref(basis, pivots, vec):
-    """Coordinates of vec in an rref basis, or None if vec is outside the span."""
-    coords = [vec[c] for c in pivots]
-    residue = list(vec)
-    for co, row in zip(coords, basis):
-        residue = [x - co * y for x, y in zip(residue, row)]
-    if any(not x == 0 for x in residue):
-        return None
-    return coords
+class Span:
+    """The rational (or cyclotomic) span of the rows added so far.
 
+    Each kept row is held in echelon form, with a 1 at its pivot and 0 at
+    the pivots of the rows kept before it, and extended by the combination of
+    kept rows that gives it.  So one reduction of a row against the echelon
+    rows tests membership and, in the extension, reads off its coordinates.
+    """
 
-def solve_right(mat, rhs):
-    """One solution x of mat @ x = rhs, or None.  Free variables are set to 0."""
-    m = len(mat)
-    if m == 0:
-        return None
-    n = len(mat[0])
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    red, pivots = rref(aug)
-    if n in pivots:
-        return None
-    zero = _zero_of(rhs[0]) if rhs else Fraction(0)
-    x = [zero] * n
-    for row, c in zip(red, pivots):
-        x[c] = row[n]
-    return x
+    def __init__(self, rows=()):
+        # (pivot, echelon row | its combination of kept rows, support)
+        self._echelon = []
+        self._kept = []  # position among the added rows of each kept row
+        self._added = 0
+        for row in rows:
+            self.add(row)
+
+    def __len__(self):
+        """The dimension of the span."""
+        return len(self._kept)
+
+    @property
+    def rows(self):
+        """The echelon rows, one per kept row, in the order they were kept."""
+        return [row[: len(row) // 2] for _, row, _ in self._echelon]
+
+    def _reduce(self, row):
+        """row extended by as many zeros, less its components along the
+        echelon rows: the residue of row, then minus its coordinates in the
+        kept rows (exact when the residue is zero)."""
+        extended = list(row) + [_zero_for(row)] * len(row)
+        for pivot, echelon_row, support in self._echelon:
+            c = extended[pivot]
+            if c:
+                _eliminate(extended, c, echelon_row, support)
+        return extended
+
+    def add(self, row) -> bool:
+        """Add row; True exactly when it is independent of the rows kept."""
+        extended = self._reduce(row)
+        self._added += 1
+        pivot = next((k for k in range(len(row)) if extended[k]), None)
+        if pivot is None:
+            return False
+        extended[len(row) + len(self._kept)] = _one_of(extended[pivot])
+        self._echelon.append((pivot, *_pivot_row(extended, pivot)))
+        self._kept.append(self._added - 1)
+        return True
+
+    def coords(self, row):
+        """Coordinates x with row = sum of x[i] * (added row i), one per added
+        row and 0 at each row that was dependent when added, or None when row
+        is outside the span."""
+        extended = self._reduce(row)
+        width = len(row)
+        if any(extended[:width]):
+            return None
+        out = [_zero_for(row)] * self._added
+        for j, i in enumerate(self._kept):
+            out[i] = -extended[width + j]
+        return out
 
 
 def kernel_right(mat):
@@ -144,10 +186,10 @@ def det(mat):
             a[c], a[pr] = a[pr], a[c]
             result = -result
         result = result * a[c][c]
-        row, support = pivot_row(a[c], c)
+        row, support = _pivot_row(a[c], c)
         for i in range(c + 1, n):
             if not a[i][c] == 0:
-                eliminate(a[i], a[i][c], row, support)
+                _eliminate(a[i], a[i][c], row, support)
     return result
 
 

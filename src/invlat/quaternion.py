@@ -320,12 +320,10 @@ def torus_endomorphisms(torus: QuatTorus) -> EndomorphismRing:
             q = lcm(q, x.denominator)
     a_mat = [[int(columns[t][s] * q) for t in range(r)] for s in range(16)]
     chosen = []
-    chosen_idx = []
+    span = linalg.Span()
     for s in range(16):
-        trial = chosen + [a_mat[s]]
-        if linalg.rank([[Fraction(x) for x in row] for row in trial]) > len(chosen):
+        if span.add([Fraction(x) for x in a_mat[s]]):
             chosen.append(a_mat[s])
-            chosen_idx.append(s)
         if len(chosen) == r:
             break
     if len(chosen) != r:
@@ -358,24 +356,18 @@ def torus_endomorphisms(torus: QuatTorus) -> EndomorphismRing:
             if x.denominator != 1:
                 raise InternalConsistencyError("endomorphism basis is not integral")
 
-    x_rows = [[Fraction(v) for v in vec] for vec in x_basis]
-    x_cols = [list(col) for col in zip(*x_rows)]
-
-    def lattice_coords(coeffs):
-        sol = linalg.solve_right([list(row) for row in x_cols], list(coeffs))
-        return sol
+    lattice_coords = linalg.Span(x_basis).coords
+    comm_span = linalg.Span([_flatten_rational(c) for c in comm])
 
     def comm_coords(mat):
-        cols = [list(col) for col in zip(*[_flatten_rational(c) for c in comm])]
-        return linalg.solve_right(cols, _flatten_rational(mat))
+        return comm_span.coords(_flatten_rational(mat))
 
     identity = tuple(
         tuple(CycNum.rational(1 if p == s else 0) for s in range(4)) for p in range(4)
     )
     id_coords = comm_coords(identity)
-    if id_coords is None or lattice_coords(id_coords) is None or any(
-        x.denominator != 1 for x in lattice_coords(id_coords)
-    ):
+    integral = None if id_coords is None else lattice_coords(id_coords)
+    if integral is None or any(x.denominator != 1 for x in integral):
         raise InternalConsistencyError("identity is missing from the endomorphism ring")
     for e1 in endo_basis:
         for e2 in endo_basis:
@@ -390,7 +382,7 @@ def torus_endomorphisms(torus: QuatTorus) -> EndomorphismRing:
     if r == 4:
         return _classify_rank4(torus, endo_basis)
     if r == 8:
-        return _classify_rank8(torus, endo_basis, comm, comm_coords)
+        return _classify_rank8(torus, endo_basis)
     return EndomorphismRing(
         r, tuple(endo_basis), "other", None, None, None, None,
         f"commutant rank {r} outside the expected dichotomy",
@@ -425,7 +417,7 @@ def _classify_rank4(torus: QuatTorus, endo_basis) -> EndomorphismRing:
     )
 
 
-def _classify_rank8(torus: QuatTorus, endo_basis, comm, comm_coords) -> EndomorphismRing:
+def _classify_rank8(torus: QuatTorus, endo_basis) -> EndomorphismRing:
     r = len(endo_basis)
     mats = [[list(rw) for rw in e] for e in endo_basis]
     rows = []
@@ -469,9 +461,7 @@ def _classify_rank8(torus: QuatTorus, endo_basis, comm, comm_coords) -> Endomorp
     z2 = linalg.matmul([list(rw) for rw in z_mat], [list(rw) for rw in z_mat])
     flat_z2 = [x.as_fraction() for row in z2 for x in row]
     flat_i = [Fraction(1) if p == s else Fraction(0) for p in range(4) for s in range(4)]
-    sol = linalg.solve_right(
-        [[flat_z[t], flat_i[t]] for t in range(16)], flat_z2
-    )
+    sol = linalg.Span([flat_z, flat_i]).coords(flat_z2)
     if sol is None:
         raise InternalConsistencyError("center element has no quadratic relation")
     p_coef, q_coef = sol

@@ -67,12 +67,10 @@ def choose_generating_reflections(group: GroupRep):
         return not missing
 
     chosen = []
-    root_rows = []
+    span = linalg.Span()
     for ref in inventory:
-        trial = root_rows + [list(ref.root)]
-        if linalg.rank(trial) > len(root_rows):
+        if span.add(ref.root):
             chosen.append(ref)
-            root_rows = trial
         if len(chosen) == n:
             break
     if len(chosen) == n and generates(chosen):

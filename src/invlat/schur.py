@@ -18,7 +18,7 @@ from . import linalg
 from .cyclotomic import CycNum, common_conductor
 from .errors import InternalConsistencyError, InvalidInputError
 from .groups import GroupRep, apply, character, character_norm, mat_identity
-from .lattices import fundamental_discriminant, reassemble
+from .lattices import flatten, fundamental_discriminant, reassemble
 
 
 @dataclass(frozen=True)
@@ -71,27 +71,16 @@ def _field_span_dim(values) -> int:
     """Dimension over the rationals of the algebra generated by the values."""
     conductor = common_conductor(values)
     gens = list(dict.fromkeys(v for v in values if not v.is_rational()))
-    basis_rows = []
-    basis_elems = []
-
-    def absorb(x: CycNum) -> bool:
-        row = list(x.coords_at(conductor))
-        stacked = [list(r) for r in basis_rows] + [row]
-        if linalg.rank(stacked) > len(basis_rows):
-            basis_rows.append(tuple(row))
-            basis_elems.append(x)
-            return True
-        return False
-
-    absorb(CycNum.rational(1))
-    queue = list(basis_elems)
+    one = CycNum.rational(1)
+    span = linalg.Span([one.coords_at(conductor)])
+    queue = [one]
     while queue:
         current = queue.pop(0)
         for g in gens:
             prod = current * g
-            if absorb(prod):
+            if span.add(prod.coords_at(conductor)):
                 queue.append(prod)
-    return len(basis_rows)
+    return len(span)
 
 
 def classify_character_field(group: GroupRep) -> CharacterFieldClass:
@@ -169,13 +158,6 @@ def _expansion_conductor(group: GroupRep, vector) -> int:
     return lcm(group.conductor, common_conductor(vector))
 
 
-def _flatten(vector, conductor: int) -> list:
-    row = []
-    for entry in vector:
-        row.extend(entry.coords_at(conductor))
-    return row
-
-
 def _orbit_span(group: GroupRep, vector, conductor: int):
     """Basis (rational rref rows) of the rational span of the G-orbit of vector.
 
@@ -187,29 +169,15 @@ def _orbit_span(group: GroupRep, vector, conductor: int):
     is the reduced row echelon form, which is unique for the subspace.
     """
     width = group.dimension * len(CycNum.rational(0).coords_at(conductor))
-    # (pivot column, row with a 1 there and 0 at earlier pivots, its support)
-    echelon = []
-
-    def absorb(vec) -> bool:
-        row = _flatten(vec, conductor)
-        for pivot, basis_row, support in echelon:
-            c = row[pivot]
-            if c:
-                linalg.eliminate(row, c, basis_row, support)
-        pivot = next((k for k, x in enumerate(row) if x), None)
-        if pivot is None:
-            return False
-        echelon.append((pivot, *linalg.pivot_row(row, pivot)))
-        return True
-
-    queue = [tuple(vector)] if absorb(vector) else []
+    span = linalg.Span()
+    queue = [tuple(vector)] if span.add(flatten(vector, conductor)) else []
     while queue:
         current = queue.pop(0)
         for g in group.sparse_generators:
             image = apply(g, current)
-            if absorb(image):
+            if span.add(flatten(image, conductor)):
                 queue.append(image)
-    reduced, _ = linalg.rref([row for _, row, _ in echelon])
+    reduced, _ = linalg.rref(span.rows)
     if any(len(r) != width for r in reduced):
         raise InternalConsistencyError("orbit-span row has the wrong width")
     return [tuple(r) for r in reduced]
@@ -291,8 +259,9 @@ def schur_index(
     is_form = False
     if m == 1:
         complex_rank = linalg.rank([list(v) for v in witness])
+        span = linalg.Span(basis)
         stable_under_g = all(
-            _vector_in_span(apply(g, v), basis, conductor, n)
+            span.coords(flatten(apply(g, v), conductor)) is not None
             for g in group.sparse_generators
             for v in witness
         )
@@ -300,14 +269,6 @@ def schur_index(
         if not is_form:
             raise InternalConsistencyError("index-1 witness failed the field-form check")
     return SchurWitness(m, dim, witness, required_stable_passes, is_form)
-
-
-def _vector_in_span(vector, basis_rows, conductor: int, dim: int) -> bool:
-    row = _flatten(vector, conductor)
-    mat = [list(b) for b in basis_rows]
-    cols = list(zip(*mat)) if mat else []
-    system = [list(col) for col in cols]
-    return linalg.solve_right(system, row) is not None
 
 
 def gcd_kernel_shortcut(group: GroupRep):

@@ -1,6 +1,7 @@
 """Shared independent oracles for the test suite."""
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 from invlat import linalg
 from invlat.cyclotomic import CycNum
@@ -39,6 +40,42 @@ def rref_divide_each_entry(rows):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def solve_right(mat, rhs):
+    """One solution x of mat @ x = rhs, or None, from the rref of the
+    augmented matrix; free variables are set to 0.  The library asks
+    `linalg.Span` of the columns of mat instead."""
+    m = len(mat)
+    if m == 0:
+        return None
+    n = len(mat[0])
+    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
+    red, pivots = linalg.rref(aug)
+    if n in pivots:
+        return None
+    zero = rhs[0] * 0 if rhs else Fraction(0)
+    x = [zero] * n
+    for row, c in zip(red, pivots):
+        x[c] = row[n]
+    return x
+
+
+def rational_coords_by_lifting(lattice, vector):
+    """Coordinates of vector in the rational span of the lattice, or None:
+    the span rows and the vector are lifted to the conductor of both and the
+    column system is solved.  The library rejects an entry whose conductor
+    does not divide the lattice's before any solve."""
+    conductor = lcm(lattice.conductor, *(x.conductor for x in vector))
+    row = [c for x in vector for c in x.coords_at(conductor)]
+    lifted = [
+        [c for x in avec for c in x.coords_at(conductor)]
+        for avec in lattice.ambient_vectors()
+    ]
+    if not lifted:
+        return [] if not any(row) else None
+    cols = [[r[i] for r in lifted] for i in range(len(row))]
+    return solve_right(cols, row)
 
 
 def det_by_cofactors(mat):

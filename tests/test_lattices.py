@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 from invlat import linalg
 from invlat.cyclotomic import CycNum, sqrt_rational, zeta
 from invlat.errors import InvalidInputError, NotDiscreteError
+from invlat.forge import construct_rank_n, extend_rank_2n
+from invlat.groups import group_from_json
 from invlat.lattices import (
     RankTwoLattice,
     fundamental_discriminant,
@@ -21,6 +23,7 @@ from invlat.lattices import (
     scale_lattice,
     squarefree_part,
 )
+from invlat.schur import schur_index
 
 
 def cyc_rows(mat):
@@ -42,7 +45,8 @@ def nonsingular_2x2():
     )
 
 
-from oracles import coset_count
+from generated_groups import GENERATED
+from oracles import coset_count, rational_coords_by_lifting
 
 
 def test_canonical_equality():
@@ -274,3 +278,54 @@ def test_isogeny_test_distinct_fields():
     a = RankTwoLattice(CycNum.rational(1), zeta(4))
     b = RankTwoLattice(CycNum.rational(1), zeta(3))
     assert isogeny_test(a, b) is None
+
+
+def test_rational_coords_match_lifting_oracle():
+    one, nil, half = CycNum.rational(1), CycNum.rational(0), Fraction(1, 2)
+    z3, z4, z5, z8, z12 = zeta(3), zeta(4), zeta(5), zeta(8), zeta(12)
+    gaussian = lattice_from_generators([(one, nil), (z4, one), (nil, 2 * z4)])
+    twelve = lattice_from_generators([(z12, nil), (one, z3)])
+    zero = lattice_from_generators([], dim=2, allow_zero=True)
+    assert (gaussian.conductor, twelve.conductor, zero.conductor) == (4, 12, 1)
+    cases = [
+        (gaussian, [
+            (z3, nil), (one, z3), (z8, nil), (z12, one),  # foreign conductors
+            (half * z4 + 3, one), (z4, z4), (nil, one), (nil, nil),
+        ]),
+        (twelve, [
+            (z5, nil), (one, z5 + z3), (z8, z3),  # foreign conductors
+            (z12 + 3, 3 * z3), (z4, nil), (one, z3 * half), (z3, nil),
+        ]),
+        (zero, [(nil, nil), (one, nil), (z3, nil), (nil, z5)]),
+    ]
+    found = set()
+    for lattice, vectors in cases:
+        for vec in vectors:
+            coords = lattice.rational_coords(vec)
+            assert coords == rational_coords_by_lifting(lattice, vec), vec
+            found.add(coords is None)
+    assert found == {True, False}
+
+
+def test_second_invariance_check_reuses_spans(monkeypatch):
+    group = group_from_json(GENERATED["WeylB3"][0])
+    base = construct_rank_n(group, schur_index(group, 1).basis)
+    doubled = extend_rank_2n(base, zeta(4))
+    assert invariance_check(doubled, group.generators)
+    rref_calls, spans = [], []
+    real_rref = linalg.rref
+
+    def counting_rref(rows):
+        rref_calls.append(rows)
+        return real_rref(rows)
+
+    class CountingSpan(linalg.Span):
+        def __init__(self, rows=()):
+            spans.append(self)
+            super().__init__(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(linalg, "Span", CountingSpan)
+    assert invariance_check(doubled, group.generators)
+    assert not rref_calls
+    assert not spans

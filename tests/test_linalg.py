@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from invlat import linalg
 from invlat.cyclotomic import CycNum, euler_phi, zeta
 
-from oracles import det_by_cofactors, rref_divide_each_entry
+from oracles import det_by_cofactors, rref_divide_each_entry, solve_right
 
 ints = st.integers(-9, 9)
 
@@ -74,14 +74,14 @@ def test_solve_right_consistency(mat, target):
     m = frac_rows(mat)
     n = len(m)
     b = [Fraction(target[i % len(target)]) for i in range(n)]
-    sol = linalg.solve_right(m, b)
+    sol = solve_right(m, b)
     if sol is not None:
         assert linalg.matvec(m, sol) == b
 
 
 def test_solve_right_reports_inconsistency():
     m = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
-    assert linalg.solve_right(m, [Fraction(0), Fraction(1)]) is None
+    assert solve_right(m, [Fraction(0), Fraction(1)]) is None
 
 
 def test_exact_field_generic():
@@ -215,3 +215,88 @@ def test_rref_inverts_each_pivot_once(monkeypatch):
                 calls.clear()
                 linalg.det(mat)
                 assert len(calls) <= len(mat)
+
+
+# Span against the solve-the-column-system oracle
+
+
+def transposed(rows):
+    return [[row[i] for row in rows] for i in range(len(rows[0]))]
+
+
+def with_dependents(rows, rng_ints):
+    """rows plus a zero row and a combination of the first and last rows."""
+    a, b = rng_ints
+    zero = [x * 0 for x in rows[0]]
+    combo = [a * x + b * y for x, y in zip(rows[0], rows[-1])]
+    return rows[:1] + [zero] + rows[1:] + [combo]
+
+
+@given(rect, st.lists(ints, min_size=1, max_size=4), st.tuples(ints, ints))
+@settings(max_examples=150)
+def test_span_coords_match_solve_right(mat, target, combo):
+    rows = with_dependents(frac_rows(mat), combo)
+    width = len(rows[0])
+    inside = [sum(r[i] for r in rows[-2:]) for i in range(width)]
+    arbitrary = [Fraction(target[i % len(target)]) for i in range(width)]
+    span = linalg.Span(rows)
+    for vec in (inside, arbitrary, [Fraction(0)] * width):
+        assert span.coords(vec) == solve_right(transposed(rows), vec)
+    assert span.coords(inside) is not None
+
+
+@pytest.mark.parametrize("conductor", [3, 4, 12])
+def test_span_coords_match_solve_right_cyclotomic(conductor):
+    rng = random.Random(7300 + conductor)
+    outside = 0
+    for mat in seeded_matrices(rng, conductor, 25):
+        pair = (seeded_entry(rng, conductor), seeded_entry(rng, conductor))
+        rows = with_dependents(mat, pair)
+        a, b = seeded_entry(rng, conductor), seeded_entry(rng, conductor)
+        inside = [a * x + b * y for x, y in zip(rows[0], rows[-1])]
+        arbitrary = [seeded_entry(rng, conductor) for _ in rows[0]]
+        span = linalg.Span(rows)
+        for vec in (inside, arbitrary):
+            expected = solve_right(transposed(rows), vec)
+            outside += expected is None
+            assert span.coords(vec) == expected
+    assert outside
+
+
+@given(rect)
+def test_span_add_reports_rank_growth(mat):
+    rows = frac_rows(mat) + frac_rows(mat[:1]) + [[Fraction(0)] * len(mat[0])]
+    span = linalg.Span()
+    for k, row in enumerate(rows):
+        grew = linalg.rank(rows[: k + 1]) > linalg.rank(rows[:k])
+        assert span.add(row) == grew
+        assert len(span) == linalg.rank(rows[: k + 1])
+
+
+def test_empty_span():
+    span = linalg.Span()
+    assert span.coords([Fraction(0)] * 3) == []
+    assert span.coords([Fraction(0), Fraction(1), Fraction(0)]) is None
+    z = zeta(5)
+    assert linalg.Span().coords([z * 0, z * 0]) == []
+    assert linalg.Span().coords([z, z * 0]) is None
+
+
+def test_span_inverts_once_per_kept_row(monkeypatch):
+    calls = []
+    real = CycNum.inverse
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CycNum, "inverse", counting)
+    rng = random.Random(7400)
+    for conductor in (3, 5, 12):
+        for mat in seeded_matrices(rng, conductor, 10):
+            calls.clear()
+            span = linalg.Span(mat)
+            assert len(calls) <= len(span)
+            calls.clear()
+            span.coords(mat[0])
+            assert not calls
