@@ -31,8 +31,13 @@ from math import gcd, isqrt, lcm
 
 import mpmath
 
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, InvalidInputError
 from .linalg import Span, rref
+
+# The largest conductor an input may name.  Phi_N and the subfield solvers of
+# a conductor-N value cost row reductions phi(N) wide, so a larger N is
+# rejected before any arithmetic.
+MAX_CONDUCTOR = 1024
 
 
 def euler_phi(n: int) -> int:
@@ -550,9 +555,13 @@ def cyc_to_json(x: CycNum) -> dict:
     }
 
 
-def cyc_from_json(obj) -> CycNum:
-    from .errors import InvalidInputError
+def _input_conductor(n: int) -> int:
+    if not 1 <= n <= MAX_CONDUCTOR:
+        raise InvalidInputError(f"conductor {n} is outside 1..{MAX_CONDUCTOR}")
+    return n
 
+
+def cyc_from_json(obj) -> CycNum:
     if isinstance(obj, int):
         return CycNum.rational(obj)
     if isinstance(obj, str):
@@ -560,17 +569,16 @@ def cyc_from_json(obj) -> CycNum:
     if not isinstance(obj, dict) or "conductor" not in obj or "coeffs" not in obj:
         raise InvalidInputError(f"not a scalar: {obj!r}")
     try:
+        conductor = int(obj["conductor"])
         coeffs = [Fraction(int(p), int(q)) for p, q in obj["coeffs"]]
-        return CycNum(int(obj["conductor"]), coeffs)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"bad scalar encoding: {exc}") from exc
+    return CycNum(_input_conductor(conductor), coeffs)
 
 
 def parse_scalar(text: str) -> CycNum:
     """Parse compact scalar syntax: 'p/q', 'zN', 'zetaN', 'zN^k', or sums like
     '2*z3 + 1' with integer or p/q coefficients.  Inverse to str()."""
-    from .errors import InvalidInputError
-
     total = CycNum.rational(0)
     stripped = text.replace("-", "+-").replace(" ", "")
     parts = stripped.split("+")
@@ -599,9 +607,10 @@ def parse_scalar(text: str) -> CycNum:
             else:
                 n, k = body, "1"
             try:
-                term = zeta(int(n), int(k))
-            except (ValueError, ZeroDivisionError) as exc:
+                n, k = int(n), int(k)
+            except ValueError as exc:
                 raise InvalidInputError(f"bad scalar syntax: {text!r}") from exc
+            term = zeta(_input_conductor(n), k)
         else:
             try:
                 term = CycNum.rational(Fraction(part))

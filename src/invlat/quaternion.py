@@ -4,7 +4,10 @@ Exact arithmetic in (a,b) quaternion algebras, definiteness, bounded search
 for imaginary-quadratic subfields, complex structures given by right
 multiplication, and the endomorphism ring of the resulting torus with its
 structure classification (order in a definite quaternion algebra versus
-order in two-by-two matrices over an imaginary quadratic field).
+order in two-by-two matrices over an imaginary quadratic field).  The ring
+is computed in the lattice basis, as the integer matrices that commute with
+the conjugated complex structure, and classified from one integer
+multiplication table of its Z-basis.
 """
 
 from __future__ import annotations
@@ -261,142 +264,102 @@ def build_quat_torus(algebra: QuatAlgebra, lattice: ZLattice, c: QuatElement) ->
 @dataclass(frozen=True)
 class EndomorphismRing:
     rank: int
-    basis: tuple  # 4x4 rational matrices (CycNum entries), a Z-basis
     structure_tag: str  # order-in-definite-quaternion | order-in-M2-of-imaginary-quadratic | other
     abelian: bool | None
-    order_lattice: ZLattice | None  # for left-multiplication rings: the quaternion order
-    matches_input_lattice: bool | None
+    matches_input_lattice: bool | None  # rank 4: the order is the input lattice
     center_discriminant: int | None
     detail: str
 
 
-def _commutant_basis(j_matrix):
-    """Rational basis of 4x4 rational matrices commuting with the given matrix."""
-    entries = [x for row in j_matrix for x in row]
-    conductor = common_conductor(entries)
-    width = len(CycNum.rational(0).coords_at(conductor))
-    rows = []
+def _conjugate(left, mat, right):
+    return linalg.matmul(linalg.matmul(left, mat), right)
+
+
+def _commuting_integer_matrices(j_prime):
+    """Z-basis (HNF rows) of the integer 4x4 matrices M, flattened row by row,
+    with M J' = J' M: one equation per entry and cyclotomic coordinate, each
+    scaled to integers, and one integer kernel."""
+    conductor = common_conductor(x for row in j_prime for x in row)
+    equations = []
     for i in range(4):
         for jj in range(4):
             coeffs = [CycNum.rational(0)] * 16
             for p in range(4):
-                coeffs[i * 4 + p] = coeffs[i * 4 + p] + j_matrix[p][jj]
-                coeffs[p * 4 + jj] = coeffs[p * 4 + jj] - j_matrix[i][p]
-            for t in range(width):
-                rows.append([Fraction(c.coords_at(conductor)[t]) for c in coeffs])
-    kernel = linalg.kernel_right(rows)
-    out = []
-    for vec in kernel:
-        out.append(tuple(tuple(as_cycnum(vec[p * 4 + q]) for q in range(4)) for p in range(4)))
-    return out
-
-
-def _flatten_rational(mat):
-    out = []
-    for row in mat:
-        for x in row:
-            if not x.is_rational():
-                raise InternalConsistencyError("expected a rational matrix")
-            out.append(x.as_fraction())
-    return out
+                coeffs[i * 4 + p] += j_prime[p][jj]
+                coeffs[p * 4 + jj] -= j_prime[i][p]
+            coords = [c.coords_at(conductor) for c in coeffs]
+            for t in range(len(coords[0])):
+                row = [x[t] for x in coords]
+                scale = lcm(*(x.denominator for x in row))
+                equations.append([int(x * scale) for x in row])
+    return linalg.int_kernel([list(col) for col in zip(*equations)])
 
 
 def torus_endomorphisms(torus: QuatTorus) -> EndomorphismRing:
-    """Exact endomorphism ring: rational commutant of J that preserves the lattice."""
-    comm = _commutant_basis(torus.j_matrix)
-    r = len(comm)
-    basis_cols = [list(v) for v in torus.lattice.vectors()]
-    w_mat = [[basis_cols[q][p] for q in range(4)] for p in range(4)]
+    """Exact endomorphism ring of V/Λ, computed in the lattice basis.
+
+    With W holding the lattice basis as columns, End(V/Λ) is exactly the
+    ring of integer matrices that commute with J' = W^-1 J W.  One integer
+    kernel gives its Z-basis E_1..E_r, and one block product gives the
+    multiplication table T[i][j], the integer coordinates of E_i E_j, off
+    which the identity, closure and center questions are read.
+    """
+    w_mat = [list(row) for row in zip(*torus.lattice.vectors())]
     w_inv = linalg.inverse(w_mat)
     if w_inv is None:
         raise InternalConsistencyError("lattice basis is singular")
-    columns = []
-    for c_mat in comm:
-        n_mat = linalg.matmul(linalg.matmul(w_inv, [list(rw) for rw in c_mat]), w_mat)
-        columns.append(_flatten_rational(n_mat))
-    q = 1
-    for col in columns:
-        for x in col:
-            q = lcm(q, x.denominator)
-    a_mat = [[int(columns[t][s] * q) for t in range(r)] for s in range(16)]
-    chosen = []
-    span = linalg.Span()
-    for s in range(16):
-        if span.add([Fraction(x) for x in a_mat[s]]):
-            chosen.append(a_mat[s])
-        if len(chosen) == r:
-            break
-    if len(chosen) != r:
-        raise InternalConsistencyError("integrality system lost rank")
-    delta = linalg.det([[Fraction(x) for x in row] for row in chosen])
-    delta = abs(int(delta))
-    transposed = [[a_mat[s][t] for s in range(16)] for t in range(r)]
-    transposed += [
-        [(-delta if s == t else 0) for s in range(16)] for t in range(16)
-    ]
-    kernel = linalg.int_kernel(transposed)
-    x_basis = [[Fraction(z * q, delta) for z in vec[:r]] for vec in kernel]
-    if len(x_basis) != r:
-        raise InternalConsistencyError("endomorphism lattice is not full in the commutant")
+    j_prime = _conjugate(w_inv, torus.j_matrix, w_mat)
+    flats = _commuting_integer_matrices(j_prime)
+    r = len(flats)
+    ends = [[flat[4 * p:4 * p + 4] for p in range(4)] for flat in flats]
+    stacked = [row for e in ends for row in e]  # E_1 over E_2 over ...
+    beside = [[x for e in ends for x in e[p]] for p in range(4)]  # E_1 beside E_2 ...
+    e_j, j_e = linalg.matmul(stacked, j_prime), linalg.matmul(j_prime, beside)
+    if any(e_j[b][s] != j_e[b % 4][b - b % 4 + s] for b in range(4 * r) for s in range(4)):
+        raise InternalConsistencyError("endomorphism basis does not commute with J")
 
-    def combine(coeffs):
-        out = [[CycNum.rational(0)] * 4 for _ in range(4)]
-        for coef, c_mat in zip(coeffs, comm):
-            if coef == 0:
-                continue
-            for p in range(4):
-                for s in range(4):
-                    out[p][s] = out[p][s] + c_mat[p][s] * coef
-        return tuple(tuple(row) for row in out)
+    span = linalg.Span([[Fraction(x) for x in flat] for flat in flats])
 
-    endo_basis = [combine(x) for x in x_basis]
-    for e_mat in endo_basis:
-        n_mat = linalg.matmul(linalg.matmul(w_inv, [list(rw) for rw in e_mat]), w_mat)
-        for x in _flatten_rational(n_mat):
-            if x.denominator != 1:
-                raise InternalConsistencyError("endomorphism basis is not integral")
+    def integral_coords(flat, failure):
+        coords = span.coords([Fraction(x) for x in flat])
+        if coords is None or any(x.denominator != 1 for x in coords):
+            raise InternalConsistencyError(failure)
+        return coords
 
-    lattice_coords = linalg.Span(x_basis).coords
-    comm_span = linalg.Span([_flatten_rational(c) for c in comm])
-
-    def comm_coords(mat):
-        return comm_span.coords(_flatten_rational(mat))
-
-    identity = tuple(
-        tuple(CycNum.rational(1 if p == s else 0) for s in range(4)) for p in range(4)
+    identity = integral_coords(
+        [int(p == s) for p in range(4) for s in range(4)],
+        "identity is missing from the endomorphism ring",
     )
-    id_coords = comm_coords(identity)
-    integral = None if id_coords is None else lattice_coords(id_coords)
-    if integral is None or any(x.denominator != 1 for x in integral):
-        raise InternalConsistencyError("identity is missing from the endomorphism ring")
-    for e1 in endo_basis:
-        for e2 in endo_basis:
-            prod = linalg.matmul([list(rw) for rw in e1], [list(rw) for rw in e2])
-            coords = comm_coords(tuple(tuple(rw) for rw in prod))
-            if coords is None:
-                raise InternalConsistencyError("endomorphism product left the commutant")
-            integral = lattice_coords(coords)
-            if integral is None or any(x.denominator != 1 for x in integral):
-                raise InternalConsistencyError("endomorphism ring is not closed")
+    products = linalg.matmul(stacked, beside)  # block (i, j) is E_i E_j
+    table = [
+        [
+            integral_coords(
+                [products[4 * i + p][4 * j + s] for p in range(4) for s in range(4)],
+                "endomorphism ring is not closed",
+            )
+            for j in range(r)
+        ]
+        for i in range(r)
+    ]
 
     if r == 4:
-        return _classify_rank4(torus, endo_basis)
+        return _classify_rank4(torus, [_conjugate(w_mat, e, w_inv) for e in ends])
     if r == 8:
-        return _classify_rank8(torus, endo_basis)
+        return _classify_rank8(torus, ends, table, identity, w_mat, w_inv)
     return EndomorphismRing(
-        r, tuple(endo_basis), "other", None, None, None, None,
+        r, "other", None, None, None,
         f"commutant rank {r} outside the expected dichotomy",
     )
 
 
-def _classify_rank4(torus: QuatTorus, endo_basis) -> EndomorphismRing:
+def _classify_rank4(torus: QuatTorus, mats) -> EndomorphismRing:
+    """mats: the ring's Z-basis in the coefficient basis, W E W^-1."""
     images = []
-    for e_mat in endo_basis:
-        y = tuple(e_mat[p][0] for p in range(4))
-        elem = torus.algebra.element(y)
-        if left_mult_matrix(elem) != e_mat:
+    for mat in mats:
+        y = tuple(row[0] for row in mat)
+        if left_mult_matrix(torus.algebra.element(y)) != tuple(map(tuple, mat)):
             return EndomorphismRing(
-                4, tuple(endo_basis), "other", None, None, None, None,
+                4, "other", None, None, None,
                 "rank-4 ring is not made of left multiplications",
             )
         images.append(y)
@@ -406,70 +369,50 @@ def _classify_rank4(torus: QuatTorus, endo_basis) -> EndomorphismRing:
     matches = order_lat == torus.lattice
     if torus.algebra.definite:
         return EndomorphismRing(
-            4, tuple(endo_basis), "order-in-definite-quaternion", False,
-            order_lat, matches, None,
+            4, "order-in-definite-quaternion", False, matches, None,
             "endomorphisms are left multiplications by an order in a definite "
             "quaternion algebra; no abelian surface has such an endomorphism ring",
         )
     return EndomorphismRing(
-        4, tuple(endo_basis), "other", None, order_lat, matches, None,
+        4, "other", None, matches, None,
         "left multiplications by an order in an indefinite quaternion algebra",
     )
 
 
-def _classify_rank8(torus: QuatTorus, endo_basis) -> EndomorphismRing:
-    r = len(endo_basis)
-    mats = [[list(rw) for rw in e] for e in endo_basis]
-    rows = []
-    for e2 in mats:
-        # commutators [e1, e2] for every e1, one row per entry (p, s)
-        brackets = [(linalg.matmul(e1, e2), linalg.matmul(e2, e1)) for e1 in mats]
-        for p in range(4):
-            for s in range(4):
-                rows.append([(ab[p][s] - ba[p][s]).as_fraction() for ab, ba in brackets])
+def _classify_rank8(
+    torus: QuatTorus, ends, table, identity, w_mat, w_inv
+) -> EndomorphismRing:
+    """ends: the Z-basis in the lattice basis; table[i][j]: coordinates of
+    E_i E_j; identity: coordinates of the identity."""
+    r = len(ends)
+    # a is central when sum_i a_i [E_i, E_j] = 0 for every j, and [E_i, E_j]
+    # has coordinates T[i][j] - T[j][i]
+    rows = [
+        [table[i][j][k] - table[j][i][k] for i in range(r)]
+        for j in range(r)
+        for k in range(r)
+    ]
     center = linalg.kernel_right(rows)
     if len(center) != 2:
         return EndomorphismRing(
-            r, tuple(endo_basis), "other", None, None, None, None,
-            f"center has rank {len(center)}, not 2",
+            r, "other", None, None, None, f"center has rank {len(center)}, not 2"
         )
-
-    def from_coords(coeffs):
-        out = [[CycNum.rational(0)] * 4 for _ in range(4)]
-        for coef, e_mat in zip(coeffs, endo_basis):
-            for p in range(4):
-                for s in range(4):
-                    out[p][s] = out[p][s] + e_mat[p][s] * coef
-        return tuple(tuple(rw) for rw in out)
-
-    identity = tuple(
-        tuple(CycNum.rational(1 if p == s else 0) for s in range(4)) for p in range(4)
-    )
-    z_mat = None
-    for vec in center:
-        cand = from_coords(vec)
-        if any(
-            not (cand[p][s] - cand[0][0] * identity[p][s]).is_zero()
-            for p in range(4)
-            for s in range(4)
-        ):
-            z_mat = cand
-            break
-    if z_mat is None:
+    scalars = linalg.Span([identity])
+    z = next((vec for vec in center if scalars.coords(vec) is None), None)
+    if z is None:
         raise InternalConsistencyError("center of a rank-8 ring is scalar")
-    flat_z = [x.as_fraction() for row in z_mat for x in row]
-    z2 = linalg.matmul([list(rw) for rw in z_mat], [list(rw) for rw in z_mat])
-    flat_z2 = [x.as_fraction() for row in z2 for x in row]
-    flat_i = [Fraction(1) if p == s else Fraction(0) for p in range(4) for s in range(4)]
-    sol = linalg.Span([flat_z, flat_i]).coords(flat_z2)
+    z2 = [
+        sum(z[i] * z[j] * table[i][j][k] for i in range(r) for j in range(r))
+        for k in range(r)
+    ]
+    sol = linalg.Span([z, identity]).coords(z2)
     if sol is None:
         raise InternalConsistencyError("center element has no quadratic relation")
     p_coef, q_coef = sol
     t_center = q_coef + p_coef * p_coef / 4
     if t_center >= 0:
         return EndomorphismRing(
-            r, tuple(endo_basis), "other", None, None, None, None,
-            "center is a real quadratic field",
+            r, "other", None, None, None, "center is a real quadratic field"
         )
     disc = fundamental_discriminant(t_center.numerator * t_center.denominator)
     detail = (
@@ -485,43 +428,28 @@ def _classify_rank8(torus: QuatTorus, endo_basis) -> EndomorphismRing:
         num, den = ratio.numerator, ratio.denominator
         if num > 0 and isqrt(num) ** 2 == num and isqrt(den) ** 2 == den:
             s_val = Fraction(isqrt(num), isqrt(den))
+            # eta = L_u (z - p/2) / (s t) squares to 1; conjugation by W keeps
+            # that and keeps eta != +-1, so the certificate is checked here
             u_elem = torus.algebra.element((0, r1, r2, r3))
-            l_u = left_mult_matrix(u_elem)
-            half_p = p_coef / 2
-            zeta0 = tuple(
-                tuple(z_mat[p][s] - as_cycnum(half_p) * identity[p][s] for s in range(4))
+            l_u = _conjugate(w_inv, left_mult_matrix(u_elem), w_mat)
+            zeta0 = [x - p_coef / 2 * y for x, y in zip(z, identity)]
+            zeta0_mat = [
+                [sum(c * e[p][s] for c, e in zip(zeta0, ends)) for s in range(4)]
                 for p in range(4)
-            )
-            eta = linalg.matmul([list(rw) for rw in l_u], [list(rw) for rw in zeta0])
-            scal = as_cycnum(Fraction(1) / (s_val * t_center))
-            eta = [[x * scal for x in row] for row in eta]
-            eta2 = linalg.matmul(eta, eta)
-            ok = all(
-                (eta2[p][s] - identity[p][s]).is_zero()
-                for p in range(4)
-                for s in range(4)
-            )
-            nontrivial = any(
-                not (eta[p][s] - identity[p][s]).is_zero()
-                for p in range(4)
-                for s in range(4)
-            ) and any(
-                not (eta[p][s] + identity[p][s]).is_zero()
-                for p in range(4)
-                for s in range(4)
-            )
-            zero_divisor_ok = ok and nontrivial
+            ]
+            scale = 1 / (s_val * t_center)
+            eta = [[x * scale for x in row] for row in linalg.matmul(l_u, zeta0_mat)]
+            one = linalg.identity(4)
+            minus_one = [[-x for x in row] for row in one]
+            zero_divisor_ok = linalg.matmul(eta, eta) == one and eta not in (one, minus_one)
     if not zero_divisor_ok:
         detail = (
             "endomorphism algebra is 8-dimensional with imaginary-quadratic center; "
             "matrix-algebra certificate not established"
         )
-        return EndomorphismRing(
-            r, tuple(endo_basis), "other", None, None, None, disc, detail
-        )
+        return EndomorphismRing(r, "other", None, None, disc, detail)
     return EndomorphismRing(
-        r, tuple(endo_basis), "order-in-M2-of-imaginary-quadratic", True,
-        None, None, disc, detail,
+        r, "order-in-M2-of-imaginary-quadratic", True, None, disc, detail
     )
 
 

@@ -1,7 +1,7 @@
 """Shared independent oracles for the test suite."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from invlat import linalg
 from invlat.cyclotomic import CycNum
@@ -333,3 +333,140 @@ def gcd_kernel_pairwise(group):
         if consider(label, mat):
             return tuple(found)
     return None
+
+
+def endomorphisms_by_commutant(torus):
+    """(rank, structure_tag, abelian, matches_input_lattice,
+    center_discriminant, detail) of End(V/Λ), found in the coefficient basis:
+    the rational commutant of J, its integral part by a determinant and an
+    integer kernel, and the center of a rank-8 ring from matrix commutators.
+    The library works in the lattice basis, where the ring is one integer
+    kernel and the center is read off the multiplication table."""
+    from invlat.cyclotomic import as_cycnum, common_conductor
+    from invlat.lattices import fundamental_discriminant
+    from invlat.quaternion import is_order, left_mult_matrix
+
+    j_mat = torus.j_matrix
+    conductor = common_conductor(x for row in j_mat for x in row)
+    rows = []
+    for i in range(4):
+        for jj in range(4):
+            coeffs = [CycNum.rational(0)] * 16
+            for p in range(4):
+                coeffs[i * 4 + p] = coeffs[i * 4 + p] + j_mat[p][jj]
+                coeffs[p * 4 + jj] = coeffs[p * 4 + jj] - j_mat[i][p]
+            coords = [c.coords_at(conductor) for c in coeffs]
+            for t in range(len(coords[0])):
+                rows.append([Fraction(x[t]) for x in coords])
+    comm = [
+        [[as_cycnum(vec[p * 4 + q]) for q in range(4)] for p in range(4)]
+        for vec in linalg.kernel_right(rows)
+    ]
+    r = len(comm)
+
+    # integral part: x with W^-1 (sum x_t C_t) W integral, from the
+    # determinant delta of r independent integrality equations
+    w_mat = [list(row) for row in zip(*torus.lattice.vectors())]
+    w_inv = linalg.inverse(w_mat)
+    columns = [
+        [x.as_fraction() for row in linalg.matmul(linalg.matmul(w_inv, c), w_mat) for x in row]
+        for c in comm
+    ]
+    q = lcm(*(x.denominator for col in columns for x in col))
+    a_mat = [[int(columns[t][s] * q) for t in range(r)] for s in range(16)]
+    span = linalg.Span()
+    chosen = [row for row in a_mat if span.add([Fraction(x) for x in row])]
+    delta = abs(int(linalg.det([[Fraction(x) for x in row] for row in chosen])))
+    system = [[a_mat[s][t] for s in range(16)] for t in range(r)]
+    system += [[-delta if s == t else 0 for s in range(16)] for t in range(16)]
+    x_basis = [
+        [Fraction(z * q, delta) for z in vec[:r]] for vec in linalg.int_kernel(system)
+    ]
+    assert len(x_basis) == r
+
+    def combine(coeffs, basis):
+        return [
+            [sum((m[p][s] * x for x, m in zip(coeffs, basis)), CycNum.rational(0))
+             for s in range(4)]
+            for p in range(4)
+        ]
+
+    endo = [combine(x, comm) for x in x_basis]
+    identity = [[CycNum.rational(int(p == s)) for s in range(4)] for p in range(4)]
+
+    if r == 4:
+        images = []
+        for e_mat in endo:
+            y = tuple(row[0] for row in e_mat)
+            if [list(row) for row in left_mult_matrix(torus.algebra.element(y))] != e_mat:
+                return (4, "other", None, None, None,
+                        "rank-4 ring is not made of left multiplications")
+            images.append(y)
+        order_lat = lattice_from_generators(images)
+        assert is_order(torus.algebra, order_lat)
+        matches = order_lat == torus.lattice
+        if torus.algebra.definite:
+            return (
+                4, "order-in-definite-quaternion", False, matches, None,
+                "endomorphisms are left multiplications by an order in a definite "
+                "quaternion algebra; no abelian surface has such an endomorphism ring",
+            )
+        return (4, "other", None, matches, None,
+                "left multiplications by an order in an indefinite quaternion algebra")
+    if r != 8:
+        return (r, "other", None, None, None,
+                f"commutant rank {r} outside the expected dichotomy")
+
+    rows = []
+    for e2 in endo:
+        brackets = [(linalg.matmul(e1, e2), linalg.matmul(e2, e1)) for e1 in endo]
+        for p in range(4):
+            for s in range(4):
+                rows.append([(ab[p][s] - ba[p][s]).as_fraction() for ab, ba in brackets])
+    center = linalg.kernel_right(rows)
+    if len(center) != 2:
+        return (r, "other", None, None, None, f"center has rank {len(center)}, not 2")
+    z_mat = next(
+        m for m in (combine(vec, endo) for vec in center)
+        if any(m[p][s] != (m[0][0] if p == s else 0) for p in range(4) for s in range(4))
+    )
+    z2 = linalg.matmul(z_mat, z_mat)
+
+    def flat(mat):
+        return [x.as_fraction() for row in mat for x in row]
+
+    p_coef, q_coef = linalg.Span([flat(z_mat), flat(identity)]).coords(flat(z2))
+    t_center = q_coef + p_coef * p_coef / 4
+    if t_center >= 0:
+        return (r, "other", None, None, None, "center is a real quadratic field")
+    disc = fundamental_discriminant(t_center.numerator * t_center.denominator)
+    certified = False
+    if torus.direction is not None:
+        a, b = torus.algebra.a, torus.algebra.b
+        r1, r2, r3 = torus.direction
+        ratio = (a * r1 * r1 + b * r2 * r2 - a * b * r3 * r3) / t_center
+        num, den = ratio.numerator, ratio.denominator
+        if num > 0 and isqrt(num) ** 2 == num and isqrt(den) ** 2 == den:
+            s_val = Fraction(isqrt(num), isqrt(den))
+            l_u = left_mult_matrix(torus.algebra.element((0, r1, r2, r3)))
+            zeta0 = [
+                [z_mat[p][s] - identity[p][s] * (p_coef / 2) for s in range(4)]
+                for p in range(4)
+            ]
+            eta = [
+                [x / (s_val * t_center) for x in row]
+                for row in linalg.matmul(l_u, zeta0)
+            ]
+            minus = [[-x for x in row] for row in identity]
+            certified = linalg.matmul(eta, eta) == identity and eta not in (identity, minus)
+    if not certified:
+        return (
+            r, "other", None, None, disc,
+            "endomorphism algebra is 8-dimensional with imaginary-quadratic center; "
+            "matrix-algebra certificate not established",
+        )
+    return (
+        r, "order-in-M2-of-imaginary-quadratic", True, None, disc,
+        "endomorphism algebra is 8-dimensional with imaginary-quadratic center; "
+        "zero-divisor certificate splits it as 2x2 matrices over that field",
+    )

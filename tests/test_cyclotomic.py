@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from invlat import cyclotomic
 from invlat.cyclotomic import (
+    MAX_CONDUCTOR,
     CycNum,
     _canonical,
     _int_poly_quotient,
@@ -212,6 +213,17 @@ def test_parse_scalar_rejects_junk():
     for bad in ["", "z", "q5", "1 +", "z3**2", "zeta(3)"]:
         with pytest.raises(InvalidInputError):
             parse_scalar(bad)
+
+
+def test_inputs_beyond_the_conductor_bound_are_rejected():
+    assert MAX_CONDUCTOR >= 1009  # the largest conductor the suite parses
+    for text in ["z4000", "2*zeta4000^3 + 1", "z0"]:
+        with pytest.raises(InvalidInputError, match="conductor"):
+            parse_scalar(text)
+    for conductor in [10**8, 4000, 0]:
+        with pytest.raises(InvalidInputError, match="conductor"):
+            cyc_from_json({"conductor": conductor, "coeffs": [["0", "1"], ["1", "1"]]})
+    assert parse_scalar("z1009").conductor == 1009
 
 
 @given(cyc_elements)

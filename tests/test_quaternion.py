@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invlat.catalog import quaternion_preset
-from invlat.cyclotomic import CycNum, sqrt_rational, zeta
+from invlat import linalg
+from invlat.cyclotomic import CycNum, as_cycnum, sqrt_rational, zeta
 from invlat.errors import InvalidInputError
 from invlat.forge import extend_rank_2n, maximal_order, split_as_order_module
 from invlat.lattices import lattice_from_generators
@@ -19,6 +20,8 @@ from invlat.quaternion import (
     torus_endomorphisms,
 )
 from invlat.schur import character_profile
+
+from oracles import endomorphisms_by_commutant
 
 small = st.integers(-5, 5)
 coords4 = st.tuples(small, small, small, small)
@@ -190,3 +193,68 @@ def test_ratl_verdict_branches(q8):
     endos = torus_endomorphisms(build_quat_torus(alg, lat, c))
     endo_verdict = ratl_verdict(profile, 2, evidence=endos)
     assert endo_verdict.abelian is False
+
+
+HURWITZ = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (Fraction(1, 2),) * 4)
+Z_1_2I_J_K = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+IRRATIONAL_C = (0, sqrt_rational(Fraction(1, 3)), sqrt_rational(Fraction(2, 3)), 0)
+THIRDS_C = (0, Fraction(2, 3), Fraction(2, 3), Fraction(-1, 3))
+
+# name -> (algebra parameters, lattice basis rows, complex structure c)
+ORACLE_TORI = {
+    **{
+        f"{lat_name} c={c_name}": ((-1, -1), rows, c)
+        for lat_name, rows in (("hurwitz", HURWITZ), ("Z<1,2i,j,k>", Z_1_2I_J_K))
+        for c_name, c in (
+            ("irrational", IRRATIONAL_C), ("i", (0, 1, 0, 0)), ("(2/3,2/3,-1/3)", THIRDS_C)
+        )
+    },
+    "(1,-1) c=j": ((1, -1), None, (0, 0, 1, 0)),
+    "(-1,-3) c=i": ((-1, -3), None, (0, 1, 0, 0)),
+}
+
+
+def oracle_torus(name):
+    if name in ("example-non-generic", "example-non-ci"):
+        return build_quat_torus(*quaternion_preset(name))
+    (a, b), rows, c = ORACLE_TORI[name]
+    alg = QuatAlgebra(Fraction(a), Fraction(b))
+    lat = lipschitz_lattice() if rows is None else lattice_from_generators(
+        [tuple(as_cycnum(Fraction(x)) for x in row) for row in rows]
+    )
+    return build_quat_torus(alg, lat, alg.element(c))
+
+
+@pytest.mark.parametrize(
+    "name", ["example-non-generic", "example-non-ci", *ORACLE_TORI]
+)
+def test_endomorphisms_match_commutant_oracle(name):
+    torus = oracle_torus(name)
+    endos = torus_endomorphisms(torus)
+    got = (
+        endos.rank, endos.structure_tag, endos.abelian,
+        endos.matches_input_lattice, endos.center_discriminant, endos.detail,
+    )
+    assert got == endomorphisms_by_commutant(torus)
+
+
+def test_coarser_lattice_is_not_the_order():
+    # Z<1, 2i, j, k> is no ring (j * k = i lies outside it), so the order whose
+    # left multiplications make up the endomorphisms is another lattice
+    endos = torus_endomorphisms(oracle_torus("Z<1,2i,j,k> c=irrational"))
+    assert endos.rank == 4
+    assert endos.matches_input_lattice is False
+
+
+def test_endomorphisms_make_few_matrix_products(monkeypatch):
+    torus = oracle_torus("example-non-ci")
+    calls = []
+    real = linalg.matmul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(linalg, "matmul", counting)
+    assert torus_endomorphisms(torus).rank == 8
+    assert len(calls) <= 30

@@ -273,6 +273,19 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert code == 3  # the reference group closure exceeds a tiny cap
 
 
+def test_cli_rejects_a_group_beyond_the_conductor_bound(capsys, tmp_path):
+    path = tmp_path / "big-conductor.json"
+    path.write_text(json.dumps({
+        "dimension": 1,
+        "conductor": 4000,
+        "generators": [[["z4000"]]],
+    }))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert "conductor 4000" in err
+    assert out == ""
+
+
 def test_cycle_bound_limits_the_scan_size():
     # the default bound n + 1 scans at most 1364 cycles (n = 4, Weyl A4)
     for n in range(1, 5):

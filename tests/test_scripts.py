@@ -20,15 +20,27 @@ ROOT = Path(__file__).resolve().parent.parent
     ids=lambda argv: argv[0],
 )
 def test_script_runs(argv):
+    result = run_script(argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()
+
+
+def test_dichotomy_sweep_matches_snapshot():
+    # bound 3 reaches 24 directions off the axes; bound 2 only the six axes
+    result = run_script(["quaternion_dichotomy.py", "--denominator-bound", "3"])
+    assert result.returncode == 0, result.stderr
+    snapshot = ROOT / "tests" / "golden" / "quaternion_dichotomy_b3.txt"
+    assert result.stdout == snapshot.read_text()
+
+
+def run_script(argv):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
