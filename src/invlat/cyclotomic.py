@@ -1,26 +1,40 @@
 """Exact arithmetic in cyclotomic fields.
 
-A value is a polynomial in z = exp(2*pi*i/N) with Fraction coefficients,
-stored in the power basis 1, z, ..., z^(phi(N)-1) modulo the N-th cyclotomic
-polynomial.  Every value is normalized to its minimal conductor (never 2 mod
-4), so two equal numbers always have identical (conductor, coeffs) data and
-equality and hashing are structural.
+A value is a polynomial in z = exp(2*pi*i/N), stored in the power basis
+1, z, ..., z^(phi(N)-1) modulo the N-th cyclotomic polynomial Phi_N as a
+tuple of integer numerators over one positive common denominator, the two
+reduced by their gcd.  Every value is normalized to its minimal conductor
+(never 2 mod 4), so two equal numbers always have identical
+(conductor, numerators, denominator) data and equality and hashing are
+structural.
 
-Some constructions skip canonicalisation because their result is canonical
-by construction (CycNum._new sets the two slots directly):
+All arithmetic runs on the integers.  Phi_N is monic with integer
+coefficients, so reducing an integer product modulo Phi_N stays integral;
+a sum cross-scales the two numerator tuples to the lcm of the denominators.
+The minimal conductor is found one prime at a time: a value at conductor N
+lies in Q(z_d) exactly when its minimal conductor divides d, so only the
+maximal subfields Q(z_(N/p)) are tested, and the search moves down on
+success.
 
-* rationals (CycNum.rational, as_cycnum on int/Fraction, and CycNum(1, [q])):
-  conductor 1 with one coefficient is already the minimal form;
-* a rational plus x: it moves only the z^0 coordinate (1 is a basis
-  vector) and leaves the field, hence the minimal conductor, unchanged;
-* a rational times x, and negation: scaling by a nonzero rational also
-  leaves the field unchanged and keeps the coefficients reduced (a zero
-  factor gives the shared zero);
-* the sum of two values of one conductor: both inputs are reduced modulo
-  Phi_N, so their sum is too, and only the subfield test (_descend) runs.
+* When p^2 | N, Phi_N(x) = Phi_(N/p)(x^p), so the value lies in Q(z_(N/p))
+  exactly when its coordinates vanish off the multiples of p; no solver is
+  needed.
+* When p divides N once, a cached integer solver (_subfield_solver) tests
+  membership and rewrites the coordinates.
+* The value is rational exactly when the coordinates 1.. vanish (z^0 = 1 is
+  a basis vector).
 
-Floating-point output exists only for diagnostics (numeric / numeric_bound);
-all decisions in this package are made on exact data.
+Some constructions skip the subfield search because their result keeps the
+field of an input: a rational plus x moves only the z^0 coordinate, scaling
+by a nonzero rational and negation keep the field, and so does a Galois
+conjugate.  The inverse is an extended Euclid against Phi_N on integer
+polynomials kept primitive, O(phi(N)^2).
+
+`coeffs`, `coords_at`, `str`, `cyc_to_json` and `numeric` present the
+coordinates as Fractions, the same values and text as a Fraction-per-
+coefficient representation would give.  Floating-point output exists only
+for diagnostics (numeric / numeric_bound); all decisions in this package
+are made on exact data.
 """
 
 from __future__ import annotations
@@ -28,6 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import add, mul
 
 import mpmath
 
@@ -90,84 +105,219 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def _phi_tail(n: int):
+    """(phi(n), the nonzero lower coefficients of Phi_n as (j - phi(n), c))."""
+    poly = cyclotomic_polynomial(n)
+    deg = len(poly) - 1
+    return deg, tuple((j - deg, c) for j, c in enumerate(poly[:-1]) if c)
+
+
 def _reduce_mod_phi(dense, n):
-    """Remainder of a dense Fraction polynomial modulo Phi_n, padded to phi(n)."""
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
+    """Remainder of an integer polynomial modulo Phi_n, as a list of length
+    phi(n); Phi_n is monic, so the remainder stays integral."""
+    deg, tail = _phi_tail(n)
     p = list(dense)
     for k in range(len(p) - 1, deg - 1, -1):
         c = p[k]
         if c:
-            for j in range(len(phi) - 1):
-                p[k - deg + j] -= c * phi[j]
-        p.pop()
-    p += [Fraction(0)] * (deg - len(p))
+            for off, a in tail:
+                p[k + off] -= c * a
+    del p[deg:]
+    p += [0] * (deg - len(p))
     return p
 
 
 def _fold(dense, n):
-    out = [Fraction(0)] * n
+    """Dense coefficients reduced modulo x^n - 1, so that a long input costs
+    one pass before the reduction modulo Phi_n."""
+    out = [0] * n
     for k, c in enumerate(dense):
         if c:
             out[k % n] += c
     return out
 
 
+def _halve(n, dense):
+    """(n / 2, the same value at conductor n / 2) for n = 2 mod 4: with m = n / 2
+    odd, z_n = -z_m^((m + 1) / 2)."""
+    m = n // 2
+    h = (m + 1) // 2
+    out = [0] * m
+    for k, c in enumerate(dense):
+        if c:
+            out[(k * h) % m] += -c if k & 1 else c
+    return m, out
+
+
+def _convolve(a, b):
+    """Product of two integer polynomials, ascending coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
+
+
 def _dot(row, vec):
-    return sum((a * b for a, b in zip(row, vec)), Fraction(0))
+    return sum(map(mul, row, vec))
+
+
+def _integral(row):
+    """A rational row scaled by a positive rational to coprime integers."""
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
 @lru_cache(maxsize=None)
 def _subfield_solver(n: int, d: int):
-    """Solver data for rewriting conductor-n coordinates at conductor d | n.
+    """Integer solver data for rewriting conductor-n coordinates at conductor d | n.
 
-    Returns (P, Q): the rewrite candidate is P @ x, and it is valid exactly
-    when Q @ x = 0."""
+    Returns (P, D, Q): the coordinates x lie in Q(z_d) exactly when Q @ x = 0,
+    and then (P @ x) / D are their coordinates at conductor d.  Each row of Q
+    is scaled to integers on its own, since only its zero test matters; the
+    rows of P share the denominator D."""
     phi_n, phi_d = euler_phi(n), euler_phi(d)
-    cols = []
-    for j in range(phi_d):
-        p = [Fraction(0)] * (j * (n // d)) + [Fraction(1)]
-        cols.append(_reduce_mod_phi(_fold(p, n), n))
-    aug = [[cols[j][i] for j in range(phi_d)]
-           + [Fraction(1) if k == i else Fraction(0) for k in range(phi_n)]
+    step = n // d
+    cols = [_reduce_mod_phi([0] * (j * step) + [1], n) for j in range(phi_d)]
+    aug = [[Fraction(cols[j][i]) for j in range(phi_d)]
+           + [Fraction(int(k == i)) for k in range(phi_n)]
            for i in range(phi_n)]
     red, pivots = rref(aug)
     if pivots[:phi_d] != list(range(phi_d)):
         raise InternalConsistencyError(
             f"subfield basis at conductor {d} is dependent at conductor {n}"
         )
-    p_rows = tuple(tuple(red[i][phi_d:]) for i in range(phi_d))
-    q_rows = tuple(tuple(red[i][phi_d:]) for i in range(phi_d, len(red)))
-    return p_rows, q_rows
+    p_rows = [red[i][phi_d:] for i in range(phi_d)]
+    den = lcm(*(x.denominator for row in p_rows for x in row))
+    p_ints = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                   for row in p_rows)
+    q_ints = tuple(_integral(red[i][phi_d:]) for i in range(phi_d, len(red)))
+    return p_ints, den, q_ints
+
+
+@lru_cache(maxsize=None)
+def _maximal_subfields(n: int):
+    """(p, n / p) for each prime p | n, the coefficient-pattern cases (p^2 | n)
+    first; Q(z_1) is left out, since the rational test comes before."""
+    primes, m, p = [], n, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    out = [(p, n // p) for p in primes if n // p > 1]
+    out.sort(key=lambda pd: pd[1] % pd[0] != 0)
+    return tuple(out)
+
+
+def _descend(n, nums):
+    """(m, coordinates at conductor m, s): the minimal conductor m of the value
+    with integer coordinates nums at conductor n (n != 2 mod 4), and its
+    coordinates there, which are s times the input's."""
+    scale = 1
+    while True:
+        if not any(nums[1:]):
+            return 1, nums[:1], scale
+        for p, d in _maximal_subfields(n):
+            if d % p == 0:
+                # Phi_n(x) = Phi_d(x^p): Q(z_d) holds the values whose
+                # coordinates vanish off the multiples of p
+                if any(any(nums[r::p]) for r in range(1, p)):
+                    continue
+                nums = nums[::p]
+                if d % 4 == 2:
+                    d, nums = _halve(d, nums)
+                    nums = _reduce_mod_phi(nums, d)
+            else:
+                p_rows, den, q_rows = _subfield_solver(n, d)
+                if any(_dot(q, nums) for q in q_rows):
+                    continue
+                nums = [_dot(row, nums) for row in p_rows]
+                scale *= den
+            n = d
+            break
+        else:
+            return n, nums, scale
 
 
 def _canonical(n, dense):
-    """Reduce (conductor, dense coefficient list) to minimal-conductor form."""
+    """(conductor, integer coordinates, s) of the minimal-conductor form of an
+    integer dense coefficient list at conductor n; the coordinates are s times
+    those of the input value."""
     if n <= 0:
         raise ValueError("conductor must be positive")
     while n % 4 == 2:
-        m = n // 2
-        out = [Fraction(0)] * m
-        for k, c in enumerate(dense):
+        n, dense = _halve(n, dense)
+    if len(dense) > n:
+        dense = _fold(dense, n)
+    return _descend(n, _reduce_mod_phi(dense, n))
+
+
+def _make(n, nums, den):
+    """The CycNum (sum nums[k] z_n^k) / den from minimal-conductor coordinates
+    and a positive den, reduced by their gcd."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    return CycNum._new(n, tuple(nums), den)
+
+
+def _trimmed(poly):
+    poly = list(poly)
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _poly_sub(a, b):
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return out
+
+
+def _inverse_coords(n, nums):
+    """(u, s) with (sum u[k] z^k) * (sum nums[k] z^k) = s at conductor n, s != 0.
+
+    An extended Euclid of the numerator polynomial a against Phi_n on
+    integer polynomials: each remainder is a pseudo-remainder made primitive,
+    and r_i = (u_i / s_i) * a mod Phi_n is kept with u_i an integer polynomial
+    and s_i > 0."""
+    r0, r1 = list(cyclotomic_polynomial(n)), _trimmed(nums)
+    u0, s0, u1, s1 = [0], 1, [1], 1
+    while len(r1) > 1:
+        lead, shift = r1[-1], len(r1) - 1
+        terms = len(r0) - shift
+        scale = lead ** terms
+        rem = [c * scale for c in r0]
+        quo = [0] * terms
+        for k in range(terms - 1, -1, -1):
+            c = rem[k + shift] // lead  # exact after the scaling by lead^terms
             if c:
-                out[(k * ((m + 1) // 2)) % m] += -c if k % 2 else c
-        n, dense = m, out
-    return _descend(n, _reduce_mod_phi(_fold(dense, n), n))
-
-
-def _descend(n, coeffs):
-    """Minimal-conductor form of reduced coordinates at conductor n (n != 2 mod 4)."""
-    # z^0 = 1 is a basis vector, so the value is rational exactly when the
-    # other coordinates vanish; the subfield search then starts at d > 1
-    if not any(coeffs[1:]):
-        return 1, (coeffs[0],)
-    for d in divisors(n)[1:-1]:
-        if d % 4 == 2:
-            continue
-        p_rows, q_rows = _subfield_solver(n, d)
-        if all(_dot(q, coeffs) == 0 for q in q_rows):
-            return d, tuple(_dot(p, coeffs) for p in p_rows)
-    return n, tuple(coeffs)
+                quo[k] = c
+                for j, y in enumerate(r1, k):
+                    rem[j] -= c * y
+        rem = _trimmed(rem[:shift])
+        if not rem:
+            raise InternalConsistencyError("cyclotomic polynomial must be irreducible")
+        # rem = scale * r0 - quo * r1 = (scale * u0 / s0 - quo * u1 / s1) * a
+        u = _poly_sub([c * scale * s1 for c in u0], [c * s0 for c in _convolve(quo, u1)])
+        g = gcd(*rem)
+        rem = [c // g for c in rem]
+        s = s0 * s1 * g
+        h = gcd(s, *u)
+        r0, u0, s0 = r1, u1, s1
+        r1, u1, s1 = rem, [c // h for c in u], s // h
+    return u1, s1 * r1[0]
 
 
 class CycNum:
@@ -177,53 +327,75 @@ class CycNum:
     works; two values of different conductors are combined in the compositum.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "_nums", "_den")
 
     def __init__(self, conductor, coeffs):
         if isinstance(coeffs, (int, Fraction)):
             coeffs = [coeffs]
-        n, cs = int(conductor), [Fraction(c) for c in coeffs]
-        if n == 1 and len(cs) == 1:
-            self.conductor, self.coeffs = 1, (cs[0],)
-            return
-        self.conductor, self.coeffs = _canonical(n, cs)
+        n = int(conductor)
+        qs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*{q.denominator for q in qs})
+        nums = [q.numerator * (den // q.denominator) for q in qs]
+        if n == 1 and len(nums) == 1:
+            scale = 1
+        else:
+            n, nums, scale = _canonical(n, nums)
+        x = _make(n, nums, den * scale)
+        self.conductor, self._nums, self._den = x.conductor, x._nums, x._den
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def _new(n, coeffs) -> "CycNum":
-        """A value from data already in canonical form; no checks."""
+    def _new(n, nums, den) -> "CycNum":
+        """The value (sum nums[k] z_n^k) / den from data already in canonical
+        form; no checks."""
         x = object.__new__(CycNum)
         x.conductor = n
-        x.coeffs = coeffs
+        x._nums = nums
+        x._den = den
         return x
 
     @staticmethod
     def rational(x) -> "CycNum":
-        return CycNum._new(1, (Fraction(x),))
+        if type(x) is int:
+            return CycNum._new(1, (x,), 1)
+        q = Fraction(x)
+        return CycNum._new(1, (q.numerator,), q.denominator)
 
-    def _scaled(self, r) -> "CycNum":
-        """r * self for a rational r."""
-        if not r:
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates at the conductor, as Fractions."""
+        return self.coords_at(self.conductor)
+
+    def _scaled(self, num, den) -> "CycNum":
+        """(num / den) * self for integers num and den > 0."""
+        if not num:
             return _ZERO
-        return CycNum._new(self.conductor, tuple(r * c for c in self.coeffs))
+        return _make(self.conductor, [c * num for c in self._nums], self._den * den)
 
     def _lift_dense(self, m):
-        """Dense coefficients of self at conductor m (conductor | m)."""
+        """Dense numerators of self at conductor m (conductor | m), up to the
+        position of the last stored coordinate."""
+        nums = self._nums
         step = m // self.conductor
-        out = [Fraction(0)] * m
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[k * step] += c
+        out = [0] * ((len(nums) - 1) * step + 1)
+        out[::step] = nums
         return out
+
+    def _coords(self, m):
+        """Numerators of self in the power basis at conductor m (conductor | m)."""
+        if m == self.conductor:
+            return self._nums
+        return _reduce_mod_phi(self._lift_dense(m), m)
 
     def coords_at(self, m) -> tuple[Fraction, ...]:
         """Coordinate vector of self in the power basis at conductor m."""
         if m % self.conductor:
             raise ValueError("conductor does not divide target")
-        if m == self.conductor:
-            return self.coeffs
-        return tuple(_reduce_mod_phi(self._lift_dense(m), m))
+        den = self._den
+        if den == 1:
+            return tuple(map(Fraction, self._coords(m)))
+        return tuple(Fraction(c, den) for c in self._coords(m))
 
     # -- ring operations -----------------------------------------------------
 
@@ -233,21 +405,34 @@ class CycNum:
             return NotImplemented
         if self.conductor == 1:
             self, other = other, self
-        n = self.conductor
+        n, a_den, b_den = self.conductor, self._den, other._den
+        if a_den == b_den:
+            a_f = b_f = 1
+        else:
+            g = gcd(a_den, b_den)
+            a_f, b_f = b_den // g, a_den // g
+        den = a_den * a_f
         if other.conductor == 1:
             # a rational moves only the z^0 coordinate and keeps the field
-            return CycNum._new(n, (self.coeffs[0] + other.coeffs[0],) + self.coeffs[1:])
+            nums = [c * a_f for c in self._nums] if a_f != 1 else list(self._nums)
+            nums[0] += other._nums[0] * b_f
+            return _make(n, nums, den)
         if n == other.conductor:
-            sums = [x + y for x, y in zip(self.coeffs, other.coeffs)]
-            return CycNum._new(*_descend(n, sums))
-        m = lcm(n, other.conductor)
-        a, b = self._lift_dense(m), other._lift_dense(m)
-        return CycNum(m, [x + y for x, y in zip(a, b)])
+            a, b = self._nums, other._nums
+        else:
+            n = lcm(n, other.conductor)
+            a, b = self._coords(n), other._coords(n)
+        if a_f == 1 and b_f == 1:
+            sums = list(map(add, a, b))
+        else:
+            sums = [x * a_f + y * b_f for x, y in zip(a, b)]
+        m, nums, scale = _descend(n, sums)
+        return _make(m, nums, den * scale)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum._new(self.conductor, tuple(-c for c in self.coeffs))
+        return CycNum._new(self.conductor, tuple(-c for c in self._nums), self._den)
 
     def __sub__(self, other):
         other = as_cycnum(other)
@@ -263,41 +448,32 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         if self.conductor == 1:
-            return other._scaled(self.coeffs[0])
+            return other._scaled(self._nums[0], self._den)
         if other.conductor == 1:
-            return self._scaled(other.coeffs[0])
-        m = lcm(self.conductor, other.conductor)
-        a, b = self.coords_at(m), other.coords_at(m)
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return CycNum(m, prod)
+            return self._scaled(other._nums[0], other._den)
+        n = self.conductor
+        if n == other.conductor:
+            a, b = self._nums, other._nums
+        else:
+            n = lcm(n, other.conductor)
+            a, b = self._coords(n), other._coords(n)
+        m, nums, scale = _descend(n, _reduce_mod_phi(_convolve(a, b), n))
+        return _make(m, nums, self._den * other._den * scale)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        n = self.conductor
+        n, den = self.conductor, self._den
         if n == 1:
-            return CycNum(1, [1 / self.coeffs[0]])
-        # extended Euclid against the (irreducible) cyclotomic polynomial
-        phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r0, r1 = phi, list(self.coeffs)
-        u0, u1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            while r1 and not r1[-1]:
-                r1.pop()
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        if len(r0) != 1:
-            raise InternalConsistencyError("cyclotomic polynomial must be irreducible")
-        inv = [c / r0[0] for c in u0]
-        return CycNum(n, inv)
+            num = self._nums[0]
+            return CycNum._new(1, (den if num > 0 else -den,), abs(num))
+        # the inverse lies in the same field, so it keeps the conductor
+        u, s = _inverse_coords(n, self._nums)
+        if s < 0:
+            u, s = [-c for c in u], -s
+        return _make(n, _reduce_mod_phi([c * den for c in u], n), s)
 
     def __truediv__(self, other):
         other = as_cycnum(other)
@@ -332,14 +508,17 @@ class CycNum:
         a %= n
         if gcd(a, n) != 1:
             raise ValueError("exponent not coprime to conductor")
-        out = [Fraction(0)] * n
-        for k, c in enumerate(self.coeffs):
+        if n == 1:
+            return self
+        out = [0] * n
+        for k, c in enumerate(self._nums):
             if c:
                 out[(k * a) % n] += c
-        return CycNum(n, out)
+        # Q(z_d) is Galois over Q, so the image keeps the minimal conductor
+        return _make(n, _reduce_mod_phi(out, n), self._den)
 
     def is_zero(self) -> bool:
-        return self.conductor == 1 and self.coeffs[0] == 0
+        return self.conductor == 1 and not self._nums[0]
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -347,7 +526,7 @@ class CycNum:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._nums[0], self._den)
 
     def is_real(self) -> bool:
         return self == self.conjugate()
@@ -371,7 +550,9 @@ class CycNum:
             if sol is not None:
                 return tuple([-c for c in sol] + [Fraction(1)])
             powers.add(target)
-        raise AssertionError("degree cannot exceed the field degree")
+        raise InternalConsistencyError(
+            f"minimal polynomial of {self} has degree above phi({n})"
+        )
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -392,7 +573,7 @@ class CycNum:
             return +total
 
     def numeric_bound(self, precision: int = 53) -> float:
-        weight = 1 + sum(abs(c) for c in self.coeffs)
+        weight = 1 + Fraction(sum(map(abs, self._nums)), self._den)
         return 2.0 ** (1 - precision) * float(weight)
 
     # -- protocol ------------------------------------------------------------
@@ -401,7 +582,8 @@ class CycNum:
         other = as_cycnum(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
+        return (self.conductor == other.conductor and self._den == other._den
+                and self._nums == other._nums)
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -409,15 +591,17 @@ class CycNum:
 
     def __hash__(self):
         if self.conductor == 1:
-            return hash(self.coeffs[0])
-        return hash((self.conductor, self.coeffs))
+            if self._den == 1:
+                return hash(self._nums[0])
+            return hash(Fraction(self._nums[0], self._den))
+        return hash((self.conductor, self._nums, self._den))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __str__(self):
         if self.conductor == 1:
-            return str(self.coeffs[0])
+            return str(self.as_fraction())
         terms = []
         for k, c in enumerate(self.coeffs):
             if not c:
@@ -436,44 +620,11 @@ class CycNum:
     __repr__ = __str__
 
 
-def _poly_divmod(num, den):
-    num = [Fraction(c) for c in num]
-    dn = len(den) - 1
-    q = [Fraction(0)] * max(len(num) - dn, 1)
-    for k in range(len(num) - dn - 1, -1, -1):
-        c = num[k + dn] / den[dn]
-        q[k] = c
-        if c:
-            for j in range(dn + 1):
-                num[k + j] -= c * den[j]
-    while num and not num[-1]:
-        num.pop()
-    return q, num
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return out
-
-
 def as_cycnum(x):
     if isinstance(x, CycNum):
         return x
     if isinstance(x, (int, Fraction)):
-        return CycNum._new(1, (Fraction(x),))
+        return CycNum.rational(x)
     return NotImplemented
 
 
@@ -482,7 +633,7 @@ _ZERO = CycNum.rational(0)
 
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity exp(2*pi*i*k/n)."""
-    dense = [Fraction(0)] * (k % n) + [Fraction(1)]
+    dense = [0] * (k % n) + [1]
     return CycNum(n, dense)
 
 
@@ -499,9 +650,7 @@ def _sqrt_prime(p: int) -> CycNum:
     if p == 2:
         return zeta(8) + zeta(8, -1)
     # quadratic Gauss sum: sum of legendre(k) z_p^k is sqrt(p) or i*sqrt(p)
-    dense = [Fraction(0)] * p
-    for k in range(1, p):
-        dense[k] = Fraction(1) if pow(k, (p - 1) // 2, p) == 1 else Fraction(-1)
+    dense = [0] + [1 if pow(k, (p - 1) // 2, p) == 1 else -1 for k in range(1, p)]
     g = CycNum(p, dense)
     if p % 4 == 1:
         return g

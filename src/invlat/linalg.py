@@ -3,12 +3,15 @@
 Field routines (rref, rank, Span, kernel, det, inverse) work for any element
 type with +, -, *, /, == 0 semantics whose truth value is "nonzero", so they
 serve both Fraction matrices and cyclotomic-number matrices.  Elimination
-takes one reciprocal per pivot and touches only the columns where the pivot
-row is nonzero.  `Span` is the one route for span membership and
-coordinates: it keeps the rows added so far in echelon form, so a fixed
-basis is reduced once and every later question costs one reduction of the
-asked row.  Integer routines (hnf, kernels) implement the row Hermite normal
-form with unimodular transforms.
+takes one reciprocal per pivot, because a cyclotomic reciprocal is an
+extended Euclid against the cyclotomic polynomial while a product is one
+integer convolution, and it touches only the columns where the pivot row is
+nonzero.  `rank` takes no reciprocal at all: it counts the pivots of a
+forward elimination by cross-multiplication.  `Span` is the one route for
+span membership and coordinates: it keeps the rows added so far in echelon
+form, so a fixed basis is reduced once and every later question costs one
+reduction of the asked row.  Integer routines (hnf, kernels) implement the
+row Hermite normal form with unimodular transforms.
 """
 
 from __future__ import annotations
@@ -86,7 +89,31 @@ def rref(rows):
 
 
 def rank(rows):
-    return len(rref(rows)[0])
+    """The number of pivots of forward elimination.
+
+    Each row below a pivot p is replaced by p * row - a * (pivot row), where a
+    is its entry in the pivot column, so no reciprocal is taken; there is no
+    back-substitution and no pivot scaling."""
+    mat = [list(r) for r in rows]
+    count = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pr = next((i for i in range(count, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[count], mat[pr] = mat[pr], mat[count]
+        pivot_row = mat[count]
+        pivot = pivot_row[c]
+        tail = range(c + 1, len(pivot_row))
+        for row in mat[count + 1:]:
+            a = row[c]
+            if a:
+                # columns up to c are not read again
+                row[c + 1:] = [row[j] * pivot - a * pivot_row[j] if pivot_row[j]
+                               else row[j] * pivot for j in tail]
+        count += 1
+        if count == len(mat):
+            break
+    return count
 
 
 class Span:

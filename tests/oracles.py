@@ -1,10 +1,12 @@
 """Shared independent oracles for the test suite."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from invlat import linalg
-from invlat.cyclotomic import CycNum
+from invlat.cyclotomic import CycNum, cyclotomic_polynomial, divisors, euler_phi
+from invlat.errors import InternalConsistencyError
 from invlat.groups import as_matrix, character, invariant_hermitian, mat_identity
 from invlat.lattices import ZLattice, lattice_from_generators
 
@@ -470,3 +472,344 @@ def endomorphisms_by_commutant(torus):
         "endomorphism algebra is 8-dimensional with imaginary-quadratic center; "
         "zero-divisor certificate splits it as 2x2 matrices over that field",
     )
+
+
+# -- the Fraction-per-coefficient cyclotomic kernel ------------------------------
+
+def fraction_reduce_mod_phi(dense, n):
+    """Remainder of a dense Fraction polynomial modulo Phi_n, padded to phi(n)."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    p = list(dense)
+    for k in range(len(p) - 1, deg - 1, -1):
+        c = p[k]
+        if c:
+            for j in range(len(phi) - 1):
+                p[k - deg + j] -= c * phi[j]
+        p.pop()
+    p += [Fraction(0)] * (deg - len(p))
+    return p
+
+
+def _fraction_fold(dense, n):
+    out = [Fraction(0)] * n
+    for k, c in enumerate(dense):
+        if c:
+            out[k % n] += c
+    return out
+
+
+def _fraction_dot(row, vec):
+    return sum((a * b for a, b in zip(row, vec)), Fraction(0))
+
+
+@lru_cache(maxsize=None)
+def fraction_subfield_solver(n: int, d: int):
+    """Solver data for rewriting conductor-n coordinates at conductor d | n.
+
+    Returns (P, Q): the rewrite candidate is P @ x, and it is valid exactly
+    when Q @ x = 0."""
+    phi_n, phi_d = euler_phi(n), euler_phi(d)
+    cols = []
+    for j in range(phi_d):
+        p = [Fraction(0)] * (j * (n // d)) + [Fraction(1)]
+        cols.append(fraction_reduce_mod_phi(_fraction_fold(p, n), n))
+    aug = [[cols[j][i] for j in range(phi_d)]
+           + [Fraction(1) if k == i else Fraction(0) for k in range(phi_n)]
+           for i in range(phi_n)]
+    red, pivots = linalg.rref(aug)
+    if pivots[:phi_d] != list(range(phi_d)):
+        raise InternalConsistencyError(
+            f"subfield basis at conductor {d} is dependent at conductor {n}"
+        )
+    p_rows = tuple(tuple(red[i][phi_d:]) for i in range(phi_d))
+    q_rows = tuple(tuple(red[i][phi_d:]) for i in range(phi_d, len(red)))
+    return p_rows, q_rows
+
+
+def fraction_canonical(n, dense):
+    """Reduce (conductor, dense coefficient list) to minimal-conductor form."""
+    if n <= 0:
+        raise ValueError("conductor must be positive")
+    while n % 4 == 2:
+        m = n // 2
+        out = [Fraction(0)] * m
+        for k, c in enumerate(dense):
+            if c:
+                out[(k * ((m + 1) // 2)) % m] += -c if k % 2 else c
+        n, dense = m, out
+    return _fraction_descend(n, fraction_reduce_mod_phi(_fraction_fold(dense, n), n))
+
+
+def _fraction_descend(n, coeffs):
+    """Minimal-conductor form of reduced coordinates at conductor n (n != 2 mod 4)."""
+    # z^0 = 1 is a basis vector, so the value is rational exactly when the
+    # other coordinates vanish; the subfield search then starts at d > 1
+    if not any(coeffs[1:]):
+        return 1, (coeffs[0],)
+    for d in divisors(n)[1:-1]:
+        if d % 4 == 2:
+            continue
+        p_rows, q_rows = fraction_subfield_solver(n, d)
+        if all(_fraction_dot(q, coeffs) == 0 for q in q_rows):
+            return d, tuple(_fraction_dot(p, coeffs) for p in p_rows)
+    return n, tuple(coeffs)
+
+
+class FractionCycNum:
+    """A cyclotomic number stored as one Fraction per power-basis coordinate.
+
+    The same canonical form as `CycNum` (minimal conductor, coordinates
+    reduced modulo Phi_N), reached by Fraction arithmetic and a subfield
+    search over every divisor of the conductor.  The library stores integer
+    numerators over one denominator and descends one prime at a time.
+    """
+
+    __slots__ = ("conductor", "coeffs")
+
+    def __init__(self, conductor, coeffs):
+        if isinstance(coeffs, (int, Fraction)):
+            coeffs = [coeffs]
+        n, cs = int(conductor), [Fraction(c) for c in coeffs]
+        if n == 1 and len(cs) == 1:
+            self.conductor, self.coeffs = 1, (cs[0],)
+            return
+        self.conductor, self.coeffs = fraction_canonical(n, cs)
+
+    # -- construction helpers ------------------------------------------------
+
+    @staticmethod
+    def _new(n, coeffs) -> "FractionCycNum":
+        """A value from data already in canonical form; no checks."""
+        x = object.__new__(FractionCycNum)
+        x.conductor = n
+        x.coeffs = coeffs
+        return x
+
+    @staticmethod
+    def rational(x) -> "FractionCycNum":
+        return FractionCycNum._new(1, (Fraction(x),))
+
+    def _scaled(self, r) -> "FractionCycNum":
+        """r * self for a rational r."""
+        if not r:
+            return _FRACTION_ZERO
+        return FractionCycNum._new(self.conductor, tuple(r * c for c in self.coeffs))
+
+    def _lift_dense(self, m):
+        """Dense coefficients of self at conductor m (conductor | m)."""
+        step = m // self.conductor
+        out = [Fraction(0)] * m
+        for k, c in enumerate(self.coeffs):
+            if c:
+                out[k * step] += c
+        return out
+
+    def coords_at(self, m) -> tuple[Fraction, ...]:
+        """Coordinate vector of self in the power basis at conductor m."""
+        if m % self.conductor:
+            raise ValueError("conductor does not divide target")
+        if m == self.conductor:
+            return self.coeffs
+        return tuple(fraction_reduce_mod_phi(self._lift_dense(m), m))
+
+    # -- ring operations -----------------------------------------------------
+
+    def __add__(self, other):
+        other = _as_fraction_cycnum(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.conductor == 1:
+            self, other = other, self
+        n = self.conductor
+        if other.conductor == 1:
+            # a rational moves only the z^0 coordinate and keeps the field
+            return FractionCycNum._new(n, (self.coeffs[0] + other.coeffs[0],) + self.coeffs[1:])
+        if n == other.conductor:
+            sums = [x + y for x, y in zip(self.coeffs, other.coeffs)]
+            return FractionCycNum._new(*_fraction_descend(n, sums))
+        m = lcm(n, other.conductor)
+        a, b = self._lift_dense(m), other._lift_dense(m)
+        return FractionCycNum(m, [x + y for x, y in zip(a, b)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCycNum._new(self.conductor, tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        other = _as_fraction_cycnum(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = _as_fraction_cycnum(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.conductor == 1:
+            return other._scaled(self.coeffs[0])
+        if other.conductor == 1:
+            return self._scaled(other.coeffs[0])
+        m = lcm(self.conductor, other.conductor)
+        a, b = self.coords_at(m), other.coords_at(m)
+        prod = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        return FractionCycNum(m, prod)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FractionCycNum":
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero cyclotomic number")
+        n = self.conductor
+        if n == 1:
+            return FractionCycNum(1, [1 / self.coeffs[0]])
+        # extended Euclid against the (irreducible) cyclotomic polynomial
+        phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
+        r0, r1 = phi, list(self.coeffs)
+        u0, u1 = [Fraction(0)], [Fraction(1)]
+        while any(r1):
+            while r1 and not r1[-1]:
+                r1.pop()
+            q, rem = _fraction_poly_divmod(r0, r1)
+            r0, r1 = r1, rem
+            u0, u1 = u1, _fraction_poly_sub(u0, _fraction_poly_mul(q, u1))
+        if len(r0) != 1:
+            raise InternalConsistencyError("cyclotomic polynomial must be irreducible")
+        inv = [c / r0[0] for c in u0]
+        return FractionCycNum(n, inv)
+
+    def __truediv__(self, other):
+        other = _as_fraction_cycnum(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    # -- structure -----------------------------------------------------------
+
+    def conjugate(self) -> "FractionCycNum":
+        """Complex conjugate (the Galois map z -> z^-1)."""
+        return self.galois(-1)
+
+    def galois(self, a: int) -> "FractionCycNum":
+        """Image under the field automorphism z -> z^a, gcd(a, conductor) = 1."""
+        n = self.conductor
+        a %= n
+        if gcd(a, n) != 1:
+            raise ValueError("exponent not coprime to conductor")
+        out = [Fraction(0)] * n
+        for k, c in enumerate(self.coeffs):
+            if c:
+                out[(k * a) % n] += c
+        return FractionCycNum(n, out)
+
+    def is_zero(self) -> bool:
+        return self.conductor == 1 and self.coeffs[0] == 0
+
+    def minimal_polynomial(self) -> tuple[Fraction, ...]:
+        """Monic minimal polynomial over the rationals, ascending coefficients."""
+        n = self.conductor
+        powers = linalg.Span([FractionCycNum.rational(1).coords_at(n)])
+        p = FractionCycNum.rational(1)
+        for k in range(1, euler_phi(n) + 1):
+            p = p * self
+            target = p.coords_at(n)
+            sol = powers.coords(target)
+            if sol is not None:
+                return tuple([-c for c in sol] + [Fraction(1)])
+            powers.add(target)
+        raise InternalConsistencyError("degree cannot exceed the field degree")
+
+    # -- protocol ------------------------------------------------------------
+
+    def __eq__(self, other):
+        other = _as_fraction_cycnum(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.conductor == other.conductor and self.coeffs == other.coeffs
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __str__(self):
+        if self.conductor == 1:
+            return str(self.coeffs[0])
+        terms = []
+        for k, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            z = "1" if k == 0 else (f"z{self.conductor}" if k == 1 else f"z{self.conductor}^{k}")
+            if k == 0:
+                terms.append(str(c))
+            elif c == 1:
+                terms.append(z)
+            elif c == -1:
+                terms.append(f"-{z}")
+            else:
+                terms.append(f"{c}*{z}")
+        return " + ".join(terms).replace("+ -", "- ")
+
+    __repr__ = __str__
+
+
+def _fraction_poly_divmod(num, den):
+    num = [Fraction(c) for c in num]
+    dn = len(den) - 1
+    q = [Fraction(0)] * max(len(num) - dn, 1)
+    for k in range(len(num) - dn - 1, -1, -1):
+        c = num[k + dn] / den[dn]
+        q[k] = c
+        if c:
+            for j in range(dn + 1):
+                num[k + j] -= c * den[j]
+    while num and not num[-1]:
+        num.pop()
+    return q, num
+
+
+def _fraction_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _fraction_poly_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i] -= x
+    return out
+
+
+def _as_fraction_cycnum(x):
+    if isinstance(x, FractionCycNum):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return FractionCycNum._new(1, (Fraction(x),))
+    return NotImplemented
+
+
+_FRACTION_ZERO = FractionCycNum.rational(0)
+
+
+def fraction_cyc_to_json(x: FractionCycNum) -> dict:
+    return {
+        "conductor": x.conductor,
+        "coeffs": [[str(c.numerator), str(c.denominator)] for c in x.coeffs],
+    }

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import mpmath
 import pytest
@@ -9,7 +9,6 @@ from invlat import cyclotomic
 from invlat.cyclotomic import (
     MAX_CONDUCTOR,
     CycNum,
-    _canonical,
     _int_poly_quotient,
     _subfield_solver,
     as_cycnum,
@@ -24,7 +23,14 @@ from invlat.cyclotomic import (
     zeta,
 )
 from invlat.errors import InternalConsistencyError, InvalidInputError
-from invlat.linalg import rref
+from invlat.linalg import Span, rref
+
+from oracles import (
+    FractionCycNum,
+    fraction_canonical,
+    fraction_cyc_to_json,
+    fraction_subfield_solver,
+)
 
 CONDUCTORS = [1, 3, 4, 5, 7, 8, 9, 12]
 
@@ -264,13 +270,18 @@ def _data(x):
     return x.conductor, x.coeffs
 
 
+def _oracle(x):
+    """x as a Fraction-per-coefficient oracle value."""
+    return FractionCycNum(x.conductor, list(x.coeffs))
+
+
 @given(same_field_pairs())
 @settings(max_examples=150)
 def test_sum_matches_general_route(pair):
     x, y = pair
     m = lcm(x.conductor, y.conductor)
-    dense = [a + b for a, b in zip(x._lift_dense(m), y._lift_dense(m))]
-    general = _canonical(m, dense)
+    dense = [a + b for a, b in zip(_oracle(x)._lift_dense(m), _oracle(y)._lift_dense(m))]
+    general = fraction_canonical(m, dense)
     assert _data(x + y) == general
     assert _data(y + x) == general
 
@@ -280,12 +291,12 @@ def test_sum_matches_general_route(pair):
 def test_product_matches_general_route(pair):
     x, y = pair
     m = lcm(x.conductor, y.conductor)
-    a, b = x._lift_dense(m), y._lift_dense(m)
+    a, b = _oracle(x)._lift_dense(m), _oracle(y)._lift_dense(m)
     dense = [Fraction(0)] * (2 * m - 1)
     for i, u in enumerate(a):
         for j, v in enumerate(b):
             dense[i + j] += u * v
-    assert _data(x * y) == _canonical(m, dense)
+    assert _data(x * y) == fraction_canonical(m, dense)
 
 
 @given(same_field_pairs(), small_fractions)
@@ -293,9 +304,9 @@ def test_product_matches_general_route(pair):
 def test_negation_and_scaling_match_general_route(pair, r):
     x = pair[0]
     n = x.conductor
-    dense = x._lift_dense(n)
-    assert _data(-x) == _canonical(n, [-c for c in dense])
-    scaled = _canonical(n, [r * c for c in dense])
+    dense = _oracle(x)._lift_dense(n)
+    assert _data(-x) == fraction_canonical(n, [-c for c in dense])
+    scaled = fraction_canonical(n, [r * c for c in dense])
     assert _data(r * x) == scaled
     assert _data(x * r) == scaled
     assert _data(CycNum.rational(r) * x) == scaled
@@ -313,7 +324,7 @@ def test_rational_test_agrees_with_the_subfield_solver():
     # the d = 1 solver says "rational" exactly when coordinates 1.. vanish
     for n in FAST_PATH_CONDUCTORS[1:]:
         phi = euler_phi(n)
-        p_rows, q_rows = _subfield_solver(n, 1)
+        p_rows, q_rows = fraction_subfield_solver(n, 1)
         assert p_rows == (tuple(Fraction(int(k == 0)) for k in range(phi)),)
         red, pivots = rref([list(q) for q in q_rows])
         assert pivots == list(range(1, phi))
@@ -340,3 +351,124 @@ def test_prime_conductor_parse_builds_no_subfield_solver():
     before = _subfield_solver.cache_info().currsize
     assert parse_scalar("z1009").conductor == 1009
     assert _subfield_solver.cache_info().currsize == before
+
+
+def test_prime_power_descent_builds_no_subfield_solver():
+    # p^2 | n: membership in Q(z_(n/p)) is a coefficient pattern
+    before = _subfield_solver.cache_info().currsize
+    assert parse_scalar("z1024").conductor == 1024
+    assert (zeta(1024) ** 2).conductor == 512
+    assert (zeta(1024) ** 256).conductor == 4
+    assert _subfield_solver.cache_info().currsize == before
+
+
+def test_descent_asks_solvers_only_where_p_divides_the_conductor_once(monkeypatch):
+    asked = []
+
+    def recording(n, d):
+        asked.append((n, d))
+        return _subfield_solver(n, d)
+
+    monkeypatch.setattr(cyclotomic, "_subfield_solver", recording)
+    # the 2-mod-4 fields Q(z6), Q(z10), Q(z30) are reached by the fold
+    assert zeta(12) ** 4 == zeta(3)
+    assert (zeta(20) ** 4).conductor == 5
+    assert (zeta(60) ** 4 + zeta(60) ** 10).conductor == 15
+    assert (zeta(72) ** 6).conductor == 12
+    assert asked
+    for n, d in asked:
+        p = n // d
+        assert n % 4 != 2 and d % 4 != 2
+        assert d % p
+
+
+def test_minimal_polynomial_failure_is_an_internal_consistency_error(monkeypatch):
+    class NeverSpans(Span):
+        def coords(self, row):
+            return None
+
+    monkeypatch.setattr(cyclotomic, "Span", NeverSpans)
+    with pytest.raises(InternalConsistencyError, match="minimal polynomial"):
+        zeta(5).minimal_polynomial()
+
+
+# -- the integer kernel against the Fraction-per-coefficient oracle ----------
+
+ORACLE_CONDUCTORS = [1, 3, 4, 5, 8, 12, 24, 60]
+
+
+def _both(n, coeffs):
+    return CycNum(n, coeffs), FractionCycNum(n, coeffs)
+
+
+def _agree(x, oracle):
+    assert _data(x) == (oracle.conductor, oracle.coeffs)
+    assert str(x) == str(oracle)
+    assert cyc_to_json(x) == fraction_cyc_to_json(oracle)
+
+
+@st.composite
+def oracle_pairs(draw):
+    """(x, X, y, Y): library values and their oracles, built from the same
+    Fractions.  y is from any conductor of the list, from a subfield of x's,
+    or cancels x down to a subfield, so that results also descend."""
+    def drawn(n):
+        return _both(n, [draw(small_fractions) for _ in range(euler_phi(n))])
+
+    n = draw(st.sampled_from(ORACLE_CONDUCTORS))
+    x, big_x = drawn(n)
+    kind = draw(st.sampled_from(["other", "subfield", "cancel"]))
+    if kind == "other":
+        y, big_y = drawn(draw(st.sampled_from(ORACLE_CONDUCTORS)))
+    else:
+        y, big_y = drawn(draw(st.sampled_from(divisors(n))))
+        if kind == "cancel":
+            y, big_y = y - x, big_y - big_x
+    return x, big_x, y, big_y
+
+
+@given(oracle_pairs())
+@settings(max_examples=150)
+def test_kernel_matches_fraction_oracle_on_ring_operations(pairs):
+    x, big_x, y, big_y = pairs
+    _agree(x, big_x)
+    _agree(y, big_y)
+    _agree(x + y, big_x + big_y)
+    _agree(x - y, big_x - big_y)
+    _agree(y - x, big_y - big_x)
+    _agree(x * y, big_x * big_y)
+    _agree(-x, -big_x)
+    if not y.is_zero():
+        _agree(y.inverse(), big_y.inverse())
+        _agree(x / y, big_x / big_y)
+    n = x.conductor
+    for a in range(1, n + 1):
+        if gcd(a, n) == 1:
+            _agree(x.galois(a), big_x.galois(a))
+
+
+@given(st.sampled_from(ORACLE_CONDUCTORS + [6, 10, 30]), st.data())
+@settings(max_examples=150)
+def test_kernel_matches_fraction_oracle_on_construction(n, data):
+    # dense lists of length n or longer, drawn from a subfield half the time
+    d = data.draw(st.sampled_from([d for d in divisors(n) if d % 4 != 2]))
+    length = data.draw(st.sampled_from([n, 2 * n + 1]))
+    dense = [Fraction(0)] * length
+    for k in range(0, length, n // d):
+        dense[k] = data.draw(small_fractions)
+    for k in data.draw(st.lists(st.integers(0, length - 1), max_size=4)):
+        dense[k] += data.draw(small_fractions)
+    _agree(*_both(n, dense))
+
+
+@given(oracle_pairs(), st.sampled_from([1, 2, 3, 5]))
+@settings(max_examples=80)
+def test_kernel_matches_fraction_oracle_at_the_boundary(pairs, k):
+    x, big_x, y, big_y = pairs
+    m = lcm(x.conductor, y.conductor) * k
+    assert x.coords_at(m) == big_x.coords_at(m)
+    assert all(type(c) is Fraction for c in x.coords_at(m))
+    assert cyc_from_json(cyc_to_json(x)) == x
+    assert parse_scalar(str(x)) == x
+    if x.conductor <= 24:
+        assert x.minimal_polynomial() == big_x.minimal_polynomial()

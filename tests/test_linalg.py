@@ -300,3 +300,42 @@ def test_span_inverts_once_per_kept_row(monkeypatch):
             calls.clear()
             span.coords(mat[0])
             assert not calls
+
+
+# rank by forward elimination against the rref
+
+
+def with_zero_and_dependent_rows(rng, conductor, mat):
+    """mat with a zero row and a combination of two rows put in at random places."""
+    rows = [list(r) for r in mat]
+    zero = [x * 0 for x in rows[0]]
+    rows.insert(rng.randrange(len(rows) + 1), zero)
+    a, b = seeded_entry(rng, conductor), seeded_entry(rng, conductor)
+    combo = [a * x + b * y for x, y in zip(rows[0], rows[-1])]
+    rows.insert(rng.randrange(len(rows) + 1), combo)
+    return rows
+
+
+@pytest.mark.parametrize("conductor", [0, 3, 4, 12])
+def test_rank_matches_rref(conductor):
+    rng = random.Random(7500 + conductor)
+    mats = seeded_matrices(rng, conductor, 20)
+    mats += [with_zero_and_dependent_rows(rng, conductor, m) for m in mats[:15]]
+    deficient = 0
+    for mat in mats:
+        expected = len(linalg.rref(mat)[0])
+        deficient += expected < min(len(mat), len(mat[0]))
+        assert linalg.rank(mat) == expected
+    assert deficient
+    assert linalg.rank([]) == 0
+
+
+def test_rank_takes_no_reciprocal(monkeypatch):
+    def refuse(self):
+        raise AssertionError("rank took a reciprocal")
+
+    rng = random.Random(7600)
+    mats = [m for conductor in (3, 4, 12) for m in seeded_matrices(rng, conductor, 10)]
+    expected = [len(linalg.rref(m)[0]) for m in mats]
+    monkeypatch.setattr(CycNum, "inverse", refuse)
+    assert [linalg.rank(m) for m in mats] == expected

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from invlat import groups, linalg, report
+from invlat import cyclotomic, groups, linalg, report
 from invlat.catalog import catalog_names, get_entry
 from invlat.cli import main
 from invlat.lattices import invariance_check, lattice_from_generators, lattice_from_json
@@ -179,6 +179,20 @@ def test_cli_reports_a_failed_library_check_as_exit_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "root line is not an eigenline" in err
+
+
+def test_cli_reports_a_failed_minimal_polynomial_as_exit_4(capsys, monkeypatch):
+    # the character field of C3 is Q(z3), whose generator's minimal
+    # polynomial is read off a span of its powers
+    class NeverSpans(linalg.Span):
+        def coords(self, row):
+            return None
+
+    monkeypatch.setattr(cyclotomic, "Span", NeverSpans)
+    code, out, err = run_cli(capsys, "analyze", "C3-zeta3")
+    assert code == 4
+    assert out == ""
+    assert "minimal polynomial" in err
 
 
 def test_cli_analyze_human(capsys):
