@@ -43,11 +43,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import add, mul
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .errors import InternalConsistencyError, InvalidInputError
 from .linalg import Span, rref
+
+if TYPE_CHECKING:
+    import mpmath
 
 # The largest conductor an input may name.  Phi_N and the subfield solvers of
 # a conductor-N value cost row reductions phi(N) wide, so a larger N is
@@ -560,7 +562,10 @@ class CycNum:
         """Floating approximation under z -> exp(2*pi*i/conductor).
 
         The error is below numeric_bound(precision).  Diagnostic only; never
-        used for decisions."""
+        used for decisions, so mpmath is imported here, on the first call,
+        and no analysis pays for loading it."""
+        import mpmath
+
         if precision < 53:
             raise ValueError("precision below 53 bits is not supported")
         with mpmath.workprec(precision + 32):

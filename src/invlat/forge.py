@@ -128,19 +128,20 @@ def _orbit_lattice(group: GroupRep, seeds) -> ZLattice:
     """Integer span of the G-orbits of the seeds, closed from the generators.
 
     Starting from the span of the seeds, the images of every basis vector
-    under each generator are added until the lattice stops growing.  Every
-    g^-1 is a power of g, so the result is the smallest lattice that holds the
-    seeds and is mapped into itself by the generators: the span of the orbits,
-    already certified invariant by the stopping condition.
+    under each generator that the lattice does not contain are added until it
+    contains them all.  Every g^-1 is a power of g, so the result is the
+    smallest lattice that holds the seeds and is mapped into itself by the
+    generators: the span of the orbits, already certified invariant by the
+    stopping condition.
     """
     lattice = lattice_from_generators(seeds, dim=group.dimension)
     while True:
         vecs = lattice.vectors()
         images = [apply(g, v) for g in group.sparse_generators for v in vecs]
-        grown = lattice_from_generators(list(vecs) + images, dim=group.dimension)
-        if grown == lattice:
+        missing = [w for w in images if not lattice.contains(w)]
+        if not missing:
             return lattice
-        lattice = grown
+        lattice = lattice_from_generators(list(vecs) + missing, dim=group.dimension)
 
 
 def construct_rank_n(group: GroupRep, witness) -> ZLattice:

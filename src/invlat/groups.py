@@ -11,10 +11,17 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import linalg
-from .cyclotomic import CycNum, as_cycnum, cyc_from_json, exact_sign
+from .cyclotomic import MAX_CONDUCTOR, CycNum, as_cycnum, cyc_from_json, exact_sign
 from .errors import CapExceededError, InternalConsistencyError, InvalidInputError
 
 _ZERO, _ONE = CycNum.rational(0), CycNum.rational(1)
+
+# The largest dimension and generator count a group input may give.  Parsing
+# and the closure cost grow with both, so a larger input is rejected before
+# any entry is parsed.  Both sit well above the groups in use: the catalog
+# and the generated groups have dimension at most 4 and at most 4 generators.
+MAX_DIMENSION = 32
+MAX_GENERATORS = 64
 
 
 def as_matrix(rows):
@@ -306,6 +313,18 @@ def group_from_json(obj, cap: int = 10000) -> GroupRep:
         raise InvalidInputError(f"bad group encoding: {exc}") from exc
     if dimension < 1 or conductor < 1 or not isinstance(raw_gens, list) or not raw_gens:
         raise InvalidInputError("group needs a dimension, conductor, and generators")
+    if dimension > MAX_DIMENSION:
+        raise InvalidInputError(
+            f"dimension {dimension} exceeds the limit of {MAX_DIMENSION}"
+        )
+    if len(raw_gens) > MAX_GENERATORS:
+        raise InvalidInputError(
+            f"{len(raw_gens)} generators exceed the limit of {MAX_GENERATORS}"
+        )
+    if conductor > MAX_CONDUCTOR:
+        raise InvalidInputError(
+            f"conductor {conductor} exceeds the limit of {MAX_CONDUCTOR}"
+        )
     gens = [matrix_from_json(g, dimension) for g in raw_gens]
     for g in gens:
         for row in g:

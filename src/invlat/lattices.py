@@ -3,10 +3,14 @@
 A ZLattice is the integer span of finitely many vectors in C^n.  It is stored
 as a rational structure (an echelonized basis of the rational span of the
 generators) plus an integer Hermite-normal-form matrix over a common
-denominator, so equal lattices have identical data.  Discreteness of the
-integer span is decided exactly by splitting every entry x into
-(x + conj x)/2 and (x - conj x)/2, which stay inside the cyclotomic field,
-and computing a rank.
+denominator, so equal lattices have identical data.  Every question is
+answered from these rows: coordinates in the rational span are the entries
+at the pivots, checked by an exact zero residual, and integer coordinates
+come from back-substitution against the triangular HNF.  Discreteness
+depends only on the rational span, so it is decided on the span rows: every
+entry x is split into (x + conj x)/2 and (x - conj x)/2, which stay inside
+the cyclotomic field, and the rank of the split rows must equal their
+number.  Every builder runs that check.
 
 RankTwoLattice models a lattice of rank 2 inside the complex line; it carries
 the multiplier-ring and isogeny machinery for elliptic-curve factors.
@@ -23,6 +27,7 @@ from math import gcd, isqrt, lcm
 from . import linalg
 from .cyclotomic import CycNum, as_cycnum, cyc_from_json, cyc_to_json
 from .errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
+from .groups import SparseMatrix, apply, as_matrix
 
 
 def flatten(vector, conductor):
@@ -58,11 +63,6 @@ class RationalSubspaceBasis:
     width: int
     rows: tuple[tuple[Fraction, ...], ...]
 
-    @classmethod
-    def from_rows(cls, width, rows):
-        red, _ = linalg.rref(rows)
-        return cls(width, tuple(tuple(r) for r in red))
-
     @property
     def dim(self):
         return len(self.rows)
@@ -74,9 +74,25 @@ class RationalSubspaceBasis:
         return out
 
 
+def _integer_rows(rows):
+    """(integer rows, d) with the rational rows equal to the integer rows / d."""
+    d = lcm(1, *(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
 @dataclass(frozen=True)
 class ZLattice:
-    """Integer span of vectors in C^dim, in canonical form."""
+    """Integer span of vectors in C^dim, in canonical form.
+
+    The basis vectors are basis · span.rows / den.  The span rows are in
+    reduced row echelon form, so the rational coordinates of a vector in the
+    span are its entries at the pivots; the basis is the square Hermite
+    normal form of the lattice in those coordinates, upper triangular with a
+    positive diagonal, so integer coordinates come from one back-substitution
+    with a divisibility test at each step.  The data derived from these rows
+    (the span rows over one denominator, the basis rows and vectors) are
+    built once per lattice, on first use.
+    """
 
     dim: int
     conductor: int
@@ -88,50 +104,106 @@ class ZLattice:
     def rank(self):
         return len(self.basis)
 
-    def ambient_vectors(self):
+    @cached_property
+    def _frame(self):
+        """(pivots, the nonzero (column, value) entries of each span row as
+        integers over one denominator s, s)."""
+        ints, scale = _integer_rows(self.span.rows)
+        entries = tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in ints)
+        return tuple(self.span.pivots()), entries, scale
+
+    @cached_property
+    def _rows(self):
+        """The rational rows of the basis vectors at the conductor, one integer
+        combination basis · span.rows / den each."""
+        _, entries, scale = self._frame
+        out = []
+        for brow in self.basis:
+            acc = [0] * self.span.width
+            for coeff, row in zip(brow, entries):
+                if coeff:
+                    for k, x in row:
+                        acc[k] += coeff * x
+            out.append(tuple(Fraction(x, self.den * scale) for x in acc))
+        return tuple(out)
+
+    @cached_property
+    def _vectors(self):
+        return tuple(reassemble(self.dim, self.conductor, row) for row in self._rows)
+
+    @cached_property
+    def _ambient(self):
         return tuple(
             reassemble(self.dim, self.conductor, row) for row in self.span.rows
         )
 
+    def ambient_vectors(self):
+        """The span rows as cyclotomic vectors."""
+        return self._ambient
+
     def vectors(self):
         """The canonical basis vectors of the lattice, as cyclotomic vectors."""
-        ambient = self.ambient_vectors()
-        out = []
-        for brow in self.basis:
-            vec = [CycNum.rational(0)] * self.dim
-            for coeff, avec in zip(brow, ambient):
-                if coeff:
-                    vec = [v + Fraction(coeff, self.den) * a for v, a in zip(vec, avec)]
-            out.append(tuple(vec))
-        return tuple(out)
+        return self._vectors
 
-    @cached_property
-    def _rational_span(self):
-        return linalg.Span(self.span.rows)
+    def _rows_at(self, conductor):
+        """The rational rows of the basis vectors at a multiple of the conductor."""
+        if conductor == self.conductor:
+            return self._rows
+        return tuple(tuple(flatten(vec, conductor)) for vec in self._vectors)
 
-    @cached_property
-    def _basis_span(self):
-        return linalg.Span([[Fraction(x) for x in row] for row in self.basis])
+    def _span_coords(self, vector):
+        """(t, d) with t / d the coordinates of vector in the span rows, or
+        None when vector is outside the rational span.
 
-    def rational_coords(self, vector):
-        """Coordinates of vector in the rational span, or None if outside.
-
-        The span lies in the field of the lattice's conductor, and an entry
-        whose (minimal) conductor does not divide it is outside that field.
+        The coordinates are the entries at the pivots, and the vector lies in
+        the span exactly when the residual of that combination is zero.  The
+        span lies in the field of the lattice's conductor, and an entry whose
+        (minimal) conductor does not divide it is outside that field.
         """
         if any(self.conductor % x.conductor for x in vector):
             return None
-        return self._rational_span.coords(flatten(vector, self.conductor))
+        (row,), d = _integer_rows([flatten(vector, self.conductor)])
+        pivots, entries, scale = self._frame
+        coords = [row[p] for p in pivots]
+        residual = [scale * x for x in row]
+        for c, span_row in zip(coords, entries):
+            if c:
+                for k, x in span_row:
+                    residual[k] -= c * x
+        if any(residual):
+            return None
+        return coords, d
+
+    def rational_coords(self, vector):
+        """Coordinates of vector in the rational span rows, or None if outside."""
+        found = self._span_coords(vector)
+        if found is None:
+            return None
+        coords, d = found
+        return [Fraction(c, d) for c in coords]
 
     def basis_coords(self, vector):
         """Integer coordinates of vector in the lattice basis, or None."""
-        coords = self.rational_coords(vector)
-        if coords is None:
+        found = self._span_coords(vector)
+        if found is None:
             return None
-        sol = self._basis_span.coords([self.den * c for c in coords])
-        if sol is None or any(s.denominator != 1 for s in sol):
-            return None
-        return [int(s) for s in sol]
+        coords, d = found
+        rest = []
+        for c in coords:
+            q, r = divmod(self.den * c, d)
+            if r:
+                return None
+            rest.append(q)
+        out = []
+        for i, hrow in enumerate(self.basis):
+            q, r = divmod(rest[i], hrow[i])
+            if r:
+                return None
+            out.append(q)
+            if q:
+                for k in range(i + 1, len(rest)):
+                    rest[k] -= q * hrow[k]
+        return out
 
     def contains(self, vector):
         return self.basis_coords(vector) is not None
@@ -156,14 +228,15 @@ def lattice_from_generators(vectors, dim=None, allow_zero=False):
             return ZLattice(dim, 1, span, (), 1)
         raise InvalidInputError("no nonzero generators")
     conductor, rows = expand_vectors(vectors)
-    span = RationalSubspaceBasis.from_rows(len(rows[0]), rows)
-    pivots = span.pivots()
-    coord_rows = [[row[c] for c in pivots] for row in rows]
-    den = 1
-    for row in coord_rows:
-        for x in row:
-            den = lcm(den, x.denominator)
-    int_rows = [[int(x * den) for x in row] for row in coord_rows]
+    return _lattice_from_rows(dim, conductor, rows)
+
+
+def _lattice_from_rows(dim, conductor, rows):
+    """Canonical ZLattice spanned over the integers by nonzero rational rows at
+    the conductor, which must be the least conductor of their entries."""
+    red, pivots = linalg.rref(rows)
+    span = RationalSubspaceBasis(len(rows[0]), tuple(tuple(r) for r in red))
+    int_rows, den = _integer_rows([[row[c] for c in pivots] for row in rows])
     basis = linalg.hnf(int_rows)
     shrink = den
     for row in basis:
@@ -172,6 +245,10 @@ def lattice_from_generators(vectors, dim=None, allow_zero=False):
     if shrink > 1:
         den //= shrink
         basis = [[x // shrink for x in row] for row in basis]
+    if len(basis) != len(pivots) or any(
+        row[i] <= 0 or any(row[:i]) for i, row in enumerate(basis)
+    ):
+        raise InternalConsistencyError("lattice basis is not a square triangular HNF")
     lattice = ZLattice(
         dim, conductor, span, tuple(tuple(r) for r in basis), den
     )
@@ -180,14 +257,18 @@ def lattice_from_generators(vectors, dim=None, allow_zero=False):
 
 
 def _check_discrete(lattice):
-    vecs = lattice.vectors()
-    if not vecs:
+    """Raise NotDiscreteError unless the rational span has full real rank.
+
+    The basis vectors are a rational basis of the span, so they are
+    independent over the reals exactly when the span rows are; the rank of
+    the (real part | skew part) rows over the field is their real rank."""
+    rows = lattice.ambient_vectors()
+    if not rows:
         return
     split_rows = []
-    for vec in vecs:
-        row = [x.real_part() for x in vec] + [x.skew_part() for x in vec]
-        split_rows.append(row)
-    if linalg.rank(split_rows) != len(vecs):
+    for vec in rows:
+        split_rows.append([x.real_part() for x in vec] + [x.skew_part() for x in vec])
+    if linalg.rank(split_rows) != len(rows):
         raise NotDiscreteError(
             "integer span is not discrete: generators are dependent over the reals"
         )
@@ -196,7 +277,11 @@ def _check_discrete(lattice):
 def lattice_sum(a: ZLattice, b: ZLattice) -> ZLattice:
     if a.dim != b.dim:
         raise InvalidInputError("ambient dimensions differ")
-    return lattice_from_generators(list(a.vectors()) + list(b.vectors()), dim=a.dim)
+    conductor = lcm(a.conductor, b.conductor)
+    rows = a._rows_at(conductor) + b._rows_at(conductor)
+    if not rows:
+        raise InvalidInputError("no nonzero generators")
+    return _lattice_from_rows(a.dim, conductor, rows)
 
 
 def intersect_with_subspace(lattice: ZLattice, span_vectors, real=False) -> ZLattice:
@@ -212,7 +297,7 @@ def intersect_with_subspace(lattice: ZLattice, span_vectors, real=False) -> ZLat
         else (lambda v: list(v))
     mat = [split(vec) for vec in span_vectors]
     functionals = linalg.kernel_right(mat)
-    vecs = list(lattice.vectors())
+    vecs = lattice.vectors()
     if not vecs:
         return lattice
     if not functionals:
@@ -225,34 +310,44 @@ def intersect_with_subspace(lattice: ZLattice, span_vectors, real=False) -> ZLat
             row.append(sum((x * y for x, y in zip(svec, f)), CycNum.rational(0)))
         values.append(row)
     _, rows = expand_vectors(values)
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, x.denominator)
-    int_rows = [[int(x * den) for x in row] for row in rows]
+    int_rows, _ = _integer_rows(rows)
     kernel = linalg.int_kernel(int_rows)
     gens = []
     for krow in kernel:
-        vec = [CycNum.rational(0)] * lattice.dim
-        for coeff, w in zip(krow, vecs):
+        acc = [0] * lattice.span.width
+        for coeff, row in zip(krow, lattice._rows):
             if coeff:
-                vec = [v + coeff * x for v, x in zip(vec, w)]
-        gens.append(tuple(vec))
+                acc = [a + coeff * x for a, x in zip(acc, row)]
+        gens.append(reassemble(lattice.dim, lattice.conductor, acc))
     return lattice_from_generators(gens, dim=lattice.dim, allow_zero=True)
 
 
 def lattice_index(big: ZLattice, small: ZLattice):
     """Index [big : small] for small a sublattice of big; math.inf when the
-    ranks differ."""
-    coords = [big.basis_coords(vec) for vec in small.vectors()]
-    if None in coords:
+    ranks differ.
+
+    Once containment is certified and the ranks agree, both lattices have
+    the same span rows, so the index is the ratio of their covolumes in the
+    pivot coordinates: the products of the HNF diagonals, each over its
+    denominator to the rank."""
+    if any(big.basis_coords(vec) is None for vec in small.vectors()):
         raise InvalidInputError("second lattice is not contained in the first")
     if small.rank < big.rank:
         return math.inf
     if small.rank > big.rank:
         raise InvalidInputError("containment with larger rank is impossible")
-    d = linalg.det([[Fraction(x) for x in c] for c in coords])
-    return abs(int(d))
+    if (small.conductor, small.span) != (big.conductor, big.span):
+        raise InternalConsistencyError(
+            "lattices of equal rank, one inside the other, have different spans"
+        )
+    num, den = big.den ** big.rank, small.den ** small.rank
+    for i in range(small.rank):
+        num *= small.basis[i][i]
+        den *= big.basis[i][i]
+    index, rest = divmod(num, den)
+    if rest:
+        raise InternalConsistencyError(f"lattice index {num}/{den} is not an integer")
+    return index
 
 
 def scale_lattice(scalar, lattice: ZLattice) -> ZLattice:
@@ -262,12 +357,16 @@ def scale_lattice(scalar, lattice: ZLattice) -> ZLattice:
 
 
 def invariance_check(lattice: ZLattice, matrices) -> bool:
-    """True when every given matrix maps the lattice into itself."""
+    """True when every given matrix maps the lattice into itself.
+
+    A matrix is a groups.SparseMatrix record or a dense square matrix, which
+    gets a record here; the images are read off the records' nonzero entries.
+    """
     vecs = lattice.vectors()
     for mat in matrices:
+        g = mat if isinstance(mat, SparseMatrix) else SparseMatrix(as_matrix(mat))
         for vec in vecs:
-            image = tuple(linalg.matvec(mat, list(vec)))
-            if not lattice.contains(image):
+            if not lattice.contains(apply(g, vec)):
                 return False
     return True
 

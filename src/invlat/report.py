@@ -165,7 +165,7 @@ def _lattice_entry(recipe: str, lattice: ZLattice, group: GroupRep, **extra) -> 
     entry = {
         "recipe": recipe,
         "rank": lattice.rank,
-        "invariant": invariance_check(lattice, group.generators),
+        "invariant": invariance_check(lattice, group.sparse_generators),
         "lattice": lattice_to_json(lattice),
     }
     entry.update(extra)

@@ -7,8 +7,8 @@ from math import gcd, isqrt, lcm
 from invlat import linalg
 from invlat.cyclotomic import CycNum, cyclotomic_polynomial, divisors, euler_phi
 from invlat.errors import InternalConsistencyError
-from invlat.groups import as_matrix, character, invariant_hermitian, mat_identity
-from invlat.lattices import ZLattice, lattice_from_generators
+from invlat.groups import apply, as_matrix, character, invariant_hermitian, mat_identity
+from invlat.lattices import ZLattice, flatten, lattice_from_generators, reassemble
 
 
 def mat_mul(a, b):
@@ -78,6 +78,71 @@ def rational_coords_by_lifting(lattice, vector):
         return [] if not any(row) else None
     cols = [[r[i] for r in lifted] for i in range(len(row))]
     return solve_right(cols, row)
+
+
+def vectors_by_cycnum_combination(lattice):
+    """The basis vectors of a lattice as CycNum sums: each span row is
+    reassembled, and each basis row adds up (coefficient / den) times those
+    vectors, one cyclotomic product and sum per term.  The library takes one
+    integer combination of the span rows per basis vector and reassembles it
+    once."""
+    ambient = [
+        reassemble(lattice.dim, lattice.conductor, row) for row in lattice.span.rows
+    ]
+    out = []
+    for brow in lattice.basis:
+        vec = [CycNum.rational(0)] * lattice.dim
+        for coeff, avec in zip(brow, ambient):
+            if coeff:
+                vec = [v + Fraction(coeff, lattice.den) * a for v, a in zip(vec, avec)]
+        out.append(tuple(vec))
+    return tuple(out)
+
+
+def basis_coords_by_spans(lattice, vector):
+    """Integer coordinates of vector in the lattice basis, or None, from two
+    `linalg.Span` reductions: the flattened vector against the span rows,
+    then den times its coordinates against the HNF rows.  The library reads
+    the coordinates at the pivots and back-substitutes against the
+    triangular HNF in integers."""
+    if any(lattice.conductor % x.conductor for x in vector):
+        return None
+    coords = linalg.Span(lattice.span.rows).coords(flatten(vector, lattice.conductor))
+    if coords is None:
+        return None
+    basis = linalg.Span([[Fraction(x) for x in row] for row in lattice.basis])
+    sol = basis.coords([lattice.den * c for c in coords])
+    if sol is None or any(s.denominator != 1 for s in sol):
+        return None
+    return [int(s) for s in sol]
+
+
+def is_discrete_by_vector_split(lattice):
+    """True when the basis vectors (built by CycNum sums) are independent over
+    the reals: the field rank of their (real part | skew part) rows.  The
+    library ranks the split rows of the rational span rows instead."""
+    vecs = vectors_by_cycnum_combination(lattice)
+    if not vecs:
+        return True
+    split = [[x.real_part() for x in v] + [x.skew_part() for x in v] for v in vecs]
+    return linalg.rank(split) == len(vecs)
+
+
+def orbit_lattice_by_rebuilding(group, seeds):
+    """(lattice, builds): the orbit lattice of the seeds, grown from every
+    generator image of every basis vector until a rebuild gives the same
+    lattice back, and the number of lattices built.  The library stops as
+    soon as the lattice contains every image, one build earlier."""
+    lattice = lattice_from_generators(seeds, dim=group.dimension)
+    builds = 1
+    while True:
+        vecs = lattice.vectors()
+        images = [apply(g, v) for g in group.sparse_generators for v in vecs]
+        grown = lattice_from_generators(list(vecs) + images, dim=group.dimension)
+        builds += 1
+        if grown == lattice:
+            return lattice, builds
+        lattice = grown
 
 
 def det_by_cofactors(mat):

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -472,3 +476,21 @@ def test_kernel_matches_fraction_oracle_at_the_boundary(pairs, k):
     assert parse_scalar(str(x)) == x
     if x.conductor <= 24:
         assert x.minimal_polynomial() == big_x.minimal_polynomial()
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # only the diagnostic CycNum.numeric needs mpmath, so it is loaded there
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, invlat.cli\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+        "from invlat.cyclotomic import zeta\n"
+        "zeta(4).numeric()\n"
+        "assert 'mpmath' in sys.modules\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invlat import forge
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, zeta
 from invlat.errors import InvalidInputError, OutOfScopeError
@@ -32,7 +33,7 @@ from invlat.schur import (
 )
 
 from generated_groups import GENERATED
-from oracles import five_starts, orbit_lattice_all_elements
+from oracles import five_starts, orbit_lattice_all_elements, orbit_lattice_by_rebuilding
 
 
 def std_lattice(n):
@@ -162,6 +163,42 @@ def test_orbit_lattices_match_all_elements_oracle():
             assert lattice == orbit_lattice_all_elements(group, seeds), name
             recipes.add("O")
     assert recipes == {"Zn", "O"}
+
+
+def _counting_builds(monkeypatch):
+    """Record every lattice that forge builds from generators."""
+    built = []
+    real = forge.lattice_from_generators
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(forge, "lattice_from_generators", counting)
+    return built
+
+
+@pytest.mark.parametrize("name", ["G3-1-3", "WeylB3"])
+def test_orbit_lattice_stops_on_containment(monkeypatch, name):
+    # each orbit builds one lattice fewer than growing until a rebuild comes
+    # back unchanged: every build is a strictly larger lattice, and the last
+    # one is the result
+    group = group_from_json(GENERATED[name][0])
+    profile = character_profile(group)
+    if profile.field.kind == "rational":
+        seeds = [tuple(v) for v in profile.schur.basis]
+        run = lambda: construct_rank_n(group, profile.schur.basis)  # noqa: E731
+    else:
+        order = maximal_order(profile.field.discriminant)
+        start = five_starts(group.dimension)[0]
+        seeds = [start, tuple(order.generator * x for x in start)]
+        run = lambda: orbit_lattice_over_order(group, order, start, profile.field)  # noqa: E731
+    expected, old_builds = orbit_lattice_by_rebuilding(group, seeds)
+    built = _counting_builds(monkeypatch)
+    assert run() == expected
+    assert len(built) == old_builds - 1
+    assert built[-1] == expected
+    assert all(a != b for a, b in zip(built, built[1:]))
 
 
 def test_extend_rank_2n(s3):

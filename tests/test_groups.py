@@ -259,3 +259,32 @@ def test_group_from_json_rejects_bad_conductor():
     }
     with pytest.raises(InvalidInputError):
         group_from_json(obj)
+
+
+def _tiny_group(dimension=1, conductor=1, count=1):
+    return {
+        "dimension": dimension,
+        "conductor": conductor,
+        "generators": [[[1] * dimension] * dimension] * count,
+    }
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (_tiny_group(dimension=groups_module.MAX_DIMENSION + 1), "dimension"),
+        (_tiny_group(count=groups_module.MAX_GENERATORS + 1), "generators"),
+        (_tiny_group(conductor=groups_module.MAX_CONDUCTOR + 1), "conductor"),
+    ],
+)
+def test_group_from_json_bounds_come_before_parsing(monkeypatch, obj, message):
+    parsed = []
+    monkeypatch.setattr(groups_module, "matrix_from_json", lambda *args: parsed.append(args))
+    with pytest.raises(InvalidInputError, match=message):
+        group_from_json(obj)
+    assert not parsed
+
+
+def test_group_from_json_accepts_the_limits():
+    assert group_from_json(_tiny_group(count=groups_module.MAX_GENERATORS)).order == 1
+    assert group_from_json(_tiny_group(conductor=groups_module.MAX_CONDUCTOR)).order == 1

@@ -1,9 +1,12 @@
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from invlat import linalg
+from invlat import lattices, linalg
 from invlat.cyclotomic import CycNum, sqrt_rational, zeta
 from invlat.errors import InvalidInputError, NotDiscreteError
 from invlat.forge import construct_rank_n, extend_rank_2n
@@ -46,7 +49,13 @@ def nonsingular_2x2():
 
 
 from generated_groups import GENERATED
-from oracles import coset_count, rational_coords_by_lifting
+from oracles import (
+    basis_coords_by_spans,
+    coset_count,
+    is_discrete_by_vector_split,
+    rational_coords_by_lifting,
+    vectors_by_cycnum_combination,
+)
 
 
 def test_canonical_equality():
@@ -329,3 +338,142 @@ def test_second_invariance_check_reuses_spans(monkeypatch):
     assert invariance_check(doubled, group.generators)
     assert not rref_calls
     assert not spans
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _lattice_objects(obj):
+    """Every lattice encoding (ambient, basis, denominator) inside a report."""
+    if isinstance(obj, dict):
+        if {"ambient", "basis", "denominator"} <= set(obj):
+            yield obj
+        for value in obj.values():
+            yield from _lattice_objects(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _lattice_objects(value)
+
+
+def _golden_lattices():
+    paths = sorted(GOLDEN.glob("*.json")) + sorted((GOLDEN / "generated").glob("*.json"))
+    assert len(paths) == 17
+    out = []
+    for path in paths:
+        report = json.loads(path.read_text(encoding="utf-8"))
+        out += [(path.stem, obj) for obj in _lattice_objects(report)]
+    return out
+
+
+def _probe_vectors(lattice, rng):
+    """Seeded vectors inside the lattice and near it: an integer combination
+    of the basis, that plus half or a third of a basis vector (in the
+    rational span, outside the lattice), plus a small rational vector, and
+    with a seventh root of unity (outside the field) added to one entry."""
+    vecs = lattice.vectors()
+    inside = [CycNum.rational(0)] * lattice.dim
+    for vec in vecs:
+        k = rng.randint(-3, 3)
+        inside = [a + k * x for a, x in zip(inside, vec)]
+    inside = tuple(inside)
+    part = Fraction(1, rng.choice([2, 3]))
+    pick = vecs[rng.randrange(len(vecs))]
+    nudge = [CycNum.rational(rng.randint(-2, 2)) for _ in range(lattice.dim)]
+    return [
+        inside,
+        tuple(a + part * x for a, x in zip(inside, pick)),
+        tuple(a + b for a, b in zip(inside, nudge)),
+        (inside[0] + zeta(7),) + inside[1:],
+    ]
+
+
+def test_golden_lattices_match_the_old_routes():
+    """Every lattice of the report goldens and the line through each of its
+    basis vectors: the cached basis vectors equal the CycNum sums, the split
+    of the span rows agrees with the split of the vectors, and membership and
+    coordinates agree with the two-Span route on seeded vectors in and near
+    the lattice."""
+    rng = random.Random(2005)
+    found = set()
+    lattices_seen = 0
+    for name, obj in _golden_lattices():
+        lattice = lattice_from_json(obj)
+        assert lattice_to_json(lattice) == obj, name
+        lines = [lattice_from_generators([v], dim=lattice.dim) for v in lattice.vectors()]
+        probes = _probe_vectors(lattice, rng)
+        for lat in [lattice] + lines:
+            lattices_seen += 1
+            assert lat.vectors() == vectors_by_cycnum_combination(lat), name
+            assert is_discrete_by_vector_split(lat), name
+            for vec in probes + list(lattice.vectors()):
+                coords = lat.basis_coords(vec)
+                assert coords == basis_coords_by_spans(lat, vec), name
+                assert lat.rational_coords(vec) == rational_coords_by_lifting(lat, vec)
+                found.add(coords is None)
+    assert lattices_seen > 27
+    assert found == {True, False}
+
+
+ROOT2 = zeta(8) + zeta(8).conjugate()
+
+
+def _unchecked_lattice(monkeypatch, vectors):
+    """The canonical data of the integer span of the vectors, built with the
+    discreteness check switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lattices, "_check_discrete", lambda lattice: None)
+        return lattice_from_generators(vectors)
+
+
+def test_every_builder_rejects_a_dense_span(monkeypatch):
+    """Z*1 + Z*sqrt(2), with sqrt(2) = zeta8 + zeta8^-1, is dense in the real
+    line, alone and beside a second coordinate: each lattice builder refuses
+    it, and the old split of the basis vectors agrees."""
+    one, nil = CycNum.rational(1), CycNum.rational(0)
+    with pytest.raises(NotDiscreteError):
+        lattice_sum(lattice_from_generators([(one,)]), lattice_from_generators([(ROOT2,)]))
+    plane = lattice_from_generators([(one, nil), (nil, one)])
+    with pytest.raises(NotDiscreteError):
+        lattice_sum(plane, lattice_from_generators([(ROOT2, nil)]))
+    dense_line = _unchecked_lattice(monkeypatch, [(one,), (ROOT2,)])
+    dense_plane = _unchecked_lattice(monkeypatch, [(one, nil), (ROOT2, nil), (nil, one)])
+    for dense in (dense_line, dense_plane):
+        assert not is_discrete_by_vector_split(dense)
+        for scalar in (2, zeta(4), ROOT2):
+            with pytest.raises(NotDiscreteError):
+                scale_lattice(scalar, dense)
+        with pytest.raises(NotDiscreteError):
+            lattice_sum(dense, dense)
+        with pytest.raises(NotDiscreteError):
+            lattice_from_json(lattice_to_json(dense))
+    with pytest.raises(NotDiscreteError):
+        intersect_with_subspace(dense_plane, [(one, nil)])
+    assert is_discrete_by_vector_split(intersect_with_subspace(plane, [(one, nil)]))
+
+
+def test_second_basis_coords_builds_no_span(monkeypatch):
+    group = group_from_json(GENERATED["WeylB3"][0])
+    base = construct_rank_n(group, schur_index(group, 1).basis)
+    doubled = extend_rank_2n(base, zeta(4))
+    image = tuple(2 * x - y for x, y in zip(doubled.vectors()[0], doubled.vectors()[-1]))
+    expected = [2] + [0] * (doubled.rank - 2) + [-1]
+    assert doubled.basis_coords(image) == expected
+    rref_calls, spans = [], []
+    real_rref = linalg.rref
+
+    def counting_rref(rows):
+        rref_calls.append(rows)
+        return real_rref(rows)
+
+    class CountingSpan(linalg.Span):
+        def __init__(self, rows=()):
+            spans.append(self)
+            super().__init__(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(linalg, "Span", CountingSpan)
+    assert doubled.basis_coords(image) == expected
+    assert doubled.contains(image)
+    assert not rref_calls
+    assert not spans
+    assert not any(isinstance(v, linalg.Span) for v in vars(doubled).values())

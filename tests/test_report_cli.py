@@ -168,6 +168,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dimension", groups.MAX_DIMENSION + 1),
+        ("conductor", cyclotomic.MAX_CONDUCTOR + 1),
+        ("generators", [[[1]]] * (groups.MAX_GENERATORS + 1)),
+    ],
+)
+def test_cli_rejects_an_input_over_a_limit_with_exit_2(tmp_path, capsys, field, value):
+    obj = {"dimension": 1, "conductor": 1, "generators": [[[1]]]}
+    obj[field] = value
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--json")
+    assert code == 2
+    assert "limit" in err
+    assert out == ""
+
+
 def test_cli_reports_a_failed_library_check_as_exit_4(capsys, monkeypatch):
     # a wrong determinant in groups.py breaks the reflection eigenline check
     wrong_det = SimpleNamespace(
