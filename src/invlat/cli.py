@@ -37,7 +37,8 @@ def _load_target(target: str):
         try:
             with open(target, "r", encoding="utf-8") as fh:
                 return json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError covers bad JSON, bad UTF-8 and over-long integers
             raise InvalidInputError(f"cannot read group file {target}: {exc}") from exc
     return target
 

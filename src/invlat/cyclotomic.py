@@ -17,10 +17,11 @@ maximal subfields Q(z_(N/p)) are tested, and the search moves down on
 success.
 
 * When p^2 | N, Phi_N(x) = Phi_(N/p)(x^p), so the value lies in Q(z_(N/p))
-  exactly when its coordinates vanish off the multiples of p; no solver is
-  needed.
-* When p divides N once, a cached integer solver (_subfield_solver) tests
-  membership and rewrites the coordinates.
+  exactly when its coordinates vanish off the multiples of p, and those are
+  its coordinates there.
+* When p divides N once, Q(z_N) = Q(z_(N/p)) tensor Q(z_p), and one integer
+  pass over the coordinates decides membership and rewrites them
+  (_crt_subfield; T. Breuer, AAECC 8, 1997); nothing is built or cached.
 * The value is rational exactly when the coordinates 1.. vanish (z^0 = 1 is
   a basis vector).
 
@@ -39,21 +40,22 @@ are made on exact data.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from operator import add, mul
+from operator import add, sub
 from typing import TYPE_CHECKING
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .linalg import Span, rref
+from .linalg import Span
 
 if TYPE_CHECKING:
     import mpmath
 
-# The largest conductor an input may name.  Phi_N and the subfield solvers of
-# a conductor-N value cost row reductions phi(N) wide, so a larger N is
-# rejected before any arithmetic.
+# The largest conductor an input may name.  Building Phi_N and each product
+# and inverse at conductor N take integer work quadratic in N (the subfield
+# tests are linear in N), so a larger N is rejected before any arithmetic.
 MAX_CONDUCTOR = 1024
 
 
@@ -163,43 +165,31 @@ def _convolve(a, b):
     return out
 
 
-def _dot(row, vec):
-    return sum(map(mul, row, vec))
+def _crt_subfield(n, p, nums):
+    """Integer coordinates at conductor m = n / p, for p dividing n once, of
+    the value with integer coordinates nums at conductor n; None when the
+    value is not in Q(z_m).
 
+    With u = p^-1 mod m and v = m^-1 mod p, z_n^k = z_m^(ku) * z_p^(kv), so
+    the value is the sum of A_j(z_m) * z_p^j, where A_j collects the k with
+    kv = j mod p, i.e. k = jm mod p.  Over Q(z_m) the z_p^j with 0 < j < p
+    are a basis and z_p^0 is minus their sum, so the value lies in Q(z_m)
+    exactly when every A_j - A_1 vanishes modulo Phi_m, and is then A_0 - A_1."""
+    m = n // p
+    u = pow(p, -1, m)
 
-def _integral(row):
-    """A rational row scaled by a positive rational to coprime integers."""
-    den = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints) or 1
-    return tuple(x // g for x in ints)
+    def part(j):
+        out = [0] * m
+        for k in range(j * m % p, len(nums), p):
+            if nums[k]:
+                out[k * u % m] += nums[k]
+        return out
 
-
-@lru_cache(maxsize=None)
-def _subfield_solver(n: int, d: int):
-    """Integer solver data for rewriting conductor-n coordinates at conductor d | n.
-
-    Returns (P, D, Q): the coordinates x lie in Q(z_d) exactly when Q @ x = 0,
-    and then (P @ x) / D are their coordinates at conductor d.  Each row of Q
-    is scaled to integers on its own, since only its zero test matters; the
-    rows of P share the denominator D."""
-    phi_n, phi_d = euler_phi(n), euler_phi(d)
-    step = n // d
-    cols = [_reduce_mod_phi([0] * (j * step) + [1], n) for j in range(phi_d)]
-    aug = [[Fraction(cols[j][i]) for j in range(phi_d)]
-           + [Fraction(int(k == i)) for k in range(phi_n)]
-           for i in range(phi_n)]
-    red, pivots = rref(aug)
-    if pivots[:phi_d] != list(range(phi_d)):
-        raise InternalConsistencyError(
-            f"subfield basis at conductor {d} is dependent at conductor {n}"
-        )
-    p_rows = [red[i][phi_d:] for i in range(phi_d)]
-    den = lcm(*(x.denominator for row in p_rows for x in row))
-    p_ints = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                   for row in p_rows)
-    q_ints = tuple(_integral(red[i][phi_d:]) for i in range(phi_d, len(red)))
-    return p_ints, den, q_ints
+    first = part(1)
+    for j in range(2, p):
+        if any(_reduce_mod_phi(list(map(sub, part(j), first)), m)):
+            return None
+    return _reduce_mod_phi(list(map(sub, part(0), first)), m)
 
 
 @lru_cache(maxsize=None)
@@ -221,13 +211,12 @@ def _maximal_subfields(n: int):
 
 
 def _descend(n, nums):
-    """(m, coordinates at conductor m, s): the minimal conductor m of the value
+    """(m, coordinates at conductor m): the minimal conductor m of the value
     with integer coordinates nums at conductor n (n != 2 mod 4), and its
-    coordinates there, which are s times the input's."""
-    scale = 1
+    integer coordinates there."""
     while True:
         if not any(nums[1:]):
-            return 1, nums[:1], scale
+            return 1, nums[:1]
         for p, d in _maximal_subfields(n):
             if d % p == 0:
                 # Phi_n(x) = Phi_d(x^p): Q(z_d) holds the values whose
@@ -239,21 +228,19 @@ def _descend(n, nums):
                     d, nums = _halve(d, nums)
                     nums = _reduce_mod_phi(nums, d)
             else:
-                p_rows, den, q_rows = _subfield_solver(n, d)
-                if any(_dot(q, nums) for q in q_rows):
+                coords = _crt_subfield(n, p, nums)
+                if coords is None:
                     continue
-                nums = [_dot(row, nums) for row in p_rows]
-                scale *= den
+                nums = coords
             n = d
             break
         else:
-            return n, nums, scale
+            return n, nums
 
 
 def _canonical(n, dense):
-    """(conductor, integer coordinates, s) of the minimal-conductor form of an
-    integer dense coefficient list at conductor n; the coordinates are s times
-    those of the input value."""
+    """(conductor, integer coordinates) of the minimal-conductor form of an
+    integer dense coefficient list at conductor n."""
     if n <= 0:
         raise ValueError("conductor must be positive")
     while n % 4 == 2:
@@ -338,11 +325,9 @@ class CycNum:
         qs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         den = lcm(*{q.denominator for q in qs})
         nums = [q.numerator * (den // q.denominator) for q in qs]
-        if n == 1 and len(nums) == 1:
-            scale = 1
-        else:
-            n, nums, scale = _canonical(n, nums)
-        x = _make(n, nums, den * scale)
+        if n != 1 or len(nums) != 1:
+            n, nums = _canonical(n, nums)
+        x = _make(n, nums, den)
         self.conductor, self._nums, self._den = x.conductor, x._nums, x._den
 
     # -- construction helpers ------------------------------------------------
@@ -428,8 +413,8 @@ class CycNum:
             sums = list(map(add, a, b))
         else:
             sums = [x * a_f + y * b_f for x, y in zip(a, b)]
-        m, nums, scale = _descend(n, sums)
-        return _make(m, nums, den * scale)
+        m, nums = _descend(n, sums)
+        return _make(m, nums, den)
 
     __radd__ = __add__
 
@@ -459,8 +444,8 @@ class CycNum:
         else:
             n = lcm(n, other.conductor)
             a, b = self._coords(n), other._coords(n)
-        m, nums, scale = _descend(n, _reduce_mod_phi(_convolve(a, b), n))
-        return _make(m, nums, self._den * other._den * scale)
+        m, nums = _descend(n, _reduce_mod_phi(_convolve(a, b), n))
+        return _make(m, nums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -730,6 +715,21 @@ def cyc_from_json(obj) -> CycNum:
     return CycNum(_input_conductor(conductor), coeffs)
 
 
+_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_rational(part, text):
+    """The rational 'a' or 'a/b' that part spells.  Exponent and decimal
+    forms are rejected: Fraction would expand '1e10000000' in full."""
+    match = _RATIONAL.fullmatch(part)
+    if match is not None:
+        try:
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidInputError(f"bad scalar syntax: {text!r}")
+
+
 def parse_scalar(text: str) -> CycNum:
     """Parse compact scalar syntax: 'p/q', 'zN', 'zetaN', 'zN^k', or sums like
     '2*z3 + 1' with integer or p/q coefficients.  Inverse to str()."""
@@ -745,13 +745,10 @@ def parse_scalar(text: str) -> CycNum:
         sign = 1
         if part.startswith("-"):
             sign, part = -1, part[1:]
-        coeff = Fraction(1)
+        coeff = 1
         if "*" in part:
             c, part = part.split("*", 1)
-            try:
-                coeff = Fraction(c)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InvalidInputError(f"bad scalar syntax: {text!r}") from exc
+            coeff = _parse_rational(c, text)
         if part.startswith("zeta") or (
             len(part) > 1 and part[0] == "z" and part[1].isdigit()
         ):
@@ -766,9 +763,6 @@ def parse_scalar(text: str) -> CycNum:
                 raise InvalidInputError(f"bad scalar syntax: {text!r}") from exc
             term = zeta(_input_conductor(n), k)
         else:
-            try:
-                term = CycNum.rational(Fraction(part))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InvalidInputError(f"bad scalar syntax: {text!r}") from exc
+            term = CycNum.rational(_parse_rational(part, text))
         total = total + sign * coeff * term
     return total

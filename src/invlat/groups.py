@@ -155,9 +155,6 @@ class GroupRep:
     def index_of(self, mat):
         return self._index.get(mat)
 
-    def __len__(self):
-        return len(self.elements)
-
 
 def close_group(generators, cap: int = 10000) -> GroupRep:
     """Breadth-first closure of the generated matrix group, capped.
@@ -299,6 +296,8 @@ def matrix_from_json(obj, dimension) -> tuple:
         if len(obj) != dimension * dimension:
             raise InvalidInputError("flat matrix has wrong length")
         obj = [obj[i * dimension : (i + 1) * dimension] for i in range(dimension)]
+    if any(not isinstance(row, list) for row in obj):
+        raise InvalidInputError("matrix row must be a list")
     if len(obj) != dimension or any(len(row) != dimension for row in obj):
         raise InvalidInputError("matrix has wrong shape")
     return as_matrix([[cyc_from_json(x) for x in row] for row in obj])

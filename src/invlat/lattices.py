@@ -63,10 +63,6 @@ class RationalSubspaceBasis:
     width: int
     rows: tuple[tuple[Fraction, ...], ...]
 
-    @property
-    def dim(self):
-        return len(self.rows)
-
     def pivots(self):
         out = []
         for row in self.rows:
@@ -284,18 +280,9 @@ def lattice_sum(a: ZLattice, b: ZLattice) -> ZLattice:
     return _lattice_from_rows(a.dim, conductor, rows)
 
 
-def intersect_with_subspace(lattice: ZLattice, span_vectors, real=False) -> ZLattice:
-    """Lattice points in the complex span (or, with real=True, the real span)
-    of the given vectors.
-
-    For the real case a lattice vector w lies in the R-span exactly when the
-    conjugation-split row (re w | skew w) is a field combination of the split
-    span rows: conjugating any field solution and averaging yields a real one.
-    """
-    span_vectors = [tuple(as_cycnum(x) for x in vec) for vec in span_vectors]
-    split = (lambda v: [x.real_part() for x in v] + [x.skew_part() for x in v]) if real \
-        else (lambda v: list(v))
-    mat = [split(vec) for vec in span_vectors]
+def intersect_with_subspace(lattice: ZLattice, span_vectors) -> ZLattice:
+    """Lattice points in the complex span of the given vectors."""
+    mat = [[as_cycnum(x) for x in vec] for vec in span_vectors]
     functionals = linalg.kernel_right(mat)
     vecs = lattice.vectors()
     if not vecs:
@@ -304,10 +291,9 @@ def intersect_with_subspace(lattice: ZLattice, span_vectors, real=False) -> ZLat
         return lattice
     values = []
     for vec in vecs:
-        svec = split(vec)
         row = []
         for f in functionals:
-            row.append(sum((x * y for x, y in zip(svec, f)), CycNum.rational(0)))
+            row.append(sum((x * y for x, y in zip(vec, f)), CycNum.rational(0)))
         values.append(row)
     _, rows = expand_vectors(values)
     int_rows, _ = _integer_rows(rows)

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,8 +14,8 @@ from invlat import cyclotomic
 from invlat.cyclotomic import (
     MAX_CONDUCTOR,
     CycNum,
+    _crt_subfield,
     _int_poly_quotient,
-    _subfield_solver,
     as_cycnum,
     cyc_from_json,
     cyc_to_json,
@@ -33,6 +34,7 @@ from oracles import (
     FractionCycNum,
     fraction_canonical,
     fraction_cyc_to_json,
+    fraction_reduce_mod_phi,
     fraction_subfield_solver,
 )
 
@@ -220,7 +222,10 @@ def test_parse_scalar(text, expected):
 
 
 def test_parse_scalar_rejects_junk():
-    for bad in ["", "z", "q5", "1 +", "z3**2", "zeta(3)"]:
+    # Fraction would read the exponent and decimal forms, and would expand
+    # 10^(10^7) in full
+    for bad in ["", "z", "q5", "1 +", "z3**2", "zeta(3)", "1e10000000", "2e3*z3",
+                "0.5", "1/0", "1_0"]:
         with pytest.raises(InvalidInputError):
             parse_scalar(bad)
 
@@ -335,55 +340,88 @@ def test_rational_test_agrees_with_the_subfield_solver():
         assert all(row[0] == 0 for row in red)
 
 
-def test_canonical_never_asks_for_the_rational_solver(monkeypatch):
+def _record_crt_calls(monkeypatch):
     asked = []
 
-    def recording(n, d):
-        asked.append(d)
-        return _subfield_solver(n, d)
+    def recording(n, p, nums):
+        asked.append((n, p))
+        return _crt_subfield(n, p, nums)
 
-    monkeypatch.setattr(cyclotomic, "_subfield_solver", recording)
+    monkeypatch.setattr(cyclotomic, "_crt_subfield", recording)
+    return asked
+
+
+def test_canonical_never_asks_for_the_rational_solver(monkeypatch):
+    asked = _record_crt_calls(monkeypatch)
     # 1 + z5 + ... + z5^4 = 0, zeta(12)^4 = zeta(3), zeta(24)^3 = zeta(8)
     assert CycNum(5, [1, 1, 1, 1, 1]).is_zero()
     assert zeta(12) ** 4 == zeta(3)
     assert (zeta(24) ** 3).conductor == 8
     assert (zeta(60) ** 12 + zeta(60) ** 20).conductor == 15
-    assert asked and 1 not in asked
+    assert asked and all(n // p != 1 for n, p in asked)
 
 
-def test_prime_conductor_parse_builds_no_subfield_solver():
-    before = _subfield_solver.cache_info().currsize
+def test_prime_conductor_parse_never_runs_the_crt_test(monkeypatch):
+    asked = _record_crt_calls(monkeypatch)
     assert parse_scalar("z1009").conductor == 1009
-    assert _subfield_solver.cache_info().currsize == before
+    assert asked == []
 
 
-def test_prime_power_descent_builds_no_subfield_solver():
+def test_prime_power_descent_never_runs_the_crt_test(monkeypatch):
     # p^2 | n: membership in Q(z_(n/p)) is a coefficient pattern
-    before = _subfield_solver.cache_info().currsize
+    asked = _record_crt_calls(monkeypatch)
     assert parse_scalar("z1024").conductor == 1024
+    for k in range(1, 1024, 37):
+        assert (zeta(1024) ** k).conductor == 1024 // (k & -k)
     assert (zeta(1024) ** 2).conductor == 512
     assert (zeta(1024) ** 256).conductor == 4
-    assert _subfield_solver.cache_info().currsize == before
+    assert asked == []
 
 
 def test_descent_asks_solvers_only_where_p_divides_the_conductor_once(monkeypatch):
-    asked = []
-
-    def recording(n, d):
-        asked.append((n, d))
-        return _subfield_solver(n, d)
-
-    monkeypatch.setattr(cyclotomic, "_subfield_solver", recording)
+    asked = _record_crt_calls(monkeypatch)
     # the 2-mod-4 fields Q(z6), Q(z10), Q(z30) are reached by the fold
     assert zeta(12) ** 4 == zeta(3)
     assert (zeta(20) ** 4).conductor == 5
     assert (zeta(60) ** 4 + zeta(60) ** 10).conductor == 15
     assert (zeta(72) ** 6).conductor == 12
     assert asked
-    for n, d in asked:
-        p = n // d
-        assert n % 4 != 2 and d % 4 != 2
-        assert d % p
+    for n, p in asked:
+        assert n % p == 0 and (n // p) % p
+        assert n % 4 != 2 and (n // p) % 4 != 2
+
+
+CRT_CASES = [(1020, 17), (1020, 3), (1020, 5), (660, 11), (105, 7), (84, 7),
+             (60, 5), (21, 3), (21, 7), (15, 3), (15, 5)]
+
+
+@pytest.mark.parametrize("n,p", CRT_CASES)
+def test_crt_subfield_matches_the_fraction_solver(n, p):
+    # the solver rewrites x at conductor d = n / p as P @ x, valid exactly
+    # when Q @ x = 0; the CRT test must give None or those coordinates
+    d = n // p
+    p_rows, q_rows = fraction_subfield_solver(n, d)
+    rng = random.Random(n * p)
+    for _ in range(5):
+        inner = [rng.randint(-5, 5) for _ in range(euler_phi(d))]
+        dense = [Fraction(0)] * n
+        dense[:len(inner) * p:p] = inner
+        lifted = [int(c) for c in fraction_reduce_mod_phi(dense, n)]
+        outer = [rng.randint(-5, 5) for _ in range(euler_phi(n))]
+        # z_n^k has order divisible by p when p does not divide k, so it is
+        # outside Q(z_d) and moves a value of Q(z_d) out of it
+        nudged = list(lifted)
+        nudged[rng.choice([k for k in range(1, len(nudged)) if k % p])] += 1
+        for nums, inside in [(lifted, True), (outer, None), (nudged, False)]:
+            expected = None
+            if not any(sum(q * x for q, x in zip(row, nums) if q) for row in q_rows):
+                expected = [sum(c * x for c, x in zip(row, nums) if c) for row in p_rows]
+            got = _crt_subfield(n, p, list(nums))
+            assert got == expected
+            if inside is not None:
+                assert (got is not None) is inside
+            if inside:
+                assert got == inner
 
 
 def test_minimal_polynomial_failure_is_an_internal_consistency_error(monkeypatch):

@@ -261,6 +261,12 @@ def test_group_from_json_rejects_bad_conductor():
         group_from_json(obj)
 
 
+def test_group_from_json_rejects_a_row_that_is_not_a_list():
+    obj = {"dimension": 2, "conductor": 1, "generators": [[[1, 0], 5]]}
+    with pytest.raises(InvalidInputError, match="row"):
+        group_from_json(obj)
+
+
 def _tiny_group(dimension=1, conductor=1, count=1):
     return {
         "dimension": dimension,

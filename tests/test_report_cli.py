@@ -319,6 +319,27 @@ def test_cli_rejects_a_group_beyond_the_conductor_bound(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe\x00binary", "cannot read group file"),
+        (b"[" * 200_000 + b"]" * 200_000, "cannot read group file"),
+        (b'{"dimension": ' + b"1" * 5000 + b"}", "cannot read group file"),
+        (b'{"dimension": 2, "conductor": 1, "generators": [[[1, 0], 5]]}', "row"),
+        (b'{"dimension": 1, "conductor": 1, "generators": [[["1e10000000"]]]}',
+         "bad scalar syntax"),
+    ],
+    ids=["binary", "nested", "long-integer", "row-not-a-list", "exponent-entry"],
+)
+def test_cli_rejects_a_malformed_group_file_with_exit_2(tmp_path, capsys, content, message):
+    path = tmp_path / "group.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_cycle_bound_limits_the_scan_size():
     # the default bound n + 1 scans at most 1364 cycles (n = 4, Weyl A4)
     for n in range(1, 5):
