@@ -2,21 +2,35 @@
 
 Field routines (rref, rank, Span, kernel, det, inverse) work for any element
 type with +, -, *, /, == 0 semantics whose truth value is "nonzero", so they
-serve both Fraction matrices and cyclotomic-number matrices.  Elimination
-takes one reciprocal per pivot, because a cyclotomic reciprocal is an
-extended Euclid against the cyclotomic polynomial while a product is one
-integer convolution, and it touches only the columns where the pivot row is
-nonzero.  `rank` takes no reciprocal at all: it counts the pivots of a
-forward elimination by cross-multiplication.  `Span` is the one route for
-span membership and coordinates: it keeps the rows added so far in echelon
-form, so a fixed basis is reduced once and every later question costs one
-reduction of the asked row.  Integer routines (hnf, kernels) implement the
-row Hermite normal form with unimodular transforms.
+serve int, Fraction and cyclotomic-number matrices.  An int pivot has the
+reciprocal Fraction(1, pivot), so int input gives exact Fraction results.
+
+`rref` takes one of two routes.  Rational input (every entry an int or a
+Fraction) is cleared to integer rows, one lcm of denominators per row, and
+reduced by fraction-free Gauss-Jordan elimination (Bareiss 1968): each step
+replaces every other row by (row * p - a * pivot row) // previous pivot,
+which Sylvester's identity makes exact, and each kept row is divided by its
+pivot once at the end.  Cyclotomic input takes one reciprocal per pivot,
+because a cyclotomic reciprocal is an extended Euclid against the cyclotomic
+polynomial while a product is one integer convolution, and touches only the
+columns where the pivot row is nonzero; `det` and `Span` eliminate the same
+way.  `rank` takes no reciprocal at all: it counts the pivots of a forward
+elimination by cross-multiplication.  `Span` is the one route for span
+membership and coordinates: it keeps the rows added so far in echelon form,
+so a fixed basis is reduced once and every later question costs one
+reduction of the asked row.
+
+Integer routines share one Hermite elimination that pivots in a given
+number of leading columns: `hnf` runs it on the matrix alone, and
+`hnf_with_transform` runs it on the rows [mat | I], whose right-hand block
+ends as the unimodular transform; `int_kernel` reads the left kernel off
+that transform.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def _zero_of(x):
@@ -24,11 +38,16 @@ def _zero_of(x):
 
 
 def _one_of(x):
-    return x * 0 + 1
+    """1 in the field of x; Fraction(1) for an int, so that dividing by an int
+    pivot is exact."""
+    one = x * 0 + 1
+    return Fraction(1) if type(one) is int else one
 
 
 def _zero_for(row):
-    return _zero_of(row[0]) if row else Fraction(0)
+    """0 in the field of the row's entries; Fraction(0) for an int row."""
+    zero = _zero_of(row[0]) if row else Fraction(0)
+    return Fraction(0) if type(zero) is int else zero
 
 
 def _pivot_row(row, col):
@@ -65,10 +84,15 @@ def identity(n, one=Fraction(1)):
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (nonzero rows, pivot column list)."""
+    """Reduced row echelon form.  Returns (nonzero rows, pivot column list).
+
+    Rows whose entries are all int or Fraction are reduced over the integers
+    (`_rref_rational`), and the result then has Fraction entries."""
     mat = [list(r) for r in rows]
-    if not mat:
+    if not mat or not mat[0]:
         return [], []
+    if all(isinstance(x, (int, Fraction)) for row in mat for x in row):
+        return _rref_rational(mat)
     ncols = len(mat[0])
     pivots = []
     r = 0
@@ -86,6 +110,47 @@ def rref(rows):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def _rref_rational(mat):
+    """rref of rows of ints and Fractions by fraction-free Gauss-Jordan.
+
+    Each row is cleared to integers by the lcm of its denominators.  At a
+    pivot p, every other row becomes (row * p - a * pivot row) // prev, with a
+    its entry in the pivot column and prev the pivot before p (1 at first).
+    By Sylvester's identity every entry is then a minor of the cleared
+    matrix, so the division is exact, and every pivot row holds p at its
+    pivot; the kept rows are divided by the last pivot once at the end."""
+    rows = []
+    for row in mat:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(len(rows[0])):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            a = row[c]
+            if a:
+                rows[i] = [(x * p - a * y) // prev for x, y in zip(row, pivot_row)]
+            elif p != prev:
+                rows[i] = [x * p // prev for x in row]
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    zero, one = Fraction(0), Fraction(1)
+    return [[zero if not x else one if x == prev else Fraction(x, prev) for x in row]
+            for row in rows[:r]], pivots
 
 
 def rank(rows):
@@ -246,51 +311,53 @@ def xgcd(a: int, b: int):
     return old_r, old_u, old_v
 
 
-def hnf_with_transform(mat):
-    """Row Hermite normal form with transform: returns (H, T), T unimodular,
-    T @ mat == H, pivots positive, entries above each pivot reduced into
-    [0, pivot).  Zero rows of H sit at the bottom."""
-    m = len(mat)
-    a = [[int(x) for x in row] for row in mat]
-    n = len(a[0]) if m else 0
-    t = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+def _hermite(a, n):
+    """Row Hermite normal form of the integer rows a, in place, with pivots in
+    the first n columns only: pivots positive, entries above each pivot
+    reduced into [0, pivot), zero rows (in those columns) at the bottom.
+    Columns past n take the same row operations and never pivot."""
+    m = len(a)
     r = 0
     for c in range(n):
         pr = next((i for i in range(r, m) if a[i][c] != 0), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        t[r], t[pr] = t[pr], t[r]
+        # rows r and below are zero in the pivot columns before c
         for i in range(r + 1, m):
-            while a[i][c] != 0:
+            if a[i][c] != 0:
                 g, u, v = xgcd(a[r][c], a[i][c])
                 p, q = a[r][c] // g, a[i][c] // g
-                a[r], a[i] = (
-                    [u * x + v * y for x, y in zip(a[r], a[i])],
-                    [-q * x + p * y for x, y in zip(a[r], a[i])],
-                )
-                t[r], t[i] = (
-                    [u * x + v * y for x, y in zip(t[r], t[i])],
-                    [-q * x + p * y for x, y in zip(t[r], t[i])],
-                )
+                top, low = a[r][c:], a[i][c:]
+                a[r][c:] = [u * x + v * y for x, y in zip(top, low)]
+                a[i][c:] = [-q * x + p * y for x, y in zip(top, low)]
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-            t[r] = [-x for x in t[r]]
         for i in range(r):
             q = a[i][c] // a[r][c]
             if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                t[i] = [x - q * y for x, y in zip(t[i], t[r])]
+                a[i][c:] = [x - q * y for x, y in zip(a[i][c:], a[r][c:])]
         r += 1
         if r == m:
             break
-    return a, t
+    return a
+
+
+def hnf_with_transform(mat):
+    """Row Hermite normal form with transform: returns (H, T), T unimodular,
+    T @ mat == H, pivots positive, entries above each pivot reduced into
+    [0, pivot).  Zero rows of H sit at the bottom."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    aug = _hermite([[int(x) for x in row] + [int(i == j) for j in range(m)]
+                    for i, row in enumerate(mat)], n)
+    return [row[:n] for row in aug], [row[n:] for row in aug]
 
 
 def hnf(mat):
     """Canonical row HNF with zero rows dropped."""
-    h, _ = hnf_with_transform(mat)
-    return [row for row in h if any(row)]
+    a = [[int(x) for x in row] for row in mat]
+    return [row for row in _hermite(a, len(a[0]) if a else 0) if any(row)]
 
 
 def int_kernel(mat):

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -339,3 +342,117 @@ def test_rank_takes_no_reciprocal(monkeypatch):
     expected = [len(linalg.rref(m)[0]) for m in mats]
     monkeypatch.setattr(CycNum, "inverse", refuse)
     assert [linalg.rank(m) for m in mats] == expected
+
+
+# int input: exact Fraction results, equal to those of the same Fraction input
+
+
+def test_int_matrices_give_exact_fractions():
+    det = linalg.det([[3, 1], [1, 1]])
+    assert det == 2 and type(det) is Fraction
+    assert linalg.inverse([[3, 1], [1, 1]]) == [
+        [Fraction(1, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]]
+    assert linalg.kernel_right([[3, 1, 0], [1, 1, 1]]) == [
+        [Fraction(1, 2), Fraction(-3, 2), Fraction(1)]]
+    span = linalg.Span([[3, 1], [6, 2]])
+    assert span.rows == [[Fraction(1), Fraction(1, 3)]]
+    assert span.coords([6, 2]) == [2, 0]
+    assert span.coords([0, 1]) is None
+    assert linalg.det([[Fraction(1, 2), 3], [1, 5]]) == Fraction(-1, 2)
+    for out in (linalg.inverse([[3, 1], [1, 1]]), linalg.kernel_right([[3, 1, 0], [1, 1, 1]]),
+                span.rows, [span.coords([6, 2])]):
+        assert all(type(x) is Fraction for row in out for x in row)
+
+
+def test_rref_of_int_rank_one_matrix_with_pivot_15():
+    base = [15, 3, 0, 7, 1, 2, 4]
+    mat = [[c * x for x in base] for c in (1, 2, 3, 0, 5)]
+    rows, pivots = linalg.rref(mat)
+    assert pivots == [0]
+    assert rows == [[Fraction(x, 15) for x in base]]
+    assert all(type(x) is Fraction for x in rows[0])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_int_input_matches_fraction_input(seed):
+    rng = random.Random(7700 + seed)
+    n = rng.randint(1, 5)
+    mat = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)]
+    if n >= 3 and seed % 3 == 0:
+        mat[2] = [x - 2 * y for x, y in zip(mat[0], mat[1])]
+    mixed = [[Fraction(x) if (i + j) % 2 else x for j, x in enumerate(row)]
+             for i, row in enumerate(mat)]
+    fractions = frac_rows(mat)
+    for given_mat in (mat, mixed):
+        for routine in (linalg.det, linalg.inverse, linalg.kernel_right, linalg.rref):
+            assert routine(given_mat) == routine(fractions)
+        assert linalg.Span(given_mat).rows == linalg.Span(fractions).rows
+        for row in fractions:
+            coords = linalg.Span(given_mat).coords(row)
+            assert coords == linalg.Span(fractions).coords(row)
+            assert all(type(x) is Fraction for x in coords)
+        rows, _ = linalg.rref(given_mat)
+        assert all(type(x) is Fraction for row in rows for x in row)
+        assert type(linalg.det(given_mat)) is Fraction
+
+
+# hnf is the H of hnf_with_transform, without the transform
+
+
+def hnf_split_case(seed):
+    """The kernels benchmark shape (k + 4) x k for k = 4, 8, 12, then seeded
+    matrices of at most 8 x 8 with zero entries, every third one a product
+    through fewer columns than either side, so rank deficient."""
+    rng = random.Random(8000 + seed)
+    if seed < 12:
+        k = (4, 8, 12)[seed % 3]
+        return [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k + 4)]
+    m, n = rng.randint(1, 8), rng.randint(1, 8)
+    if seed % 3 == 0 and min(m, n) > 1:
+        k = rng.randint(1, min(m, n) - 1)
+        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    return [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)]
+            for _ in range(m)]
+
+
+HNF_SPLIT_SEEDS = range(42)
+
+
+@pytest.mark.parametrize("seed", HNF_SPLIT_SEEDS)
+def test_hnf_is_the_nonzero_rows_of_hnf_with_transform(seed):
+    mat = hnf_split_case(seed)
+    h, t = linalg.hnf_with_transform(mat)
+    assert linalg.hnf(mat) == [row for row in h if any(row)]
+    assert linalg.matmul(t, mat) == h
+
+
+def _saturated(rows):
+    """Whether the integer rows span every integer vector of their rational
+    span: the gcd of their maximal minors is 1."""
+    g = 0
+    for cols in itertools.combinations(range(len(rows[0])), len(rows)):
+        minor = linalg.det(frac_rows([[row[c] for c in cols] for row in rows]))
+        g = math.gcd(g, int(minor))
+        if g == 1:
+            return True
+    return False
+
+
+# sha256 of the int_kernel rows of every hnf_split_case, as computed when
+# hnf_with_transform eliminated the matrix and its transform as two arrays
+INT_KERNEL_DIGEST = "8e5ff202407bfa7ff861d8971f261c60d6e4a68f5be97950b1ba6fb857c54ab8"
+
+
+def test_int_kernel_rows_are_unchanged():
+    kernels = [linalg.int_kernel(hnf_split_case(seed)) for seed in HNF_SPLIT_SEEDS]
+    assert hashlib.sha256(repr(kernels).encode()).hexdigest() == INT_KERNEL_DIGEST
+    for seed, kernel in zip(HNF_SPLIT_SEEDS, kernels):
+        mat = hnf_split_case(seed)
+        assert len(kernel) == len(mat) - linalg.rank(frac_rows(mat))
+        if kernel:
+            # canonical HNF rows of the whole integer left kernel
+            assert linalg.hnf(kernel) == kernel
+            assert linalg.matmul(kernel, mat) == [[0] * len(mat[0])] * len(kernel)
+            assert _saturated(kernel)

@@ -1,5 +1,6 @@
-"""Cyclotomic polynomials, minimal polynomials and the Hermite normal form
-against sympy, an implementation that shares no code with this package."""
+"""Cyclotomic polynomials, minimal polynomials, the Hermite normal form and
+the rational reduced row echelon form against sympy, an implementation that
+shares no code with this package."""
 
 import random
 from fractions import Fraction
@@ -8,6 +9,8 @@ import pytest
 
 from invlat import linalg
 from invlat.cyclotomic import cyclotomic_polynomial, sqrt_rational, zeta
+
+from oracles import rref_divide_each_entry
 
 sympy = pytest.importorskip("sympy")
 normalforms = pytest.importorskip("sympy.matrices.normalforms")
@@ -89,3 +92,66 @@ def test_hnf_row_lattice_matches_sympy(seed):
         for i, row in enumerate(h):
             assert row[i] > 0
             assert not any(row[:i])
+
+
+def _rref_entry(rng):
+    """An int or a Fraction, zero one time in four; denominators up to 10**12."""
+    if rng.random() < 0.25:
+        return rng.choice((0, Fraction(0)))
+    if rng.random() < 0.4:
+        return rng.randint(-9, 9) or 1
+    den = rng.randint(1, 10 ** rng.choice((1, 2, 6, 12)))
+    return Fraction(rng.randint(-10 ** 6, 10 ** 6), den)
+
+
+def _rref_case(seed):
+    """A seeded matrix of ints and Fractions of at most 12 x 16: 1 x n and
+    n x 1 for the first seeds, every third one of lower rank than its shape
+    allows (rows combined from fewer rows), and zero rows and columns put in
+    now and then."""
+    rng = random.Random(9000 + seed)
+    m, n = rng.randint(1, 12), rng.randint(1, 16)
+    if seed < 4:
+        m, n = (1, n) if seed % 2 else (m, 1)
+    mat = [[_rref_entry(rng) for _ in range(n)] for _ in range(m)]
+    if seed % 3 == 0 and m > 1:
+        base = mat[: rng.randint(1, min(m, n) - 1 or 1)]
+        mat = [[sum((c * row[j] for c, row in zip(coeffs, base)), Fraction(0))
+                for j in range(n)]
+               for coeffs in ([rng.randint(-3, 3) for _ in base] for _ in range(m))]
+    if seed % 4 == 1:
+        mat.insert(rng.randrange(m + 1), [0] * n)
+    if seed % 5 == 2:
+        col = rng.randrange(n)
+        mat = [[Fraction(0) if j == col else x for j, x in enumerate(row)] for row in mat]
+    return mat
+
+
+RREF_SEEDS = range(60)
+
+
+def test_rref_cases_cover_rank_deficiency():
+    deficient = 0
+    for seed in RREF_SEEDS:
+        mat = _rref_case(seed)
+        deficient += sympy.Matrix(mat).rank() < min(len(mat), len(mat[0]))
+    assert deficient >= len(RREF_SEEDS) // 3
+
+
+@pytest.mark.parametrize("seed", RREF_SEEDS)
+def test_rational_rref_matches_sympy_and_the_divide_each_entry_oracle(seed):
+    mat = _rref_case(seed)
+    rows, pivots = linalg.rref(mat)
+    reduced, sympy_pivots = sympy.Matrix(mat).rref()
+    assert pivots == list(sympy_pivots)
+    expected = [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)]
+                for i in range(len(pivots))]
+    assert rows == expected
+    assert (rows, pivots) == rref_divide_each_entry([[Fraction(x) for x in row] for row in mat])
+    assert all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_rref_of_empty_input():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rref([[]]) == ([], [])
+    assert linalg.rref([[0, Fraction(0)], [0, 0]]) == ([], [])
