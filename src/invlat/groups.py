@@ -81,12 +81,6 @@ def right_mul(a, g: SparseMatrix):
     return tuple(tuple(_sparse_dot(col, row) for col in g.cols) for row in a)
 
 
-def left_mul(g: SparseMatrix, b):
-    """The matrix g * b, read off the rows of g."""
-    cols = tuple(zip(*b))
-    return tuple(zip(*(tuple(_sparse_dot(row, col) for row in g.rows) for col in cols)))
-
-
 def apply(g: SparseMatrix, vec):
     """The vector g * vec, read off the rows of g."""
     return tuple(_sparse_dot(row, vec) for row in g.rows)
@@ -109,33 +103,23 @@ def trace(mat):
 class GroupRep:
     """A finite group of invertible matrices, closed under multiplication.
 
-    `inverses[k]` is the inverse matrix of `elements[k]`; `close_group` builds
-    it from the generator inverses, so no element is inverted here.  Each one
-    is looked up in the closure to give `inverse_index`.  The sparse records
-    of the generators and of their inverses are kept for every later product
-    with a generator.  The character is filled on the first `character` call
-    and the reflection inventory on the first `find_reflections` call.
+    The elements are kept in the breadth-first order of `close_group`, the
+    identity first.  The sparse records of the generators are kept for every
+    later product with a generator.  The character is filled on the first
+    `character` call and the reflection inventory on the first
+    `find_reflections` call.
     """
 
     __slots__ = (
-        "dimension", "generators", "sparse_generators", "sparse_inverses",
-        "elements", "_index", "inverse_index", "_character", "_reflections",
+        "dimension", "generators", "sparse_generators", "elements",
+        "_character", "_reflections",
     )
 
-    def __init__(self, dimension, sparse_generators, sparse_inverses, index, inverses):
-        """`index` maps each element to its position, in element order."""
+    def __init__(self, dimension, sparse_generators, elements):
         self.dimension = dimension
         self.sparse_generators = tuple(sparse_generators)
-        self.sparse_inverses = tuple(sparse_inverses)
         self.generators = tuple(g.matrix for g in self.sparse_generators)
-        self.elements = tuple(index)
-        self._index = index
-        inv = []
-        for m in inverses:
-            if m not in self._index:
-                raise InvalidInputError("element inverse escaped the closure")
-            inv.append(self._index[m])
-        self.inverse_index = tuple(inv)
+        self.elements = tuple(elements)
         self._character = None
         self._reflections = None
 
@@ -152,18 +136,15 @@ class GroupRep:
                     out = lcm(out, x.conductor)
         return out
 
-    def index_of(self, mat):
-        return self._index.get(mat)
-
 
 def close_group(generators, cap: int = 10000) -> GroupRep:
     """Breadth-first closure of the generated matrix group, capped.
 
-    Each generator is inverted once, and a sparse record of every generator
-    and generator inverse is built once.  A new element is current*g, and its
-    inverse is g^-1 * current^-1; both products read the sparse record, so
-    they skip zero terms and multiplications by 1, and no other element is
-    inverted.
+    Each generator must have full rank; a sparse record of it is built once,
+    and every new element is current*g read off that record, skipping zero
+    terms and multiplications by 1.  No matrix is inverted: a finite set of
+    invertible matrices closed under products is a group, since g^k = id
+    for some k, and an infinite one exceeds the cap.
     """
     gens = [as_matrix(g) for g in generators]
     if not gens:
@@ -171,30 +152,23 @@ def close_group(generators, cap: int = 10000) -> GroupRep:
     n = len(gens[0])
     if any(len(g) != n for g in gens):
         raise InvalidInputError("generators have mixed dimensions")
-    gen_inverses = []
-    for g in gens:
-        rows = linalg.inverse([list(r) for r in g])
-        if rows is None:
-            raise InvalidInputError("generator is singular")
-        gen_inverses.append(tuple(tuple(row) for row in rows))
+    if any(linalg.rank(g) != n for g in gens):
+        raise InvalidInputError("generator is singular")
     sparse = [SparseMatrix(g) for g in gens]
-    sparse_inverses = [SparseMatrix(g) for g in gen_inverses]
     identity = mat_identity(n)
-    seen = {identity: 0}
+    seen = {identity}
     order = [identity]
-    inverses = [identity]
-    for k, current in enumerate(order):  # order grows in BFS order as it is read
-        for g, g_inv in zip(sparse, sparse_inverses):
+    for current in order:  # order grows in BFS order as it is read
+        for g in sparse:
             prod = right_mul(current, g)
             if prod not in seen:
                 if len(order) >= cap:
                     raise CapExceededError(
                         f"group closure exceeded the cap of {cap} elements"
                     )
-                seen[prod] = len(order)
+                seen.add(prod)
                 order.append(prod)
-                inverses.append(left_mul(g_inv, inverses[k]))
-    return GroupRep(n, sparse, sparse_inverses, seen, inverses)
+    return GroupRep(n, sparse, order)
 
 
 def character(group: GroupRep):
@@ -206,11 +180,12 @@ def character(group: GroupRep):
 
 
 def character_norm(group: GroupRep) -> CycNum:
-    """<chi, chi> = (1/|G|) sum chi(g) chi(g^-1), exact."""
-    chi = character(group)
+    """<chi, chi> = (1/|G|) sum chi(g) conj chi(g), exact.
+
+    The group is finite, so chi(g^-1) = conj chi(g)."""
     total = CycNum.rational(0)
-    for k in range(group.order):
-        total = total + chi[k] * chi[group.inverse_index[k]]
+    for x in character(group):
+        total = total + x * x.conjugate()
     return total / group.order
 
 

@@ -7,9 +7,9 @@ denominator, so equal lattices have identical data.  Every question is
 answered from these rows: coordinates in the rational span are the entries
 at the pivots, checked by an exact zero residual, and integer coordinates
 come from back-substitution against the triangular HNF.  Discreteness
-depends only on the rational span, so it is decided on the span rows: every
-entry x is split into (x + conj x)/2 and (x - conj x)/2, which stay inside
-the cyclotomic field, and the rank of the split rows must equal their
+depends only on the rational span, so it is decided on the span rows: each
+row v is extended by its conjugate to (v | conj v), which stays inside the
+cyclotomic field, and the rank of the extended rows must equal their
 number.  Every builder runs that check.
 
 RankTwoLattice models a lattice of rank 2 inside the complex line; it carries
@@ -256,15 +256,15 @@ def _check_discrete(lattice):
     """Raise NotDiscreteError unless the rational span has full real rank.
 
     The basis vectors are a rational basis of the span, so they are
-    independent over the reals exactly when the span rows are; the rank of
-    the (real part | skew part) rows over the field is their real rank."""
+    independent over the reals exactly when the span rows are.  The rank of
+    the rows (v | conj v) over the field is the rank of the rows
+    (Re v | i Im v), since [v | conj v] = [Re v | i Im v] [[I, I], [I, -I]],
+    and that is their real rank."""
     rows = lattice.ambient_vectors()
     if not rows:
         return
-    split_rows = []
-    for vec in rows:
-        split_rows.append([x.real_part() for x in vec] + [x.skew_part() for x in vec])
-    if linalg.rank(split_rows) != len(rows):
+    doubled = [list(vec) + [x.conjugate() for x in vec] for vec in rows]
+    if linalg.rank(doubled) != len(rows):
         raise NotDiscreteError(
             "integer span is not discrete: generators are dependent over the reals"
         )

@@ -18,10 +18,9 @@ from .errors import InternalConsistencyError, InvalidInputError
 from .groups import (
     GroupRep,
     ReflectionData,
-    SparseMatrix,
+    close_group,
     find_reflections,
     mat_identity,
-    right_mul,
 )
 from .lattices import (
     MultiplierRing,
@@ -42,7 +41,8 @@ def choose_generating_reflections(group: GroupRep):
     Greedy pass over the reflection inventory in element order; if the greedy
     choice spans but fails to generate, falls back to scanning root-spanning
     n-subsets in enumeration order.  The reflections lie in the group, so they
-    generate it exactly when their closure holds every generator of the group.
+    generate it when every generator of the group is one of them or the
+    identity, and otherwise exactly when their closure has the group's order.
     """
     n = group.dimension
     inventory = find_reflections(group)
@@ -50,21 +50,10 @@ def choose_generating_reflections(group: GroupRep):
         raise InvalidInputError("group contains no reflections")
 
     def generates(refs) -> bool:
-        identity = mat_identity(n)
         mats = [r.matrix for r in refs]
-        sparse = [SparseMatrix(m) for m in mats]
-        missing = set(group.generators).difference(mats, [identity])
-        seen = {identity}
-        queue = [identity]
-        while queue and missing:
-            current = queue.pop(0)
-            for m in sparse:
-                nxt = right_mul(current, m)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-                    missing.discard(nxt)
-        return not missing
+        if set(group.generators) <= set(mats) | {mat_identity(n)}:
+            return True
+        return close_group(mats, cap=group.order).order == group.order
 
     chosen = []
     span = linalg.Span()

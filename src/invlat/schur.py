@@ -290,8 +290,7 @@ def gcd_kernel_shortcut(group: GroupRep):
 
     def consider(label, mat) -> bool:
         nonlocal running
-        kern = linalg.kernel_right([list(r) for r in mat])
-        dim = len(kern)
+        dim = n - linalg.rank(mat)
         if dim == 0 or dim == n:
             return False
         if gcd(running, dim) < running:

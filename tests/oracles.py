@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt, lcm
 
 from invlat import linalg
@@ -338,11 +339,25 @@ def indicator_by_squares(group):
     in the closure, which it must not escape.  The library reads chi(g^2) off
     the entries of g as sum g_ij * g_ji."""
     chi = character(group)
+    index = {mat: k for k, mat in enumerate(group.elements)}
     total = CycNum.rational(0)
     for mat in group.elements:
-        sq = group.index_of(mat_mul(mat, mat))
+        sq = index.get(mat_mul(mat, mat))
         assert sq is not None, "square of an element escaped the group"
         total = total + chi[sq]
+    return total / group.order
+
+
+def character_norm_by_inverses(group):
+    """(1/|G|) sum chi(g) chi(g^-1), with g^-1 read off the inverse index of
+    the dense closure.  The library takes chi(g^-1) = conj chi(g), which
+    holds because the group is finite."""
+    elements, inverse_index = close_group_dense(group.generators)
+    assert elements == group.elements
+    chi = character(group)
+    total = CycNum.rational(0)
+    for k, inv in enumerate(inverse_index):
+        total = total + chi[k] * chi[inv]
     return total / group.order
 
 
@@ -366,40 +381,57 @@ def reflections_by_rank_scan(group):
     return out
 
 
+def _gcd_certificate_by_kernels(n, labelled):
+    """The gcd certificate from len(kernel_right) of each (label, matrix) in
+    turn, or None."""
+    found = [("ambient", n)]
+    running = n
+    if running == 1:
+        return tuple(found)
+    for label, mat in labelled:
+        dim = len(linalg.kernel_right([list(r) for r in mat]))
+        if 0 < dim < n and gcd(running, dim) < running:
+            found.append((label, dim))
+            running = gcd(running, dim)
+        if running == 1:
+            return tuple(found)
+    return None
+
+
+def _single_combos(group):
+    """(label, g -+ id) for each element g, in element order."""
+    n = group.dimension
+    identity = mat_identity(n)
+    for idx, g in enumerate(group.elements):
+        for sign, word in ((-1, "-"), (1, "+")):
+            yield f"element {idx} {word} id", [
+                [g[r][c] + sign * identity[r][c] for c in range(n)] for r in range(n)
+            ]
+
+
+def gcd_kernel_singles(group):
+    """The gcd certificate from the complex kernel dimensions of g - id and
+    g + id, element by element, each counted as the length of a kernel
+    basis.  The library reads each dimension off one rank."""
+    return _gcd_certificate_by_kernels(group.dimension, _single_combos(group))
+
+
 def gcd_kernel_pairwise(group):
     """The gcd certificate from the single elements (g - id, g + id) and then
     every pair (g - h, g + h), in that order, or None.  O(|G|^2) kernels: run
     it on small groups only.  The library scans the single elements alone."""
     n = group.dimension
-    identity = mat_identity(n)
-    found = [("ambient", n)]
-    running = n
-    if running == 1:
-        return tuple(found)
 
-    def consider(label, mat) -> bool:
-        nonlocal running
-        dim = len(linalg.kernel_right([list(r) for r in mat]))
-        if 0 < dim < n and gcd(running, dim) < running:
-            found.append((label, dim))
-            running = gcd(running, dim)
-        return running == 1
-
-    def combos():
-        for idx, g in enumerate(group.elements):
-            yield f"element {idx} - id", g, identity, -1
-            yield f"element {idx} + id", g, identity, 1
+    def pairs():
         for i, g in enumerate(group.elements):
             for j in range(i + 1, group.order):
                 h = group.elements[j]
-                yield f"element {i} - element {j}", g, h, -1
-                yield f"element {i} + element {j}", g, h, 1
+                for sign, word in ((-1, "-"), (1, "+")):
+                    yield f"element {i} {word} element {j}", [
+                        [g[r][c] + sign * h[r][c] for c in range(n)] for r in range(n)
+                    ]
 
-    for label, g, h, sign in combos():
-        mat = [[g[r][c] + sign * h[r][c] for c in range(n)] for r in range(n)]
-        if consider(label, mat):
-            return tuple(found)
-    return None
+    return _gcd_certificate_by_kernels(n, chain(_single_combos(group), pairs()))
 
 
 def endomorphisms_by_commutant(torus):

@@ -19,6 +19,7 @@ from invlat.report import analyze
 
 from generated_groups import GENERATED
 from oracles import (
+    character_norm_by_inverses,
     close_group_dense,
     hermitian_inner,
     mat_mul,
@@ -45,17 +46,23 @@ def test_closure_contains_inverses():
     groups.append(group_from_json(GENERATED["G3-1-3"][0]))
     for group in groups:
         identity = mat_identity(group.dimension)
+        elements, inverse_index = close_group_dense(group.generators)
+        assert elements == group.elements
         for idx, g in enumerate(group.elements):
-            inv = group.elements[group.inverse_index[idx]]
+            inv = group.elements[inverse_index[idx]]
             assert mat_mul(g, inv) == identity
             assert mat_mul(inv, g) == identity
 
 
 def test_closure_matches_dense_oracle(oracle_groups):
     for name, group in oracle_groups:
-        elements, inverse_index = close_group_dense(group.generators)
+        elements, _ = close_group_dense(group.generators)
         assert group.elements == elements, name
-        assert group.inverse_index == inverse_index, name
+
+
+def test_character_norm_matches_inverse_oracle(oracle_groups):
+    for name, group in oracle_groups:
+        assert character_norm(group) == character_norm_by_inverses(group), name
 
 
 def test_closure_makes_no_dense_products(monkeypatch):
@@ -89,19 +96,14 @@ def test_reflection_scan_rank_tests_only_trace_candidates(monkeypatch):
     assert len(refs) == 15
 
 
-def test_closure_inverts_only_the_generators(monkeypatch):
-    calls = []
-    real_inverse = groups_module.linalg.inverse
-
-    def counting_inverse(mat):
-        calls.append(mat)
-        return real_inverse(mat)
-
-    monkeypatch.setattr(groups_module.linalg, "inverse", counting_inverse)
-    obj, order = GENERATED["G3-1-3"]
-    group = group_from_json(obj)
-    assert group.order == order
-    assert len(calls) == len(group.generators)
+def test_closure_inverts_no_matrix(monkeypatch):
+    monkeypatch.setattr(
+        groups_module.linalg, "inverse", lambda mat: pytest.fail("matrix inverted")
+    )
+    for obj, order in GENERATED.values():
+        assert group_from_json(obj).order == order
+    for name in CATALOG_GROUPS:
+        get_entry(name).group()
 
 
 def test_reflection_inventory_is_computed_once(monkeypatch):
@@ -139,11 +141,6 @@ def test_conductors(s3, g4, q8, c5):
     assert g4.conductor == 3
     assert q8.conductor == 4
     assert c5.conductor == 5
-
-
-def test_index_of(s3):
-    for idx, g in enumerate(s3.elements):
-        assert s3.index_of(g) == idx
 
 
 def test_cap_exceeded():

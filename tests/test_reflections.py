@@ -241,8 +241,8 @@ def test_isogeny_graph_matches_gram_oracle(reflection_cases):
 
 
 def test_chosen_reflections_close_to_the_whole_group(reflection_cases):
-    # the library stops once the closure holds the group's generators; the
-    # oracle closes the chosen reflections in full and compares orders
+    # the library finds the group's generators among the chosen reflections
+    # and the identity; the oracle closes them in full and compares orders
     for name, group, _ in reflection_cases:
         refs = choose_generating_reflections(group)
         assert close_group([r.matrix for r in refs]).order == group.order, name

@@ -306,6 +306,20 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert code == 3  # the reference group closure exceeds a tiny cap
 
 
+def test_cli_rejects_a_singular_generator_with_exit_2(capsys, tmp_path):
+    # {id, P} is closed under products, so only the rank check stops it
+    path = tmp_path / "idempotent.json"
+    path.write_text(json.dumps({
+        "dimension": 2,
+        "conductor": 1,
+        "generators": [[["1", "0"], ["0", "0"]]],
+    }))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert "generator is singular" in err
+    assert out == ""
+
+
 def test_cli_rejects_a_group_beyond_the_conductor_bound(capsys, tmp_path):
     path = tmp_path / "big-conductor.json"
     path.write_text(json.dumps({

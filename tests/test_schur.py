@@ -31,6 +31,7 @@ from oracles import (
     averaged_bilinear_form,
     five_starts,
     gcd_kernel_pairwise,
+    gcd_kernel_singles,
     indicator_by_squares,
     mat_mul,
     orbit_span_all_elements,
@@ -144,6 +145,12 @@ def test_gcd_shortcut_matches_pairwise_oracle(oracle_groups):
     assert len(small) == 12
     for name, group in small:
         assert gcd_kernel_shortcut(group) == gcd_kernel_pairwise(group), name
+
+
+def test_gcd_shortcut_matches_kernel_basis_oracle(oracle_groups):
+    # each kernel dimension is n - rank, not the length of a kernel basis
+    for name, group in oracle_groups:
+        assert gcd_kernel_shortcut(group) == gcd_kernel_singles(group), name
 
 
 def test_character_field_is_classified_once_per_analysis(monkeypatch):
