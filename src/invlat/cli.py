@@ -176,7 +176,9 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _cmd_construct(args) -> int:
+def _entry_report(args, c=None, cycle_bound=None):
+    """(entry, report) for the catalog group named by args.target; the
+    doubling scalar text c is parsed once the group is closed."""
     entry = get_entry(args.target)
     if entry.kind != "group":
         raise InvalidInputError(
@@ -187,9 +189,15 @@ def _cmd_construct(args) -> int:
         group,
         name=entry.name,
         entry=entry,
-        doubling_scalar=None if args.c is None else parse_scalar(args.c),
+        doubling_scalar=None if c is None else parse_scalar(c),
         seed=args.seed,
+        cycle_bound=cycle_bound,
     )
+    return entry, rep
+
+
+def _cmd_construct(args) -> int:
+    entry, rep = _entry_report(args, c=args.c)
     wanted = [e for e in rep["lattices"] if e["recipe"] == args.recipe]
     if not wanted:
         built = ", ".join(e["recipe"] for e in rep["lattices"]) or "none"
@@ -215,19 +223,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    entry = get_entry(args.target)
-    if entry.kind != "group":
-        raise InvalidInputError(
-            f"{entry.name} is a quaternion-torus preset; use analyze"
-        )
-    group = entry.group(cap=args.cap)
-    rep = group_report(
-        group,
-        name=entry.name,
-        entry=entry,
-        seed=args.seed,
-        cycle_bound=args.cycle_bound,
-    )
+    entry, rep = _entry_report(args, cycle_bound=args.cycle_bound)
     if rep["reflection"] is None:
         raise InvalidInputError(
             f"{entry.name} has no reflection decomposition "

@@ -518,13 +518,6 @@ class CycNum:
     def is_real(self) -> bool:
         return self == self.conjugate()
 
-    def real_part(self) -> "CycNum":
-        return (self + self.conjugate()) / 2
-
-    def skew_part(self) -> "CycNum":
-        """(x - conj(x)) / 2, i.e. i times the imaginary part; stays in the field."""
-        return (self - self.conjugate()) / 2
-
     def minimal_polynomial(self) -> tuple[Fraction, ...]:
         """Monic minimal polynomial over the rationals, ascending coefficients."""
         n = self.conductor
@@ -710,7 +703,7 @@ def cyc_from_json(obj) -> CycNum:
     try:
         conductor = int(obj["conductor"])
         coeffs = [Fraction(int(p), int(q)) for p, q in obj["coeffs"]]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"bad scalar encoding: {exc}") from exc
     return CycNum(_input_conductor(conductor), coeffs)
 

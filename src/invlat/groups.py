@@ -2,7 +2,9 @@
 
 Provides breadth-first closure from generators, characters, the exact
 irreducibility test by the character norm, averaged invariant Hermitian
-forms, and detection of (complex) reflections.
+forms, and detection of (complex) reflections, each recorded with the
+rank-one factorization id - g = root * functional that the later reflection
+stages read.
 """
 
 from __future__ import annotations
@@ -211,12 +213,15 @@ def invariant_hermitian(group: GroupRep):
 
 @dataclass(frozen=True)
 class ReflectionData:
-    """A group element fixing a hyperplane pointwise."""
+    """A group element fixing a hyperplane pointwise, with the rank-one
+    factorization id - matrix = root * functional.  Only the reflection scan
+    makes these records, and it checks the factorization as it makes one."""
 
     element_index: int
     matrix: tuple
-    theta: CycNum  # the nontrivial eigenvalue, = det(matrix)
-    root: tuple  # spans the moved line, first nonzero entry normalized to 1
+    theta: CycNum  # the nontrivial eigenvalue, = det(matrix) = 1 - phi(alpha)
+    root: tuple  # alpha: spans the moved line, first nonzero entry normalized to 1
+    functional: tuple  # phi: the row of id - matrix where the root has its 1
 
 
 def find_reflections(group: GroupRep):
@@ -236,31 +241,33 @@ def _scan_reflections(group: GroupRep):
     A reflection g of finite order has the eigenvalue 1 on its hyperplane
     and one other eigenvalue theta != 1, a root of unity, so
     chi(g) = n - 1 + theta with theta * conj(theta) = 1.  Only the elements
-    whose theta = chi(g) - (n - 1) passes that test get the rank test on
-    id - g, and each reflection found has its root line checked to be the
-    eigenline of det(g).
+    whose theta = chi(g) - (n - 1) passes that test are factored: alpha is
+    the first nonzero column of id - g scaled to lead with 1 at row p, phi
+    is row p, and id - g has rank one exactly when it equals alpha * phi
+    entry by entry (theta != 1, so g != id).  Then g * alpha =
+    (1 - phi(alpha)) * alpha, and the eigenvalue is checked against theta.
     """
     n = group.dimension
-    identity = mat_identity(n)
     out = []
     for idx, (mat, chi) in enumerate(zip(group.elements, character(group))):
         theta = chi - (n - 1)
         if theta == _ONE or theta * theta.conjugate() != _ONE:
             continue
-        diff = [[identity[i][j] - mat[i][j] for j in range(n)] for i in range(n)]
-        if linalg.rank(diff) != 1:
-            continue
-        col = next(
-            j for j in range(n) if any(not diff[i][j].is_zero() for i in range(n))
+        diff = [
+            [(_ONE if i == j else _ZERO) - x for j, x in enumerate(row)]
+            for i, row in enumerate(mat)
+        ]
+        p, col = next(
+            (i, j) for j in range(n) for i in range(n) if not diff[i][j].is_zero()
         )
-        root = [diff[i][col] for i in range(n)]
-        lead = next(x for x in root if not x.is_zero())
-        root = tuple(x / lead for x in root)
-        theta = linalg.det([list(r) for r in mat])
-        image = linalg.matvec([list(r) for r in mat], list(root))
-        if not all((a - theta * b).is_zero() for a, b in zip(image, root)):
+        inv = diff[p][col].inverse()
+        root = tuple(row[col] * inv for row in diff)
+        phi = tuple(diff[p])
+        if any(x != a * f for row, a in zip(diff, root) for x, f in zip(row, phi)):
+            continue
+        if _ONE - sum((f * a for f, a in zip(phi, root)), _ZERO) != theta:
             raise InternalConsistencyError("root line is not an eigenline")
-        out.append(ReflectionData(idx, mat, theta, root))
+        out.append(ReflectionData(idx, mat, theta, root, phi))
     return out
 
 
@@ -283,7 +290,7 @@ def group_from_json(obj, cap: int = 10000) -> GroupRep:
         dimension = int(obj["dimension"])
         conductor = int(obj["conductor"])
         raw_gens = obj["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad group encoding: {exc}") from exc
     if dimension < 1 or conductor < 1 or not isinstance(raw_gens, list) or not raw_gens:
         raise InvalidInputError("group needs a dimension, conductor, and generators")

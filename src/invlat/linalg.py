@@ -69,10 +69,6 @@ def _eliminate(target, factor, row, support):
         target[j] = target[j] - factor * row[j]
 
 
-def matvec(mat, vec):
-    return [sum((a * b for a, b in zip(row, vec)), _zero_of(row[0])) for row in mat]
-
-
 def matmul(a, b):
     cols = list(zip(*b))
     return [[sum((x * y for x, y in zip(row, col)), _zero_of(row[0])) for col in cols] for row in a]

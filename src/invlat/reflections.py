@@ -3,7 +3,9 @@
 Splits an invariant lattice across the root lines of n generating
 reflections, certifies the finite-index sublattice generated by the line
 lattices, computes exact cycle multipliers and their CM consequences, and
-assembles the isogeny graph of the line tori.
+assembles the isogeny graph of the line tori.  Every stage reads the
+factorizations id - r = alpha * phi recorded by the reflection scan, through
+the root functional matrix A[k][j] = phi_k(alpha_j); none rebuilds id - r.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .lattices import (
     RankTwoLattice,
     ZLattice,
     intersect_with_subspace,
-    lattice_from_generators,
     lattice_index,
     lattice_sum,
     multiplier_ring,
@@ -96,14 +97,12 @@ class ReflectionDecomposition:
     lines: tuple  # LineLattice per root line
     sublattice: ZLattice  # sum of the line lattices
     index: int  # [ambient : sublattice]
-    s_matrix: tuple  # sum of (id - r_j)
-    s_det: CycNum
+    s_det: CycNum  # det of s = sum of (id - r_j) = sum of alpha_j phi_j
 
 
 def _scalar_along_root(root, vector):
-    """The scalar a with vector = a*root, or None."""
-    pivot = next(p for p, x in enumerate(root) if not x.is_zero())
-    a = vector[pivot] / root[pivot]
+    """The scalar a with vector = a*root, or None; the root leads with 1."""
+    a = vector[next(p for p, x in enumerate(root) if not x.is_zero())]
     if all((x - a * y).is_zero() for x, y in zip(vector, root)):
         return a
     return None
@@ -140,51 +139,24 @@ def line_lattice_decomposition(lattice: ZLattice, refs) -> ReflectionDecompositi
     index = lattice_index(lattice, sub)
     if index is inf:
         raise InternalConsistencyError("line-lattice sum has deficient rank")
-    identity = mat_identity(n)
     zero = CycNum.rational(0)
-    s = [[zero] * n for _ in range(n)]
-    for ref in refs:
-        for i in range(n):
-            for j in range(n):
-                s[i][j] = s[i][j] + identity[i][j] - ref.matrix[i][j]
-    s_det = linalg.det([list(row) for row in s])
+    s = [
+        [sum((r.root[i] * r.functional[j] for r in refs), zero) for j in range(n)]
+        for i in range(n)
+    ]
+    s_det = linalg.det(s)
     if s_det.is_zero():
         raise InternalConsistencyError("sum of (id - r_j) is degenerate")
-    return ReflectionDecomposition(
-        lattice,
-        refs,
-        tuple(lines),
-        sub,
-        index,
-        tuple(tuple(row) for row in s),
-        s_det,
-    )
+    return ReflectionDecomposition(lattice, refs, tuple(lines), sub, index, s_det)
 
 
 def root_functional_matrix(refs):
-    """A[k][j] = phi_k(alpha_j), where id - r_k = alpha_k phi_k has rank one.
-
-    The root alpha_k has a 1 at its first nonzero entry p, so phi_k is row p
-    of id - r_k; the factorization is checked entry by entry.
-    """
-    n = len(refs[0].root)
-    identity = mat_identity(n)
-    phis = []
-    for ref in refs:
-        alpha = ref.root
-        p = next(i for i, x in enumerate(alpha) if not x.is_zero())
-        phi = [identity[p][q] - ref.matrix[p][q] for q in range(n)]
-        for i in range(n):
-            for q in range(n):
-                if identity[i][q] - ref.matrix[i][q] != alpha[i] * phi[q]:
-                    raise InternalConsistencyError(
-                        "id - r is not its root times a functional"
-                    )
-        phis.append(phi)
+    """A[k][j] = phi_k(alpha_j), read off the factorizations
+    id - r_k = alpha_k phi_k that the reflection scan recorded."""
     zero = CycNum.rational(0)
     return tuple(
-        tuple(sum((f * x for f, x in zip(phi, ref.root)), zero) for ref in refs)
-        for phi in phis
+        tuple(sum((f * x for f, x in zip(k.functional, j.root)), zero) for j in refs)
+        for k in refs
     )
 
 
@@ -275,13 +247,11 @@ def cm_from_scan(dec: ReflectionDecomposition, scanned):
 class IsogenyEdge:
     source: int
     target: int
-    image: ZLattice  # (id - r_target)(line lattice of source)
-    index: int  # [line lattice of target : image]
+    index: int  # [line lattice of target : (id - r_target)(line lattice of source)]
 
 
 @dataclass(frozen=True)
 class IsogenyGraph:
-    nodes: int
     edges: tuple  # IsogenyEdge, both directions listed
     connected: bool
 
@@ -292,39 +262,38 @@ def isogeny_graph(dec: ReflectionDecomposition) -> IsogenyGraph:
     Every reflection is unitary for the invariant Hermitian form, so
     phi_k(alpha_j) is a nonzero multiple of <alpha_k, alpha_j>: the edges join
     the non-orthogonal root lines, and the zero pattern of A is symmetric.
+    id - r_k maps a*alpha_j to a*A[k][j]*alpha_k, so the image of line j is
+    A[k][j] times its scalar lattice, read along root k.  The edge's
+    containment and index come from the coordinates of the two image
+    scalars in line k's scalar lattice: both integral, and the index is the
+    absolute 2x2 determinant.
     """
+    if any(line.scalars is None for line in dec.lines):
+        raise InvalidInputError("isogeny graph needs line lattices of rank 2")
     n = len(dec.reflections)
     a = root_functional_matrix(dec.reflections)
     if any(a[k][j].is_zero() != a[j][k].is_zero() for j in range(n) for k in range(j)):
         raise InternalConsistencyError(
             "root functional matrix has an asymmetric zero pattern"
         )
-    identity = mat_identity(dec.ambient.dim)
     edges = []
     adjacency = {j: set() for j in range(n)}
     for j in range(n):
+        source = dec.lines[j].scalars
         for k in range(n):
             if j == k or a[k][j].is_zero():
                 continue
-            rk = dec.reflections[k]
-            mat = [
-                [identity[p][q] - rk.matrix[p][q] for q in range(dec.ambient.dim)]
-                for p in range(dec.ambient.dim)
-            ]
-            images = [
-                tuple(linalg.matvec(mat, list(v)))
-                for v in dec.lines[j].lattice.vectors()
-            ]
-            for w in images:
-                if not dec.lines[k].lattice.contains(w):
-                    raise InternalConsistencyError(
-                        "reflection image left the target line lattice"
-                    )
-            image_lattice = lattice_from_generators(images, dim=dec.ambient.dim)
-            idx = lattice_index(dec.lines[k].lattice, image_lattice)
-            if idx is inf:
+            target = dec.lines[k].scalars
+            rows = [target.coords_of(a[k][j] * g) for g in (source.g1, source.g2)]
+            if any(r is None or any(c.denominator != 1 for c in r) for r in rows):
+                raise InternalConsistencyError(
+                    "reflection image left the target line lattice"
+                )
+            (x1, y1), (x2, y2) = rows
+            idx = abs(int(x1 * y2 - x2 * y1))
+            if idx == 0:
                 raise InternalConsistencyError("isogeny witness dropped rank")
-            edges.append(IsogenyEdge(j, k, image_lattice, idx))
+            edges.append(IsogenyEdge(j, k, idx))
             adjacency[j].add(k)
             adjacency[k].add(j)
     seen = {0}
@@ -339,7 +308,7 @@ def isogeny_graph(dec: ReflectionDecomposition) -> IsogenyGraph:
         raise InternalConsistencyError(
             "isogeny graph disconnected for an irreducible group"
         )
-    return IsogenyGraph(n, tuple(edges), connected)
+    return IsogenyGraph(tuple(edges), connected)
 
 
 @dataclass(frozen=True)

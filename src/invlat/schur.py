@@ -183,25 +183,31 @@ def _orbit_span(group: GroupRep, vector, conductor: int):
     return [tuple(r) for r in reduced]
 
 
+# Each descent pass tries every basis vector and RANDOM_COMBOS seeded random
+# combinations of them; the descent ends after REQUIRED_STABLE_PASSES
+# consecutive passes find no smaller span.
+RANDOM_COMBOS = 8
+REQUIRED_STABLE_PASSES = 2
+
+
 def schur_index(
     group: GroupRep,
     degree: int,
     start=None,
     seed: int = 0,
-    random_combos: int = 8,
-    required_stable_passes: int = 2,
     known_index: int | None = None,
 ) -> SchurWitness:
     """Schur index via descent to a minimal rational orbit span.
 
     Starting from the rational span of one G-orbit (closed from the
     generators by `_orbit_span`), regenerate from each basis vector and from
-    seeded random small-integer combinations, keeping any strictly smaller
-    span, until the required number of consecutive passes makes no progress.
-    The stable-pass count is recorded on the witness: the descent certifies an
-    upper bound that is exact whenever the final module is simple, which a
-    stable pass supports but does not unconditionally prove.  `degree` is the
-    degree of the character field, which `classify_character_field` gives.
+    RANDOM_COMBOS seeded random small-integer combinations, keeping any
+    strictly smaller span, until REQUIRED_STABLE_PASSES consecutive passes
+    make no progress.  The stable-pass count is recorded on the witness: the
+    descent certifies an upper bound that is exact whenever the final module
+    is simple, which a stable pass supports but does not unconditionally
+    prove.  `degree` is the degree of the character field, which
+    `classify_character_field` gives.
 
     `known_index` is an index that theory has already fixed (see
     `character_profile`).  Every nonzero G-stable rational subspace then has
@@ -224,10 +230,10 @@ def schur_index(
     settled = None if known_index is None else known_index * degree * n
     rng = random.Random(seed)
     stable = 0
-    while stable < required_stable_passes and len(basis) != settled:
+    while stable < REQUIRED_STABLE_PASSES and len(basis) != settled:
         improved = False
         candidates = [reassemble(n, conductor, row) for row in basis]
-        for _ in range(random_combos):
+        for _ in range(RANDOM_COMBOS):
             coeffs = [rng.randint(-3, 3) for _ in basis]
             if all(c == 0 for c in coeffs):
                 coeffs[rng.randrange(len(basis))] = 1
@@ -268,7 +274,7 @@ def schur_index(
         is_form = complex_rank == n and stable_under_g
         if not is_form:
             raise InternalConsistencyError("index-1 witness failed the field-form check")
-    return SchurWitness(m, dim, witness, required_stable_passes, is_form)
+    return SchurWitness(m, dim, witness, REQUIRED_STABLE_PASSES, is_form)
 
 
 def gcd_kernel_shortcut(group: GroupRep):

@@ -9,7 +9,28 @@ from invlat import linalg
 from invlat.cyclotomic import CycNum, cyclotomic_polynomial, divisors, euler_phi
 from invlat.errors import InternalConsistencyError
 from invlat.groups import apply, as_matrix, character, invariant_hermitian, mat_identity
-from invlat.lattices import ZLattice, flatten, lattice_from_generators, reassemble
+from invlat.lattices import (
+    ZLattice,
+    flatten,
+    lattice_from_generators,
+    lattice_index,
+    reassemble,
+)
+
+
+def matvec(mat, vec):
+    """The dense product mat * vec, one sum of products per row."""
+    return [sum((a * b for a, b in zip(row, vec)), row[0] * 0) for row in mat]
+
+
+def real_part(x: CycNum) -> CycNum:
+    """(x + conj(x)) / 2."""
+    return (x + x.conjugate()) / 2
+
+
+def skew_part(x: CycNum) -> CycNum:
+    """(x - conj(x)) / 2, i.e. i times the imaginary part; stays in the field."""
+    return (x - x.conjugate()) / 2
 
 
 def mat_mul(a, b):
@@ -125,7 +146,7 @@ def is_discrete_by_vector_split(lattice):
     vecs = vectors_by_cycnum_combination(lattice)
     if not vecs:
         return True
-    split = [[x.real_part() for x in v] + [x.skew_part() for x in v] for v in vecs]
+    split = [[real_part(x) for x in v] + [skew_part(x) for x in v] for v in vecs]
     return linalg.rank(split) == len(vecs)
 
 
@@ -222,7 +243,7 @@ def orbit_span_all_elements(group, vector, conductor):
     rows = []
     for mat in group.elements:
         row = []
-        for entry in linalg.matvec(mat, vector):
+        for entry in matvec(mat, vector):
             row.extend(entry.coords_at(conductor))
         rows.append(row)
     reduced, _ = linalg.rref(rows)
@@ -233,7 +254,7 @@ def orbit_lattice_all_elements(group, seeds):
     """Integer span of g*s for every one of the |G| elements g and every seed
     s, in one lattice construction.  The library closes the same lattice from
     the generators."""
-    images = [tuple(linalg.matvec(g, list(s))) for g in group.elements for s in seeds]
+    images = [tuple(matvec(g, list(s))) for g in group.elements for s in seeds]
     return lattice_from_generators(images, dim=group.dimension)
 
 
@@ -275,12 +296,61 @@ def cycle_multiplier_by_matrices(refs, cycle):
     for j in reversed(cycle[1:]):
         op = linalg.matmul(op, one_minus(refs[j]))
     root = list(refs[cycle[0]].root)
-    image = linalg.matvec(op, root)
+    image = matvec(op, root)
     pivot = next(p for p, x in enumerate(root) if not x.is_zero())
     value = image[pivot] / root[pivot]
     assert image == [value * x for x in root], "cycle operator moved the root line"
     assert sum((op[i][i] for i in range(n)), CycNum.rational(0)) == value
     return value
+
+
+def root_functional_matrix_by_factoring(refs):
+    """A[k][j] = phi_k(alpha_j), with phi_k taken as row p of id - r_k, where
+    the root alpha_k has its leading 1, and id - r_k = alpha_k phi_k checked
+    entry by entry against the matrix.  The library reads the functional the
+    reflection scan recorded."""
+    n = len(refs[0].root)
+    identity = mat_identity(n)
+    phis = []
+    for ref in refs:
+        alpha = ref.root
+        p = next(i for i, x in enumerate(alpha) if not x.is_zero())
+        phi = [identity[p][q] - ref.matrix[p][q] for q in range(n)]
+        for i in range(n):
+            for q in range(n):
+                assert identity[i][q] - ref.matrix[i][q] == alpha[i] * phi[q], (
+                    "id - r is not its root times a functional"
+                )
+        phis.append(phi)
+    zero = CycNum.rational(0)
+    return tuple(
+        tuple(sum((f * x for f, x in zip(phi, ref.root)), zero) for ref in refs)
+        for phi in phis
+    )
+
+
+def isogeny_edges_by_images(dec):
+    """{(j, k): index} over the ordered pairs of distinct root lines where
+    id - r_k does not kill line j: the images of line j's lattice vectors under
+    the dense id - r_k must lie in line k's lattice, and the index is
+    [line k : the lattice they generate].  The library reads both off the
+    scalar lattices of the lines and the root functional matrix."""
+    n = dec.ambient.dim
+    identity = mat_identity(n)
+    out = {}
+    for j, source in enumerate(dec.lines):
+        for k, target in enumerate(dec.lines):
+            if j == k:
+                continue
+            rk = dec.reflections[k].matrix
+            op = [[identity[p][q] - rk[p][q] for q in range(n)] for p in range(n)]
+            images = [tuple(matvec(op, list(v))) for v in source.lattice.vectors()]
+            if all(x.is_zero() for w in images for x in w):
+                continue
+            assert all(target.lattice.contains(w) for w in images)
+            image = lattice_from_generators(images, dim=n)
+            out[(j, k)] = lattice_index(target.lattice, image)
+    return out
 
 
 def hermitian_inner(gram, u, v) -> CycNum:

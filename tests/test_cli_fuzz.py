@@ -1,0 +1,100 @@
+"""`invlat analyze FILE --json --cap 64` on random group JSON documents.
+
+The documents have dimension 1-3 and at most 3 generators.  Their entries are
+ints, 'p/q' and 'zN^k' strings and {"conductor", "coeffs"} dicts, with junk
+values and missing keys mixed in.  Monomial generators (a permutation times a
+diagonal of roots of unity) make finite groups, so the analysis itself runs
+as well as the input checks and the closure cap.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from invlat.cli import main
+
+CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 12]
+
+junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=True),
+    st.text(max_size=6),
+    st.just([]),
+    st.just({}),
+    st.integers(min_value=10**20, max_value=10**40),
+    st.sampled_from(["1/0", {"conductor": 3, "coeffs": [[1, 0]]}]),
+)
+
+roots = st.builds(
+    lambda sign, n, k: f"{sign}z{n}^{k}",
+    st.sampled_from(["", "-"]),
+    st.sampled_from(CONDUCTORS),
+    st.integers(0, 12),
+)
+
+scalars = st.one_of(
+    st.integers(-2, 2),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 3), st.integers(1, 4)),
+    roots,
+    st.builds(
+        lambda n, coeffs: {"conductor": n, "coeffs": coeffs},
+        st.sampled_from(CONDUCTORS),
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 3)), max_size=5),
+    ),
+)
+
+
+def mostly(good, bad):
+    """good nine times in ten, bad otherwise."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 0 else good)
+
+
+@st.composite
+def matrices(draw, n, entries):
+    kind = draw(mostly(st.sampled_from(["dense", "monomial", "flat"]), st.just("ragged")))
+    if kind == "monomial":
+        perm = draw(st.permutations(range(n)))
+        diagonal = [draw(st.one_of(roots, st.sampled_from([1, -1]))) for _ in range(n)]
+        return [[diagonal[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if kind == "flat":
+        return [x for row in rows for x in row]
+    if kind == "ragged":
+        rows[draw(st.integers(0, n - 1))].append(draw(entries))
+    return rows
+
+
+@st.composite
+def group_documents(draw):
+    n = draw(st.integers(1, 3))
+    entries = draw(mostly(st.just(scalars), st.just(mostly(scalars, junk))))
+    doc = {
+        "dimension": draw(mostly(st.just(n), junk)),
+        "conductor": draw(mostly(st.sampled_from([120, 24, 12, 4, 1]), junk)),
+        "generators": [
+            draw(matrices(n, entries))
+            for _ in range(draw(mostly(st.integers(1, 3), st.just(0))))
+        ],
+    }
+    missing = draw(mostly(st.none(), st.sampled_from(sorted(doc))))
+    doc.pop(missing, None)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "group.json"
+
+
+@given(group_documents())
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+def test_analyze_exits_0_2_or_3_on_any_group_document(doc_path, doc):
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(["analyze", str(doc_path), "--json", "--cap", "64"])
+    assert code in (0, 2, 3), (doc, err.getvalue())

@@ -79,21 +79,26 @@ def test_reflection_scan_matches_rank_scan_oracle(oracle_groups):
         assert found == reflections_by_rank_scan(group), name
 
 
-def test_reflection_scan_rank_tests_only_trace_candidates(monkeypatch):
+def test_reflection_records_factor_id_minus_the_matrix(oracle_groups):
+    for name, group in oracle_groups:
+        n = group.dimension
+        identity = mat_identity(n)
+        for ref in find_reflections(group):
+            assert all(
+                identity[i][j] - ref.matrix[i][j] == ref.root[i] * ref.functional[j]
+                for i in range(n)
+                for j in range(n)
+            ), (name, ref.element_index)
+
+
+def test_reflection_scan_ranks_no_matrix(monkeypatch):
     group = group_from_json(GENERATED["G3-1-3"][0])
-    calls = []
-    real_rank = linalg.rank
-
-    def counting_rank(rows):
-        calls.append(rows)
-        return real_rank(rows)
-
-    monkeypatch.setattr(linalg, "rank", counting_rank)
-    refs = groups_module._scan_reflections(group)
+    for name in ("rank", "det"):
+        monkeypatch.setattr(linalg, name, lambda *a, name=name: pytest.fail(f"linalg.{name}"))
+    assert not hasattr(linalg, "matvec")
     # 33 of the 162 elements have chi(g) = 2 + theta with |theta| = 1, theta
-    # != 1; 15 of them are the reflections
-    assert len(calls) == 33
-    assert len(refs) == 15
+    # != 1; 15 of them factor as root times functional
+    assert len(groups_module._scan_reflections(group)) == 15
 
 
 def test_closure_inverts_no_matrix(monkeypatch):

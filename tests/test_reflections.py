@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from invlat import groups, reflections
+from invlat import groups, lattices, reflections
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, zeta
 from invlat.errors import InternalConsistencyError, InvalidInputError
@@ -25,7 +25,12 @@ from invlat.report import analyze
 from invlat.schur import classify_character_field
 
 from generated_groups import CARTAN_A4, GENERATED, weyl_from_cartan
-from oracles import cycle_multiplier_by_matrices, gram_edges
+from oracles import (
+    cycle_multiplier_by_matrices,
+    gram_edges,
+    isogeny_edges_by_images,
+    root_functional_matrix_by_factoring,
+)
 
 
 def std_lattice(n):
@@ -282,14 +287,49 @@ def test_geom_report_scans_to_the_default_bound(b2, b2_lattice, monkeypatch):
     assert cycles == [(0,), (1,)]
 
 
-def test_root_functional_matrix_checks_the_factorization(b2):
+def test_root_functional_matrix_diagonal_is_one_minus_theta(b2):
     refs = choose_generating_reflections(b2)
     a = root_functional_matrix(refs)
     assert [a[k][k] for k in range(2)] == [CycNum.rational(2)] * 2  # 1 - theta
-    # a root off the moved line breaks id - r = alpha phi
-    wrong = replace(refs[0], root=(CycNum.rational(1), CycNum.rational(5)))
-    with pytest.raises(InternalConsistencyError, match="root times a functional"):
-        root_functional_matrix((wrong, refs[1]))
+
+
+def test_root_functional_matrix_matches_factoring_oracle(reflection_cases):
+    for name, group, lattice in reflection_cases:
+        if lattice is None:
+            continue
+        refs = choose_generating_reflections(group)
+        assert root_functional_matrix(refs) == root_functional_matrix_by_factoring(refs), name
+
+
+def test_isogeny_graph_matches_dense_image_oracle(reflection_cases):
+    for name, group, lattice in reflection_cases:
+        if lattice is None:
+            continue
+        dec = line_lattice_decomposition(lattice, choose_generating_reflections(group))
+        edges = {(e.source, e.target): e.index for e in isogeny_graph(dec).edges}
+        assert edges == isogeny_edges_by_images(dec), name
+
+
+def test_isogeny_graph_builds_no_lattice(g4, g4_lattice, monkeypatch):
+    dec = line_lattice_decomposition(g4_lattice, choose_generating_reflections(g4))
+    for module, name in [
+        (lattices, "lattice_from_generators"),
+        (lattices, "lattice_index"),
+        (reflections, "lattice_index"),
+        (lattices.ZLattice, "contains"),
+    ]:
+        monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(name))
+    assert not hasattr(reflections, "lattice_from_generators")
+    graph = isogeny_graph(dec)
+    assert graph.connected
+    assert {(e.source, e.target) for e in graph.edges} == {(0, 1), (1, 0)}
+
+
+def test_isogeny_graph_needs_rank_two_lines(b2, b2_lattice):
+    dec = line_lattice_decomposition(b2_lattice, choose_generating_reflections(b2))
+    rank_one = replace(dec.lines[1], scalars=None, multiplier=None)
+    with pytest.raises(InvalidInputError, match="rank 2"):
+        isogeny_graph(replace(dec, lines=(dec.lines[0], rank_one)))
 
 
 def test_isogeny_graph_rejects_asymmetric_zero_pattern(b2, b2_lattice, monkeypatch):

@@ -1,10 +1,10 @@
 import json
-from types import SimpleNamespace
 
 import pytest
 
-from invlat import cyclotomic, groups, linalg, report
+from invlat import cyclotomic, groups, linalg, reflections, report
 from invlat.catalog import catalog_names, get_entry
+from invlat.cyclotomic import CycNum
 from invlat.cli import main
 from invlat.lattices import invariance_check, lattice_from_generators, lattice_from_json
 from invlat.errors import InvalidInputError
@@ -187,17 +187,37 @@ def test_cli_rejects_an_input_over_a_limit_with_exit_2(tmp_path, capsys, field, 
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dimension", float("inf")),
+        ("conductor", float("-inf")),
+        ("generators", [[{"conductor": 3, "coeffs": [[1, 1], [float("inf"), 1]]}]]),
+    ],
+)
+def test_cli_rejects_an_infinite_number_with_exit_2(tmp_path, capsys, field, value):
+    # json reads Infinity, and int() of it raises OverflowError
+    obj = {"dimension": 1, "conductor": 3, "generators": [[[1]]]}
+    obj[field] = value
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--json")
+    assert code == 2
+    assert "encoding" in err
+    assert out == ""
+
+
 def test_cli_reports_a_failed_library_check_as_exit_4(capsys, monkeypatch):
-    # a wrong determinant in groups.py breaks the reflection eigenline check
-    wrong_det = SimpleNamespace(
-        **{k: v for k, v in vars(linalg).items() if not k.startswith("__")}
+    # a root functional matrix whose zero pattern is not symmetric breaks
+    # the isogeny graph's check that the edges join non-orthogonal roots
+    one, nil = CycNum.rational(1), CycNum.rational(0)
+    monkeypatch.setattr(
+        reflections, "root_functional_matrix", lambda refs: ((one, one), (nil, one))
     )
-    wrong_det.det = lambda mat: linalg.det(mat) + 1
-    monkeypatch.setattr(groups, "linalg", wrong_det)
     code, out, err = run_cli(capsys, "analyze", "S3-standard")
     assert code == 4
     assert out == ""
-    assert "root line is not an eigenline" in err
+    assert "asymmetric zero pattern" in err
 
 
 def test_cli_reports_a_failed_minimal_polynomial_as_exit_4(capsys, monkeypatch):
