@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import CycNum, zeta, sqrt_rational
 from .errors import InvalidInputError
 from .groups import GroupRep, close_group
 from .quaternion import QuatAlgebra, QuatElement, lipschitz_lattice
+from .records import Record
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     kind: str  # "group" | "quaternion-torus"
     dimension: int

@@ -6,8 +6,9 @@ Verbs:
   construct NAME      build one invariant lattice by a named recipe
   decompose NAME      reflection-torus decomposition of the rank-2n lattice
 
-Exit codes: 0 success, 2 invalid input, 3 closure cap exceeded,
-4 internal consistency failure.
+Exit codes: 0 success, 1 stdout closed before the output was written,
+2 invalid input (a bad argument such as --cap below 1, or a bad group),
+3 closure cap exceeded, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -258,6 +259,16 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _closure_cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invlat",
@@ -272,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
         p.add_argument("--seed", type=int, default=0, help="seed for the module search")
         p.add_argument(
-            "--cap", type=int, default=10000,
-            help="group closure size limit (default 10000)",
+            "--cap", type=_closure_cap, default=10000,
+            help="group closure size limit, at least 1 (default 10000)",
         )
 
     p_an = sub.add_parser("analyze", help="full report for one input")
@@ -318,7 +329,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, as the Python docs advise for SIGPIPE, so
+        # the interpreter's last flush of the unwritten rest stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

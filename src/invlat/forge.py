@@ -8,7 +8,6 @@ splitting an order-stable lattice into a free module over a euclidean order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, lcm
 
@@ -29,13 +28,13 @@ from .lattices import (
     lattice_sum,
     scale_lattice,
 )
+from .records import Record
 from .schur import CharacterFieldClass, SchurWitness
 
 EUCLIDEAN_DISCRIMINANTS = (-3, -4, -7, -8, -11)
 
 
-@dataclass(frozen=True)
-class ImaginaryQuadraticOrder:
+class ImaginaryQuadraticOrder(Record):
     """The order Z[omega] of the stated discriminant, omega realized exactly."""
 
     discriminant: int
@@ -218,8 +217,7 @@ def order_saturate(lattice: ZLattice, order: ImaginaryQuadraticOrder) -> ZLattic
     return out
 
 
-@dataclass(frozen=True)
-class OrderSplit:
+class OrderSplit(Record):
     """A free-module basis over the order, with the per-line lattice factors."""
 
     order: ImaginaryQuadraticOrder

@@ -9,12 +9,12 @@ stages read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from . import linalg
 from .cyclotomic import MAX_CONDUCTOR, CycNum, as_cycnum, cyc_from_json, exact_sign
 from .errors import CapExceededError, InternalConsistencyError, InvalidInputError
+from .records import Record
 
 _ZERO, _ONE = CycNum.rational(0), CycNum.rational(1)
 
@@ -211,8 +211,7 @@ def invariant_hermitian(group: GroupRep):
     return gram
 
 
-@dataclass(frozen=True)
-class ReflectionData:
+class ReflectionData(Record):
     """A group element fixing a hyperplane pointwise, with the rank-one
     factorization id - matrix = root * functional.  Only the reflection scan
     makes these records, and it checks the factorization as it makes one."""

@@ -19,7 +19,6 @@ the multiplier-ring and isogeny machinery for elliptic-curve factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
@@ -28,6 +27,7 @@ from . import linalg
 from .cyclotomic import CycNum, as_cycnum, cyc_from_json, cyc_to_json
 from .errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
 from .groups import SparseMatrix, apply, as_matrix
+from .records import Record
 
 
 def flatten(vector, conductor):
@@ -56,8 +56,7 @@ def reassemble(dim, conductor, row):
     )
 
 
-@dataclass(frozen=True)
-class RationalSubspaceBasis:
+class RationalSubspaceBasis(Record):
     """Echelonized (reduced row echelon) basis of a rational subspace."""
 
     width: int
@@ -76,8 +75,7 @@ def _integer_rows(rows):
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
-@dataclass(frozen=True)
-class ZLattice:
+class ZLattice(Record):
     """Integer span of vectors in C^dim, in canonical form.
 
     The basis vectors are basis · span.rows / den.  The span rows are in
@@ -439,8 +437,7 @@ class RankTwoLattice:
         return f"RankTwoLattice({self.g1}, {self.g2})"
 
 
-@dataclass(frozen=True)
-class MultiplierRing:
+class MultiplierRing(Record):
     """{c : c L <= L} for a rank-two lattice L: either Z or an imaginary
     quadratic order, described by discriminant, conductor inside the maximal
     order, and an explicit generator."""

@@ -12,7 +12,6 @@ multiplication table of its Z-basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -21,10 +20,10 @@ from .cyclotomic import CycNum, as_cycnum, common_conductor
 from .errors import InternalConsistencyError, InvalidInputError
 from .forge import OrderSplit
 from .lattices import ZLattice, fundamental_discriminant, lattice_from_generators
+from .records import Record
 
 
-@dataclass(frozen=True)
-class QuatAlgebra:
+class QuatAlgebra(Record):
     """The rational algebra with i^2 = a, j^2 = b, ij = -ji = k."""
 
     a: Fraction
@@ -53,8 +52,7 @@ class QuatAlgebra:
         )
 
 
-@dataclass(frozen=True)
-class QuatElement:
+class QuatElement(Record):
     """Quaternion with exact real-cyclotomic coordinates."""
 
     algebra: QuatAlgebra
@@ -138,8 +136,7 @@ def is_order(algebra: QuatAlgebra, lattice: ZLattice) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SubfieldWitness:
+class SubfieldWitness(Record):
     t: Fraction  # square of the witness, negative
     witness: QuatElement  # pure quaternion with witness^2 = t
     field_discriminant: int
@@ -193,8 +190,7 @@ def imaginary_quadratic_subfield(algebra: QuatAlgebra, bound: int = 1):
     return None
 
 
-@dataclass(frozen=True)
-class QuatTorus:
+class QuatTorus(Record):
     algebra: QuatAlgebra
     lattice: ZLattice
     c: QuatElement
@@ -261,8 +257,7 @@ def build_quat_torus(algebra: QuatAlgebra, lattice: ZLattice, c: QuatElement) ->
     return QuatTorus(algebra, lattice, c, j, rational_dir, direction, disc)
 
 
-@dataclass(frozen=True)
-class EndomorphismRing:
+class EndomorphismRing(Record):
     rank: int
     structure_tag: str  # order-in-definite-quaternion | order-in-M2-of-imaginary-quadratic | other
     abelian: bool | None
@@ -453,8 +448,7 @@ def _classify_rank8(
     )
 
 
-@dataclass(frozen=True)
-class RatLVerdict:
+class RatLVerdict(Record):
     branch: str  # "orthogonal" | "symplectic"
     abelian: bool | None
     detail: str

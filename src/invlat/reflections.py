@@ -10,7 +10,6 @@ the root functional matrix A[k][j] = phi_k(alpha_j); none rebuilds id - r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import inf
 
@@ -33,6 +32,7 @@ from .lattices import (
     lattice_sum,
     multiplier_ring,
 )
+from .records import Record
 from .schur import CharacterFieldClass
 
 
@@ -75,8 +75,7 @@ def choose_generating_reflections(group: GroupRep):
     )
 
 
-@dataclass(frozen=True)
-class LineLattice:
+class LineLattice(Record):
     """The intersection of the invariant lattice with one root line."""
 
     line_index: int
@@ -90,8 +89,7 @@ class LineLattice:
         return self.lattice.rank
 
 
-@dataclass(frozen=True)
-class ReflectionDecomposition:
+class ReflectionDecomposition(Record):
     ambient: ZLattice
     reflections: tuple
     lines: tuple  # LineLattice per root line
@@ -161,28 +159,36 @@ def root_functional_matrix(refs):
 
 
 MAX_CYCLES = 100_000  # cycles one reflection scan may enumerate
+# Their lengths summed: the products the scan forms and the indices the report
+# lists.  Only one reflection (n = 1) reaches it before MAX_CYCLES, where the
+# cycle count grows linearly in the bound and this sum quadratically.
+MAX_CYCLE_ENTRIES = 1_000_000
 
 
 def _scan_fits(n: int, bound: int) -> bool:
     """True when the scan of lengths 1..bound over n reflections enumerates
-    at most MAX_CYCLES cycles (n + n^2 + ... + n^bound)."""
-    count, term = 0, 1
-    for _ in range(bound):
+    at most MAX_CYCLES cycles (n + n^2 + ... + n^bound) and at most
+    MAX_CYCLE_ENTRIES entries in them (n + 2 n^2 + ... + bound n^bound)."""
+    count = entries = 0
+    term = 1
+    for length in range(1, bound + 1):
         term *= n
         count += term
-        if count > MAX_CYCLES:
+        entries += length * term
+        if count > MAX_CYCLES or entries > MAX_CYCLE_ENTRIES:
             return False
     return True
 
 
 def check_cycle_bound(n: int, bound: int) -> None:
-    """Reject a cycle bound below 1, or one whose scan exceeds MAX_CYCLES."""
+    """Reject a cycle bound below 1, or one whose scan exceeds MAX_CYCLES
+    cycles or MAX_CYCLE_ENTRIES entries."""
     if bound < 1:
         raise InvalidInputError(f"cycle bound must be at least 1, got {bound}")
     if not _scan_fits(n, bound):
         raise InvalidInputError(
             f"cycle bound {bound} scans more than {MAX_CYCLES} cycles "
-            f"of {n} reflections"
+            f"or {MAX_CYCLE_ENTRIES} cycle entries of {n} reflections"
         )
 
 
@@ -217,8 +223,7 @@ def scan_cycle_multipliers(refs, bound: int):
     return out
 
 
-@dataclass(frozen=True)
-class CmRecord:
+class CmRecord(Record):
     cycle: tuple
     value: CycNum
     line_index: int
@@ -243,15 +248,13 @@ def cm_from_scan(dec: ReflectionDecomposition, scanned):
     return None
 
 
-@dataclass(frozen=True)
-class IsogenyEdge:
+class IsogenyEdge(Record):
     source: int
     target: int
     index: int  # [line lattice of target : (id - r_target)(line lattice of source)]
 
 
-@dataclass(frozen=True)
-class IsogenyGraph:
+class IsogenyGraph(Record):
     edges: tuple  # IsogenyEdge, both directions listed
     connected: bool
 
@@ -311,8 +314,7 @@ def isogeny_graph(dec: ReflectionDecomposition) -> IsogenyGraph:
     return IsogenyGraph(tuple(edges), connected)
 
 
-@dataclass(frozen=True)
-class GeomReport:
+class GeomReport(Record):
     decomposition: ReflectionDecomposition
     graph: IsogenyGraph
     multipliers: tuple  # (cycle, value) pairs scanned

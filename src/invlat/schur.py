@@ -10,7 +10,6 @@ invariant-lattice ranks can exist.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -19,10 +18,10 @@ from .cyclotomic import CycNum, common_conductor
 from .errors import InternalConsistencyError, InvalidInputError
 from .groups import GroupRep, apply, character, character_norm, mat_identity
 from .lattices import flatten, fundamental_discriminant, reassemble
+from .records import Record
 
 
-@dataclass(frozen=True)
-class CharacterFieldClass:
+class CharacterFieldClass(Record):
     """The field generated over the rationals by all character values."""
 
     kind: str  # "rational" | "imaginary-quadratic" | "other"
@@ -32,14 +31,12 @@ class CharacterFieldClass:
     generator: CycNum | None  # a single field generator when degree is 2
 
 
-@dataclass(frozen=True)
-class BilinearFormType:
+class BilinearFormType(Record):
     kind: str  # "orthogonal" | "symplectic" | "complex"
     indicator: int  # 1, -1, or 0
 
 
-@dataclass(frozen=True)
-class SchurWitness:
+class SchurWitness(Record):
     index: int
     module_dimension: int
     basis: tuple  # complex vectors spanning the minimal module found
@@ -47,8 +44,7 @@ class SchurWitness:
     is_field_form: bool  # for index 1: basis is G-stable with full complex span
 
 
-@dataclass(frozen=True)
-class CharacterProfile:
+class CharacterProfile(Record):
     field: CharacterFieldClass
     bilinear: BilinearFormType
     schur: SchurWitness
@@ -59,8 +55,7 @@ class CharacterProfile:
         return self.schur.index
 
 
-@dataclass(frozen=True)
-class LatticeVerdict:
+class LatticeVerdict(Record):
     exists_any: bool
     exists_rank_n: bool
     exists_rank_2n: bool

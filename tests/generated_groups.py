@@ -52,19 +52,30 @@ def imprimitive(m: int, n: int) -> dict:
     return {"conductor": m, "dimension": n, "generators": gens}
 
 
+# Generators of Q8 and D8 on C^2, with entries as group JSON strings.
+Q8_GENS = ([["z4", "0"], ["0", "-z4"]], [["0", "1"], ["-1", "0"]])
+D8_GENS = ([["-1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]])
+
+
+def kron_identity(g, left: bool):
+    """g (x) I2 when left, else I2 (x) g, for a 2x2 matrix g of JSON entries,
+    as a Kronecker product with rows and columns indexed 2p + r."""
+    return [[(g[p][q] if r == s else "0") if left else (g[r][s] if p == q else "0")
+             for q in range(2) for s in range(2)]
+            for p in range(2) for r in range(2)]
+
+
+def tensor_group(first, second, conductor: int) -> dict:
+    """The central product of two groups on C^2, acting on C^2 (x) C^2."""
+    gens = [kron_identity(g, True) for g in first]
+    gens += [kron_identity(g, False) for g in second]
+    return {"conductor": conductor, "dimension": 4, "generators": gens}
+
+
 def extraspecial_minus_4() -> dict:
     """2^{1+4}_- = Q8 o D8: Q8's generators (x) I2, and I2 (x) diag(-1, 1),
-    I2 (x) swap, as Kronecker products with rows and columns indexed 2p + r."""
-    q8 = ([["z4", "0"], ["0", "-z4"]], [["0", "1"], ["-1", "0"]])
-    d8 = ([["-1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]])
-
-    def kron(entry):
-        return [[entry(p, q, r, s) for q in range(2) for s in range(2)]
-                for p in range(2) for r in range(2)]
-
-    gens = [kron(lambda p, q, r, s, g=g: g[p][q] if r == s else "0") for g in q8]
-    gens += [kron(lambda p, q, r, s, g=g: g[r][s] if p == q else "0") for g in d8]
-    return {"conductor": 4, "dimension": 4, "generators": gens}
+    I2 (x) swap."""
+    return tensor_group(Q8_GENS, D8_GENS, 4)
 
 
 # snapshot name -> (group JSON, order of the closure)

@@ -5,6 +5,12 @@ ints, 'p/q' and 'zN^k' strings and {"conductor", "coeffs"} dicts, with junk
 values and missing keys mixed in.  Monomial generators (a permutation times a
 diagonal of roots of unity) make finite groups, so the analysis itself runs
 as well as the input checks and the closure cap.
+
+A second fuzz draws the arguments instead: `analyze`, `decompose` and
+`construct` on catalog entries, with integers and junk text for `--cap`,
+`--seed` and `--cycle-bound`, and recipes and scalars for `--recipe` and
+`--c`.  An argument argparse rejects ends in SystemExit(2), which counts as
+exit code 2.
 """
 
 import io
@@ -15,6 +21,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invlat.catalog import catalog_names
 from invlat.cli import main
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 12]
@@ -98,3 +105,42 @@ def test_analyze_exits_0_2_or_3_on_any_group_document(doc_path, doc):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         code = main(["analyze", str(doc_path), "--json", "--cap", "64"])
     assert code in (0, 2, 3), (doc, err.getvalue())
+
+
+numbers = st.one_of(
+    st.integers(-3, 40),
+    st.integers(-10**6, 10**6),
+    st.integers(min_value=10**20, max_value=10**40),
+)
+int_args = st.one_of(numbers.map(str), mostly(st.text(max_size=4), st.just("")))
+
+
+@st.composite
+def command_lines(draw):
+    verb = draw(st.sampled_from(["analyze", "decompose", "construct"]))
+    argv = [verb, draw(st.sampled_from(catalog_names()))]
+    options = {"--cap": int_args, "--seed": int_args}
+    if verb == "construct":
+        options["--recipe"] = mostly(st.sampled_from(["Zn", "ds", "O", "saturate"]),
+                                     st.text(max_size=4))
+        options["--c"] = mostly(st.one_of(scalars.map(str), roots), st.text(max_size=6))
+    else:
+        options["--cycle-bound"] = int_args
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(command_lines())
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+def test_commands_exit_0_2_or_3_on_any_arguments(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected an argument
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

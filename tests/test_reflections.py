@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from invlat import groups, lattices, reflections
@@ -9,6 +7,7 @@ from invlat.errors import InternalConsistencyError, InvalidInputError
 from invlat.forge import extend_rank_2n, maximal_order, orbit_lattice_over_order, order_saturate
 from invlat.groups import close_group, group_from_json, mat_identity
 from invlat.lattices import lattice_from_generators, lattice_from_json, scale_lattice
+from invlat.records import replace
 from invlat.reflections import (
     MAX_CYCLES,
     check_cycle_bound,

@@ -1,4 +1,10 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -378,9 +384,12 @@ def test_cycle_bound_limits_the_scan_size():
     # the default bound n + 1 scans at most 1364 cycles (n = 4, Weyl A4)
     for n in range(1, 5):
         check_cycle_bound(n, n + 1)
-    check_cycle_bound(1, MAX_CYCLES)
-    check_cycle_bound(2, 15)  # 2 + 4 + ... + 2^15 = 65534 cycles
-    for n, bound in [(1, MAX_CYCLES + 1), (2, 16), (2, 40), (3, 10**18), (1, 0), (2, -3)]:
+    # one reflection: 1413 cycles of lengths 1..1413, 998991 entries; each
+    # entry is a product in the scan and an index in the report
+    check_cycle_bound(1, 1413)
+    check_cycle_bound(2, 15)  # 2 + 4 + ... + 2^15 = 65534 cycles, 917506 entries
+    for n, bound in [(1, 1414), (1, MAX_CYCLES), (1, 10**40), (2, 16), (2, 40),
+                     (3, 10**18), (1, 0), (2, -3)]:
         with pytest.raises(InvalidInputError):
             check_cycle_bound(n, bound)
 
@@ -404,3 +413,43 @@ def test_cli_cap_propagates(capsys):
     code, _, err = run_cli(capsys, "analyze", "S4-standard", "--cap", "10")
     assert code == 3
     assert err != ""
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "S3-standard"],
+    ["construct", "S3-standard", "--recipe", "Zn"],
+    ["decompose", "WeylB2"],
+])
+def test_cli_rejects_a_cap_below_1_with_exit_2(capsys, argv, cap):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cap", cap])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--cap" in captured.err and f"at least 1, got {cap}" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_ends_quietly_with_exit_1_on_a_closed_stdout():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "invlat.cli", "analyze", "S4-standard", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == ""  # no BrokenPipeError traceback
+
+
+def test_cli_output_to_a_string_buffer_is_unchanged(capsys):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["analyze", "S4-standard", "--json"])
+    assert code == 0
+    assert out.getvalue() == render_json(analyze("S4-standard")) + "\n"

@@ -26,7 +26,7 @@ from invlat.schur import (
 )
 
 
-from generated_groups import GENERATED
+from generated_groups import D8_GENS, GENERATED, Q8_GENS, tensor_group
 from oracles import (
     averaged_bilinear_form,
     five_starts,
@@ -362,3 +362,37 @@ def test_orbit_span_row_reduces_fewer_rows_than_the_group_order(monkeypatch):
     bound = group.dimension * euler_phi(group.conductor)
     assert sizes and max(sizes) <= bound < group.order
     assert len(span) <= bound
+
+
+# One group written two ways: the Schur index and the clause are invariants of
+# the character, and the characters in each pair are equal or Galois
+# conjugate.  The randomized descent misses the minimal module for the first
+# group of each pair (ROADMAP open item 1), so these fail until it is replaced.
+Z3_SCALAR = [["z3", "0"], ["0", "z3"]]
+SAME_GROUP_TWO_WAYS = {
+    # Q8 x C3 over conductor 12, and over Q(zeta3), where -1 = w + w^2 makes
+    # (-1,-1) split
+    "Q8xC3": (
+        {"conductor": 12, "dimension": 2, "generators": [*Q8_GENS, Z3_SCALAR]},
+        {"conductor": 3, "dimension": 2, "generators": [
+            [["-z3^2", "z3"], ["z3", "z3^2"]], Q8_GENS[1], Z3_SCALAR,
+        ]},
+    ),
+    # 2^{1+4}_+ as Q8 (x) Q8 and as D8 (x) D8
+    "extraspecial-plus": (tensor_group(Q8_GENS, Q8_GENS, 4), tensor_group(D8_GENS, D8_GENS, 1)),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the randomized Schur descent misses the "
+                   "minimal module, so the verdict depends on how the group is written")
+@pytest.mark.parametrize("pair", sorted(SAME_GROUP_TWO_WAYS))
+def test_schur_verdict_does_not_depend_on_how_the_group_is_written(pair):
+    first, second = SAME_GROUP_TWO_WAYS[pair]
+    for seed in range(4):
+        verdicts = [analyze(obj, seed=seed) for obj in (first, second)]
+        assert verdicts[0]["group"]["order"] == verdicts[1]["group"]["order"]
+        first_verdict, second_verdict = [
+            (r["profile"]["schur_index"], r["verdict"]["clause"]) for r in verdicts
+        ]
+        assert first_verdict == second_verdict, (pair, seed)
