@@ -207,6 +207,13 @@ def _cmd_construct(args) -> int:
             f"(clause {rep['verdict']['clause']}; built: {built})"
         )
     out = wanted[0]
+    if args.c is not None and out.get("scalar") != str(parse_scalar(args.c)):
+        # only the ds lattice of a rationally represented group takes --c
+        used = "no doubling scalar" if "scalar" not in out else f"scalar {out['scalar']}"
+        raise InvalidInputError(
+            f"--c {args.c} does not apply: the {out['recipe']} lattice of "
+            f"{entry.name} is built with {used}"
+        )
     if args.json:
         print(json.dumps(out, sort_keys=True, indent=2))
     else:

@@ -4,11 +4,17 @@ Three construction recipes (integral span of a rational form's orbit,
 doubling a rank-n lattice by a non-real scalar, and the orbit span over an
 imaginary-quadratic order), plus saturation to an order-stable lattice and
 splitting an order-stable lattice into a free module over a euclidean order.
+
+An order Z[omega] reads the coordinates (u, v) of x = u + v*omega from its
+rank-two lattice Z + Z*omega (`lattices.RankTwoLattice`).  A split writes the
+lattice as O*v_1 + ... + O*v_k, so every factor O*v_i is the order itself:
+the torus is isomorphic to the product of k copies of C/O.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import floor, lcm
 
 from . import linalg
@@ -52,26 +58,21 @@ class ImaginaryQuadraticOrder(Record):
         else:
             omega = (1 + sqrt_rational(Fraction(disc))) / 2
         order = cls(disc, omega, disc in EUCLIDEAN_DISCRIMINANTS)
-        u, v = order.field_coords(omega * omega)
-        if u.denominator != 1 or v.denominator != 1:
+        if not order.contains(omega * omega):
             raise InternalConsistencyError("omega^2 escaped Z[omega]")
         return order
 
+    @cached_property
+    def lattice(self) -> RankTwoLattice:
+        """The order as the rank-two lattice Z + Z*omega."""
+        return RankTwoLattice(1, self.generator)
+
     def field_coords(self, x):
-        """(u, v) rational with x = u + v*omega, or None if x is outside the field."""
-        x = as_cycnum(x)
-        conductor = common_conductor([x, self.generator])
-        basis = [CycNum.rational(1), self.generator]
-        sol = linalg.Span([y.coords_at(conductor) for y in basis]).coords(
-            x.coords_at(conductor)
-        )
-        if sol is None:
-            return None
-        return sol[0], sol[1]
+        """Rational [u, v] with x = u + v*omega, or None if x is outside the field."""
+        return self.lattice.coords_of(x)
 
     def contains(self, x) -> bool:
-        coords = self.field_coords(x)
-        return coords is not None and all(c.denominator == 1 for c in coords)
+        return self.lattice.contains(x)
 
     def norm(self, x) -> Fraction:
         x = as_cycnum(x)
@@ -106,11 +107,6 @@ class ImaginaryQuadraticOrder(Record):
             if self.norm(remainder) >= self.norm(beta):
                 raise InternalConsistencyError("euclidean division failed to shrink")
         return quotient, remainder
-
-
-def maximal_order(field_discriminant: int) -> ImaginaryQuadraticOrder:
-    disc = fundamental_discriminant(field_discriminant)
-    return ImaginaryQuadraticOrder.from_discriminant(disc)
 
 
 def _witness_vectors(witness):
@@ -218,11 +214,10 @@ def order_saturate(lattice: ZLattice, order: ImaginaryQuadraticOrder) -> ZLattic
 
 
 class OrderSplit(Record):
-    """A free-module basis over the order, with the per-line lattice factors."""
+    """A free-module basis over the order; each factor O*v_i is the order."""
 
     order: ImaginaryQuadraticOrder
     basis: tuple  # vectors v with L = O*v_1 + ... + O*v_k, direct
-    factors: tuple  # RankTwoLattice of each line, all equal to the order itself
 
 
 def split_as_order_module(lattice: ZLattice, order: ImaginaryQuadraticOrder) -> OrderSplit:
@@ -244,10 +239,12 @@ def split_as_order_module(lattice: ZLattice, order: ImaginaryQuadraticOrder) -> 
         [x for v in gens for x in v] + [omega]
     )
 
-    # rational span of u and omega*u over the field basis vectors u found
+    # rational span of u and omega*u over the field basis vectors u found; den
+    # clears the denominators of the coordinates (a, b) of every a + b*omega
     span = linalg.Span()
     field_basis = []
     rows = []
+    den = 1
     for w in gens:
         row = flatten(w, conductor)
         sol = span.coords(row)
@@ -257,6 +254,7 @@ def split_as_order_module(lattice: ZLattice, order: ImaginaryQuadraticOrder) -> 
             span.add(flatten(_scale_vector(omega, w), conductor))
             rows.append(None)
         else:
+            den = lcm(den, *(c.denominator for c in sol))
             rows.append(
                 [CycNum.rational(a) + omega * b for a, b in zip(sol[::2], sol[1::2])]
             )
@@ -275,12 +273,6 @@ def split_as_order_module(lattice: ZLattice, order: ImaginaryQuadraticOrder) -> 
         else:
             row = list(coords) + [zero] * (k - len(coords))
         mat.append(row)
-
-    den = 1
-    for row in mat:
-        for x in row:
-            u, v = order.field_coords(x)
-            den = lcm(den, u.denominator, v.denominator)
     mat = [[x * den for x in row] for row in mat]
 
     pivot_row = 0
@@ -317,5 +309,4 @@ def split_as_order_module(lattice: ZLattice, order: ImaginaryQuadraticOrder) -> 
     )
     if regenerated != lattice:
         raise InternalConsistencyError("order-module basis does not regenerate the lattice")
-    factors = tuple(RankTwoLattice(one, omega) for _ in basis)
-    return OrderSplit(order, tuple(basis), factors)
+    return OrderSplit(order, tuple(basis))

@@ -12,8 +12,13 @@ row v is extended by its conjugate to (v | conj v), which stays inside the
 cyclotomic field, and the rank of the extended rows must equal their
 number.  Every builder runs that check.
 
-RankTwoLattice models a lattice of rank 2 inside the complex line; it carries
-the multiplier-ring and isogeny machinery for elliptic-curve factors.
+RankTwoLattice is a lattice of rank 2 inside the complex line, the lattice of
+an elliptic-curve factor.  It is the one place that writes a number in a
+rank-two basis: the real coordinates of w = x + y*tau are read off by a
+closed formula, since tau is not real.  An imaginary-quadratic order
+(`forge.ImaginaryQuadraticOrder`) takes its coordinates from one, and
+`multiplier_ring` gives the order of multipliers of one, which also names the
+discriminant of an imaginary-quadratic character field.
 """
 
 from __future__ import annotations
@@ -390,40 +395,46 @@ def lattice_from_json(obj) -> ZLattice:
 
 
 class RankTwoLattice:
-    """Z g1 + Z g2 inside the complex plane, with g2/g1 not real."""
+    """Z g1 + Z g2 inside the complex plane, with tau = g2/g1 not real.
 
-    __slots__ = ("g1", "g2")
+    A complex number w is w = x + y*tau for unique real x and y: conjugating
+    gives w - conj(w) = y * (tau - conj(tau)), and tau - conj(tau) is not
+    zero.  So value / g1 lies in the rational span of 1 and tau exactly when
+    those x and y are rational.
+    """
+
+    __slots__ = ("g1", "g2", "_tau", "_skew_inverse")
 
     def __init__(self, g1, g2):
         g1, g2 = as_cycnum(g1), as_cycnum(g2)
         if g1.is_zero() or g2.is_zero():
             raise InvalidInputError("rank-two lattice needs nonzero generators")
         tau = g2 / g1
-        if tau.is_real():
+        skew = tau - tau.conjugate()
+        if skew.is_zero():
             raise NotDiscreteError("generators are dependent over the reals")
         self.g1 = g1
         self.g2 = g2
+        self._tau = tau
+        self._skew_inverse = skew.inverse()
 
     def tau(self) -> CycNum:
-        return self.g2 / self.g1
+        return self._tau
 
     def coords_of(self, value):
-        """Rational (x, y) with value = x*g1 + y*g2, or None."""
-        value = as_cycnum(value)
-        _, (g1, g2, row) = expand_vectors([(self.g1,), (self.g2,), (value,)])
-        return linalg.Span([g1, g2]).coords(row)
+        """Rational [x, y] with value = x*g1 + y*g2, or None."""
+        w = as_cycnum(value) / self.g1
+        y = (w - w.conjugate()) * self._skew_inverse
+        if not y.is_rational():
+            return None
+        x = w - y * self._tau
+        if not x.is_rational():
+            return None
+        return [x.as_fraction(), y.as_fraction()]
 
     def contains(self, value) -> bool:
         coords = self.coords_of(value)
         return coords is not None and all(c.denominator == 1 for c in coords)
-
-    def same_lattice(self, other) -> bool:
-        return (
-            self.contains(other.g1)
-            and self.contains(other.g2)
-            and other.contains(self.g1)
-            and other.contains(self.g2)
-        )
 
     def __eq__(self, other):
         if not isinstance(other, RankTwoLattice):
@@ -487,20 +498,3 @@ def multiplier_ring(gamma: RankTwoLattice) -> MultiplierRing:
     d0 = fundamental_discriminant(disc)
     cond = isqrt(disc // d0)
     return MultiplierRing("order", disc, d0, cond, f * tau)
-
-
-def isogeny_test(a: RankTwoLattice, b: RankTwoLattice):
-    """A nonzero c with c * (rational span of b) = rational span of a, or None."""
-    tau_b = b.tau()
-    vals = [a.g1, a.g2, -(tau_b * a.g1), -(tau_b * a.g2)]
-    _, rows = expand_vectors([(v,) for v in vals])
-    cols = [[rows[j][i] for j in range(4)] for i in range(len(rows[0]))]
-    kernel = linalg.kernel_right(cols)
-    if not kernel:
-        return None
-    coeffs = kernel[0]
-    beta = coeffs[2] * a.g1 + coeffs[3] * a.g2
-    if beta.is_zero():
-        raise InternalConsistencyError("isogeny kernel vector gives a zero scalar")
-    return beta / b.g1
-

@@ -17,7 +17,7 @@ from . import linalg
 from .cyclotomic import CycNum, common_conductor
 from .errors import InternalConsistencyError, InvalidInputError
 from .groups import GroupRep, apply, character, character_norm, mat_identity
-from .lattices import flatten, fundamental_discriminant, reassemble
+from .lattices import RankTwoLattice, flatten, multiplier_ring, reassemble
 from .records import Record
 
 
@@ -41,7 +41,6 @@ class SchurWitness(Record):
     module_dimension: int
     basis: tuple  # complex vectors spanning the minimal module found
     stable_passes: int
-    is_field_form: bool  # for index 1: basis is G-stable with full complex span
 
 
 class CharacterProfile(Record):
@@ -88,20 +87,20 @@ def classify_character_field(group: GroupRep) -> CharacterFieldClass:
     if degree == 2:
         gen = next(v for v in values if not v.is_rational())
         if not real_valued:
-            poly = gen.minimal_polynomial()
-            if len(poly) != 3:
+            # the only real numbers of an imaginary-quadratic field are
+            # rational, so gen is not real and Z + Z*gen is a lattice
+            ring = multiplier_ring(RankTwoLattice(1, gen))
+            if ring.kind != "order":
                 raise InternalConsistencyError(
                     "degree-2 field with generator of different degree"
                 )
-            c0, c1, _ = poly
-            disc = c1 * c1 - 4 * c0
-            if disc >= 0:
+            if ring.discriminant >= 0:
                 raise InternalConsistencyError(
                     "non-real quadratic value with nonnegative discriminant"
                 )
-            den = disc.denominator
-            fund = fundamental_discriminant((disc * den * den).numerator)
-            return CharacterFieldClass("imaginary-quadratic", 2, fund, False, gen)
+            return CharacterFieldClass(
+                "imaginary-quadratic", 2, ring.fundamental_discriminant, False, gen
+            )
         return CharacterFieldClass("other", 2, None, True, gen)
     return CharacterFieldClass("other", degree, None, real_valued, None)
 
@@ -257,8 +256,8 @@ def schur_index(
             f"descent ended at Schur index {m}, but theory fixes {known_index}"
         )
     witness = tuple(reassemble(n, conductor, row) for row in basis)
-    is_form = False
     if m == 1:
+        # an index-1 witness is a rational form: G-stable, full complex span
         complex_rank = linalg.rank([list(v) for v in witness])
         span = linalg.Span(basis)
         stable_under_g = all(
@@ -266,10 +265,9 @@ def schur_index(
             for g in group.sparse_generators
             for v in witness
         )
-        is_form = complex_rank == n and stable_under_g
-        if not is_form:
+        if complex_rank != n or not stable_under_g:
             raise InternalConsistencyError("index-1 witness failed the field-form check")
-    return SchurWitness(m, dim, witness, REQUIRED_STABLE_PASSES, is_form)
+    return SchurWitness(m, dim, witness, REQUIRED_STABLE_PASSES)
 
 
 def gcd_kernel_shortcut(group: GroupRep):

@@ -78,6 +78,19 @@ def extraspecial_minus_4() -> dict:
     return tensor_group(Q8_GENS, D8_GENS, 4)
 
 
+# Two groups written over a larger cyclotomic field than their character
+# field: the semidihedral group SD16 over Q(zeta8), character field Q(sqrt-2),
+# and the Frobenius group F21 = C7 : C3 over Q(zeta7), character field
+# Q(sqrt-7).  Both are irreducible, and a gcd certificate fixes Schur index 1.
+SD16 = {"conductor": 8, "dimension": 2, "generators": [
+    [["z8", "0"], ["0", "z8^3"]], [["0", "1"], ["1", "0"]],
+]}
+F21 = {"conductor": 7, "dimension": 3, "generators": [
+    [["z7", "0", "0"], ["0", "z7^2", "0"], ["0", "0", "z7^4"]],
+    [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]],
+]}
+
+
 # snapshot name -> (group JSON, order of the closure)
 GENERATED = {
     "WeylB3": (weyl_from_cartan(CARTAN_B3), 48),

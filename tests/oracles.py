@@ -10,8 +10,11 @@ from invlat.cyclotomic import CycNum, cyclotomic_polynomial, divisors, euler_phi
 from invlat.errors import InternalConsistencyError
 from invlat.groups import apply, as_matrix, character, invariant_hermitian, mat_identity
 from invlat.lattices import (
+    RankTwoLattice,
     ZLattice,
+    expand_vectors,
     flatten,
+    fundamental_discriminant,
     lattice_from_generators,
     lattice_index,
     reassemble,
@@ -83,6 +86,49 @@ def solve_right(mat, rhs):
     for row, c in zip(red, pivots):
         x[c] = row[n]
     return x
+
+
+def rank_two_coords_by_span(g1, g2, value):
+    """Rational [x, y] with value = x*g1 + y*g2, or None: the three numbers
+    are written as rational rows at a common conductor and the value's row is
+    solved against the other two.  The library reads x and y off a closed
+    formula in value / g1 and its conjugate."""
+    _, (row1, row2, row) = expand_vectors([(g1,), (g2,), (value,)])
+    return linalg.Span([row1, row2]).coords(row)
+
+
+def field_discriminant_by_minpoly(gen: CycNum) -> int:
+    """Fundamental discriminant of Q(gen) for a non-real quadratic gen, from
+    its minimal polynomial x^2 + c1 x + c0.  The library reads it off the
+    multiplier ring of Z + Z*gen."""
+    poly = gen.minimal_polynomial()
+    if len(poly) != 3:
+        raise InternalConsistencyError("generator is not quadratic")
+    c0, c1, _ = poly
+    disc = c1 * c1 - 4 * c0
+    if disc >= 0:
+        raise InternalConsistencyError("quadratic generator is real")
+    den = disc.denominator
+    return fundamental_discriminant((disc * den * den).numerator)
+
+
+def isogeny_test(a: RankTwoLattice, b: RankTwoLattice):
+    """A nonzero c with c * (rational span of b) = rational span of a, or None:
+    one rational kernel vector of the rows of a.g1, a.g2, -tau_b*a.g1 and
+    -tau_b*a.g2.  A split's factors are all the order itself, so the library
+    renders the scalar 1 between them without a search."""
+    tau_b = b.tau()
+    vals = [a.g1, a.g2, -(tau_b * a.g1), -(tau_b * a.g2)]
+    _, rows = expand_vectors([(v,) for v in vals])
+    cols = [[rows[j][i] for j in range(4)] for i in range(len(rows[0]))]
+    kernel = linalg.kernel_right(cols)
+    if not kernel:
+        return None
+    coeffs = kernel[0]
+    beta = coeffs[2] * a.g1 + coeffs[3] * a.g2
+    if beta.is_zero():
+        raise InternalConsistencyError("isogeny kernel vector gives a zero scalar")
+    return beta / b.g1
 
 
 def rational_coords_by_lifting(lattice, vector):

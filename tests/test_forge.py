@@ -5,20 +5,20 @@ from hypothesis import given, settings, strategies as st
 
 from invlat import forge
 from invlat.catalog import catalog_names, get_entry
-from invlat.cyclotomic import CycNum, zeta
+from invlat.cyclotomic import CycNum, sqrt_rational, zeta
 from invlat.errors import InvalidInputError, OutOfScopeError
 from invlat.forge import (
     EUCLIDEAN_DISCRIMINANTS,
     ImaginaryQuadraticOrder,
     construct_rank_n,
     extend_rank_2n,
-    maximal_order,
     orbit_lattice_over_order,
     order_saturate,
     split_as_order_module,
 )
 from invlat.lattices import (
     RankTwoLattice,
+    fundamental_discriminant,
     invariance_check,
     lattice_from_generators,
     lattice_index,
@@ -33,7 +33,12 @@ from invlat.schur import (
 )
 
 from generated_groups import GENERATED
-from oracles import five_starts, orbit_lattice_all_elements, orbit_lattice_by_rebuilding
+from oracles import (
+    five_starts,
+    orbit_lattice_all_elements,
+    orbit_lattice_by_rebuilding,
+    rank_two_coords_by_span,
+)
 
 
 def std_lattice(n):
@@ -71,12 +76,15 @@ def test_euclidean_flags():
 
 
 def test_maximal_order_from_field_discriminant():
-    assert maximal_order(-4).discriminant == -4
-    assert maximal_order(-12).discriminant == -3
+    # the report builds the maximal order from the character field's
+    # fundamental discriminant
+    for disc, fundamental in [(-4, -4), (-12, -3), (-16, -4), (-8, -8)]:
+        order = ImaginaryQuadraticOrder.from_discriminant(fundamental_discriminant(disc))
+        assert order.discriminant == fundamental
 
 
 def test_field_coords_and_contains():
-    order = maximal_order(-3)
+    order = ImaginaryQuadraticOrder.from_discriminant(-3)
     omega = order.generator
     assert order.contains(omega * omega)  # omega^2 = omega - 1
     x = omega * 2 - CycNum.rational(5)
@@ -84,6 +92,30 @@ def test_field_coords_and_contains():
     assert a == Fraction(-5) and b == Fraction(2)
     assert order.contains(x)
     assert not order.contains(omega / 2)
+
+
+# numbers outside every imaginary-quadratic field
+OUTSIDE_QUADRATIC = [zeta(5), sqrt_rational(2), zeta(8)]
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@given(
+    st.sampled_from(EUCLIDEAN_DISCRIMINANTS + (-12, -16)),
+    fractions, fractions,
+    st.sampled_from([None] + OUTSIDE_QUADRATIC),
+)
+@settings(max_examples=120, deadline=None)
+def test_field_coords_match_span_oracle(disc, u, v, outside):
+    order = ImaginaryQuadraticOrder.from_discriminant(disc)
+    omega = order.generator
+    x = CycNum.rational(u) + omega * v
+    if outside is not None:
+        x = x + outside
+    coords = order.field_coords(x)
+    assert coords == rank_two_coords_by_span(CycNum.rational(1), omega, x)
+    assert coords == ([u, v] if outside is None else None)
+    assert order.contains(x) == (outside is None and u.denominator == v.denominator == 1)
+    assert order.field_coords(0) == [0, 0]
 
 
 @given(
@@ -106,7 +138,7 @@ def test_euclid_divmod_shrinks_norm(disc, a1, a2, b1, b2):
 
 
 def test_divmod_known_value():
-    order = maximal_order(-4)
+    order = ImaginaryQuadraticOrder.from_discriminant(-4)
     i4 = zeta(4)
     x = CycNum.rational(7) + i4 * 3
     y = CycNum.rational(2) + i4
@@ -156,7 +188,7 @@ def test_orbit_lattices_match_all_elements_oracle():
             assert lattice == orbit_lattice_all_elements(group, witness), name
             recipes.add("Zn")
             continue
-        order = maximal_order(profile.field.discriminant)
+        order = ImaginaryQuadraticOrder.from_discriminant(profile.field.discriminant)
         for start in five_starts(group.dimension)[::2]:
             lattice = orbit_lattice_over_order(group, order, start, profile.field)
             seeds = [start, tuple(order.generator * x for x in start)]
@@ -189,7 +221,7 @@ def test_orbit_lattice_stops_on_containment(monkeypatch, name):
         seeds = [tuple(v) for v in profile.schur.basis]
         run = lambda: construct_rank_n(group, profile.schur.basis)  # noqa: E731
     else:
-        order = maximal_order(profile.field.discriminant)
+        order = ImaginaryQuadraticOrder.from_discriminant(profile.field.discriminant)
         start = five_starts(group.dimension)[0]
         seeds = [start, tuple(order.generator * x for x in start)]
         run = lambda: orbit_lattice_over_order(group, order, start, profile.field)  # noqa: E731
@@ -215,7 +247,7 @@ def test_extend_rejects_real_scalar():
 
 
 def test_orbit_lattice_g4(g4):
-    order = maximal_order(-3)
+    order = ImaginaryQuadraticOrder.from_discriminant(-3)
     one, nil = CycNum.rational(1), CycNum.rational(0)
     lat = orbit_lattice_over_order(g4, order, (one, nil), classify_character_field(g4))
     assert lat.rank == 4
@@ -228,7 +260,7 @@ def test_orbit_lattice_g4(g4):
 
 def test_orbit_lattice_c3():
     group = get_entry("C3-zeta3").group()
-    order = maximal_order(-3)
+    order = ImaginaryQuadraticOrder.from_discriminant(-3)
     lat = orbit_lattice_over_order(
         group, order, (CycNum.rational(1),), classify_character_field(group)
     )
@@ -239,7 +271,7 @@ def test_orbit_lattice_rejects_field_mismatch(g4):
     with pytest.raises(InvalidInputError):
         orbit_lattice_over_order(
             g4,
-            maximal_order(-4),
+            ImaginaryQuadraticOrder.from_discriminant(-4),
             (CycNum.rational(1), CycNum.rational(0)),
             classify_character_field(g4),
         )
@@ -249,14 +281,14 @@ def test_orbit_lattice_rejects_rational_group(s3):
     with pytest.raises(InvalidInputError):
         orbit_lattice_over_order(
             s3,
-            maximal_order(-4),
+            ImaginaryQuadraticOrder.from_discriminant(-4),
             (CycNum.rational(1), CycNum.rational(0)),
             classify_character_field(s3),
         )
 
 
 def test_saturate_is_stable_fixed_point(g4):
-    order = maximal_order(-3)
+    order = ImaginaryQuadraticOrder.from_discriminant(-3)
     one, nil = CycNum.rational(1), CycNum.rational(0)
     lat = orbit_lattice_over_order(g4, order, (one, nil), classify_character_field(g4))
     sat = order_saturate(lat, order)
@@ -271,7 +303,7 @@ def test_saturate_is_stable_fixed_point(g4):
 
 def test_saturate_nontrivial_index():
     # Z + Z*2i is not stable under i; saturation adjoins i at index 2
-    order = maximal_order(-4)
+    order = ImaginaryQuadraticOrder.from_discriminant(-4)
     i4 = zeta(4)
     lat = lattice_from_generators(
         [(CycNum.rational(1),), (i4 + i4,)]
@@ -282,7 +314,7 @@ def test_saturate_nontrivial_index():
 
 
 def test_split_gaussian_square():
-    order = maximal_order(-4)
+    order = ImaginaryQuadraticOrder.from_discriminant(-4)
     i4 = zeta(4)
     one, nil = CycNum.rational(1), CycNum.rational(0)
     lat = lattice_from_generators(
@@ -290,13 +322,15 @@ def test_split_gaussian_square():
     )
     split = split_as_order_module(lat, order)
     assert len(split.basis) == 2
-    gaussian = RankTwoLattice(CycNum.rational(1), i4)
-    for factor in split.factors:
-        assert factor.same_lattice(gaussian)
+    # every factor O*v is the order Z + Z*i
+    assert order.lattice == RankTwoLattice(CycNum.rational(1), i4)
+    assert lattice_from_generators(
+        [w for v in split.basis for w in (v, tuple(i4 * x for x in v))]
+    ) == lat
 
 
 def test_split_g4_orbit(g4):
-    order = maximal_order(-3)
+    order = ImaginaryQuadraticOrder.from_discriminant(-3)
     one, nil = CycNum.rational(1), CycNum.rational(0)
     sat = order_saturate(
         orbit_lattice_over_order(g4, order, (one, nil), classify_character_field(g4)),
@@ -323,7 +357,7 @@ def test_split_requires_euclidean_order():
 
 
 def test_split_requires_stability():
-    order = maximal_order(-4)
+    order = ImaginaryQuadraticOrder.from_discriminant(-4)
     lat = std_lattice(2)  # rank 2, not i-stable
     with pytest.raises(InvalidInputError):
         split_as_order_module(lat, order)

@@ -9,14 +9,18 @@ from hypothesis import assume, given, settings, strategies as st
 from invlat import lattices, linalg
 from invlat.cyclotomic import CycNum, sqrt_rational, zeta
 from invlat.errors import InvalidInputError, NotDiscreteError
-from invlat.forge import construct_rank_n, extend_rank_2n
+from invlat.forge import (
+    EUCLIDEAN_DISCRIMINANTS,
+    ImaginaryQuadraticOrder,
+    construct_rank_n,
+    extend_rank_2n,
+)
 from invlat.groups import group_from_json
 from invlat.lattices import (
     RankTwoLattice,
     fundamental_discriminant,
     intersect_with_subspace,
     invariance_check,
-    isogeny_test,
     lattice_from_generators,
     lattice_from_json,
     lattice_index,
@@ -53,6 +57,8 @@ from oracles import (
     basis_coords_by_spans,
     coset_count,
     is_discrete_by_vector_split,
+    isogeny_test,
+    rank_two_coords_by_span,
     rational_coords_by_lifting,
     vectors_by_cycnum_combination,
 )
@@ -184,6 +190,42 @@ def test_lattice_json_round_trip(mat):
 def test_rank_two_rejects_real_ratio():
     with pytest.raises(InvalidInputError):
         RankTwoLattice(CycNum.rational(1), CycNum.rational(2))
+
+
+# first generators: 1, a rational, and two non-real numbers of other fields
+FIRST_GENERATORS = [
+    CycNum.rational(1), CycNum.rational(Fraction(3, 2)), 1 + 2 * zeta(4), zeta(12),
+]
+# numbers outside the rational span of every lattice below
+OUTSIDE = [zeta(5), sqrt_rational(2), zeta(8)]
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@given(
+    st.sampled_from(EUCLIDEAN_DISCRIMINANTS + (-12, -16)),
+    st.sampled_from(FIRST_GENERATORS),
+    small_fractions, small_fractions,
+    st.sampled_from([None, "zero"] + OUTSIDE),
+)
+@settings(max_examples=150, deadline=None)
+def test_rank_two_coords_match_span_oracle(disc, g1, x, y, extra):
+    """g1 * (Z + Z*omega) for an order Z[omega], euclidean or not maximal,
+    against the rational solve of the coordinate rows."""
+    omega = ImaginaryQuadraticOrder.from_discriminant(disc).generator
+    gamma = RankTwoLattice(g1, g1 * omega)
+    value = x * gamma.g1 + y * gamma.g2
+    if extra == "zero":
+        value = CycNum.rational(0)
+    elif extra is not None:
+        value = value + extra
+    coords = gamma.coords_of(value)
+    assert coords == rank_two_coords_by_span(gamma.g1, gamma.g2, value)
+    if extra is None:
+        assert coords == [x, y]
+    elif extra == "zero":
+        assert coords == [0, 0]
+    else:
+        assert coords is None
 
 
 def test_multiplier_ring_gaussian():

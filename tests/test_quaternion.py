@@ -7,7 +7,7 @@ from invlat.catalog import quaternion_preset
 from invlat import linalg
 from invlat.cyclotomic import CycNum, as_cycnum, sqrt_rational, zeta
 from invlat.errors import InvalidInputError
-from invlat.forge import extend_rank_2n, maximal_order, split_as_order_module
+from invlat.forge import ImaginaryQuadraticOrder, extend_rank_2n, split_as_order_module
 from invlat.lattices import lattice_from_generators
 from invlat.quaternion import (
     QuatAlgebra,
@@ -185,7 +185,9 @@ def test_ratl_verdict_branches(q8):
 
     one, nil = CycNum.rational(1), CycNum.rational(0)
     base = lattice_from_generators([(one, nil), (nil, one)])
-    split = split_as_order_module(extend_rank_2n(base, zeta(4)), maximal_order(-4))
+    split = split_as_order_module(
+        extend_rank_2n(base, zeta(4)), ImaginaryQuadraticOrder.from_discriminant(-4)
+    )
     split_verdict = ratl_verdict(profile, 2, evidence=split)
     assert split_verdict.abelian is True
 

@@ -4,7 +4,12 @@ from invlat import groups, lattices, reflections
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, zeta
 from invlat.errors import InternalConsistencyError, InvalidInputError
-from invlat.forge import extend_rank_2n, maximal_order, orbit_lattice_over_order, order_saturate
+from invlat.forge import (
+    ImaginaryQuadraticOrder,
+    extend_rank_2n,
+    orbit_lattice_over_order,
+    order_saturate,
+)
 from invlat.groups import close_group, group_from_json, mat_identity
 from invlat.lattices import lattice_from_generators, lattice_from_json, scale_lattice
 from invlat.records import replace
@@ -46,7 +51,7 @@ def b2_lattice(b2):
 
 @pytest.fixture(scope="module")
 def g4_lattice(g4):
-    order = maximal_order(-3)
+    order = ImaginaryQuadraticOrder.from_discriminant(-3)
     one, nil = CycNum.rational(1), CycNum.rational(0)
     return order_saturate(
         orbit_lattice_over_order(g4, order, (one, nil), classify_character_field(g4)),

@@ -126,6 +126,13 @@ def test_quaternion_section(reports):
         assert sub["t"] == "-1"
 
 
+def test_quaternion_report_takes_no_seed(reports):
+    # Q8's indicator -1 fixes its Schur index before the descent draws
+    assert render_json(analyze("example-non-ci", seed=7)) == render_json(
+        reports["example-non-ci"]
+    )
+
+
 def test_reflection_sections(reports):
     s3_geo = reports["S3-standard"]["reflection"]
     assert s3_geo["tags"] == ["geom-i", "geom-ii"]
@@ -293,6 +300,20 @@ def test_cli_construct_custom_scalar(capsys):
     entry = json.loads(out)
     assert entry["scalar"] == "z3"
     assert entry["rank"] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    # Q8's ds lattice is the preset one, built with z4
+    ["Q8", "--recipe", "ds", "--c", "z3"],
+    # the O lattice takes no doubling scalar
+    ["C3-zeta3", "--recipe", "O", "--c", "5"],
+    ["S3-standard", "--recipe", "Zn", "--c", "z3"],
+])
+def test_cli_construct_rejects_an_unused_scalar(capsys, argv):
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert code == 2
+    assert out == ""
+    assert "--c" in err
 
 
 def test_cli_decompose(capsys):

@@ -8,7 +8,7 @@ from invlat import linalg, schur
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, euler_phi, zeta
 from invlat.cli import main
-from invlat.errors import InternalConsistencyError, InvalidInputError
+from invlat.errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
 from invlat.groups import close_group, conj_transpose, group_from_json
 from invlat.linalg import rank
 from invlat.report import analyze
@@ -26,9 +26,10 @@ from invlat.schur import (
 )
 
 
-from generated_groups import D8_GENS, GENERATED, Q8_GENS, tensor_group
+from generated_groups import D8_GENS, F21, GENERATED, Q8_GENS, SD16, tensor_group
 from oracles import (
     averaged_bilinear_form,
+    field_discriminant_by_minpoly,
     five_starts,
     gcd_kernel_pairwise,
     gcd_kernel_singles,
@@ -111,8 +112,8 @@ def test_schur_index_from_five_starts(s3, q8, g4):
             witness = schur_index(group, d, start=start)
             assert witness.index == expected
             if expected == 1:
-                assert witness.is_field_form
-                # the witness basis has full complex span and is G-stable
+                # the witness basis has full complex span
+                assert rank([list(v) for v in witness.basis]) == group.dimension
                 assert witness.module_dimension == d * group.dimension
 
 
@@ -396,3 +397,38 @@ def test_schur_verdict_does_not_depend_on_how_the_group_is_written(pair):
             (r["profile"]["schur_index"], r["verdict"]["clause"]) for r in verdicts
         ]
         assert first_verdict == second_verdict, (pair, seed)
+
+
+# Two groups whose matrices lie over a larger cyclotomic field than their
+# character field.  A gcd certificate fixes Schur index 1, but the descent
+# from e1 ends at index 2 (SD16) or 3 (F21) and raises; on SD16 with seed 0
+# the O recipe's start e1 spans Z[zeta8]*e1, which is not discrete (ROADMAP
+# open item 1).
+LARGER_FIELD_GROUPS = {"SD16": SD16, "F21": F21}
+
+
+@pytest.mark.xfail(strict=True, raises=(InternalConsistencyError, NotDiscreteError),
+                   reason="ROADMAP item 1: the descent and the O start vector do not "
+                   "reach a simple submodule when the matrices need a larger field")
+@pytest.mark.parametrize("name", sorted(LARGER_FIELD_GROUPS))
+def test_index_one_groups_over_a_larger_field_get_clause_c_i(name):
+    for seed in range(4):
+        report = analyze(LARGER_FIELD_GROUPS[name], seed=seed)
+        verdict = (report["profile"]["schur_index"], report["verdict"]["clause"])
+        assert verdict == (1, "c-i"), (name, seed)
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_FIELD_GROUPS) + CATALOG_GROUPS)
+def test_character_field_discriminant_matches_minpoly_oracle(name):
+    if name in LARGER_FIELD_GROUPS:
+        group = group_from_json(LARGER_FIELD_GROUPS[name])
+    else:
+        group = get_entry(name).group()
+    field = classify_character_field(group)
+    expected = {"SD16": -8, "F21": -7}.get(name, field.discriminant)
+    if field.kind == "imaginary-quadratic":
+        assert field.discriminant == expected == field_discriminant_by_minpoly(
+            field.generator
+        )
+    else:
+        assert field.discriminant is None and name not in LARGER_FIELD_GROUPS
