@@ -193,16 +193,7 @@ class ZLattice(Record):
             if r:
                 return None
             rest.append(q)
-        out = []
-        for i, hrow in enumerate(self.basis):
-            q, r = divmod(rest[i], hrow[i])
-            if r:
-                return None
-            out.append(q)
-            if q:
-                for k in range(i + 1, len(rest)):
-                    rest[k] -= q * hrow[k]
-        return out
+        return linalg.hnf_coords(self.basis, rest)
 
     def contains(self, vector):
         return self.basis_coords(vector) is not None

@@ -24,7 +24,8 @@ Integer routines share one Hermite elimination that pivots in a given
 number of leading columns: `hnf` runs it on the matrix alone, and
 `hnf_with_transform` runs it on the rows [mat | I], whose right-hand block
 ends as the unimodular transform; `int_kernel` reads the left kernel off
-that transform.
+that transform.  `hnf_coords` writes an integer vector in echelon integer
+rows by back-substitution, with a divisibility test at each pivot.
 """
 
 from __future__ import annotations
@@ -361,3 +362,24 @@ def int_kernel(mat):
     h, t = hnf_with_transform(mat)
     ker = [trow for hrow, trow in zip(h, t) if not any(hrow)]
     return hnf(ker) if ker else []
+
+
+def hnf_coords(rows, vec):
+    """Integer coordinates of vec in the integer rows in row echelon form (an
+    HNF), by back-substitution, or None when vec is not in their integer
+    span."""
+    rest = list(vec)
+    out = []
+    c = 0
+    for row in rows:
+        while not row[c]:
+            c += 1
+        q, rem = divmod(rest[c], row[c])
+        if rem:
+            return None
+        out.append(q)
+        if q:
+            for k in range(c, len(rest)):
+                rest[k] -= q * row[k]
+        c += 1
+    return None if any(rest) else out

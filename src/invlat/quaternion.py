@@ -6,14 +6,19 @@ multiplication, and the endomorphism ring of the resulting torus with its
 structure classification (order in a definite quaternion algebra versus
 order in two-by-two matrices over an imaginary quadratic field).  The ring
 is computed in the lattice basis, as the integer matrices that commute with
-the conjugated complex structure, and classified from one integer
-multiplication table of its Z-basis.
+the conjugated complex structure.  That structure is the one irrational
+object: it is split once into rational layers, each conjugated into an
+integer matrix K_t, and everything after runs on int, with Fractions only
+where a rational scalar is needed.  One integer kernel of the equations
+M K_t = K_t M gives the ring's Z-basis as HNF rows; the ring is classified
+from the integer multiplication table of that basis, whose coordinates come
+from back-substitution against the HNF rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from . import linalg
 from .cyclotomic import CycNum, as_cycnum, common_conductor
@@ -121,21 +126,6 @@ def lipschitz_lattice() -> ZLattice:
     return lattice_from_generators(rows)
 
 
-def is_order(algebra: QuatAlgebra, lattice: ZLattice) -> bool:
-    """Rank-4 lattice containing 1 and closed under multiplication."""
-    if lattice.dim != 4 or lattice.rank != 4:
-        return False
-    one = tuple(CycNum.rational(1 if p == 0 else 0) for p in range(4))
-    if not lattice.contains(one):
-        return False
-    basis = [algebra.element(v) for v in lattice.vectors()]
-    for x in basis:
-        for y in basis:
-            if not lattice.contains((x * y).coords):
-                return False
-    return True
-
-
 class SubfieldWitness(Record):
     t: Fraction  # square of the witness, negative
     witness: QuatElement  # pure quaternion with witness^2 = t
@@ -200,14 +190,32 @@ class QuatTorus(Record):
     field_discriminant: int | None  # discriminant of Q(direction) when rational
 
 
+def _left_mult(a, b, x):
+    """Matrix of y -> x y on coefficient columns in the (a,b) algebra, for
+    coordinates x of any scalar type."""
+    x0, x1, x2, x3 = x
+    return (
+        (x0, a * x1, b * x2, -(a * b) * x3),
+        (x1, x0, b * x3, -b * x2),
+        (x2, -a * x3, x0, a * x1),
+        (x3, -x2, x1, x0),
+    )
+
+
 def left_mult_matrix(x: QuatElement):
-    cols = [(x * e).coords for e in x.algebra.basis()]
-    return tuple(tuple(cols[q][p] for q in range(4)) for p in range(4))
+    return _left_mult(x.algebra.a, x.algebra.b, x.coords)
 
 
 def right_mult_matrix(x: QuatElement):
-    cols = [(e * x).coords for e in x.algebra.basis()]
-    return tuple(tuple(cols[q][p] for q in range(4)) for p in range(4))
+    """Matrix of y -> y x on coefficient columns."""
+    a, b = x.algebra.a, x.algebra.b
+    x0, x1, x2, x3 = x.coords
+    return (
+        (x0, a * x1, b * x2, -(a * b) * x3),
+        (x1, x0, -b * x3, b * x2),
+        (x2, a * x3, x0, -a * x1),
+        (x3, x2, -x1, x0),
+    )
 
 
 def build_quat_torus(algebra: QuatAlgebra, lattice: ZLattice, c: QuatElement) -> QuatTorus:
@@ -220,10 +228,12 @@ def build_quat_torus(algebra: QuatAlgebra, lattice: ZLattice, c: QuatElement) ->
         raise InvalidInputError("complex-structure element must square to -1")
     if lattice.dim != 4 or lattice.rank != 4:
         raise InvalidInputError("need a rank-4 lattice in the coefficient space")
+    if lattice.conductor != 1:
+        raise InvalidInputError("the lattice basis must have rational coordinates")
     j = right_mult_matrix(c)
     j2 = linalg.matmul([list(r) for r in j], [list(r) for r in j])
     n_ident = [[CycNum.rational(-1 if p == q else 0) for q in range(4)] for p in range(4)]
-    if [[x for x in row] for row in j2] != n_ident:
+    if j2 != n_ident:
         raise InternalConsistencyError("right-multiplication square is not -id")
     pure = c.pure_part()
     pivot = next((p for p, x in enumerate(pure) if not x.is_zero()), None)
@@ -243,10 +253,7 @@ def build_quat_torus(algebra: QuatAlgebra, lattice: ZLattice, c: QuatElement) ->
     if rational_dir:
         den = lcm(*(r.denominator for r in ratios))
         ints = [r.numerator * (den // r.denominator) for r in ratios]
-        from math import gcd
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        g = gcd(*ints)
         direction = tuple(Fraction(v, g) for v in ints)
         a, b = algebra.a, algebra.b
         r1, r2, r3 = direction
@@ -266,58 +273,99 @@ class EndomorphismRing(Record):
     detail: str
 
 
-def _conjugate(left, mat, right):
-    return linalg.matmul(linalg.matmul(left, mat), right)
+def _integral(mat):
+    """The rational matrix times the lcm of its denominators, as ints."""
+    scale = lcm(*(x.denominator for row in mat for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in mat]
 
 
-def _commuting_integer_matrices(j_prime):
+def _stack(blocks):
+    """4x4 blocks one over the other."""
+    return [row for block in blocks for row in block]
+
+
+def _side_by_side(blocks):
+    """4x4 blocks one beside the other."""
+    return [[x for block in blocks for x in block[p]] for p in range(4)]
+
+
+def _split_side(mat):
+    """The 4x4 blocks of a 4-row matrix, left to right."""
+    return [[row[4 * t:4 * t + 4] for row in mat] for t in range(len(mat[0]) // 4)]
+
+
+def _integer_layers(j_matrix, w_int, inv_int):
+    """K_t = inv_int (s_t J_t) w_int for each nonzero layer J_t of J.
+
+    J_t holds the coordinates t of J's entries in the power basis of their
+    common cyclotomic field, and s_t > 0 clears its denominators.  Those
+    powers are independent over Q, so a rational matrix commutes with J
+    exactly when it commutes with every J_t."""
+    conductor = common_conductor(x for row in j_matrix for x in row)
+    coords = [[x.coords_at(conductor) for x in row] for row in j_matrix]
+    layers = [
+        _integral([[x[t] for x in row] for row in coords])
+        for t in range(len(coords[0][0]))
+    ]
+    layers = [layer for layer in layers if any(any(row) for row in layer)]
+    left = linalg.matmul(inv_int, _side_by_side(layers))
+    ks = linalg.matmul(_stack(_split_side(left)), w_int)
+    return [ks[4 * t:4 * t + 4] for t in range(len(layers))]
+
+
+def _commuting_integer_matrices(ks):
     """Z-basis (HNF rows) of the integer 4x4 matrices M, flattened row by row,
-    with M J' = J' M: one equation per entry and cyclotomic coordinate, each
-    scaled to integers, and one integer kernel."""
-    conductor = common_conductor(x for row in j_prime for x in row)
-    equations = []
+    with M K = K M for every K in ks: entry (i, j) of M K - K M is
+    sum_p M[i][p] K[p][j] - K[i][p] M[p][j], one integer equation, and one
+    integer kernel solves them all."""
+    columns = []
     for i in range(4):
         for jj in range(4):
-            coeffs = [CycNum.rational(0)] * 16
-            for p in range(4):
-                coeffs[i * 4 + p] += j_prime[p][jj]
-                coeffs[p * 4 + jj] -= j_prime[i][p]
-            coords = [c.coords_at(conductor) for c in coeffs]
-            for t in range(len(coords[0])):
-                row = [x[t] for x in coords]
-                scale = lcm(*(x.denominator for x in row))
-                equations.append([int(x * scale) for x in row])
-    return linalg.int_kernel([list(col) for col in zip(*equations)])
+            for k in ks:
+                col = [0] * 16
+                for p in range(4):
+                    col[i * 4 + p] += k[p][jj]
+                    col[p * 4 + jj] -= k[i][p]
+                if any(col):
+                    columns.append(col)
+    return linalg.int_kernel([list(row) for row in zip(*columns)])
 
 
 def torus_endomorphisms(torus: QuatTorus) -> EndomorphismRing:
     """Exact endomorphism ring of V/Λ, computed in the lattice basis.
 
-    With W holding the lattice basis as columns, End(V/Λ) is exactly the
-    ring of integer matrices that commute with J' = W^-1 J W.  One integer
-    kernel gives its Z-basis E_1..E_r, and one block product gives the
-    multiplication table T[i][j], the integer coordinates of E_i E_j, off
-    which the identity, closure and center questions are read.
+    With W holding the (rational) lattice basis as columns, End(V/Λ) is
+    exactly the ring of integer matrices that commute with J' = W^-1 J W.
+    J is the one irrational input: it is split once into rational layers
+    J_t, and M commutes with J' exactly when it commutes with every integer
+    layer K_t, W^-1 J_t W scaled to integers.  One integer kernel of those
+    equations gives the ring's Z-basis E_1..E_r as HNF rows, and one block
+    product gives the multiplication table T[i][j], the integer coordinates
+    of E_i E_j by back-substitution against those rows, off which the
+    identity, closure and center questions are read.
     """
-    w_mat = [list(row) for row in zip(*torus.lattice.vectors())]
+    w_mat = [[x.as_fraction() for x in row] for row in zip(*torus.lattice.vectors())]
     w_inv = linalg.inverse(w_mat)
     if w_inv is None:
         raise InternalConsistencyError("lattice basis is singular")
-    j_prime = _conjugate(w_inv, torus.j_matrix, w_mat)
-    flats = _commuting_integer_matrices(j_prime)
+    w_int, inv_int = _integral(w_mat), _integral(w_inv)
+    ks = _integer_layers(torus.j_matrix, w_int, inv_int)
+    flats = _commuting_integer_matrices(ks)
     r = len(flats)
     ends = [[flat[4 * p:4 * p + 4] for p in range(4)] for flat in flats]
-    stacked = [row for e in ends for row in e]  # E_1 over E_2 over ...
-    beside = [[x for e in ends for x in e[p]] for p in range(4)]  # E_1 beside E_2 ...
-    e_j, j_e = linalg.matmul(stacked, j_prime), linalg.matmul(j_prime, beside)
-    if any(e_j[b][s] != j_e[b % 4][b - b % 4 + s] for b in range(4 * r) for s in range(4)):
+    stacked, beside = _stack(ends), _side_by_side(ends)
+    # block (i, t) of e_k is E_i K_t, and block (t, i) of k_e is K_t E_i
+    e_k = linalg.matmul(stacked, _side_by_side(ks))
+    k_e = linalg.matmul(_stack(ks), beside)
+    if any(
+        e_k[4 * i + p][4 * t + s] != k_e[4 * t + p][4 * i + s]
+        for i in range(r) for t in range(len(ks)) for p in range(4) for s in range(4)
+    ):
         raise InternalConsistencyError("endomorphism basis does not commute with J")
 
-    span = linalg.Span([[Fraction(x) for x in flat] for flat in flats])
-
     def integral_coords(flat, failure):
-        coords = span.coords([Fraction(x) for x in flat])
-        if coords is None or any(x.denominator != 1 for x in coords):
+        coords = linalg.hnf_coords(flats, flat)
+        if coords is None:
             raise InternalConsistencyError(failure)
         return coords
 
@@ -338,7 +386,7 @@ def torus_endomorphisms(torus: QuatTorus) -> EndomorphismRing:
     ]
 
     if r == 4:
-        return _classify_rank4(torus, [_conjugate(w_mat, e, w_inv) for e in ends])
+        return _classify_rank4(torus, ends, w_int, inv_int, w_inv)
     if r == 8:
         return _classify_rank8(torus, ends, table, identity, w_mat, w_inv)
     return EndomorphismRing(
@@ -347,21 +395,32 @@ def torus_endomorphisms(torus: QuatTorus) -> EndomorphismRing:
     )
 
 
-def _classify_rank4(torus: QuatTorus, mats) -> EndomorphismRing:
-    """mats: the ring's Z-basis in the coefficient basis, W E W^-1."""
-    images = []
-    for mat in mats:
-        y = tuple(row[0] for row in mat)
-        if left_mult_matrix(torus.algebra.element(y)) != tuple(map(tuple, mat)):
+def _classify_rank4(torus: QuatTorus, ends, w_int, inv_int, w_inv) -> EndomorphismRing:
+    """ends: the ring's Z-basis in the lattice basis.
+
+    In the coefficient basis E_i acts as W E_i W^-1, a rational multiple of
+    w_int E_i inv_int.  When each is the left multiplication by its first
+    column y_i, E -> y is a ring map, so the identity coordinates and the
+    closed table already show that the y_i span an order.  That order is the input lattice exactly when the
+    lattice coordinates of the y_i, W^-1 y_i = E_i W^-1 1, form a unimodular
+    integer matrix."""
+    a, b = torus.algebra.a, torus.algebra.b
+    images = linalg.matmul(
+        _stack(_split_side(linalg.matmul(w_int, _side_by_side(ends)))), inv_int
+    )
+    for i in range(4):
+        mat = images[4 * i:4 * i + 4]
+        if [list(row) for row in _left_mult(a, b, [row[0] for row in mat])] != mat:
             return EndomorphismRing(
                 4, "other", None, None, None,
                 "rank-4 ring is not made of left multiplications",
             )
-        images.append(y)
-    order_lat = lattice_from_generators(images)
-    if not is_order(torus.algebra, order_lat):
-        raise InternalConsistencyError("left-multiplication ring image is not an order")
-    matches = order_lat == torus.lattice
+    one = [row[0] for row in w_inv]
+    coords = [[sum(x * y for x, y in zip(row, one)) for row in e] for e in ends]
+    matches = (
+        all(x.denominator == 1 for col in coords for x in col)
+        and abs(linalg.det(coords)) == 1
+    )
     if torus.algebra.definite:
         return EndomorphismRing(
             4, "order-in-definite-quaternion", False, matches, None,
@@ -377,17 +436,15 @@ def _classify_rank4(torus: QuatTorus, mats) -> EndomorphismRing:
 def _classify_rank8(
     torus: QuatTorus, ends, table, identity, w_mat, w_inv
 ) -> EndomorphismRing:
-    """ends: the Z-basis in the lattice basis; table[i][j]: coordinates of
-    E_i E_j; identity: coordinates of the identity."""
+    """ends: the Z-basis in the lattice basis; table[i][j]: integer
+    coordinates of E_i E_j; identity: integer coordinates of the identity."""
     r = len(ends)
     # a is central when sum_i a_i [E_i, E_j] = 0 for every j, and [E_i, E_j]
     # has coordinates T[i][j] - T[j][i]
-    rows = [
-        [table[i][j][k] - table[j][i][k] for i in range(r)]
-        for j in range(r)
-        for k in range(r)
-    ]
-    center = linalg.kernel_right(rows)
+    center = linalg.int_kernel(
+        [[table[i][j][k] - table[j][i][k] for j in range(r) for k in range(r)]
+         for i in range(r)]
+    )
     if len(center) != 2:
         return EndomorphismRing(
             r, "other", None, None, None, f"center has rank {len(center)}, not 2"
@@ -425,8 +482,7 @@ def _classify_rank8(
             s_val = Fraction(isqrt(num), isqrt(den))
             # eta = L_u (z - p/2) / (s t) squares to 1; conjugation by W keeps
             # that and keeps eta != +-1, so the certificate is checked here
-            u_elem = torus.algebra.element((0, r1, r2, r3))
-            l_u = _conjugate(w_inv, left_mult_matrix(u_elem), w_mat)
+            l_u = linalg.matmul(linalg.matmul(w_inv, _left_mult(a, b, (0, r1, r2, r3))), w_mat)
             zeta0 = [x - p_coef / 2 * y for x, y in zip(z, identity)]
             zeta0_mat = [
                 [sum(c * e[p][s] for c, e in zip(zeta0, ends)) for s in range(4)]

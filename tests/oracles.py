@@ -550,6 +550,18 @@ def gcd_kernel_pairwise(group):
     return _gcd_certificate_by_kernels(n, chain(_single_combos(group), pairs()))
 
 
+def is_order(algebra, lattice) -> bool:
+    """Rank-4 lattice of quaternion coefficients containing 1 and closed under
+    multiplication, checked on every product of two basis elements."""
+    if lattice.dim != 4 or lattice.rank != 4:
+        return False
+    one = tuple(CycNum.rational(1 if p == 0 else 0) for p in range(4))
+    if not lattice.contains(one):
+        return False
+    basis = [algebra.element(v) for v in lattice.vectors()]
+    return all(lattice.contains((x * y).coords) for x in basis for y in basis)
+
+
 def endomorphisms_by_commutant(torus):
     """(rank, structure_tag, abelian, matches_input_lattice,
     center_discriminant, detail) of End(V/Λ), found in the coefficient basis:
@@ -559,7 +571,7 @@ def endomorphisms_by_commutant(torus):
     kernel and the center is read off the multiplication table."""
     from invlat.cyclotomic import as_cycnum, common_conductor
     from invlat.lattices import fundamental_discriminant
-    from invlat.quaternion import is_order, left_mult_matrix
+    from invlat.quaternion import left_mult_matrix
 
     j_mat = torus.j_matrix
     conductor = common_conductor(x for row in j_mat for x in row)

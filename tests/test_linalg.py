@@ -135,6 +135,21 @@ def test_int_kernel_is_left_kernel(mat):
         assert all(x == 0 for x in combo)
 
 
+@given(rect, st.lists(st.integers(-4, 4), min_size=4, max_size=4), st.integers(0, 3))
+@settings(max_examples=80)
+def test_hnf_coords_solve_and_reject(mat, combo, col):
+    h = linalg.hnf(mat)
+    combo = combo[:len(h)]
+    vec = [sum(c * row[j] for c, row in zip(combo, h)) for j in range(len(mat[0]))]
+    assert linalg.hnf_coords(h, vec) == combo
+    if col < len(vec):
+        off = vec[:col] + [vec[col] + 1] + vec[col + 1:]
+        coords = linalg.hnf_coords(h, off)
+        assert (coords is not None) == (linalg.hnf(h + [off]) == h)
+        if coords is not None:
+            assert [sum(c * row[j] for c, row in zip(coords, h)) for j in range(len(off))] == off
+
+
 def test_xgcd():
     for a, b in [(12, 18), (0, 5), (7, 0), (-4, 6), (270, 192)]:
         g, x, y = linalg.xgcd(a, b)

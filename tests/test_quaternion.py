@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from invlat.quaternion import (
 )
 from invlat.schur import character_profile
 
-from oracles import endomorphisms_by_commutant
+from oracles import endomorphisms_by_commutant, is_order
 
 small = st.integers(-5, 5)
 coords4 = st.tuples(small, small, small, small)
@@ -78,10 +79,10 @@ def test_conjugate_gives_norm(coords):
     assert prod.coords[0] == x.reduced_norm()
 
 
-@given(coords4, coords4)
+@given(st.sampled_from([(-1, -1), (-2, -5), (1, -1), (3, 7)]), coords4, coords4)
 @settings(max_examples=40)
-def test_left_right_multiplication_matrices(x_coords, y_coords):
-    alg = hamilton()
+def test_left_right_multiplication_matrices(params, x_coords, y_coords):
+    alg = QuatAlgebra(Fraction(params[0]), Fraction(params[1]))
     x = alg.element(x_coords)
     y = alg.element(y_coords)
     lx = left_mult_matrix(x)
@@ -124,8 +125,6 @@ def test_subfield_exists_in_split_algebra():
 
 
 def test_lipschitz_is_order():
-    from invlat.quaternion import is_order
-
     assert is_order(hamilton(), lipschitz_lattice())
 
 
@@ -134,6 +133,17 @@ def test_build_torus_rejects_non_square_root():
     not_root = alg.element((0, 1, 1, 0))  # squares to -2
     with pytest.raises(InvalidInputError):
         build_quat_torus(alg, lipschitz_lattice(), not_root)
+
+
+def test_build_torus_rejects_irrational_lattice():
+    alg = hamilton()
+    root2 = sqrt_rational(2)
+    zero = CycNum.rational(0)
+    lat = lattice_from_generators(
+        [tuple(root2 if p == q else zero for q in range(4)) for p in range(4)]
+    )
+    with pytest.raises(InvalidInputError):
+        build_quat_torus(alg, lat, alg.element((0, 1, 0, 0)))
 
 
 def test_build_torus_direction_detection():
@@ -216,9 +226,38 @@ ORACLE_TORI = {
 }
 
 
+SCALED_ALGEBRAS = ((-1, -1), (-1, -3), (1, -1), (-2, -5))
+
+
+def scaled_basis_torus(seed):
+    """A torus on a random integer or half-integer lattice basis W with
+    |det W| > 1, in one of four algebras.  c is u / sqrt(-u^2) for a random
+    rational pure u with u^2 < 0, or IRRATIONAL_C in half the Hamilton cases."""
+    rng = random.Random(seed)
+    a, b = SCALED_ALGEBRAS[seed % 4]
+    alg = QuatAlgebra(Fraction(a), Fraction(b))
+    den = 2 if seed % 3 == 2 else 1
+    while True:
+        rows = [[Fraction(rng.randint(-2, 2), den) for _ in range(4)] for _ in range(4)]
+        if abs(linalg.det(rows)) > 1:
+            break
+    lat = lattice_from_generators([tuple(as_cycnum(x) for x in row) for row in rows])
+    if (a, b) == (-1, -1) and rng.random() < 0.5:
+        return build_quat_torus(alg, lat, alg.element(IRRATIONAL_C))
+    while True:
+        u = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+        square = a * u[0] ** 2 + b * u[1] ** 2 - a * b * u[2] ** 2
+        if square < 0:
+            break
+    root = sqrt_rational(-square)
+    return build_quat_torus(alg, lat, alg.element([0] + [as_cycnum(x) / root for x in u]))
+
+
 def oracle_torus(name):
     if name in ("example-non-generic", "example-non-ci"):
         return build_quat_torus(*quaternion_preset(name))
+    if name.startswith("scaled seed="):
+        return scaled_basis_torus(int(name.removeprefix("scaled seed=")))
     (a, b), rows, c = ORACLE_TORI[name]
     alg = QuatAlgebra(Fraction(a), Fraction(b))
     lat = lipschitz_lattice() if rows is None else lattice_from_generators(
@@ -228,7 +267,9 @@ def oracle_torus(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["example-non-generic", "example-non-ci", *ORACLE_TORI]
+    "name",
+    ["example-non-generic", "example-non-ci", *ORACLE_TORI,
+     *(f"scaled seed={seed}" for seed in range(30))],
 )
 def test_endomorphisms_match_commutant_oracle(name):
     torus = oracle_torus(name)
@@ -260,3 +301,27 @@ def test_endomorphisms_make_few_matrix_products(monkeypatch):
     monkeypatch.setattr(linalg, "matmul", counting)
     assert torus_endomorphisms(torus).rank == 8
     assert len(calls) <= 30
+
+
+@pytest.mark.parametrize("name", ["example-non-generic", "example-non-ci"])
+def test_endomorphisms_need_no_cyclotomic_products(monkeypatch, name):
+    # J is split into rational layers once; everything after runs on int and
+    # Fraction
+    torus = oracle_torus(name)
+    calls = []
+    real = CycNum.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(CycNum, "__mul__", counting)
+    monkeypatch.setattr(CycNum, "__rmul__", counting)
+    torus_endomorphisms(torus)
+    assert len(calls) == 0
+
+
+def test_scaled_bases_cover_both_directions():
+    # an irrational direction gives the rank-4 ring, a rational one rank 8
+    kinds = {scaled_basis_torus(seed).rational_direction for seed in range(30)}
+    assert kinds == {False, True}
