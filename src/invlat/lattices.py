@@ -1,16 +1,18 @@
 """Integral lattices in a complex vector space with exact cyclotomic entries.
 
-A ZLattice is the integer span of finitely many vectors in C^n.  It is stored
-as a rational structure (an echelonized basis of the rational span of the
-generators) plus an integer Hermite-normal-form matrix over a common
-denominator, so equal lattices have identical data.  Every question is
-answered from these rows: coordinates in the rational span are the entries
-at the pivots, checked by an exact zero residual, and integer coordinates
-come from back-substitution against the triangular HNF.  Discreteness
-depends only on the rational span, so it is decided on the span rows: each
-row v is extended by its conjugate to (v | conj v), which stays inside the
-cyclotomic field, and the rank of the extended rows must equal their
-number.  Every builder runs that check.
+A ZLattice is the integer span of finitely many vectors in C^n.  Each vector
+is written as one rational row, the coordinates of its entries at a common
+conductor one after another, and the lattice is stored as the row Hermite
+normal form of those rows times den, the least positive integer that makes
+it integral: echelon rows with positive pivots and the entries above each
+pivot reduced, so equal lattices have identical data (Cohen, A Course in
+Computational Algebraic Number Theory, 2.4.3).  One integer elimination
+builds it.  Every question is answered from these rows: integer coordinates
+come from back-substitution against them, with a divisibility test at each
+pivot and an exact zero residual.  Discreteness is decided on the basis
+vectors: each vector v is extended by its conjugate to (v | conj v), which
+stays inside the cyclotomic field, and the rank of the extended rows must
+equal their number.  Every builder runs that check.
 
 RankTwoLattice is a lattice of rank 2 inside the complex line, the lattice of
 an elliptic-curve factor.  It is the one place that writes a number in a
@@ -29,7 +31,7 @@ from functools import cached_property
 from math import gcd, isqrt, lcm
 
 from . import linalg
-from .cyclotomic import CycNum, as_cycnum, cyc_from_json, cyc_to_json
+from .cyclotomic import CycNum, as_cycnum, cyc_to_json
 from .errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
 from .groups import SparseMatrix, apply, as_matrix
 from .records import Record
@@ -61,139 +63,69 @@ def reassemble(dim, conductor, row):
     )
 
 
-class RationalSubspaceBasis(Record):
-    """Echelonized (reduced row echelon) basis of a rational subspace."""
-
-    width: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def pivots(self):
-        out = []
-        for row in self.rows:
-            out.append(next(i for i, x in enumerate(row) if x != 0))
-        return out
-
-
 def _integer_rows(rows):
     """(integer rows, d) with the rational rows equal to the integer rows / d."""
     d = lcm(1, *(x.denominator for row in rows for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
+def _pivots(rows):
+    """The column of the first nonzero entry of each echelon row."""
+    return [next(k for k, x in enumerate(row) if x) for row in rows]
+
+
 class ZLattice(Record):
     """Integer span of vectors in C^dim, in canonical form.
 
-    The basis vectors are basis · span.rows / den.  The span rows are in
-    reduced row echelon form, so the rational coordinates of a vector in the
-    span are its entries at the pivots; the basis is the square Hermite
-    normal form of the lattice in those coordinates, upper triangular with a
-    positive diagonal, so integer coordinates come from one back-substitution
-    with a divisibility test at each step.  The data derived from these rows
-    (the span rows over one denominator, the basis rows and vectors) are
-    built once per lattice, on first use.
+    The basis vectors are rows / den, read as rational rows at the
+    conductor.  The rows are the Hermite normal form of den times the
+    lattice: echelon, with a positive pivot and reduced entries above it in
+    each pivot column, and den is the least positive integer that makes
+    them integral.  So integer coordinates come from one back-substitution
+    with a divisibility test at each pivot.  The basis vectors are built
+    once per lattice, on first use.
     """
 
     dim: int
     conductor: int
-    span: RationalSubspaceBasis
-    basis: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     den: int
 
     @property
     def rank(self):
-        return len(self.basis)
+        return len(self.rows)
 
-    @cached_property
-    def _frame(self):
-        """(pivots, the nonzero (column, value) entries of each span row as
-        integers over one denominator s, s)."""
-        ints, scale = _integer_rows(self.span.rows)
-        entries = tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in ints)
-        return tuple(self.span.pivots()), entries, scale
-
-    @cached_property
-    def _rows(self):
-        """The rational rows of the basis vectors at the conductor, one integer
-        combination basis · span.rows / den each."""
-        _, entries, scale = self._frame
-        out = []
-        for brow in self.basis:
-            acc = [0] * self.span.width
-            for coeff, row in zip(brow, entries):
-                if coeff:
-                    for k, x in row:
-                        acc[k] += coeff * x
-            out.append(tuple(Fraction(x, self.den * scale) for x in acc))
-        return tuple(out)
+    def _rows_at(self, conductor):
+        """The rational rows of the basis vectors at a multiple of the conductor."""
+        if conductor == self.conductor:
+            return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.rows)
+        return tuple(tuple(flatten(vec, conductor)) for vec in self._vectors)
 
     @cached_property
     def _vectors(self):
-        return tuple(reassemble(self.dim, self.conductor, row) for row in self._rows)
-
-    @cached_property
-    def _ambient(self):
         return tuple(
-            reassemble(self.dim, self.conductor, row) for row in self.span.rows
+            reassemble(self.dim, self.conductor, row)
+            for row in self._rows_at(self.conductor)
         )
-
-    def ambient_vectors(self):
-        """The span rows as cyclotomic vectors."""
-        return self._ambient
 
     def vectors(self):
         """The canonical basis vectors of the lattice, as cyclotomic vectors."""
         return self._vectors
 
-    def _rows_at(self, conductor):
-        """The rational rows of the basis vectors at a multiple of the conductor."""
-        if conductor == self.conductor:
-            return self._rows
-        return tuple(tuple(flatten(vec, conductor)) for vec in self._vectors)
+    def basis_coords(self, vector):
+        """Integer coordinates of vector in the lattice basis, or None.
 
-    def _span_coords(self, vector):
-        """(t, d) with t / d the coordinates of vector in the span rows, or
-        None when vector is outside the rational span.
-
-        The coordinates are the entries at the pivots, and the vector lies in
-        the span exactly when the residual of that combination is zero.  The
-        span lies in the field of the lattice's conductor, and an entry whose
-        (minimal) conductor does not divide it is outside that field.
-        """
+        The lattice lies in the field of its conductor, and an entry whose
+        (minimal) conductor does not divide it is outside that field."""
         if any(self.conductor % x.conductor for x in vector):
             return None
-        (row,), d = _integer_rows([flatten(vector, self.conductor)])
-        pivots, entries, scale = self._frame
-        coords = [row[p] for p in pivots]
-        residual = [scale * x for x in row]
-        for c, span_row in zip(coords, entries):
-            if c:
-                for k, x in span_row:
-                    residual[k] -= c * x
-        if any(residual):
-            return None
-        return coords, d
-
-    def rational_coords(self, vector):
-        """Coordinates of vector in the rational span rows, or None if outside."""
-        found = self._span_coords(vector)
-        if found is None:
-            return None
-        coords, d = found
-        return [Fraction(c, d) for c in coords]
-
-    def basis_coords(self, vector):
-        """Integer coordinates of vector in the lattice basis, or None."""
-        found = self._span_coords(vector)
-        if found is None:
-            return None
-        coords, d = found
-        rest = []
-        for c in coords:
-            q, r = divmod(self.den * c, d)
-            if r:
+        target = []
+        for x in flatten(vector, self.conductor):
+            x *= self.den
+            if x.denominator != 1:
                 return None
-            rest.append(q)
-        return linalg.hnf_coords(self.basis, rest)
+            target.append(x.numerator)
+        return linalg.hnf_coords(self.rows, target)
 
     def contains(self, vector):
         return self.basis_coords(vector) is not None
@@ -214,8 +146,7 @@ def lattice_from_generators(vectors, dim=None, allow_zero=False):
         raise InvalidInputError("mixed vector lengths")
     if not vectors:
         if allow_zero:
-            span = RationalSubspaceBasis(dim, ())
-            return ZLattice(dim, 1, span, (), 1)
+            return ZLattice(dim, 1, (), 1)
         raise InvalidInputError("no nonzero generators")
     conductor, rows = expand_vectors(vectors)
     return _lattice_from_rows(dim, conductor, rows)
@@ -223,38 +154,25 @@ def lattice_from_generators(vectors, dim=None, allow_zero=False):
 
 def _lattice_from_rows(dim, conductor, rows):
     """Canonical ZLattice spanned over the integers by nonzero rational rows at
-    the conductor, which must be the least conductor of their entries."""
-    red, pivots = linalg.rref(rows)
-    span = RationalSubspaceBasis(len(rows[0]), tuple(tuple(r) for r in red))
-    int_rows, den = _integer_rows([[row[c] for c in pivots] for row in rows])
+    the conductor, which must be the least conductor of their entries.
+
+    Every row lies in the lattice, so the least common denominator of the
+    rows is the least den that makes the lattice integral."""
+    int_rows, den = _integer_rows(rows)
     basis = linalg.hnf(int_rows)
-    shrink = den
-    for row in basis:
-        for x in row:
-            shrink = gcd(shrink, x)
-    if shrink > 1:
-        den //= shrink
-        basis = [[x // shrink for x in row] for row in basis]
-    if len(basis) != len(pivots) or any(
-        row[i] <= 0 or any(row[:i]) for i, row in enumerate(basis)
-    ):
-        raise InternalConsistencyError("lattice basis is not a square triangular HNF")
-    lattice = ZLattice(
-        dim, conductor, span, tuple(tuple(r) for r in basis), den
-    )
+    lattice = ZLattice(dim, conductor, tuple(tuple(row) for row in basis), den)
     _check_discrete(lattice)
     return lattice
 
 
 def _check_discrete(lattice):
-    """Raise NotDiscreteError unless the rational span has full real rank.
+    """Raise NotDiscreteError unless the basis vectors are independent over
+    the reals.
 
-    The basis vectors are a rational basis of the span, so they are
-    independent over the reals exactly when the span rows are.  The rank of
-    the rows (v | conj v) over the field is the rank of the rows
+    The rank of the rows (v | conj v) over the field is the rank of the rows
     (Re v | i Im v), since [v | conj v] = [Re v | i Im v] [[I, I], [I, -I]],
     and that is their real rank."""
-    rows = lattice.ambient_vectors()
+    rows = lattice.vectors()
     if not rows:
         return
     doubled = [list(vec) + [x.conjugate() for x in vec] for vec in rows]
@@ -294,10 +212,11 @@ def intersect_with_subspace(lattice: ZLattice, span_vectors) -> ZLattice:
     kernel = linalg.int_kernel(int_rows)
     gens = []
     for krow in kernel:
-        acc = [0] * lattice.span.width
-        for coeff, row in zip(krow, lattice._rows):
+        acc = [0] * len(lattice.rows[0])
+        for coeff, row in zip(krow, lattice.rows):
             if coeff:
                 acc = [a + coeff * x for a, x in zip(acc, row)]
+        acc = [Fraction(x, lattice.den) for x in acc]
         gens.append(reassemble(lattice.dim, lattice.conductor, acc))
     return lattice_from_generators(gens, dim=lattice.dim, allow_zero=True)
 
@@ -307,23 +226,24 @@ def lattice_index(big: ZLattice, small: ZLattice):
     ranks differ.
 
     Once containment is certified and the ranks agree, both lattices have
-    the same span rows, so the index is the ratio of their covolumes in the
-    pivot coordinates: the products of the HNF diagonals, each over its
-    denominator to the rank."""
+    the same rational span and so the same pivot columns, and the index is
+    the ratio of their covolumes in the pivot coordinates: the products of
+    the pivots, each over its denominator to the rank."""
     if any(big.basis_coords(vec) is None for vec in small.vectors()):
         raise InvalidInputError("second lattice is not contained in the first")
     if small.rank < big.rank:
         return math.inf
     if small.rank > big.rank:
         raise InvalidInputError("containment with larger rank is impossible")
-    if (small.conductor, small.span) != (big.conductor, big.span):
+    pivots = _pivots(big.rows)
+    if (small.conductor, _pivots(small.rows)) != (big.conductor, pivots):
         raise InternalConsistencyError(
             "lattices of equal rank, one inside the other, have different spans"
         )
     num, den = big.den ** big.rank, small.den ** small.rank
-    for i in range(small.rank):
-        num *= small.basis[i][i]
-        den *= big.basis[i][i]
+    for p, small_row, big_row in zip(pivots, small.rows, big.rows):
+        num *= small_row[p]
+        den *= big_row[p]
     index, rest = divmod(num, den)
     if rest:
         raise InternalConsistencyError(f"lattice index {num}/{den} is not an integer")
@@ -352,34 +272,20 @@ def invariance_check(lattice: ZLattice, matrices) -> bool:
 
 
 def lattice_to_json(lat: ZLattice) -> dict:
+    """The lattice as its rational span ("ambient": the reduced row echelon
+    rows, as cyclotomic vectors) and the square HNF of the lattice in the
+    pivot coordinates of those rows over the least common denominator."""
+    span, pivots = linalg.rref(lat.rows)
+    basis = [[row[p] for p in pivots] for row in lat.rows]
+    shrink = gcd(lat.den, *(x for row in basis for x in row))
     return {
-        "ambient": [[cyc_to_json(x) for x in vec] for vec in lat.ambient_vectors()],
-        "basis": [list(row) for row in lat.basis],
-        "denominator": lat.den,
+        "ambient": [
+            [cyc_to_json(x) for x in reassemble(lat.dim, lat.conductor, row)]
+            for row in span
+        ],
+        "basis": [[x // shrink for x in row] for row in basis],
+        "denominator": lat.den // shrink,
     }
-
-
-def lattice_from_json(obj) -> ZLattice:
-    try:
-        ambient = [
-            tuple(cyc_from_json(x) for x in vec) for vec in obj["ambient"]
-        ]
-        basis = [[int(x) for x in row] for row in obj["basis"]]
-        den = int(obj["denominator"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"bad lattice encoding: {exc}") from exc
-    if den <= 0:
-        raise InvalidInputError("denominator must be positive")
-    gens = []
-    for row in basis:
-        vec = None
-        for coeff, avec in zip(row, ambient):
-            term = tuple(Fraction(coeff, den) * x for x in avec)
-            vec = term if vec is None else tuple(v + t for v, t in zip(vec, term))
-        if vec is not None:
-            gens.append(vec)
-    dim = len(ambient[0]) if ambient else 0
-    return lattice_from_generators(gens, dim=dim)
 
 
 # -- rank-two lattices in the complex line ----------------------------------

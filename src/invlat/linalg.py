@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 
 def _zero_of(x):
@@ -72,7 +73,7 @@ def _eliminate(target, factor, row, support):
 
 def matmul(a, b):
     cols = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), _zero_of(row[0])) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def identity(n, one=Fraction(1)):

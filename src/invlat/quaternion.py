@@ -1,7 +1,7 @@
 """Rational quaternion algebras and the complex tori they act on.
 
-Exact arithmetic in (a,b) quaternion algebras, definiteness, bounded search
-for imaginary-quadratic subfields, complex structures given by right
+Exact arithmetic in (a,b) quaternion algebras, definiteness, an
+imaginary-quadratic subfield on a basis axis, complex structures given by right
 multiplication, and the endomorphism ring of the resulting torus with its
 structure classification (order in a definite quaternion algebra versus
 order in two-by-two matrices over an imaginary quadratic field).  The ring
@@ -132,52 +132,22 @@ class SubfieldWitness(Record):
     field_discriminant: int
 
 
-def _bounded_fractions(bound: int):
-    values = {Fraction(0)}
-    for num in range(1, bound + 1):
-        for den in range(1, bound + 1):
-            values.add(Fraction(num, den))
-            values.add(Fraction(-num, den))
-    def height(f):
-        return max(abs(f.numerator), f.denominator)
-    return sorted(values, key=lambda f: (height(f), f))
+def imaginary_quadratic_subfield(algebra: QuatAlgebra):
+    """A basis axis x of the algebra with x^2 = t < 0, which generates the
+    imaginary quadratic subfield Q(sqrt t).
 
-
-def imaginary_quadratic_subfield(algebra: QuatAlgebra, bound: int = 1):
-    """Bounded-height pure quaternion x with x^2 = t < 0; basis axes first.
-
-    Returns None if no witness exists within the bound; that is a report of
-    the search, not a proof of absence.
+    The axes i, j and k square to a, b and -ab.  As a and b are nonzero, one
+    of the three is negative, so the first such axis is a certified witness.
     """
     a, b = algebra.a, algebra.b
-    candidates = [
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-    ]
-    pool = _bounded_fractions(bound)
-    for r1 in pool:
-        for r2 in pool:
-            for r3 in pool:
-                if r1 == 0 and r2 == 0 and r3 == 0:
-                    continue
-                candidates.append((r1, r2, r3))
-    seen = set()
-    for triple in candidates:
-        if triple in seen:
-            continue
-        seen.add(triple)
-        r1, r2, r3 = triple
-        t = a * r1 * r1 + b * r2 * r2 - a * b * r3 * r3
-        if t >= 0:
-            continue
-        witness = algebra.element((0, r1, r2, r3))
-        square = witness * witness
-        if square.coords != (as_cycnum(t), as_cycnum(0), as_cycnum(0), as_cycnum(0)):
-            raise InternalConsistencyError("pure-quaternion square formula failed")
-        disc = fundamental_discriminant(t.numerator * t.denominator)
-        return SubfieldWitness(t, witness, disc)
-    return None
+    axes = (((1, 0, 0), a), ((0, 1, 0), b), ((0, 0, 1), -a * b))
+    axis, t = next((axis, t) for axis, t in axes if t < 0)
+    witness = algebra.element((0, *axis))
+    square = witness * witness
+    if square.coords != (as_cycnum(t), as_cycnum(0), as_cycnum(0), as_cycnum(0)):
+        raise InternalConsistencyError("pure-quaternion square formula failed")
+    disc = fundamental_discriminant(t.numerator * t.denominator)
+    return SubfieldWitness(t, witness, disc)
 
 
 class QuatTorus(Record):

@@ -6,8 +6,16 @@ from itertools import chain
 from math import gcd, isqrt, lcm
 
 from invlat import linalg
-from invlat.cyclotomic import CycNum, cyclotomic_polynomial, divisors, euler_phi
-from invlat.errors import InternalConsistencyError
+from invlat.cyclotomic import (
+    CycNum,
+    as_cycnum,
+    cyc_from_json,
+    cyc_to_json,
+    cyclotomic_polynomial,
+    divisors,
+    euler_phi,
+)
+from invlat.errors import InternalConsistencyError, InvalidInputError
 from invlat.groups import apply, as_matrix, character, invariant_hermitian, mat_identity
 from invlat.lattices import (
     RankTwoLattice,
@@ -17,6 +25,7 @@ from invlat.lattices import (
     fundamental_discriminant,
     lattice_from_generators,
     lattice_index,
+    lattice_to_json,
     reassemble,
 )
 
@@ -131,55 +140,88 @@ def isogeny_test(a: RankTwoLattice, b: RankTwoLattice):
     return beta / b.g1
 
 
-def rational_coords_by_lifting(lattice, vector):
-    """Coordinates of vector in the rational span of the lattice, or None:
-    the span rows and the vector are lifted to the conductor of both and the
-    column system is solved.  The library rejects an entry whose conductor
-    does not divide the lattice's before any solve."""
-    conductor = lcm(lattice.conductor, *(x.conductor for x in vector))
-    row = [c for x in vector for c in x.coords_at(conductor)]
-    lifted = [
-        [c for x in avec for c in x.coords_at(conductor)]
-        for avec in lattice.ambient_vectors()
-    ]
-    if not lifted:
-        return [] if not any(row) else None
-    cols = [[r[i] for r in lifted] for i in range(len(row))]
-    return solve_right(cols, row)
+def lattice_from_json(obj) -> ZLattice:
+    """The lattice of a report's encoding (ambient, basis, denominator): each
+    basis row adds up (coefficient / denominator) times the ambient vectors,
+    and the sums generate the lattice.  The library writes this encoding and
+    never reads it."""
+    try:
+        ambient = [tuple(cyc_from_json(x) for x in vec) for vec in obj["ambient"]]
+        basis = [[int(x) for x in row] for row in obj["basis"]]
+        den = int(obj["denominator"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"bad lattice encoding: {exc}") from exc
+    if den <= 0:
+        raise InvalidInputError("denominator must be positive")
+    gens = []
+    for row in basis:
+        vec = None
+        for coeff, avec in zip(row, ambient):
+            term = tuple(Fraction(coeff, den) * x for x in avec)
+            vec = term if vec is None else tuple(v + t for v, t in zip(vec, term))
+        if vec is not None:
+            gens.append(vec)
+    dim = len(ambient[0]) if ambient else 0
+    return lattice_from_generators(gens, dim=dim)
+
+
+def lattice_json_by_pivot_hnf(vectors) -> dict:
+    """The encoding of the integer span of the vectors by two eliminations:
+    the rref of their rows at the common conductor gives the ambient span
+    rows, and the HNF of the rows' entries at the pivot columns, over the
+    least common denominator of those entries and then shrunk by its gcd
+    with the HNF entries, gives the basis and denominator.  The library runs
+    one HNF of the full rows and reads the encoding off it."""
+    vectors = [tuple(as_cycnum(x) for x in vec) for vec in vectors]
+    conductor, rows = expand_vectors(vectors)
+    red, pivots = linalg.rref(rows)
+    den = lcm(1, *(row[c].denominator for row in rows for c in pivots))
+    basis = linalg.hnf([[int(row[c] * den) for c in pivots] for row in rows])
+    shrink = gcd(den, *(x for row in basis for x in row))
+    return {
+        "ambient": [
+            [cyc_to_json(x) for x in reassemble(len(vectors[0]), conductor, row)]
+            for row in red
+        ],
+        "basis": [[x // shrink for x in row] for row in basis],
+        "denominator": den // shrink,
+    }
 
 
 def vectors_by_cycnum_combination(lattice):
-    """The basis vectors of a lattice as CycNum sums: each span row is
-    reassembled, and each basis row adds up (coefficient / den) times those
-    vectors, one cyclotomic product and sum per term.  The library takes one
-    integer combination of the span rows per basis vector and reassembles it
-    once."""
-    ambient = [
-        reassemble(lattice.dim, lattice.conductor, row) for row in lattice.span.rows
-    ]
+    """The basis vectors of a lattice as CycNum sums over its encoding: each
+    basis row adds up (coefficient / denominator) times the ambient span
+    vectors, one cyclotomic product and sum per term.  The library reads
+    each basis vector off one integer row over its denominator."""
+    obj = lattice_to_json(lattice)
+    ambient = [tuple(cyc_from_json(x) for x in vec) for vec in obj["ambient"]]
     out = []
-    for brow in lattice.basis:
+    for brow in obj["basis"]:
         vec = [CycNum.rational(0)] * lattice.dim
         for coeff, avec in zip(brow, ambient):
             if coeff:
-                vec = [v + Fraction(coeff, lattice.den) * a for v, a in zip(vec, avec)]
+                vec = [v + Fraction(coeff, obj["denominator"]) * a for v, a in zip(vec, avec)]
         out.append(tuple(vec))
     return tuple(out)
 
 
 def basis_coords_by_spans(lattice, vector):
     """Integer coordinates of vector in the lattice basis, or None, from two
-    `linalg.Span` reductions: the flattened vector against the span rows,
-    then den times its coordinates against the HNF rows.  The library reads
-    the coordinates at the pivots and back-substitutes against the
-    triangular HNF in integers."""
+    `linalg.Span` reductions over the lattice's encoding: the flattened
+    vector against the ambient span rows, then the denominator times its
+    coordinates against the basis rows.  The library back-substitutes the
+    scaled vector against its integer HNF rows."""
     if any(lattice.conductor % x.conductor for x in vector):
         return None
-    coords = linalg.Span(lattice.span.rows).coords(flatten(vector, lattice.conductor))
+    obj = lattice_to_json(lattice)
+    span_rows = [
+        flatten([cyc_from_json(x) for x in vec], lattice.conductor) for vec in obj["ambient"]
+    ]
+    coords = linalg.Span(span_rows).coords(flatten(vector, lattice.conductor))
     if coords is None:
         return None
-    basis = linalg.Span([[Fraction(x) for x in row] for row in lattice.basis])
-    sol = basis.coords([lattice.den * c for c in coords])
+    basis = linalg.Span([[Fraction(x) for x in row] for row in obj["basis"]])
+    sol = basis.coords([obj["denominator"] * c for c in coords])
     if sol is None or any(s.denominator != 1 for s in sol):
         return None
     return [int(s) for s in sol]
@@ -188,7 +230,7 @@ def basis_coords_by_spans(lattice, vector):
 def is_discrete_by_vector_split(lattice):
     """True when the basis vectors (built by CycNum sums) are independent over
     the reals: the field rank of their (real part | skew part) rows.  The
-    library ranks the split rows of the rational span rows instead."""
+    library ranks the rows (v | conj v) of its own basis vectors instead."""
     vecs = vectors_by_cycnum_combination(lattice)
     if not vecs:
         return True
@@ -569,7 +611,7 @@ def endomorphisms_by_commutant(torus):
     integer kernel, and the center of a rank-8 ring from matrix commutators.
     The library works in the lattice basis, where the ring is one integer
     kernel and the center is read off the multiplication table."""
-    from invlat.cyclotomic import as_cycnum, common_conductor
+    from invlat.cyclotomic import common_conductor
     from invlat.lattices import fundamental_discriminant
     from invlat.quaternion import left_mult_matrix
 

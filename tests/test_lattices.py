@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +23,6 @@ from invlat.lattices import (
     intersect_with_subspace,
     invariance_check,
     lattice_from_generators,
-    lattice_from_json,
     lattice_index,
     lattice_sum,
     lattice_to_json,
@@ -58,8 +58,9 @@ from oracles import (
     coset_count,
     is_discrete_by_vector_split,
     isogeny_test,
+    lattice_from_json,
+    lattice_json_by_pivot_hnf,
     rank_two_coords_by_span,
-    rational_coords_by_lifting,
     vectors_by_cycnum_combination,
 )
 
@@ -329,33 +330,6 @@ def test_isogeny_test_distinct_fields():
     assert isogeny_test(a, b) is None
 
 
-def test_rational_coords_match_lifting_oracle():
-    one, nil, half = CycNum.rational(1), CycNum.rational(0), Fraction(1, 2)
-    z3, z4, z5, z8, z12 = zeta(3), zeta(4), zeta(5), zeta(8), zeta(12)
-    gaussian = lattice_from_generators([(one, nil), (z4, one), (nil, 2 * z4)])
-    twelve = lattice_from_generators([(z12, nil), (one, z3)])
-    zero = lattice_from_generators([], dim=2, allow_zero=True)
-    assert (gaussian.conductor, twelve.conductor, zero.conductor) == (4, 12, 1)
-    cases = [
-        (gaussian, [
-            (z3, nil), (one, z3), (z8, nil), (z12, one),  # foreign conductors
-            (half * z4 + 3, one), (z4, z4), (nil, one), (nil, nil),
-        ]),
-        (twelve, [
-            (z5, nil), (one, z5 + z3), (z8, z3),  # foreign conductors
-            (z12 + 3, 3 * z3), (z4, nil), (one, z3 * half), (z3, nil),
-        ]),
-        (zero, [(nil, nil), (one, nil), (z3, nil), (nil, z5)]),
-    ]
-    found = set()
-    for lattice, vectors in cases:
-        for vec in vectors:
-            coords = lattice.rational_coords(vec)
-            assert coords == rational_coords_by_lifting(lattice, vec), vec
-            found.add(coords is None)
-    assert found == {True, False}
-
-
 def test_second_invariance_check_reuses_spans(monkeypatch):
     group = group_from_json(GENERATED["WeylB3"][0])
     base = construct_rank_n(group, schur_index(group, 1).basis)
@@ -429,16 +403,17 @@ def _probe_vectors(lattice, rng):
 
 def test_golden_lattices_match_the_old_routes():
     """Every lattice of the report goldens and the line through each of its
-    basis vectors: the cached basis vectors equal the CycNum sums, the split
-    of the span rows agrees with the split of the vectors, and membership and
-    coordinates agree with the two-Span route on seeded vectors in and near
-    the lattice."""
+    basis vectors: the encoding equals the two-elimination route's, the
+    cached basis vectors equal the CycNum sums, the lattice passes the
+    split of the vectors, and membership and coordinates agree with the
+    two-Span route on seeded vectors in and near the lattice."""
     rng = random.Random(2005)
     found = set()
     lattices_seen = 0
     for name, obj in _golden_lattices():
         lattice = lattice_from_json(obj)
         assert lattice_to_json(lattice) == obj, name
+        assert lattice_json_by_pivot_hnf(lattice.vectors()) == obj, name
         lines = [lattice_from_generators([v], dim=lattice.dim) for v in lattice.vectors()]
         probes = _probe_vectors(lattice, rng)
         for lat in [lattice] + lines:
@@ -448,7 +423,6 @@ def test_golden_lattices_match_the_old_routes():
             for vec in probes + list(lattice.vectors()):
                 coords = lat.basis_coords(vec)
                 assert coords == basis_coords_by_spans(lat, vec), name
-                assert lat.rational_coords(vec) == rational_coords_by_lifting(lat, vec)
                 found.add(coords is None)
     assert lattices_seen > 27
     assert found == {True, False}
@@ -517,3 +491,83 @@ def test_second_basis_coords_builds_no_span(monkeypatch):
     assert not rref_calls
     assert not spans
     assert not any(isinstance(v, linalg.Span) for v in vars(doubled).values())
+
+
+def test_lattice_builds_run_no_rref_and_the_encoding_runs_one(monkeypatch):
+    """A build is one HNF of the generator rows and coordinates are one
+    back-substitution against it; only the encoding reduces the rows to the
+    rational span."""
+    one, nil, i4 = CycNum.rational(1), CycNum.rational(0), zeta(4)
+    half = CycNum.rational(Fraction(1, 2))
+    rref_calls = []
+    real_rref = linalg.rref
+
+    def counting_rref(rows):
+        rref_calls.append(rows)
+        return real_rref(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    lattice = lattice_from_generators([(one, half * i4), (i4, nil), (one + i4, half)])
+    total = lattice_sum(lattice, lattice_from_generators([(nil, one)]))
+    scaled = scale_lattice(zeta(3), total)
+    image = tuple(zeta(3) * (x + y) for x, y in zip(total.vectors()[0], total.vectors()[-1]))
+    assert scaled.basis_coords(image) is not None
+    assert scaled.basis_coords((half, nil)) is None
+    assert not rref_calls
+    lattice_to_json(scaled)
+    assert len(rref_calls) == 1
+
+
+def _random_entry(rng, conductor):
+    """A seeded number of Q(zeta_conductor) with small rational coordinates."""
+    return CycNum(
+        conductor,
+        [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(conductor)],
+    )
+
+
+def _direction_generators(rng, conductor):
+    """Seeded generators of a lattice in one complex line of C^3: rational
+    combinations, with denominators, of a vector u and (for a conductor
+    above 1) zeta * u, which are independent over the reals."""
+    u = tuple(_random_entry(rng, conductor) for _ in range(3))
+    base = [u] if conductor == 1 else [u, tuple(zeta(conductor) * x for x in u)]
+    gens = []
+    for _ in range(len(base) + 2):
+        vec = [CycNum.rational(0)] * 3
+        for b in base:
+            coeff = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 4]))
+            vec = [v + coeff * x for v, x in zip(vec, b)]
+        gens.append(tuple(vec))
+    return u, gens
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 4, 12])
+def test_one_hnf_matches_the_pivot_coordinate_route(conductor):
+    """Lines and planes in C^3 of rank below the ambient width: the encoding
+    of every lattice, sum, scaled lattice and intersection equals the
+    two-elimination route's on their generators, and the index agrees with
+    the coset count."""
+    rng = random.Random(conductor)
+    u, line_gens = _direction_generators(rng, conductor)
+    _, other_gens = _direction_generators(rng, conductor)
+    line = lattice_from_generators(line_gens)
+    plane = lattice_from_generators(line_gens + other_gens)
+    assert plane.rank == 2 * line.rank < 3 * len(zeta(conductor).coords_at(conductor))
+    assert lattice_to_json(line) == lattice_json_by_pivot_hnf(line_gens)
+    assert lattice_to_json(plane) == lattice_json_by_pivot_hnf(line_gens + other_gens)
+    # a denominator off the pivot column: the encoding's denominator is 1
+    thin = [(CycNum.rational(1), zeta(conductor) / 2, CycNum.rational(Fraction(1, 3)))]
+    assert lattice_to_json(lattice_from_generators(thin)) == lattice_json_by_pivot_hnf(thin)
+    total = lattice_sum(line, lattice_from_generators(other_gens))
+    assert total == plane
+    for scalar in (Fraction(2, 3), zeta(4), 1 + zeta(3)):
+        scaled = [tuple(scalar * x for x in vec) for vec in line_gens + other_gens]
+        assert lattice_to_json(scale_lattice(scalar, plane)) == lattice_json_by_pivot_hnf(scaled)
+    assert lattice_to_json(intersect_with_subspace(plane, [u])) == lattice_to_json(line)
+    assert lattice_index(plane, line) == math.inf
+    multiples = [rng.randint(1, 3) for _ in plane.vectors()]
+    sub = lattice_from_generators(
+        [tuple(k * x for x in vec) for k, vec in zip(multiples, plane.vectors())]
+    )
+    assert lattice_index(plane, sub) == coset_count(plane, sub) == math.prod(multiples)

@@ -124,6 +124,16 @@ def test_subfield_exists_in_split_algebra():
     assert witness.field_discriminant == -4
 
 
+def test_subfield_of_two_positive_parameters_is_on_the_k_axis():
+    # i^2 = 2 and j^2 = 5 are positive, so k, with k^2 = -10, is the witness
+    witness = imaginary_quadratic_subfield(QuatAlgebra(Fraction(2), Fraction(5)))
+    assert witness.t == Fraction(-10)
+    assert witness.witness.coords == tuple(CycNum.rational(x) for x in (0, 0, 0, 1))
+    assert witness.field_discriminant == -40
+    square = witness.witness * witness.witness
+    assert square.coords == (CycNum.rational(-10),) + (CycNum.rational(0),) * 3
+
+
 def test_lipschitz_is_order():
     assert is_order(hamilton(), lipschitz_lattice())
 

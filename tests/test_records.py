@@ -126,12 +126,12 @@ def test_cached_property_caches_on_a_lattice():
     rows = [tuple(CycNum.rational(x) for x in row) for row in ((2, 0), (1, 3))]
     lattice = lattice_from_generators(rows)
     twin = lattice_from_generators(rows)
-    frame = lattice._frame
-    assert lattice._frame is frame
-    assert "_frame" in vars(lattice)
+    vectors = lattice._vectors
+    assert lattice._vectors is vectors
+    assert "_vectors" in vars(lattice)
     # cached values take no part in equality or hashing
     assert lattice == twin and hash(lattice) == hash(twin)
-    assert "_frame" not in repr(lattice)
+    assert "_vectors" not in repr(lattice)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

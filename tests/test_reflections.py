@@ -11,7 +11,7 @@ from invlat.forge import (
     order_saturate,
 )
 from invlat.groups import close_group, group_from_json, mat_identity
-from invlat.lattices import lattice_from_generators, lattice_from_json, scale_lattice
+from invlat.lattices import lattice_from_generators, scale_lattice
 from invlat.records import replace
 from invlat.reflections import (
     MAX_CYCLES,
@@ -33,6 +33,7 @@ from oracles import (
     cycle_multiplier_by_matrices,
     gram_edges,
     isogeny_edges_by_images,
+    lattice_from_json,
     root_functional_matrix_by_factoring,
 )
 

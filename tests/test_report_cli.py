@@ -12,9 +12,11 @@ from invlat import cyclotomic, groups, linalg, reflections, report
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum
 from invlat.cli import main
-from invlat.lattices import invariance_check, lattice_from_generators, lattice_from_json
+from invlat.lattices import invariance_check, lattice_from_generators
 from invlat.errors import InvalidInputError
 from invlat.report import MAX_CYCLES, analyze, check_cycle_bound, render_json
+
+from oracles import lattice_from_json
 
 TOP_KEYS = {
     "schema", "input", "group", "profile", "verdict",
