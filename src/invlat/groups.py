@@ -1,18 +1,22 @@
 """Finite matrix groups with exact cyclotomic entries.
 
-Provides breadth-first closure from generators, characters, the exact
-irreducibility test by the character norm, averaged invariant Hermitian
-forms, and detection of (complex) reflections, each recorded with the
-rank-one factorization id - g = root * functional that the later reflection
-stages read.
+Provides the closure from generators, taken on the indices of each
+element's rows in the orbit of the standard row basis, the conjugacy
+classes, characters evaluated once per class, the exact irreducibility test
+by the character norm, averaged invariant Hermitian forms, and detection of
+(complex) reflections, each recorded with the rank-one factorization
+id - g = root * functional that the later reflection stages read.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 
 from . import linalg
-from .cyclotomic import MAX_CONDUCTOR, CycNum, as_cycnum, cyc_from_json, exact_sign
+from .cyclotomic import (
+    MAX_CONDUCTOR, CycNum, as_cycnum, common_conductor, cyc_from_json, exact_sign,
+)
 from .errors import CapExceededError, InternalConsistencyError, InvalidInputError
 from .records import Record
 
@@ -36,7 +40,7 @@ def as_matrix(rows):
 
 
 class SparseMatrix:
-    """The nonzero entries of a square matrix, by row and by column.
+    """The nonzero entries of each row of a square matrix.
 
     Each entry is an (index, value) pair, with value None where the entry is
     1, so a product with the matrix skips every zero term and multiplies by
@@ -45,23 +49,18 @@ class SparseMatrix:
     or 1.
     """
 
-    __slots__ = ("matrix", "rows", "cols")
+    __slots__ = ("matrix", "rows")
 
     def __init__(self, mat):
         self.matrix = mat
-        self.rows = _nonzero_entries(mat)
-        self.cols = _nonzero_entries(zip(*mat))
-
-
-def _nonzero_entries(lines):
-    return tuple(
-        tuple(
-            (k, None if x == _ONE else x)
-            for k, x in enumerate(line)
-            if not x.is_zero()
+        self.rows = tuple(
+            tuple(
+                (k, None if x == _ONE else x)
+                for k, x in enumerate(row)
+                if not x.is_zero()
+            )
+            for row in mat
         )
-        for line in lines
-    )
 
 
 def _sparse_dot(entries, vec):
@@ -76,11 +75,6 @@ def _sparse_dot(entries, vec):
             x = a * x
         total = x if total is None else total + x
     return _ZERO if total is None else total
-
-
-def right_mul(a, g: SparseMatrix):
-    """The matrix a * g, read off the columns of g."""
-    return tuple(tuple(_sparse_dot(col, row) for col in g.cols) for row in a)
 
 
 def apply(g: SparseMatrix, vec):
@@ -105,25 +99,35 @@ def trace(mat):
 class GroupRep:
     """A finite group of invertible matrices, closed under multiplication.
 
-    The elements are kept in the breadth-first order of `close_group`, the
-    identity first.  The sparse records of the generators are kept for every
-    later product with a generator.  The character is filled on the first
-    `character` call and the reflection inventory on the first
-    `find_reflections` call.
+    The group acts on the right on `rows`, the orbit of the standard row
+    basis e_1 ... e_n under r -> r * g, whose first n points are the basis
+    itself.  The elements are in the breadth-first order of `close_group`,
+    the identity first.  Each element's matrix is made of n of those rows,
+    shared with every other element that has them.  right[k][s] is the index
+    of element k times generator s, and tree[k] = (p, s) says that element
+    k > 0 was first reached as element p times generator s.  The sparse
+    records of the generators are kept for every later product with a
+    generator.  The conjugacy classes are found on the first
+    `conjugacy_classes` call, the character on the first `class_character`
+    call and the reflection inventory on the first `find_reflections` call.
     """
 
     __slots__ = (
-        "dimension", "generators", "sparse_generators", "elements",
-        "_character", "_reflections",
+        "dimension", "generators", "sparse_generators", "rows", "elements",
+        "right", "tree", "_classes", "_class_of", "_class_character",
+        "_reflections",
     )
 
-    def __init__(self, dimension, sparse_generators, elements):
-        self.dimension = dimension
+    def __init__(self, sparse_generators, rows, elements, right, tree):
         self.sparse_generators = tuple(sparse_generators)
         self.generators = tuple(g.matrix for g in self.sparse_generators)
+        self.dimension = len(self.generators[0])
+        self.rows = tuple(rows)
         self.elements = tuple(elements)
-        self._character = None
-        self._reflections = None
+        self.right = tuple(right)
+        self.tree = tuple(tree)
+        self._classes = self._class_of = None
+        self._class_character = self._reflections = None
 
     @property
     def order(self):
@@ -139,14 +143,58 @@ class GroupRep:
         return out
 
 
+def _cap_error(cap):
+    return CapExceededError(f"group closure exceeded the cap of {cap} elements")
+
+
+def _row_orbit(generators, n, cap):
+    """(rows, generator permutations): the orbit of the rows e_1 ... e_n under
+    r -> r * g over the generators g, the basis first, with one `apply` of
+    the transpose of g per point and generator; perm[k] is the index of
+    rows[k] * g.
+
+    Each basis row's orbit has at most |G| points, so a group with
+    |G| <= cap has at most n * cap of them, and more points exceed the cap.
+    """
+    transposes = [SparseMatrix(tuple(zip(*g))) for g in generators]
+    rows = [tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)]
+    where = {r: k for k, r in enumerate(rows)}
+    images = [[] for _ in transposes]
+    for row in rows:  # rows grows in BFS order as it is read
+        for g_t, perm in zip(transposes, images):
+            image = apply(g_t, row)
+            k = where.get(image)
+            if k is None:
+                if len(rows) >= n * cap:
+                    raise _cap_error(cap)
+                k = where[image] = len(rows)
+                rows.append(image)
+            perm.append(k)
+    return rows, [tuple(perm) for perm in images]
+
+
+def _taker(key):
+    """The map seq -> (seq[k] for k in key), as a tuple."""
+    if len(key) == 1:
+        k = key[0]
+        return lambda seq: (seq[k],)
+    return itemgetter(*key)
+
+
 def close_group(generators, cap: int = 10000) -> GroupRep:
     """Breadth-first closure of the generated matrix group, capped.
 
-    Each generator must have full rank; a sparse record of it is built once,
-    and every new element is current*g read off that record, skipping zero
-    terms and multiplications by 1.  No matrix is inverted: a finite set of
-    invertible matrices closed under products is a group, since g^k = id
-    for some k, and an infinite one exceeds the cap.
+    Each generator must have full rank.  The generators permute the finite
+    orbit of the standard row basis (`_row_orbit`), and an element is known
+    by its n rows, so it is kept as their n indices in that orbit.  The rows
+    of current*g are the rows of current times g, so the key of current*g is
+    perm[k] for each k in the key of current, with perm g's permutation of
+    the orbit: the closure visits the elements in the order a closure on
+    matrices would, and it keeps n indices per element whatever the length
+    of the orbit.  The matrices are built once the closure has succeeded.
+    No matrix is inverted: a finite set of invertible matrices closed under
+    products is a group, since g^k = id for some k, and an infinite one
+    exceeds the cap.
     """
     gens = [as_matrix(g) for g in generators]
     if not gens:
@@ -156,39 +204,126 @@ def close_group(generators, cap: int = 10000) -> GroupRep:
         raise InvalidInputError("generators have mixed dimensions")
     if any(linalg.rank(g) != n for g in gens):
         raise InvalidInputError("generator is singular")
-    sparse = [SparseMatrix(g) for g in gens]
-    identity = mat_identity(n)
-    seen = {identity}
-    order = [identity]
-    for current in order:  # order grows in BFS order as it is read
-        for g in sparse:
-            prod = right_mul(current, g)
-            if prod not in seen:
-                if len(order) >= cap:
-                    raise CapExceededError(
-                        f"group closure exceeded the cap of {cap} elements"
-                    )
-                seen.add(prod)
-                order.append(prod)
-    return GroupRep(n, sparse, order)
+    rows, gen_perms = _row_orbit(gens, n, cap)
+    identity = tuple(range(n))
+    index = {identity: 0}
+    keys = [identity]
+    right, tree = [], [None]
+    for k, current in enumerate(keys):  # keys grows in BFS order as it is read
+        take = _taker(current)
+        products = []
+        for s, perm in enumerate(gen_perms):
+            prod = take(perm)
+            j = index.get(prod)
+            if j is None:
+                if len(keys) >= cap:
+                    raise _cap_error(cap)
+                j = index[prod] = len(keys)
+                keys.append(prod)
+                tree.append((k, s))
+            products.append(j)
+        right.append(tuple(products))
+    elements = [_taker(key)(rows) for key in keys]
+    return GroupRep([SparseMatrix(g) for g in gens], rows, elements, right, tree)
 
 
-def character(group: GroupRep):
-    """Trace of each element, in element order; computed once per group and
-    kept on it."""
-    if group._character is None:
-        group._character = tuple(trace(m) for m in group.elements)
-    return group._character
+def _left_multiples(group: GroupRep, h):
+    """[h * x for each element x], as element indices, read off the right
+    products: x = p * g along the closure tree, so h * x = (h * p) * g."""
+    right = group.right
+    out = [h]
+    for p, s in group.tree[1:]:
+        out.append(right[out[p]][s])
+    return out
+
+
+def _square(group: GroupRep, x):
+    """The index of x * x: x times the generators on x's closure-tree path."""
+    path = []
+    k = x
+    while k:
+        k, s = group.tree[k]
+        path.append(s)
+    out = x
+    for s in reversed(path):
+        out = group.right[out][s]
+    return out
+
+
+def conjugacy_classes(group: GroupRep):
+    """The conjugacy classes, each a tuple of element indices in element
+    order, the classes ordered by their first member; found once per group
+    and kept on it.
+
+    The class of x is its orbit under x -> g^-1 * x * g over the generators
+    g, taken on element indices: g^-1 is the last power of g before the
+    identity, and g^-1 * x comes from `_left_multiples`.  Every h in the
+    finite group is a product of generators, so iterated conjugation by
+    them reaches every h^-1 x h.
+    """
+    if group._classes is None:
+        right = group.right
+        conjugations = []
+        for s in range(len(group.generators)):
+            g_inv, power = 0, right[0][s]
+            while power:
+                g_inv, power = power, right[power][s]
+            conjugations.append([right[y][s] for y in _left_multiples(group, g_inv)])
+        class_of = [None] * group.order
+        classes = []
+        for first in range(group.order):
+            if class_of[first] is not None:
+                continue
+            label = len(classes)
+            class_of[first] = label
+            members = [first]
+            for k in members:  # members grows as it is read
+                for conj in conjugations:
+                    y = conj[k]
+                    if class_of[y] is None:
+                        class_of[y] = label
+                        members.append(y)
+            classes.append(tuple(sorted(members)))
+        group._classes, group._class_of = tuple(classes), tuple(class_of)
+    return group._classes
+
+
+def class_character(group: GroupRep):
+    """chi on each conjugacy class, in class order: the trace of the first
+    member, computed once per group and kept on it."""
+    if group._class_character is None:
+        group._class_character = tuple(
+            trace(group.elements[cls[0]]) for cls in conjugacy_classes(group)
+        )
+    return group._class_character
+
+
+def square_classes(group: GroupRep):
+    """For each conjugacy class, the index of the class holding the squares
+    of its members, from the square of the first member (`_square`)."""
+    classes = conjugacy_classes(group)
+    return tuple(group._class_of[_square(group, cls[0])] for cls in classes)
+
+
+def class_sum(group: GroupRep, values) -> CycNum:
+    """The sum of |C| * values[C] over the conjugacy classes C, exact.
+
+    The sum is taken on the rational coordinates of the values at their
+    common conductor, so it forms no CycNum product.
+    """
+    conductor = common_conductor(values)
+    sizes = [len(cls) for cls in conjugacy_classes(group)]
+    coords = zip(*(v.coords_at(conductor) for v in values))
+    return CycNum(conductor, [sum(k * c for k, c in zip(sizes, col)) for col in coords])
 
 
 def character_norm(group: GroupRep) -> CycNum:
-    """<chi, chi> = (1/|G|) sum chi(g) conj chi(g), exact.
+    """<chi, chi> = (1/|G|) sum |C| chi(C) conj chi(C) over the classes C,
+    exact.
 
     The group is finite, so chi(g^-1) = conj chi(g)."""
-    total = CycNum.rational(0)
-    for x in character(group):
-        total = total + x * x.conjugate()
-    return total / group.order
+    chi = class_character(group)
+    return class_sum(group, [x * x.conjugate() for x in chi]) / group.order
 
 
 def invariant_hermitian(group: GroupRep):
@@ -235,39 +370,61 @@ def find_reflections(group: GroupRep):
 
 
 def _scan_reflections(group: GroupRep):
-    """Reflections in element order, behind an exact trace prefilter.
+    """Reflections in element order, behind an exact trace prefilter run
+    once per conjugacy class.
 
     A reflection g of finite order has the eigenvalue 1 on its hyperplane
     and one other eigenvalue theta != 1, a root of unity, so
-    chi(g) = n - 1 + theta with theta * conj(theta) = 1.  Only the elements
-    whose theta = chi(g) - (n - 1) passes that test are factored: alpha is
-    the first nonzero column of id - g scaled to lead with 1 at row p, phi
-    is row p, and id - g has rank one exactly when it equals alpha * phi
-    entry by entry (theta != 1, so g != id).  Then g * alpha =
-    (1 - phi(alpha)) * alpha, and the eigenvalue is checked against theta.
+    chi(g) = n - 1 + theta with theta * conj(theta) = 1.  Only the classes
+    whose theta = chi - (n - 1) passes that test are factored, and rank(id - g)
+    is a class function, so the first member of a class decides it.  The
+    other members of the classes that pass are then factored too, each with
+    its own checks, and the records are put in element order: alpha is the
+    first nonzero column of id - g scaled to lead with 1 at row p, phi is
+    row p, and id - g has rank one exactly when it equals alpha * phi entry
+    by entry (theta != 1, so g != id).  Then g * alpha = (1 - phi(alpha)) *
+    alpha, and the eigenvalue is checked against theta.
     """
     n = group.dimension
-    out = []
-    for idx, (mat, chi) in enumerate(zip(group.elements, character(group))):
+    found = []
+    for cls, chi in zip(conjugacy_classes(group), class_character(group)):
         theta = chi - (n - 1)
         if theta == _ONE or theta * theta.conjugate() != _ONE:
             continue
-        diff = [
-            [(_ONE if i == j else _ZERO) - x for j, x in enumerate(row)]
-            for i, row in enumerate(mat)
-        ]
-        p, col = next(
-            (i, j) for j in range(n) for i in range(n) if not diff[i][j].is_zero()
-        )
-        inv = diff[p][col].inverse()
-        root = tuple(row[col] * inv for row in diff)
-        phi = tuple(diff[p])
-        if any(x != a * f for row, a in zip(diff, root) for x, f in zip(row, phi)):
+        factors = _rank_one_factors(group.elements[cls[0]])
+        if factors is None:
             continue
+        found.append((cls[0], theta, factors))
+        for idx in cls[1:]:
+            factors = _rank_one_factors(group.elements[idx])
+            if factors is None:
+                raise InternalConsistencyError("a conjugate of a reflection is not one")
+            found.append((idx, theta, factors))
+    out = []
+    for idx, theta, (root, phi) in sorted(found, key=itemgetter(0)):
         if _ONE - sum((f * a for f, a in zip(phi, root)), _ZERO) != theta:
             raise InternalConsistencyError("root line is not an eigenline")
-        out.append(ReflectionData(idx, mat, theta, root, phi))
+        out.append(ReflectionData(idx, group.elements[idx], theta, root, phi))
     return out
+
+
+def _rank_one_factors(mat):
+    """(alpha, phi) with id - mat = alpha * phi entry by entry, or None;
+    mat must not be the identity."""
+    n = len(mat)
+    diff = [
+        [(_ONE if i == j else _ZERO) - x for j, x in enumerate(row)]
+        for i, row in enumerate(mat)
+    ]
+    p, col = next(
+        (i, j) for j in range(n) for i in range(n) if not diff[i][j].is_zero()
+    )
+    inv = diff[p][col].inverse()
+    root = tuple(row[col] * inv for row in diff)
+    phi = tuple(diff[p])
+    if any(x != a * f for row, a in zip(diff, root) for x, f in zip(row, phi)):
+        return None
+    return root, phi
 
 
 def matrix_from_json(obj, dimension) -> tuple:

@@ -16,7 +16,10 @@ from math import gcd, lcm
 from . import linalg
 from .cyclotomic import CycNum, common_conductor
 from .errors import InternalConsistencyError, InvalidInputError
-from .groups import GroupRep, apply, character, character_norm, mat_identity
+from .groups import (
+    GroupRep, apply, character_norm, class_character, class_sum, conjugacy_classes,
+    mat_identity, square_classes,
+)
 from .lattices import RankTwoLattice, flatten, multiplier_ring, reassemble
 from .records import Record
 
@@ -78,8 +81,12 @@ def _field_span_dim(values) -> int:
 
 
 def classify_character_field(group: GroupRep) -> CharacterFieldClass:
-    """Exact classification of the field generated by the character values."""
-    values = character(group)
+    """Exact classification of the field generated by the character values.
+
+    The values are taken once per conjugacy class.  The classes are ordered
+    by their first member, so the first non-rational class value is the
+    first non-rational value in element order."""
+    values = class_character(group)
     degree = _field_span_dim(values)
     real_valued = all(v.is_real() for v in values)
     if degree == 1:
@@ -108,25 +115,15 @@ def classify_character_field(group: GroupRep) -> CharacterFieldClass:
 def frobenius_schur_indicator(group: GroupRep) -> int:
     """(1/|G|) sum chi(g^2), exact; 1, -1, or 0 for an irreducible character.
 
-    chi(g^2) = tr(g^2) = sum over i, j of g_ij * g_ji, read off the entries
-    of g with no matrix product: the diagonal squares plus twice the
-    nonzero off-diagonal pairs.
+    chi(g^2) is a class function, and g^2 lies in a known class
+    (`square_classes`), so the sum is sum |C| chi(C^2) over the classes C,
+    with no CycNum product.
     """
-    n = group.dimension
-    diagonal = off_diagonal = CycNum.rational(0)
-    for mat in group.elements:
-        for i, row in enumerate(mat):
-            x = row[i]
-            if not x.is_zero():
-                diagonal = diagonal + x * x
-            for j in range(i + 1, n):
-                x, y = row[j], mat[j][i]
-                if not (x.is_zero() or y.is_zero()):
-                    off_diagonal = off_diagonal + x * y
-    nu = (diagonal + 2 * off_diagonal) / group.order
-    if not nu.is_rational():
+    chi = class_character(group)
+    total = class_sum(group, [chi[c] for c in square_classes(group)])
+    if not total.is_rational():
         raise InvalidInputError("indicator is not rational; character not irreducible")
-    value = nu.as_fraction()
+    value = total.as_fraction() / group.order
     if value.denominator != 1 or value not in (1, -1, 0):
         raise InvalidInputError(
             f"indicator {value} outside {{1,-1,0}}; character not irreducible"
@@ -277,8 +274,11 @@ def gcd_kernel_shortcut(group: GroupRep):
     and collects the complex kernel dimension of each; if the gcd of these
     together with n reaches 1, the index must be 1.  Pairs g - h and g + h
     cannot lower the gcd: g - h = g(id - g^-1 h) and g + h = g(id + g^-1 h)
-    have the kernel dimensions of the single element g^-1 h.  Returns the
-    list of (description, dimension) pairs on success, else None.
+    have the kernel dimensions of the single element g^-1 h.  Conjugates
+    have the same kernel dimensions, so only the first member of each
+    conjugacy class is scanned, in element order: every other member comes
+    after it and cannot lower the gcd it left.  Returns the list of
+    (description, dimension) pairs on success, else None.
     """
     n = group.dimension
     identity = mat_identity(n)
@@ -297,7 +297,9 @@ def gcd_kernel_shortcut(group: GroupRep):
             running = gcd(running, dim)
         return running == 1
 
-    for idx, g in enumerate(group.elements):
+    for cls in conjugacy_classes(group):
+        idx = cls[0]
+        g = group.elements[idx]
         diff = [[g[i][j] - identity[i][j] for j in range(n)] for i in range(n)]
         if consider(f"element {idx} - id", diff):
             return tuple(found)

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, settings
 from invlat.catalog import catalog_names, get_entry
 from invlat.groups import group_from_json
 
-from generated_groups import CARTAN_A4, GENERATED, weyl_from_cartan
+from generated_groups import CARTAN_A4, CARTAN_B3, GENERATED, in_generic_basis, weyl_from_cartan
 
 settings.register_profile(
     "exact",
@@ -46,9 +46,9 @@ def c5():
 
 @pytest.fixture(scope="session")
 def oracle_groups():
-    """(name, group) for the 9 catalog groups, every generated group and the
-    Weyl group A4 from its Cartan matrix: the inputs the oracle comparisons
-    run on."""
+    """(name, group) for the 9 catalog groups, every generated group, the
+    Weyl group A4 from its Cartan matrix and the Weyl group B3 in a generic
+    basis: the inputs the oracle comparisons run on."""
     out = [
         (name, get_entry(name).group())
         for name in catalog_names()
@@ -56,5 +56,8 @@ def oracle_groups():
     ]
     out += [(name, group_from_json(obj)) for name, (obj, _) in GENERATED.items()]
     out.append(("WeylA4", group_from_json(weyl_from_cartan(CARTAN_A4))))
-    assert len(out) == 9 + len(GENERATED) + 1
+    out.append(
+        ("WeylB3-generic", group_from_json(in_generic_basis(weyl_from_cartan(CARTAN_B3))))
+    )
+    assert len(out) == 9 + len(GENERATED) + 2
     return out

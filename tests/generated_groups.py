@@ -52,6 +52,28 @@ def imprimitive(m: int, n: int) -> dict:
     return {"conductor": m, "dimension": n, "generators": gens}
 
 
+
+def in_generic_basis(obj: dict) -> dict:
+    """The same group with each generator g written as P g P^-1, for P the
+    unitriangular integer matrix with (3i + 5j) mod 7 - 3 above the diagonal.
+    In such a basis the basis rows have long orbits, unlike in the root or
+    monomial bases above.  The generator entries must be integers."""
+    n = obj["dimension"]
+    p = [[int(i == j) if j <= i else (3 * i + 5 * j) % 7 - 3 for j in range(n)] for i in range(n)]
+    p_inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in reversed(range(n)):  # back substitution: row i of P^-1
+        for j in range(i + 1, n):
+            p_inv[i] = [a - p[i][j] * b for a, b in zip(p_inv[i], p_inv[j])]
+
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    gens = [
+        [[str(x) for x in row] for row in mul(mul(p, [[int(x) for x in r] for r in g]), p_inv)]
+        for g in obj["generators"]
+    ]
+    return {**obj, "generators": gens}
+
 # Generators of Q8 and D8 on C^2, with entries as group JSON strings.
 Q8_GENS = ([["z4", "0"], ["0", "-z4"]], [["0", "1"], ["-1", "0"]])
 D8_GENS = ([["-1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]])

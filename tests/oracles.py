@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from invlat import linalg
 from invlat.cyclotomic import (
@@ -16,7 +17,7 @@ from invlat.cyclotomic import (
     euler_phi,
 )
 from invlat.errors import InternalConsistencyError, InvalidInputError
-from invlat.groups import apply, as_matrix, character, invariant_hermitian, mat_identity
+from invlat.groups import apply, as_matrix, invariant_hermitian, mat_identity, trace
 from invlat.lattices import (
     RankTwoLattice,
     ZLattice,
@@ -468,8 +469,9 @@ def gram_edges(group, refs):
 def close_group_dense(generators):
     """(elements, inverse_index) of the breadth-first closure, by dense n^3
     matrix products: current*g for every element and generator, and
-    g^-1 * current^-1 for the inverse of each new element.  The library reads
-    the same products off sparse generator records."""
+    g^-1 * current^-1 for the inverse of each new element.  The library
+    closes on the indices of each element's rows in the orbit of the row
+    basis."""
     gens = [as_matrix(g) for g in generators]
     n = len(gens[0])
     gen_inverses = [
@@ -492,10 +494,54 @@ def close_group_dense(generators):
     return tuple(order), tuple(seen[m] for m in inverses)
 
 
+def conjugacy_classes_by_matrices(group):
+    """The conjugacy classes of the group's elements, each a sorted tuple of
+    element indices, in the order of their first members: the class of g is
+    h*g*h^-1 over every element h, by dense products, with h^-1 from
+    `linalg.inverse`.  Matrices with rational integer entries only are
+    multiplied as ints.  The library conjugates element indices by the
+    generators alone, reading the products off the closure."""
+    mats = group.elements
+    integral = all(
+        x.is_rational() and x.as_fraction().denominator == 1
+        for m in mats for row in m for x in row
+    )
+    if integral:
+        mats = [tuple(tuple(int(x.as_fraction()) for x in row) for row in m) for m in mats]
+    index = {m: k for k, m in enumerate(mats)}
+
+    def product(a, b_cols):
+        return tuple(tuple(sum(map(mul, row, col)) for col in b_cols) for row in a)
+
+    pairs = []  # (h, the columns of h^-1)
+    for m in mats:
+        inv = linalg.inverse([list(r) for r in m])
+        if integral:  # an integer matrix of finite order has an integer inverse
+            inv = [[int(x) for x in row] for row in inv]
+        pairs.append((m, tuple(zip(*inv))))
+    class_of = [None] * len(mats)
+    classes = []
+    for k, g in enumerate(mats):
+        if class_of[k] is None:
+            g_cols = tuple(zip(*g))
+            members = {index[product(product(h, g_cols), cols)] for h, cols in pairs}
+            for j in members:
+                assert class_of[j] is None, "conjugacy is not a partition"
+                class_of[j] = len(classes)
+            classes.append(tuple(sorted(members)))
+    return tuple(classes)
+
+
+def character(group):
+    """The trace of each element, in element order.  The library takes one
+    trace per conjugacy class."""
+    return tuple(trace(mat) for mat in group.elements)
+
+
 def indicator_by_squares(group):
     """(1/|G|) sum chi(g^2), with g^2 formed by a matrix product and looked up
-    in the closure, which it must not escape.  The library reads chi(g^2) off
-    the entries of g as sum g_ij * g_ji."""
+    in the closure, which it must not escape.  The library finds g^2 from
+    the closure's products along g's closure-tree path, once per class."""
     chi = character(group)
     index = {mat: k for k, mat in enumerate(group.elements)}
     total = CycNum.rational(0)
@@ -522,8 +568,9 @@ def character_norm_by_inverses(group):
 def reflections_by_rank_scan(group):
     """(element index, det, root) of every element g with rank(id - g) = 1,
     from a rank test on each of the |G| elements; the root is the first
-    nonzero column of id - g scaled to lead with 1.  The library runs the
-    rank test only on elements whose character value passes a trace test."""
+    nonzero column of id - g scaled to lead with 1.  The library factors only
+    the members of the classes whose character value passes a trace test and
+    whose first member factors."""
     n = group.dimension
     identity = mat_identity(n)
     out = []
@@ -570,7 +617,8 @@ def _single_combos(group):
 def gcd_kernel_singles(group):
     """The gcd certificate from the complex kernel dimensions of g - id and
     g + id, element by element, each counted as the length of a kernel
-    basis.  The library reads each dimension off one rank."""
+    basis.  The library reads each dimension off one rank, once per
+    conjugacy class."""
     return _gcd_certificate_by_kernels(group.dimension, _single_combos(group))
 
 

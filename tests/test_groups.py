@@ -1,26 +1,34 @@
+import json
+import tracemalloc
+
 import pytest
 
 from invlat import groups as groups_module
 from invlat import linalg
 from invlat.catalog import catalog_names, get_entry
+from invlat.cli import main
 from invlat.cyclotomic import CycNum, cyc_to_json, exact_sign, zeta
 from invlat.errors import CapExceededError, InvalidInputError
 from invlat.groups import (
-    character,
     character_norm,
     close_group,
     conj_transpose,
+    conjugacy_classes,
     find_reflections,
     group_from_json,
     invariant_hermitian,
     mat_identity,
+    matrix_from_json,
 )
 from invlat.report import analyze
+from invlat.schur import frobenius_schur_indicator
 
-from generated_groups import GENERATED
+from generated_groups import GENERATED, imprimitive, in_generic_basis, weyl_from_cartan
 from oracles import (
+    character,
     character_norm_by_inverses,
     close_group_dense,
+    conjugacy_classes_by_matrices,
     hermitian_inner,
     mat_mul,
     reflections_by_rank_scan,
@@ -96,9 +104,16 @@ def test_reflection_scan_ranks_no_matrix(monkeypatch):
     for name in ("rank", "det"):
         monkeypatch.setattr(linalg, name, lambda *a, name=name: pytest.fail(f"linalg.{name}"))
     assert not hasattr(linalg, "matvec")
-    # 33 of the 162 elements have chi(g) = 2 + theta with |theta| = 1, theta
-    # != 1; 15 of them factor as root times functional
+    factored = []
+    real = groups_module._rank_one_factors
+    monkeypatch.setattr(
+        groups_module, "_rank_one_factors", lambda mat: factored.append(mat) or real(mat)
+    )
+    # 5 of the 22 classes (33 of the 162 elements) have chi = 2 + theta with
+    # |theta| = 1, theta != 1; 3 of those classes (15 elements) factor as root
+    # times functional: 5 class tests, then the other 12 members of those 3
     assert len(groups_module._scan_reflections(group)) == 15
+    assert len(factored) == 5 + 12
 
 
 def test_closure_inverts_no_matrix(monkeypatch):
@@ -135,10 +150,19 @@ def test_character_is_computed_once_per_analysis(monkeypatch):
         return real(mat)
 
     monkeypatch.setattr(groups_module, "trace", counting)
-    for target, order in [("G4", 24), ("WeylB2", 8), GENERATED["G3-1-2"]]:
+    for target, classes in [("G4", 7), ("WeylB2", 5), (GENERATED["G3-1-2"][0], 9)]:
         calls.clear()
         analyze(target)
-        assert len(calls) == order, target
+        assert len(calls) == classes, target
+
+
+def test_indicator_takes_no_cycnum_product(monkeypatch):
+    groups = [get_entry(name).group() for name in ("G4", "WeylB2", "Q8")]
+    groups.append(group_from_json(GENERATED["G3-1-2"][0]))
+    monkeypatch.setattr(
+        CycNum, "__mul__", lambda *a: pytest.fail("CycNum product")
+    )
+    assert [frobenius_schur_indicator(g) for g in groups] == [0, 1, -1, 0]
 
 
 def test_conductors(s3, g4, q8, c5):
@@ -152,8 +176,88 @@ def test_cap_exceeded():
     # an infinite group: a shear has infinite order
     one, nil = CycNum.rational(1), CycNum.rational(0)
     shear = ((one, one), (nil, one))
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match="^group closure exceeded the cap of 50 elements$"):
         close_group([shear], cap=50)
+
+
+def test_basis_orbits_longer_than_the_cap_still_close():
+    # zeta5 * id in dimension 3 has order 5, and each basis row has an
+    # orbit of 5 points: 15 points in all, more than the cap of 5
+    z5, nil = zeta(5), CycNum.rational(0)
+    scalar = tuple(tuple(z5 if i == j else nil for j in range(3)) for i in range(3))
+    group = close_group([scalar], cap=5)
+    assert group.order == 5 and len(group.rows) == 15
+    with pytest.raises(CapExceededError, match="cap of 4 elements"):
+        close_group([scalar], cap=4)
+
+
+def test_s24_reaches_the_cap_after_one_apply_per_orbit_point(tmp_path, capsys, monkeypatch):
+    # S24 permuting the coordinates of C^24: a transposition and a 24-cycle.
+    # The row orbit is the 24 basis rows, so the closure applies the two
+    # generators 48 times and then runs on row indices alone until the cap.
+    n = 24
+    swap = [["1" if j == {0: 1, 1: 0}.get(i, i) else "0" for j in range(n)] for i in range(n)]
+    cycle = [["1" if j == (i + 1) % n else "0" for j in range(n)] for i in range(n)]
+    path = tmp_path / "s24.json"
+    path.write_text(json.dumps({"dimension": n, "conductor": 1, "generators": [swap, cycle]}))
+    calls = []
+    real = groups_module.apply
+
+    def counting(g, vec):
+        calls.append(g)
+        return real(g, vec)
+
+    monkeypatch.setattr(groups_module, "apply", counting)
+    assert main(["analyze", str(path)]) == 3
+    assert "exceeded the cap of 10000 elements" in capsys.readouterr().err
+    assert len(calls) <= n * 2
+
+
+def test_generic_basis_closure_keeps_n_row_indices_per_element():
+    # Weyl A5 in a generic basis: its 5 basis rows have 426 orbit points,
+    # so one permutation of that orbit per element would take 720 * 426
+    # entries, over 2 MiB in pointers alone
+    obj = in_generic_basis(weyl_from_cartan(_cartan_a(5)))
+    gens = [matrix_from_json(g, 5) for g in obj["generators"]]
+    tracemalloc.start()
+    try:
+        group = close_group(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.order == 720 and len(group.rows) == 426
+    assert peak < 2 * 2**20
+
+
+def _cartan_a(n):
+    return tuple(
+        tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
+def test_conjugacy_classes_match_dense_oracle(oracle_groups):
+    extra = [
+        ("WeylA6", group_from_json(weyl_from_cartan(_cartan_a(6)))),
+        ("G4-1-3", group_from_json(imprimitive(4, 3))),
+    ]
+    for name, group in oracle_groups + extra:
+        assert conjugacy_classes(group) == conjugacy_classes_by_matrices(group), name
+
+
+@pytest.mark.parametrize(
+    "obj, classes",
+    [
+        (GENERATED["WeylB3"][0], 10),
+        (GENERATED["G3-1-2"][0], 9),
+        (GENERATED["G4-1-2"][0], 14),
+        (GENERATED["G6-1-2"][0], 27),
+        (GENERATED["G3-1-3"][0], 22),
+        (weyl_from_cartan(_cartan_a(6)), 15),  # the partitions of 7
+    ],
+)
+def test_known_class_counts(obj, classes):
+    assert len(conjugacy_classes(group_from_json(obj))) == classes
 
 
 def test_character_values(s3):
