@@ -31,6 +31,10 @@ by a nonzero rational and negation keep the field, and so does a Galois
 conjugate.  The inverse is an extended Euclid against Phi_N on integer
 polynomials kept primitive, O(phi(N)^2).
 
+`splitting_prime(n)` gives a prime l = 1 mod n and a g of order n modulo l,
+so that z_n -> g maps Z[z_n] onto F_l; a rank over the field can then be
+certified by a rank over F_l (lattices._check_discrete).
+
 `coeffs`, `coords_at`, `str`, `cyc_to_json` and `numeric` present the
 coordinates as Fractions, the same values and text as a Fraction-per-
 coefficient representation would give.  Floating-point output exists only
@@ -192,10 +196,8 @@ def _crt_subfield(n, p, nums):
     return _reduce_mod_phi(list(map(sub, part(0), first)), m)
 
 
-@lru_cache(maxsize=None)
-def _maximal_subfields(n: int):
-    """(p, n / p) for each prime p | n, the coefficient-pattern cases (p^2 | n)
-    first; Q(z_1) is left out, since the rational test comes before."""
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
     primes, m, p = [], n, 2
     while p * p <= m:
         if m % p == 0:
@@ -205,7 +207,14 @@ def _maximal_subfields(n: int):
         p += 1
     if m > 1:
         primes.append(m)
-    out = [(p, n // p) for p in primes if n // p > 1]
+    return primes
+
+
+@lru_cache(maxsize=None)
+def _maximal_subfields(n: int):
+    """(p, n / p) for each prime p | n, the coefficient-pattern cases (p^2 | n)
+    first; Q(z_1) is left out, since the rational test comes before."""
+    out = [(p, n // p) for p in _prime_factors(n) if n // p > 1]
     out.sort(key=lambda pd: pd[1] % pd[0] != 0)
     return tuple(out)
 
@@ -309,6 +318,58 @@ def _inverse_coords(n, nums):
     return u1, s1 * r1[0]
 
 
+# Miller-Rabin with the bases 2, 3, 5 and 7 is exact below this bound
+# (Jaeschke, Math. Comp. 61, 1993).
+_MILLER_RABIN_BOUND = 3_215_031_751
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of 0 <= n < _MILLER_RABIN_BOUND by Miller-Rabin with the
+    bases 2, 3, 5 and 7."""
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError("Miller-Rabin with bases 2, 3, 5, 7 is not exact here")
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+    if n < 2:
+        return False
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def splitting_prime(n: int) -> tuple[int, int]:
+    """(l, g): the least prime l = 1 mod n above 2^31, and g of multiplicative
+    order exactly n modulo l.
+
+    Then g is a root of Phi_n modulo l, so z_n -> g is a ring map from
+    Z[z_n] onto F_l; it sends the conjugate z_n^-1 to g^-1.  Found on the
+    first call for each n, by a walk over l = 1 mod n."""
+    ell = 2**31 - 2**31 % n + 1
+    while ell <= 2**31 or not _is_prime(ell):
+        ell += n
+    primes = _prime_factors(n)
+    h = 2
+    while True:
+        g = pow(h, (ell - 1) // n, ell)
+        if all(pow(g, n // q, ell) != 1 for q in primes):
+            return ell, g
+        h += 1
+
+
 class CycNum:
     """An element of a cyclotomic field, in canonical minimal-conductor form.
 
@@ -343,6 +404,13 @@ class CycNum:
         return x
 
     @staticmethod
+    def from_numerators(n, nums, den=1) -> "CycNum":
+        """The value (sum nums[k] z_n^k) / den for integers nums and den > 0,
+        brought to canonical form."""
+        m, nums = _canonical(n, list(nums))
+        return _make(m, nums, den)
+
+    @staticmethod
     def rational(x) -> "CycNum":
         if type(x) is int:
             return CycNum._new(1, (x,), 1)
@@ -374,6 +442,14 @@ class CycNum:
         if m == self.conductor:
             return self._nums
         return _reduce_mod_phi(self._lift_dense(m), m)
+
+    def numerators_at(self, m):
+        """(integer numerators nums, denominator den) of self at conductor m
+        (conductor | m): self is (sum nums[k] z_m^k) / den, and den is the
+        least positive integer that makes den * self integral."""
+        if m % self.conductor:
+            raise ValueError("conductor does not divide target")
+        return self._coords(m), self._den
 
     def coords_at(self, m) -> tuple[Fraction, ...]:
         """Coordinate vector of self in the power basis at conductor m."""

@@ -15,7 +15,7 @@ from operator import itemgetter
 
 from . import linalg
 from .cyclotomic import (
-    MAX_CONDUCTOR, CycNum, as_cycnum, common_conductor, cyc_from_json, exact_sign,
+    MAX_CONDUCTOR, CycNum, as_cycnum, common_conductor, cyc_from_json,
 )
 from .errors import CapExceededError, InternalConsistencyError, InvalidInputError
 from .records import Record
@@ -85,11 +85,6 @@ def apply(g: SparseMatrix, vec):
 def mat_identity(n):
     one, zero = CycNum.rational(1), CycNum.rational(0)
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def conj_transpose(mat):
-    n = len(mat)
-    return tuple(tuple(mat[j][i].conjugate() for j in range(n)) for i in range(n))
 
 
 def trace(mat):
@@ -324,26 +319,6 @@ def character_norm(group: GroupRep) -> CycNum:
     The group is finite, so chi(g^-1) = conj chi(g)."""
     chi = class_character(group)
     return class_sum(group, [x * x.conjugate() for x in chi]) / group.order
-
-
-def invariant_hermitian(group: GroupRep):
-    """The averaged invariant positive-definite Hermitian form (1/|G|) sum g^H g."""
-    n = group.dimension
-    zero = CycNum.rational(0)
-    total = [[zero] * n for _ in range(n)]
-    for m in group.elements:
-        mh = conj_transpose(m)
-        prod = linalg.matmul(mh, m)
-        total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, prod)]
-    gram = tuple(tuple(x / group.order for x in row) for row in total)
-    if gram != conj_transpose(gram):
-        raise InvalidInputError("averaged form is not Hermitian")
-    for k in range(1, n + 1):
-        minor = [list(row[:k]) for row in gram[:k]]
-        d = linalg.det(minor)
-        if not d.is_real() or exact_sign(d) <= 0:
-            raise InvalidInputError("averaged form is not positive definite")
-    return gram
 
 
 class ReflectionData(Record):

@@ -7,12 +7,18 @@ normal form of those rows times den, the least positive integer that makes
 it integral: echelon rows with positive pivots and the entries above each
 pivot reduced, so equal lattices have identical data (Cohen, A Course in
 Computational Algebraic Number Theory, 2.4.3).  One integer elimination
-builds it.  Every question is answered from these rows: integer coordinates
-come from back-substitution against them, with a divisibility test at each
-pivot and an exact zero residual.  Discreteness is decided on the basis
-vectors: each vector v is extended by its conjugate to (v | conj v), which
-stays inside the cyclotomic field, and the rank of the extended rows must
-equal their number.  Every builder runs that check.
+builds it, on rows read off each entry's integer numerators.  Every
+question is answered from these rows: integer coordinates come from
+back-substitution against them, with a divisibility test at each pivot and
+an exact zero residual.
+
+Discreteness is decided on the basis vectors: each vector v is extended by
+its conjugate to (v | conj v), which stays inside the cyclotomic field, and
+the rank of the extended rows over the field must equal their number.
+Every builder runs that check.  At conductor 1 the HNF rows settle it.
+Otherwise full rank is certified modulo a prime ideal above a prime
+l = 1 mod N, through the ring map z_N -> g onto F_l, on the integer rows;
+only a rank-deficient image goes on to the exact rank over the field.
 
 RankTwoLattice is a lattice of rank 2 inside the complex line, the lattice of
 an elliptic-curve factor.  It is the one place that writes a number in a
@@ -29,9 +35,10 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import linalg
-from .cyclotomic import CycNum, as_cycnum, cyc_to_json
+from .cyclotomic import CycNum, as_cycnum, common_conductor, cyc_to_json, splitting_prime
 from .errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
 from .groups import SparseMatrix, apply, as_matrix
 from .records import Record
@@ -39,34 +46,33 @@ from .records import Record
 
 def flatten(vector, conductor):
     """Rational row of a cyclotomic vector: the coordinates of each entry at
-    the conductor, which each entry's conductor divides, one after another."""
+    the conductor, which each entry's conductor divides, one after another;
+    an int for each coordinate of an integral entry, else a Fraction."""
     row = []
     for x in vector:
-        row.extend(x.coords_at(conductor))
+        nums, den = x.numerators_at(conductor)
+        row.extend(nums if den == 1 else (Fraction(c, den) for c in nums))
     return row
 
 
-def expand_vectors(vectors):
-    """Common conductor and rational coordinate rows of cyclotomic vectors."""
-    conductor = 1
-    for vec in vectors:
-        for x in vec:
-            conductor = lcm(conductor, x.conductor)
-    return conductor, [flatten(vec, conductor) for vec in vectors]
-
-
 def reassemble(dim, conductor, row):
-    """Inverse of expand_vectors for a single rational row."""
+    """The cyclotomic vector of dim entries whose flattened rational row at
+    the conductor is row."""
     width = len(row) // dim
     return tuple(
         CycNum(conductor, list(row[i * width : (i + 1) * width])) for i in range(dim)
     )
 
 
-def _integer_rows(rows):
-    """(integer rows, d) with the rational rows equal to the integer rows / d."""
-    d = lcm(1, *(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+def _integer_rows(vectors, conductor):
+    """(integer rows, den): the flattened rows of the vectors at the
+    conductor, which each entry's conductor divides, are the integer rows /
+    den, and den is the least positive integer for which they are integral.
+    They are read off each entry's numerators, with no rational row."""
+    parts = [[x.numerators_at(conductor) for x in vec] for vec in vectors]
+    den = lcm(1, *(d for vec in parts for _, d in vec))
+    rows = [[c * (den // d) for nums, d in vec for c in nums] for vec in parts]
+    return rows, den
 
 
 def _pivots(rows):
@@ -95,36 +101,51 @@ class ZLattice(Record):
     def rank(self):
         return len(self.rows)
 
-    def _rows_at(self, conductor):
-        """The rational rows of the basis vectors at a multiple of the conductor."""
-        if conductor == self.conductor:
-            return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.rows)
-        return tuple(tuple(flatten(vec, conductor)) for vec in self._vectors)
+    def _vector(self, row):
+        """The cyclotomic vector whose flattened row at the conductor is the
+        integer row / den."""
+        width = len(row) // self.dim
+        return tuple(
+            CycNum.from_numerators(self.conductor, row[k : k + width], self.den)
+            for k in range(0, len(row), width)
+        )
 
     @cached_property
     def _vectors(self):
-        return tuple(
-            reassemble(self.dim, self.conductor, row)
-            for row in self._rows_at(self.conductor)
-        )
+        return tuple(self._vector(row) for row in self.rows)
 
     def vectors(self):
         """The canonical basis vectors of the lattice, as cyclotomic vectors."""
         return self._vectors
 
+    def _rows_at(self, conductor):
+        """(integer rows, den) of the basis vectors at a multiple of the
+        conductor."""
+        if conductor == self.conductor:
+            return self.rows, self.den
+        return _integer_rows(self._vectors, conductor)
+
     def basis_coords(self, vector):
         """Integer coordinates of vector in the lattice basis, or None.
 
-        The lattice lies in the field of its conductor, and an entry whose
-        (minimal) conductor does not divide it is outside that field."""
-        if any(self.conductor % x.conductor for x in vector):
-            return None
+        The target is den * vector at the conductor, read off each entry's
+        numerators.  The lattice lies in the field of its conductor, and an
+        entry whose (minimal) conductor does not divide it is outside that
+        field; an entry whose denominator does not divide den is not
+        integral after the scaling."""
+        conductor, den = self.conductor, self.den
         target = []
-        for x in flatten(vector, self.conductor):
-            x *= self.den
-            if x.denominator != 1:
+        for x in vector:
+            if conductor % x.conductor:
                 return None
-            target.append(x.numerator)
+            nums, d = x.numerators_at(conductor)
+            if d == den:
+                target.extend(nums)
+                continue
+            scale, rest = divmod(den, d)
+            if rest:
+                return None
+            target.extend(c * scale for c in nums)
         return linalg.hnf_coords(self.rows, target)
 
     def contains(self, vector):
@@ -148,18 +169,18 @@ def lattice_from_generators(vectors, dim=None, allow_zero=False):
         if allow_zero:
             return ZLattice(dim, 1, (), 1)
         raise InvalidInputError("no nonzero generators")
-    conductor, rows = expand_vectors(vectors)
-    return _lattice_from_rows(dim, conductor, rows)
+    conductor = common_conductor(x for vec in vectors for x in vec)
+    # every generator lies in the lattice, so their least common denominator
+    # is the least den that makes the lattice integral
+    rows, den = _integer_rows(vectors, conductor)
+    return _lattice_from_rows(dim, conductor, rows, den)
 
 
-def _lattice_from_rows(dim, conductor, rows):
-    """Canonical ZLattice spanned over the integers by nonzero rational rows at
-    the conductor, which must be the least conductor of their entries.
-
-    Every row lies in the lattice, so the least common denominator of the
-    rows is the least den that makes the lattice integral."""
-    int_rows, den = _integer_rows(rows)
-    basis = linalg.hnf(int_rows)
+def _lattice_from_rows(dim, conductor, rows, den):
+    """Canonical ZLattice spanned over the integers by the rows / den at the
+    conductor; the conductor must be the least conductor of their entries,
+    and den the least positive integer that makes the lattice integral."""
+    basis = linalg.hnf(rows)
     lattice = ZLattice(dim, conductor, tuple(tuple(row) for row in basis), den)
     _check_discrete(lattice)
     return lattice
@@ -171,10 +192,54 @@ def _check_discrete(lattice):
 
     The rank of the rows (v | conj v) over the field is the rank of the rows
     (Re v | i Im v), since [v | conj v] = [Re v | i Im v] [[I, I], [I, -I]],
-    and that is their real rank."""
-    rows = lattice.vectors()
-    if not rows:
+    and that is their real rank.  At conductor 1 the rows are rational and
+    the HNF rows are independent, so nothing is checked.  Otherwise full
+    rank is certified modulo a prime ideal above l (`splitting_prime`): the
+    entries of den * v lie in Z[z_N], z_N -> g is a ring map onto F_l that
+    sends conj z_N to g^-1, and a nonzero r x r minor of the image matrix
+    lifts to a nonzero minor of (den * v | den * conj v).  Only an image of
+    lower rank, which every non-discrete lattice gives, goes on to the exact
+    rank over the field.  (The rank over Q of the flattened rows would not
+    do: Z + Z sqrt 2 has rationally independent rows and is dense.)"""
+    if lattice.conductor == 1 or not lattice.rows:
         return
+    if _rank_mod_splitting_prime(lattice) < lattice.rank:
+        _check_discrete_exactly(lattice)
+
+
+def _rank_mod_splitting_prime(lattice):
+    """Rank over F_l of the images of the rows (v | conj v) under z_N -> g."""
+    ell, g = splitting_prime(lattice.conductor)
+    width = len(lattice.rows[0]) // lattice.dim
+    up = [pow(g, k, ell) for k in range(width)]
+    down = [pow(g, -k, ell) for k in range(width)]
+    images = []
+    for row in lattice.rows:
+        blocks = [row[k : k + width] for k in range(0, len(row), width)]
+        images.append([sum(map(mul, b, up)) % ell for b in blocks]
+                      + [sum(map(mul, b, down)) % ell for b in blocks])
+    rank = 0
+    for c in range(2 * lattice.dim):
+        pr = next((i for i in range(rank, len(images)) if images[i][c]), None)
+        if pr is None:
+            continue
+        images[rank], images[pr] = images[pr], images[rank]
+        pivot_row = images[rank]
+        inv = pow(pivot_row[c], -1, ell)
+        for row in images[rank + 1 :]:
+            a = row[c] * inv % ell
+            if a:
+                row[c:] = [(x - a * y) % ell for x, y in zip(row[c:], pivot_row[c:])]
+        rank += 1
+        if rank == len(images):
+            break
+    return rank
+
+
+def _check_discrete_exactly(lattice):
+    """Raise NotDiscreteError unless the rows (v | conj v) of the basis
+    vectors have full rank over the cyclotomic field."""
+    rows = lattice.vectors()
     doubled = [list(vec) + [x.conjugate() for x in vec] for vec in rows]
     if linalg.rank(doubled) != len(rows):
         raise NotDiscreteError(
@@ -183,13 +248,18 @@ def _check_discrete(lattice):
 
 
 def lattice_sum(a: ZLattice, b: ZLattice) -> ZLattice:
+    """a + b.  Both lie in a + b, so the lcm of their dens is the least den
+    of the sum, and one HNF of the two row sets, scaled to it, builds it."""
     if a.dim != b.dim:
         raise InvalidInputError("ambient dimensions differ")
     conductor = lcm(a.conductor, b.conductor)
-    rows = a._rows_at(conductor) + b._rows_at(conductor)
+    (rows_a, den_a), (rows_b, den_b) = a._rows_at(conductor), b._rows_at(conductor)
+    den = lcm(den_a, den_b)
+    rows = [[x * (den // den_a) for x in row] for row in rows_a]
+    rows += [[x * (den // den_b) for x in row] for row in rows_b]
     if not rows:
         raise InvalidInputError("no nonzero generators")
-    return _lattice_from_rows(a.dim, conductor, rows)
+    return _lattice_from_rows(a.dim, conductor, rows, den)
 
 
 def intersect_with_subspace(lattice: ZLattice, span_vectors) -> ZLattice:
@@ -207,8 +277,7 @@ def intersect_with_subspace(lattice: ZLattice, span_vectors) -> ZLattice:
         for f in functionals:
             row.append(sum((x * y for x, y in zip(vec, f)), CycNum.rational(0)))
         values.append(row)
-    _, rows = expand_vectors(values)
-    int_rows, _ = _integer_rows(rows)
+    int_rows, _ = _integer_rows(values, common_conductor(x for row in values for x in row))
     kernel = linalg.int_kernel(int_rows)
     gens = []
     for krow in kernel:
@@ -216,8 +285,7 @@ def intersect_with_subspace(lattice: ZLattice, span_vectors) -> ZLattice:
         for coeff, row in zip(krow, lattice.rows):
             if coeff:
                 acc = [a + coeff * x for a, x in zip(acc, row)]
-        acc = [Fraction(x, lattice.den) for x in acc]
-        gens.append(reassemble(lattice.dim, lattice.conductor, acc))
+        gens.append(lattice._vector(acc))
     return lattice_from_generators(gens, dim=lattice.dim, allow_zero=True)
 
 

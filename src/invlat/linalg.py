@@ -13,12 +13,15 @@ which Sylvester's identity makes exact, and each kept row is divided by its
 pivot once at the end.  Cyclotomic input takes one reciprocal per pivot,
 because a cyclotomic reciprocal is an extended Euclid against the cyclotomic
 polynomial while a product is one integer convolution, and touches only the
-columns where the pivot row is nonzero; `det` and `Span` eliminate the same
-way.  `rank` takes no reciprocal at all: it counts the pivots of a forward
+columns where the pivot row is nonzero; `det` eliminates the same way.
+`rank` takes no reciprocal at all: it counts the pivots of a forward
 elimination by cross-multiplication.  `Span` is the one route for span
 membership and coordinates: it keeps the rows added so far in echelon form,
 so a fixed basis is reduced once and every later question costs one
-reduction of the asked row.
+reduction of the asked row.  It takes its route from the first row it
+sees: rational rows stay on the integers, each echelon row a primitive
+integer row over its own pivot and each step a cross-multiplication, and
+cyclotomic rows are divided by their pivots as in `rref`.
 
 Integer routines share one Hermite elimination that pivots in a given
 number of leading columns: `hnf` runs it on the matrix alone, and
@@ -31,7 +34,7 @@ rows by back-substitution, with a divisibility test at each pivot.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 
@@ -46,10 +49,11 @@ def _one_of(x):
     return Fraction(1) if type(one) is int else one
 
 
-def _zero_for(row):
-    """0 in the field of the row's entries; Fraction(0) for an int row."""
-    zero = _zero_of(row[0]) if row else Fraction(0)
-    return Fraction(0) if type(zero) is int else zero
+def _cleared(row):
+    """(integer row, d): a row of ints and Fractions is the integer row / d,
+    with d the lcm of its denominators."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
 
 
 def _pivot_row(row, col):
@@ -119,10 +123,7 @@ def _rref_rational(mat):
     By Sylvester's identity every entry is then a minor of the cleared
     matrix, so the division is exact, and every pivot row holds p at its
     pivot; the kept rows are divided by the last pivot once at the end."""
-    rows = []
-    for row in mat:
-        den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
+    rows = [_cleared(row)[0] for row in mat]
     pivots = []
     prev = 1
     r = 0
@@ -182,10 +183,20 @@ def rank(rows):
 class Span:
     """The rational (or cyclotomic) span of the rows added so far.
 
-    Each kept row is held in echelon form, with a 1 at its pivot and 0 at
-    the pivots of the rows kept before it, and extended by the combination of
+    Each kept row is held in echelon form, with a nonzero pivot and 0 at the
+    pivots of the rows kept before it, and extended by the combination of
     kept rows that gives it.  So one reduction of a row against the echelon
     rows tests membership and, in the extension, reads off its coordinates.
+
+    The route is chosen from the first row seen.  Rational rows (every entry
+    an int or a Fraction) are kept on the integers: each asked row is
+    cleared by the lcm of its denominators, every echelon row is an integer
+    row standing for itself over its pivot, and a reduction step is the
+    cross-multiplication p * row - a * (echelon row), with p the pivot and a
+    the row's entry there, both divided by their gcd first; the scale the
+    row has taken is carried beside it.  Cyclotomic rows are divided by
+    their pivot, one reciprocal each, and reduced by subtraction.  `rows`
+    and `coords` give Fractions on the rational route.
     """
 
     def __init__(self, rows=()):
@@ -193,6 +204,7 @@ class Span:
         self._echelon = []
         self._kept = []  # position among the added rows of each kept row
         self._added = 0
+        self._rational = None  # the route, set by the first row seen
         for row in rows:
             self.add(row)
 
@@ -203,28 +215,61 @@ class Span:
     @property
     def rows(self):
         """The echelon rows, one per kept row, in the order they were kept."""
+        if self._rational:
+            return [[Fraction(x, row[pivot]) for x in row[: len(row) // 2]]
+                    for pivot, row, _ in self._echelon]
         return [row[: len(row) // 2] for _, row, _ in self._echelon]
 
     def _reduce(self, row):
-        """row extended by as many zeros, less its components along the
-        echelon rows: the residue of row, then minus its coordinates in the
-        kept rows (exact when the residue is zero)."""
-        extended = list(row) + [_zero_for(row)] * len(row)
+        """(extended, scale): row extended by as many zeros, less its
+        components along the echelon rows, times scale.  That is the residue
+        of row, then minus its coordinates in the kept rows (exact when the
+        residue is zero); the scale is 1 on the cyclotomic route."""
+        if self._rational is None:
+            self._rational = all(isinstance(x, (int, Fraction)) for x in row)
+        if not self._rational:
+            extended = list(row) + [_zero_of(row[0])] * len(row)
+            for pivot, echelon_row, support in self._echelon:
+                c = extended[pivot]
+                if c:
+                    _eliminate(extended, c, echelon_row, support)
+            return extended, 1
+        extended, scale = _cleared(row)
+        extended += [0] * len(row)
         for pivot, echelon_row, support in self._echelon:
-            c = extended[pivot]
-            if c:
-                _eliminate(extended, c, echelon_row, support)
-        return extended
+            a = extended[pivot]
+            if a:
+                p = echelon_row[pivot]
+                g = gcd(a, p)
+                if g != 1:
+                    a //= g
+                    p //= g
+                if p != 1:
+                    extended = [x * p for x in extended]
+                    scale *= p
+                for j in support:
+                    extended[j] -= a * echelon_row[j]
+        return extended, scale
 
     def add(self, row) -> bool:
         """Add row; True exactly when it is independent of the rows kept."""
-        extended = self._reduce(row)
+        extended, scale = self._reduce(row)
         self._added += 1
         pivot = next((k for k in range(len(row)) if extended[k]), None)
         if pivot is None:
             return False
-        extended[len(row) + len(self._kept)] = _one_of(extended[pivot])
-        self._echelon.append((pivot, *_pivot_row(extended, pivot)))
+        slot = len(row) + len(self._kept)
+        if self._rational:
+            extended[slot] = scale
+            g = gcd(*extended)
+            if extended[pivot] < 0:
+                g = -g
+            extended = [x // g for x in extended]
+            echelon = (pivot, extended, [j for j, x in enumerate(extended) if x])
+        else:
+            extended[slot] = _one_of(extended[pivot])
+            echelon = (pivot, *_pivot_row(extended, pivot))
+        self._echelon.append(echelon)
         self._kept.append(self._added - 1)
         return True
 
@@ -232,11 +277,16 @@ class Span:
         """Coordinates x with row = sum of x[i] * (added row i), one per added
         row and 0 at each row that was dependent when added, or None when row
         is outside the span."""
-        extended = self._reduce(row)
+        extended, scale = self._reduce(row)
         width = len(row)
         if any(extended[:width]):
             return None
-        out = [_zero_for(row)] * self._added
+        if self._rational:
+            out = [Fraction(0)] * self._added
+            for j, i in enumerate(self._kept):
+                out[i] = Fraction(-extended[width + j], scale)
+            return out
+        out = [_zero_of(row[0])] * self._added
         for j, i in enumerate(self._kept):
             out[i] = -extended[width + j]
         return out

@@ -108,11 +108,6 @@ class QuatElement(Record):
         x0, x1, x2, x3 = self.coords
         return QuatElement(self.algebra, (x0, -x1, -x2, -x3))
 
-    def reduced_norm(self) -> CycNum:
-        x0, x1, x2, x3 = self.coords
-        a, b = self.algebra.a, self.algebra.b
-        return x0 * x0 - a * (x1 * x1) - b * (x2 * x2) + (a * b) * (x3 * x3)
-
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.coords)
 
@@ -170,10 +165,6 @@ def _left_mult(a, b, x):
         (x2, -a * x3, x0, a * x1),
         (x3, -x2, x1, x0),
     )
-
-
-def left_mult_matrix(x: QuatElement):
-    return _left_mult(x.algebra.a, x.algebra.b, x.coords)
 
 
 def right_mult_matrix(x: QuatElement):

@@ -15,13 +15,13 @@ from invlat.cyclotomic import (
     cyclotomic_polynomial,
     divisors,
     euler_phi,
+    exact_sign,
 )
-from invlat.errors import InternalConsistencyError, InvalidInputError
-from invlat.groups import apply, as_matrix, invariant_hermitian, mat_identity, trace
+from invlat.errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
+from invlat.groups import apply, as_matrix, mat_identity, trace
 from invlat.lattices import (
     RankTwoLattice,
     ZLattice,
-    expand_vectors,
     flatten,
     fundamental_discriminant,
     lattice_from_generators,
@@ -29,6 +29,15 @@ from invlat.lattices import (
     lattice_to_json,
     reassemble,
 )
+
+
+def expand_vectors(vectors):
+    """Common conductor and rational coordinate rows of cyclotomic vectors."""
+    conductor = 1
+    for vec in vectors:
+        for x in vec:
+            conductor = lcm(conductor, x.conductor)
+    return conductor, [flatten(vec, conductor) for vec in vectors]
 
 
 def matvec(mat, vec):
@@ -96,6 +105,118 @@ def solve_right(mat, rhs):
     for row, c in zip(red, pivots):
         x[c] = row[n]
     return x
+
+
+class FractionSpan:
+    """The span of the rows added so far, by field elimination: every kept
+    row is divided by its pivot and a row is reduced by subtracting
+    multiples of the kept rows, so int and Fraction rows are reduced in
+    Fractions.  Each kept row is extended by the combination of added rows
+    that gives it.  The library keeps rational rows on the integers."""
+
+    def __init__(self, rows=()):
+        self._echelon = []  # (pivot, echelon row | its combination of kept rows)
+        self._kept = []
+        self._added = 0
+        for row in rows:
+            self.add(row)
+
+    def __len__(self):
+        return len(self._kept)
+
+    @property
+    def rows(self):
+        return [row[: len(row) // 2] for _, row in self._echelon]
+
+    def _reduce(self, row):
+        zero = row[0] * 0 if row else Fraction(0)
+        if type(zero) is int:
+            zero = Fraction(0)
+        extended = [x + zero for x in row] + [zero] * len(row)
+        for pivot, echelon_row in self._echelon:
+            c = extended[pivot]
+            if c:
+                extended = [x - c * y for x, y in zip(extended, echelon_row)]
+        return extended
+
+    def add(self, row) -> bool:
+        extended = self._reduce(row)
+        self._added += 1
+        pivot = next((k for k in range(len(row)) if extended[k]), None)
+        if pivot is None:
+            return False
+        lead = extended[pivot]
+        extended[len(row) + len(self._kept)] = lead * 0 + 1
+        self._echelon.append((pivot, [x / lead for x in extended]))
+        self._kept.append(self._added - 1)
+        return True
+
+    def coords(self, row):
+        extended = self._reduce(row)
+        width = len(row)
+        if any(extended[:width]):
+            return None
+        zero = extended[0] * 0 if extended else Fraction(0)
+        out = [zero] * self._added
+        for j, i in enumerate(self._kept):
+            out[i] = -extended[width + j]
+        return out
+
+
+def check_discrete_by_field_rank(lattice):
+    """Raise NotDiscreteError unless the rows (v | conj v) of the basis
+    vectors have full rank over the cyclotomic field, by an exact CycNum
+    rank on every lattice.  The library certifies full rank modulo a prime
+    ideal first and ranks over the field only when that fails."""
+    rows = lattice.vectors()
+    if not rows:
+        return
+    doubled = [list(vec) + [x.conjugate() for x in vec] for vec in rows]
+    if linalg.rank(doubled) != len(rows):
+        raise NotDiscreteError(
+            "integer span is not discrete: generators are dependent over the reals"
+        )
+
+
+def conj_transpose(mat):
+    """The conjugate transpose of a square cyclotomic matrix."""
+    n = len(mat)
+    return tuple(tuple(mat[j][i].conjugate() for j in range(n)) for i in range(n))
+
+
+def invariant_hermitian(group):
+    """The averaged invariant positive-definite Hermitian form
+    (1/|G|) sum g^H g, checked Hermitian and positive definite by the exact
+    signs of its leading principal minors.  The library needs no invariant
+    form."""
+    n = group.dimension
+    zero = CycNum.rational(0)
+    total = [[zero] * n for _ in range(n)]
+    for m in group.elements:
+        prod = linalg.matmul(conj_transpose(m), m)
+        total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, prod)]
+    gram = tuple(tuple(x / group.order for x in row) for row in total)
+    if gram != conj_transpose(gram):
+        raise InvalidInputError("averaged form is not Hermitian")
+    for k in range(1, n + 1):
+        d = linalg.det([list(row[:k]) for row in gram[:k]])
+        if not d.is_real() or exact_sign(d) <= 0:
+            raise InvalidInputError("averaged form is not positive definite")
+    return gram
+
+
+def left_mult_matrix(x):
+    """Matrix of y -> x y on the coefficient columns of a quaternion."""
+    from invlat.quaternion import _left_mult
+
+    return _left_mult(x.algebra.a, x.algebra.b, x.coords)
+
+
+def reduced_norm(x) -> CycNum:
+    """x0^2 - a x1^2 - b x2^2 + ab x3^2 for x = x0 + x1 i + x2 j + x3 k."""
+    x0, x1, x2, x3 = x.coords
+    a, b = x.algebra.a, x.algebra.b
+    return x0 * x0 - a * (x1 * x1) - b * (x2 * x2) + (a * b) * (x3 * x3)
 
 
 def rank_two_coords_by_span(g1, g2, value):
@@ -661,7 +782,6 @@ def endomorphisms_by_commutant(torus):
     kernel and the center is read off the multiplication table."""
     from invlat.cyclotomic import common_conductor
     from invlat.lattices import fundamental_discriminant
-    from invlat.quaternion import left_mult_matrix
 
     j_mat = torus.j_matrix
     conductor = common_conductor(x for row in j_mat for x in row)

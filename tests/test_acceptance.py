@@ -20,11 +20,7 @@ from invlat.forge import (
     order_saturate,
     split_as_order_module,
 )
-from invlat.groups import (
-    character_norm,
-    conj_transpose,
-    invariant_hermitian,
-)
+from invlat.groups import character_norm
 from invlat.lattices import (
     RankTwoLattice,
     invariance_check,
@@ -47,7 +43,14 @@ from invlat.schur import (
     schur_index,
 )
 
-from oracles import coset_count, five_starts, isogeny_test, mat_mul
+from oracles import (
+    conj_transpose,
+    coset_count,
+    five_starts,
+    invariant_hermitian,
+    isogeny_test,
+    mat_mul,
+)
 
 
 @contextmanager

@@ -12,11 +12,9 @@ from invlat.errors import CapExceededError, InvalidInputError
 from invlat.groups import (
     character_norm,
     close_group,
-    conj_transpose,
     conjugacy_classes,
     find_reflections,
     group_from_json,
-    invariant_hermitian,
     mat_identity,
     matrix_from_json,
 )
@@ -28,8 +26,10 @@ from oracles import (
     character,
     character_norm_by_inverses,
     close_group_dense,
+    conj_transpose,
     conjugacy_classes_by_matrices,
     hermitian_inner,
+    invariant_hermitian,
     mat_mul,
     reflections_by_rank_scan,
 )

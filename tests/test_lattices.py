@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from invlat import lattices, linalg
+from invlat.catalog import catalog_names
 from invlat.cyclotomic import CycNum, sqrt_rational, zeta
 from invlat.errors import InvalidInputError, NotDiscreteError
 from invlat.forge import (
@@ -17,6 +18,7 @@ from invlat.forge import (
     extend_rank_2n,
 )
 from invlat.groups import group_from_json
+from invlat.report import analyze
 from invlat.lattices import (
     RankTwoLattice,
     fundamental_discriminant,
@@ -55,6 +57,7 @@ def nonsingular_2x2():
 from generated_groups import GENERATED
 from oracles import (
     basis_coords_by_spans,
+    check_discrete_by_field_rank,
     coset_count,
     is_discrete_by_vector_split,
     isogeny_test,
@@ -439,30 +442,120 @@ def _unchecked_lattice(monkeypatch, vectors):
         return lattice_from_generators(vectors)
 
 
+def _counting_exact_check(monkeypatch):
+    """The list that collects each lattice the exact discreteness check is
+    run on, with the check itself unchanged."""
+    calls = []
+    exact = lattices._check_discrete_exactly
+
+    def counting(lattice):
+        calls.append(lattice)
+        exact(lattice)
+
+    monkeypatch.setattr(lattices, "_check_discrete_exactly", counting)
+    return calls
+
+
 def test_every_builder_rejects_a_dense_span(monkeypatch):
     """Z*1 + Z*sqrt(2), with sqrt(2) = zeta8 + zeta8^-1, is dense in the real
     line, alone and beside a second coordinate: each lattice builder refuses
-    it, and the old split of the basis vectors agrees."""
+    it, after exactly one exact rank (the modular certificate fails on it),
+    and the old split of the basis vectors agrees."""
     one, nil = CycNum.rational(1), CycNum.rational(0)
-    with pytest.raises(NotDiscreteError):
-        lattice_sum(lattice_from_generators([(one,)]), lattice_from_generators([(ROOT2,)]))
+    exact_calls = _counting_exact_check(monkeypatch)
+
+    def rejected_after_one_exact_rank(build, *args):
+        exact_calls.clear()
+        with pytest.raises(NotDiscreteError, match="^integer span is not discrete: "
+                           "generators are dependent over the reals$"):
+            build(*args)
+        assert len(exact_calls) == 1
+
+    line, root_line = lattice_from_generators([(one,)]), lattice_from_generators([(ROOT2,)])
+    rejected_after_one_exact_rank(lattice_sum, line, root_line)
     plane = lattice_from_generators([(one, nil), (nil, one)])
-    with pytest.raises(NotDiscreteError):
-        lattice_sum(plane, lattice_from_generators([(ROOT2, nil)]))
+    rejected_after_one_exact_rank(lattice_sum, plane, lattice_from_generators([(ROOT2, nil)]))
     dense_line = _unchecked_lattice(monkeypatch, [(one,), (ROOT2,)])
     dense_plane = _unchecked_lattice(monkeypatch, [(one, nil), (ROOT2, nil), (nil, one)])
     for dense in (dense_line, dense_plane):
         assert not is_discrete_by_vector_split(dense)
         for scalar in (2, zeta(4), ROOT2):
-            with pytest.raises(NotDiscreteError):
-                scale_lattice(scalar, dense)
-        with pytest.raises(NotDiscreteError):
-            lattice_sum(dense, dense)
-        with pytest.raises(NotDiscreteError):
-            lattice_from_json(lattice_to_json(dense))
-    with pytest.raises(NotDiscreteError):
-        intersect_with_subspace(dense_plane, [(one, nil)])
+            rejected_after_one_exact_rank(scale_lattice, scalar, dense)
+        rejected_after_one_exact_rank(lattice_sum, dense, dense)
+        rejected_after_one_exact_rank(lambda lat: lattice_from_json(lattice_to_json(lat)), dense)
+    rejected_after_one_exact_rank(intersect_with_subspace, dense_plane, [(one, nil)])
     assert is_discrete_by_vector_split(intersect_with_subspace(plane, [(one, nil)]))
+
+
+def test_no_analysis_reaches_the_exact_discreteness_check(monkeypatch):
+    """Every lattice the catalog and the generated groups build is certified
+    discrete modulo a prime; none needs the exact rank over the field."""
+    checked = []
+    check = lattices._check_discrete
+    monkeypatch.setattr(lattices, "_check_discrete", lambda lat: checked.append(lat) or check(lat))
+    exact_calls = _counting_exact_check(monkeypatch)
+    for name in catalog_names():
+        analyze(name)
+    for obj, _ in GENERATED.values():
+        analyze(obj)
+    assert sum(lat.conductor > 1 for lat in checked) > 20
+    assert not exact_calls
+
+
+def _dense_or_discrete_generators(rng, conductor):
+    """Seeded generators in C^1 or C^2 at the conductor: random vectors, one
+    more than a discrete lattice can hold now and then, and every third time
+    a vector u beside t*u for t = zeta + zeta^-1, which is real, so the span
+    is dense in the real line through u when t is irrational."""
+    dim = rng.randint(1, 2)
+    count = rng.randint(1, 2 * dim + 1)
+    gens = [tuple(_random_entry(rng, conductor) for _ in range(dim)) for _ in range(count)]
+    if rng.random() < 1 / 3:
+        t = zeta(conductor) + zeta(conductor).conjugate()
+        gens.append(tuple(t * x for x in gens[0]))
+    return gens
+
+
+@pytest.mark.parametrize("conductor", [3, 4, 5, 8, 12])
+def test_modular_discreteness_matches_the_field_rank(monkeypatch, conductor):
+    rng = random.Random(9100 + conductor)
+    cases = [_dense_or_discrete_generators(rng, conductor) for _ in range(40)]
+    t = zeta(conductor) + zeta(conductor).conjugate()
+    one, nil = CycNum.rational(1), CycNum.rational(0)
+    cases += [[(one,), (t,)], [(one, nil), (t, nil), (nil, zeta(conductor))]]
+    verdicts = set()
+    for gens in cases:
+        lattice = _unchecked_lattice(monkeypatch, gens)
+        try:
+            check_discrete_by_field_rank(lattice)
+            expected = None
+        except NotDiscreteError as exc:
+            expected = str(exc)
+        try:
+            lattices._check_discrete(lattice)
+            got = None
+        except NotDiscreteError as exc:
+            got = str(exc)
+        assert got == expected, gens
+        verdicts.add(expected is None)
+    # Q(zeta_3) and Q(i) are imaginary quadratic: every lattice in them is
+    # discrete; the fields of degree 4 hold dense spans as well
+    assert verdicts == ({True} if conductor in (3, 4) else {True, False})
+
+
+def test_rational_rank_of_the_flattened_rows_misses_a_dense_span(monkeypatch):
+    """Z + Z sqrt(2): the flattened rational rows of (v | conj v) have full
+    rank over Q, yet the span is dense; the rank has to be taken over the
+    field (or modulo a prime ideal through zeta8 -> g), as the check does."""
+    one = CycNum.rational(1)
+    dense = _unchecked_lattice(monkeypatch, [(one,), (ROOT2,)])
+    flattened = [
+        [c for x in vec + tuple(y.conjugate() for y in vec) for c in x.coords_at(8)]
+        for vec in dense.vectors()
+    ]
+    assert linalg.rank(flattened) == 2 == dense.rank
+    with pytest.raises(NotDiscreteError):
+        lattices._check_discrete(dense)
 
 
 def test_second_basis_coords_builds_no_span(monkeypatch):

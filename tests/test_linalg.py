@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 from invlat import linalg
 from invlat.cyclotomic import CycNum, euler_phi, zeta
 
-from oracles import det_by_cofactors, matvec, rref_divide_each_entry, solve_right
+from oracles import (
+    FractionSpan,
+    det_by_cofactors,
+    matvec,
+    rref_divide_each_entry,
+    solve_right,
+)
 
 ints = st.integers(-9, 9)
 
@@ -318,6 +324,67 @@ def test_span_inverts_once_per_kept_row(monkeypatch):
             calls.clear()
             span.coords(mat[0])
             assert not calls
+
+
+# the integer route of Span against the Fraction-elimination oracle
+
+
+def rational_entry(rng):
+    """An int or a Fraction, zero one time in three."""
+    if rng.random() < 1 / 3:
+        return rng.choice([0, Fraction(0)])
+    if rng.random() < 1 / 2:
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+
+def rational_rows(rng, width, count):
+    """Seeded mixed int/Fraction rows, with zero rows and rational
+    combinations of earlier rows put in."""
+    rows = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([rng.choice([0, Fraction(0)]) for _ in range(width)])
+        elif kind < 0.4 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            p, q = Fraction(rng.randint(-5, 5), rng.randint(1, 6)), rng.randint(-3, 3)
+            rows.append([p * x + q * y for x, y in zip(a, b)])
+        else:
+            rows.append([rational_entry(rng) for _ in range(width)])
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_span_matches_fraction_span(seed):
+    rng = random.Random(8100 + seed)
+    width = 1 if seed % 8 == 0 else rng.randint(1, 7)
+    added = rational_rows(rng, width, rng.randint(0, width + 3))
+    span, oracle = linalg.Span(), FractionSpan()
+    for row in added:
+        assert span.add(row) == oracle.add(row)
+        assert len(span) == len(oracle)
+        assert span.rows == oracle.rows
+    assert all(type(x) is Fraction for row in span.rows for x in row)
+    asked = rational_rows(rng, width, 6)
+    if added:
+        a, b = rng.choice(added), rng.choice(added)
+        asked.append([Fraction(3, 7) * x - 2 * y for x, y in zip(a, b)])
+    for row in asked + added:
+        coords = span.coords(row)
+        assert coords == oracle.coords(row)
+        if coords is not None:
+            assert len(coords) == len(added)
+            assert all(type(x) is Fraction for x in coords)
+
+
+def test_empty_and_width_one_integer_spans():
+    assert linalg.Span().rows == []
+    assert linalg.Span().coords([]) == []
+    assert linalg.Span().add([]) is False
+    span = linalg.Span([[0], [Fraction(-6, 5)], [4]])
+    assert len(span) == 1 and span.rows == [[Fraction(1)]]
+    assert span.coords([Fraction(3)]) == [Fraction(0), Fraction(-5, 2), Fraction(0)]
 
 
 # rank by forward elimination against the rref

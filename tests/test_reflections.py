@@ -347,9 +347,7 @@ def test_isogeny_graph_rejects_asymmetric_zero_pattern(b2, b2_lattice, monkeypat
         isogeny_graph(dec)
 
 
-def test_geom_report_needs_no_invariant_form(g4, g4_lattice, monkeypatch):
-    def averaged_form(group):
-        raise AssertionError("invariant_hermitian called")
-
-    monkeypatch.setattr(groups, "invariant_hermitian", averaged_form)
+def test_geom_report_needs_no_invariant_form(g4, g4_lattice):
+    # the averaged Hermitian form is an oracle of the tests only
+    assert not hasattr(groups, "invariant_hermitian")
     assert geom_report(g4, g4_lattice, classify_character_field(g4)).cm is not None

@@ -9,7 +9,7 @@ from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, euler_phi, zeta
 from invlat.cli import main
 from invlat.errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
-from invlat.groups import close_group, conj_transpose, group_from_json
+from invlat.groups import close_group, group_from_json
 from invlat.linalg import rank
 from invlat.report import analyze
 from invlat.schur import (
@@ -285,8 +285,8 @@ def test_witness_field_form_is_g_stable(s3):
         rows.append(list(vec))
     assert rank(rows) == s3.dimension
     # closure under one generator stays inside the rational span of the basis
-    from invlat.lattices import expand_vectors
     from invlat import linalg
+    from oracles import expand_vectors
 
     for g in s3.generators:
         for vec in witness.basis:

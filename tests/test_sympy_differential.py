@@ -1,6 +1,7 @@
-"""Cyclotomic polynomials, minimal polynomials, the Hermite normal form and
-the rational reduced row echelon form against sympy, an implementation that
-shares no code with this package."""
+"""Cyclotomic polynomials, minimal polynomials, the splitting primes of the
+discreteness certificate, the Hermite normal form and the rational reduced
+row echelon form against sympy, an implementation that shares no code with
+this package."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,14 @@ from fractions import Fraction
 import pytest
 
 from invlat import linalg
-from invlat.cyclotomic import cyclotomic_polynomial, sqrt_rational, zeta
+from invlat.cyclotomic import (
+    MAX_CONDUCTOR,
+    _is_prime,
+    cyclotomic_polynomial,
+    splitting_prime,
+    sqrt_rational,
+    zeta,
+)
 
 from oracles import rref_divide_each_entry
 
@@ -46,6 +54,37 @@ def test_cyclotomic_polynomial_matches_sympy(n):
 )
 def test_minimal_polynomial_matches_sympy(value, expr):
     assert value.minimal_polynomial() == _ascending(sympy.minimal_polynomial(expr, X))
+
+
+SPLITTING_SAMPLE = sorted(
+    set(random.Random(9300).sample(range(1, MAX_CONDUCTOR + 1), 40)) | {1009, 1024, 840}
+)
+
+
+@pytest.mark.parametrize("n", SPLITTING_SAMPLE)
+def test_splitting_prime_gives_a_root_of_the_cyclotomic_polynomial(n):
+    ell, g = splitting_prime(n)
+    assert 2**31 < ell < 3_215_031_751
+    assert sympy.isprime(ell) and ell % n == 1
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()
+    value = 0
+    for c in phi:  # Horner, highest coefficient first
+        value = (value * g + int(c)) % ell
+    assert value == 0
+    # the least such prime above 2^31
+    assert not any(sympy.isprime(p) for p in range(ell - n, 2**31, -n))
+
+
+def test_miller_rabin_bases_against_sympy():
+    rng = random.Random(9400)
+    sample = [rng.randrange(2**31, 3_215_031_751) for _ in range(300)]
+    # a strong pseudoprime to the bases 2, 3 and 5, and small numbers
+    sample += [25_326_001, 3_215_031_749] + list(range(40))
+    for n in sample:
+        assert _is_prime(n) == sympy.isprime(n), n
+    # the bound is a strong pseudoprime to all four bases
+    with pytest.raises(ValueError):
+        _is_prime(3_215_031_751)
 
 
 def _hnf_case(seed):
