@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 stdout closed before the output was written,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -276,7 +277,10 @@ def _closure_cap(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each call of `main` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="invlat",
         description=(

@@ -35,7 +35,7 @@ from .lattices import (
     scale_lattice,
 )
 from .records import Record
-from .schur import CharacterFieldClass, SchurWitness
+from .schur import CharacterFieldClass
 
 EUCLIDEAN_DISCRIMINANTS = (-3, -4, -7, -8, -11)
 
@@ -109,12 +109,6 @@ class ImaginaryQuadraticOrder(Record):
         return quotient, remainder
 
 
-def _witness_vectors(witness):
-    if isinstance(witness, SchurWitness):
-        return list(witness.basis)
-    return [tuple(as_cycnum(x) for x in v) for v in witness]
-
-
 def _scale_vector(scalar, vector):
     return tuple(scalar * x for x in vector)
 
@@ -141,7 +135,7 @@ def _orbit_lattice(group: GroupRep, seeds) -> ZLattice:
 
 def construct_rank_n(group: GroupRep, witness) -> ZLattice:
     """Integral span of the G-orbit of a rational-form basis; rank n."""
-    vectors = _witness_vectors(witness)
+    vectors = [tuple(as_cycnum(x) for x in v) for v in witness]
     n = group.dimension
     if len(vectors) != n or linalg.rank([list(v) for v in vectors]) != n:
         raise InvalidInputError("witness is not a rational form of the space")

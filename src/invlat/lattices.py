@@ -10,7 +10,9 @@ Computational Algebraic Number Theory, 2.4.3).  One integer elimination
 builds it, on rows read off each entry's integer numerators.  Every
 question is answered from these rows: integer coordinates come from
 back-substitution against them, with a divisibility test at each pivot and
-an exact zero residual.
+an exact zero residual.  The points on the complex line of a root r are
+one integer left kernel: with p the first nonzero entry of r, v lies on
+the line exactly when r_p * v_j - r_j * v_p = 0 for every j != p.
 
 Discreteness is decided on the basis vectors: each vector v is extended by
 its conjugate to (v | conj v), which stays inside the cyclotomic field, and
@@ -262,25 +264,25 @@ def lattice_sum(a: ZLattice, b: ZLattice) -> ZLattice:
     return _lattice_from_rows(a.dim, conductor, rows, den)
 
 
-def intersect_with_subspace(lattice: ZLattice, span_vectors) -> ZLattice:
-    """Lattice points in the complex span of the given vectors."""
-    mat = [[as_cycnum(x) for x in vec] for vec in span_vectors]
-    functionals = linalg.kernel_right(mat)
+def intersect_with_line(lattice: ZLattice, root) -> ZLattice:
+    """Lattice points on the complex line of the nonzero vector root.
+
+    With p the first nonzero entry of root, v lies on the line exactly when
+    root_p * v_j - root_j * v_p = 0 for every j != p.  Those n - 1 values of
+    each basis vector, flattened to integers, give the integer combinations
+    of the basis that lie on the line as one integer left kernel."""
+    root = [as_cycnum(x) for x in root]
     vecs = lattice.vectors()
-    if not vecs:
+    if len(root) == 1 or not vecs:
         return lattice
-    if not functionals:
-        return lattice
-    values = []
-    for vec in vecs:
-        row = []
-        for f in functionals:
-            row.append(sum((x * y for x, y in zip(vec, f)), CycNum.rational(0)))
-        values.append(row)
+    p = next(k for k, x in enumerate(root) if not x.is_zero())
+    values = [
+        [root[p] * v[j] - root[j] * v[p] for j in range(len(root)) if j != p]
+        for v in vecs
+    ]
     int_rows, _ = _integer_rows(values, common_conductor(x for row in values for x in row))
-    kernel = linalg.int_kernel(int_rows)
     gens = []
-    for krow in kernel:
+    for krow in linalg.int_kernel(int_rows):
         acc = [0] * len(lattice.rows[0])
         for coeff, row in zip(krow, lattice.rows):
             if coeff:

@@ -1,27 +1,22 @@
 """Exact linear algebra helpers.
 
-Field routines (rref, rank, Span, kernel, det, inverse) work for any element
-type with +, -, *, /, == 0 semantics whose truth value is "nonzero", so they
-serve int, Fraction and cyclotomic-number matrices.  An int pivot has the
-reciprocal Fraction(1, pivot), so int input gives exact Fraction results.
+Rational routines (rref, Span, inverse) take rows of ints and Fractions and
+return Fractions.  Each row is cleared to integers by the lcm of its
+denominators, and the elimination stays on the integers.  `rref` runs
+fraction-free Gauss-Jordan elimination (Bareiss 1968): each step replaces
+every other row by (row * p - a * pivot row) // previous pivot, which
+Sylvester's identity makes exact, and each kept row is divided by its pivot
+once at the end.  `Span` is the one route for span membership and
+coordinates: it keeps the rows added so far in echelon form, each a
+primitive integer row over its own pivot, so a fixed basis is reduced once
+and every later question costs one reduction of the asked row, one
+cross-multiplication per echelon row.
 
-`rref` takes one of two routes.  Rational input (every entry an int or a
-Fraction) is cleared to integer rows, one lcm of denominators per row, and
-reduced by fraction-free Gauss-Jordan elimination (Bareiss 1968): each step
-replaces every other row by (row * p - a * pivot row) // previous pivot,
-which Sylvester's identity makes exact, and each kept row is divided by its
-pivot once at the end.  Cyclotomic input takes one reciprocal per pivot,
-because a cyclotomic reciprocal is an extended Euclid against the cyclotomic
-polynomial while a product is one integer convolution, and touches only the
-columns where the pivot row is nonzero; `det` eliminates the same way.
-`rank` takes no reciprocal at all: it counts the pivots of a forward
-elimination by cross-multiplication.  `Span` is the one route for span
-membership and coordinates: it keeps the rows added so far in echelon form,
-so a fixed basis is reduced once and every later question costs one
-reduction of the asked row.  It takes its route from the first row it
-sees: rational rows stay on the integers, each echelon row a primitive
-integer row over its own pivot and each step a cross-multiplication, and
-cyclotomic rows are divided by their pivots as in `rref`.
+`rank` and `det` take any element type with +, -, * and a truth value that
+means "nonzero", cyclotomic numbers included.  They share one forward
+elimination by cross-multiplication, which takes no reciprocal: `rank`
+counts its pivots, and `det` divides the product of its pivots by the
+scale its row operations put in, at most one reciprocal.
 
 Integer routines share one Hermite elimination that pivots in a given
 number of leading columns: `hnf` runs it on the matrix alone, and
@@ -38,17 +33,6 @@ from math import gcd, lcm
 from operator import mul
 
 
-def _zero_of(x):
-    return x * 0
-
-
-def _one_of(x):
-    """1 in the field of x; Fraction(1) for an int, so that dividing by an int
-    pivot is exact."""
-    one = x * 0 + 1
-    return Fraction(1) if type(one) is int else one
-
-
 def _cleared(row):
     """(integer row, d): a row of ints and Fractions is the integer row / d,
     with d the lcm of its denominators."""
@@ -56,66 +40,20 @@ def _cleared(row):
     return [x.numerator * (d // x.denominator) for x in row], d
 
 
-def _pivot_row(row, col):
-    """(row scaled to 1 at col, the columns where it is nonzero).
-
-    One reciprocal is taken and every nonzero entry is multiplied by it: a
-    cyclotomic division runs an extended Euclid against the cyclotomic
-    polynomial, so dividing entry by entry would repeat it for each entry.
-    """
-    inv = _one_of(row[col]) / row[col]
-    scaled = [x * inv if x else x for x in row]
-    return scaled, [j for j, x in enumerate(scaled) if x]
-
-
-def _eliminate(target, factor, row, support):
-    """target -= factor * row in place, over the support of row; every other
-    entry of target is unchanged, exactly."""
-    for j in support:
-        target[j] = target[j] - factor * row[j]
-
-
 def matmul(a, b):
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def identity(n, one=Fraction(1)):
-    zero = one * 0
+def identity(n):
+    one, zero = Fraction(1), Fraction(0)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (nonzero rows, pivot column list).
-
-    Rows whose entries are all int or Fraction are reduced over the integers
-    (`_rref_rational`), and the result then has Fraction entries."""
-    mat = [list(r) for r in rows]
-    if not mat or not mat[0]:
-        return [], []
-    if all(isinstance(x, (int, Fraction)) for row in mat for x in row):
-        return _rref_rational(mat)
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if not mat[i][c] == 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        mat[r], support = _pivot_row(mat[r], c)
-        for i in range(len(mat)):
-            if i != r and not mat[i][c] == 0:
-                _eliminate(mat[i], mat[i][c], mat[r], support)
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def _rref_rational(mat):
-    """rref of rows of ints and Fractions by fraction-free Gauss-Jordan.
+    """Reduced row echelon form of rows of ints and Fractions, by
+    fraction-free Gauss-Jordan.  Returns (nonzero rows, pivot column list),
+    with Fraction entries.
 
     Each row is cleared to integers by the lcm of its denominators.  At a
     pivot p, every other row becomes (row * p - a * pivot row) // prev, with a
@@ -123,7 +61,9 @@ def _rref_rational(mat):
     By Sylvester's identity every entry is then a minor of the cleared
     matrix, so the division is exact, and every pivot row holds p at its
     pivot; the kept rows are divided by the last pivot once at the end."""
-    rows = [_cleared(row)[0] for row in mat]
+    rows = [_cleared(row)[0] for row in rows]
+    if not rows or not rows[0]:
+        return [], []
     pivots = []
     prev = 1
     r = 0
@@ -152,51 +92,84 @@ def _rref_rational(mat):
             for row in rows[:r]], pivots
 
 
-def rank(rows):
-    """The number of pivots of forward elimination.
+def _forward(rows):
+    """(pivots, sign, scaled) of forward elimination by cross-multiplication.
 
-    Each row below a pivot p is replaced by p * row - a * (pivot row), where a
-    is its entry in the pivot column, so no reciprocal is taken; there is no
-    back-substitution and no pivot scaling."""
+    Each row below a pivot p with entry a in the pivot column is replaced by
+    p * row - a * (pivot row), so no reciprocal is taken; there is no
+    back-substitution and no pivot scaling.  pivots are the pivot entries in
+    order, sign is -1 to the number of row swaps, and scaled[k] counts the
+    rows that were multiplied by pivots[k].  For a square matrix of full
+    rank, the determinant is sign * prod(pivots) / prod(p ** k)."""
     mat = [list(r) for r in rows]
-    count = 0
+    pivots, scaled = [], []
+    sign = 1
     for c in range(len(mat[0]) if mat else 0):
-        pr = next((i for i in range(count, len(mat)) if mat[i][c]), None)
+        r = len(pivots)
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
-        mat[count], mat[pr] = mat[pr], mat[count]
-        pivot_row = mat[count]
+        if pr != r:
+            mat[r], mat[pr] = mat[pr], mat[r]
+            sign = -sign
+        pivot_row = mat[r]
         pivot = pivot_row[c]
         tail = range(c + 1, len(pivot_row))
-        for row in mat[count + 1:]:
+        count = 0
+        for row in mat[r + 1:]:
             a = row[c]
             if a:
                 # columns up to c are not read again
                 row[c + 1:] = [row[j] * pivot - a * pivot_row[j] if pivot_row[j]
                                else row[j] * pivot for j in tail]
-        count += 1
-        if count == len(mat):
+                count += 1
+        pivots.append(pivot)
+        scaled.append(count)
+        if len(pivots) == len(mat):
             break
-    return count
+    return pivots, sign, scaled
+
+
+def rank(rows):
+    """The number of pivots of the forward elimination `_forward`."""
+    return len(_forward(rows)[0])
+
+
+def det(mat):
+    """The determinant, off the forward elimination `_forward`: the signed
+    product of its pivots over the product of the pivots it scaled rows by,
+    one division.  An int matrix gives a Fraction."""
+    n = len(mat)
+    if n == 0:
+        return Fraction(1)
+    one = mat[0][0] * 0 + 1
+    if type(one) is int:
+        one = Fraction(1)
+    pivots, sign, scaled = _forward(mat)
+    if len(pivots) < n:
+        return one * 0
+    num = one if sign > 0 else -one
+    den = one
+    for p, k in zip(pivots, scaled):
+        num = num * p
+        den = den * p ** k
+    return num if den == one else num / den
 
 
 class Span:
-    """The rational (or cyclotomic) span of the rows added so far.
+    """The rational span of the rows of ints and Fractions added so far.
 
     Each kept row is held in echelon form, with a nonzero pivot and 0 at the
     pivots of the rows kept before it, and extended by the combination of
     kept rows that gives it.  So one reduction of a row against the echelon
     rows tests membership and, in the extension, reads off its coordinates.
 
-    The route is chosen from the first row seen.  Rational rows (every entry
-    an int or a Fraction) are kept on the integers: each asked row is
-    cleared by the lcm of its denominators, every echelon row is an integer
-    row standing for itself over its pivot, and a reduction step is the
+    The rows are kept on the integers: each asked row is cleared by the lcm
+    of its denominators, every echelon row is a primitive integer row
+    standing for itself over its pivot, and a reduction step is the
     cross-multiplication p * row - a * (echelon row), with p the pivot and a
     the row's entry there, both divided by their gcd first; the scale the
-    row has taken is carried beside it.  Cyclotomic rows are divided by
-    their pivot, one reciprocal each, and reduced by subtraction.  `rows`
-    and `coords` give Fractions on the rational route.
+    row has taken is carried beside it.  `rows` and `coords` give Fractions.
     """
 
     def __init__(self, rows=()):
@@ -204,7 +177,6 @@ class Span:
         self._echelon = []
         self._kept = []  # position among the added rows of each kept row
         self._added = 0
-        self._rational = None  # the route, set by the first row seen
         for row in rows:
             self.add(row)
 
@@ -215,25 +187,14 @@ class Span:
     @property
     def rows(self):
         """The echelon rows, one per kept row, in the order they were kept."""
-        if self._rational:
-            return [[Fraction(x, row[pivot]) for x in row[: len(row) // 2]]
-                    for pivot, row, _ in self._echelon]
-        return [row[: len(row) // 2] for _, row, _ in self._echelon]
+        return [[Fraction(x, row[pivot]) for x in row[: len(row) // 2]]
+                for pivot, row, _ in self._echelon]
 
     def _reduce(self, row):
-        """(extended, scale): row extended by as many zeros, less its
-        components along the echelon rows, times scale.  That is the residue
-        of row, then minus its coordinates in the kept rows (exact when the
-        residue is zero); the scale is 1 on the cyclotomic route."""
-        if self._rational is None:
-            self._rational = all(isinstance(x, (int, Fraction)) for x in row)
-        if not self._rational:
-            extended = list(row) + [_zero_of(row[0])] * len(row)
-            for pivot, echelon_row, support in self._echelon:
-                c = extended[pivot]
-                if c:
-                    _eliminate(extended, c, echelon_row, support)
-            return extended, 1
+        """(extended, scale): row cleared to integers and extended by as many
+        zeros, less its components along the echelon rows, times scale.  That
+        is scale times the residue of row, then minus its coordinates in the
+        kept rows (exact when the residue is zero)."""
         extended, scale = _cleared(row)
         extended += [0] * len(row)
         for pivot, echelon_row, support in self._echelon:
@@ -258,18 +219,12 @@ class Span:
         pivot = next((k for k in range(len(row)) if extended[k]), None)
         if pivot is None:
             return False
-        slot = len(row) + len(self._kept)
-        if self._rational:
-            extended[slot] = scale
-            g = gcd(*extended)
-            if extended[pivot] < 0:
-                g = -g
-            extended = [x // g for x in extended]
-            echelon = (pivot, extended, [j for j, x in enumerate(extended) if x])
-        else:
-            extended[slot] = _one_of(extended[pivot])
-            echelon = (pivot, *_pivot_row(extended, pivot))
-        self._echelon.append(echelon)
+        extended[len(row) + len(self._kept)] = scale
+        g = gcd(*extended)
+        if extended[pivot] < 0:
+            g = -g
+        extended = [x // g for x in extended]
+        self._echelon.append((pivot, extended, [j for j, x in enumerate(extended) if x]))
         self._kept.append(self._added - 1)
         return True
 
@@ -281,63 +236,16 @@ class Span:
         width = len(row)
         if any(extended[:width]):
             return None
-        if self._rational:
-            out = [Fraction(0)] * self._added
-            for j, i in enumerate(self._kept):
-                out[i] = Fraction(-extended[width + j], scale)
-            return out
-        out = [_zero_of(row[0])] * self._added
+        out = [Fraction(0)] * self._added
         for j, i in enumerate(self._kept):
-            out[i] = -extended[width + j]
+            out[i] = Fraction(-extended[width + j], scale)
         return out
 
 
-def kernel_right(mat):
-    """Basis of the right kernel {x : mat @ x = 0}."""
-    if not mat:
-        return []
-    n = len(mat[0])
-    red, pivots = rref(mat)
-    one = _one_of(mat[0][0])
-    zero = one * 0
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [zero] * n
-        v[f] = one
-        for row, c in zip(red, pivots):
-            v[c] = -row[f]
-        basis.append(v)
-    return basis
-
-
-def det(mat):
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    a = [list(r) for r in mat]
-    one = _one_of(a[0][0])
-    result = one
-    for c in range(n):
-        pr = next((i for i in range(c, n) if not a[i][c] == 0), None)
-        if pr is None:
-            return one * 0
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            result = -result
-        result = result * a[c][c]
-        row, support = _pivot_row(a[c], c)
-        for i in range(c + 1, n):
-            if not a[i][c] == 0:
-                _eliminate(a[i], a[i][c], row, support)
-    return result
-
-
 def inverse(mat):
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix of ints and Fractions, or None if singular."""
     n = len(mat)
-    one = _one_of(mat[0][0])
-    aug = [list(row) + ident for row, ident in zip(mat, identity(n, one))]
+    aug = [list(row) + ident for row, ident in zip(mat, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         return None

@@ -5,7 +5,11 @@ reflections, certifies the finite-index sublattice generated by the line
 lattices, computes exact cycle multipliers and their CM consequences, and
 assembles the isogeny graph of the line tori.  Every stage reads the
 factorizations id - r = alpha * phi recorded by the reflection scan, through
-the root functional matrix A[k][j] = phi_k(alpha_j); none rebuilds id - r.
+the root functional matrix A[k][j] = phi_k(alpha_j), built once per
+decomposition; none rebuilds id - r.  The reflections are chosen by the rank
+of their roots, each root line is cut from the lattice by
+`intersect_with_line`, and det s = det A, so no stage row reduces over the
+cyclotomic field.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .lattices import (
     MultiplierRing,
     RankTwoLattice,
     ZLattice,
-    intersect_with_subspace,
+    intersect_with_line,
     lattice_index,
     lattice_sum,
     multiplier_ring,
@@ -57,12 +61,11 @@ def choose_generating_reflections(group: GroupRep):
         return close_group(mats, cap=group.order).order == group.order
 
     chosen = []
-    span = linalg.Span()
     for ref in inventory:
-        if span.add(ref.root):
+        if linalg.rank([r.root for r in chosen] + [ref.root]) > len(chosen):
             chosen.append(ref)
-        if len(chosen) == n:
-            break
+            if len(chosen) == n:
+                break
     if len(chosen) == n and generates(chosen):
         return tuple(chosen)
     for combo in combinations(inventory, n):
@@ -96,6 +99,7 @@ class ReflectionDecomposition(Record):
     sublattice: ZLattice  # sum of the line lattices
     index: int  # [ambient : sublattice]
     s_det: CycNum  # det of s = sum of (id - r_j) = sum of alpha_j phi_j
+    functionals: tuple  # the root functional matrix A[k][j] = phi_k(alpha_j)
 
 
 def _scalar_along_root(root, vector):
@@ -107,14 +111,18 @@ def _scalar_along_root(root, vector):
 
 
 def line_lattice_decomposition(lattice: ZLattice, refs) -> ReflectionDecomposition:
-    """Split the lattice across the root lines of the given reflections."""
+    """Split the lattice across the root lines of the given reflections.
+
+    s is R Phi, with the roots as the columns of R and the functionals as
+    the rows of Phi, and the root functional matrix A is Phi R, so det s is
+    det A."""
     n = lattice.dim
     refs = tuple(refs)
     if len(refs) != n or linalg.rank([list(r.root) for r in refs]) != n:
         raise InvalidInputError("need n reflections with spanning root lines")
     lines = []
     for j, ref in enumerate(refs):
-        piece = intersect_with_subspace(lattice, [ref.root])
+        piece = intersect_with_line(lattice, ref.root)
         scalars = None
         ring = None
         if piece.rank == 2:
@@ -137,15 +145,11 @@ def line_lattice_decomposition(lattice: ZLattice, refs) -> ReflectionDecompositi
     index = lattice_index(lattice, sub)
     if index is inf:
         raise InternalConsistencyError("line-lattice sum has deficient rank")
-    zero = CycNum.rational(0)
-    s = [
-        [sum((r.root[i] * r.functional[j] for r in refs), zero) for j in range(n)]
-        for i in range(n)
-    ]
-    s_det = linalg.det(s)
+    a = root_functional_matrix(refs)
+    s_det = linalg.det(a)
     if s_det.is_zero():
         raise InternalConsistencyError("sum of (id - r_j) is degenerate")
-    return ReflectionDecomposition(lattice, refs, tuple(lines), sub, index, s_det)
+    return ReflectionDecomposition(lattice, refs, tuple(lines), sub, index, s_det, a)
 
 
 def root_functional_matrix(refs):
@@ -204,18 +208,17 @@ def default_cycle_bound(n: int) -> int:
     return bound
 
 
-def scan_cycle_multipliers(refs, bound: int):
-    """All cycle multipliers for index tuples of length 1..bound, in order.
+def scan_cycle_multipliers(a, bound: int):
+    """All cycle multipliers for index tuples of length 1..bound, in order,
+    off the root functional matrix a of the reflections.
 
     The multiplier of (j1 ... jm) is the eigenvalue of
     (id - r_{j1})(id - r_{jm})...(id - r_{j2}) on root j1.  Each factor is
-    alpha_k phi_k, so it is the cyclic product of A[j_{i+1}][j_i] over the
-    root functional matrix A.
+    alpha_k phi_k, so it is the cyclic product of a[j_{i+1}][j_i].
     """
-    a = root_functional_matrix(refs)
     out = []
     for length in range(1, bound + 1):
-        for cycle in product(range(len(refs)), repeat=length):
+        for cycle in product(range(len(a)), repeat=length):
             value = a[cycle[0]][cycle[-1]]
             for j, k in zip(cycle, cycle[1:]):
                 value = value * a[k][j]
@@ -274,7 +277,7 @@ def isogeny_graph(dec: ReflectionDecomposition) -> IsogenyGraph:
     if any(line.scalars is None for line in dec.lines):
         raise InvalidInputError("isogeny graph needs line lattices of rank 2")
     n = len(dec.reflections)
-    a = root_functional_matrix(dec.reflections)
+    a = dec.functionals
     if any(a[k][j].is_zero() != a[j][k].is_zero() for j in range(n) for k in range(j)):
         raise InternalConsistencyError(
             "root functional matrix has an asymmetric zero pattern"
@@ -342,7 +345,7 @@ def geom_report(
     dec = line_lattice_decomposition(lattice, refs)
     graph = isogeny_graph(dec)
     bound = cycle_bound if cycle_bound is not None else default_cycle_bound(n)
-    multipliers = tuple(scan_cycle_multipliers(refs, bound))
+    multipliers = tuple(scan_cycle_multipliers(dec.functionals, bound))
     cm = cm_from_scan(dec, multipliers)
     weyl_like = field.kind == "rational"
     if weyl_like and cm is not None:

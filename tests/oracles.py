@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -18,7 +18,7 @@ from invlat.cyclotomic import (
     exact_sign,
 )
 from invlat.errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
-from invlat.groups import apply, as_matrix, mat_identity, trace
+from invlat.groups import apply, as_matrix, close_group, find_reflections, mat_identity, trace
 from invlat.lattices import (
     RankTwoLattice,
     ZLattice,
@@ -88,6 +88,115 @@ def rref_divide_each_entry(rows):
     return mat[:r], pivots
 
 
+def _field_rows(mat):
+    """mat with each int entry made a Fraction, so that division is exact."""
+    return [[Fraction(x) if isinstance(x, int) else x for x in row] for row in mat]
+
+
+def kernel_right(mat):
+    """Basis of the right kernel {x : mat @ x = 0} of a matrix of ints,
+    Fractions or cyclotomic numbers, read off `rref_divide_each_entry`.  The
+    library intersects a lattice with a root line through n - 1 cross
+    products of the root's entries instead."""
+    if not mat:
+        return []
+    n = len(mat[0])
+    rows = _field_rows(mat)
+    red, pivots = rref_divide_each_entry(rows)
+    one = rows[0][0] * 0 + 1
+    zero = one * 0
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [zero] * n
+        v[f] = one
+        for row, c in zip(red, pivots):
+            v[c] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def inverse_by_rref(mat):
+    """Inverse of a square matrix of ints, Fractions or cyclotomic numbers,
+    or None if singular: the right half of `rref_divide_each_entry` of
+    [mat | I].  The library inverts rational matrices only."""
+    n = len(mat)
+    rows = _field_rows(mat)
+    one = rows[0][0] * 0 + 1
+    zero = one * 0
+    aug = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(rows)]
+    red, pivots = rref_divide_each_entry(aug)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def intersect_with_subspace(lattice, span_vectors):
+    """Lattice points in the complex span of the given vectors: the values of
+    the basis vectors on a kernel basis of the span's functionals, flattened
+    to integers, and their integer left kernel.  The library intersects with
+    one line, on the n - 1 cross products of its root's entries."""
+    functionals = kernel_right([[as_cycnum(x) for x in vec] for vec in span_vectors])
+    vecs = lattice.vectors()
+    if not vecs or not functionals:
+        return lattice
+    values = [
+        [sum((x * y for x, y in zip(vec, f)), CycNum.rational(0)) for f in functionals]
+        for vec in vecs
+    ]
+    _, rows = expand_vectors(values)
+    den = lcm(*(x.denominator for row in rows for x in row))
+    kernel = linalg.int_kernel([[int(x * den) for x in row] for row in rows])
+    gens = [
+        tuple(sum((c * v[i] for c, v in zip(krow, vecs)), CycNum.rational(0))
+              for i in range(lattice.dim))
+        for krow in kernel
+    ]
+    return lattice_from_generators(gens, dim=lattice.dim, allow_zero=True)
+
+
+def generating_reflections_by_echelon(group):
+    """choose_generating_reflections with each greedy independence test made
+    on a `rref_divide_each_entry` echelon form of the roots kept so far, and
+    the fallback's spanning test on the same echelon forms, so over the
+    field with one division per entry.  The library counts pivots of a
+    division-free forward elimination."""
+    n = group.dimension
+    inventory = find_reflections(group)
+
+    def spans(roots):
+        return len(rref_divide_each_entry([list(r) for r in roots])[0])
+
+    def generates(refs):
+        mats = [r.matrix for r in refs]
+        if set(group.generators) <= set(mats) | {mat_identity(n)}:
+            return True
+        return close_group(mats, cap=group.order).order == group.order
+
+    chosen = []
+    for ref in inventory:
+        if spans([r.root for r in chosen] + [ref.root]) > len(chosen):
+            chosen.append(ref)
+            if len(chosen) == n:
+                break
+    if len(chosen) == n and generates(chosen):
+        return tuple(chosen)
+    for combo in combinations(inventory, n):
+        if spans([r.root for r in combo]) == n and generates(combo):
+            return tuple(combo)
+    return None
+
+
+def s_det_by_cofactors(refs):
+    """det of s = sum of alpha_j phi_j, with s built entry by entry from the
+    recorded roots and functionals and expanded by cofactors.  The library
+    takes the determinant of the root functional matrix instead."""
+    n = len(refs)
+    zero = CycNum.rational(0)
+    s = [[sum((r.root[i] * r.functional[j] for r in refs), zero) for j in range(n)]
+         for i in range(n)]
+    return det_by_cofactors(s)
+
+
 def solve_right(mat, rhs):
     """One solution x of mat @ x = rhs, or None, from the rref of the
     augmented matrix; free variables are set to 0.  The library asks
@@ -97,7 +206,7 @@ def solve_right(mat, rhs):
         return None
     n = len(mat[0])
     aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    red, pivots = linalg.rref(aug)
+    red, pivots = rref_divide_each_entry(_field_rows(aug))
     if n in pivots:
         return None
     zero = rhs[0] * 0 if rhs else Fraction(0)
@@ -252,7 +361,7 @@ def isogeny_test(a: RankTwoLattice, b: RankTwoLattice):
     vals = [a.g1, a.g2, -(tau_b * a.g1), -(tau_b * a.g2)]
     _, rows = expand_vectors([(v,) for v in vals])
     cols = [[rows[j][i] for j in range(4)] for i in range(len(rows[0]))]
-    kernel = linalg.kernel_right(cols)
+    kernel = kernel_right(cols)
     if not kernel:
         return None
     coeffs = kernel[0]
@@ -596,7 +705,7 @@ def close_group_dense(generators):
     gens = [as_matrix(g) for g in generators]
     n = len(gens[0])
     gen_inverses = [
-        tuple(tuple(row) for row in linalg.inverse([list(r) for r in g]))
+        tuple(tuple(row) for row in inverse_by_rref([list(r) for r in g]))
         for g in gens
     ]
     identity = mat_identity(n)
@@ -619,7 +728,7 @@ def conjugacy_classes_by_matrices(group):
     """The conjugacy classes of the group's elements, each a sorted tuple of
     element indices, in the order of their first members: the class of g is
     h*g*h^-1 over every element h, by dense products, with h^-1 from
-    `linalg.inverse`.  Matrices with rational integer entries only are
+    `inverse_by_rref`.  Matrices with rational integer entries only are
     multiplied as ints.  The library conjugates element indices by the
     generators alone, reading the products off the closure."""
     mats = group.elements
@@ -636,7 +745,7 @@ def conjugacy_classes_by_matrices(group):
 
     pairs = []  # (h, the columns of h^-1)
     for m in mats:
-        inv = linalg.inverse([list(r) for r in m])
+        inv = inverse_by_rref([list(r) for r in m])
         if integral:  # an integer matrix of finite order has an integer inverse
             inv = [[int(x) for x in row] for row in inv]
         pairs.append((m, tuple(zip(*inv))))
@@ -715,7 +824,7 @@ def _gcd_certificate_by_kernels(n, labelled):
     if running == 1:
         return tuple(found)
     for label, mat in labelled:
-        dim = len(linalg.kernel_right([list(r) for r in mat]))
+        dim = len(kernel_right([list(r) for r in mat]))
         if 0 < dim < n and gcd(running, dim) < running:
             found.append((label, dim))
             running = gcd(running, dim)
@@ -797,14 +906,14 @@ def endomorphisms_by_commutant(torus):
                 rows.append([Fraction(x[t]) for x in coords])
     comm = [
         [[as_cycnum(vec[p * 4 + q]) for q in range(4)] for p in range(4)]
-        for vec in linalg.kernel_right(rows)
+        for vec in kernel_right(rows)
     ]
     r = len(comm)
 
     # integral part: x with W^-1 (sum x_t C_t) W integral, from the
     # determinant delta of r independent integrality equations
     w_mat = [list(row) for row in zip(*torus.lattice.vectors())]
-    w_inv = linalg.inverse(w_mat)
+    w_inv = inverse_by_rref(w_mat)
     columns = [
         [x.as_fraction() for row in linalg.matmul(linalg.matmul(w_inv, c), w_mat) for x in row]
         for c in comm
@@ -860,7 +969,7 @@ def endomorphisms_by_commutant(torus):
         for p in range(4):
             for s in range(4):
                 rows.append([(ab[p][s] - ba[p][s]).as_fraction() for ab, ba in brackets])
-    center = linalg.kernel_right(rows)
+    center = kernel_right(rows)
     if len(center) != 2:
         return (r, "other", None, None, None, f"center has rank {len(center)}, not 2")
     z_mat = next(

@@ -35,7 +35,12 @@ from invlat.quaternion import (
     imaginary_quadratic_subfield,
     torus_endomorphisms,
 )
-from invlat.reflections import geom_report, scan_cycle_multipliers, choose_generating_reflections
+from invlat.reflections import (
+    choose_generating_reflections,
+    geom_report,
+    root_functional_matrix,
+    scan_cycle_multipliers,
+)
 from invlat.schur import (
     character_profile,
     classify_character_field,
@@ -183,8 +188,8 @@ def test_acceptance_5_reflection_pipeline():
         # Weyl groups only ever produce rational cycle multipliers
         for name in ["S3-standard", "WeylB2"]:
             weyl = get_entry(name).group()
-            refs = choose_generating_reflections(weyl)
-            for _, value in scan_cycle_multipliers(refs, weyl.dimension + 1):
+            a = root_functional_matrix(choose_generating_reflections(weyl))
+            for _, value in scan_cycle_multipliers(a, weyl.dimension + 1):
                 assert value.is_rational()
 
 

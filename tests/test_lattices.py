@@ -22,7 +22,7 @@ from invlat.report import analyze
 from invlat.lattices import (
     RankTwoLattice,
     fundamental_discriminant,
-    intersect_with_subspace,
+    intersect_with_line,
     invariance_check,
     lattice_from_generators,
     lattice_index,
@@ -59,6 +59,7 @@ from oracles import (
     basis_coords_by_spans,
     check_discrete_by_field_rank,
     coset_count,
+    intersect_with_subspace,
     is_discrete_by_vector_split,
     isogeny_test,
     lattice_from_json,
@@ -135,13 +136,13 @@ def test_sum_and_intersect_basics():
     b = zlattice([[1, 0], [0, 3]])
     assert lattice_sum(a, b) == zlattice([[1, 0], [0, 1]])
     axis = cyc_rows([[1, 0]])
-    assert intersect_with_subspace(a, axis) == zlattice([[2, 0]])
-    assert intersect_with_subspace(lattice_sum(a, b), axis) == zlattice([[1, 0]])
+    assert intersect_with_line(a, axis[0]) == zlattice([[2, 0]])
+    assert intersect_with_line(lattice_sum(a, b), axis[0]) == zlattice([[1, 0]])
 
 
 def test_intersect_with_subspace():
     lat = zlattice([[1, 0], [0, 1]])
-    line = intersect_with_subspace(lat, cyc_rows([[1, 1]]))
+    line = intersect_with_line(lat, cyc_rows([[1, 1]])[0])
     assert line.rank == 1
     assert line.contains(cyc_rows([[2, 2]])[0])
     assert not line.contains(cyc_rows([[1, 0]])[0])
@@ -153,7 +154,7 @@ def test_intersect_with_complex_span():
     lat = lattice_from_generators(
         [(one, nil), (i4, nil), (nil, one), (nil, i4)]
     )
-    complex_line = intersect_with_subspace(lat, [(one, i4)])
+    complex_line = intersect_with_line(lat, (one, i4))
     assert complex_line.rank == 2
 
 
@@ -483,8 +484,8 @@ def test_every_builder_rejects_a_dense_span(monkeypatch):
             rejected_after_one_exact_rank(scale_lattice, scalar, dense)
         rejected_after_one_exact_rank(lattice_sum, dense, dense)
         rejected_after_one_exact_rank(lambda lat: lattice_from_json(lattice_to_json(lat)), dense)
-    rejected_after_one_exact_rank(intersect_with_subspace, dense_plane, [(one, nil)])
-    assert is_discrete_by_vector_split(intersect_with_subspace(plane, [(one, nil)]))
+    rejected_after_one_exact_rank(intersect_with_line, dense_plane, (one, nil))
+    assert is_discrete_by_vector_split(intersect_with_line(plane, (one, nil)))
 
 
 def test_no_analysis_reaches_the_exact_discreteness_check(monkeypatch):
@@ -657,10 +658,57 @@ def test_one_hnf_matches_the_pivot_coordinate_route(conductor):
     for scalar in (Fraction(2, 3), zeta(4), 1 + zeta(3)):
         scaled = [tuple(scalar * x for x in vec) for vec in line_gens + other_gens]
         assert lattice_to_json(scale_lattice(scalar, plane)) == lattice_json_by_pivot_hnf(scaled)
-    assert lattice_to_json(intersect_with_subspace(plane, [u])) == lattice_to_json(line)
+    assert lattice_to_json(intersect_with_line(plane, u)) == lattice_to_json(line)
     assert lattice_index(plane, line) == math.inf
     multiples = [rng.randint(1, 3) for _ in plane.vectors()]
     sub = lattice_from_generators(
         [tuple(k * x for x in vec) for k, vec in zip(multiples, plane.vectors())]
     )
     assert lattice_index(plane, sub) == coset_count(plane, sub) == math.prod(multiples)
+
+
+def _line_case(rng, conductor, n):
+    """(lattice, root): a seeded lattice in C^n and a root with zero entries
+    and a leading entry other than 1.  The lattice is a rational linear image
+    of some of the vectors e_i and zeta * e_i, so it is discrete and often
+    of rank below 2n; the root is the image of an integer vector, which
+    meets the lattice, or a vector of arbitrary entries, which often does
+    not."""
+    z = zeta(conductor)
+    units = [CycNum.rational(1)] + ([z] if conductor > 2 else [])
+    nil = CycNum.rational(0)
+    base = [tuple(u if j == i else nil for j in range(n)) for i in range(n) for u in units]
+    kept = rng.sample(base, rng.randint(1, len(base)))
+    m = [[Fraction(rng.choice([1, 2, -3]), rng.choice([1, 2])) if i == j
+          else Fraction(rng.randint(-2, 2), rng.choice([1, 3])) if j > i else 0
+          for j in range(n)] for i in range(n)]
+
+    def image(vec):
+        return tuple(sum((a * x for a, x in zip(row, vec)), nil) for row in m)
+
+    lattice = lattice_from_generators([image(v) for v in kept])
+    while True:
+        if rng.random() < 0.5:
+            w = image([CycNum.rational(rng.choice([0, 0, 1, -2, 3])) for _ in range(n)])
+        else:
+            w = [rng.choice([nil, _random_entry(rng, conductor)]) for _ in range(n)]
+        if any(not x.is_zero() for x in w):
+            break
+    scalar = rng.choice([CycNum.rational(Fraction(-2, 3)), 1 + z, z / 2])
+    return lattice, tuple(scalar * x for x in w)
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 4, 5, 12])
+def test_intersect_with_line_matches_the_kernel_oracle(conductor):
+    rng = random.Random(9100 + conductor)
+    ranks = set()
+    for k in range(16):
+        lattice, root = _line_case(rng, conductor, 1 + k % 3)
+        line = intersect_with_line(lattice, root)
+        assert line == intersect_with_subspace(lattice, [root]), k
+        p = next(j for j, x in enumerate(root) if not x.is_zero())
+        for vec in line.vectors():
+            assert lattice.contains(vec)
+            assert all((root[p] * x - r * vec[p]).is_zero() for x, r in zip(vec, root))
+        ranks.add(line.rank)
+    assert len(ranks) > 1

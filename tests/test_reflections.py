@@ -31,10 +31,12 @@ from invlat.schur import classify_character_field
 from generated_groups import CARTAN_A4, GENERATED, weyl_from_cartan
 from oracles import (
     cycle_multiplier_by_matrices,
+    generating_reflections_by_echelon,
     gram_edges,
     isogeny_edges_by_images,
     lattice_from_json,
     root_functional_matrix_by_factoring,
+    s_det_by_cofactors,
 )
 
 
@@ -96,7 +98,7 @@ def test_g4_line_decomposition(g4, g4_lattice):
 
 def test_cycle_multiplier_b2(b2):
     refs = choose_generating_reflections(b2)
-    values = dict(scan_cycle_multipliers(refs, 2))
+    values = dict(scan_cycle_multipliers(root_functional_matrix(refs), 2))
     assert values[(0,)] == CycNum.rational(2)
     assert values[(0, 1)] == CycNum.rational(2)
     assert values[(1, 0)] == CycNum.rational(2)
@@ -106,7 +108,7 @@ def test_cycle_multiplier_fixed_line_identity():
     # a cycle multiplier is the eigenvalue of the composed rank-one operator
     b2 = get_entry("WeylB2").group()
     refs = choose_generating_reflections(b2)
-    value = dict(scan_cycle_multipliers(refs, 2))[(0, 1)]
+    value = dict(scan_cycle_multipliers(root_functional_matrix(refs), 2))[(0, 1)]
     n = b2.dimension
     identity = mat_identity(n)
     ops = []
@@ -133,22 +135,22 @@ def test_cycle_multiplier_fixed_line_identity():
 
 def test_scan_is_exhaustive_in_order(b2):
     refs = choose_generating_reflections(b2)
-    scanned = scan_cycle_multipliers(refs, 2)
+    scanned = scan_cycle_multipliers(root_functional_matrix(refs), 2)
     cycles = [c for c, _ in scanned]
     assert cycles == [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_weyl_groups_have_rational_multipliers(s3, b2):
     for group in [s3, b2]:
-        refs = choose_generating_reflections(group)
-        for _, value in scan_cycle_multipliers(refs, group.dimension + 1):
+        a = root_functional_matrix(choose_generating_reflections(group))
+        for _, value in scan_cycle_multipliers(a, group.dimension + 1):
             assert value.is_rational()
 
 
 def test_cm_detect_g4(g4, g4_lattice):
     refs = choose_generating_reflections(g4)
     dec = line_lattice_decomposition(g4_lattice, refs)
-    cm = cm_from_scan(dec, scan_cycle_multipliers(refs, g4.dimension + 1))
+    cm = cm_from_scan(dec, scan_cycle_multipliers(dec.functionals, g4.dimension + 1))
     assert cm is not None
     assert cm.cycle == (0,)
     assert cm.value == CycNum.rational(1) - zeta(3)
@@ -163,7 +165,7 @@ def test_cm_detect_g4(g4, g4_lattice):
 def test_cm_detect_none_for_weyl(b2, b2_lattice):
     refs = choose_generating_reflections(b2)
     dec = line_lattice_decomposition(b2_lattice, refs)
-    assert cm_from_scan(dec, scan_cycle_multipliers(refs, b2.dimension + 1)) is None
+    assert cm_from_scan(dec, scan_cycle_multipliers(dec.functionals, b2.dimension + 1)) is None
 
 
 def test_isogeny_graph_b2(b2, b2_lattice):
@@ -236,7 +238,8 @@ def reflection_cases():
 def test_scan_matches_matrix_product_oracle(reflection_cases):
     for name, group, _ in reflection_cases:
         refs = choose_generating_reflections(group)
-        for cycle, value in scan_cycle_multipliers(refs, group.dimension + 1):
+        a = root_functional_matrix(refs)
+        for cycle, value in scan_cycle_multipliers(a, group.dimension + 1):
             assert value == cycle_multiplier_by_matrices(refs, cycle), (name, cycle)
 
 
@@ -340,14 +343,32 @@ def test_isogeny_graph_needs_rank_two_lines(b2, b2_lattice):
 def test_isogeny_graph_rejects_asymmetric_zero_pattern(b2, b2_lattice, monkeypatch):
     dec = line_lattice_decomposition(b2_lattice, choose_generating_reflections(b2))
     one, nil = CycNum.rational(1), CycNum.rational(0)
-    monkeypatch.setattr(
-        reflections, "root_functional_matrix", lambda refs: ((one, one), (nil, one))
-    )
     with pytest.raises(InternalConsistencyError, match="asymmetric zero pattern"):
-        isogeny_graph(dec)
+        isogeny_graph(replace(dec, functionals=((one, one), (nil, one))))
 
 
 def test_geom_report_needs_no_invariant_form(g4, g4_lattice):
     # the averaged Hermitian form is an oracle of the tests only
     assert not hasattr(groups, "invariant_hermitian")
     assert geom_report(g4, g4_lattice, classify_character_field(g4)).cm is not None
+
+
+def test_chosen_reflections_match_the_echelon_oracle(reflection_cases):
+    # the greedy pass keeps a root when the rank grows; the oracle row
+    # reduces the kept roots over the field, one division per entry
+    fallback = close_group([[[-1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]]])
+    cases = [(name, group) for name, group, _ in reflection_cases]
+    for name, group in cases + [("B2 with a fallback", fallback)]:
+        expected = generating_reflections_by_echelon(group)
+        assert choose_generating_reflections(group) == expected, name
+
+
+def test_s_det_is_the_det_of_the_rebuilt_s(reflection_cases):
+    # det s = det (R Phi) = det (Phi R) = det A
+    for name, group, lattice in reflection_cases:
+        if lattice is None:
+            continue
+        refs = choose_generating_reflections(group)
+        dec = line_lattice_decomposition(lattice, refs)
+        assert dec.functionals == root_functional_matrix(refs), name
+        assert dec.s_det == s_det_by_cofactors(refs), name

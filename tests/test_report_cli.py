@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from invlat import cyclotomic, groups, linalg, reflections, report
+from invlat import cli, cyclotomic, groups, linalg, reflections, report
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum
 from invlat.cli import main
@@ -476,3 +476,32 @@ def test_cli_output_to_a_string_buffer_is_unchanged(capsys):
         code = main(["analyze", "S4-standard", "--json"])
     assert code == 0
     assert out.getvalue() == render_json(analyze("S4-standard")) + "\n"
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # the parser is built once per process; no argparse state may carry from
+    # one call of main to the next
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    calls = [
+        ("analyze", "S3-standard", "--json"),
+        ("analyze", "S3-standard"),
+        ("analyze", "S3-standard", "--cap", "0"),
+        ("construct", "G4", "--recipe", "saturate"),
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "invlat.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 0]
+    assert cli.build_parser() is cli.build_parser()
