@@ -1,10 +1,10 @@
 """Run the reflection decomposition over the reflection groups in the catalog
 and tabulate line multipliers, sublattice indices, and detected CM scalars.
 
-Usage: python3 scripts/reflection_survey.py [--cycle-bound B]
-"""
+Each cycle scan runs to `reflections.default_cycle_bound` of the dimension.
 
-import argparse
+Usage: python3 scripts/reflection_survey.py
+"""
 
 from invlat.catalog import catalog_names, get_entry
 from invlat.errors import InvalidInputError
@@ -12,16 +12,12 @@ from invlat.report import analyze
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--cycle-bound", type=int, default=None)
-    args = parser.parse_args()
-
     for name in catalog_names():
         entry = get_entry(name)
         if entry.kind != "group":
             continue
         try:
-            rep = analyze(name, cycle_bound=args.cycle_bound)
+            rep = analyze(name)
         except InvalidInputError as exc:
             print(f"{name}: skipped ({exc})")
             continue

@@ -1,6 +1,6 @@
 """Invariant lattices of finite complex matrix groups and the tori they define."""
 
-from .cyclotomic import CycNum, zeta, sqrt_rational, exact_sign, parse_scalar
+from .cyclotomic import CycNum, zeta, sqrt_rational, parse_scalar
 from .errors import (
     CapExceededError,
     InternalConsistencyError,
@@ -13,7 +13,6 @@ __all__ = [
     "CycNum",
     "zeta",
     "sqrt_rational",
-    "exact_sign",
     "parse_scalar",
     "CapExceededError",
     "InternalConsistencyError",

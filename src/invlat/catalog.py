@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .cyclotomic import CycNum, zeta, sqrt_rational
 from .errors import InvalidInputError
-from .groups import GroupRep, close_group
+from .groups import DEFAULT_CAP, GroupRep, close_group
 from .quaternion import QuatAlgebra, QuatElement, lipschitz_lattice
 from .records import Record
 
@@ -22,7 +22,7 @@ class CatalogEntry(Record):
     ds_base: tuple | None = None  # generators of the rank-n base lattice
     ds_scalar: CycNum | None = None
 
-    def group(self, cap: int = 10000) -> GroupRep:
+    def group(self, cap: int = DEFAULT_CAP) -> GroupRep:
         if self.kind != "group":
             raise InvalidInputError(f"{self.name} is not a group entry")
         g = close_group(self.generators, cap=cap)

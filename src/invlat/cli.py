@@ -26,12 +26,8 @@ from .errors import (
     InternalConsistencyError,
     InvalidInputError,
 )
-from .report import MAX_CYCLES, analyze, group_report, render_json
-
-CYCLE_BOUND_HELP = (
-    "maximum reflection-cycle length to scan (default: dimension + 1, "
-    f"or less where that scan would pass {MAX_CYCLES} cycles)"
-)
+from .groups import DEFAULT_CAP
+from .report import analyze, group_report, render_json
 
 
 def _load_target(target: str):
@@ -144,12 +140,7 @@ def _human_report(rep: dict) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    rep = analyze(
-        _load_target(args.target),
-        seed=args.seed,
-        cycle_bound=args.cycle_bound,
-        cap=args.cap,
-    )
+    rep = analyze(_load_target(args.target), seed=args.seed, cap=args.cap)
     if args.json:
         print(render_json(rep))
     else:
@@ -178,7 +169,7 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _entry_report(args, c=None, cycle_bound=None):
+def _entry_report(args, c=None):
     """(entry, report) for the catalog group named by args.target; the
     doubling scalar text c is parsed once the group is closed."""
     entry = get_entry(args.target)
@@ -193,7 +184,6 @@ def _entry_report(args, c=None, cycle_bound=None):
         entry=entry,
         doubling_scalar=None if c is None else parse_scalar(c),
         seed=args.seed,
-        cycle_bound=cycle_bound,
     )
     return entry, rep
 
@@ -232,7 +222,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    entry, rep = _entry_report(args, cycle_bound=args.cycle_bound)
+    entry, rep = _entry_report(args)
     if rep["reflection"] is None:
         raise InvalidInputError(
             f"{entry.name} has no reflection decomposition "
@@ -294,16 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
         p.add_argument("--seed", type=int, default=0, help="seed for the module search")
         p.add_argument(
-            "--cap", type=_closure_cap, default=10000,
-            help="group closure size limit, at least 1 (default 10000)",
+            "--cap", type=_closure_cap, default=DEFAULT_CAP,
+            help=f"group closure size limit, at least 1 (default {DEFAULT_CAP})",
         )
 
     p_an = sub.add_parser("analyze", help="full report for one input")
     p_an.add_argument("target", help="catalog name or path to a group JSON file")
-    p_an.add_argument(
-        "--cycle-bound", type=int, default=None,
-        help=CYCLE_BOUND_HELP,
-    )
     common(p_an)
     p_an.set_defaults(func=_cmd_analyze)
 
@@ -326,10 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="reflection-torus decomposition")
     p_dec.add_argument("target", help="catalog name")
-    p_dec.add_argument(
-        "--cycle-bound", type=int, default=None,
-        help=CYCLE_BOUND_HELP,
-    )
     common(p_dec)
     p_dec.set_defaults(func=_cmd_decompose)
 

@@ -35,11 +35,10 @@ polynomials kept primitive, O(phi(N)^2).
 so that z_n -> g maps Z[z_n] onto F_l; a rank over the field can then be
 certified by a rank over F_l (lattices._check_discrete).
 
-`coeffs`, `coords_at`, `str`, `cyc_to_json` and `numeric` present the
-coordinates as Fractions, the same values and text as a Fraction-per-
-coefficient representation would give.  Floating-point output exists only
-for diagnostics (numeric / numeric_bound); all decisions in this package
-are made on exact data.
+`coeffs`, `coords_at`, `str` and `cyc_to_json` present the coordinates as
+Fractions, the same values and text as a Fraction-per-coefficient
+representation would give.  The package has no floating point: all
+decisions are made on exact data.
 """
 
 from __future__ import annotations
@@ -49,13 +48,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import add, sub
-from typing import TYPE_CHECKING
 
 from .errors import InternalConsistencyError, InvalidInputError
 from .linalg import Span
-
-if TYPE_CHECKING:
-    import mpmath
 
 # The largest conductor an input may name.  Building Phi_N and each product
 # and inverse at conductor N take integer work quadratic in N (the subfield
@@ -610,31 +605,6 @@ class CycNum:
             f"minimal polynomial of {self} has degree above phi({n})"
         )
 
-    # -- diagnostics ---------------------------------------------------------
-
-    def numeric(self, precision: int = 53) -> mpmath.mpc:
-        """Floating approximation under z -> exp(2*pi*i/conductor).
-
-        The error is below numeric_bound(precision).  Diagnostic only; never
-        used for decisions, so mpmath is imported here, on the first call,
-        and no analysis pays for loading it."""
-        import mpmath
-
-        if precision < 53:
-            raise ValueError("precision below 53 bits is not supported")
-        with mpmath.workprec(precision + 32):
-            n = self.conductor
-            total = mpmath.mpc(0)
-            for k, c in enumerate(self.coeffs):
-                if c:
-                    term = mpmath.expjpi(mpmath.mpf(2 * k) / n)
-                    total += term * mpmath.mpf(c.numerator) / c.denominator
-            return +total
-
-    def numeric_bound(self, precision: int = 53) -> float:
-        weight = 1 + Fraction(sum(map(abs, self._nums)), self._den)
-        return 2.0 ** (1 - precision) * float(weight)
-
     # -- protocol ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -740,20 +710,6 @@ def sqrt_rational(x) -> CycNum:
     if rest > 1:
         result = result * _sqrt_prime(rest)
     return result
-
-
-def exact_sign(x: CycNum) -> int:
-    """Sign of a real cyclotomic number, decided rigorously."""
-    if not x.is_real():
-        raise ValueError("sign of a non-real value")
-    if x.is_zero():
-        return 0
-    precision = 64
-    while True:
-        approx = x.numeric(precision)
-        if abs(approx.real) > x.numeric_bound(precision):
-            return 1 if approx.real > 0 else -1
-        precision *= 2
 
 
 def cyc_to_json(x: CycNum) -> dict:

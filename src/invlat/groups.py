@@ -28,6 +28,9 @@ _ZERO, _ONE = CycNum.rational(0), CycNum.rational(1)
 # and the generated groups have dimension at most 4 and at most 4 generators.
 MAX_DIMENSION = 32
 MAX_GENERATORS = 64
+# The default closure cap: the most elements a closure builds before it
+# raises CapExceededError.
+DEFAULT_CAP = 10000
 
 
 def as_matrix(rows):
@@ -176,7 +179,7 @@ def _taker(key):
     return itemgetter(*key)
 
 
-def close_group(generators, cap: int = 10000) -> GroupRep:
+def close_group(generators, cap: int = DEFAULT_CAP) -> GroupRep:
     """Breadth-first closure of the generated matrix group, capped.
 
     Each generator must have full rank.  The generators permute the finite
@@ -416,7 +419,7 @@ def matrix_from_json(obj, dimension) -> tuple:
     return as_matrix([[cyc_from_json(x) for x in row] for row in obj])
 
 
-def group_from_json(obj, cap: int = 10000) -> GroupRep:
+def group_from_json(obj, cap: int = DEFAULT_CAP) -> GroupRep:
     try:
         dimension = int(obj["dimension"])
         conductor = int(obj["conductor"])

@@ -19,7 +19,7 @@ from math import inf
 
 from . import linalg
 from .cyclotomic import CycNum
-from .errors import InternalConsistencyError, InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError, OutOfScopeError
 from .groups import (
     GroupRep,
     ReflectionData,
@@ -45,9 +45,10 @@ def choose_generating_reflections(group: GroupRep):
 
     Greedy pass over the reflection inventory in element order; if the greedy
     choice spans but fails to generate, falls back to scanning root-spanning
-    n-subsets in enumeration order.  The reflections lie in the group, so they
-    generate it when every generator of the group is one of them or the
-    identity, and otherwise exactly when their closure has the group's order.
+    n-subsets in enumeration order, and raises OutOfScopeError when none
+    generates.  The reflections lie in the group, so they generate it when
+    every generator of the group is one of them or the identity, and
+    otherwise exactly when their closure has the group's order.
     """
     n = group.dimension
     inventory = find_reflections(group)
@@ -73,7 +74,7 @@ def choose_generating_reflections(group: GroupRep):
             continue
         if generates(combo):
             return tuple(combo)
-    raise InvalidInputError(
+    raise OutOfScopeError(
         "no spanning set of n reflections generates the group"
     )
 
@@ -163,47 +164,28 @@ def root_functional_matrix(refs):
 
 
 MAX_CYCLES = 100_000  # cycles one reflection scan may enumerate
-# Their lengths summed: the products the scan forms and the indices the report
-# lists.  Only one reflection (n = 1) reaches it before MAX_CYCLES, where the
-# cycle count grows linearly in the bound and this sum quadratically.
-MAX_CYCLE_ENTRIES = 1_000_000
-
-
-def _scan_fits(n: int, bound: int) -> bool:
-    """True when the scan of lengths 1..bound over n reflections enumerates
-    at most MAX_CYCLES cycles (n + n^2 + ... + n^bound) and at most
-    MAX_CYCLE_ENTRIES entries in them (n + 2 n^2 + ... + bound n^bound)."""
-    count = entries = 0
-    term = 1
-    for length in range(1, bound + 1):
-        term *= n
-        count += term
-        entries += length * term
-        if count > MAX_CYCLES or entries > MAX_CYCLE_ENTRIES:
-            return False
-    return True
-
-
-def check_cycle_bound(n: int, bound: int) -> None:
-    """Reject a cycle bound below 1, or one whose scan exceeds MAX_CYCLES
-    cycles or MAX_CYCLE_ENTRIES entries."""
-    if bound < 1:
-        raise InvalidInputError(f"cycle bound must be at least 1, got {bound}")
-    if not _scan_fits(n, bound):
-        raise InvalidInputError(
-            f"cycle bound {bound} scans more than {MAX_CYCLES} cycles "
-            f"or {MAX_CYCLE_ENTRIES} cycle entries of {n} reflections"
-        )
 
 
 def default_cycle_bound(n: int) -> int:
-    """The largest length up to n + 1 whose scan fits in MAX_CYCLES, at least 1.
+    """The scan length: n + 1, lowered while the scan of lengths 1..bound
+    would enumerate more than MAX_CYCLES cycles (n + n^2 + ... + n^bound),
+    and at least 1.
 
     This is n + 1 for every n <= 5; dimension 6 gets 6 (55986 cycles instead
-    of 335922).
+    of 335922), and dimension 7 gets 5.  A cycle multiplier is the weight of
+    a closed walk on the root lines, with weight A[k][j] on the step j -> k.
+    A closed walk splits into simple cycles of length at most n, so every
+    multiplier is a product of simple-cycle multipliers: a non-rational one
+    exists exactly when one of length at most n does, and the scan, ordered
+    by length, meets it first.  A bound of at least n (every n <= 6) thus
+    settles CM exactly; above that the scan is a bounded search.
     """
-    bound = 1
-    while bound <= n and _scan_fits(n, bound + 1):
+    bound, count, term = 1, n, n
+    while bound <= n:
+        term *= n
+        count += term
+        if count > MAX_CYCLES:
+            break
         bound += 1
     return bound
 
@@ -247,7 +229,7 @@ def cm_from_scan(dec: ReflectionDecomposition, scanned):
                 )
         if line.scalars is None:
             raise InternalConsistencyError("CM line lattice has rank != 2")
-        return CmRecord(cycle, value, cycle[0], multiplier_ring(line.scalars))
+        return CmRecord(cycle, value, cycle[0], line.multiplier)
     return None
 
 
@@ -327,14 +309,15 @@ class GeomReport(Record):
 
 
 def geom_report(
-    group: GroupRep,
-    lattice: ZLattice,
-    field: CharacterFieldClass,
-    cycle_bound: int | None = None,
+    group: GroupRep, lattice: ZLattice, field: CharacterFieldClass
 ) -> GeomReport:
     """Full reflection-torus analysis of an invariant rank-2n lattice.
 
-    `field` is the group's character field class, from its profile.
+    `field` is the group's character field class, from its profile.  The
+    cycle scan runs to `default_cycle_bound(n)`.  Every cycle multiplier is
+    a product of simple-cycle multipliers, of length at most n, so a longer
+    scan never changes `cm` or the geom-iii tag: `cm` is exact for n <= 6,
+    where the bound is at least n, and a bounded search for n >= 7.
     """
     n = group.dimension
     if lattice.rank != 2 * n:
@@ -344,8 +327,7 @@ def geom_report(
     refs = choose_generating_reflections(group)
     dec = line_lattice_decomposition(lattice, refs)
     graph = isogeny_graph(dec)
-    bound = cycle_bound if cycle_bound is not None else default_cycle_bound(n)
-    multipliers = tuple(scan_cycle_multipliers(dec.functionals, bound))
+    multipliers = tuple(scan_cycle_multipliers(dec.functionals, default_cycle_bound(n)))
     cm = cm_from_scan(dec, multipliers)
     weyl_like = field.kind == "rational"
     if weyl_like and cm is not None:

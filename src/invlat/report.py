@@ -23,7 +23,7 @@ from .forge import (
     order_saturate,
     split_as_order_module,
 )
-from .groups import GroupRep, find_reflections, group_from_json
+from .groups import DEFAULT_CAP, GroupRep, find_reflections, group_from_json
 from .lattices import (
     MultiplierRing,
     RankTwoLattice,
@@ -40,7 +40,7 @@ from .quaternion import (
     ratl_verdict,
     torus_endomorphisms,
 )
-from .reflections import MAX_CYCLES, GeomReport, check_cycle_bound, geom_report
+from .reflections import GeomReport, geom_report
 from .schur import (
     CharacterProfile,
     character_profile,
@@ -183,12 +183,9 @@ def group_report(
     entry: CatalogEntry | None = None,
     doubling_scalar: CycNum | None = None,
     seed: int = 0,
-    cycle_bound: int | None = None,
 ) -> dict:
     """Analyze one irreducible group: profile, verdict, lattices, structure."""
     n = group.dimension
-    if cycle_bound is not None:
-        check_cycle_bound(n, cycle_bound)
     profile = character_profile(group, seed=seed)
     verdict = lattice_existence_verdict(profile, n)
 
@@ -280,10 +277,10 @@ def group_report(
     inventory = find_reflections(group)
     if rank_2n_lattice is not None and inventory:
         try:
-            geom = geom_report(group, rank_2n_lattice, profile.field, cycle_bound)
+            geom = geom_report(group, rank_2n_lattice, profile.field)
             reflection = _geom_json(geom)
             tags.append("geom")
-        except InvalidInputError:
+        except OutOfScopeError:  # no n reflections generate the group
             reflection = None
 
     report = {
@@ -315,18 +312,20 @@ def group_report(
     return report
 
 
-def quaternion_report(name: str, *, cap: int = 10000) -> dict:
+def quaternion_report(name: str) -> dict:
     """Analyze one quaternion-torus preset: endomorphisms and the verdict.
 
     The profile is Q8's, whose indicator -1 fixes Schur index 2 before the
-    descent draws anything, so no seed is taken."""
+    descent draws anything, so no seed is taken.  Q8 is a fixed reference
+    of order 8, closed under the default cap: the input names no group for
+    a cap to bound."""
     entry = get_entry(name)
     algebra, lattice, c = quaternion_preset(name)
     torus = build_quat_torus(algebra, lattice, c)
     endos = torus_endomorphisms(torus)
     subfield = imaginary_quadratic_subfield(algebra)
 
-    reference = get_entry("Q8").group(cap=cap)
+    reference = get_entry("Q8").group()
     profile = character_profile(reference)
     rverdict = ratl_verdict(profile, 2, evidence=endos)
 
@@ -379,27 +378,22 @@ def quaternion_report(name: str, *, cap: int = 10000) -> dict:
     }
 
 
-def analyze(
-    target,
-    *,
-    seed: int = 0,
-    cycle_bound: int | None = None,
-    cap: int = 10000,
-) -> dict:
-    """Full report for a catalog name, group JSON dict, or GroupRep."""
+def analyze(target, *, seed: int = 0, cap: int = DEFAULT_CAP) -> dict:
+    """Full report for a catalog name, group JSON dict, or GroupRep.
+
+    `cap` bounds the closure of the group the target names; a quaternion
+    torus names none."""
     if isinstance(target, str):
         entry = get_entry(target)
         if entry.kind == "quaternion-torus":
-            return quaternion_report(target, cap=cap)
+            return quaternion_report(target)
         group = entry.group(cap=cap)
-        return group_report(
-            group, name=target, entry=entry, seed=seed, cycle_bound=cycle_bound
-        )
+        return group_report(group, name=target, entry=entry, seed=seed)
     if isinstance(target, GroupRep):
-        return group_report(target, seed=seed, cycle_bound=cycle_bound)
+        return group_report(target, seed=seed)
     if isinstance(target, dict):
         group = group_from_json(target, cap=cap)
-        return group_report(group, seed=seed, cycle_bound=cycle_bound)
+        return group_report(group, seed=seed)
     raise InvalidInputError(f"cannot analyze {type(target).__name__}")
 
 

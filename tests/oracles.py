@@ -6,6 +6,8 @@ from itertools import chain, combinations
 from math import gcd, isqrt, lcm
 from operator import mul
 
+import mpmath
+
 from invlat import linalg
 from invlat.cyclotomic import (
     CycNum,
@@ -15,7 +17,6 @@ from invlat.cyclotomic import (
     cyclotomic_polynomial,
     divisors,
     euler_phi,
-    exact_sign,
 )
 from invlat.errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
 from invlat.groups import apply, as_matrix, close_group, find_reflections, mat_identity, trace
@@ -29,6 +30,40 @@ from invlat.lattices import (
     lattice_to_json,
     reassemble,
 )
+
+
+def numeric(x: CycNum, precision: int = 53) -> mpmath.mpc:
+    """Floating approximation of x under z -> exp(2*pi*i/conductor); the
+    error is below numeric_bound(x, precision)."""
+    if precision < 53:
+        raise ValueError("precision below 53 bits is not supported")
+    with mpmath.workprec(precision + 32):
+        n = x.conductor
+        total = mpmath.mpc(0)
+        for k, c in enumerate(x.coeffs):
+            if c:
+                term = mpmath.expjpi(mpmath.mpf(2 * k) / n)
+                total += term * mpmath.mpf(c.numerator) / c.denominator
+        return +total
+
+
+def numeric_bound(x: CycNum, precision: int = 53) -> float:
+    weight = 1 + sum(map(abs, x.coeffs))
+    return 2.0 ** (1 - precision) * float(weight)
+
+
+def exact_sign(x: CycNum) -> int:
+    """Sign of a real cyclotomic number, decided rigorously."""
+    if not x.is_real():
+        raise ValueError("sign of a non-real value")
+    if x.is_zero():
+        return 0
+    precision = 64
+    while True:
+        approx = numeric(x, precision)
+        if abs(approx.real) > numeric_bound(x, precision):
+            return 1 if approx.real > 0 else -1
+        precision *= 2
 
 
 def expand_vectors(vectors):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from invlat import linalg
 from invlat.catalog import catalog_names, get_entry, quaternion_preset
-from invlat.cyclotomic import CycNum, exact_sign, zeta
+from invlat.cyclotomic import CycNum, zeta
 from invlat.forge import (
     ImaginaryQuadraticOrder,
     extend_rank_2n,
@@ -51,6 +51,7 @@ from invlat.schur import (
 from oracles import (
     conj_transpose,
     coset_count,
+    exact_sign,
     five_starts,
     invariant_hermitian,
     isogeny_test,

@@ -7,9 +7,8 @@ diagonal of roots of unity) make finite groups, so the analysis itself runs
 as well as the input checks and the closure cap.
 
 A second fuzz draws the arguments instead: `analyze`, `decompose` and
-`construct` on catalog entries, with integers and junk text for `--cap`,
-`--seed` and `--cycle-bound`, and recipes and scalars for `--recipe` and
-`--c`.  An argument argparse rejects ends in SystemExit(2), which counts as
+`construct` on catalog entries, with integers and junk text for `--cap` and
+`--seed`, and recipes and scalars for `--recipe` and `--c`.  An argument argparse rejects ends in SystemExit(2), which counts as
 exit code 2.
 """
 
@@ -124,8 +123,6 @@ def command_lines(draw):
         options["--recipe"] = mostly(st.sampled_from(["Zn", "ds", "O", "saturate"]),
                                      st.text(max_size=4))
         options["--c"] = mostly(st.one_of(scalars.map(str), roots), st.text(max_size=6))
-    else:
-        options["--cycle-bound"] = int_args
     for flag, values in options.items():
         if draw(st.booleans()):
             argv += [flag, draw(values)]

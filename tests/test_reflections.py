@@ -3,7 +3,7 @@ import pytest
 from invlat import groups, lattices, reflections
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, zeta
-from invlat.errors import InternalConsistencyError, InvalidInputError
+from invlat.errors import InternalConsistencyError, InvalidInputError, OutOfScopeError
 from invlat.forge import (
     ImaginaryQuadraticOrder,
     extend_rank_2n,
@@ -15,7 +15,6 @@ from invlat.lattices import lattice_from_generators, scale_lattice
 from invlat.records import replace
 from invlat.reflections import (
     MAX_CYCLES,
-    check_cycle_bound,
     choose_generating_reflections,
     cm_from_scan,
     default_cycle_bound,
@@ -273,18 +272,30 @@ def test_fallback_when_the_greedy_pair_does_not_generate():
     assert close_group([group.elements[1], group.elements[2]]).order == 4
 
 
+def test_chooser_reports_a_group_no_n_reflections_generate_as_out_of_scope():
+    # G(4,2,2) is generated by its reflections, but by no two of them
+    group = close_group(
+        [[[0, 1], [1, 0]], [[0, -zeta(4)], [zeta(4), 0]], [[-1, 0], [0, 1]]]
+    )
+    assert (group.order, len(groups.find_reflections(group))) == (16, 6)
+    with pytest.raises(OutOfScopeError, match="no spanning set"):
+        choose_generating_reflections(group)
+
+
+def scan_size(n, bound):
+    """Cycles in the scan of lengths 1..bound over n reflections."""
+    return sum(n**length for length in range(1, bound + 1))
+
+
 def test_default_cycle_bound_fits_the_scan_limit():
-    # arithmetic only: no scan is run
-    for n in range(1, 6):
-        assert default_cycle_bound(n) == n + 1
-    assert default_cycle_bound(6) == 6  # 6 + ... + 6^6 = 55986 cycles
-    for n in range(1, 40):
+    # arithmetic only: no scan is run; 6 + ... + 6^6 = 55986 cycles
+    expected = [2, 3, 4, 5, 6, 6, 5, 5, 5, 4, 4, 4] + [4] * 5 + [3] * 23
+    assert [default_cycle_bound(n) for n in range(1, 41)] == expected
+    for n in range(1, 41):
         bound = default_cycle_bound(n)
-        assert 1 <= bound <= n + 1
-        check_cycle_bound(n, bound)
+        assert scan_size(n, bound) <= MAX_CYCLES
         if bound < n + 1:
-            with pytest.raises(InvalidInputError):
-                check_cycle_bound(n, bound + 1)
+            assert scan_size(n, bound + 1) > MAX_CYCLES
     assert default_cycle_bound(MAX_CYCLES + 1) == 1
 
 

@@ -1,6 +1,8 @@
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -13,8 +15,8 @@ from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum
 from invlat.cli import main
 from invlat.lattices import invariance_check, lattice_from_generators
-from invlat.errors import InvalidInputError
-from invlat.report import MAX_CYCLES, analyze, check_cycle_bound, render_json
+from invlat.errors import InvalidInputError, NotDiscreteError
+from invlat.report import analyze, render_json
 
 from oracles import lattice_from_json
 
@@ -324,11 +326,6 @@ def test_cli_decompose(capsys):
     assert "line 0" in out
     assert "line 1" in out
 
-    code, out, _ = run_cli(capsys, "decompose", "G4", "--cycle-bound", "1", "--json")
-    assert code == 0
-    cycles = [c["cycle"] for c in json.loads(out)["cycle_multipliers"]]
-    assert cycles == [[0], [1]]
-
 
 def test_cli_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "nosuch-entry")
@@ -351,8 +348,46 @@ def test_cli_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "decompose", "Q8")
     assert code == 2
 
-    code, _, err = run_cli(capsys, "analyze", "example-non-ci", "--cap", "3")
-    assert code == 3  # the reference group closure exceeds a tiny cap
+    code, _, err = run_cli(capsys, "decompose", "G4", "--cap", "3")
+    assert code == 3
+    assert "cap of 3" in err
+
+
+def test_cap_leaves_a_quaternion_torus_alone(capsys):
+    # the input names no group; Q8, the reference, is closed under the default
+    code, out, err = run_cli(capsys, "analyze", "example-non-ci", "--json", "--cap", "1")
+    assert (code, err) == (0, "")
+    golden = Path(__file__).parent / "golden" / "example-non-ci.json"
+    assert out == golden.read_text(encoding="utf-8") + "\n"
+
+
+def test_a_group_no_n_reflections_generate_has_no_reflection_section():
+    # G(4,2,2): order 16 with 6 reflections, and no 2 of them generate it
+    doc = {
+        "dimension": 2,
+        "conductor": 4,
+        "generators": [
+            [["0", "1"], ["1", "0"]],
+            [["0", "-z4"], ["z4", "0"]],
+            [["-1", "0"], ["0", "1"]],
+        ],
+    }
+    rep = analyze(doc)
+    assert (rep["group"]["order"], rep["group"]["reflections"]) == (16, 6)
+    assert rep["verdict"]["clause"] == "c-i"
+    assert rep["reflection"] is None
+    assert "geom" not in rep["structure"]["tags"]
+
+
+def test_a_lattice_fault_in_the_reflection_stage_is_not_hidden(capsys, monkeypatch):
+    def not_discrete(dec):
+        raise NotDiscreteError("injected lattice fault")
+
+    monkeypatch.setattr(reflections, "isogeny_graph", not_discrete)
+    code, out, err = run_cli(capsys, "analyze", "WeylB2")
+    assert code == 2
+    assert out == ""
+    assert "injected lattice fault" in err
 
 
 def test_cli_rejects_a_singular_generator_with_exit_2(capsys, tmp_path):
@@ -403,33 +438,37 @@ def test_cli_rejects_a_malformed_group_file_with_exit_2(tmp_path, capsys, conten
     assert out == ""
 
 
-def test_cycle_bound_limits_the_scan_size():
-    # the default bound n + 1 scans at most 1364 cycles (n = 4, Weyl A4)
-    for n in range(1, 5):
-        check_cycle_bound(n, n + 1)
-    # one reflection: 1413 cycles of lengths 1..1413, 998991 entries; each
-    # entry is a product in the scan and an index in the report
-    check_cycle_bound(1, 1413)
-    check_cycle_bound(2, 15)  # 2 + 4 + ... + 2^15 = 65534 cycles, 917506 entries
-    for n, bound in [(1, 1414), (1, MAX_CYCLES), (1, 10**40), (2, 16), (2, 40),
-                     (3, 10**18), (1, 0), (2, -3)]:
-        with pytest.raises(InvalidInputError):
-            check_cycle_bound(n, bound)
+def test_readme_names_exactly_the_cli_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Command line"):readme.index("## Library layout")]
+    verbs = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    defined = {
+        flag
+        for verb in verbs.values()
+        for action in verb._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    for flag in defined:
+        assert re.search(re.escape(flag) + r"(?![\w-])", section), flag
+    assert set(re.findall(r"--[a-z][\w-]*", section)) <= defined
 
 
-def test_cli_rejects_cycle_bound_before_any_analysis(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["analyze", "decompose"])
+def test_cli_has_no_cycle_bound_option(capsys, monkeypatch, command):
+    # the scan length is fixed by the dimension; argparse rejects the flag
     def no_analysis(*args, **kwargs):
         raise AssertionError("analysis started")
 
     monkeypatch.setattr(report, "character_profile", no_analysis)
-    for command, bound, message in [
-        ("analyze", "40", "more than"), ("decompose", "40", "more than"),
-        ("analyze", "0", "at least 1"),
-    ]:
-        code, out, err = run_cli(capsys, command, "WeylB2", "--cycle-bound", bound)
-        assert code == 2
-        assert message in err
-        assert out == ""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "WeylB2", "--cycle-bound", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--cycle-bound" in err
 
 
 def test_cli_cap_propagates(capsys):
