@@ -160,7 +160,7 @@ def _cmd_catalog(args) -> int:
             }
             for e in CATALOG.values()
         ]
-        print(json.dumps(listing, sort_keys=True, indent=2))
+        print(render_json(listing))
         return 0
     for e in CATALOG.values():
         order = "" if e.expected_order is None else f" order {e.expected_order},"
@@ -206,7 +206,7 @@ def _cmd_construct(args) -> int:
             f"{entry.name} is built with {used}"
         )
     if args.json:
-        print(json.dumps(out, sort_keys=True, indent=2))
+        print(render_json(out))
     else:
         _print_kv("entry", entry.name)
         _print_kv("recipe", out["recipe"])
@@ -229,7 +229,7 @@ def _cmd_decompose(args) -> int:
             "(no rank-2n lattice or not a reflection group)"
         )
     if args.json:
-        print(json.dumps(rep["reflection"], sort_keys=True, indent=2))
+        print(render_json(rep["reflection"]))
         return 0
     r = rep["reflection"]
     for line in r["lines"]:

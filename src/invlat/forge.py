@@ -2,8 +2,8 @@
 
 Three construction recipes (integral span of a rational form's orbit,
 doubling a rank-n lattice by a non-real scalar, and the orbit span over an
-imaginary-quadratic order), plus saturation to an order-stable lattice and
-splitting an order-stable lattice into a free module over a euclidean order.
+imaginary-quadratic order, which is already order-stable), plus splitting an
+order-stable lattice into a free module over a euclidean order.
 
 An order Z[omega] reads the coordinates (u, v) of x = u + v*omega from its
 rank-two lattice Z + Z*omega (`lattices.RankTwoLattice`).  A split writes the
@@ -175,7 +175,9 @@ def orbit_lattice_over_order(
 ) -> ZLattice:
     """Order-span of the G-orbit of a vector; order-stable and G-invariant.
 
-    `field` is the group's character field class, from its profile.
+    `field` is the group's character field class, from its profile.  The
+    check that omega maps every basis vector into the lattice certifies
+    that the lattice is its own saturation L + omega*L.
     """
     if field.kind != "imaginary-quadratic":
         raise InvalidInputError(
@@ -194,17 +196,6 @@ def orbit_lattice_over_order(
         if not lattice.contains(_scale_vector(omega, v)):
             raise InternalConsistencyError("orbit lattice is not order-stable")
     return lattice
-
-
-def order_saturate(lattice: ZLattice, order: ImaginaryQuadraticOrder) -> ZLattice:
-    """Smallest order-stable lattice containing the input: L + omega*L."""
-    out = lattice_sum(lattice, scale_lattice(order.generator, lattice))
-    if out.rank != lattice.rank:
-        raise InternalConsistencyError(
-            "saturation changed the rank: lattice is not commensurable "
-            "with an order-stable one"
-        )
-    return out
 
 
 class OrderSplit(Record):

@@ -42,7 +42,7 @@ from operator import mul
 from . import linalg
 from .cyclotomic import CycNum, as_cycnum, common_conductor, cyc_to_json, splitting_prime
 from .errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
-from .groups import SparseMatrix, apply, as_matrix
+from .groups import apply
 from .records import Record
 
 
@@ -329,12 +329,11 @@ def scale_lattice(scalar, lattice: ZLattice) -> ZLattice:
 def invariance_check(lattice: ZLattice, matrices) -> bool:
     """True when every given matrix maps the lattice into itself.
 
-    A matrix is a groups.SparseMatrix record or a dense square matrix, which
-    gets a record here; the images are read off the records' nonzero entries.
+    The matrices are groups.SparseMatrix records; the images are read off
+    their nonzero entries.
     """
     vecs = lattice.vectors()
-    for mat in matrices:
-        g = mat if isinstance(mat, SparseMatrix) else SparseMatrix(as_matrix(mat))
+    for g in matrices:
         for vec in vecs:
             if not lattice.contains(apply(g, vec)):
                 return False

@@ -47,15 +47,6 @@ class QuatAlgebra(Record):
     def element(self, coords) -> "QuatElement":
         return QuatElement(self, tuple(as_cycnum(x) for x in coords))
 
-    def one(self) -> "QuatElement":
-        return self.element((1, 0, 0, 0))
-
-    def basis(self):
-        return tuple(
-            self.element(tuple(1 if p == q else 0 for q in range(4)))
-            for p in range(4)
-        )
-
 
 class QuatElement(Record):
     """Quaternion with exact real-cyclotomic coordinates."""
@@ -73,43 +64,12 @@ class QuatElement(Record):
         if self.algebra != other.algebra:
             raise InvalidInputError("elements of different algebras")
 
-    def __add__(self, other):
-        self._require_same(other)
-        return QuatElement(
-            self.algebra, tuple(x + y for x, y in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other):
-        self._require_same(other)
-        return QuatElement(
-            self.algebra, tuple(x - y for x, y in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self):
-        return QuatElement(self.algebra, tuple(-x for x in self.coords))
-
     def __mul__(self, other):
         self._require_same(other)
-        a, b = self.algebra.a, self.algebra.b
-        x0, x1, x2, x3 = self.coords
-        y0, y1, y2, y3 = other.coords
-        ab = a * b
         return QuatElement(
             self.algebra,
-            (
-                x0 * y0 + a * (x1 * y1) + b * (x2 * y2) - ab * (x3 * y3),
-                x0 * y1 + x1 * y0 - b * (x2 * y3) + b * (x3 * y2),
-                x0 * y2 + x2 * y0 + a * (x1 * y3) - a * (x3 * y1),
-                x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-            ),
+            _product(self.algebra.a, self.algebra.b, self.coords, other.coords),
         )
-
-    def conjugate(self) -> "QuatElement":
-        x0, x1, x2, x3 = self.coords
-        return QuatElement(self.algebra, (x0, -x1, -x2, -x3))
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.coords)
 
     def pure_part(self):
         return self.coords[1:]
@@ -155,28 +115,33 @@ class QuatTorus(Record):
     field_discriminant: int | None  # discriminant of Q(direction) when rational
 
 
+def _product(a, b, x, y):
+    """Coordinates of x y in the (a,b) algebra, for coordinates of any
+    scalar type."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    ab = a * b
+    return (
+        x0 * y0 + a * (x1 * y1) + b * (x2 * y2) - ab * (x3 * y3),
+        x0 * y1 + x1 * y0 - b * (x2 * y3) + b * (x3 * y2),
+        x0 * y2 + x2 * y0 + a * (x1 * y3) - a * (x3 * y1),
+        x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+    )
+
+
+_UNITS = tuple(tuple(int(p == q) for q in range(4)) for p in range(4))
+
+
 def _left_mult(a, b, x):
     """Matrix of y -> x y on coefficient columns in the (a,b) algebra, for
-    coordinates x of any scalar type."""
-    x0, x1, x2, x3 = x
-    return (
-        (x0, a * x1, b * x2, -(a * b) * x3),
-        (x1, x0, b * x3, -b * x2),
-        (x2, -a * x3, x0, a * x1),
-        (x3, -x2, x1, x0),
-    )
+    coordinates x of any scalar type: column j is x e_j."""
+    return tuple(zip(*(_product(a, b, x, e) for e in _UNITS)))
 
 
 def right_mult_matrix(x: QuatElement):
-    """Matrix of y -> y x on coefficient columns."""
+    """Matrix of y -> y x on coefficient columns: column j is e_j x."""
     a, b = x.algebra.a, x.algebra.b
-    x0, x1, x2, x3 = x.coords
-    return (
-        (x0, a * x1, b * x2, -(a * b) * x3),
-        (x1, x0, -b * x3, b * x2),
-        (x2, a * x3, x0, -a * x1),
-        (x3, x2, -x1, x0),
-    )
+    return tuple(zip(*(_product(a, b, e, x.coords) for e in _UNITS)))
 
 
 def build_quat_torus(algebra: QuatAlgebra, lattice: ZLattice, c: QuatElement) -> QuatTorus:

@@ -16,7 +16,6 @@ The methods are the same functions for every record and read the field names
 from the class, so nothing is generated when a record class is created.
 Instances keep a `__dict__`, so `functools.cached_property` works on them and
 its cached values take no part in equality, hashing or the repr.
-`replace(record, **changes)` builds a copy with some fields changed.
 """
 
 from __future__ import annotations
@@ -80,10 +79,3 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a frozen record")
 
-
-def replace(record: Record, **changes):
-    """A new record of the same class with the given fields changed; the
-    class's `__post_init__` runs on it."""
-    values = {name: getattr(record, name) for name in record._fields}
-    values.update(changes)
-    return type(record)(**values)

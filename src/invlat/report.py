@@ -20,7 +20,6 @@ from .forge import (
     construct_rank_n,
     extend_rank_2n,
     orbit_lattice_over_order,
-    order_saturate,
     split_as_order_module,
 )
 from .groups import DEFAULT_CAP, GroupRep, find_reflections, group_from_json
@@ -30,7 +29,6 @@ from .lattices import (
     ZLattice,
     invariance_check,
     lattice_from_generators,
-    lattice_index,
     lattice_to_json,
     multiplier_ring,
 )
@@ -168,12 +166,26 @@ def _lattice_entry(recipe: str, lattice: ZLattice, group: GroupRep, **extra) -> 
     return entry
 
 
-def _scalar_order(c: CycNum) -> ImaginaryQuadraticOrder:
-    """The order Z[c] for an imaginary quadratic integer c."""
-    ring = multiplier_ring(RankTwoLattice(CycNum.rational(1), c))
-    if ring.kind != "order":
-        raise InvalidInputError(f"scalar {c} is not imaginary quadratic")
-    return ImaginaryQuadraticOrder.from_discriminant(ring.discriminant)
+def _doubled(group: GroupRep, base: ZLattice, c: CycNum):
+    """(lattice, ds entry, split or None) for the doubled lattice base + c*base.
+
+    The basis b_1..b_n of base is a C-basis, so the doubled lattice is the
+    direct sum of the (Z + Zc)*b_j: `extend_rank_2n` checked that the rank
+    doubled.  When c lies in the multiplier ring O of Z + Zc, Z + Zc is O
+    and the base basis is the split; otherwise Z + Zc is a fractional ideal
+    of O, split by Euclidean reduction when O is Euclidean.
+    """
+    doubled = extend_rank_2n(base, c)
+    entry = _lattice_entry("ds", doubled, group, scalar=str(c))
+    split = None
+    ring = multiplier_ring(RankTwoLattice(1, c))
+    if ring.kind != "Z":
+        order = ImaginaryQuadraticOrder.from_discriminant(ring.discriminant)
+        if order.contains(c):
+            split = OrderSplit(order, base.vectors())
+        elif order.euclidean:
+            split = split_as_order_module(doubled, order)
+    return doubled, entry, split
 
 
 def group_report(
@@ -200,39 +212,30 @@ def group_report(
         base = construct_rank_n(group, profile.schur.basis)
         lattices.append(_lattice_entry("Zn", base, group))
         c = doubling_scalar if doubling_scalar is not None else zeta(4)
-        doubled = extend_rank_2n(base, c)
-        lattices.append(_lattice_entry("ds", doubled, group, scalar=str(c)))
-        rank_2n_lattice = doubled
-        try:
-            order = _scalar_order(c)
-            split = split_as_order_module(doubled, order)
+        rank_2n_lattice, ds_entry, split = _doubled(group, base, c)
+        lattices.append(ds_entry)
+        if split is None:
+            detail = "doubled lattice built; no split certificate for this scalar"
+        else:
             abelian = True
             detail = (
                 "the doubled lattice is a free module over an imaginary quadratic "
                 "order, so the torus is an abelian variety with CM factors"
             )
-        except (InvalidInputError, OutOfScopeError):
-            detail = "doubled lattice built; no split certificate for this scalar"
     elif verdict.clause == "c-i":
         order = ImaginaryQuadraticOrder.from_discriminant(profile.field.discriminant)
         start = tuple(
             CycNum.rational(1 if k == 0 else 0) for k in range(n)
         )
         orbit = orbit_lattice_over_order(group, order, start, profile.field)
-        lattices.append(
-            _lattice_entry("O", orbit, group, order=_order_json(order))
-        )
-        saturated = order_saturate(orbit, order)
-        lattices.append(
-            _lattice_entry(
-                "saturate",
-                saturated,
-                group,
-                order=_order_json(order),
-                index_over_input=lattice_index(saturated, orbit),
-            )
-        )
-        rank_2n_lattice = saturated
+        orbit_entry = _lattice_entry("O", orbit, group, order=_order_json(order))
+        # the orbit lattice is already order-stable, so saturating it is the
+        # identity: the saturate entry repeats it with index 1
+        lattices += [
+            orbit_entry,
+            dict(orbit_entry, recipe="saturate", index_over_input=1),
+        ]
+        rank_2n_lattice = orbit
         tags.append("nonrationalT")
         abelian = True
         detail = (
@@ -240,12 +243,11 @@ def group_report(
             "lattice yields an abelian variety with CM"
         )
         if order.euclidean:
-            split = split_as_order_module(saturated, order)
+            split = split_as_order_module(orbit, order)
             tags.append("main2")
             detail += "; the saturated lattice splits into CM line lattices"
     elif verdict.clause == "c-ii":
         tags.append("ratL")
-        evidence = None
         if entry is not None and entry.ds_base is not None:
             base = lattice_from_generators(
                 [
@@ -253,21 +255,13 @@ def group_report(
                     for row in entry.ds_base
                 ]
             )
-            c = entry.ds_scalar
-            doubled = extend_rank_2n(base, c)
-            ds_entry = _lattice_entry("ds", doubled, group, scalar=str(c))
+            rank_2n_lattice, ds_entry, split = _doubled(group, base, entry.ds_scalar)
             if not ds_entry["invariant"]:
                 raise InvalidInputError(
                     "preset doubling lattice is not invariant under the group"
                 )
             lattices.append(ds_entry)
-            rank_2n_lattice = doubled
-            try:
-                split = split_as_order_module(doubled, _scalar_order(c))
-                evidence = split
-            except (InvalidInputError, OutOfScopeError):
-                evidence = None
-        rverdict = ratl_verdict(profile, n, evidence=evidence)
+        rverdict = ratl_verdict(profile, n, evidence=split)
         abelian = rverdict.abelian
         detail = rverdict.detail
     else:
@@ -397,6 +391,7 @@ def analyze(target, *, seed: int = 0, cap: int = DEFAULT_CAP) -> dict:
     raise InvalidInputError(f"cannot analyze {type(target).__name__}")
 
 
-def render_json(report: dict) -> str:
-    """Canonical serialization: stable key order, two-space indent."""
-    return json.dumps(report, sort_keys=True, indent=2)
+def render_json(value) -> str:
+    """Canonical serialization of a report or any part of it: stable key
+    order, two-space indent."""
+    return json.dumps(value, sort_keys=True, indent=2)

@@ -19,7 +19,15 @@ from invlat.cyclotomic import (
     euler_phi,
 )
 from invlat.errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
-from invlat.groups import apply, as_matrix, close_group, find_reflections, mat_identity, trace
+from invlat.groups import (
+    SparseMatrix,
+    apply,
+    as_matrix,
+    close_group,
+    find_reflections,
+    mat_identity,
+    trace,
+)
 from invlat.lattices import (
     RankTwoLattice,
     ZLattice,
@@ -27,9 +35,36 @@ from invlat.lattices import (
     fundamental_discriminant,
     lattice_from_generators,
     lattice_index,
+    lattice_sum,
     lattice_to_json,
     reassemble,
+    scale_lattice,
 )
+
+
+def replace(record, **changes):
+    """A new record of the same class with the given fields changed; the
+    class's `__post_init__` runs on it."""
+    values = {name: getattr(record, name) for name in record._fields}
+    values.update(changes)
+    return type(record)(**values)
+
+
+def sparse(matrices):
+    """Dense square matrices as the `SparseMatrix` records that
+    `lattices.invariance_check` takes."""
+    return [SparseMatrix(as_matrix(mat)) for mat in matrices]
+
+
+def order_saturate(lattice, order):
+    """Smallest order-stable lattice containing the input: L + omega*L."""
+    out = lattice_sum(lattice, scale_lattice(order.generator, lattice))
+    if out.rank != lattice.rank:
+        raise InternalConsistencyError(
+            "saturation changed the rank: lattice is not commensurable "
+            "with an order-stable one"
+        )
+    return out
 
 
 def numeric(x: CycNum, precision: int = 53) -> mpmath.mpc:
@@ -354,6 +389,12 @@ def left_mult_matrix(x):
     from invlat.quaternion import _left_mult
 
     return _left_mult(x.algebra.a, x.algebra.b, x.coords)
+
+
+def quat_conjugate(x):
+    """x0 - x1 i - x2 j - x3 k for x = x0 + x1 i + x2 j + x3 k."""
+    x0, x1, x2, x3 = x.coords
+    return x.algebra.element((x0, -x1, -x2, -x3))
 
 
 def reduced_norm(x) -> CycNum:

@@ -17,7 +17,6 @@ from invlat.forge import (
     ImaginaryQuadraticOrder,
     extend_rank_2n,
     orbit_lattice_over_order,
-    order_saturate,
     split_as_order_module,
 )
 from invlat.groups import character_norm
@@ -56,6 +55,8 @@ from oracles import (
     invariant_hermitian,
     isogeny_test,
     mat_mul,
+    order_saturate,
+    sparse,
 )
 
 
@@ -104,7 +105,7 @@ def test_acceptance_2_q8_gaussian_square():
         q8 = get_entry("Q8").group()
         doubled = extend_rank_2n(std_lattice(2), zeta(4))
         assert doubled.rank == 4
-        assert invariance_check(doubled, q8.elements)
+        assert invariance_check(doubled, sparse(q8.elements))
         order = ImaginaryQuadraticOrder.from_discriminant(-4)
         split = split_as_order_module(doubled, order)
         assert len(split.basis) == 2
@@ -297,7 +298,7 @@ def test_acceptance_8_hexagonal_doubling():
         s3 = get_entry("S3-standard").group()
         lat = extend_rank_2n(std_lattice(2), zeta(3))
         assert lat.rank == 4
-        assert invariance_check(lat, s3.elements)
+        assert invariance_check(lat, sparse(s3.elements))
         geom = geom_report(s3, lat, classify_character_field(s3))
         assert geom.tags == ("geom-i", "geom-ii")
         # edge witnesses: (id - r_target) carries each line lattice into the

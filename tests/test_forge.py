@@ -13,7 +13,6 @@ from invlat.forge import (
     construct_rank_n,
     extend_rank_2n,
     orbit_lattice_over_order,
-    order_saturate,
     split_as_order_module,
 )
 from invlat.lattices import (
@@ -37,7 +36,9 @@ from oracles import (
     five_starts,
     orbit_lattice_all_elements,
     orbit_lattice_by_rebuilding,
+    order_saturate,
     rank_two_coords_by_span,
+    sparse,
 )
 
 
@@ -151,14 +152,14 @@ def test_construct_rank_n_s3(s3):
     witness = schur_index(s3, 1).basis
     lat = construct_rank_n(s3, witness)
     assert lat.rank == 2
-    assert invariance_check(lat, s3.elements)
+    assert invariance_check(lat, sparse(s3.elements))
 
 
 def test_construct_rank_n_s4(s4):
     witness = schur_index(s4, 1).basis
     lat = construct_rank_n(s4, witness)
     assert lat.rank == 3
-    assert invariance_check(lat, s4.elements)
+    assert invariance_check(lat, sparse(s4.elements))
 
 
 def test_construct_rank_n_rejects_unstable(g4):
@@ -237,7 +238,7 @@ def test_extend_rank_2n(s3):
     base = std_lattice(2)
     doubled = extend_rank_2n(base, zeta(4))
     assert doubled.rank == 4
-    assert invariance_check(doubled, s3.elements)
+    assert invariance_check(doubled, sparse(s3.elements))
     assert doubled.contains((zeta(4), CycNum.rational(0)))
 
 
@@ -251,7 +252,7 @@ def test_orbit_lattice_g4(g4):
     one, nil = CycNum.rational(1), CycNum.rational(0)
     lat = orbit_lattice_over_order(g4, order, (one, nil), classify_character_field(g4))
     assert lat.rank == 4
-    assert invariance_check(lat, g4.elements)
+    assert invariance_check(lat, sparse(g4.elements))
     # stability under the order generator
     scaled = scale_lattice(order.generator, lat)
     for vec in scaled.vectors():

@@ -65,6 +65,7 @@ from oracles import (
     lattice_from_json,
     lattice_json_by_pivot_hnf,
     rank_two_coords_by_span,
+    sparse,
     vectors_by_cycnum_combination,
 )
 
@@ -178,8 +179,8 @@ def test_invariance_check():
         (CycNum.rational(1), CycNum.rational(Fraction(1, 2))),
         (CycNum.rational(0), CycNum.rational(1)),
     ]
-    assert invariance_check(lat, [swap])
-    assert not invariance_check(lat, [shear_half])
+    assert invariance_check(lat, sparse([swap]))
+    assert not invariance_check(lat, sparse([shear_half]))
 
 
 @given(nonsingular_2x2())
@@ -338,7 +339,7 @@ def test_second_invariance_check_reuses_spans(monkeypatch):
     group = group_from_json(GENERATED["WeylB3"][0])
     base = construct_rank_n(group, schur_index(group, 1).basis)
     doubled = extend_rank_2n(base, zeta(4))
-    assert invariance_check(doubled, group.generators)
+    assert invariance_check(doubled, group.sparse_generators)
     rref_calls, spans = [], []
     real_rref = linalg.rref
 
@@ -353,7 +354,7 @@ def test_second_invariance_check_reuses_spans(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
     monkeypatch.setattr(linalg, "Span", CountingSpan)
-    assert invariance_check(doubled, group.generators)
+    assert invariance_check(doubled, group.sparse_generators)
     assert not rref_calls
     assert not spans
 

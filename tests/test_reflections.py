@@ -8,11 +8,9 @@ from invlat.forge import (
     ImaginaryQuadraticOrder,
     extend_rank_2n,
     orbit_lattice_over_order,
-    order_saturate,
 )
 from invlat.groups import close_group, group_from_json, mat_identity
 from invlat.lattices import lattice_from_generators, scale_lattice
-from invlat.records import replace
 from invlat.reflections import (
     MAX_CYCLES,
     choose_generating_reflections,
@@ -34,6 +32,8 @@ from oracles import (
     gram_edges,
     isogeny_edges_by_images,
     lattice_from_json,
+    order_saturate,
+    replace,
     root_functional_matrix_by_factoring,
     s_det_by_cofactors,
 )

@@ -12,13 +12,20 @@ import pytest
 
 from invlat import cli, cyclotomic, groups, linalg, reflections, report
 from invlat.catalog import catalog_names, get_entry
-from invlat.cyclotomic import CycNum
+from invlat.cyclotomic import CycNum, parse_scalar
 from invlat.cli import main
+from invlat.forge import ImaginaryQuadraticOrder, split_as_order_module
+from invlat.groups import group_from_json
 from invlat.lattices import invariance_check, lattice_from_generators
 from invlat.errors import InvalidInputError, NotDiscreteError
 from invlat.report import analyze, render_json
 
-from oracles import lattice_from_json
+from generated_groups import GENERATED
+from oracles import lattice_from_json, order_saturate, sparse
+
+GOLDEN = Path(__file__).parent / "golden"
+# integral doubling scalars whose order Z[c] is euclidean
+EUCLIDEAN_SCALARS = ["z4", "z3", "1+z4", "z8+z8^3", "3+z3", "-z3", "z3^2", "z7+z7^2+z7^4"]
 
 TOP_KEYS = {
     "schema", "input", "group", "profile", "verdict",
@@ -80,8 +87,8 @@ def test_generators_decide_invariance_like_all_elements(reports):
             lattice = lattice_from_json(item["lattice"])
             line = lattice_from_generators(lattice.vectors()[:1], dim=lattice.dim)
             for lat in (lattice, line):
-                verdict = invariance_check(lat, group.generators)
-                assert verdict == invariance_check(lat, group.elements), name
+                verdict = invariance_check(lat, group.sparse_generators)
+                assert verdict == invariance_check(lat, sparse(group.elements)), name
                 verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -156,6 +163,104 @@ def test_split_sections(reports):
     assert q8_split["factor_isogenies"][0]["scalar"] is not None
     g4_split = reports["G4"]["split"]
     assert g4_split["order"]["discriminant"] == -3
+
+
+def _golden_reports():
+    """name -> report of every catalog entry and generated group, from the
+    goldens, which test_golden pins to `analyze`."""
+    paths = sorted(GOLDEN.glob("*.json")) + sorted((GOLDEN / "generated").glob("*.json"))
+    return {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in paths}
+
+
+@pytest.fixture(scope="module")
+def ds_bases():
+    """name -> (group, base) for every report with a ds lattice: the base is
+    its Zn lattice, or the catalog's preset base."""
+    out = {}
+    for name, rep in _golden_reports().items():
+        recipes = {item["recipe"]: item for item in rep["lattices"]}
+        if "ds" not in recipes:
+            continue
+        if name in GENERATED:
+            group = group_from_json(GENERATED[name][0])
+        else:
+            entry = get_entry(name)
+            group = entry.group()
+        if "Zn" in recipes:
+            base = lattice_from_json(recipes["Zn"]["lattice"])
+        else:
+            base = lattice_from_generators(
+                [tuple(CycNum.rational(x) for x in row) for row in entry.ds_base]
+            )
+        out[name] = (group, base)
+    return out
+
+
+@pytest.mark.parametrize("c", EUCLIDEAN_SCALARS)
+def test_ds_split_is_the_euclidean_split(ds_bases, c):
+    assert sorted(ds_bases) == [
+        "Q8", "S3-standard", "S4-standard", "WeylA2", "WeylB2", "WeylB3",
+    ]
+    for name, (group, base) in ds_bases.items():
+        doubled, _, split = report._doubled(group, base, parse_scalar(c))
+        assert split.basis == base.vectors(), name
+        assert split == split_as_order_module(doubled, split.order), name
+
+
+@pytest.mark.parametrize("c, disc", [("2*z4", -16), ("1+2*z4", -16), ("2*z3", -12)])
+def test_a_non_euclidean_scalar_order_splits_on_the_base_basis(c, disc):
+    entry = get_entry("S3-standard")
+    rep = report.group_report(
+        entry.group(), name=entry.name, entry=entry, doubling_scalar=parse_scalar(c)
+    )
+    base = lattice_from_json(rep["lattices"][0]["lattice"])
+    split = rep["split"]
+    assert split["order"]["discriminant"] == disc
+    assert split["order"]["euclidean"] is False
+    assert split["basis"] == [[str(x) for x in v] for v in base.vectors()]
+    assert rep["structure"]["abelian"] is True
+
+
+def test_only_a_scalar_outside_its_ring_splits_by_euclidean_reduction(monkeypatch):
+    calls = []
+    real = report.split_as_order_module
+
+    def counting(lattice, order):
+        calls.append(order.discriminant)
+        return real(lattice, order)
+
+    monkeypatch.setattr(report, "split_as_order_module", counting)
+    entry = get_entry("S3-standard")
+    group = entry.group()
+
+    def split_of(c):
+        return report.group_report(group, entry=entry, doubling_scalar=parse_scalar(c))["split"]
+
+    assert split_of("z4")["order"]["discriminant"] == -4
+    assert calls == []
+    assert split_of("1/2+1/2*z4")["order"]["discriminant"] == -4
+    assert calls == [-4]
+    assert split_of("1/2*z4") is None  # Z + Z*i/2 is an ideal of Z[2i]
+    assert split_of("z5") is None  # Z + Z*z5 has multiplier ring Z
+    assert calls == [-4]
+
+
+def test_the_orbit_lattice_is_its_own_saturation():
+    seen = []
+    for name, rep in _golden_reports().items():
+        recipes = {item["recipe"]: item for item in rep["lattices"]}
+        if "O" not in recipes:
+            continue
+        orbit = lattice_from_json(recipes["O"]["lattice"])
+        order = ImaginaryQuadraticOrder.from_discriminant(
+            recipes["O"]["order"]["discriminant"]
+        )
+        assert order_saturate(orbit, order) == orbit, name
+        assert recipes["saturate"] == dict(
+            recipes["O"], recipe="saturate", index_over_input=1
+        ), name
+        seen.append(name)
+    assert seen == ["C3-zeta3", "C4-zeta4", "G4", "G3-1-2", "G3-1-3", "G4-1-2", "G6-1-2"]
 
 
 def test_render_is_deterministic():
