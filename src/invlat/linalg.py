@@ -6,11 +6,13 @@ denominators, and the elimination stays on the integers.  `rref` runs
 fraction-free Gauss-Jordan elimination (Bareiss 1968): each step replaces
 every other row by (row * p - a * pivot row) // previous pivot, which
 Sylvester's identity makes exact, and each kept row is divided by its pivot
-once at the end.  `Span` is the one route for span membership and
-coordinates: it keeps the rows added so far in echelon form, each a
-primitive integer row over its own pivot, so a fixed basis is reduced once
-and every later question costs one reduction of the asked row, one
-cross-multiplication per echelon row.
+once at the end.  A step writes only the live entries: the columns past the
+pivot and the earlier columns that got no pivot, since every earlier pivot
+column already reads 0, or the pivot in its own row.  `Span` is the one
+route for span membership and coordinates: it keeps the rows added so far
+in echelon form, each a primitive integer row over its own pivot, so a
+fixed basis is reduced once and every later question costs one reduction
+of the asked row, one cross-multiplication per echelon row.
 
 `rank` and `det` take any element type with +, -, * and a truth value that
 means "nonzero", cyclotomic numbers included.  They share one forward
@@ -19,7 +21,9 @@ counts its pivots, and `det` divides the product of its pivots by the
 scale its row operations put in, at most one reciprocal.
 
 Integer routines share one Hermite elimination that pivots in a given
-number of leading columns: `hnf` runs it on the matrix alone, and
+number of leading columns, each on the smallest nonzero entry of its column:
+a row whose entry the pivot divides is cleared by one row subtraction, any
+other by the two-row xgcd update.  `hnf` runs it on the matrix alone, and
 `hnf_with_transform` runs it on the rows [mat | I], whose right-hand block
 ends as the unimodular transform; `int_kernel` reads the left kernel off
 that transform.  `hnf_coords` writes an integer vector in echelon integer
@@ -60,28 +64,46 @@ def rref(rows):
     its entry in the pivot column and prev the pivot before p (1 at first).
     By Sylvester's identity every entry is then a minor of the cleared
     matrix, so the division is exact, and every pivot row holds p at its
-    pivot; the kept rows are divided by the last pivot once at the end."""
+    pivot; the kept rows are divided by the last pivot once at the end.
+
+    A step writes only the entries it can change.  In an earlier pivot
+    column every row already holds 0, or prev in that pivot's own row, so
+    such a row gets p there and the others keep 0; column c becomes 0 off
+    the pivot row.  That leaves the columns past c, and the earlier columns
+    that got no pivot, where only the rows above the pivot row can be
+    nonzero and the pivot row is 0, so those entries are scaled by p/prev."""
     rows = [_cleared(row)[0] for row in rows]
     if not rows or not rows[0]:
         return [], []
     pivots = []
+    free = []  # the columns before c that got no pivot
     prev = 1
     r = 0
     for c in range(len(rows[0])):
         pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
+            free.append(c)
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         pivot_row = rows[r]
         p = pivot_row[c]
+        tail = pivot_row[c + 1:]
         for i, row in enumerate(rows):
             if i == r:
                 continue
             a = row[c]
             if a:
-                rows[i] = [(x * p - a * y) // prev for x, y in zip(row, pivot_row)]
+                row[c] = 0
+                row[c + 1:] = [(x * p - a * y) // prev for x, y in zip(row[c + 1:], tail)]
             elif p != prev:
-                rows[i] = [x * p // prev for x in row]
+                row[c + 1:] = [x * p // prev for x in row[c + 1:]]
+            else:
+                continue
+            if i < r:
+                row[pivots[i]] = p
+                for f in free:
+                    if row[f]:
+                        row[f] = row[f] * p // prev
         prev = p
         pivots.append(c)
         r += 1
@@ -271,28 +293,47 @@ def _hermite(a, n):
     """Row Hermite normal form of the integer rows a, in place, with pivots in
     the first n columns only: pivots positive, entries above each pivot
     reduced into [0, pivot), zero rows (in those columns) at the bottom.
-    Columns past n take the same row operations and never pivot."""
+    Columns past n take the same row operations and never pivot.
+
+    Each column pivots on its smallest nonzero entry in absolute value.  A
+    row whose entry the pivot divides is cleared by subtracting one multiple
+    of the pivot row; any other row is cleared by the unimodular two-row
+    update of xgcd, which leaves the gcd of the two entries as the pivot.
+    Small pivots curb the growth of the entries."""
     m = len(a)
     r = 0
     for c in range(n):
-        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
+        pr = min((i for i in range(r, m) if a[i][c]), key=lambda i: abs(a[i][c]),
+                 default=None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        # rows r and below are zero in the pivot columns before c
+        # rows r and below are zero in the columns before c
+        top = a[r][c:]
+        p = top[0]
         for i in range(r + 1, m):
-            if a[i][c] != 0:
-                g, u, v = xgcd(a[r][c], a[i][c])
-                p, q = a[r][c] // g, a[i][c] // g
-                top, low = a[r][c:], a[i][c:]
-                a[r][c:] = [u * x + v * y for x, y in zip(top, low)]
-                a[i][c:] = [-q * x + p * y for x, y in zip(top, low)]
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
+            row = a[i]
+            b = row[c]
+            if not b:
+                continue
+            q, rem = divmod(b, p)
+            if not rem:
+                row[c:] = [y - q * x for x, y in zip(top, row[c:])]
+                continue
+            g, u, v = xgcd(p, b)
+            s, t = p // g, b // g
+            low = row[c:]
+            row[c:] = [s * y - t * x for x, y in zip(top, low)]
+            top = [u * x + v * y for x, y in zip(top, low)]
+            p = g
+        if p < 0:
+            top = [-x for x in top]
+            p = -p
+        a[r][c:] = top
         for i in range(r):
-            q = a[i][c] // a[r][c]
+            q = a[i][c] // p
             if q:
-                a[i][c:] = [x - q * y for x, y in zip(a[i][c:], a[r][c:])]
+                a[i][c:] = [x - q * y for x, y in zip(a[i][c:], top)]
         r += 1
         if r == m:
             break
@@ -338,7 +379,6 @@ def hnf_coords(rows, vec):
             return None
         out.append(q)
         if q:
-            for k in range(c, len(rest)):
-                rest[k] -= q * row[k]
+            rest[c:] = [x - q * y for x, y in zip(rest[c:], row[c:])]
         c += 1
     return None if any(rest) else out

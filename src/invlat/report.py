@@ -155,11 +155,11 @@ def _geom_json(geom: GeomReport) -> dict:
     }
 
 
-def _lattice_entry(recipe: str, lattice: ZLattice, group: GroupRep, **extra) -> dict:
+def _lattice_entry(recipe: str, lattice: ZLattice, invariant: bool, **extra) -> dict:
     entry = {
         "recipe": recipe,
         "rank": lattice.rank,
-        "invariant": invariance_check(lattice, group.sparse_generators),
+        "invariant": invariant,
         "lattice": lattice_to_json(lattice),
     }
     entry.update(extra)
@@ -176,7 +176,8 @@ def _doubled(group: GroupRep, base: ZLattice, c: CycNum):
     of O, split by Euclidean reduction when O is Euclidean.
     """
     doubled = extend_rank_2n(base, c)
-    entry = _lattice_entry("ds", doubled, group, scalar=str(c))
+    invariant = invariance_check(doubled, group.sparse_generators)
+    entry = _lattice_entry("ds", doubled, invariant, scalar=str(c))
     split = None
     ring = multiplier_ring(RankTwoLattice(1, c))
     if ring.kind != "Z":
@@ -210,7 +211,8 @@ def group_report(
 
     if verdict.clause == "c-i" and profile.field.kind == "rational":
         base = construct_rank_n(group, profile.schur.basis)
-        lattices.append(_lattice_entry("Zn", base, group))
+        # the orbit lattices of forge are invariant by their construction
+        lattices.append(_lattice_entry("Zn", base, True))
         c = doubling_scalar if doubling_scalar is not None else zeta(4)
         rank_2n_lattice, ds_entry, split = _doubled(group, base, c)
         lattices.append(ds_entry)
@@ -228,7 +230,7 @@ def group_report(
             CycNum.rational(1 if k == 0 else 0) for k in range(n)
         )
         orbit = orbit_lattice_over_order(group, order, start, profile.field)
-        orbit_entry = _lattice_entry("O", orbit, group, order=_order_json(order))
+        orbit_entry = _lattice_entry("O", orbit, True, order=_order_json(order))
         # the orbit lattice is already order-stable, so saturating it is the
         # identity: the saturate entry repeats it with index 1
         lattices += [

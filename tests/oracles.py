@@ -158,6 +158,74 @@ def rref_divide_each_entry(rows):
     return mat[:r], pivots
 
 
+def rref_full_width(rows):
+    """(nonzero rows, pivot columns) of the reduced row echelon form of rows
+    of ints and Fractions, by fraction-free Gauss-Jordan that rewrites every
+    other row across its full width at each pivot.  The library writes only
+    the columns a step can change."""
+    mat = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (d // x.denominator) for x in row])
+    if not mat or not mat[0]:
+        return [], []
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(len(mat[0])):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pivot_row = mat[r]
+        p = pivot_row[c]
+        for i, row in enumerate(mat):
+            if i == r:
+                continue
+            a = row[c]
+            if a:
+                mat[i] = [(x * p - a * y) // prev for x, y in zip(row, pivot_row)]
+            elif p != prev:
+                mat[i] = [x * p // prev for x in row]
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [[Fraction(x, prev) for x in row] for row in mat[:r]], pivots
+
+
+def hermite_by_pairs(a, n):
+    """Row Hermite normal form of the integer rows a, in place, pivoting in
+    the first n columns on the first nonzero entry and clearing every row
+    below it by the xgcd two-row update.  The library pivots on the
+    smallest entry and clears a row the pivot divides by one subtraction."""
+    m = len(a)
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        for i in range(r + 1, m):
+            if a[i][c] != 0:
+                g, u, v = linalg.xgcd(a[r][c], a[i][c])
+                p, q = a[r][c] // g, a[i][c] // g
+                top, low = a[r][c:], a[i][c:]
+                a[r][c:] = [u * x + v * y for x, y in zip(top, low)]
+                a[i][c:] = [-q * x + p * y for x, y in zip(top, low)]
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            if q:
+                a[i][c:] = [x - q * y for x, y in zip(a[i][c:], a[r][c:])]
+        r += 1
+        if r == m:
+            break
+    return a
+
+
 def _field_rows(mat):
     """mat with each int entry made a Fraction, so that division is exact."""
     return [[Fraction(x) if isinstance(x, int) else x for x in row] for row in mat]

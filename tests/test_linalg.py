@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invlat import linalg
 from invlat.cyclotomic import CycNum, euler_phi, zeta
@@ -14,10 +14,12 @@ from invlat.lattices import flatten
 from oracles import (
     FractionSpan,
     det_by_cofactors,
+    hermite_by_pairs,
     inverse_by_rref,
     kernel_right,
     matvec,
     rref_divide_each_entry,
+    rref_full_width,
     solve_right,
 )
 
@@ -485,6 +487,15 @@ def test_int_input_matches_fraction_input(seed):
 # hnf is the H of hnf_with_transform, without the transform
 
 
+def _unimodular(t):
+    """Whether the integer matrix t has |det t| = 1: it is invertible with an
+    integer inverse, as det t * det t^-1 = 1 with both integers.  The
+    fraction-free inverse stays fast where `det`, which does not divide,
+    meets the large entries of a transform."""
+    inv = linalg.inverse(t)
+    return inv is not None and all(x.denominator == 1 for row in inv for x in row)
+
+
 def hnf_split_case(seed):
     """The kernels benchmark shape (k + 4) x k for k = 4, 8, 12, then seeded
     matrices of at most 8 x 8 with zero entries, every third one a product
@@ -512,6 +523,67 @@ def test_hnf_is_the_nonzero_rows_of_hnf_with_transform(seed):
     h, t = linalg.hnf_with_transform(mat)
     assert linalg.hnf(mat) == [row for row in h if any(row)]
     assert linalg.matmul(t, mat) == h
+    assert _unimodular(t)
+    width = len(mat[0])
+    by_pairs = hermite_by_pairs([list(row) + [0] * len(mat) for row in mat], width)
+    assert h == [row[:width] for row in by_pairs]
+
+
+# rref and the Hermite elimination against their full-width, first-pivot
+# oracles, on shapes where the live-column and smallest-pivot rules could
+# slip: zero rows and columns, width 1, negative leading entries, rank
+# deficient products, and columns that get no pivot before ones that do
+
+
+@st.composite
+def shaped_matrix(draw, entry):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["plain", "zeros", "product", "free", "negative"]))
+    if shape == "product":
+        k = draw(st.integers(1, 3))
+        left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+        right = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if shape == "zeros":
+        dead_rows = draw(st.sets(st.integers(0, m - 1)))
+        dead_cols = draw(st.sets(st.integers(0, n - 1)))
+        mat = [[0 if i in dead_rows or j in dead_cols else x for j, x in enumerate(row)]
+               for i, row in enumerate(mat)]
+    elif shape == "free":
+        # each chosen column is a combination of the columns before it, so
+        # it gets no pivot while later columns may
+        for j in draw(st.sets(st.integers(1, n - 1))) if n > 1 else ():
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=j, max_size=j))
+            for row in mat:
+                row[j] = sum(a * row[k] for k, a in enumerate(coeffs))
+    elif shape == "negative":
+        mat = [[-abs(x) if j == 0 else x for j, x in enumerate(row)] for row in mat]
+    return mat
+
+
+rational_entries = st.one_of(st.integers(-9, 9), st.fractions(-5, 5, max_denominator=4))
+
+
+@given(shaped_matrix(rational_entries))
+# column 1 gets no pivot, and row 0 is still nonzero there when the pivots
+# in columns 2 and 3 rescale it
+@example([[2, 4, 1, 3], [1, 2, 5, Fraction(1, 2)], [3, 6, 0, 7]])
+@settings(max_examples=200)
+def test_rref_matches_full_width_oracle(mat):
+    assert linalg.rref(mat) == rref_full_width(mat)
+
+
+@given(shaped_matrix(ints))
+@settings(max_examples=300)
+def test_hermite_matches_first_pivot_oracle(mat):
+    width = len(mat[0])
+    by_pairs = hermite_by_pairs([list(row) for row in mat], width)
+    assert linalg.hnf(mat) == [row for row in by_pairs if any(row)]
+    h, t = linalg.hnf_with_transform(mat)
+    assert h == by_pairs
+    assert linalg.matmul(t, mat) == h
+    assert abs(linalg.det(t)) == 1
 
 
 def _saturated(rows):

@@ -108,6 +108,26 @@ def test_ds_preset_is_checked_once(monkeypatch):
         analyze("Q8")
 
 
+def test_orbit_lattices_take_invariance_from_their_construction(monkeypatch):
+    # the Zn and O lattices are closed under the generators as they are
+    # built; only the doubled lattice is checked
+    calls = []
+
+    def counting(lattice, matrices):
+        calls.append(lattice.rank)
+        return invariance_check(lattice, matrices)
+
+    monkeypatch.setattr(report, "invariance_check", counting)
+    for name, checks in (("S3-standard", [4]), ("G4", [])):
+        calls.clear()
+        rep = analyze(name)
+        assert calls == checks, name
+        group = get_entry(name).group()
+        for entry in rep["lattices"]:
+            lattice = lattice_from_json(entry["lattice"])
+            assert entry["invariant"] is invariance_check(lattice, sparse(group.elements))
+
+
 def test_structure_tags(reports):
     assert reports["G4"]["structure"]["tags"] == ["nonrationalT", "main2", "geom"]
     assert reports["Q8"]["structure"]["tags"] == ["ratL"]
