@@ -35,6 +35,10 @@ polynomials kept primitive, O(phi(N)^2).
 so that z_n -> g maps Z[z_n] onto F_l; a rank over the field can then be
 certified by a rank over F_l (lattices._check_discrete).
 
+`squarefree_part` is the one square-class routine, read by every quadratic
+discriminant and by `sqrt_rational`.  Facts about one value come from its
+conjugates, never from a span of its powers.
+
 `coeffs`, `coords_at`, `str` and `cyc_to_json` present the coordinates as
 Fractions, the same values and text as a Fraction-per-coefficient
 representation would give.  The package has no floating point: all
@@ -50,27 +54,11 @@ from math import gcd, isqrt, lcm
 from operator import add, sub
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .linalg import Span
 
 # The largest conductor an input may name.  Building Phi_N and each product
 # and inverse at conductor N take integer work quadratic in N (the subfield
 # tests are linear in N), so a larger N is rejected before any arithmetic.
 MAX_CONDUCTOR = 1024
-
-
-def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def divisors(n: int) -> list[int]:
@@ -589,22 +577,6 @@ class CycNum:
     def is_real(self) -> bool:
         return self == self.conjugate()
 
-    def minimal_polynomial(self) -> tuple[Fraction, ...]:
-        """Monic minimal polynomial over the rationals, ascending coefficients."""
-        n = self.conductor
-        powers = Span([CycNum.rational(1).coords_at(n)])
-        p = CycNum.rational(1)
-        for k in range(1, euler_phi(n) + 1):
-            p = p * self
-            target = p.coords_at(n)
-            sol = powers.coords(target)
-            if sol is not None:
-                return tuple([-c for c in sol] + [Fraction(1)])
-            powers.add(target)
-        raise InternalConsistencyError(
-            f"minimal polynomial of {self} has degree above phi({n})"
-        )
-
     # -- protocol ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -686,29 +658,39 @@ def _sqrt_prime(p: int) -> CycNum:
     return g / zeta(4)
 
 
+def squarefree_part(n: int) -> int:
+    """The squarefree s with n = s * f^2 for an integer f; 0 for n = 0.
+
+    Trial division stops as soon as the cofactor still to be split is a
+    perfect square, so the cost is set by the primes of s, not by f: the
+    square class of a discriminant read off a cyclotomic number has only
+    primes of its conductor."""
+    sign, rest, out, p = (n > 0) - (n < 0), abs(n), 1, 2
+    square = isqrt(rest) ** 2 == rest
+    while not square and p * p <= rest:
+        if rest % p == 0:
+            while rest % (p * p) == 0:
+                rest //= p * p
+            if rest % p == 0:
+                out *= p
+                rest //= p
+            square = isqrt(rest) ** 2 == rest
+        p += 1
+    return sign * out * (1 if square else rest)
+
+
 def sqrt_rational(x) -> CycNum:
-    """An exact square root of a nonzero rational, as a cyclotomic number."""
+    """An exact square root of a rational, as a cyclotomic number."""
     x = Fraction(x)
     if x == 0:
         return CycNum.rational(0)
     num = x.numerator * x.denominator
-    result = CycNum.rational(Fraction(1, x.denominator))
-    if num < 0:
+    rest = squarefree_part(num)
+    result = CycNum.rational(Fraction(isqrt(num // rest), x.denominator))
+    if rest < 0:
         result = result * zeta(4)
-        num = -num
-    square = isqrt(num)
-    while square * square > num or num % (square * square):
-        square -= 1
-    result = result * square
-    rest = num // (square * square)
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            result = result * _sqrt_prime(p)
-            rest //= p
-        p += 1
-    if rest > 1:
-        result = result * _sqrt_prime(rest)
+    for p in _prime_factors(abs(rest)):
+        result = result * _sqrt_prime(p)
     return result
 
 

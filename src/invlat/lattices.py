@@ -27,8 +27,9 @@ an elliptic-curve factor.  It is the one place that writes a number in a
 rank-two basis: the real coordinates of w = x + y*tau are read off by a
 closed formula, since tau is not real.  An imaginary-quadratic order
 (`forge.ImaginaryQuadraticOrder`) takes its coordinates from one, and
-`multiplier_ring` gives the order of multipliers of one, which also names the
-discriminant of an imaginary-quadratic character field.
+`multiplier_ring` gives the order of multipliers of one, read off the trace
+and norm of tau: the CM order of an elliptic-curve factor, or the order a
+`ds` doubling scalar generates.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import linalg
-from .cyclotomic import CycNum, as_cycnum, common_conductor, cyc_to_json, splitting_prime
+from .cyclotomic import (
+    CycNum, as_cycnum, common_conductor, cyc_to_json, splitting_prime, squarefree_part,
+)
 from .errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
 from .groups import apply
 from .records import Record
@@ -426,32 +429,20 @@ class MultiplierRing(Record):
     generator: CycNum | None = None
 
 
-def squarefree_part(n: int) -> int:
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        while n % (d * d) == 0:
-            n //= d * d
-        if n % d == 0:
-            out *= d
-            n //= d
-        d += 1
-    return sign * out * n
-
-
 def fundamental_discriminant(n: int) -> int:
     m = squarefree_part(n)
     return m if m % 4 == 1 else 4 * m
 
 
 def multiplier_ring(gamma: RankTwoLattice) -> MultiplierRing:
+    """The multiplier ring of gamma, read off tau = g2 / g1.  Since tau is not
+    real, it is quadratic exactly when its trace tau + conj tau and its norm
+    tau * conj tau are rational, and then tau^2 = trace * tau - norm."""
     tau = gamma.tau()
-    minpoly = tau.minimal_polynomial()
-    if len(minpoly) != 3:
+    trace, norm = tau + tau.conjugate(), tau * tau.conjugate()
+    if not (trace.is_rational() and norm.is_rational()):
         return MultiplierRing("Z")
-    p, q = -minpoly[1], -minpoly[0]  # tau^2 = p tau + q
+    p, q = trace.as_fraction(), -norm.as_fraction()  # tau^2 = p tau + q
     f = lcm(p.denominator, q.denominator)
     disc = f * f * (p * p + 4 * q)
     if disc.denominator != 1:

@@ -375,7 +375,7 @@ def quaternion_report(name: str) -> dict:
 
 
 def analyze(target, *, seed: int = 0, cap: int = DEFAULT_CAP) -> dict:
-    """Full report for a catalog name, group JSON dict, or GroupRep.
+    """Full report for a catalog name or group JSON dict.
 
     `cap` bounds the closure of the group the target names; a quaternion
     torus names none."""
@@ -385,8 +385,6 @@ def analyze(target, *, seed: int = 0, cap: int = DEFAULT_CAP) -> dict:
             return quaternion_report(target)
         group = entry.group(cap=cap)
         return group_report(group, name=target, entry=entry, seed=seed)
-    if isinstance(target, GroupRep):
-        return group_report(target, seed=seed)
     if isinstance(target, dict):
         group = group_from_json(target, cap=cap)
         return group_report(group, seed=seed)

@@ -5,6 +5,9 @@ type via the Frobenius-Schur indicator, the Schur index by rational orbit-span
 descent (cut short where a gcd-of-kernel-dimensions certificate or the
 Frobenius-Schur bound settles it), and the final verdict on which
 invariant-lattice ranks can exist.
+
+The field's degree is read off the automorphisms of Q(z_N) that fix every
+class value, and an imaginary-quadratic discriminant off (gen - conj gen)^2.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .groups import (
     GroupRep, apply, character_norm, class_character, class_sum, conjugacy_classes,
     mat_identity, square_classes,
 )
-from .lattices import RankTwoLattice, flatten, multiplier_ring, reassemble
+from .lattices import flatten, fundamental_discriminant, reassemble
 from .records import Record
 
 
@@ -64,20 +67,26 @@ class LatticeVerdict(Record):
     clause: str  # "c-i" | "c-ii" | "none"
 
 
-def _field_span_dim(values) -> int:
-    """Dimension over the rationals of the algebra generated by the values."""
-    conductor = common_conductor(values)
+def _field_degree(values) -> int:
+    """Degree over the rationals of the field the values generate: by Galois
+    theory, the number of units mod N over the order of the subgroup H of
+    units a whose automorphism z -> z^a of Q(z_N) fixes every value, N the
+    values' common conductor.  One member of each coset aH is tested, so
+    the number of tests is about the degree, not phi(N)."""
+    n = common_conductor(values)
     gens = list(dict.fromkeys(v for v in values if not v.is_rational()))
-    one = CycNum.rational(1)
-    span = linalg.Span([one.coords_at(conductor)])
-    queue = [one]
-    while queue:
-        current = queue.pop(0)
-        for g in gens:
-            prod = current * g
-            if span.add(prod.coords_at(conductor)):
-                queue.append(prod)
-    return len(span)
+    units = [a for a in range(1, n + 1) if gcd(a, n) == 1]
+    fixing, moving = {1}, set()
+    for a in units:
+        if a in fixing or a in moving:
+            continue
+        if all(g.galois(a) == g for g in gens):
+            while (grown := fixing | {x * a % n for x in fixing}) != fixing:
+                fixing = grown
+            moving = {x * y % n for x in moving for y in fixing}
+        else:
+            moving.update(a * h % n for h in fixing)
+    return len(units) // len(fixing)
 
 
 def classify_character_field(group: GroupRep) -> CharacterFieldClass:
@@ -87,7 +96,7 @@ def classify_character_field(group: GroupRep) -> CharacterFieldClass:
     by their first member, so the first non-rational class value is the
     first non-rational value in element order."""
     values = class_character(group)
-    degree = _field_span_dim(values)
+    degree = _field_degree(values)
     real_valued = all(v.is_real() for v in values)
     if degree == 1:
         return CharacterFieldClass("rational", 1, None, True, None)
@@ -95,19 +104,17 @@ def classify_character_field(group: GroupRep) -> CharacterFieldClass:
         gen = next(v for v in values if not v.is_rational())
         if not real_valued:
             # the only real numbers of an imaginary-quadratic field are
-            # rational, so gen is not real and Z + Z*gen is a lattice
-            ring = multiplier_ring(RankTwoLattice(1, gen))
-            if ring.kind != "order":
+            # rational, so gen is not real, and (gen - conj gen)^2, the
+            # discriminant of its minimal polynomial, is a negative rational
+            square = (gen - gen.conjugate()) ** 2
+            if not square.is_rational() or square.as_fraction() >= 0:
                 raise InternalConsistencyError(
-                    "degree-2 field with generator of different degree"
+                    f"degree-2 field generator {gen} has (gen - conj gen)^2 = "
+                    f"{square}, not a negative rational"
                 )
-            if ring.discriminant >= 0:
-                raise InternalConsistencyError(
-                    "non-real quadratic value with nonnegative discriminant"
-                )
-            return CharacterFieldClass(
-                "imaginary-quadratic", 2, ring.fundamental_discriminant, False, gen
-            )
+            square = square.as_fraction()
+            disc = fundamental_discriminant(square.numerator * square.denominator)
+            return CharacterFieldClass("imaginary-quadratic", 2, disc, False, gen)
         return CharacterFieldClass("other", 2, None, True, gen)
     return CharacterFieldClass("other", degree, None, real_valued, None)
 

@@ -12,11 +12,11 @@ from invlat import linalg
 from invlat.cyclotomic import (
     CycNum,
     as_cycnum,
+    common_conductor,
     cyc_from_json,
     cyc_to_json,
     cyclotomic_polynomial,
     divisors,
-    euler_phi,
 )
 from invlat.errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
 from invlat.groups import (
@@ -29,6 +29,7 @@ from invlat.groups import (
     trace,
 )
 from invlat.lattices import (
+    MultiplierRing,
     RankTwoLattice,
     ZLattice,
     flatten,
@@ -40,6 +41,21 @@ from invlat.lattices import (
     reassemble,
     scale_lattice,
 )
+
+
+def euler_phi(n: int) -> int:
+    """The number of units modulo n, by the product formula over the primes
+    of n.  The library counts the units it needs directly."""
+    result, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            result -= result // p
+        p += 1
+    if m > 1:
+        result -= result // m
+    return result
 
 
 def replace(record, **changes):
@@ -481,11 +497,18 @@ def rank_two_coords_by_span(g1, g2, value):
     return linalg.Span([row1, row2]).coords(row)
 
 
+def minimal_polynomial(x: CycNum) -> tuple[Fraction, ...]:
+    """Monic minimal polynomial of x over the rationals, ascending
+    coefficients, from the Fraction oracle's span of powers.  The library
+    reads quadratic facts off x and its conjugate instead."""
+    return FractionCycNum(x.conductor, list(x.coeffs)).minimal_polynomial()
+
+
 def field_discriminant_by_minpoly(gen: CycNum) -> int:
     """Fundamental discriminant of Q(gen) for a non-real quadratic gen, from
-    its minimal polynomial x^2 + c1 x + c0.  The library reads it off the
-    multiplier ring of Z + Z*gen."""
-    poly = gen.minimal_polynomial()
+    its minimal polynomial x^2 + c1 x + c0.  The library reads it off
+    (gen - conj gen)^2."""
+    poly = minimal_polynomial(gen)
     if len(poly) != 3:
         raise InternalConsistencyError("generator is not quadratic")
     c0, c1, _ = poly
@@ -494,6 +517,42 @@ def field_discriminant_by_minpoly(gen: CycNum) -> int:
         raise InternalConsistencyError("quadratic generator is real")
     den = disc.denominator
     return fundamental_discriminant((disc * den * den).numerator)
+
+
+def multiplier_ring_by_minpoly(gamma: RankTwoLattice) -> MultiplierRing:
+    """The multiplier ring of gamma from the minimal polynomial of tau: Z
+    unless tau is quadratic, else the order of f*tau, f the least integer
+    that makes tau^2 = p tau + q integral.  The library reads p and q off
+    the trace and norm of tau."""
+    tau = gamma.tau()
+    poly = minimal_polynomial(tau)
+    if len(poly) != 3:
+        return MultiplierRing("Z")
+    p, q = -poly[1], -poly[0]
+    f = lcm(p.denominator, q.denominator)
+    disc = f * f * (p * p + 4 * q)
+    assert disc.denominator == 1 and disc < 0
+    disc = int(disc)
+    d0 = fundamental_discriminant(disc)
+    return MultiplierRing("order", disc, d0, isqrt(disc // d0), f * tau)
+
+
+def field_degree_by_products(values) -> int:
+    """Dimension over the rationals of the algebra generated by the values:
+    a span closed under products with each non-rational value.  The library
+    counts the Galois automorphisms that fix the values."""
+    conductor = common_conductor(values)
+    gens = list(dict.fromkeys(v for v in values if not v.is_rational()))
+    one = CycNum.rational(1)
+    span = linalg.Span([one.coords_at(conductor)])
+    queue = [one]
+    while queue:
+        current = queue.pop(0)
+        for g in gens:
+            prod = current * g
+            if span.add(prod.coords_at(conductor)):
+                queue.append(prod)
+    return len(span)
 
 
 def isogeny_test(a: RankTwoLattice, b: RankTwoLattice):

@@ -21,21 +21,22 @@ from invlat.cyclotomic import (
     cyc_to_json,
     cyclotomic_polynomial,
     divisors,
-    euler_phi,
     parse_scalar,
     sqrt_rational,
     zeta,
 )
 from invlat.errors import InternalConsistencyError, InvalidInputError
-from invlat.linalg import Span, rref
+from invlat.linalg import rref
 
 from oracles import (
     FractionCycNum,
+    euler_phi,
     exact_sign,
     fraction_canonical,
     fraction_cyc_to_json,
     fraction_reduce_mod_phi,
     fraction_subfield_solver,
+    minimal_polynomial,
     numeric,
     real_part,
     skew_part,
@@ -167,7 +168,7 @@ def test_numeric_embedding_respects_products(x):
 @given(cyc_elements)
 @settings(max_examples=60)
 def test_minimal_polynomial_annihilates(x):
-    poly = x.minimal_polynomial()
+    poly = minimal_polynomial(x)
     acc = CycNum.rational(0)
     power = CycNum.rational(1)
     for coeff in poly:
@@ -178,10 +179,10 @@ def test_minimal_polynomial_annihilates(x):
 
 
 def test_minimal_polynomial_examples():
-    assert zeta(4).minimal_polynomial() == (Fraction(1), Fraction(0), Fraction(1))
-    assert zeta(3).minimal_polynomial() == (Fraction(1), Fraction(1), Fraction(1))
+    assert minimal_polynomial(zeta(4)) == (Fraction(1), Fraction(0), Fraction(1))
+    assert minimal_polynomial(zeta(3)) == (Fraction(1), Fraction(1), Fraction(1))
     half = CycNum.rational(Fraction(1, 2))
-    assert half.minimal_polynomial() == (Fraction(-1, 2), Fraction(1))
+    assert minimal_polynomial(half) == (Fraction(-1, 2), Fraction(1))
 
 
 @pytest.mark.parametrize(
@@ -427,16 +428,6 @@ def test_crt_subfield_matches_the_fraction_solver(n, p):
                 assert got == inner
 
 
-def test_minimal_polynomial_failure_is_an_internal_consistency_error(monkeypatch):
-    class NeverSpans(Span):
-        def coords(self, row):
-            return None
-
-    monkeypatch.setattr(cyclotomic, "Span", NeverSpans)
-    with pytest.raises(InternalConsistencyError, match="minimal polynomial"):
-        zeta(5).minimal_polynomial()
-
-
 # -- the integer kernel against the Fraction-per-coefficient oracle ----------
 
 ORACLE_CONDUCTORS = [1, 3, 4, 5, 8, 12, 24, 60]
@@ -515,8 +506,6 @@ def test_kernel_matches_fraction_oracle_at_the_boundary(pairs, k):
     assert all(type(c) is Fraction for c in x.coords_at(m))
     assert cyc_from_json(cyc_to_json(x)) == x
     assert parse_scalar(str(x)) == x
-    if x.conductor <= 24:
-        assert x.minimal_polynomial() == big_x.minimal_polynomial()
 
 
 def test_importing_the_cli_leaves_mpmath_unloaded():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from invlat import lattices, linalg
 from invlat.catalog import catalog_names
-from invlat.cyclotomic import CycNum, sqrt_rational, zeta
+from invlat.cyclotomic import CycNum, sqrt_rational, squarefree_part, zeta
 from invlat.errors import InvalidInputError, NotDiscreteError
 from invlat.forge import (
     EUCLIDEAN_DISCRIMINANTS,
@@ -30,7 +30,6 @@ from invlat.lattices import (
     lattice_to_json,
     multiplier_ring,
     scale_lattice,
-    squarefree_part,
 )
 from invlat.schur import schur_index
 
@@ -64,6 +63,7 @@ from oracles import (
     isogeny_test,
     lattice_from_json,
     lattice_json_by_pivot_hnf,
+    multiplier_ring_by_minpoly,
     rank_two_coords_by_span,
     sparse,
     vectors_by_cycnum_combination,
@@ -308,6 +308,34 @@ def test_multiplier_ring_box_oracle(tau):
         gen = ring.generator
         assert gamma.contains(gen * tau)
         assert gamma.contains(gen * CycNum.rational(1))
+
+
+# non-real taus of degree above 2, besides the quadratic ones
+HIGHER_DEGREE_TAU = [zeta(5), zeta(8), zeta(12) + zeta(5), 2 * zeta(7) - Fraction(1, 3)]
+
+
+@given(
+    st.one_of(quadratic_tau(), st.sampled_from(HIGHER_DEGREE_TAU)),
+    st.sampled_from(FIRST_GENERATORS),
+)
+@settings(max_examples=100, deadline=None)
+def test_multiplier_ring_matches_minimal_polynomial_oracle(tau, g1):
+    """The trace-and-norm reading of tau = g2 / g1 against the oracle's
+    minimal polynomial of tau."""
+    gamma = RankTwoLattice(g1, g1 * tau)
+    assert multiplier_ring(gamma) == multiplier_ring_by_minpoly(gamma)
+
+
+def test_multiplier_ring_of_a_large_scalar():
+    # the discriminant -4 * 10000019^2 is a square times -4, and the order
+    # Z[10000019 i] has conductor 10000019
+    gamma = RankTwoLattice(1, 10_000_019 * zeta(4))
+    ring = multiplier_ring(gamma)
+    assert ring.kind == "order"
+    assert ring.discriminant == -4 * 10_000_019**2
+    assert ring.fundamental_discriminant == -4
+    assert ring.order_conductor == 10_000_019
+    assert ring == multiplier_ring_by_minpoly(gamma)
 
 
 def test_squarefree_and_fundamental():

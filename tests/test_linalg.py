@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from invlat import linalg
-from invlat.cyclotomic import CycNum, euler_phi, zeta
+from invlat.cyclotomic import CycNum, zeta
 from invlat.lattices import flatten
 
 from oracles import (
     FractionSpan,
     det_by_cofactors,
+    euler_phi,
     hermite_by_pairs,
     inverse_by_rref,
     kernel_right,

@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from invlat import cli, cyclotomic, groups, linalg, reflections, report
+from invlat import cli, cyclotomic, groups, reflections, report, schur
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, parse_scalar
 from invlat.cli import main
@@ -362,18 +363,15 @@ def test_cli_reports_a_failed_library_check_as_exit_4(capsys, monkeypatch):
     assert "asymmetric zero pattern" in err
 
 
-def test_cli_reports_a_failed_minimal_polynomial_as_exit_4(capsys, monkeypatch):
-    # the character field of C3 is Q(z3), whose generator's minimal
-    # polynomial is read off a span of its powers
-    class NeverSpans(linalg.Span):
-        def coords(self, row):
-            return None
-
-    monkeypatch.setattr(cyclotomic, "Span", NeverSpans)
-    code, out, err = run_cli(capsys, "analyze", "C3-zeta3")
+def test_cli_reports_a_failed_character_field_check_as_exit_4(capsys, monkeypatch):
+    # the character field of C5 is Q(z5), of degree 4; a degree misread as 2
+    # makes the generator z5 look quadratic, and (z5 - conj z5)^2, which the
+    # discriminant is read off, is not a negative rational
+    monkeypatch.setattr(schur, "_field_degree", lambda values: 2)
+    code, out, err = run_cli(capsys, "analyze", "C5-zeta5")
     assert code == 4
     assert out == ""
-    assert "minimal polynomial" in err
+    assert "not a negative rational" in err
 
 
 def test_cli_analyze_human(capsys):
@@ -429,6 +427,25 @@ def test_cli_construct_custom_scalar(capsys):
     entry = json.loads(out)
     assert entry["scalar"] == "z3"
     assert entry["rank"] == 4
+
+
+# the order Z[m*zN] has m^2 times the discriminant of Z[zN], here for
+# m = 10000019 and m = 1000000016000000063 = 1000000007 * 1000000009; its
+# square class has only primes of N, so finding it takes a few divisions
+@pytest.mark.parametrize("scalar", ["10000019*z4", "1000000016000000063*z3"])
+def test_cli_construct_with_a_large_scalar_exits_in_bounded_time(capsys, scalar):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "construct", "S3-standard", "--recipe", "ds", "--c", scalar, "--json"
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert elapsed < 2, elapsed
+    entry = json.loads(out)
+    assert (entry["scalar"], entry["rank"], entry["invariant"]) == (scalar, 4, True)
+    if scalar == "10000019*z4":
+        golden = GOLDEN / "construct" / "S3-standard-ds-10000019z4.json"
+        assert out == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from invlat import linalg, schur
 from invlat.catalog import catalog_names, get_entry
-from invlat.cyclotomic import CycNum, euler_phi, zeta
+from invlat.cyclotomic import MAX_CONDUCTOR, CycNum, zeta
 from invlat.cli import main
 from invlat.errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
-from invlat.groups import close_group, group_from_json
+from invlat.groups import class_character, close_group, group_from_json
 from invlat.linalg import rank
 from invlat.report import analyze
 from invlat.schur import (
     _expansion_conductor,
+    _field_degree,
     _orbit_span,
     _settled_index,
     bilinear_type,
@@ -29,6 +30,8 @@ from invlat.schur import (
 from generated_groups import D8_GENS, F21, GENERATED, Q8_GENS, SD16, tensor_group
 from oracles import (
     averaged_bilinear_form,
+    euler_phi,
+    field_degree_by_products,
     field_discriminant_by_minpoly,
     five_starts,
     gcd_kernel_pairwise,
@@ -154,15 +157,65 @@ def test_gcd_shortcut_matches_kernel_basis_oracle(oracle_groups):
         assert gcd_kernel_shortcut(group) == gcd_kernel_singles(group), name
 
 
+def test_field_degree_matches_product_span_oracle_on_class_values(oracle_groups):
+    for name, group in oracle_groups:
+        values = class_character(group)
+        assert _field_degree(values) == field_degree_by_products(values), name
+
+
+def _fixed_field_values(seed):
+    """(values, phi(n) / |H|): seeded values of Q(z_n) for a squarefree n up
+    to MAX_CONDUCTOR, namely small multiples of the sums of z_n^(a h) over h
+    in a proper subgroup H of the units mod n, of index 8 or less where 20
+    random tries reach one.  For squarefree n the conjugates of z_n are a
+    normal basis, so the sum with a = 1, which is among the values,
+    generates the field fixed by H."""
+    rng = random.Random(9700 + seed)
+    n = 4
+    while any(n % (p * p) == 0 for p in range(2, 32)):
+        n = rng.randint(2, MAX_CONDUCTOR)
+    units = [a for a in range(1, n + 1) if gcd(a, n) == 1]
+    subgroup = {1}
+    for _ in range(20):
+        if len(units) <= 8 * len(subgroup):
+            break
+        h, power = rng.choice(units), 1
+        cycle = {1}
+        while (power := power * h % n) != 1:
+            cycle.add(power)
+        larger = {x * y % n for x in subgroup for y in cycle}
+        if len(larger) < len(units):
+            subgroup = larger
+    values = [CycNum.rational(1)]
+    for a in [1] + rng.sample(units, min(2, len(units))):
+        dense = [0] * n
+        for h in subgroup:
+            dense[a * h % n] += 1
+        values.append(rng.choice((1, -2, Fraction(1, 3))) * CycNum(n, dense))
+    return values, len(units) // len(subgroup)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_field_degree_matches_product_span_oracle_on_seeded_values(seed):
+    values, index = _fixed_field_values(seed)
+    assert _field_degree(values) == field_degree_by_products(values) == index
+
+
+def test_field_degree_of_the_real_subfield_at_the_largest_conductor():
+    value = zeta(MAX_CONDUCTOR) + zeta(MAX_CONDUCTOR, -1)
+    assert _field_degree([value]) == euler_phi(MAX_CONDUCTOR) // 2
+    assert field_degree_by_products([value]) == euler_phi(MAX_CONDUCTOR) // 2
+
+
 def test_character_field_is_classified_once_per_analysis(monkeypatch):
     calls = []
-    real = schur._field_span_dim
+    real = schur._field_degree
 
     def counting(values):
         calls.append(values)
         return real(values)
 
-    monkeypatch.setattr(schur, "_field_span_dim", counting)
+    monkeypatch.setattr(schur, "_field_degree", counting)
     for target in ["G4", "WeylB2", GENERATED["G3-1-2"][0]]:
         calls.clear()
         analyze(target)

@@ -1,5 +1,5 @@
-"""Cyclotomic polynomials, minimal polynomials, the splitting primes of the
-discreteness certificate, the Hermite normal form and the rational reduced
+"""Cyclotomic polynomials, minimal polynomials (by the tests' Fraction
+oracle), square classes, the splitting primes of the discreteness certificate, the Hermite normal form and the rational reduced
 row echelon form against sympy, an implementation that shares no code with
 this package."""
 
@@ -15,10 +15,11 @@ from invlat.cyclotomic import (
     cyclotomic_polynomial,
     splitting_prime,
     sqrt_rational,
+    squarefree_part,
     zeta,
 )
 
-from oracles import rref_divide_each_entry
+from oracles import minimal_polynomial, rref_divide_each_entry
 
 sympy = pytest.importorskip("sympy")
 normalforms = pytest.importorskip("sympy.matrices.normalforms")
@@ -53,7 +54,43 @@ def test_cyclotomic_polynomial_matches_sympy(n):
     ],
 )
 def test_minimal_polynomial_matches_sympy(value, expr):
-    assert value.minimal_polynomial() == _ascending(sympy.minimal_polynomial(expr, X))
+    assert minimal_polynomial(value) == _ascending(sympy.minimal_polynomial(expr, X))
+
+
+def _squarefree_by_factorint(n):
+    out = -1 if n < 0 else 1
+    for p, e in sympy.factorint(abs(n)).items():
+        if e % 2:
+            out *= p
+    return out
+
+
+def test_squarefree_part_matches_factorint():
+    rng = random.Random(9500)
+    big = 1_000_000_007 * 1_000_000_009
+    sample = list(range(-400, 0)) + list(range(1, 401))
+    sample += [rng.randint(-10**12, 10**12) or 1 for _ in range(300)]
+    # perfect squares, and f^2 * d with a large f
+    sample += [f * f for f in (1, 2, 6, 30, 10_000_019, big)]
+    sample += [-f * f for f in (1, 2, 6, 30, 10_000_019, big)]
+    sample += [d * f * f for d in (-4, -3, -1, 2, 3, 7, -1009, 30) for f in (10_000_019, big)]
+    for n in sample:
+        assert squarefree_part(n) == _squarefree_by_factorint(n), n
+    assert squarefree_part(0) == 0
+
+
+def test_squarefree_part_is_quick_on_a_large_square_factor():
+    # trial division stops once the cofactor is a square, so f^2 (up to 124
+    # bits) over a squarefree part with primes up to 1024 costs divisions by
+    # those primes only, not by every integer up to f
+    rng = random.Random(9600)
+    primes = [p for p in range(2, 1025) if sympy.isprime(p)]
+    for _ in range(200):
+        s = rng.choice((-1, 1))
+        for p in rng.sample(primes, rng.randint(0, 3)):
+            s *= p
+        f = rng.randint(1, 2**62)
+        assert squarefree_part(s * f * f) == s
 
 
 SPLITTING_SAMPLE = sorted(
