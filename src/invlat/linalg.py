@@ -14,11 +14,11 @@ in echelon form, each a primitive integer row over its own pivot, so a
 fixed basis is reduced once and every later question costs one reduction
 of the asked row, one cross-multiplication per echelon row.
 
-`rank` and `det` take any element type with +, -, * and a truth value that
-means "nonzero", cyclotomic numbers included.  They share one forward
-elimination by cross-multiplication, which takes no reciprocal: `rank`
-counts its pivots, and `det` divides the product of its pivots by the
-scale its row operations put in, at most one reciprocal.
+`rank` and `det` take any element type with +, -, *, / and a truth value
+that means "nonzero", cyclotomic numbers included.  They share one
+fraction-free forward elimination on the same Bareiss rule as `rref`, with
+one reciprocal of the previous pivot per pivot in place of the exact integer
+division: `rank` counts its pivots, and `det` is its signed last pivot.
 
 Integer routines share one Hermite elimination that pivots in a given
 number of leading columns, each on the smallest nonzero entry of its column:
@@ -115,17 +115,19 @@ def rref(rows):
 
 
 def _forward(rows):
-    """(pivots, sign, scaled) of forward elimination by cross-multiplication.
+    """(pivots, sign) of fraction-free forward elimination (Bareiss 1968):
+    the pivot entries in order, and -1 to the number of row swaps.
 
-    Each row below a pivot p with entry a in the pivot column is replaced by
-    p * row - a * (pivot row), so no reciprocal is taken; there is no
-    back-substitution and no pivot scaling.  pivots are the pivot entries in
-    order, sign is -1 to the number of row swaps, and scaled[k] counts the
-    rows that were multiplied by pivots[k].  For a square matrix of full
-    rank, the determinant is sign * prod(pivots) / prod(p ** k)."""
-    mat = [list(r) for r in rows]
-    pivots, scaled = [], []
+    ints are lifted to Fractions.  At a pivot p, every row below becomes
+    (row * p - a * pivot row) / prev, with a its entry in the pivot column and
+    prev the pivot before p (1 at first), so by Sylvester's identity every
+    entry is a minor of the matrix.  The reciprocal of prev is taken once per
+    pivot, when prev != 1 and rows remain below.  As in `rref`, a row with
+    a = 0 is skipped when p = prev, and a * 0 is not computed."""
+    mat = [[Fraction(x) if type(x) is int else x for x in row] for row in rows]
+    pivots = []
     sign = 1
+    prev = 1
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
         pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
@@ -135,21 +137,22 @@ def _forward(rows):
             mat[r], mat[pr] = mat[pr], mat[r]
             sign = -sign
         pivot_row = mat[r]
-        pivot = pivot_row[c]
+        p = pivot_row[c]
+        pivots.append(p)
+        if r + 1 == len(mat):
+            break
+        inv = 1 / prev if prev != 1 else None
         tail = range(c + 1, len(pivot_row))
-        count = 0
         for row in mat[r + 1:]:
             a = row[c]
-            if a:
-                # columns up to c are not read again
-                row[c + 1:] = [row[j] * pivot - a * pivot_row[j] if pivot_row[j]
-                               else row[j] * pivot for j in tail]
-                count += 1
-        pivots.append(pivot)
-        scaled.append(count)
-        if len(pivots) == len(mat):
-            break
-    return pivots, sign, scaled
+            if not a and p == prev:
+                continue
+            # columns up to c are not read again
+            new = [row[j] * p - a * pivot_row[j] if a and pivot_row[j] else row[j] * p
+                   for j in tail]
+            row[c + 1:] = new if inv is None else [x * inv for x in new]
+        prev = p
+    return pivots, sign
 
 
 def rank(rows):
@@ -158,24 +161,16 @@ def rank(rows):
 
 
 def det(mat):
-    """The determinant, off the forward elimination `_forward`: the signed
-    product of its pivots over the product of the pivots it scaled rows by,
-    one division.  An int matrix gives a Fraction."""
+    """The determinant: the signed last pivot of `_forward`, the minor of the
+    whole matrix, or 0 when the rank is short.  An int matrix gives a
+    Fraction."""
     n = len(mat)
     if n == 0:
         return Fraction(1)
-    one = mat[0][0] * 0 + 1
-    if type(one) is int:
-        one = Fraction(1)
-    pivots, sign, scaled = _forward(mat)
+    pivots, sign = _forward(mat)
     if len(pivots) < n:
-        return one * 0
-    num = one if sign > 0 else -one
-    den = one
-    for p, k in zip(pivots, scaled):
-        num = num * p
-        den = den * p ** k
-    return num if den == one else num / den
+        return mat[0][0] * Fraction(0)
+    return pivots[-1] if sign > 0 else -pivots[-1]
 
 
 class Span:

@@ -3,10 +3,11 @@
 These exercise the paths the catalog does not reach with a nontrivial
 group order: the Weyl group B3 from its Cartan matrix, and the imprimitive
 groups G(m,1,n) of Shephard-Todd, which run the O, saturate, split and CM
-steps; and the extraspecial group 2^{1+4}_- = Q8 o D8 in dimension 4, the
-only group input with Schur index 2 besides Q8.  Run this file to rewrite
-the byte snapshots in tests/golden/generated/ (only for a change that alters
-report bytes on purpose):
+steps; the dihedral groups G(m,m,2); and the extraspecial group
+2^{1+4}_- = Q8 o D8 in dimension 4, the only group input with Schur index 2
+besides Q8.  Run this file to rewrite the byte snapshots in
+tests/golden/generated/ (only for a change that alters report bytes on
+purpose):
 
     PYTHONPATH=src python tests/generated_groups.py
 """
@@ -51,6 +52,14 @@ def imprimitive(m: int, n: int) -> dict:
     )
     return {"conductor": m, "dimension": n, "generators": gens}
 
+
+def dihedral(m: int) -> dict:
+    """G(m,m,2), the dihedral group of order 2m: [[0, zeta_m^-1], [zeta_m, 0]]
+    and the swap."""
+    return {"conductor": m, "dimension": 2, "generators": [
+        [["0", f"z{m}^{m - 1}"], [f"z{m}", "0"]],
+        [["0", "1"], ["1", "0"]],
+    ]}
 
 
 def in_generic_basis(obj: dict) -> dict:

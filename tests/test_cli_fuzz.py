@@ -10,10 +10,16 @@ A second fuzz draws the arguments instead: `analyze`, `decompose` and
 `construct` on catalog entries, with integers and junk text for `--cap` and
 `--seed`, and recipes and scalars for `--recipe` and `--c`.  An argument argparse rejects ends in SystemExit(2), which counts as
 exit code 2.
+
+A last test takes one dense generator at dimension 24 and at
+`MAX_DIMENSION` under `--cap 1`: its rank check must be quick, so it exits 3
+at the cap, or 2 with one row repeated, within seconds.
 """
 
 import io
 import json
+import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 
@@ -22,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from invlat.catalog import catalog_names
 from invlat.cli import main
+from invlat.groups import MAX_DIMENSION
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 12]
 
@@ -141,3 +148,27 @@ def test_commands_exit_0_2_or_3_on_any_arguments(argv):
             code = exc.code
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("conductor", [1, 4, 12])
+@pytest.mark.parametrize("n", [24, MAX_DIMENSION])
+def test_dense_generator_at_the_dimension_limit_exits_within_seconds(doc_path, n, conductor):
+    rng = random.Random(100 * n + conductor)
+
+    def entry():
+        k = rng.randint(-3, 3)
+        if conductor > 1 and rng.random() < 0.5:
+            return f"{'-' if k < 0 else ''}z{conductor}^{rng.randrange(conductor)}"
+        return k
+
+    dense = [[entry() for _ in range(n)] for _ in range(n)]
+    repeated = dense[:-1] + [dense[0]]
+    for gen, expected, message in ((dense, 3, "exceeded the cap"),
+                                   (repeated, 2, "generator is singular")):
+        doc = {"dimension": n, "conductor": conductor, "generators": [gen]}
+        doc_path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main(["analyze", str(doc_path), "--cap", "1"])
+        assert time.perf_counter() - start < 5
+        assert code == expected and message in err.getvalue(), err.getvalue()

@@ -247,28 +247,6 @@ def test_det_matches_cofactor_oracle(conductor):
     assert singular
 
 
-def test_det_inverts_at_most_once(monkeypatch):
-    calls = []
-    real = CycNum.inverse
-
-    def counting(self):
-        calls.append(self)
-        return real(self)
-
-    monkeypatch.setattr(CycNum, "inverse", counting)
-    rng = random.Random(7200)
-    squares = 0
-    for conductor in (3, 5, 12):
-        for _ in range(10):
-            n = rng.randint(1, 4)
-            mat = [[seeded_entry(rng, conductor) for _ in range(n)] for _ in range(n)]
-            calls.clear()
-            assert linalg.det(mat) == det_by_cofactors(mat)
-            assert len(calls) <= 1
-            squares += n > 1 and len(calls) == 1
-    assert squares
-
-
 # Span against the solve-the-column-system oracle
 
 
@@ -425,15 +403,53 @@ def test_rank_matches_rref(conductor):
     assert linalg.rank([]) == 0
 
 
-def test_rank_takes_no_reciprocal(monkeypatch):
-    def refuse(self):
-        raise AssertionError("rank took a reciprocal")
-
+def test_rank_and_det_invert_at_most_once_per_pivot_after_the_first(monkeypatch):
+    """The Bareiss division takes one reciprocal of the previous pivot per
+    pivot after the first, so at most rank - 1 in all."""
     rng = random.Random(7600)
-    mats = [m for conductor in (3, 4, 12) for m in seeded_matrices(rng, conductor, 10)]
-    expected = [len(rref_divide_each_entry(m)[0]) for m in mats]
-    monkeypatch.setattr(CycNum, "inverse", refuse)
-    assert [linalg.rank(m) for m in mats] == expected
+    rank_cases = [(m, len(rref_divide_each_entry(m)[0]), None)
+                  for conductor in (3, 4, 12) for m in seeded_matrices(rng, conductor, 10)]
+    rng = random.Random(7200)
+    det_cases = []
+    for conductor in (3, 5, 12):
+        for _ in range(10):
+            n = rng.randint(1, 4)
+            mat = [[seeded_entry(rng, conductor) for _ in range(n)] for _ in range(n)]
+            det_cases.append((mat, len(rref_divide_each_entry(mat)[0]), det_by_cofactors(mat)))
+    calls = []
+    real = CycNum.inverse
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CycNum, "inverse", counting)
+    most = 0
+    for mat, rank, det in rank_cases + det_cases:
+        calls.clear()
+        assert linalg.rank(mat) == rank
+        assert len(calls) <= max(rank - 1, 0)
+        most = max(most, len(calls))
+        if det is not None:
+            calls.clear()
+            assert linalg.det(mat) == det
+            assert len(calls) <= max(rank - 1, 0)
+    assert most > 1
+
+
+@pytest.mark.parametrize("n", [24, 32])
+def test_rank_and_det_of_dense_integer_matrices_at_the_dimension_limit(n):
+    """Bareiss keeps every entry a minor, so a dense 32 x 32 integer matrix
+    takes a fraction of a second; |det| is the product of the Hermite
+    diagonal."""
+    rng = random.Random(7650 + n)
+    mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    hermite = hermite_by_pairs([list(row) for row in mat], n)
+    assert linalg.rank(mat) == n
+    assert abs(linalg.det(mat)) == math.prod(row[i] for i, row in enumerate(hermite))
+    repeated = mat[:-1] + [mat[0]]
+    assert linalg.rank(repeated) == n - 1
+    assert linalg.det(repeated) == 0
 
 
 # int input: exact Fraction results, equal to those of the same Fraction input
@@ -488,15 +504,6 @@ def test_int_input_matches_fraction_input(seed):
 # hnf is the H of hnf_with_transform, without the transform
 
 
-def _unimodular(t):
-    """Whether the integer matrix t has |det t| = 1: it is invertible with an
-    integer inverse, as det t * det t^-1 = 1 with both integers.  The
-    fraction-free inverse stays fast where `det`, which does not divide,
-    meets the large entries of a transform."""
-    inv = linalg.inverse(t)
-    return inv is not None and all(x.denominator == 1 for row in inv for x in row)
-
-
 def hnf_split_case(seed):
     """The kernels benchmark shape (k + 4) x k for k = 4, 8, 12, then seeded
     matrices of at most 8 x 8 with zero entries, every third one a product
@@ -524,7 +531,7 @@ def test_hnf_is_the_nonzero_rows_of_hnf_with_transform(seed):
     h, t = linalg.hnf_with_transform(mat)
     assert linalg.hnf(mat) == [row for row in h if any(row)]
     assert linalg.matmul(t, mat) == h
-    assert _unimodular(t)
+    assert abs(linalg.det(t)) == 1
     width = len(mat[0])
     by_pairs = hermite_by_pairs([list(row) + [0] * len(mat) for row in mat], width)
     assert h == [row[:width] for row in by_pairs]

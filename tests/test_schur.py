@@ -27,7 +27,7 @@ from invlat.schur import (
 )
 
 
-from generated_groups import D8_GENS, F21, GENERATED, Q8_GENS, SD16, tensor_group
+from generated_groups import D8_GENS, F21, GENERATED, Q8_GENS, SD16, dihedral, tensor_group
 from oracles import (
     averaged_bilinear_form,
     euler_phi,
@@ -469,6 +469,31 @@ def test_index_one_groups_over_a_larger_field_get_clause_c_i(name):
         report = analyze(LARGER_FIELD_GROUPS[name], seed=seed)
         verdict = (report["profile"]["schur_index"], report["verdict"]["clause"])
         assert verdict == (1, "c-i"), (name, seed)
+
+
+# The dihedral groups G(m,m,2) at conductor m: Schur index 1 for every m,
+# and a rational character field, so clause c-i, exactly for m = 3, 4, 6.
+# On the seeds below the descent ends at index 2 and raises (ROADMAP open
+# item 1).
+DIHEDRAL_DESCENT_FAILS = {
+    (3, 1), (6, 1), (5, 1), (5, 3), (10, 1), (10, 3),
+    *((m, seed) for m in (8, 12) for seed in (1, 2, 3)),
+    *((m, seed) for m in (7, 9, 11) for seed in range(4)),
+}
+
+
+@pytest.mark.parametrize("m, seed", [
+    pytest.param(m, seed, marks=pytest.mark.xfail(
+        strict=True, raises=InternalConsistencyError,
+        reason="ROADMAP item 1: the randomized Schur descent misses the minimal module",
+    )) if (m, seed) in DIHEDRAL_DESCENT_FAILS else (m, seed)
+    for m in range(3, 13) for seed in range(4)
+])
+def test_dihedral_groups_get_schur_index_1(m, seed):
+    report = analyze(dihedral(m), seed=seed)
+    assert report["group"]["order"] == 2 * m
+    verdict = (report["profile"]["schur_index"], report["verdict"]["clause"])
+    assert verdict == (1, "c-i" if m in (3, 4, 6) else "none")
 
 
 @pytest.mark.parametrize("name", sorted(LARGER_FIELD_GROUPS) + CATALOG_GROUPS)
