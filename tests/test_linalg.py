@@ -403,19 +403,8 @@ def test_rank_matches_rref(conductor):
     assert linalg.rank([]) == 0
 
 
-def test_rank_and_det_invert_at_most_once_per_pivot_after_the_first(monkeypatch):
-    """The Bareiss division takes one reciprocal of the previous pivot per
-    pivot after the first, so at most rank - 1 in all."""
-    rng = random.Random(7600)
-    rank_cases = [(m, len(rref_divide_each_entry(m)[0]), None)
-                  for conductor in (3, 4, 12) for m in seeded_matrices(rng, conductor, 10)]
-    rng = random.Random(7200)
-    det_cases = []
-    for conductor in (3, 5, 12):
-        for _ in range(10):
-            n = rng.randint(1, 4)
-            mat = [[seeded_entry(rng, conductor) for _ in range(n)] for _ in range(n)]
-            det_cases.append((mat, len(rref_divide_each_entry(mat)[0]), det_by_cofactors(mat)))
+def count_inverse_calls(monkeypatch):
+    """Route CycNum.inverse through a counter; return the list it appends to."""
     calls = []
     real = CycNum.inverse
 
@@ -424,16 +413,41 @@ def test_rank_and_det_invert_at_most_once_per_pivot_after_the_first(monkeypatch)
         return real(self)
 
     monkeypatch.setattr(CycNum, "inverse", counting)
+    return calls
+
+
+def test_det_inverts_at_most_once_per_pivot_after_the_first(monkeypatch):
+    """The Bareiss division takes one reciprocal of the previous pivot per
+    pivot after the first, so at most rank - 1 in all."""
+    rng = random.Random(7200)
+    cases = []
+    for conductor in (3, 5, 12):
+        for _ in range(10):
+            n = rng.randint(1, 4)
+            mat = [[seeded_entry(rng, conductor) for _ in range(n)] for _ in range(n)]
+            cases.append((mat, len(rref_divide_each_entry(mat)[0]), det_by_cofactors(mat)))
+    calls = count_inverse_calls(monkeypatch)
     most = 0
-    for mat, rank, det in rank_cases + det_cases:
+    for mat, rank, det in cases:
+        calls.clear()
+        assert linalg.det(mat) == det
+        assert len(calls) <= max(rank - 1, 0)
+        most = max(most, len(calls))
+    assert most > 1
+
+
+def test_rank_inverts_at_most_once_per_pivot_after_the_first(monkeypatch):
+    """As for det: at most rank - 1 reciprocals, one per pivot after the first."""
+    rng = random.Random(7600)
+    mats = [m for conductor in (3, 4, 12) for m in seeded_matrices(rng, conductor, 10)]
+    expected = [len(rref_divide_each_entry(m)[0]) for m in mats]
+    calls = count_inverse_calls(monkeypatch)
+    most = 0
+    for mat, rank in zip(mats, expected):
         calls.clear()
         assert linalg.rank(mat) == rank
         assert len(calls) <= max(rank - 1, 0)
         most = max(most, len(calls))
-        if det is not None:
-            calls.clear()
-            assert linalg.det(mat) == det
-            assert len(calls) <= max(rank - 1, 0)
     assert most > 1
 
 
