@@ -27,7 +27,7 @@ from .errors import (
     InvalidInputError,
 )
 from .groups import DEFAULT_CAP
-from .report import analyze, group_report, render_json
+from .report import GroupAnalysis, analyze, render_json
 
 
 def _load_target(target: str):
@@ -169,46 +169,41 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _entry_report(args, c=None):
-    """(entry, report) for the catalog group named by args.target; the
-    doubling scalar text c is parsed once the group is closed."""
+def _catalog_analysis(args, c=None) -> GroupAnalysis:
+    """The analysis of the catalog group named by args.target; the doubling
+    scalar text c is parsed once the group is closed."""
     entry = get_entry(args.target)
     if entry.kind != "group":
         raise InvalidInputError(
             f"{entry.name} is a quaternion-torus preset; use analyze"
         )
     group = entry.group(cap=args.cap)
-    rep = group_report(
-        group,
-        name=entry.name,
-        entry=entry,
-        doubling_scalar=None if c is None else parse_scalar(c),
-        seed=args.seed,
-    )
-    return entry, rep
+    scalar = None if c is None else parse_scalar(c)
+    return GroupAnalysis(group, entry=entry, doubling_scalar=scalar, seed=args.seed)
 
 
 def _cmd_construct(args) -> int:
-    entry, rep = _entry_report(args, c=args.c)
-    wanted = [e for e in rep["lattices"] if e["recipe"] == args.recipe]
+    analysis = _catalog_analysis(args, c=args.c)
+    name, built = analysis.entry.name, analysis.lattices.entries
+    wanted = [e for e in built if e["recipe"] == args.recipe]
     if not wanted:
-        built = ", ".join(e["recipe"] for e in rep["lattices"]) or "none"
+        recipes = ", ".join(e["recipe"] for e in built) or "none"
         raise InvalidInputError(
-            f"recipe {args.recipe} does not apply to {entry.name} "
-            f"(clause {rep['verdict']['clause']}; built: {built})"
+            f"recipe {args.recipe} does not apply to {name} "
+            f"(clause {analysis.verdict.clause}; built: {recipes})"
         )
     out = wanted[0]
-    if args.c is not None and out.get("scalar") != str(parse_scalar(args.c)):
+    if args.c is not None and out.get("scalar") != str(analysis.doubling_scalar):
         # only the ds lattice of a rationally represented group takes --c
         used = "no doubling scalar" if "scalar" not in out else f"scalar {out['scalar']}"
         raise InvalidInputError(
             f"--c {args.c} does not apply: the {out['recipe']} lattice of "
-            f"{entry.name} is built with {used}"
+            f"{name} is built with {used}"
         )
     if args.json:
         print(render_json(out))
     else:
-        _print_kv("entry", entry.name)
+        _print_kv("entry", name)
         _print_kv("recipe", out["recipe"])
         _print_kv("rank", out["rank"])
         _print_kv("invariant", out["invariant"])
@@ -222,16 +217,16 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    entry, rep = _entry_report(args)
-    if rep["reflection"] is None:
+    analysis = _catalog_analysis(args)
+    r = analysis.geometry
+    if r is None:
         raise InvalidInputError(
-            f"{entry.name} has no reflection decomposition "
+            f"{analysis.entry.name} has no reflection decomposition "
             "(no rank-2n lattice or not a reflection group)"
         )
     if args.json:
-        print(render_json(rep["reflection"]))
+        print(render_json(r))
         return 0
-    r = rep["reflection"]
     for line in r["lines"]:
         ring = line["multiplier"]
         ring_text = "Z" if ring is None or ring["kind"] == "Z" else (

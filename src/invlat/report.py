@@ -1,15 +1,16 @@
 """Analysis pipeline assembling full torus reports.
 
-A report is a plain dict (schema tag "torus-report/1") that records, for one
-input, the character profile, the lattice-existence verdict, the lattices
-actually constructed with their recipe tags, the reflection-torus analysis
-when one applies, and the structure conclusion for the quotient tori.
-All values are exact; scalars are rendered as strings.
+A report is a plain dict (schema tag "torus-report/1"): the character
+profile, the lattice-existence verdict, the lattices built with their recipe
+tags, the reflection-torus analysis when one applies, and the structure of
+the quotient tori, all exact, with scalars as strings.  A group's report is
+read off a `GroupAnalysis`, whose stages are each computed once, on first read.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 from .catalog import CatalogEntry, get_entry, quaternion_preset
 from .cyclotomic import CycNum, zeta
@@ -24,7 +25,6 @@ from .forge import (
 )
 from .groups import DEFAULT_CAP, GroupRep, find_reflections, group_from_json
 from .lattices import (
-    MultiplierRing,
     RankTwoLattice,
     ZLattice,
     invariance_check,
@@ -39,10 +39,14 @@ from .quaternion import (
     torus_endomorphisms,
 )
 from .reflections import GeomReport, geom_report
+from .records import Record
 from .schur import (
     CharacterProfile,
+    LatticeVerdict,
+    SchurWitness,
     character_profile,
     lattice_existence_verdict,
+    schur_index,
 )
 
 SCHEMA = "torus-report/1"
@@ -52,15 +56,14 @@ def _vec(v) -> list:
     return [str(x) for x in v]
 
 
-def _ring_json(ring: MultiplierRing | None):
-    if ring is None:
+def _fields_json(record: Record | None) -> dict | None:
+    """A record's fields by name, each CycNum as its string, or None for None:
+    the section of a record whose other values are plain JSON values."""
+    if record is None:
         return None
     return {
-        "kind": ring.kind,
-        "discriminant": ring.discriminant,
-        "fundamental_discriminant": ring.fundamental_discriminant,
-        "order_conductor": ring.order_conductor,
-        "generator": None if ring.generator is None else str(ring.generator),
+        name: str(value) if isinstance(value, CycNum) else value
+        for name, value in zip(record._fields, record._values())
     }
 
 
@@ -69,16 +72,9 @@ def _rank_two_json(gamma: RankTwoLattice) -> dict:
 
 
 def _profile_json(profile: CharacterProfile) -> dict:
-    field = profile.field
     gcd_cert = profile.gcd_certificate
     return {
-        "character_field": {
-            "kind": field.kind,
-            "degree": field.degree,
-            "discriminant": field.discriminant,
-            "real_valued": field.real_valued,
-            "generator": None if field.generator is None else str(field.generator),
-        },
+        "character_field": _fields_json(profile.field),
         "frobenius_schur": profile.bilinear.indicator,
         "bilinear_form": profile.bilinear.kind,
         "schur_index": profile.schur.index,
@@ -90,20 +86,12 @@ def _profile_json(profile: CharacterProfile) -> dict:
     }
 
 
-def _order_json(order: ImaginaryQuadraticOrder) -> dict:
-    return {
-        "discriminant": order.discriminant,
-        "generator": str(order.generator),
-        "euclidean": order.euclidean,
-    }
-
-
 def _split_json(split: OrderSplit) -> dict:
     """Every factor O*v_k is the order itself, so the scalar 1 carries
     factor 0 onto each of the others."""
     k = len(split.basis)
     return {
-        "order": _order_json(split.order),
+        "order": _fields_json(split.order),
         "module_rank": k,
         "basis": [_vec(v) for v in split.basis],
         "factors": [_rank_two_json(split.order.lattice)] * k,
@@ -124,7 +112,7 @@ def _geom_json(geom: GeomReport) -> dict:
                 "theta": str(line.reflection.theta),
                 "rank": line.lattice.rank,
                 "scalars": None if line.scalars is None else _rank_two_json(line.scalars),
-                "multiplier": _ring_json(line.multiplier),
+                "multiplier": _fields_json(line.multiplier),
             }
         )
     return {
@@ -132,10 +120,7 @@ def _geom_json(geom: GeomReport) -> dict:
         "sublattice_index": dec.index,
         "s_det": str(dec.s_det),
         "graph": {
-            "edges": [
-                {"source": e.source, "target": e.target, "index": e.index}
-                for e in geom.graph.edges
-            ],
+            "edges": [_fields_json(edge) for edge in geom.graph.edges],
             "connected": geom.graph.connected,
         },
         "cycle_multipliers": [
@@ -148,36 +133,39 @@ def _geom_json(geom: GeomReport) -> dict:
             "cycle": list(geom.cm.cycle),
             "value": str(geom.cm.value),
             "line_index": geom.cm.line_index,
-            "ring": _ring_json(geom.cm.ring),
+            "ring": _fields_json(geom.cm.ring),
         },
         "weyl_like": geom.weyl_like,
         "tags": list(geom.tags),
     }
 
 
-def _lattice_entry(recipe: str, lattice: ZLattice, invariant: bool, **extra) -> dict:
+def _lattice_entry(recipe: str, lattice: ZLattice, **extra) -> dict:
+    """A report entry.  Every lattice a recipe returns is invariant: by its
+    orbit closure, because its base is, or by a check on the generators."""
     entry = {
         "recipe": recipe,
         "rank": lattice.rank,
-        "invariant": invariant,
+        "invariant": True,
         "lattice": lattice_to_json(lattice),
     }
     entry.update(extra)
     return entry
 
 
-def _doubled(group: GroupRep, base: ZLattice, c: CycNum):
+def _doubled(base: ZLattice, c: CycNum):
     """(lattice, ds entry, split or None) for the doubled lattice base + c*base.
 
-    The basis b_1..b_n of base is a C-basis, so the doubled lattice is the
-    direct sum of the (Z + Zc)*b_j: `extend_rank_2n` checked that the rank
-    doubled.  When c lies in the multiplier ring O of Z + Zc, Z + Zc is O
-    and the base basis is the split; otherwise Z + Zc is a fractional ideal
-    of O, split by Euclidean reduction when O is Euclidean.
+    When base is G-invariant, so is the doubled lattice, by linearity:
+    g(b + c*b') = g(b) + c*g(b').  The basis b_1..b_n of base is a C-basis,
+    so the doubled lattice is the direct sum of the (Z + Zc)*b_j:
+    `extend_rank_2n` checked that the rank doubled.  When c lies in the
+    multiplier ring O of Z + Zc, Z + Zc is O and the base basis is the split;
+    otherwise Z + Zc is a fractional ideal of O, split by Euclidean reduction
+    when O is Euclidean.
     """
     doubled = extend_rank_2n(base, c)
-    invariant = invariance_check(doubled, group.sparse_generators)
-    entry = _lattice_entry("ds", doubled, invariant, scalar=str(c))
+    entry = _lattice_entry("ds", doubled, scalar=str(c))
     split = None
     ring = multiplier_ring(RankTwoLattice(1, c))
     if ring.kind != "Z":
@@ -189,130 +177,163 @@ def _doubled(group: GroupRep, base: ZLattice, c: CycNum):
     return doubled, entry, split
 
 
-def group_report(
-    group: GroupRep,
-    *,
-    name: str | None = None,
-    entry: CatalogEntry | None = None,
-    doubling_scalar: CycNum | None = None,
-    seed: int = 0,
-) -> dict:
-    """Analyze one irreducible group: profile, verdict, lattices, structure."""
-    n = group.dimension
-    profile = character_profile(group, seed=seed)
-    verdict = lattice_existence_verdict(profile, n)
+class LatticeStage(Record):
+    """What the verdict's recipes built, and the structure read off it."""
 
-    lattices = []
-    tags = []
-    abelian = None
-    detail = ""
-    rank_2n_lattice = None
-    split = None
+    entries: list  # report entries, in recipe order
+    rank_2n: ZLattice | None  # the lattice the reflection stage decomposes
+    split: OrderSplit | None
+    tags: list
+    abelian: bool | None
+    detail: str
 
-    if verdict.clause == "c-i" and profile.field.kind == "rational":
-        base = construct_rank_n(group, profile.schur.basis)
-        # the orbit lattices of forge are invariant by their construction
-        lattices.append(_lattice_entry("Zn", base, True))
-        c = doubling_scalar if doubling_scalar is not None else zeta(4)
-        rank_2n_lattice, ds_entry, split = _doubled(group, base, c)
-        lattices.append(ds_entry)
-        if split is None:
-            detail = "doubled lattice built; no split certificate for this scalar"
-        else:
-            abelian = True
+
+class GroupAnalysis(Record):
+    """One irreducible group's analysis, each stage computed on first read.
+
+    The stages follow the decision: the character profile, the verdict it
+    gives, the lattices the verdict's recipes build, and the reflection
+    geometry of the rank-2n lattice.  `report` reads them all; `construct`
+    reads only the lattices, and `decompose` the lattices and the geometry.
+    The Schur descent runs in the profile only where theory leaves the index
+    open, and otherwise only when the `Zn` recipe reads the witness, so at
+    most once per analysis.
+    """
+
+    group: GroupRep
+    entry: CatalogEntry | None = None  # the catalog entry, for its name and ds preset
+    doubling_scalar: CycNum | None = None  # c of the Zn lattice's ds, z4 if None
+    seed: int = 0
+
+    @cached_property
+    def profile(self) -> CharacterProfile:
+        return character_profile(self.group, seed=self.seed)
+
+    @cached_property
+    def verdict(self) -> LatticeVerdict:
+        return lattice_existence_verdict(self.profile, self.group.dimension)
+
+    @cached_property
+    def witness(self) -> SchurWitness:
+        """A descent to a minimal rational module: the profile's, or one
+        that stops at the index theory settled."""
+        schur = self.profile.schur
+        if schur.basis:
+            return schur
+        return schur_index(
+            self.group, self.profile.field.degree, seed=self.seed, known_index=schur.index
+        )
+
+    @cached_property
+    def lattices(self) -> LatticeStage:
+        """The lattices of the recipes the verdict allows, and their structure."""
+        group, profile, n = self.group, self.profile, self.group.dimension
+        clause = self.verdict.clause
+        if clause == "c-i" and profile.field.kind == "rational":
+            base = construct_rank_n(group, self.witness.basis)
+            c = self.doubling_scalar if self.doubling_scalar is not None else zeta(4)
+            doubled, ds_entry, split = _doubled(base, c)
+            entries = [_lattice_entry("Zn", base), ds_entry]
+            if split is None:
+                detail = "doubled lattice built; no split certificate for this scalar"
+                return LatticeStage(entries, doubled, None, [], None, detail)
             detail = (
                 "the doubled lattice is a free module over an imaginary quadratic "
                 "order, so the torus is an abelian variety with CM factors"
             )
-    elif verdict.clause == "c-i":
-        order = ImaginaryQuadraticOrder.from_discriminant(profile.field.discriminant)
-        start = tuple(
-            CycNum.rational(1 if k == 0 else 0) for k in range(n)
-        )
-        orbit = orbit_lattice_over_order(group, order, start, profile.field)
-        orbit_entry = _lattice_entry("O", orbit, True, order=_order_json(order))
-        # the orbit lattice is already order-stable, so saturating it is the
-        # identity: the saturate entry repeats it with index 1
-        lattices += [
-            orbit_entry,
-            dict(orbit_entry, recipe="saturate", index_over_input=1),
-        ]
-        rank_2n_lattice = orbit
-        tags.append("nonrationalT")
-        abelian = True
-        detail = (
-            "the character field is imaginary quadratic, so every invariant "
-            "lattice yields an abelian variety with CM"
-        )
-        if order.euclidean:
-            split = split_as_order_module(orbit, order)
-            tags.append("main2")
-            detail += "; the saturated lattice splits into CM line lattices"
-    elif verdict.clause == "c-ii":
-        tags.append("ratL")
-        if entry is not None and entry.ds_base is not None:
-            base = lattice_from_generators(
-                [
-                    tuple(CycNum.rational(x) for x in row)
-                    for row in entry.ds_base
-                ]
+            return LatticeStage(entries, doubled, split, [], True, detail)
+        if clause == "c-i":
+            order = ImaginaryQuadraticOrder.from_discriminant(profile.field.discriminant)
+            start = tuple(CycNum.rational(1 if k == 0 else 0) for k in range(n))
+            orbit = orbit_lattice_over_order(group, order, start, profile.field)
+            orbit_entry = _lattice_entry("O", orbit, order=_fields_json(order))
+            # the orbit lattice is already order-stable, so saturating it is
+            # the identity: the saturate entry repeats it with index 1
+            entries = [orbit_entry, dict(orbit_entry, recipe="saturate", index_over_input=1)]
+            detail = (
+                "the character field is imaginary quadratic, so every invariant "
+                "lattice yields an abelian variety with CM"
             )
-            rank_2n_lattice, ds_entry, split = _doubled(group, base, entry.ds_scalar)
-            if not ds_entry["invariant"]:
-                raise InvalidInputError(
-                    "preset doubling lattice is not invariant under the group"
+            if not order.euclidean:
+                return LatticeStage(entries, orbit, None, ["nonrationalT"], True, detail)
+            detail += "; the saturated lattice splits into CM line lattices"
+            split = split_as_order_module(orbit, order)
+            return LatticeStage(entries, orbit, split, ["nonrationalT", "main2"], True, detail)
+        if clause == "c-ii":
+            entries, doubled, split = [], None, None
+            if self.entry is not None and self.entry.ds_base is not None:
+                base = lattice_from_generators(
+                    [tuple(CycNum.rational(x) for x in row) for row in self.entry.ds_base]
                 )
-            lattices.append(ds_entry)
-        rverdict = ratl_verdict(profile, n, evidence=split)
-        abelian = rverdict.abelian
-        detail = rverdict.detail
-    else:
+                doubled, ds_entry, split = _doubled(base, self.entry.ds_scalar)
+                # no rank-n lattice is invariant here, so the preset's doubled
+                # lattice is checked itself
+                if not invariance_check(doubled, group.sparse_generators):
+                    raise InvalidInputError(
+                        "preset doubling lattice is not invariant under the group"
+                    )
+                entries.append(ds_entry)
+            rverdict = ratl_verdict(profile, n, evidence=split)
+            return LatticeStage(
+                entries, doubled, split, ["ratL"], rverdict.abelian, rverdict.detail
+            )
         detail = "no nonzero invariant lattice exists for this representation"
+        return LatticeStage([], None, None, [], None, detail)
 
-    reflection = None
-    inventory = find_reflections(group)
-    if rank_2n_lattice is not None and inventory:
+    @cached_property
+    def reflections(self) -> list:
+        return find_reflections(self.group)
+
+    @cached_property
+    def geometry(self) -> dict | None:
+        """The reflection section: the decomposition of the rank-2n lattice,
+        or None without one or when no n reflections generate the group."""
+        lattice = self.lattices.rank_2n
+        if lattice is None or not self.reflections:
+            return None
         try:
-            geom = geom_report(group, rank_2n_lattice, profile.field)
-            reflection = _geom_json(geom)
-            tags.append("geom")
+            return _geom_json(geom_report(self.group, lattice, self.profile.field))
         except OutOfScopeError:  # no n reflections generate the group
-            reflection = None
+            return None
 
-    report = {
-        "schema": SCHEMA,
-        "input": {
-            "name": name,
-            "kind": "group",
-            "dimension": n,
-        },
-        "group": {
-            "order": group.order,
-            "dimension": n,
-            "conductor": group.conductor,
-            "reflections": len(inventory),
-        },
-        "profile": _profile_json(profile),
-        "verdict": {
-            "clause": verdict.clause,
-            "exists_any": verdict.exists_any,
-            "exists_rank_n": verdict.exists_rank_n,
-            "exists_rank_2n": verdict.exists_rank_2n,
-        },
-        "lattices": lattices,
-        "split": None if split is None else _split_json(split),
-        "reflection": reflection,
-        "quaternion": None,
-        "structure": {"tags": tags, "abelian": abelian, "detail": detail},
-    }
-    return report
+    def report(self) -> dict:
+        """The full report: profile, verdict, lattices, split, geometry and
+        structure."""
+        group, n = self.group, self.group.dimension
+        profile, verdict, stage = self.profile, self.verdict, self.lattices
+        reflections, geometry = self.reflections, self.geometry
+        return {
+            "schema": SCHEMA,
+            "input": {
+                "name": None if self.entry is None else self.entry.name,
+                "kind": "group",
+                "dimension": n,
+            },
+            "group": {
+                "order": group.order,
+                "dimension": n,
+                "conductor": group.conductor,
+                "reflections": len(reflections),
+            },
+            "profile": _profile_json(profile),
+            "verdict": _fields_json(verdict),
+            "lattices": list(stage.entries),
+            "split": None if stage.split is None else _split_json(stage.split),
+            "reflection": geometry,
+            "quaternion": None,
+            "structure": {
+                "tags": stage.tags + ([] if geometry is None else ["geom"]),
+                "abelian": stage.abelian,
+                "detail": stage.detail,
+            },
+        }
 
 
 def quaternion_report(name: str) -> dict:
     """Analyze one quaternion-torus preset: endomorphisms and the verdict.
 
-    The profile is Q8's, whose indicator -1 fixes Schur index 2 before the
-    descent draws anything, so no seed is taken.  Q8 is a fixed reference
+    The profile is Q8's, whose indicator -1 fixes Schur index 2, so no
+    descent runs and no seed is taken.  Q8 is a fixed reference
     of order 8, closed under the default cap: the input names no group for
     a cap to bound."""
     entry = get_entry(name)
@@ -321,11 +342,9 @@ def quaternion_report(name: str) -> dict:
     endos = torus_endomorphisms(torus)
     subfield = imaginary_quadratic_subfield(algebra)
 
-    reference = get_entry("Q8").group()
-    profile = character_profile(reference)
+    profile = character_profile(get_entry("Q8").group())
     rverdict = ratl_verdict(profile, 2, evidence=endos)
 
-    tags = ["deform", "ratL"]
     quaternion = {
         "algebra": {
             "a": str(algebra.a),
@@ -342,19 +361,8 @@ def quaternion_report(name: str) -> dict:
             "witness": _vec(subfield.witness.coords),
             "field_discriminant": subfield.field_discriminant,
         },
-        "endomorphisms": {
-            "rank": endos.rank,
-            "structure_tag": endos.structure_tag,
-            "abelian": endos.abelian,
-            "matches_input_lattice": endos.matches_input_lattice,
-            "center_discriminant": endos.center_discriminant,
-            "detail": endos.detail,
-        },
-        "verdict": {
-            "branch": rverdict.branch,
-            "abelian": rverdict.abelian,
-            "detail": rverdict.detail,
-        },
+        "endomorphisms": _fields_json(endos),
+        "verdict": _fields_json(rverdict),
     }
     return {
         "schema": SCHEMA,
@@ -367,7 +375,7 @@ def quaternion_report(name: str) -> dict:
         "reflection": None,
         "quaternion": quaternion,
         "structure": {
-            "tags": tags,
+            "tags": ["deform", "ratL"],
             "abelian": endos.abelian,
             "detail": endos.detail,
         },
@@ -383,11 +391,9 @@ def analyze(target, *, seed: int = 0, cap: int = DEFAULT_CAP) -> dict:
         entry = get_entry(target)
         if entry.kind == "quaternion-torus":
             return quaternion_report(target)
-        group = entry.group(cap=cap)
-        return group_report(group, name=target, entry=entry, seed=seed)
+        return GroupAnalysis(entry.group(cap=cap), entry=entry, seed=seed).report()
     if isinstance(target, dict):
-        group = group_from_json(target, cap=cap)
-        return group_report(group, seed=seed)
+        return GroupAnalysis(group_from_json(target, cap=cap), seed=seed).report()
     raise InvalidInputError(f"cannot analyze {type(target).__name__}")
 
 

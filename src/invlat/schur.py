@@ -1,10 +1,12 @@
 """Character-level invariants of an irreducible matrix group.
 
 Covers the character field and its classification, the invariant-bilinear-form
-type via the Frobenius-Schur indicator, the Schur index by rational orbit-span
-descent (cut short where a gcd-of-kernel-dimensions certificate or the
-Frobenius-Schur bound settles it), and the final verdict on which
-invariant-lattice ranks can exist.
+type via the Frobenius-Schur indicator, the Schur index, and the final verdict
+on which invariant-lattice ranks can exist.  Where a gcd-of-kernel-dimensions
+certificate or the Frobenius-Schur bound settles the index, the profile takes
+it from theory; only an open index runs the rational orbit-span descent.  The
+descent to a rational-form witness, which the `Zn` recipe reads, is a separate
+call of `schur_index`.
 
 The field's degree is read off the automorphisms of Q(z_N) that fix every
 class value, and an imaginary-quadratic discriminant off (gen - conj gen)^2.
@@ -45,7 +47,7 @@ class BilinearFormType(Record):
 class SchurWitness(Record):
     index: int
     module_dimension: int
-    basis: tuple  # complex vectors spanning the minimal module found
+    basis: tuple  # complex vectors spanning the minimal module; () if no descent ran
     stable_passes: int
 
 
@@ -54,10 +56,6 @@ class CharacterProfile(Record):
     bilinear: BilinearFormType
     schur: SchurWitness
     gcd_certificate: tuple | None  # gcd_kernel_shortcut, computed once
-
-    @property
-    def schur_index(self) -> int:
-        return self.schur.index
 
 
 class LatticeVerdict(Record):
@@ -208,7 +206,7 @@ def schur_index(
     `classify_character_field` gives.
 
     `known_index` is an index that theory has already fixed (see
-    `character_profile`).  Every nonzero G-stable rational subspace then has
+    `_settled_index`).  Every nonzero G-stable rational subspace then has
     dimension at least known_index * degree * n, so the descent stops as soon
     as its span has that dimension: no later pass could shrink it, and the
     basis is the one the full descent returns.  `stable_passes` still records
@@ -333,8 +331,10 @@ def _settled_index(field: CharacterFieldClass, bilinear: BilinearFormType, gcd_c
 
 def character_profile(group: GroupRep, seed: int = 0) -> CharacterProfile:
     """Field class, bilinear type, gcd certificate and Schur index, with
-    consistency checks.  The certificate is computed before the descent, and
-    the index it or the Frobenius-Schur bound settles ends the descent early."""
+    consistency checks.  Where the certificate or the Frobenius-Schur bound
+    settles the index m, no descent runs: the module dimension is m*d*n, the
+    witness basis is empty and `stable_passes` is the required count.  Only
+    an open index runs the descent, on `seed`."""
     norm = character_norm(group)
     if norm != 1:
         raise InvalidInputError(
@@ -343,21 +343,16 @@ def character_profile(group: GroupRep, seed: int = 0) -> CharacterProfile:
     field = classify_character_field(group)
     bilinear = bilinear_type(group)
     gcd_cert = gcd_kernel_shortcut(group)
-    schur = schur_index(
-        group,
-        field.degree,
-        seed=seed,
-        known_index=_settled_index(field, bilinear, gcd_cert),
-    )
-    if field.kind == "rational" and field.degree != 1:
-        raise InternalConsistencyError("rational field with degree > 1")
-    if field.kind == "imaginary-quadratic" and (field.degree != 2 or field.real_valued):
-        raise InternalConsistencyError("imaginary-quadratic class mis-built")
-    if field.kind != "rational" and not field.real_valued:
-        if bilinear.kind != "complex":
-            raise InternalConsistencyError(
-                "non-real character admits an invariant bilinear form"
-            )
+    known = _settled_index(field, bilinear, gcd_cert)
+    if known is None:
+        schur = schur_index(group, field.degree, seed=seed)
+    else:
+        dim = known * field.degree * group.dimension
+        schur = SchurWitness(known, dim, (), REQUIRED_STABLE_PASSES)
+    if not field.real_valued and bilinear.kind != "complex":
+        raise InternalConsistencyError(
+            "non-real character admits an invariant bilinear form"
+        )
     if field.real_valued and schur.index > 2:
         raise InternalConsistencyError(
             "real-valued character with Schur index above 2"

@@ -24,10 +24,9 @@ from invlat.lattices import (
     scale_lattice,
 )
 from invlat.groups import group_from_json
+from invlat.report import GroupAnalysis
 from invlat.schur import (
-    character_profile,
     classify_character_field,
-    lattice_existence_verdict,
     schur_index,
 )
 
@@ -180,11 +179,12 @@ def test_orbit_lattices_match_all_elements_oracle():
     groups += [(name, group_from_json(obj)) for name, (obj, _) in GENERATED.items()]
     recipes = set()
     for name, group in groups:
-        profile = character_profile(group)
-        if lattice_existence_verdict(profile, group.dimension).clause != "c-i":
+        analysis = GroupAnalysis(group)
+        profile = analysis.profile
+        if analysis.verdict.clause != "c-i":
             continue
         if profile.field.kind == "rational":
-            witness = profile.schur.basis
+            witness = analysis.witness.basis
             lattice = construct_rank_n(group, witness)
             assert lattice == orbit_lattice_all_elements(group, witness), name
             recipes.add("Zn")
@@ -217,10 +217,12 @@ def test_orbit_lattice_stops_on_containment(monkeypatch, name):
     # back unchanged: every build is a strictly larger lattice, and the last
     # one is the result
     group = group_from_json(GENERATED[name][0])
-    profile = character_profile(group)
+    analysis = GroupAnalysis(group)
+    profile = analysis.profile
     if profile.field.kind == "rational":
-        seeds = [tuple(v) for v in profile.schur.basis]
-        run = lambda: construct_rank_n(group, profile.schur.basis)  # noqa: E731
+        witness = analysis.witness.basis
+        seeds = [tuple(v) for v in witness]
+        run = lambda: construct_rank_n(group, witness)  # noqa: E731
     else:
         order = ImaginaryQuadraticOrder.from_discriminant(profile.field.discriminant)
         start = five_starts(group.dimension)[0]

@@ -107,11 +107,19 @@ def test_ds_preset_is_checked_once(monkeypatch):
     monkeypatch.setattr(report, "invariance_check", lambda lattice, matrices: False)
     with pytest.raises(InvalidInputError, match="preset doubling lattice is not invariant"):
         analyze("Q8")
+    # Q8 has no invariant rank-n lattice, so the preset base Z^2 is not
+    # invariant, and the check cannot move from the doubled lattice to it
+    entry = get_entry("Q8")
+    base = lattice_from_generators(
+        [tuple(CycNum.rational(x) for x in row) for row in entry.ds_base]
+    )
+    assert not invariance_check(base, entry.group().sparse_generators)
 
 
 def test_orbit_lattices_take_invariance_from_their_construction(monkeypatch):
     # the Zn and O lattices are closed under the generators as they are
-    # built; only the doubled lattice is checked
+    # built, and Zn + c*Zn is invariant by linearity; only Q8's preset
+    # doubled lattice, over a base that is not invariant, is checked
     calls = []
 
     def counting(lattice, matrices):
@@ -119,7 +127,7 @@ def test_orbit_lattices_take_invariance_from_their_construction(monkeypatch):
         return invariance_check(lattice, matrices)
 
     monkeypatch.setattr(report, "invariance_check", counting)
-    for name, checks in (("S3-standard", [4]), ("G4", [])):
+    for name, checks in (("S3-standard", []), ("G4", []), ("Q8", [4])):
         calls.clear()
         rep = analyze(name)
         assert calls == checks, name
@@ -223,7 +231,7 @@ def test_ds_split_is_the_euclidean_split(ds_bases, c):
         "Q8", "S3-standard", "S4-standard", "WeylA2", "WeylB2", "WeylB3",
     ]
     for name, (group, base) in ds_bases.items():
-        doubled, _, split = report._doubled(group, base, parse_scalar(c))
+        doubled, _, split = report._doubled(base, parse_scalar(c))
         assert split.basis == base.vectors(), name
         assert split == split_as_order_module(doubled, split.order), name
 
@@ -231,9 +239,9 @@ def test_ds_split_is_the_euclidean_split(ds_bases, c):
 @pytest.mark.parametrize("c, disc", [("2*z4", -16), ("1+2*z4", -16), ("2*z3", -12)])
 def test_a_non_euclidean_scalar_order_splits_on_the_base_basis(c, disc):
     entry = get_entry("S3-standard")
-    rep = report.group_report(
-        entry.group(), name=entry.name, entry=entry, doubling_scalar=parse_scalar(c)
-    )
+    rep = report.GroupAnalysis(
+        entry.group(), entry=entry, doubling_scalar=parse_scalar(c)
+    ).report()
     base = lattice_from_json(rep["lattices"][0]["lattice"])
     split = rep["split"]
     assert split["order"]["discriminant"] == disc
@@ -255,7 +263,8 @@ def test_only_a_scalar_outside_its_ring_splits_by_euclidean_reduction(monkeypatc
     group = entry.group()
 
     def split_of(c):
-        return report.group_report(group, entry=entry, doubling_scalar=parse_scalar(c))["split"]
+        analysis = report.GroupAnalysis(group, entry=entry, doubling_scalar=parse_scalar(c))
+        return analysis.report()["split"]
 
     assert split_of("z4")["order"]["discriminant"] == -4
     assert calls == []
@@ -530,6 +539,46 @@ def test_a_lattice_fault_in_the_reflection_stage_is_not_hidden(capsys, monkeypat
     assert code == 2
     assert out == ""
     assert "injected lattice fault" in err
+
+
+def test_construct_reads_no_geometry(capsys, monkeypatch):
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("the geometry stage ran")
+
+    monkeypatch.setattr(report, "geom_report", no_geometry)
+    code, out, err = run_cli(capsys, "construct", "S4-standard", "--recipe", "Zn", "--json")
+    golden = json.loads((GOLDEN / "S4-standard.json").read_text(encoding="utf-8"))
+    (zn,) = [entry for entry in golden["lattices"] if entry["recipe"] == "Zn"]
+    assert (code, err) == (0, "")
+    assert out == render_json(zn) + "\n"
+
+
+def test_the_descent_runs_at_most_once_and_only_for_a_zn_lattice(monkeypatch):
+    calls = []
+    real = schur.schur_index
+
+    def counting(group, *args, **kwargs):
+        calls.append(group.order)
+        return real(group, *args, **kwargs)
+
+    monkeypatch.setattr(schur, "schur_index", counting)
+    monkeypatch.setattr(report, "schur_index", counting)
+    ladder = ["WeylB3", "G3-1-2", "G4-1-2", "G6-1-2", "G3-1-3"]
+    ran = set()
+    for name in [*catalog_names(), *ladder]:
+        calls.clear()
+        analyze(GENERATED[name][0] if name in GENERATED else name)
+        assert len(calls) <= 1, name
+        if calls:
+            ran.add(name)
+    assert ran == {"S3-standard", "S4-standard", "WeylA2", "WeylB2", "WeylB3"}
+    # an index theory leaves open runs the descent in the profile, and the
+    # Zn recipe reads that descent's witness
+    monkeypatch.setattr(schur, "_settled_index", lambda *args: None)
+    calls.clear()
+    rep = analyze("S3-standard")
+    assert calls == [6]
+    assert render_json(rep) == (GOLDEN / "S3-standard.json").read_text(encoding="utf-8")
 
 
 def test_cli_rejects_a_singular_generator_with_exit_2(capsys, tmp_path):

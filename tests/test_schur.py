@@ -11,7 +11,7 @@ from invlat.cli import main
 from invlat.errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
 from invlat.groups import class_character, close_group, group_from_json
 from invlat.linalg import rank
-from invlat.report import analyze
+from invlat.report import GroupAnalysis, analyze
 from invlat.schur import (
     _expansion_conductor,
     _field_degree,
@@ -223,17 +223,22 @@ def test_character_field_is_classified_once_per_analysis(monkeypatch):
 
 
 def test_settled_descent_matches_full_descent(oracle_groups):
-    # where theory fixes the index the descent stops early; the full descent
-    # (no known index) must reach the same witness
+    # where theory fixes the index the profile runs no descent and the
+    # witness descent stops early; the full descent (no known index) must
+    # reach the same witness and the module dimension the profile states
     settled = 0
     for name, group in oracle_groups:
-        profile = character_profile(group)
+        analysis = GroupAnalysis(group)
+        profile = analysis.profile
         assert profile.gcd_certificate == gcd_kernel_shortcut(group), name
         certificate = profile.gcd_certificate
         known = _settled_index(profile.field, profile.bilinear, certificate)
         settled += known is not None
         full = schur_index(group, profile.field.degree, known_index=None)
-        assert full == profile.schur, name
+        assert full == analysis.witness, name
+        assert (full.index, full.module_dimension) == (
+            profile.schur.index, profile.schur.module_dimension,
+        ), name
         assert known in (None, full.index), name
         assert full.stable_passes == profile.schur.stable_passes == 2
     assert settled == len(oracle_groups)
@@ -253,19 +258,36 @@ def count_orbit_spans(monkeypatch):
 
 def test_settled_index_skips_the_descent(monkeypatch):
     calls = count_orbit_spans(monkeypatch)
-    g313 = group_from_json(GENERATED["G3-1-3"][0])
-    profile = character_profile(g313)
-    assert profile.gcd_certificate is not None and profile.schur_index == 1
+    analysis = GroupAnalysis(group_from_json(GENERATED["G3-1-3"][0]))
+    profile = analysis.profile
+    assert profile.gcd_certificate is not None and profile.schur.index == 1
+    assert calls == []
+    # the witness descent stops at its first span, which has the settled
+    # dimension
+    assert analysis.witness.index == 1
     assert len(calls) == 1
     # settled by the Frobenius-Schur bound: no gcd certificate, nu = -1
     for group in [get_entry("Q8").group(),
                   group_from_json(GENERATED["Extraspecial2-1-4-minus"][0])]:
         calls.clear()
-        profile = character_profile(group)
+        analysis = GroupAnalysis(group)
+        profile = analysis.profile
         assert profile.gcd_certificate is None
         assert profile.bilinear.indicator == -1 and profile.field.real_valued
-        assert profile.schur_index == 2 and profile.schur.stable_passes == 2
+        assert profile.schur.index == 2 and profile.schur.stable_passes == 2
+        assert calls == []
+        assert analysis.witness.index == 2
         assert len(calls) == 1
+
+
+def test_settled_groups_without_a_zn_lattice_run_no_descent(capsys, monkeypatch):
+    calls = count_orbit_spans(monkeypatch)
+    ladder = [GENERATED[name][0] for name in ("G3-1-2", "G4-1-2", "G6-1-2", "G3-1-3")]
+    for target in ["G4", "C3-zeta3", "Q8", *ladder]:
+        analyze(target)
+    assert main(["construct", "G4", "--recipe", "O"]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_descent_that_misses_the_known_index_raises(q8):
@@ -294,15 +316,15 @@ def test_gcd_certificate_dimension_one():
 
 def test_profile_consistency(s3, g4, q8):
     p3 = character_profile(s3)
-    assert (p3.field.kind, p3.bilinear.kind, p3.schur_index) == (
+    assert (p3.field.kind, p3.bilinear.kind, p3.schur.index) == (
         "rational", "orthogonal", 1,
     )
     p4 = character_profile(g4)
-    assert (p4.field.kind, p4.bilinear.kind, p4.schur_index) == (
+    assert (p4.field.kind, p4.bilinear.kind, p4.schur.index) == (
         "imaginary-quadratic", "complex", 1,
     )
     pq = character_profile(q8)
-    assert (pq.field.kind, pq.bilinear.kind, pq.schur_index) == (
+    assert (pq.field.kind, pq.bilinear.kind, pq.schur.index) == (
         "rational", "symplectic", 2,
     )
 
@@ -453,16 +475,16 @@ def test_schur_verdict_does_not_depend_on_how_the_group_is_written(pair):
 
 
 # Two groups whose matrices lie over a larger cyclotomic field than their
-# character field.  A gcd certificate fixes Schur index 1, but the descent
-# from e1 ends at index 2 (SD16) or 3 (F21) and raises; on SD16 with seed 0
-# the O recipe's start e1 spans Z[zeta8]*e1, which is not discrete (ROADMAP
-# open item 1).
+# character field.  A gcd certificate fixes Schur index 1, and the character
+# field is imaginary quadratic, so the O recipe runs and no descent does; its
+# start e1 spans Z[zeta8]*e1 (SD16) or Z[zeta7]*e1 (F21), which is not
+# discrete, on every seed (ROADMAP open item 1).
 LARGER_FIELD_GROUPS = {"SD16": SD16, "F21": F21}
 
 
-@pytest.mark.xfail(strict=True, raises=(InternalConsistencyError, NotDiscreteError),
-                   reason="ROADMAP item 1: the descent and the O start vector do not "
-                   "reach a simple submodule when the matrices need a larger field")
+@pytest.mark.xfail(strict=True, raises=NotDiscreteError,
+                   reason="ROADMAP item 1: the O start vector does not lie in a "
+                   "simple submodule when the matrices need a larger field")
 @pytest.mark.parametrize("name", sorted(LARGER_FIELD_GROUPS))
 def test_index_one_groups_over_a_larger_field_get_clause_c_i(name):
     for seed in range(4):
@@ -473,13 +495,10 @@ def test_index_one_groups_over_a_larger_field_get_clause_c_i(name):
 
 # The dihedral groups G(m,m,2) at conductor m: Schur index 1 for every m,
 # and a rational character field, so clause c-i, exactly for m = 3, 4, 6.
-# On the seeds below the descent ends at index 2 and raises (ROADMAP open
-# item 1).
-DIHEDRAL_DESCENT_FAILS = {
-    (3, 1), (6, 1), (5, 1), (5, 3), (10, 1), (10, 3),
-    *((m, seed) for m in (8, 12) for seed in (1, 2, 3)),
-    *((m, seed) for m in (7, 9, 11) for seed in range(4)),
-}
+# A gcd certificate settles the index, so only the Zn recipe of a c-i group
+# runs the descent; on the seeds below it ends at index 2 and raises
+# (ROADMAP open item 1).
+DIHEDRAL_DESCENT_FAILS = {(3, 1), (6, 1)}
 
 
 @pytest.mark.parametrize("m, seed", [
