@@ -1,16 +1,17 @@
 """Finite matrix groups with exact cyclotomic entries.
 
 Provides the closure from generators, taken on the indices of each
-element's rows in the orbit of the standard row basis, the conjugacy
-classes, characters evaluated once per class, the exact irreducibility test
-by the character norm, averaged invariant Hermitian forms, and detection of
+element's rows in the orbit of the standard row basis, products of elements
+on their indices, the conjugacy classes and their power map, characters
+evaluated once per class, eigenvalue multiplicities read off the character,
+the exact irreducibility test by the character norm, and detection of
 (complex) reflections, each recorded with the rank-one factorization
 id - g = root * functional that the later reflection stages read.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from . import linalg
@@ -85,11 +86,6 @@ def apply(g: SparseMatrix, vec):
     return tuple(_sparse_dot(row, vec) for row in g.rows)
 
 
-def mat_identity(n):
-    one, zero = CycNum.rational(1), CycNum.rational(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def trace(mat):
     return sum((mat[i][i] for i in range(len(mat))), CycNum.rational(0))
 
@@ -105,15 +101,15 @@ class GroupRep:
     of element k times generator s, and tree[k] = (p, s) says that element
     k > 0 was first reached as element p times generator s.  The sparse
     records of the generators are kept for every later product with a
-    generator.  The conjugacy classes are found on the first
-    `conjugacy_classes` call, the character on the first `class_character`
-    call and the reflection inventory on the first `find_reflections` call.
+    generator.  The conjugacy classes, the character, the power map, the
+    character's z^0 coordinates and the reflection inventory are each found
+    on the first call that reads them and kept.
     """
 
     __slots__ = (
         "dimension", "generators", "sparse_generators", "rows", "elements",
         "right", "tree", "_classes", "_class_of", "_class_character",
-        "_reflections",
+        "_power_classes", "_character_z0", "_reflections",
     )
 
     def __init__(self, sparse_generators, rows, elements, right, tree):
@@ -124,8 +120,8 @@ class GroupRep:
         self.elements = tuple(elements)
         self.right = tuple(right)
         self.tree = tuple(tree)
-        self._classes = self._class_of = None
-        self._class_character = self._reflections = None
+        self._classes = self._class_of = self._reflections = None
+        self._class_character = self._power_classes = self._character_z0 = None
 
     @property
     def order(self):
@@ -235,17 +231,15 @@ def _left_multiples(group: GroupRep, h):
     return out
 
 
-def _square(group: GroupRep, x):
-    """The index of x * x: x times the generators on x's closure-tree path."""
+def _times(group: GroupRep, x, y):
+    """The index of x * y: x times the generators on y's closure-tree path."""
     path = []
-    k = x
-    while k:
-        k, s = group.tree[k]
+    while y:
+        y, s = group.tree[y]
         path.append(s)
-    out = x
     for s in reversed(path):
-        out = group.right[out][s]
-    return out
+        x = group.right[x][s]
+    return x
 
 
 def conjugacy_classes(group: GroupRep):
@@ -296,11 +290,43 @@ def class_character(group: GroupRep):
     return group._class_character
 
 
-def square_classes(group: GroupRep):
-    """For each conjugacy class, the index of the class holding the squares
-    of its members, from the square of the first member (`_square`)."""
-    classes = conjugacy_classes(group)
-    return tuple(group._class_of[_square(group, cls[0])] for cls in classes)
+def power_classes(group: GroupRep):
+    """For each conjugacy class, the classes of x^0 ... x^(o-1), x its first
+    member and o the order of x, kept on the group.  The powers of x come
+    from `_times`; the first member of the class of x^a is conjugate to x^a,
+    so its j-th power lies in the class of x^(a*j): its row is read off x's."""
+    if group._power_classes is None:
+        out = [None] * len(conjugacy_classes(group))
+        for k, cls in enumerate(conjugacy_classes(group)):
+            if out[k] is None:
+                seq, x = [0], cls[0]
+                while x:
+                    seq.append(group._class_of[x])
+                    x = _times(group, x, cls[0])
+                o = len(seq)
+                for a, c in enumerate(seq):
+                    if out[c] is None:
+                        out[c] = tuple(seq[a * j % o] for j in range(o // gcd(a, o)))
+        group._power_classes = tuple(out)
+    return group._power_classes
+
+
+def eigenvalue_multiplicity(group: GroupRep, k, sign) -> int:
+    """The multiplicity of the eigenvalue sign = +1 or -1 of the first member
+    x of class k: (1/o) sum sign^j chi(x^j) over j < o, o the order of x,
+    and 0 for -1 when o is odd.  The sum is rational, so it is the sum of the
+    integer z^0 coordinates of its terms at the class values' conductor."""
+    seq = power_classes(group)[k]
+    if sign == -1 and len(seq) % 2:
+        return 0
+    if group._character_z0 is None:
+        chi = class_character(group)
+        conductor = common_conductor(chi)
+        group._character_z0 = tuple(x.numerators_at(conductor)[0][0] for x in chi)
+    value = sum(group._character_z0[c] * sign**j for j, c in enumerate(seq))
+    if value % len(seq):
+        raise InternalConsistencyError(f"eigenvalue {sign} multiplicity {value}/{len(seq)}")
+    return value // len(seq)
 
 
 def class_sum(group: GroupRep, values) -> CycNum:
@@ -348,47 +374,28 @@ def find_reflections(group: GroupRep):
 
 
 def _scan_reflections(group: GroupRep):
-    """Reflections in element order, behind an exact trace prefilter run
-    once per conjugacy class.
-
-    A reflection g of finite order has the eigenvalue 1 on its hyperplane
-    and one other eigenvalue theta != 1, a root of unity, so
-    chi(g) = n - 1 + theta with theta * conj(theta) = 1.  Only the classes
-    whose theta = chi - (n - 1) passes that test are factored, and rank(id - g)
-    is a class function, so the first member of a class decides it.  The
-    other members of the classes that pass are then factored too, each with
-    its own checks, and the records are put in element order: alpha is the
-    first nonzero column of id - g scaled to lead with 1 at row p, phi is
-    row p, and id - g has rank one exactly when it equals alpha * phi entry
-    by entry (theta != 1, so g != id).  Then g * alpha = (1 - phi(alpha)) *
-    alpha, and the eigenvalue is checked against theta.
+    """Reflections in element order: g is one exactly when its eigenvalue 1
+    has multiplicity n - 1 (`eigenvalue_multiplicity`; the identity's is n),
+    and every member of such a class is factored.  The other eigenvalue is
+    theta = chi - (n - 1), and g * alpha = (1 - phi(alpha)) * alpha checks it.
     """
     n = group.dimension
-    found = []
-    for cls, chi in zip(conjugacy_classes(group), class_character(group)):
-        theta = chi - (n - 1)
-        if theta == _ONE or theta * theta.conjugate() != _ONE:
-            continue
-        factors = _rank_one_factors(group.elements[cls[0]])
-        if factors is None:
-            continue
-        found.append((cls[0], theta, factors))
-        for idx in cls[1:]:
-            factors = _rank_one_factors(group.elements[idx])
-            if factors is None:
-                raise InternalConsistencyError("a conjugate of a reflection is not one")
-            found.append((idx, theta, factors))
+    theta = {}
+    for k, (cls, chi) in enumerate(zip(conjugacy_classes(group), class_character(group))):
+        if eigenvalue_multiplicity(group, k, 1) == n - 1:
+            theta.update((idx, chi - (n - 1)) for idx in cls)
     out = []
-    for idx, theta, (root, phi) in sorted(found, key=itemgetter(0)):
-        if _ONE - sum((f * a for f, a in zip(phi, root)), _ZERO) != theta:
+    for idx in sorted(theta):
+        root, phi = _rank_one_factors(group.elements[idx])
+        if _ONE - sum((f * a for f, a in zip(phi, root)), _ZERO) != theta[idx]:
             raise InternalConsistencyError("root line is not an eigenline")
-        out.append(ReflectionData(idx, group.elements[idx], theta, root, phi))
+        out.append(ReflectionData(idx, group.elements[idx], theta[idx], root, phi))
     return out
 
 
 def _rank_one_factors(mat):
-    """(alpha, phi) with id - mat = alpha * phi entry by entry, or None;
-    mat must not be the identity."""
+    """(alpha, phi) with id - mat = alpha * phi, else raises: alpha is the first
+    nonzero column of id - mat scaled to lead with 1 at row p, phi is row p."""
     n = len(mat)
     diff = [
         [(_ONE if i == j else _ZERO) - x for j, x in enumerate(row)]
@@ -401,7 +408,7 @@ def _rank_one_factors(mat):
     root = tuple(row[col] * inv for row in diff)
     phi = tuple(diff[p])
     if any(x != a * f for row, a in zip(diff, root) for x, f in zip(row, phi)):
-        return None
+        raise InternalConsistencyError("a reflection is not root times functional")
     return root, phi
 
 

@@ -7,26 +7,21 @@ assembles the isogeny graph of the line tori.  Every stage reads the
 factorizations id - r = alpha * phi recorded by the reflection scan, through
 the root functional matrix A[k][j] = phi_k(alpha_j), built once per
 decomposition; none rebuilds id - r.  The reflections are chosen by the rank
-of their roots, each root line is cut from the lattice by
-`intersect_with_line`, and det s = det A, so no stage row reduces over the
-cyclotomic field.
+of their roots and tested for generation on element indices, each root line
+is cut from the lattice by `intersect_with_line`, and det s = det A, so no
+stage row reduces over the cyclotomic field.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations, product
 from math import inf
 
 from . import linalg
 from .cyclotomic import CycNum
 from .errors import InternalConsistencyError, InvalidInputError, OutOfScopeError
-from .groups import (
-    GroupRep,
-    ReflectionData,
-    close_group,
-    find_reflections,
-    mat_identity,
-)
+from .groups import GroupRep, ReflectionData, _times, find_reflections
 from .lattices import (
     MultiplierRing,
     RankTwoLattice,
@@ -46,20 +41,33 @@ def choose_generating_reflections(group: GroupRep):
     Greedy pass over the reflection inventory in element order; if the greedy
     choice spans but fails to generate, falls back to scanning root-spanning
     n-subsets in enumeration order, and raises OutOfScopeError when none
-    generates.  The reflections lie in the group, so they generate it when
-    every generator of the group is one of them or the identity, and
-    otherwise exactly when their closure has the group's order.
+    generates.  The reflections lie in the group, so their closure is taken
+    on element indices, and they generate the group exactly when it holds
+    every generator of the group.  Each product x * r is made by `_times` on
+    first use and kept for every later subset.
     """
     n = group.dimension
     inventory = find_reflections(group)
     if not inventory:
         raise InvalidInputError("group contains no reflections")
 
+    generators = set(group.right[0])  # the element indices of the generators
+    products = defaultdict(lambda: [None] * group.order)  # k -> [x * element k]
+
     def generates(refs) -> bool:
-        mats = [r.matrix for r in refs]
-        if set(group.generators) <= set(mats) | {mat_identity(n)}:
-            return True
-        return close_group(mats, cap=group.order).order == group.order
+        rows = [(r.element_index, products[r.element_index]) for r in refs]
+        seen, queue = {0}, [0]
+        for x in queue:  # queue grows as it is read
+            for k, row in rows:
+                y = row[x]
+                if y is None:
+                    y = row[x] = _times(group, x, k)
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+                    if y in generators and generators <= seen:
+                        return True
+        return False
 
     chosen = []
     for ref in inventory:
@@ -70,9 +78,7 @@ def choose_generating_reflections(group: GroupRep):
     if len(chosen) == n and generates(chosen):
         return tuple(chosen)
     for combo in combinations(inventory, n):
-        if linalg.rank([list(r.root) for r in combo]) != n:
-            continue
-        if generates(combo):
+        if linalg.rank([list(r.root) for r in combo]) == n and generates(combo):
             return tuple(combo)
     raise OutOfScopeError(
         "no spanning set of n reflections generates the group"
@@ -135,11 +141,10 @@ def line_lattice_decomposition(lattice: ZLattice, refs) -> ReflectionDecompositi
             scalars = RankTwoLattice(a, b)
             ring = multiplier_ring(scalars)
         lines.append(LineLattice(j, ref, piece, scalars, ring))
-    if lattice.rank == 2 * n:
-        if any(line.rank != 2 for line in lines):
-            raise InternalConsistencyError(
-                "rank-2n lattice met a root line in rank != 2"
-            )
+    if lattice.rank == 2 * n and any(line.rank != 2 for line in lines):
+        raise InternalConsistencyError(
+            "rank-2n lattice met a root line in rank != 2"
+        )
     sub = lines[0].lattice
     for line in lines[1:]:
         sub = lattice_sum(sub, line.lattice)
@@ -282,8 +287,7 @@ def isogeny_graph(dec: ReflectionDecomposition) -> IsogenyGraph:
             if idx == 0:
                 raise InternalConsistencyError("isogeny witness dropped rank")
             edges.append(IsogenyEdge(j, k, idx))
-            adjacency[j].add(k)
-            adjacency[k].add(j)
+            adjacency[j].add(k)  # the zero pattern is symmetric: k -> j is an edge too
     seen = {0}
     queue = [0]
     while queue:
@@ -291,12 +295,11 @@ def isogeny_graph(dec: ReflectionDecomposition) -> IsogenyGraph:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    connected = len(seen) == n
-    if not connected:
+    if len(seen) != n:
         raise InternalConsistencyError(
             "isogeny graph disconnected for an irreducible group"
         )
-    return IsogenyGraph(tuple(edges), connected)
+    return IsogenyGraph(tuple(edges), True)
 
 
 class GeomReport(Record):

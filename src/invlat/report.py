@@ -211,7 +211,7 @@ class GroupAnalysis(Record):
 
     @cached_property
     def verdict(self) -> LatticeVerdict:
-        return lattice_existence_verdict(self.profile, self.group.dimension)
+        return lattice_existence_verdict(self.profile)
 
     @cached_property
     def witness(self) -> SchurWitness:

@@ -2,11 +2,12 @@
 
 Covers the character field and its classification, the invariant-bilinear-form
 type via the Frobenius-Schur indicator, the Schur index, and the final verdict
-on which invariant-lattice ranks can exist.  Where a gcd-of-kernel-dimensions
-certificate or the Frobenius-Schur bound settles the index, the profile takes
-it from theory; only an open index runs the rational orbit-span descent.  The
-descent to a rational-form witness, which the `Zn` recipe reads, is a separate
-call of `schur_index`.
+on which invariant-lattice ranks can exist.  The indicator and the kernel
+dimensions of the gcd certificate are read off the character on the group's
+power map.  Where the certificate or the Frobenius-Schur bound settles the
+index, the profile takes it from theory; only an open index runs the rational
+orbit-span descent.  The descent to a rational-form witness, which the `Zn`
+recipe reads, is a separate call of `schur_index`.
 
 The field's degree is read off the automorphisms of Q(z_N) that fix every
 class value, and an imaginary-quadratic discriminant off (gen - conj gen)^2.
@@ -23,7 +24,7 @@ from .cyclotomic import CycNum, common_conductor
 from .errors import InternalConsistencyError, InvalidInputError
 from .groups import (
     GroupRep, apply, character_norm, class_character, class_sum, conjugacy_classes,
-    mat_identity, square_classes,
+    eigenvalue_multiplicity, power_classes,
 )
 from .lattices import flatten, fundamental_discriminant, reassemble
 from .records import Record
@@ -120,12 +121,12 @@ def classify_character_field(group: GroupRep) -> CharacterFieldClass:
 def frobenius_schur_indicator(group: GroupRep) -> int:
     """(1/|G|) sum chi(g^2), exact; 1, -1, or 0 for an irreducible character.
 
-    chi(g^2) is a class function, and g^2 lies in a known class
-    (`square_classes`), so the sum is sum |C| chi(C^2) over the classes C,
-    with no CycNum product.
+    chi(g^2) is a class function, and g^2 lies in a known class, read off
+    the power map (`power_classes`), so the sum is sum |C| chi(C^2) over the
+    classes C, with no CycNum product.
     """
     chi = class_character(group)
-    total = class_sum(group, [chi[c] for c in square_classes(group)])
+    total = class_sum(group, [chi[seq[2 % len(seq)]] for seq in power_classes(group)])
     if not total.is_rational():
         raise InvalidInputError("indicator is not rational; character not irreducible")
     value = total.as_fraction() / group.order
@@ -206,12 +207,12 @@ def schur_index(
     `classify_character_field` gives.
 
     `known_index` is an index that theory has already fixed (see
-    `_settled_index`).  Every nonzero G-stable rational subspace then has
-    dimension at least known_index * degree * n, so the descent stops as soon
-    as its span has that dimension: no later pass could shrink it, and the
-    basis is the one the full descent returns.  `stable_passes` still records
-    the required count, although fewer passes, possibly none, ran.  A descent
-    that ends at another index raises InternalConsistencyError.
+    `_settled_index`), else 1 bounds it below.  No nonzero G-stable rational
+    subspace is smaller than (known_index or 1) * degree * n, so the descent
+    stops as soon as its span has that dimension: no later pass could shrink
+    it, and the basis is the one the full descent returns.  `stable_passes`
+    still records the required count, although fewer passes, possibly none,
+    ran.  A descent that ends off a known index raises InternalConsistencyError.
     """
     n = group.dimension
     if start is None:
@@ -223,10 +224,10 @@ def schur_index(
         raise InvalidInputError("starting vector must be nonzero of matching length")
     conductor = _expansion_conductor(group, start)
     basis = _orbit_span(group, start, conductor)
-    settled = None if known_index is None else known_index * degree * n
+    smallest = (known_index or 1) * degree * n
     rng = random.Random(seed)
     stable = 0
-    while stable < REQUIRED_STABLE_PASSES and len(basis) != settled:
+    while stable < REQUIRED_STABLE_PASSES and len(basis) != smallest:
         improved = False
         candidates = [reassemble(n, conductor, row) for row in basis]
         for _ in range(RANDOM_COMBOS):
@@ -282,35 +283,23 @@ def gcd_kernel_shortcut(group: GroupRep):
     have the kernel dimensions of the single element g^-1 h.  Conjugates
     have the same kernel dimensions, so only the first member of each
     conjugacy class is scanned, in element order: every other member comes
-    after it and cannot lower the gcd it left.  Returns the list of
-    (description, dimension) pairs on success, else None.
+    after it and cannot lower the gcd it left.  Each kernel dimension is the
+    multiplicity of the eigenvalue +-1 (`eigenvalue_multiplicity`).  Returns
+    the list of (description, dimension) pairs on success, else None.
     """
     n = group.dimension
-    identity = mat_identity(n)
     found = [("ambient", n)]
     running = n
     if running == 1:
         return tuple(found)
-
-    def consider(label, mat) -> bool:
-        nonlocal running
-        dim = n - linalg.rank(mat)
-        if dim == 0 or dim == n:
-            return False
-        if gcd(running, dim) < running:
-            found.append((label, dim))
-            running = gcd(running, dim)
-        return running == 1
-
-    for cls in conjugacy_classes(group):
-        idx = cls[0]
-        g = group.elements[idx]
-        diff = [[g[i][j] - identity[i][j] for j in range(n)] for i in range(n)]
-        if consider(f"element {idx} - id", diff):
-            return tuple(found)
-        plus = [[g[i][j] + identity[i][j] for j in range(n)] for i in range(n)]
-        if consider(f"element {idx} + id", plus):
-            return tuple(found)
+    for k, cls in enumerate(conjugacy_classes(group)):
+        for sign, word in ((1, "-"), (-1, "+")):
+            dim = eigenvalue_multiplicity(group, k, sign)
+            if 0 < dim < n and gcd(running, dim) < running:
+                found.append((f"element {cls[0]} {word} id", dim))
+                running = gcd(running, dim)
+                if running == 1:
+                    return tuple(found)
     return None
 
 
@@ -360,7 +349,7 @@ def character_profile(group: GroupRep, seed: int = 0) -> CharacterProfile:
     return CharacterProfile(field, bilinear, schur, gcd_cert)
 
 
-def lattice_existence_verdict(profile: CharacterProfile, n: int) -> LatticeVerdict:
+def lattice_existence_verdict(profile: CharacterProfile) -> LatticeVerdict:
     """Which invariant-lattice ranks exist, per the field/index decision table."""
     m = profile.schur.index
     kind = profile.field.kind

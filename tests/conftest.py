@@ -4,7 +4,10 @@ from hypothesis import HealthCheck, settings
 from invlat.catalog import catalog_names, get_entry
 from invlat.groups import group_from_json
 
-from generated_groups import CARTAN_A4, CARTAN_B3, GENERATED, in_generic_basis, weyl_from_cartan
+from generated_groups import (
+    CARTAN_A4, CARTAN_B3, F21, GENERATED, SAME_GROUP_TWO_WAYS, SD16, dihedral,
+    in_generic_basis, weyl_from_cartan,
+)
 
 settings.register_profile(
     "exact",
@@ -60,4 +63,17 @@ def oracle_groups():
         ("WeylB3-generic", group_from_json(in_generic_basis(weyl_from_cartan(CARTAN_B3))))
     )
     assert len(out) == 9 + len(GENERATED) + 2
+    return out
+
+
+@pytest.fixture(scope="session")
+def family_oracle_groups():
+    """(name, group) for the dihedral groups G(m,m,2) with m = 3 ... 12, SD16,
+    F21 and both writings of each SAME_GROUP_TWO_WAYS pair: conductors up to
+    12, and four groups with no gcd certificate.  The oracle comparisons of
+    the routes read off the character run on these besides `oracle_groups`."""
+    out = [(f"G({m},{m},2)", group_from_json(dihedral(m))) for m in range(3, 13)]
+    out += [("SD16", group_from_json(SD16)), ("F21", group_from_json(F21))]
+    for pair, writings in sorted(SAME_GROUP_TWO_WAYS.items()):
+        out += [(f"{pair}-{k}", group_from_json(obj)) for k, obj in enumerate(writings)]
     return out

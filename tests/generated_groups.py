@@ -122,6 +122,23 @@ F21 = {"conductor": 7, "dimension": 3, "generators": [
 ]}
 
 
+# One group written two ways, each pair's characters equal or Galois
+# conjugate, so the Schur index and the clause must agree within a pair.
+Z3_SCALAR = [["z3", "0"], ["0", "z3"]]
+SAME_GROUP_TWO_WAYS = {
+    # Q8 x C3 over conductor 12, and over Q(zeta3), where -1 = w + w^2 makes
+    # (-1,-1) split
+    "Q8xC3": (
+        {"conductor": 12, "dimension": 2, "generators": [*Q8_GENS, Z3_SCALAR]},
+        {"conductor": 3, "dimension": 2, "generators": [
+            [["-z3^2", "z3"], ["z3", "z3^2"]], Q8_GENS[1], Z3_SCALAR,
+        ]},
+    ),
+    # 2^{1+4}_+ as Q8 (x) Q8 and as D8 (x) D8
+    "extraspecial-plus": (tensor_group(Q8_GENS, Q8_GENS, 4), tensor_group(D8_GENS, D8_GENS, 1)),
+}
+
+
 # snapshot name -> (group JSON, order of the closure)
 GENERATED = {
     "WeylB3": (weyl_from_cartan(CARTAN_B3), 48),

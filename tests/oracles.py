@@ -25,7 +25,6 @@ from invlat.groups import (
     as_matrix,
     close_group,
     find_reflections,
-    mat_identity,
     trace,
 )
 from invlat.lattices import (
@@ -41,6 +40,13 @@ from invlat.lattices import (
     reassemble,
     scale_lattice,
 )
+
+
+def mat_identity(n):
+    """The n x n identity matrix with CycNum entries.  The library builds no
+    identity matrix: it reads id -+ g entry by entry or off the character."""
+    one, zero = CycNum.rational(1), CycNum.rational(0)
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def euler_phi(n: int) -> int:

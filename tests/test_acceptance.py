@@ -94,7 +94,7 @@ def test_acceptance_1_decision_table():
         for name, (clause, rank_n, rank_2n) in expected.items():
             group = get_entry(name).group()
             profile = character_profile(group)
-            verdict = lattice_existence_verdict(profile, group.dimension)
+            verdict = lattice_existence_verdict(profile)
             assert verdict.clause == clause, name
             assert verdict.exists_rank_n == rank_n, name
             assert verdict.exists_rank_2n == rank_2n, name

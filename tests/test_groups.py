@@ -8,14 +8,13 @@ from invlat import linalg
 from invlat.catalog import catalog_names, get_entry
 from invlat.cli import main
 from invlat.cyclotomic import CycNum, cyc_to_json, zeta
-from invlat.errors import CapExceededError, InvalidInputError
+from invlat.errors import CapExceededError, InternalConsistencyError, InvalidInputError
 from invlat.groups import (
     character_norm,
     close_group,
     conjugacy_classes,
     find_reflections,
     group_from_json,
-    mat_identity,
     matrix_from_json,
 )
 from invlat.report import analyze
@@ -31,6 +30,7 @@ from oracles import (
     exact_sign,
     hermitian_inner,
     invariant_hermitian,
+    mat_identity,
     mat_mul,
     numeric,
     reflections_by_rank_scan,
@@ -83,8 +83,8 @@ def test_closure_makes_no_dense_products(monkeypatch):
         assert group_from_json(obj).order == order
 
 
-def test_reflection_scan_matches_rank_scan_oracle(oracle_groups):
-    for name, group in oracle_groups:
+def test_reflection_scan_matches_rank_scan_oracle(oracle_groups, family_oracle_groups):
+    for name, group in oracle_groups + family_oracle_groups:
         found = [(r.element_index, r.theta, r.root) for r in find_reflections(group)]
         assert found == reflections_by_rank_scan(group), name
 
@@ -111,11 +111,10 @@ def test_reflection_scan_ranks_no_matrix(monkeypatch):
     monkeypatch.setattr(
         groups_module, "_rank_one_factors", lambda mat: factored.append(mat) or real(mat)
     )
-    # 5 of the 22 classes (33 of the 162 elements) have chi = 2 + theta with
-    # |theta| = 1, theta != 1; 3 of those classes (15 elements) factor as root
-    # times functional: 5 class tests, then the other 12 members of those 3
+    # 3 of the 22 classes (15 of the 162 elements) have the eigenvalue 1 with
+    # multiplicity 2, read off the character; each member is factored once
     assert len(groups_module._scan_reflections(group)) == 15
-    assert len(factored) == 5 + 12
+    assert len(factored) == 15
 
 
 def test_closure_inverts_no_matrix(monkeypatch):
@@ -126,6 +125,53 @@ def test_closure_inverts_no_matrix(monkeypatch):
         assert group_from_json(obj).order == order
     for name in CATALOG_GROUPS:
         get_entry(name).group()
+
+
+def test_power_map_matches_matrix_powers(oracle_groups, family_oracle_groups):
+    # most classes of a cyclic group are met as powers of an earlier class and
+    # take their sequence from it; the oracle multiplies matrices
+    cyclic = {"conductor": 60, "dimension": 1, "generators": [[["z60"]]]}
+    groups = oracle_groups + family_oracle_groups + [("C60", group_from_json(cyclic))]
+    for name, group in groups:
+        index = {mat: k for k, mat in enumerate(group.elements)}
+        classes = conjugacy_classes(group)
+        class_of = {k: c for c, cls in enumerate(classes) for k in cls}
+        for cls, seq in zip(classes, groups_module.power_classes(group)):
+            identity = power = mat_identity(group.dimension)
+            expected = []
+            while not expected or power != identity:
+                expected.append(class_of[index[power]])
+                power = mat_mul(power, group.elements[cls[0]])
+            assert seq == tuple(expected), (name, cls[0])
+
+
+def test_eigenvalue_multiplicities_match_ranks(oracle_groups):
+    # the multiplicity of +-1 is the kernel dimension n - rank(x -+ id) of
+    # each class's first member x, read off the character on the power map
+    for name, group in oracle_groups:
+        n, identity = group.dimension, mat_identity(group.dimension)
+        for k, cls in enumerate(conjugacy_classes(group)):
+            x = group.elements[cls[0]]
+            for sign in (1, -1):
+                shifted = [[x[i][j] - sign * identity[i][j] for j in range(n)] for i in range(n)]
+                expected = n - linalg.rank(shifted)
+                assert groups_module.eigenvalue_multiplicity(group, k, sign) == expected, name
+        assert groups_module.power_classes(group) is groups_module.power_classes(group)
+
+
+def test_a_multiplicity_that_is_not_an_integer_raises(s3):
+    group = close_group(s3.generators)
+    chi = list(groups_module.class_character(group))
+    chi[1] = chi[1] + 1  # the class of an element of order 2 or 3
+    group._class_character = tuple(chi)
+    with pytest.raises(InternalConsistencyError, match="multiplicity"):
+        groups_module.eigenvalue_multiplicity(group, 1, 1)
+
+
+def test_a_matrix_that_is_not_root_times_functional_raises():
+    minus = close_group([[[-1, 0], [0, -1]]]).elements[1]
+    with pytest.raises(InternalConsistencyError, match="root times functional"):
+        groups_module._rank_one_factors(minus)
 
 
 def test_reflection_inventory_is_computed_once(monkeypatch):

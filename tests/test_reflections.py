@@ -9,7 +9,7 @@ from invlat.forge import (
     extend_rank_2n,
     orbit_lattice_over_order,
 )
-from invlat.groups import close_group, group_from_json, mat_identity
+from invlat.groups import close_group, group_from_json
 from invlat.lattices import lattice_from_generators, scale_lattice
 from invlat.reflections import (
     MAX_CYCLES,
@@ -22,7 +22,7 @@ from invlat.reflections import (
     root_functional_matrix,
     scan_cycle_multipliers,
 )
-from invlat.report import analyze
+from invlat.report import GroupAnalysis, analyze, render_json
 from invlat.schur import classify_character_field
 
 from generated_groups import CARTAN_A4, GENERATED, weyl_from_cartan
@@ -32,6 +32,7 @@ from oracles import (
     gram_edges,
     isogeny_edges_by_images,
     lattice_from_json,
+    mat_identity,
     order_saturate,
     replace,
     root_functional_matrix_by_factoring,
@@ -270,6 +271,31 @@ def test_fallback_when_the_greedy_pair_does_not_generate():
     refs = choose_generating_reflections(group)
     assert [r.element_index for r in refs] == [1, 3]
     assert close_group([group.elements[1], group.elements[2]]).order == 4
+
+
+# G(4,1,2) written as diag(z4, 1), diag(1, z4) and the swap: the greedy pair
+# (elements 1 and 2) spans the roots but generates the diagonal subgroup of
+# order 16, so the chooser falls back to the subsets
+G412_DIAGONAL = {"conductor": 4, "dimension": 2, "generators": [
+    [["z4", "0"], ["0", "1"]], [["1", "0"], ["0", "z4"]], [["0", "1"], ["1", "0"]],
+]}
+
+
+def test_fallback_closes_subgroups_on_element_indices(monkeypatch):
+    group = group_from_json(G412_DIAGONAL)
+    assert group.order == 32
+    assert close_group([group.elements[1], group.elements[2]]).order == 16
+    # the report as the oracle chooser, which closes matrices, makes it
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            reflections, "choose_generating_reflections", generating_reflections_by_echelon
+        )
+        expected = render_json(GroupAnalysis(group).report())
+    assert not hasattr(reflections, "close_group")
+    monkeypatch.setattr(groups, "close_group", lambda *a, **k: pytest.fail("close_group"))
+    refs = choose_generating_reflections(group)
+    assert [r.element_index for r in refs] == [1, 3]
+    assert render_json(GroupAnalysis(group).report()) == expected
 
 
 def test_chooser_reports_a_group_no_n_reflections_generate_as_out_of_scope():

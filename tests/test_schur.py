@@ -27,7 +27,7 @@ from invlat.schur import (
 )
 
 
-from generated_groups import D8_GENS, F21, GENERATED, Q8_GENS, SD16, dihedral, tensor_group
+from generated_groups import F21, GENERATED, SAME_GROUP_TWO_WAYS, SD16, dihedral
 from oracles import (
     averaged_bilinear_form,
     euler_phi,
@@ -68,8 +68,8 @@ def test_frobenius_schur_values(s3, s4, b2, g4, q8, c5):
     assert frobenius_schur_indicator(c5) == 0
 
 
-def test_indicator_matches_squares_oracle(oracle_groups):
-    for name, group in oracle_groups:
+def test_indicator_matches_squares_oracle(oracle_groups, family_oracle_groups):
+    for name, group in oracle_groups + family_oracle_groups:
         assert indicator_by_squares(group) == frobenius_schur_indicator(group), name
 
 
@@ -151,10 +151,19 @@ def test_gcd_shortcut_matches_pairwise_oracle(oracle_groups):
         assert gcd_kernel_shortcut(group) == gcd_kernel_pairwise(group), name
 
 
-def test_gcd_shortcut_matches_kernel_basis_oracle(oracle_groups):
-    # each kernel dimension is n - rank, not the length of a kernel basis
-    for name, group in oracle_groups:
-        assert gcd_kernel_shortcut(group) == gcd_kernel_singles(group), name
+def test_gcd_shortcut_matches_kernel_basis_oracle(oracle_groups, family_oracle_groups):
+    # each kernel dimension is an eigenvalue multiplicity read off the
+    # character, not the length of a kernel basis
+    uncertified = set()
+    for name, group in oracle_groups + family_oracle_groups:
+        cert = gcd_kernel_shortcut(group)
+        assert cert == gcd_kernel_singles(group), name
+        if cert is None:
+            uncertified.add(name)
+    assert uncertified == {
+        "Q8", "Extraspecial2-1-4-minus", "Q8xC3-0", "Q8xC3-1",
+        "extraspecial-plus-0", "extraspecial-plus-1",
+    }
 
 
 def test_field_degree_matches_product_span_oracle_on_class_values(oracle_groups):
@@ -290,6 +299,28 @@ def test_settled_groups_without_a_zn_lattice_run_no_descent(capsys, monkeypatch)
     assert calls == []
 
 
+def test_an_open_descent_stops_at_the_smallest_possible_span(monkeypatch):
+    # no index is known for these groups, but no nonzero G-stable rational
+    # subspace is smaller than d * n, so a first span of that dimension ends
+    # the descent
+    calls = count_orbit_spans(monkeypatch)
+    for pair, (_, second) in sorted(SAME_GROUP_TWO_WAYS.items()):
+        calls.clear()
+        profile = character_profile(group_from_json(second))
+        assert profile.gcd_certificate is None and profile.schur.index == 1, pair
+        assert profile.schur.stable_passes == 2, pair
+        assert len(calls) == 1, pair
+
+
+def test_profile_and_certificate_rank_no_matrix(oracle_groups, monkeypatch):
+    # the certificate's kernel dimensions are eigenvalue multiplicities read
+    # off the character, and no profile of these groups runs a descent
+    for name in ("rank", "det"):
+        monkeypatch.setattr(linalg, name, lambda *a, name=name: pytest.fail(f"linalg.{name}"))
+    for name, group in oracle_groups:
+        assert character_profile(group).gcd_certificate == gcd_kernel_shortcut(group), name
+
+
 def test_descent_that_misses_the_known_index_raises(q8):
     with pytest.raises(InternalConsistencyError, match="theory fixes 1"):
         schur_index(q8, 1, known_index=1)
@@ -346,7 +377,7 @@ def test_verdict_table(s3, s4, g4, q8, c5):
     ]
     for group, clause, rank_n, rank_2n in cases:
         profile = character_profile(group)
-        verdict = lattice_existence_verdict(profile, group.dimension)
+        verdict = lattice_existence_verdict(profile)
         assert verdict.clause == clause
         assert verdict.exists_rank_n == rank_n
         assert verdict.exists_rank_2n == rank_2n
@@ -440,25 +471,10 @@ def test_orbit_span_row_reduces_fewer_rows_than_the_group_order(monkeypatch):
     assert len(span) <= bound
 
 
-# One group written two ways: the Schur index and the clause are invariants of
-# the character, and the characters in each pair are equal or Galois
-# conjugate.  The randomized descent misses the minimal module for the first
-# group of each pair (ROADMAP open item 1), so these fail until it is replaced.
-Z3_SCALAR = [["z3", "0"], ["0", "z3"]]
-SAME_GROUP_TWO_WAYS = {
-    # Q8 x C3 over conductor 12, and over Q(zeta3), where -1 = w + w^2 makes
-    # (-1,-1) split
-    "Q8xC3": (
-        {"conductor": 12, "dimension": 2, "generators": [*Q8_GENS, Z3_SCALAR]},
-        {"conductor": 3, "dimension": 2, "generators": [
-            [["-z3^2", "z3"], ["z3", "z3^2"]], Q8_GENS[1], Z3_SCALAR,
-        ]},
-    ),
-    # 2^{1+4}_+ as Q8 (x) Q8 and as D8 (x) D8
-    "extraspecial-plus": (tensor_group(Q8_GENS, Q8_GENS, 4), tensor_group(D8_GENS, D8_GENS, 1)),
-}
-
-
+# One group written two ways (SAME_GROUP_TWO_WAYS in generated_groups.py):
+# the Schur index and the clause are invariants of the character.  The
+# randomized descent misses the minimal module for the first group of each
+# pair (ROADMAP open item 1), so these fail until it is replaced.
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 1: the randomized Schur descent misses the "
                    "minimal module, so the verdict depends on how the group is written")
