@@ -4,7 +4,6 @@ Usage: python3 scripts/run_catalog.py [--json]
 """
 
 import argparse
-import json
 
 from invlat.catalog import catalog_names
 from invlat.report import analyze, render_json

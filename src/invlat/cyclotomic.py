@@ -39,10 +39,10 @@ certified by a rank over F_l (lattices._check_discrete).
 discriminant and by `sqrt_rational`.  Facts about one value come from its
 conjugates, never from a span of its powers.
 
-`coeffs`, `coords_at`, `str` and `cyc_to_json` present the coordinates as
-Fractions, the same values and text as a Fraction-per-coefficient
-representation would give.  The package has no floating point: all
-decisions are made on exact data.
+`coeffs` and `coords_at` present the coordinates as Fractions.  `str` and
+`cyc_to_json` read the integer numerators with one gcd per coordinate and
+give the same text as a Fraction per coordinate would.  The package has no
+floating point: all decisions are made on exact data.
 """
 
 from __future__ import annotations
@@ -601,21 +601,27 @@ class CycNum:
         return not self.is_zero()
 
     def __str__(self):
-        if self.conductor == 1:
-            return str(self.as_fraction())
+        n, den = self.conductor, self._den
+        if n == 1:
+            num = self._nums[0]
+            return str(num) if den == 1 else f"{num}/{den}"
         terms = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self._nums):
             if not c:
                 continue
-            z = "1" if k == 0 else (f"z{self.conductor}" if k == 1 else f"z{self.conductor}^{k}")
+            g = gcd(c, den)
+            c, d = c // g, den // g
+            text = str(c) if d == 1 else f"{c}/{d}"
             if k == 0:
-                terms.append(str(c))
-            elif c == 1:
+                terms.append(text)
+                continue
+            z = f"z{n}" if k == 1 else f"z{n}^{k}"
+            if d == 1 and c == 1:
                 terms.append(z)
-            elif c == -1:
+            elif d == 1 and c == -1:
                 terms.append(f"-{z}")
             else:
-                terms.append(f"{c}*{z}")
+                terms.append(f"{text}*{z}")
         return " + ".join(terms).replace("+ -", "- ")
 
     __repr__ = __str__
@@ -695,10 +701,14 @@ def sqrt_rational(x) -> CycNum:
 
 
 def cyc_to_json(x: CycNum) -> dict:
-    return {
-        "conductor": x.conductor,
-        "coeffs": [[str(c.numerator), str(c.denominator)] for c in x.coeffs],
-    }
+    """{"conductor": N, "coeffs": [[num, den], ...]}: each coordinate at the
+    conductor as a reduced fraction, its numerator and denominator as strings."""
+    den = x._den
+    coeffs = []
+    for c in x._nums:
+        g = gcd(c, den)
+        coeffs.append([str(c // g), str(den // g)])
+    return {"conductor": x.conductor, "coeffs": coeffs}
 
 
 def _input_conductor(n: int) -> int:

@@ -332,13 +332,20 @@ def eigenvalue_multiplicity(group: GroupRep, k, sign) -> int:
 def class_sum(group: GroupRep, values) -> CycNum:
     """The sum of |C| * values[C] over the conjugacy classes C, exact.
 
-    The sum is taken on the rational coordinates of the values at their
-    common conductor, so it forms no CycNum product.
+    The sum is taken on the integer numerators of the values at their common
+    conductor, over the lcm of their denominators, so it forms no CycNum
+    product and no Fraction.
     """
     conductor = common_conductor(values)
-    sizes = [len(cls) for cls in conjugacy_classes(group)]
-    coords = zip(*(v.coords_at(conductor) for v in values))
-    return CycNum(conductor, [sum(k * c for k, c in zip(sizes, col)) for col in coords])
+    parts = [v.numerators_at(conductor) for v in values]
+    den = lcm(*(d for _, d in parts))
+    total = [0] * len(parts[0][0])
+    for cls, (nums, d) in zip(conjugacy_classes(group), parts):
+        scale = len(cls) * (den // d)
+        for k, c in enumerate(nums):
+            if c:
+                total[k] += scale * c
+    return CycNum.from_numerators(conductor, total, den)
 
 
 def character_norm(group: GroupRep) -> CycNum:
@@ -404,8 +411,11 @@ def _rank_one_factors(mat):
     p, col = next(
         (i, j) for j in range(n) for i in range(n) if not diff[i][j].is_zero()
     )
-    inv = diff[p][col].inverse()
-    root = tuple(row[col] * inv for row in diff)
+    if all(diff[i][col].is_zero() for i in range(p + 1, n)):
+        root = tuple(_ONE if i == p else _ZERO for i in range(n))
+    else:
+        inv = diff[p][col].inverse()
+        root = tuple(row[col] * inv for row in diff)
     phi = tuple(diff[p])
     if any(x != a * f for row, a in zip(diff, root) for x, f in zip(row, phi)):
         raise InternalConsistencyError("a reflection is not root times functional")

@@ -9,8 +9,8 @@ read off a `GroupAnalysis`, whose stages are each computed once, on first read.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 from .catalog import CatalogEntry, get_entry, quaternion_preset
 from .cyclotomic import CycNum, zeta
@@ -399,5 +399,75 @@ def analyze(target, *, seed: int = 0, cap: int = DEFAULT_CAP) -> dict:
 
 def render_json(value) -> str:
     """Canonical serialization of a report or any part of it: stable key
-    order, two-space indent."""
-    return json.dumps(value, sort_keys=True, indent=2)
+    order, two-space indent.
+
+    The text is that of `json.dumps(value, sort_keys=True, indent=2)`, written
+    by one recursive pass instead of the pure-Python encoder that an indent
+    selects.  Values are dicts with str keys, lists, tuples, str, int, bool and
+    None; anything else (a float too) raises TypeError.  A dict's str and int
+    values, and a list of only str or only int (bool is neither), are written
+    without a further call."""
+    out = []
+    # indents[d] starts a line at depth d; a container at depth d is reached
+    # only after one at depth d - 1, so one append keeps the list long enough
+    indents = ["\n"]
+
+    def write(value, depth):
+        if isinstance(value, dict):
+            if not value:
+                out.append("{}")
+                return
+            if len(indents) <= depth + 1:
+                indents.append(indents[-1] + "  ")
+            inner = indents[depth + 1]
+            lead, sep = "{" + inner, "," + inner
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be str, not {type(key).__name__}")
+                item = value[key]
+                out.extend((lead, encode_basestring_ascii(key), ": "))
+                kind = type(item)
+                if kind is str:
+                    out.append(encode_basestring_ascii(item))
+                elif kind is int:
+                    out.append(int.__repr__(item))
+                else:
+                    write(item, depth + 1)
+                lead = sep
+            out.extend((indents[depth], "}"))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                out.append("[]")
+                return
+            if len(indents) <= depth + 1:
+                indents.append(indents[-1] + "  ")
+            inner = indents[depth + 1]
+            sep = "," + inner
+            kinds = set(map(type, value))
+            kind = kinds.pop() if len(kinds) == 1 else None
+            if kind is str:
+                out.extend(("[", inner, sep.join(map(encode_basestring_ascii, value))))
+            elif kind is int:
+                out.extend(("[", inner, sep.join(map(int.__repr__, value))))
+            else:
+                lead = "[" + inner
+                for item in value:
+                    out.append(lead)
+                    write(item, depth + 1)
+                    lead = sep
+            out.extend((indents[depth], "]"))
+        elif isinstance(value, str):
+            out.append(encode_basestring_ascii(value))
+        elif value is None:
+            out.append("null")
+        elif value is True:
+            out.append("true")
+        elif value is False:
+            out.append("false")
+        elif isinstance(value, int):
+            out.append(int.__repr__(value))
+        else:
+            raise TypeError(f"{type(value).__name__} is not a report value")
+
+    write(value, 0)
+    return "".join(out)

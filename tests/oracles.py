@@ -1,5 +1,6 @@
 """Shared independent oracles for the test suite."""
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
@@ -24,6 +25,7 @@ from invlat.groups import (
     apply,
     as_matrix,
     close_group,
+    conjugacy_classes,
     find_reflections,
     trace,
 )
@@ -1497,22 +1499,7 @@ class FractionCycNum:
         return not self.is_zero()
 
     def __str__(self):
-        if self.conductor == 1:
-            return str(self.coeffs[0])
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            z = "1" if k == 0 else (f"z{self.conductor}" if k == 1 else f"z{self.conductor}^{k}")
-            if k == 0:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(z)
-            elif c == -1:
-                terms.append(f"-{z}")
-            else:
-                terms.append(f"{c}*{z}")
-        return " + ".join(terms).replace("+ -", "- ")
+        return cyc_str_by_fractions(self)
 
     __repr__ = __str__
 
@@ -1561,8 +1548,48 @@ def _as_fraction_cycnum(x):
 _FRACTION_ZERO = FractionCycNum.rational(0)
 
 
-def fraction_cyc_to_json(x: FractionCycNum) -> dict:
+def fraction_cyc_to_json(x) -> dict:
+    """The JSON encoding of a CycNum or FractionCycNum, built from a Fraction
+    per coordinate.  The library reads integer numerators with one gcd each."""
     return {
         "conductor": x.conductor,
         "coeffs": [[str(c.numerator), str(c.denominator)] for c in x.coeffs],
     }
+
+
+def cyc_str_by_fractions(x) -> str:
+    """The text of a CycNum or FractionCycNum, built from a Fraction per
+    coordinate.  The library reads integer numerators with one gcd each."""
+    if x.conductor == 1:
+        return str(x.coeffs[0])
+    terms = []
+    for k, c in enumerate(x.coeffs):
+        if not c:
+            continue
+        z = "1" if k == 0 else (f"z{x.conductor}" if k == 1 else f"z{x.conductor}^{k}")
+        if k == 0:
+            terms.append(str(c))
+        elif c == 1:
+            terms.append(z)
+        elif c == -1:
+            terms.append(f"-{z}")
+        else:
+            terms.append(f"{c}*{z}")
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+def render_json_by_dumps(value) -> str:
+    """A report's canonical text from the standard library encoder, whose
+    indent selects its pure-Python path.  The library writes the same bytes
+    in one recursive pass."""
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def class_sum_by_fractions(group, values) -> CycNum:
+    """The sum of |C| * values[C] over the conjugacy classes C, on a Fraction
+    per coordinate at the common conductor.  The library sums integer
+    numerators over the lcm of the denominators."""
+    conductor = common_conductor(values)
+    sizes = [len(cls) for cls in conjugacy_classes(group)]
+    coords = zip(*(v.coords_at(conductor) for v in values))
+    return CycNum(conductor, [sum(k * c for k, c in zip(sizes, col)) for col in coords])

@@ -30,6 +30,7 @@ from invlat.linalg import rref
 
 from oracles import (
     FractionCycNum,
+    cyc_str_by_fractions,
     euler_phi,
     exact_sign,
     fraction_canonical,
@@ -255,6 +256,24 @@ def test_str_round_trip_examples():
     for x in [zeta(3), -zeta(4), CycNum.rational(Fraction(5, 3)),
               zeta(8) + zeta(8) ** 3, CycNum.rational(1) - zeta(7)]:
         assert parse_scalar(str(x)) == x
+
+
+def test_text_and_json_match_fraction_oracles_at_conductors_1_to_60():
+    """str and cyc_to_json read integer numerators with one gcd each; the
+    oracles build a Fraction per coordinate.  Coordinates are 0, +-1 or a
+    small integer over a denominator 1-6."""
+    rng = random.Random(6001)
+    for n in range(1, 61):
+        values = [CycNum.rational(0), CycNum.rational(1), CycNum.rational(-1), zeta(n), -zeta(n)]
+        for _ in range(6):
+            values.append(CycNum(n, [
+                Fraction(rng.choice([0, 0, 1, -1, rng.randint(-9, 9)]), rng.randint(1, 6))
+                for _ in range(euler_phi(n))
+            ]))
+            values.append(CycNum(n, [rng.choice([0, 1, -1]) for _ in range(euler_phi(n))]))
+        for x in values:
+            assert str(x) == cyc_str_by_fractions(x), (n, x.coeffs)
+            assert cyc_to_json(x) == fraction_cyc_to_json(x), (n, x.coeffs)
 
 
 # -- fast paths against the general route -----------------------------------

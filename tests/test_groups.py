@@ -11,11 +11,14 @@ from invlat.cyclotomic import CycNum, cyc_to_json, zeta
 from invlat.errors import CapExceededError, InternalConsistencyError, InvalidInputError
 from invlat.groups import (
     character_norm,
+    class_character,
+    class_sum,
     close_group,
     conjugacy_classes,
     find_reflections,
     group_from_json,
     matrix_from_json,
+    power_classes,
 )
 from invlat.report import analyze
 from invlat.schur import frobenius_schur_indicator
@@ -24,6 +27,7 @@ from generated_groups import GENERATED, imprimitive, in_generic_basis, weyl_from
 from oracles import (
     character,
     character_norm_by_inverses,
+    class_sum_by_fractions,
     close_group_dense,
     conj_transpose,
     conjugacy_classes_by_matrices,
@@ -73,6 +77,52 @@ def test_closure_matches_dense_oracle(oracle_groups):
 def test_character_norm_matches_inverse_oracle(oracle_groups):
     for name, group in oracle_groups:
         assert character_norm(group) == character_norm_by_inverses(group), name
+
+
+def cyclic(m: int) -> dict:
+    """<z_m> acting on C^1: every element but the identity is a reflection."""
+    return {"conductor": m, "dimension": 1, "generators": [[[f"z{m}"]]]}
+
+
+def test_class_sum_matches_fraction_oracle(oracle_groups):
+    z512 = group_from_json(cyclic(512))
+    for name, group in oracle_groups + [("<z512>", z512)]:
+        chi = class_character(group)
+        squares = [chi[seq[2 % len(seq)]] for seq in power_classes(group)]
+        for values in (
+            chi,
+            [x * x.conjugate() for x in chi],
+            squares,
+            [x / (k % 6 + 1) for k, x in enumerate(chi)],
+        ):
+            assert class_sum(group, values) == class_sum_by_fractions(group, values), name
+    assert character_norm(z512) == 1
+    assert frobenius_schur_indicator(z512) == 0
+
+
+@pytest.mark.parametrize(
+    "group_obj, inverses",
+    [(imprimitive(m, n), m * n * (n - 1) // 2) for m, n in [(2, 2), (3, 2), (4, 2), (3, 3)]]
+    + [(cyclic(m), 0) for m in (2, 5, 12, 64)],
+    ids=["G(2,1,2)", "G(3,1,2)", "G(4,1,2)", "G(3,1,3)", "z2", "z5", "z12", "z64"],
+)
+def test_reflection_roots_invert_only_pivots_of_two_entry_columns(
+    monkeypatch, group_obj, inverses
+):
+    """A diagonal reflection of G(m,1,n) and every reflection of a cyclic
+    group has root e_p; only the m * n(n-1)/2 reflections that swap two
+    coordinates invert their pivot."""
+    group = group_from_json(group_obj)
+    calls = []
+    real = CycNum.inverse
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(CycNum, "inverse", counting)
+    find_reflections(group)
+    assert len(calls) == inverses
 
 
 def test_closure_makes_no_dense_products(monkeypatch):

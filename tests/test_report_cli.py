@@ -10,6 +10,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invlat import cli, cyclotomic, groups, reflections, report, schur
 from invlat.catalog import catalog_names, get_entry
@@ -22,7 +23,7 @@ from invlat.errors import InvalidInputError, NotDiscreteError
 from invlat.report import analyze, render_json
 
 from generated_groups import GENERATED
-from oracles import lattice_from_json, order_saturate, sparse
+from oracles import lattice_from_json, order_saturate, render_json_by_dumps, sparse
 
 GOLDEN = Path(__file__).parent / "golden"
 # integral doubling scalars whose order Z[c] is euclidean
@@ -299,6 +300,44 @@ def test_render_is_deterministic():
     assert a == b
     parsed = json.loads(a)
     assert parsed["schema"] == "torus-report/1"
+
+
+# report-like text: quotes, backslashes, control and non-ASCII characters
+report_text = st.text(
+    alphabet=st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028é√z'),
+    max_size=12,
+)
+report_ints = st.integers(min_value=-(2**80), max_value=2**80) | st.sampled_from(
+    [2**64, 2**64 + 1, -(2**64), 0, -1]
+)
+report_values = st.recursive(
+    st.none() | st.booleans() | report_ints | report_text,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(report_text, max_size=5)
+    | st.lists(report_ints, max_size=5)
+    | st.dictionaries(report_text, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(report_values)
+@settings(max_examples=400, deadline=None)
+def test_render_writes_the_bytes_of_json_dumps(value):
+    assert render_json(value) == render_json_by_dumps(value)
+
+
+def test_render_writes_any_depth():
+    value = "leaf"
+    for depth in range(150):
+        value = {"k": value, "n": [depth, -depth]} if depth % 2 else [value, [], {}, True, None]
+    assert render_json(value) == render_json_by_dumps(value)
+
+
+@pytest.mark.parametrize("value", [1.5, [0.0], {"x": {"y": float("nan")}}, {1: "a"}, {"a": {2}}])
+def test_render_rejects_a_value_outside_the_report_types(value):
+    with pytest.raises(TypeError):
+        render_json(value)
 
 
 def test_analyze_inline_group_dict():

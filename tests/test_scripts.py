@@ -7,6 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from invlat.catalog import catalog_names
+from invlat.report import analyze
+
+from oracles import render_json_by_dumps
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -31,6 +36,13 @@ def test_dichotomy_sweep_matches_snapshot():
     assert result.returncode == 0, result.stderr
     snapshot = ROOT / "tests" / "golden" / "quaternion_dichotomy_b3.txt"
     assert result.stdout == snapshot.read_text()
+
+
+def test_catalog_json_is_the_dumps_text_of_every_report():
+    reports = {name: analyze(name) for name in catalog_names()}
+    result = run_script(["run_catalog.py", "--json"])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == render_json_by_dumps(reports) + "\n"
 
 
 def run_script(argv):
