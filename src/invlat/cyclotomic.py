@@ -21,14 +21,28 @@ success.
   its coordinates there.
 * When p divides N once, Q(z_N) = Q(z_(N/p)) tensor Q(z_p), and one integer
   pass over the coordinates decides membership and rewrites them
-  (_crt_subfield; T. Breuer, AAECC 8, 1997); nothing is built or cached.
+  (_crt_subfield; T. Breuer, AAECC 8, 1997).  Most values fail that test,
+  so a rejection is first sought modulo a prime.  Take a = 1 mod N/p with
+  a mod p generating (Z/p)^x: then sigma_a (z -> z^a) generates
+  Gal(Q(z_N)/Q(z_(N/p))), so x lies in Q(z_(N/p)) exactly when
+  sigma_a(x) = x.  With (l, g) = splitting_prime(N), z -> g is a ring map
+  Z[z_N] -> F_l, so sum c_k g^k != sum c_k g^(ak) mod l certifies
+  sigma_a(x) != x and the exact test is skipped.  Equal images prove
+  nothing: the value then goes to the exact test unchanged.  The image of x
+  is shared by the primes of one descent step, and the power tables are
+  cached per (N, p).
 * The value is rational exactly when the coordinates 1.. vanish (z^0 = 1 is
   a basis vector).
 
 Some constructions skip the subfield search because their result keeps the
 field of an input: a rational plus x moves only the z^0 coordinate, scaling
 by a nonzero rational and negation keep the field, and so does a Galois
-conjugate.  The inverse is an extended Euclid against Phi_N on integer
+conjugate.  Rational operands take integer fast paths: the sum, difference
+or product of two rationals is one integer operation, with no gcd when both
+denominators are 1 and one gcd otherwise; x + 0, x - 0, 0 + x and x * 1
+return x; an int operand of `*` and `==` is read without building a
+CycNum.  `+` and `-` share one body with a sign, so a difference makes one
+object.  The inverse is an extended Euclid against Phi_N on integer
 polynomials kept primitive, O(phi(N)^2).
 
 `splitting_prime(n)` gives a prime l = 1 mod n and a g of order n modulo l,
@@ -51,7 +65,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import InternalConsistencyError, InvalidInputError
 
@@ -202,6 +216,37 @@ def _maximal_subfields(n: int):
     return tuple(out)
 
 
+def _primitive_root(p: int) -> int:
+    """The least generator of (Z/p)^x for a prime p."""
+    primes = _prime_factors(p - 1)
+    r = 1
+    while not all(pow(r, (p - 1) // q, p) != 1 for q in primes):
+        r += 1
+    return r
+
+
+def _relative_generator(n: int, p: int) -> int:
+    """The a in 1..n with a = 1 mod n / p and a mod p a generator of
+    (Z/p)^x, for p dividing n once: z_n -> z_n^a fixes z_(n/p) and generates
+    Gal(Q(z_n)/Q(z_(n/p))), which is (Z/p)^x."""
+    m = n // p
+    return 1 + m * ((_primitive_root(p) - 1) * pow(m, -1, p) % p)
+
+
+@lru_cache(maxsize=None)
+def _galois_images(n: int, p: int):
+    """(l, g^k mod l, g^(ak) mod l for k < phi(n)), with (l, g) =
+    splitting_prime(n) and a = _relative_generator(n, p): the images in F_l
+    of the power basis and of its conjugates under z_n -> z_n^a."""
+    ell, g = splitting_prime(n)
+    a = _relative_generator(n, p)
+    powers = [1] * n
+    for k in range(1, n):
+        powers[k] = powers[k - 1] * g % ell
+    phi = _phi_tail(n)[0]
+    return ell, tuple(powers[:phi]), tuple(powers[a * k % n] for k in range(phi))
+
+
 def _descend(n, nums):
     """(m, coordinates at conductor m): the minimal conductor m of the value
     with integer coordinates nums at conductor n (n != 2 mod 4), and its
@@ -209,6 +254,7 @@ def _descend(n, nums):
     while True:
         if not any(nums[1:]):
             return 1, nums[:1]
+        image = None
         for p, d in _maximal_subfields(n):
             if d % p == 0:
                 # Phi_n(x) = Phi_d(x^p): Q(z_d) holds the values whose
@@ -220,6 +266,13 @@ def _descend(n, nums):
                     d, nums = _halve(d, nums)
                     nums = _reduce_mod_phi(nums, d)
             else:
+                # x and its conjugate sigma_a(x) over Q(z_d) differ in F_l:
+                # x is outside Q(z_d); equal images prove nothing
+                ell, powers, moved = _galois_images(n, p)
+                if image is None:
+                    image = sum(map(mul, nums, powers)) % ell
+                if sum(map(mul, nums, moved)) % ell != image:
+                    continue
                 coords = _crt_subfield(n, p, nums)
                 if coords is None:
                     continue
@@ -245,10 +298,11 @@ def _canonical(n, dense):
 def _make(n, nums, den):
     """The CycNum (sum nums[k] z_n^k) / den from minimal-conductor coordinates
     and a positive den, reduced by their gcd."""
-    g = gcd(den, *nums)
-    if g != 1:
-        nums = [c // g for c in nums]
-        den //= g
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
     return CycNum._new(n, tuple(nums), den)
 
 
@@ -409,6 +463,8 @@ class CycNum:
         """(num / den) * self for integers num and den > 0."""
         if not num:
             return _ZERO
+        if num == 1 and den == 1:
+            return self
         return _make(self.conductor, [c * num for c in self._nums], self._den * den)
 
     def _lift_dense(self, m):
@@ -445,35 +501,59 @@ class CycNum:
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other):
-        other = as_cycnum(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.conductor == 1:
-            self, other = other, self
-        n, a_den, b_den = self.conductor, self._den, other._den
+    def _plus(self, other, sign):
+        """self + sign * other for a CycNum other and sign = 1 or -1."""
+        n, m = self.conductor, other.conductor
+        a_den, b_den = self._den, other._den
+        if m == 1:
+            b = other._nums[0]
+            if not b:
+                return self
+            if n == 1:
+                # both rational: integer arithmetic, and a gcd only over a den
+                a = self._nums[0]
+                if a_den == 1 and b_den == 1:
+                    return CycNum._new(1, (a + b if sign > 0 else a - b,), 1)
+                return _make(1, [a * b_den + sign * b * a_den], a_den * b_den)
+        elif n == 1 and not self._nums[0]:
+            return other if sign > 0 else -other
         if a_den == b_den:
             a_f = b_f = 1
         else:
             g = gcd(a_den, b_den)
             a_f, b_f = b_den // g, a_den // g
         den = a_den * a_f
-        if other.conductor == 1:
+        if m == 1:
             # a rational moves only the z^0 coordinate and keeps the field
             nums = [c * a_f for c in self._nums] if a_f != 1 else list(self._nums)
-            nums[0] += other._nums[0] * b_f
+            nums[0] += sign * b * b_f
             return _make(n, nums, den)
-        if n == other.conductor:
+        b_f *= sign
+        if n == 1:
+            # the same with the roles swapped: other keeps its field
+            nums = [c * b_f for c in other._nums]
+            nums[0] += self._nums[0] * a_f
+            return _make(m, nums, den)
+        if n == m:
             a, b = self._nums, other._nums
         else:
-            n = lcm(n, other.conductor)
+            n = lcm(n, m)
             a, b = self._coords(n), other._coords(n)
         if a_f == 1 and b_f == 1:
             sums = list(map(add, a, b))
+        elif a_f == 1 and b_f == -1:
+            sums = list(map(sub, a, b))
         else:
             sums = [x * a_f + y * b_f for x, y in zip(a, b)]
         m, nums = _descend(n, sums)
         return _make(m, nums, den)
+
+    def __add__(self, other):
+        if type(other) is not CycNum:
+            other = as_cycnum(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -481,19 +561,33 @@ class CycNum:
         return CycNum._new(self.conductor, tuple(-c for c in self._nums), self._den)
 
     def __sub__(self, other):
-        other = as_cycnum(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not CycNum:
+            other = as_cycnum(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
         other = as_cycnum(other)
         if other is NotImplemented:
             return NotImplemented
+        return other._plus(self, -1)
+
+    def __mul__(self, other):
+        if type(other) is not CycNum:
+            if type(other) is int:
+                if self.conductor == 1 and self._den == 1:
+                    return CycNum._new(1, (self._nums[0] * other,), 1)
+                return self._scaled(other, 1)
+            other = as_cycnum(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self.conductor == 1:
+            if other.conductor == 1:
+                a, b = self._nums[0], other._nums[0]
+                if self._den == 1 and other._den == 1:
+                    return CycNum._new(1, (a * b,), 1)
+                return _make(1, [a * b], self._den * other._den)
             return other._scaled(self._nums[0], self._den)
         if other.conductor == 1:
             return self._scaled(other._nums[0], other._den)
@@ -580,9 +674,12 @@ class CycNum:
     # -- protocol ------------------------------------------------------------
 
     def __eq__(self, other):
-        other = as_cycnum(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CycNum:
+            if type(other) is int:
+                return self.conductor == 1 and self._den == 1 and self._nums[0] == other
+            other = as_cycnum(other)
+            if other is NotImplemented:
+                return NotImplemented
         return (self.conductor == other.conductor and self._den == other._den
                 and self._nums == other._nums)
 

@@ -352,9 +352,23 @@ def character_norm(group: GroupRep) -> CycNum:
     """<chi, chi> = (1/|G|) sum |C| chi(C) conj chi(C) over the classes C,
     exact.
 
-    The group is finite, so chi(g^-1) = conj chi(g)."""
+    The group is finite, so chi(g^-1) = conj chi(g).  Each product is the
+    autocorrelation of the value's integer numerators at the common
+    conductor N, folded modulo z^N = 1 into one integer sum over the lcm of
+    the squared denominators; that sum is reduced once, at the end."""
     chi = class_character(group)
-    return class_sum(group, [x * x.conjugate() for x in chi]) / group.order
+    conductor = common_conductor(chi)
+    parts = [x.numerators_at(conductor) for x in chi]
+    den = lcm(*(d * d for _, d in parts))
+    total = [0] * conductor
+    for cls, (nums, d) in zip(conjugacy_classes(group), parts):
+        scale = len(cls) * (den // (d * d))
+        terms = [(k, c) for k, c in enumerate(nums) if c]
+        for j, a in terms:
+            a *= scale
+            for k, b in terms:
+                total[(j - k) % conductor] += a * b
+    return CycNum.from_numerators(conductor, total, den * group.order)
 
 
 class ReflectionData(Record):

@@ -24,6 +24,8 @@ from invlat.groups import (
     SparseMatrix,
     apply,
     as_matrix,
+    class_character,
+    class_sum,
     close_group,
     conjugacy_classes,
     find_reflections,
@@ -1004,6 +1006,15 @@ def character_norm_by_inverses(group):
     for k, inv in enumerate(inverse_index):
         total = total + chi[k] * chi[inv]
     return total / group.order
+
+
+def character_norm_by_products(group):
+    """(1/|G|) sum |C| chi(C) conj chi(C), with each product formed as a
+    CycNum and the products summed by `class_sum`.  The library folds the
+    autocorrelations of the integer numerators into one sum and reduces it
+    once."""
+    chi = class_character(group)
+    return class_sum(group, [x * x.conjugate() for x in chi]) / group.order
 
 
 def reflections_by_rank_scan(group):

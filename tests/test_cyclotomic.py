@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul, sub
 from pathlib import Path
 
 import mpmath
@@ -15,7 +16,12 @@ from invlat.cyclotomic import (
     MAX_CONDUCTOR,
     CycNum,
     _crt_subfield,
+    _descend,
+    _galois_images,
     _int_poly_quotient,
+    _prime_factors,
+    _reduce_mod_phi,
+    _relative_generator,
     as_cycnum,
     cyc_from_json,
     cyc_to_json,
@@ -445,6 +451,197 @@ def test_crt_subfield_matches_the_fraction_solver(n, p):
                 assert (got is not None) is inside
             if inside:
                 assert got == inner
+
+
+# -- the F_l rejection before the CRT test -----------------------------------
+
+def _once_divided(n):
+    """The primes p dividing n once with n / p > 1."""
+    return [p for p in _prime_factors(n) if (n // p) % p and n // p > 1]
+
+
+def _lifted(n, p, inner):
+    """Integer coordinates at conductor n of the value with coordinates inner
+    at conductor n / p."""
+    dense = [0] * n
+    dense[:len(inner) * p:p] = inner
+    return _reduce_mod_phi(dense, n)
+
+
+def test_relative_generator_generates_gal_over_the_subfield():
+    for n in range(3, 421):
+        if n % 4 == 2:
+            continue
+        for p in _once_divided(n):
+            a = _relative_generator(n, p)
+            assert 0 < a < n and a % (n // p) == 1, (n, p)
+            order = next(k for k in range(1, p) if pow(a, k, p) == 1)
+            assert order == p - 1, (n, p)
+
+
+def test_values_of_the_subfield_are_never_rejected_in_f_l():
+    rng = random.Random(420)
+    for n in range(3, 421):
+        if n % 4 == 2:
+            continue
+        for p in _once_divided(n):
+            ell, powers, moved = _galois_images(n, p)
+            nums = _lifted(n, p, [rng.randint(-9, 9) for _ in range(euler_phi(n // p))])
+            assert sum(map(mul, nums, powers)) % ell == sum(map(mul, nums, moved)) % ell
+
+
+@pytest.mark.parametrize("n,p", CRT_CASES)
+def test_descend_matches_the_fraction_descent(n, p):
+    # a value of Q(z_(n/p)), the same nudged out of it, a full value, and a
+    # value of a smaller subfield
+    rng = random.Random(n + p)
+    d = n // p
+    lifted = _lifted(n, p, [rng.randint(-5, 5) for _ in range(euler_phi(d))])
+    nudged = list(lifted)
+    nudged[rng.choice([k for k in range(1, len(nudged)) if k % p])] += 1
+    outer = [rng.randint(-5, 5) for _ in range(euler_phi(n))]
+    q = _prime_factors(d)[-1]
+    deeper = _lifted(n, p * q, [rng.randint(-5, 5) for _ in range(euler_phi(d // q))])
+    for nums in (lifted, nudged, outer, deeper):
+        m, coords = _descend(n, list(nums))
+        assert (m, tuple(map(Fraction, coords))) == fraction_canonical(n, nums)
+
+
+def test_a_full_value_at_60_reaches_no_crt_test(monkeypatch):
+    asked = []
+
+    def recording(n, p, nums):
+        coords = _crt_subfield(n, p, nums)
+        asked.append((n, p, coords is not None))
+        return coords
+
+    monkeypatch.setattr(cyclotomic, "_crt_subfield", recording)
+    rng = random.Random(60)
+    for _ in range(20):
+        x = CycNum(60, [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(euler_phi(60))])
+        assert x.conductor == 60
+    assert asked == []
+    # a value of Q(z20) written at conductor 60 passes the F_l test for p = 3
+    # and is accepted by the CRT test there
+    inner = [rng.randint(-5, 5) for _ in range(euler_phi(20))]
+    inner[1] = 1
+    assert CycNum(60, _lifted(60, 3, inner)) == CycNum(20, inner)
+    assert (60, 3, True) in asked
+    assert all(accepted for _, _, accepted in asked)
+
+
+# -- the rational fast paths -------------------------------------------------
+
+def _structure(x):
+    """(conductor, integer numerators, denominator) of a CycNum, or of a
+    FractionCycNum over the lcm of its coordinate denominators."""
+    if isinstance(x, FractionCycNum):
+        den = lcm(*(c.denominator for c in x.coeffs))
+        return x.conductor, tuple(int(c * den) for c in x.coeffs), den
+    return x.conductor, x._nums, x._den
+
+
+def _oracle_hash(big_x):
+    n, nums, den = _structure(big_x)
+    return hash(Fraction(nums[0], den)) if n == 1 else hash((n, nums, den))
+
+
+@st.composite
+def fast_path_operands(draw, conductor):
+    """(library operand, oracle operand): a raw int or Fraction, a rational
+    CycNum, zero or +-1, or an irrational at the given conductor or at
+    another one."""
+    kind = draw(st.sampled_from(["int", "fraction", "rational", "unit", "same", "mixed"]))
+    if kind == "int":
+        q = draw(st.integers(-9, 9))
+        return q, q
+    if kind == "fraction":
+        q = draw(small_fractions)
+        return q, q
+    if kind in ("rational", "unit"):
+        q = draw(small_fractions if kind == "rational" else st.sampled_from([0, 1, -1]))
+        return CycNum.rational(q), FractionCycNum.rational(q)
+    n = conductor if kind == "same" else draw(st.sampled_from([3, 4, 5, 8, 12]))
+    coeffs = [draw(small_fractions) for _ in range(euler_phi(n))]
+    coeffs[1] = coeffs[1] or Fraction(1)
+    return CycNum(n, coeffs), FractionCycNum(n, coeffs)
+
+
+@st.composite
+def fast_path_pairs(draw):
+    n = draw(st.sampled_from([3, 4, 12]))
+    (x, big_x), (y, big_y) = draw(fast_path_operands(n)), draw(fast_path_operands(n))
+    if not isinstance(x, CycNum) and not isinstance(y, CycNum):
+        x, big_x = CycNum.rational(x), FractionCycNum.rational(big_x)
+    return x, big_x, y, big_y
+
+
+@given(fast_path_pairs())
+@settings(max_examples=300)
+def test_fast_paths_match_the_fraction_oracle(pairs):
+    x, big_x, y, big_y = pairs
+    for op in (add, sub, mul):
+        got, want = op(x, y), op(big_x, big_y)
+        assert type(got) is CycNum
+        assert _structure(got) == _structure(want), op.__name__
+        assert hash(got) == _oracle_hash(want), op.__name__
+        assert (got == op(y, x)) is (want == op(big_y, big_x)), op.__name__
+    assert (x == y) is (big_x == big_y)
+    assert (x != y) is not (big_x == big_y)
+
+
+def _count_new(monkeypatch):
+    made, new = [], CycNum._new
+
+    def counting(n, nums, den):
+        made.append(n)
+        return new(n, nums, den)
+
+    monkeypatch.setattr(CycNum, "_new", staticmethod(counting))
+    return made
+
+
+def _count_make(monkeypatch):
+    asked, make = [], cyclotomic._make
+
+    def counting(n, nums, den):
+        asked.append(n)
+        return make(n, nums, den)
+
+    monkeypatch.setattr(cyclotomic, "_make", counting)
+    return asked
+
+
+@pytest.mark.parametrize("a,b", [(zeta(12) + 2, zeta(12, 5) - 1), (zeta(3), zeta(4)),
+                                 (zeta(5) / 3, CycNum.rational(Fraction(1, 2))),
+                                 (CycNum.rational(Fraction(2, 3)), zeta(8) / 6),
+                                 (CycNum.rational(4), CycNum.rational(9))])
+def test_a_difference_makes_one_cycnum(monkeypatch, a, b):
+    expected = a + (-b)
+    made = _count_new(monkeypatch)
+    assert a - b == expected
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("op", [add, sub, mul])
+def test_integer_arithmetic_makes_one_cycnum_and_no_gcd(monkeypatch, op):
+    x, y = CycNum.rational(-6), CycNum.rational(7)
+    made, asked = _count_new(monkeypatch), _count_make(monkeypatch)
+    assert op(x, y) == op(-6, 7)
+    assert len(made) == 1 and asked == []
+    made.clear()
+    assert x * 7 == 7 * x == -42
+    assert len(made) == 2 and asked == []
+
+
+def test_identities_return_the_operand(monkeypatch):
+    x = zeta(12) + Fraction(1, 3)
+    zero, one = CycNum.rational(0), CycNum.rational(1)
+    made = _count_new(monkeypatch)
+    assert x + zero is x and zero + x is x and x - zero is x
+    assert x * one is x and one * x is x and x * 1 is x and 1 * x is x
+    assert made == []
+    assert x + 0 is x and 0 + x is x
 
 
 # -- the integer kernel against the Fraction-per-coefficient oracle ----------

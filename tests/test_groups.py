@@ -27,6 +27,7 @@ from generated_groups import GENERATED, imprimitive, in_generic_basis, weyl_from
 from oracles import (
     character,
     character_norm_by_inverses,
+    character_norm_by_products,
     class_sum_by_fractions,
     close_group_dense,
     conj_transpose,
@@ -77,6 +78,21 @@ def test_closure_matches_dense_oracle(oracle_groups):
 def test_character_norm_matches_inverse_oracle(oracle_groups):
     for name, group in oracle_groups:
         assert character_norm(group) == character_norm_by_inverses(group), name
+
+
+def test_character_norm_matches_the_product_route(oracle_groups, monkeypatch):
+    z512 = group_from_json(cyclic(512))
+    for name, group in oracle_groups + [("<z512>", z512)]:
+        assert character_norm(group) == character_norm_by_products(group), name
+    # values with a denominator: the sum runs over the lcm of the squared
+    # denominators, so chi / 2 and chi / 3 mixed over the classes still agree
+    name, group = oracle_groups[-1]
+    norm = character_norm(group)
+    scaled = tuple(x / (2 if k % 2 else 3) for k, x in enumerate(class_character(group)))
+    monkeypatch.setattr(groups_module, "class_character", lambda g: scaled)
+    expected = class_sum(group, [x * x.conjugate() for x in scaled]) / group.order
+    assert character_norm(group) == expected, name
+    assert expected != norm
 
 
 def cyclic(m: int) -> dict:
