@@ -140,7 +140,7 @@ def _human_report(rep: dict) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    rep = analyze(_load_target(args.target), seed=args.seed, cap=args.cap)
+    rep = analyze(_load_target(args.target), cap=args.cap)
     if args.json:
         print(render_json(rep))
     else:
@@ -179,7 +179,7 @@ def _catalog_analysis(args, c=None) -> GroupAnalysis:
         )
     group = entry.group(cap=args.cap)
     scalar = None if c is None else parse_scalar(c)
-    return GroupAnalysis(group, entry=entry, doubling_scalar=scalar, seed=args.seed)
+    return GroupAnalysis(group, entry=entry, doubling_scalar=scalar)
 
 
 def _cmd_construct(args) -> int:
@@ -277,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
-        p.add_argument("--seed", type=int, default=0, help="seed for the module search")
         p.add_argument(
             "--cap", type=_closure_cap, default=DEFAULT_CAP,
             help=f"group closure size limit, at least 1 (default {DEFAULT_CAP})",

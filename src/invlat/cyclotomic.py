@@ -64,7 +64,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import add, mul, sub
 
 from .errors import InternalConsistencyError, InvalidInputError
@@ -75,39 +75,32 @@ from .errors import InternalConsistencyError, InvalidInputError
 MAX_CONDUCTOR = 1024
 
 
-def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _int_poly_quotient(num, den):
-    # exact division of integer polynomials, ascending coefficients
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1] // den[-1]
-        out[k] = c
-        for j, d in enumerate(den):
-            num[k + j] -= c * d
-    if any(num):
-        raise InternalConsistencyError("non-exact polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending, monic."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n)[:-1]:
-        poly = _int_poly_quotient(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    """Coefficients of the n-th cyclotomic polynomial, ascending, monic.
+
+    Phi_n is the product of (x^d - 1)^mu(n/d) over the divisors d of n.  For
+    n > 1 the exponents sum to 0, so Phi_n is also the product of the
+    (1 - x^d)^mu(n/d), a power series of degree phi(n), computed only that
+    far.  Only squarefree n/d count, one per set of primes of n: a factor
+    1 - x^d subtracts the series shifted by d, in descending order, and its
+    inverse 1 + x^d + x^2d + ... adds it back, in ascending order."""
+    if n == 1:
+        return (-1, 1)
+    primes = _prime_factors(n)
+    deg = n
+    for p in primes:
+        deg = deg // p * (p - 1)
+    series = [1] + [0] * deg
+    for chosen in range(1 << len(primes)):
+        d = n // prod(p for i, p in enumerate(primes) if chosen >> i & 1)
+        if chosen.bit_count() % 2 == 0:
+            for k in range(deg, d - 1, -1):
+                series[k] -= series[k - d]
+        else:
+            for k in range(d, deg + 1):
+                series[k] += series[k - d]
+    return tuple(series)
 
 
 @lru_cache(maxsize=None)

@@ -113,17 +113,17 @@ def _scale_vector(scalar, vector):
     return tuple(scalar * x for x in vector)
 
 
-def _orbit_lattice(group: GroupRep, seeds) -> ZLattice:
-    """Integer span of the G-orbits of the seeds, closed from the generators.
+def _orbit_lattice(group: GroupRep, starts) -> ZLattice:
+    """Integer span of the G-orbits of the starts, closed from the generators.
 
-    Starting from the span of the seeds, the images of every basis vector
+    Starting from the span of the starts, the images of every basis vector
     under each generator that the lattice does not contain are added until it
     contains them all.  Every g^-1 is a power of g, so the result is the
-    smallest lattice that holds the seeds and is mapped into itself by the
+    smallest lattice that holds the starts and is mapped into itself by the
     generators: the span of the orbits, already certified invariant by the
     stopping condition.
     """
-    lattice = lattice_from_generators(seeds, dim=group.dimension)
+    lattice = lattice_from_generators(starts, dim=group.dimension)
     while True:
         vecs = lattice.vectors()
         images = [apply(g, v) for g in group.sparse_generators for v in vecs]

@@ -79,7 +79,7 @@ def _profile_json(profile: CharacterProfile) -> dict:
         "bilinear_form": profile.bilinear.kind,
         "schur_index": profile.schur.index,
         "module_dimension": profile.schur.module_dimension,
-        "stable_passes": profile.schur.stable_passes,
+        "stable_passes": 2,  # a torus-report/1 constant, from the retired descent
         "gcd_certificate": None
         if gcd_cert is None
         else [{"combination": label, "kernel_dimension": d} for label, d in gcd_cert],
@@ -195,19 +195,18 @@ class GroupAnalysis(Record):
     gives, the lattices the verdict's recipes build, and the reflection
     geometry of the rank-2n lattice.  `report` reads them all; `construct`
     reads only the lattices, and `decompose` the lattices and the geometry.
-    The Schur descent runs in the profile only where theory leaves the index
-    open, and otherwise only when the `Zn` recipe reads the witness, so at
-    most once per analysis.
+    The Schur split runs in the profile only where theory leaves the index
+    open, and otherwise only when the `Zn` or `O` recipe reads the witness,
+    so at most once per analysis.
     """
 
     group: GroupRep
     entry: CatalogEntry | None = None  # the catalog entry, for its name and ds preset
     doubling_scalar: CycNum | None = None  # c of the Zn lattice's ds, z4 if None
-    seed: int = 0
 
     @cached_property
     def profile(self) -> CharacterProfile:
-        return character_profile(self.group, seed=self.seed)
+        return character_profile(self.group)
 
     @cached_property
     def verdict(self) -> LatticeVerdict:
@@ -215,14 +214,12 @@ class GroupAnalysis(Record):
 
     @cached_property
     def witness(self) -> SchurWitness:
-        """A descent to a minimal rational module: the profile's, or one
-        that stops at the index theory settled."""
+        """A minimal rational module: the profile's, or one split down to
+        the index theory settled."""
         schur = self.profile.schur
         if schur.basis:
             return schur
-        return schur_index(
-            self.group, self.profile.field.degree, seed=self.seed, known_index=schur.index
-        )
+        return schur_index(self.group, self.profile.field.degree, known_index=schur.index)
 
     @cached_property
     def lattices(self) -> LatticeStage:
@@ -244,8 +241,8 @@ class GroupAnalysis(Record):
             return LatticeStage(entries, doubled, split, [], True, detail)
         if clause == "c-i":
             order = ImaginaryQuadraticOrder.from_discriminant(profile.field.discriminant)
-            start = tuple(CycNum.rational(1 if k == 0 else 0) for k in range(n))
-            orbit = orbit_lattice_over_order(group, order, start, profile.field)
+            # start in a minimal module: the orbit of e1 need not be discrete
+            orbit = orbit_lattice_over_order(group, order, self.witness.basis[0], profile.field)
             orbit_entry = _lattice_entry("O", orbit, order=_fields_json(order))
             # the orbit lattice is already order-stable, so saturating it is
             # the identity: the saturate entry repeats it with index 1
@@ -333,9 +330,8 @@ def quaternion_report(name: str) -> dict:
     """Analyze one quaternion-torus preset: endomorphisms and the verdict.
 
     The profile is Q8's, whose indicator -1 fixes Schur index 2, so no
-    descent runs and no seed is taken.  Q8 is a fixed reference
-    of order 8, closed under the default cap: the input names no group for
-    a cap to bound."""
+    split runs.  Q8 is a fixed reference of order 8, closed under the
+    default cap: the input names no group for a cap to bound."""
     entry = get_entry(name)
     algebra, lattice, c = quaternion_preset(name)
     torus = build_quat_torus(algebra, lattice, c)
@@ -382,7 +378,7 @@ def quaternion_report(name: str) -> dict:
     }
 
 
-def analyze(target, *, seed: int = 0, cap: int = DEFAULT_CAP) -> dict:
+def analyze(target, *, cap: int = DEFAULT_CAP) -> dict:
     """Full report for a catalog name or group JSON dict.
 
     `cap` bounds the closure of the group the target names; a quaternion
@@ -391,9 +387,9 @@ def analyze(target, *, seed: int = 0, cap: int = DEFAULT_CAP) -> dict:
         entry = get_entry(target)
         if entry.kind == "quaternion-torus":
             return quaternion_report(target)
-        return GroupAnalysis(entry.group(cap=cap), entry=entry, seed=seed).report()
+        return GroupAnalysis(entry.group(cap=cap), entry=entry).report()
     if isinstance(target, dict):
-        return GroupAnalysis(group_from_json(target, cap=cap), seed=seed).report()
+        return GroupAnalysis(group_from_json(target, cap=cap)).report()
     raise InvalidInputError(f"cannot analyze {type(target).__name__}")
 
 

@@ -5,9 +5,9 @@ type via the Frobenius-Schur indicator, the Schur index, and the final verdict
 on which invariant-lattice ranks can exist.  The indicator and the kernel
 dimensions of the gcd certificate are read off the character on the group's
 power map.  Where the certificate or the Frobenius-Schur bound settles the
-index, the profile takes it from theory; only an open index runs the rational
-orbit-span descent.  The descent to a rational-form witness, which the `Zn`
-recipe reads, is a separate call of `schur_index`.
+index, the profile takes it from theory; only an open index splits the
+rational orbit span by its commutant.  The split to a rational-form witness,
+which the `Zn` and `O` recipes read, is a separate call of `schur_index`.
 
 The field's degree is read off the automorphisms of Q(z_N) that fix every
 class value, and an imaginary-quadratic discriminant off (gen - conj gen)^2.
@@ -15,12 +15,12 @@ class value, and an imaginary-quadratic discriminant off (gen - conj gen)^2.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+from itertools import chain, combinations, product
 from math import gcd, lcm
 
 from . import linalg
-from .cyclotomic import CycNum, common_conductor
+from .cyclotomic import CycNum, common_conductor, zeta
 from .errors import InternalConsistencyError, InvalidInputError
 from .groups import (
     GroupRep, apply, character_norm, class_character, class_sum, conjugacy_classes,
@@ -48,8 +48,7 @@ class BilinearFormType(Record):
 class SchurWitness(Record):
     index: int
     module_dimension: int
-    basis: tuple  # complex vectors spanning the minimal module; () if no descent ran
-    stable_passes: int
+    basis: tuple  # complex vectors spanning the minimal module; () if no split ran
 
 
 class CharacterProfile(Record):
@@ -155,64 +154,134 @@ def _expansion_conductor(group: GroupRep, vector) -> int:
     return lcm(group.conductor, common_conductor(vector))
 
 
-def _orbit_span(group: GroupRep, vector, conductor: int):
-    """Basis (rational rref rows) of the rational span of the G-orbit of vector.
-
-    That span is the smallest rational subspace containing vector and stable
-    under each generator, because every g^-1 is a power of g.  So it is closed
-    from the generators: each generator is applied to each new basis vector,
-    and an image is kept when it is independent of the echelon rows found so
-    far.  At most dimension * phi(conductor) rows are ever held.  The result
-    is the reduced row echelon form, which is unique for the subspace.
-    """
-    width = group.dimension * len(CycNum.rational(0).coords_at(conductor))
-    span = linalg.Span()
-    queue = [tuple(vector)] if span.add(flatten(vector, conductor)) else []
-    while queue:
-        current = queue.pop(0)
+def _spin(group: GroupRep, vector, conductor: int):
+    """(span, spun, tree, relations): the rational orbit span of a nonzero
+    vector, the smallest one stable under each generator, since every g^-1
+    is a power of g.  Each generator is applied to each kept vector, spun[0]
+    = vector first, and an image independent of `span` is kept as spun[k]
+    with tree[k - 1] = (j, g) for spun[k] = g spun[j]; any other image of
+    spun[k] under g is the relation (k, g, image)."""
+    span = linalg.Span([flatten(vector, conductor)])
+    spun, tree, relations = [tuple(vector)], [], []
+    for k, current in enumerate(spun):
         for g in group.sparse_generators:
             image = apply(g, current)
             if span.add(flatten(image, conductor)):
-                queue.append(image)
-    reduced, _ = linalg.rref(span.rows)
+                spun.append(image)
+                tree.append((k, g))
+            else:
+                relations.append((k, g, image))
+    return span, spun, tree, relations
+
+
+def _orbit_span(group: GroupRep, vector, conductor: int):
+    """Basis (rational rref rows) of the rational span of the G-orbit of a
+    nonzero vector, closed by `_spin`.  The reduced row echelon form is
+    unique for the subspace."""
+    width = group.dimension * len(CycNum.rational(0).coords_at(conductor))
+    reduced, _ = linalg.rref(_spin(group, vector, conductor)[0].rows)
     if any(len(r) != width for r in reduced):
         raise InternalConsistencyError("orbit-span row has the wrong width")
     return [tuple(r) for r in reduced]
 
 
-# Each descent pass tries every basis vector and RANDOM_COMBOS seeded random
-# combinations of them; the descent ends after REQUIRED_STABLE_PASSES
-# consecutive passes find no smaller span.
-RANDOM_COMBOS = 8
-REQUIRED_STABLE_PASSES = 2
+def _kernel(rows, width):
+    """A basis of the rational vectors y with sum(row[j] * y[j]) = 0 for
+    every row, one per free column, read off the reduced row echelon form."""
+    reduced, pivots = linalg.rref(rows)
+    basis = []
+    for free in sorted(set(range(width)) - set(pivots)):
+        y = [Fraction(int(j == free)) for j in range(width)]
+        for row, pivot in zip(reduced, pivots):
+            y[pivot] = -row[free]
+        basis.append(y)
+    return basis
+
+
+def _integral(mat):
+    """The rational matrix times the lcm of its denominators, as ints."""
+    d = lcm(*(x.denominator for row in mat for x in row))
+    return [[int(x * d) for x in row] for row in mat]
+
+
+def _split(group: GroupRep, vector, basis, conductor):
+    """A nonzero vector of a proper G-stable subspace of U, the orbit span of
+    vector with rref rows basis, or None when no candidate splits U.
+
+    A map X of U is the matrix whose row i holds the basis coordinates of
+    X(basis row i).  X in E = End_Q[G](U) is fixed by w = X(vector), as
+    X(spun[k]) = word_k(w) (`_spin`), and w qualifies when each relation
+    g spun[k] = sum r_j spun[j] holds for the words applied to w: u = dim U
+    unknowns, not the u^2 of X A_g = A_g X, whose kernel basis, E reduced
+    from the right, depends on U alone.  For x in E and a root of unity c
+    that maps U into itself, as those of the character field do, the rows r
+    with r (x - c) = 0 span a G-stable subspace.  The first one neither 0
+    nor U, for x in the basis of E, then its pairwise sums, then its
+    pairwise products, gives the vector."""
+    n, u = group.dimension, len(basis)
+    _, spun, tree, relations = _spin(group, vector, conductor)
+    words = [spun]  # words[k][i] = word_k(spun[i])
+    for k, g in tree:
+        words.append([apply(g, x) for x in words[k]])
+    flat = [[flatten(x, conductor) for x in row] for row in words]
+    spun_span = linalg.Span(flat[0])
+    equations = []
+    for k, g, image in relations:
+        r = spun_span.coords(flatten(image, conductor))
+        columns = [flatten(apply(g, x), conductor) for x in words[k]]
+        for rj, row in zip(r, flat):
+            if rj:
+                columns = [[a - rj * b for a, b in zip(col, f)] for col, f in zip(columns, row)]
+        equations += map(list, zip(*columns))
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    to_spun = _integral([spun_span.coords(row) for row in basis])
+    flipped = []  # each element of E as one row, read from its last entry
+    for y in _kernel(equations, u):
+        images = [[sum(c * f[p] for c, f in zip(y, row) if c) for p in pivots] for row in flat]
+        mat = linalg.matmul(to_spun, _integral(images))
+        flipped.append([x for row in mat for x in row][::-1])
+    reduced = [y[::-1] for y in linalg.rref(flipped)[0][::-1]]
+    e_basis = [[y[i * u:(i + 1) * u] for i in range(u)] for y in reduced]
+    span = linalg.Span(basis)
+    vectors = [reassemble(n, conductor, row) for row in basis]
+    roots = [zeta(lcm(2, conductor), k) for k in range(lcm(2, conductor))]
+    scaled = ([span.coords(flatten(tuple(c * x for x in v), conductor)) for v in vectors]
+              for c in roots)
+    scalars = [rows for rows in scaled if None not in rows]
+    candidates = chain(
+        e_basis,
+        ([[p + q for p, q in zip(*rows)] for rows in zip(x, y)]
+         for x, y in combinations(e_basis, 2)),
+        (linalg.matmul(x, y) for x, y in product(e_basis, repeat=2)),
+    )
+    for x in candidates:
+        for c in scalars:
+            shifted = [[p - q for p, q in zip(*rows)] for rows in zip(x, c)]
+            kernel = _kernel(list(zip(*shifted)), u)  # the rows r with r (x - c) = 0
+            if 0 < len(kernel) < u:
+                row = [sum(r * b for r, b in zip(kernel[0], col)) for col in zip(*basis)]
+                return reassemble(n, conductor, row)
+    return None
 
 
 def schur_index(
     group: GroupRep,
     degree: int,
     start=None,
-    seed: int = 0,
     known_index: int | None = None,
 ) -> SchurWitness:
-    """Schur index via descent to a minimal rational orbit span.
+    """Schur index via a split of the rational orbit span to a minimal module.
 
-    Starting from the rational span of one G-orbit (closed from the
-    generators by `_orbit_span`), regenerate from each basis vector and from
-    RANDOM_COMBOS seeded random small-integer combinations, keeping any
-    strictly smaller span, until REQUIRED_STABLE_PASSES consecutive passes
-    make no progress.  The stable-pass count is recorded on the witness: the
-    descent certifies an upper bound that is exact whenever the final module
-    is simple, which a stable pass supports but does not unconditionally
-    prove.  `degree` is the degree of the character field, which
-    `classify_character_field` gives.
-
-    `known_index` is an index that theory has already fixed (see
-    `_settled_index`), else 1 bounds it below.  No nonzero G-stable rational
-    subspace is smaller than (known_index or 1) * degree * n, so the descent
-    stops as soon as its span has that dimension: no later pass could shrink
-    it, and the basis is the one the full descent returns.  `stable_passes`
-    still records the required count, although fewer passes, possibly none,
-    ran.  A descent that ends off a known index raises InternalConsistencyError.
+    U starts as the rational span of the G-orbit of start, e1 by default
+    (closed from the generators by `_orbit_span`).  `degree` is the degree
+    of the character field, which `classify_character_field` gives.  No
+    nonzero G-stable rational subspace is smaller than (known_index or 1) *
+    degree * n, `known_index` being an index that theory has already fixed
+    (see `_settled_index`).  While U is larger, `_split` looks for a proper
+    G-stable subspace through the commutant of U, and U becomes the orbit
+    span of the vector it returns.  Each split is exact, so the index read
+    off the final U is an upper bound, exact whenever U is simple.  A split
+    that ends off a known index raises InternalConsistencyError.
     """
     n = group.dimension
     if start is None:
@@ -225,29 +294,9 @@ def schur_index(
     conductor = _expansion_conductor(group, start)
     basis = _orbit_span(group, start, conductor)
     smallest = (known_index or 1) * degree * n
-    rng = random.Random(seed)
-    stable = 0
-    while stable < REQUIRED_STABLE_PASSES and len(basis) != smallest:
-        improved = False
-        candidates = [reassemble(n, conductor, row) for row in basis]
-        for _ in range(RANDOM_COMBOS):
-            coeffs = [rng.randint(-3, 3) for _ in basis]
-            if all(c == 0 for c in coeffs):
-                coeffs[rng.randrange(len(basis))] = 1
-            row = [
-                sum(c * x for c, x in zip(coeffs, col))
-                for col in zip(*basis)
-            ]
-            candidates.append(reassemble(n, conductor, tuple(row)))
-        for vec in candidates:
-            if all(x.is_zero() for x in vec):
-                continue
-            span = _orbit_span(group, vec, conductor)
-            if len(span) < len(basis):
-                basis = span
-                improved = True
-                break
-        stable = 0 if improved else stable + 1
+    vec = start
+    while len(basis) > smallest and (vec := _split(group, vec, basis, conductor)) is not None:
+        basis = _orbit_span(group, vec, conductor)
     dim = len(basis)
     if dim % (degree * n):
         raise InternalConsistencyError(
@@ -256,21 +305,14 @@ def schur_index(
     m = dim // (degree * n)
     if known_index is not None and m != known_index:
         raise InternalConsistencyError(
-            f"descent ended at Schur index {m}, but theory fixes {known_index}"
+            f"split ended at Schur index {m}, but theory fixes {known_index}"
         )
     witness = tuple(reassemble(n, conductor, row) for row in basis)
-    if m == 1:
-        # an index-1 witness is a rational form: G-stable, full complex span
-        complex_rank = linalg.rank([list(v) for v in witness])
-        span = linalg.Span(basis)
-        stable_under_g = all(
-            span.coords(flatten(apply(g, v), conductor)) is not None
-            for g in group.sparse_generators
-            for v in witness
-        )
-        if complex_rank != n or not stable_under_g:
-            raise InternalConsistencyError("index-1 witness failed the field-form check")
-    return SchurWitness(m, dim, witness, REQUIRED_STABLE_PASSES)
+    # an index-1 witness is a rational form: G-stable, as `_spin` closed it,
+    # and of full complex span
+    if m == 1 and linalg.rank([list(v) for v in witness]) != n:
+        raise InternalConsistencyError("index-1 witness failed the field-form check")
+    return SchurWitness(m, dim, witness)
 
 
 def gcd_kernel_shortcut(group: GroupRep):
@@ -318,12 +360,11 @@ def _settled_index(field: CharacterFieldClass, bilinear: BilinearFormType, gcd_c
     return None
 
 
-def character_profile(group: GroupRep, seed: int = 0) -> CharacterProfile:
+def character_profile(group: GroupRep) -> CharacterProfile:
     """Field class, bilinear type, gcd certificate and Schur index, with
     consistency checks.  Where the certificate or the Frobenius-Schur bound
-    settles the index m, no descent runs: the module dimension is m*d*n, the
-    witness basis is empty and `stable_passes` is the required count.  Only
-    an open index runs the descent, on `seed`."""
+    settles the index m, no split runs: the module dimension is m*d*n and the
+    witness basis is empty.  Only an open index runs `schur_index`."""
     norm = character_norm(group)
     if norm != 1:
         raise InvalidInputError(
@@ -334,10 +375,10 @@ def character_profile(group: GroupRep, seed: int = 0) -> CharacterProfile:
     gcd_cert = gcd_kernel_shortcut(group)
     known = _settled_index(field, bilinear, gcd_cert)
     if known is None:
-        schur = schur_index(group, field.degree, seed=seed)
+        schur = schur_index(group, field.degree)
     else:
         dim = known * field.degree * group.dimension
-        schur = SchurWitness(known, dim, (), REQUIRED_STABLE_PASSES)
+        schur = SchurWitness(known, dim, ())
     if not field.real_valued and bilinear.kind != "complex":
         raise InternalConsistencyError(
             "non-real character admits an invariant bilinear form"

@@ -3,9 +3,9 @@
 These exercise the paths the catalog does not reach with a nontrivial
 group order: the Weyl group B3 from its Cartan matrix, and the imprimitive
 groups G(m,1,n) of Shephard-Todd, which run the O, saturate, split and CM
-steps; the dihedral groups G(m,m,2); and the extraspecial group
-2^{1+4}_- = Q8 o D8 in dimension 4, the only group input with Schur index 2
-besides Q8.  Run this file to rewrite the byte snapshots in
+steps; the dihedral groups, as G(m,m,2) and as I2(m) from the Coxeter
+diagram; and the extraspecial group 2^{1+4}_- = Q8 o D8 in dimension 4,
+the only group input with Schur index 2 besides Q8.  Run this file to rewrite the byte snapshots in
 tests/golden/generated/ (only for a change that alters report bytes on
 purpose):
 
@@ -59,6 +59,18 @@ def dihedral(m: int) -> dict:
     return {"conductor": m, "dimension": 2, "generators": [
         [["0", f"z{m}^{m - 1}"], [f"z{m}", "0"]],
         [["0", "1"], ["1", "0"]],
+    ]}
+
+
+def coxeter_i2(m: int) -> dict:
+    """I2(m), the dihedral group of order 2m, from its Coxeter diagram:
+    s_i(alpha_j) = alpha_j + 2cos(pi/m_ij) alpha_i, with m_ii = 1 and
+    m_12 = m, and 2cos(pi/m) = zeta_2m + zeta_2m^-1.  Column j of s_i holds
+    s_i(alpha_j), as in `weyl_from_cartan`."""
+    c = f"z{2 * m}+z{2 * m}^{2 * m - 1}"
+    return {"conductor": 2 * m, "dimension": 2, "generators": [
+        [["-1", c], ["0", "1"]],
+        [["1", "0"], [c, "-1"]],
     ]}
 
 

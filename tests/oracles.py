@@ -1,6 +1,7 @@
 """Shared independent oracles for the test suite."""
 
 import json
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
@@ -17,7 +18,6 @@ from invlat.cyclotomic import (
     cyc_from_json,
     cyc_to_json,
     cyclotomic_polynomial,
-    divisors,
 )
 from invlat.errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
 from invlat.groups import (
@@ -31,6 +31,7 @@ from invlat.groups import (
     find_reflections,
     trace,
 )
+from invlat.schur import SchurWitness, _expansion_conductor, _orbit_span
 from invlat.lattices import (
     MultiplierRing,
     RankTwoLattice,
@@ -44,6 +45,91 @@ from invlat.lattices import (
     reassemble,
     scale_lattice,
 )
+
+
+def divisors(n: int) -> list[int]:
+    """The divisors of n, ascending, by trial division up to sqrt(n)."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _int_poly_quotient(num, den):
+    # exact division of integer polynomials, ascending coefficients
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        c = num[k + len(den) - 1] // den[-1]
+        out[k] = c
+        for j, d in enumerate(den):
+            num[k + j] -= c * d
+    if any(num):
+        raise InternalConsistencyError("non-exact polynomial division")
+    return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial_by_division(n: int) -> tuple[int, ...]:
+    """Phi_n as x^n - 1 divided by Phi_d for every proper divisor d of n.  The
+    library multiplies sparse binomials (x^d - 1)^mu(n/d) instead."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in divisors(n)[:-1]:
+        poly = _int_poly_quotient(poly, cyclotomic_polynomial_by_division(d))
+    return tuple(poly)
+
+
+# Each descent pass tries every basis vector and RANDOM_COMBOS seeded random
+# combinations of them; the descent ends after REQUIRED_STABLE_PASSES
+# consecutive passes find no smaller span.
+RANDOM_COMBOS = 8
+REQUIRED_STABLE_PASSES = 2
+
+
+def schur_index_by_descent(group, degree, start=None, seed=0, known_index=None):
+    """Schur index via a seeded random descent to a minimal rational orbit
+    span: regenerate from each basis vector and from RANDOM_COMBOS seeded
+    random small-integer combinations, keeping any strictly smaller span,
+    until REQUIRED_STABLE_PASSES consecutive passes make no progress.  An
+    upper bound, exact whenever the final module is simple.  The library
+    splits the orbit span by its commutant instead."""
+    n = group.dimension
+    if start is None:
+        start = tuple(CycNum.rational(1 if k == 0 else 0) for k in range(n))
+    conductor = _expansion_conductor(group, start)
+    basis = _orbit_span(group, start, conductor)
+    smallest = (known_index or 1) * degree * n
+    rng = random.Random(seed)
+    stable = 0
+    while stable < REQUIRED_STABLE_PASSES and len(basis) != smallest:
+        improved = False
+        candidates = [reassemble(n, conductor, row) for row in basis]
+        for _ in range(RANDOM_COMBOS):
+            coeffs = [rng.randint(-3, 3) for _ in basis]
+            if all(c == 0 for c in coeffs):
+                coeffs[rng.randrange(len(basis))] = 1
+            row = [
+                sum(c * x for c, x in zip(coeffs, col))
+                for col in zip(*basis)
+            ]
+            candidates.append(reassemble(n, conductor, tuple(row)))
+        for vec in candidates:
+            if all(x.is_zero() for x in vec):
+                continue
+            span = _orbit_span(group, vec, conductor)
+            if len(span) < len(basis):
+                basis = span
+                improved = True
+                break
+        stable = 0 if improved else stable + 1
+    dim = len(basis)
+    m = dim // (degree * n)
+    return SchurWitness(m, dim, tuple(reassemble(n, conductor, row) for row in basis))
 
 
 def mat_identity(n):

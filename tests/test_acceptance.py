@@ -19,7 +19,7 @@ from invlat.forge import (
     orbit_lattice_over_order,
     split_as_order_module,
 )
-from invlat.groups import character_norm
+from invlat.groups import character_norm, group_from_json
 from invlat.lattices import (
     RankTwoLattice,
     invariance_check,
@@ -47,6 +47,7 @@ from invlat.schur import (
     schur_index,
 )
 
+from generated_groups import F21, SAME_GROUP_TWO_WAYS, SD16, dihedral
 from oracles import (
     conj_transpose,
     coset_count,
@@ -137,10 +138,16 @@ def test_acceptance_3_quaternion_dichotomy():
 
 
 def test_acceptance_4_schur_indices_from_five_starts():
-    cases = [("S3-standard", 1), ("Q8", 2), ("G4", 1)]
+    cases = [(name, get_entry(name).group(), index)
+             for name, index in [("S3-standard", 1), ("Q8", 2), ("G4", 1)]]
+    # groups where the orbit span of some start is larger than a simple
+    # module: the split must find one from every start
+    split = {"SD16": SD16, "F21": F21, "G(3,3,2)": dihedral(3), "G(6,6,2)": dihedral(6)}
+    for pair, writings in SAME_GROUP_TWO_WAYS.items():
+        split.update({f"{pair}-{k}": obj for k, obj in enumerate(writings)})
+    cases += [(name, group_from_json(obj), 1) for name, obj in split.items()]
     with criterion(4, 10.0, "module search index from five start vectors"):
-        for name, expected in cases:
-            group = get_entry(name).group()
+        for name, group, expected in cases:
             degree = classify_character_field(group).degree
             for start in five_starts(group.dimension):
                 witness = schur_index(group, degree, start=start)

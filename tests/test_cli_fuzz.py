@@ -7,9 +7,10 @@ diagonal of roots of unity) make finite groups, so the analysis itself runs
 as well as the input checks and the closure cap.
 
 A second fuzz draws the arguments instead: `analyze`, `decompose` and
-`construct` on catalog entries, with integers and junk text for `--cap` and
-`--seed`, and recipes and scalars for `--recipe` and `--c`.  An argument argparse rejects ends in SystemExit(2), which counts as
-exit code 2.
+`construct` on catalog entries, with integers and junk text for `--cap`, and
+recipes and scalars for `--recipe` and `--c`.  An argument argparse rejects
+ends in SystemExit(2), which counts as exit code 2.  `--seed`, which the
+module search no longer takes, is such an argument on every verb.
 
 A last test takes one dense generator at dimension 24 and at
 `MAX_DIMENSION` under `--cap 1`: its rank check must be quick, so it exits 3
@@ -125,7 +126,7 @@ int_args = st.one_of(numbers.map(str), mostly(st.text(max_size=4), st.just("")))
 def command_lines(draw):
     verb = draw(st.sampled_from(["analyze", "decompose", "construct"]))
     argv = [verb, draw(st.sampled_from(catalog_names()))]
-    options = {"--cap": int_args, "--seed": int_args}
+    options = {"--cap": int_args}
     if verb == "construct":
         options["--recipe"] = mostly(st.sampled_from(["Zn", "ds", "O", "saturate"]),
                                      st.text(max_size=4))
@@ -148,6 +149,20 @@ def test_commands_exit_0_2_or_3_on_any_arguments(argv):
             code = exc.code
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "S3-standard", "--seed", "1"],
+    ["construct", "S3-standard", "--recipe", "Zn", "--seed", "1"],
+    ["decompose", "WeylB2", "--seed", "1"],
+], ids=["analyze", "construct", "decompose"])
+def test_seed_is_an_unrecognized_argument(argv):
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in err.getvalue()
+    assert "Traceback" not in err.getvalue() and out.getvalue() == ""
 
 
 @pytest.mark.parametrize("conductor", [1, 4, 12])

@@ -18,7 +18,6 @@ from invlat.cyclotomic import (
     _crt_subfield,
     _descend,
     _galois_images,
-    _int_poly_quotient,
     _prime_factors,
     _reduce_mod_phi,
     _relative_generator,
@@ -26,7 +25,6 @@ from invlat.cyclotomic import (
     cyc_from_json,
     cyc_to_json,
     cyclotomic_polynomial,
-    divisors,
     parse_scalar,
     sqrt_rational,
     zeta,
@@ -36,7 +34,10 @@ from invlat.linalg import rref
 
 from oracles import (
     FractionCycNum,
+    _int_poly_quotient,
     cyc_str_by_fractions,
+    cyclotomic_polynomial_by_division,
+    divisors,
     euler_phi,
     exact_sign,
     fraction_canonical,
@@ -85,6 +86,12 @@ def test_cyclotomic_polynomial_values():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(3) == (1, 1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_polynomial_matches_the_division_route():
+    # the binomial product against x^n - 1 divided by every Phi_d, d < n
+    for n in range(1, 121):
+        assert cyclotomic_polynomial(n) == cyclotomic_polynomial_by_division(n), n
 
 
 def test_conductor_is_canonical():

@@ -167,13 +167,6 @@ def test_quaternion_section(reports):
         assert sub["t"] == "-1"
 
 
-def test_quaternion_report_takes_no_seed(reports):
-    # Q8's indicator -1 fixes its Schur index before the descent draws
-    assert render_json(analyze("example-non-ci", seed=7)) == render_json(
-        reports["example-non-ci"]
-    )
-
-
 def test_reflection_sections(reports):
     s3_geo = reports["S3-standard"]["reflection"]
     assert s3_geo["tags"] == ["geom-i", "geom-ii"]
@@ -592,7 +585,7 @@ def test_construct_reads_no_geometry(capsys, monkeypatch):
     assert out == render_json(zn) + "\n"
 
 
-def test_the_descent_runs_at_most_once_and_only_for_a_zn_lattice(monkeypatch):
+def test_the_split_runs_at_most_once_and_only_for_a_zn_or_o_lattice(monkeypatch):
     calls = []
     real = schur.schur_index
 
@@ -606,13 +599,18 @@ def test_the_descent_runs_at_most_once_and_only_for_a_zn_lattice(monkeypatch):
     ran = set()
     for name in [*catalog_names(), *ladder]:
         calls.clear()
-        analyze(GENERATED[name][0] if name in GENERATED else name)
+        rep = analyze(GENERATED[name][0] if name in GENERATED else name)
         assert len(calls) <= 1, name
         if calls:
             ran.add(name)
-    assert ran == {"S3-standard", "S4-standard", "WeylA2", "WeylB2", "WeylB3"}
-    # an index theory leaves open runs the descent in the profile, and the
-    # Zn recipe reads that descent's witness
+        recipes = {e["recipe"] for e in rep["lattices"]}
+        assert bool(calls) == bool(recipes & {"Zn", "O"}), name
+    assert ran == {
+        "S3-standard", "S4-standard", "WeylA2", "WeylB2", "WeylB3",
+        "G4", "C3-zeta3", "C4-zeta4", "G3-1-2", "G4-1-2", "G6-1-2", "G3-1-3",
+    }
+    # an index theory leaves open runs the split in the profile, and the
+    # Zn recipe reads that split's witness
     monkeypatch.setattr(schur, "_settled_index", lambda *args: None)
     calls.clear()
     rep = analyze("S3-standard")

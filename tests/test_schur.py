@@ -8,7 +8,7 @@ from invlat import linalg, schur
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import MAX_CONDUCTOR, CycNum, zeta
 from invlat.cli import main
-from invlat.errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
+from invlat.errors import InternalConsistencyError, InvalidInputError
 from invlat.groups import class_character, close_group, group_from_json
 from invlat.linalg import rank
 from invlat.report import GroupAnalysis, analyze
@@ -27,7 +27,7 @@ from invlat.schur import (
 )
 
 
-from generated_groups import F21, GENERATED, SAME_GROUP_TWO_WAYS, SD16, dihedral
+from generated_groups import F21, GENERATED, SAME_GROUP_TWO_WAYS, SD16, coxeter_i2, dihedral
 from oracles import (
     averaged_bilinear_form,
     euler_phi,
@@ -39,6 +39,7 @@ from oracles import (
     indicator_by_squares,
     mat_mul,
     orbit_span_all_elements,
+    schur_index_by_descent,
 )
 
 
@@ -108,8 +109,20 @@ def test_bilinear_certificates(s3, s4, b2, q8, g4):
                 assert mat_mul(gt, mat_mul(form, g)) == form
 
 
+# Groups whose orbit span from some start is larger than a simple module, so
+# the split has work to do; each has Schur index 1.
+SPLIT_GROUPS = {
+    "SD16": SD16, "F21": F21, "G(3,3,2)": dihedral(3), "G(6,6,2)": dihedral(6),
+    **{f"{pair}-{k}": obj for pair, writings in SAME_GROUP_TWO_WAYS.items()
+       for k, obj in enumerate(writings)},
+}
+
+
 def test_schur_index_from_five_starts(s3, q8, g4):
-    for group, expected in [(s3, 1), (q8, 2), (g4, 1)]:
+    # a different start is a different search path to the same index
+    cases = [(s3, 1), (q8, 2), (g4, 1)]
+    cases += [(group_from_json(obj), 1) for obj in SPLIT_GROUPS.values()]
+    for group, expected in cases:
         d = classify_character_field(group).degree
         for start in five_starts(group.dimension):
             witness = schur_index(group, d, start=start)
@@ -120,14 +133,36 @@ def test_schur_index_from_five_starts(s3, q8, g4):
                 assert witness.module_dimension == d * group.dimension
 
 
-def test_schur_witness_stability_passes(s3):
-    witness = schur_index(s3, 1)
-    assert witness.stable_passes >= 2
+def test_split_runs_only_where_the_orbit_span_is_too_large(monkeypatch):
+    # from e1 every SPLIT_GROUPS entry but the second writings spans more
+    # than a simple module, and each split lands on one
+    splits = []
+    real = schur._split
+    monkeypatch.setattr(schur, "_split", lambda *a: splits.append(a) or real(*a))
+    for name, obj in SPLIT_GROUPS.items():
+        splits.clear()
+        group = group_from_json(obj)
+        assert schur_index(group, classify_character_field(group).degree).index == 1
+        assert bool(splits) == (not name.endswith("-1")), name
 
 
-def test_schur_index_seed_independence(q8):
-    assert schur_index(q8, 1, seed=1).index == 2
-    assert schur_index(q8, 1, seed=2).index == 2
+def test_split_index_matches_the_seeded_descent(oracle_groups, family_oracle_groups):
+    # the retired random descent, kept as an oracle, gives the split's witness
+    # on every oracle group, and an index never below the split's elsewhere:
+    # both are upper bounds, and the descent can miss a simple submodule
+    for name, group in oracle_groups:
+        d = classify_character_field(group).degree
+        assert schur_index(group, d) == schur_index_by_descent(group, d), name
+    missed = set()
+    for name, group in family_oracle_groups:
+        d = classify_character_field(group).degree
+        split, descent = schur_index(group, d).index, schur_index_by_descent(group, d).index
+        assert split == 1 <= descent, name
+        if descent > 1:
+            missed.add(name)
+    assert missed == {
+        "G(7,7,2)", "G(9,9,2)", "G(11,11,2)", "F21", "Q8xC3-0", "extraspecial-plus-0",
+    }
 
 
 def test_gcd_certificates(s3, s4, q8):
@@ -249,7 +284,6 @@ def test_settled_descent_matches_full_descent(oracle_groups):
             profile.schur.index, profile.schur.module_dimension,
         ), name
         assert known in (None, full.index), name
-        assert full.stable_passes == profile.schur.stable_passes == 2
     assert settled == len(oracle_groups)
 
 
@@ -283,20 +317,27 @@ def test_settled_index_skips_the_descent(monkeypatch):
         profile = analysis.profile
         assert profile.gcd_certificate is None
         assert profile.bilinear.indicator == -1 and profile.field.real_valued
-        assert profile.schur.index == 2 and profile.schur.stable_passes == 2
+        assert profile.schur.index == 2
         assert calls == []
         assert analysis.witness.index == 2
         assert len(calls) == 1
 
 
 def test_settled_groups_without_a_zn_lattice_run_no_descent(capsys, monkeypatch):
+    # the O recipe of an imaginary-quadratic group reads the witness: one
+    # orbit span of e1, which already has the settled dimension, and no split
     calls = count_orbit_spans(monkeypatch)
+    monkeypatch.setattr(schur, "_split", lambda *a: pytest.fail("split ran"))
     ladder = [GENERATED[name][0] for name in ("G3-1-2", "G4-1-2", "G6-1-2", "G3-1-3")]
     for target in ["G4", "C3-zeta3", "Q8", *ladder]:
+        calls.clear()
         analyze(target)
+        assert len(calls) == (target != "Q8"), target
+        assert all(v[0] == 1 and not any(v[1:]) for v in calls), target
+    calls.clear()
     assert main(["construct", "G4", "--recipe", "O"]) == 0
     capsys.readouterr()
-    assert calls == []
+    assert len(calls) == 1
 
 
 def test_an_open_descent_stops_at_the_smallest_possible_span(monkeypatch):
@@ -308,7 +349,6 @@ def test_an_open_descent_stops_at_the_smallest_possible_span(monkeypatch):
         calls.clear()
         profile = character_profile(group_from_json(second))
         assert profile.gcd_certificate is None and profile.schur.index == 1, pair
-        assert profile.schur.stable_passes == 2, pair
         assert len(calls) == 1, pair
 
 
@@ -327,7 +367,7 @@ def test_descent_that_misses_the_known_index_raises(q8):
 
 
 def test_cli_reports_a_wrong_certificate_as_exit_4(capsys, monkeypatch):
-    # a certificate claiming index 1 on Q8, whose descent ends at index 2
+    # a certificate claiming index 1 on Q8, whose split ends at index 2
     monkeypatch.setattr(
         schur, "gcd_kernel_shortcut", lambda group: (("ambient", 2), ("fake", 1))
     )
@@ -384,24 +424,28 @@ def test_verdict_table(s3, s4, g4, q8, c5):
         assert verdict.exists_any == (rank_n or rank_2n)
 
 
-def test_witness_field_form_is_g_stable(s3):
-    witness = schur_index(s3, 1)
-    rows = []
-    for vec in witness.basis:
-        rows.append(list(vec))
-    assert rank(rows) == s3.dimension
-    # closure under one generator stays inside the rational span of the basis
-    from invlat import linalg
+def test_witness_field_form_is_g_stable(s3, oracle_groups):
+    # every index-1 witness has full complex span, and each dense generator
+    # maps it into its rational span, checked on expanded coordinates rather
+    # than by the closure that built it
     from oracles import expand_vectors
 
-    for g in s3.generators:
-        for vec in witness.basis:
-            image = tuple(
-                sum((g[i][j] * vec[j] for j in range(2)), CycNum.rational(0))
-                for i in range(2)
-            )
-            _, stacked = expand_vectors(list(witness.basis) + [image])
-            assert linalg.rank(stacked) == linalg.rank(stacked[:-1])
+    groups = [s3, *(group_from_json(obj) for obj in SPLIT_GROUPS.values())]
+    groups += [group for _, group in oracle_groups]
+    for group in groups:
+        witness = schur_index(group, classify_character_field(group).degree)
+        if witness.index != 1:
+            continue
+        n = group.dimension
+        assert rank([list(v) for v in witness.basis]) == n
+        for g in group.generators:
+            for vec in witness.basis:
+                image = tuple(
+                    sum((g[i][j] * vec[j] for j in range(n)), CycNum.rational(0))
+                    for i in range(n)
+                )
+                _, stacked = expand_vectors(list(witness.basis) + [image])
+                assert linalg.rank(stacked) == linalg.rank(stacked[:-1])
 
 
 CATALOG_GROUPS = [
@@ -472,63 +516,57 @@ def test_orbit_span_row_reduces_fewer_rows_than_the_group_order(monkeypatch):
 
 
 # One group written two ways (SAME_GROUP_TWO_WAYS in generated_groups.py):
-# the Schur index and the clause are invariants of the character.  The
-# randomized descent misses the minimal module for the first group of each
-# pair (ROADMAP open item 1), so these fail until it is replaced.
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: the randomized Schur descent misses the "
-                   "minimal module, so the verdict depends on how the group is written")
+# the Schur index and the clause are invariants of the character.
 @pytest.mark.parametrize("pair", sorted(SAME_GROUP_TWO_WAYS))
 def test_schur_verdict_does_not_depend_on_how_the_group_is_written(pair):
-    first, second = SAME_GROUP_TWO_WAYS[pair]
-    for seed in range(4):
-        verdicts = [analyze(obj, seed=seed) for obj in (first, second)]
-        assert verdicts[0]["group"]["order"] == verdicts[1]["group"]["order"]
-        first_verdict, second_verdict = [
-            (r["profile"]["schur_index"], r["verdict"]["clause"]) for r in verdicts
-        ]
-        assert first_verdict == second_verdict, (pair, seed)
+    reports = [analyze(obj) for obj in SAME_GROUP_TWO_WAYS[pair]]
+    assert reports[0]["group"]["order"] == reports[1]["group"]["order"]
+    verdicts = [(r["profile"]["schur_index"], r["verdict"]["clause"]) for r in reports]
+    assert verdicts == [(1, "c-i")] * 2, pair
 
 
 # Two groups whose matrices lie over a larger cyclotomic field than their
 # character field.  A gcd certificate fixes Schur index 1, and the character
-# field is imaginary quadratic, so the O recipe runs and no descent does; its
-# start e1 spans Z[zeta8]*e1 (SD16) or Z[zeta7]*e1 (F21), which is not
-# discrete, on every seed (ROADMAP open item 1).
+# field is imaginary quadratic, so the O recipe runs.  Its start e1 spans
+# Z[zeta8]*e1 (SD16) or Z[zeta7]*e1 (F21), which is not discrete, so it
+# starts from the first vector of the split witness instead.
 LARGER_FIELD_GROUPS = {"SD16": SD16, "F21": F21}
 
 
-@pytest.mark.xfail(strict=True, raises=NotDiscreteError,
-                   reason="ROADMAP item 1: the O start vector does not lie in a "
-                   "simple submodule when the matrices need a larger field")
 @pytest.mark.parametrize("name", sorted(LARGER_FIELD_GROUPS))
 def test_index_one_groups_over_a_larger_field_get_clause_c_i(name):
-    for seed in range(4):
-        report = analyze(LARGER_FIELD_GROUPS[name], seed=seed)
-        verdict = (report["profile"]["schur_index"], report["verdict"]["clause"])
-        assert verdict == (1, "c-i"), (name, seed)
+    report = analyze(LARGER_FIELD_GROUPS[name])
+    verdict = (report["profile"]["schur_index"], report["verdict"]["clause"])
+    assert verdict == (1, "c-i"), name
+    assert [e["recipe"] for e in report["lattices"]] == ["O", "saturate"]
 
 
 # The dihedral groups G(m,m,2) at conductor m: Schur index 1 for every m,
 # and a rational character field, so clause c-i, exactly for m = 3, 4, 6.
-# A gcd certificate settles the index, so only the Zn recipe of a c-i group
-# runs the descent; on the seeds below it ends at index 2 and raises
-# (ROADMAP open item 1).
-DIHEDRAL_DESCENT_FAILS = {(3, 1), (6, 1)}
-
-
-@pytest.mark.parametrize("m, seed", [
-    pytest.param(m, seed, marks=pytest.mark.xfail(
-        strict=True, raises=InternalConsistencyError,
-        reason="ROADMAP item 1: the randomized Schur descent misses the minimal module",
-    )) if (m, seed) in DIHEDRAL_DESCENT_FAILS else (m, seed)
-    for m in range(3, 13) for seed in range(4)
-])
-def test_dihedral_groups_get_schur_index_1(m, seed):
-    report = analyze(dihedral(m), seed=seed)
+# A gcd certificate settles the index; the Zn recipe of a c-i group splits
+# the orbit span of e1 down to a rational form, and the full split from
+# each of four starts reaches index 1 too.
+@pytest.mark.parametrize("m, start", [(m, k) for m in range(3, 13) for k in range(4)])
+def test_dihedral_groups_get_schur_index_1(m, start):
+    report = analyze(dihedral(m))
     assert report["group"]["order"] == 2 * m
     verdict = (report["profile"]["schur_index"], report["verdict"]["clause"])
     assert verdict == (1, "c-i" if m in (3, 4, 6) else "none")
+    group = group_from_json(dihedral(m))
+    degree = report["profile"]["character_field"]["degree"]
+    assert schur_index(group, degree, start=five_starts(2)[start]).index == 1
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_coxeter_diagram_and_monomial_dihedral_groups_agree(m):
+    # I2(m) from its Coxeter diagram over Q(zeta_2m), and G(m,m,2) over Q(zeta_m)
+    reports = [analyze(obj) for obj in (coxeter_i2(m), dihedral(m))]
+    facts = [
+        (r["group"]["order"], r["profile"]["schur_index"],
+         r["profile"]["character_field"]["kind"], r["verdict"]["clause"])
+        for r in reports
+    ]
+    assert facts[0] == facts[1] == (2 * m, 1, facts[1][2], "c-i" if m in (3, 4, 6) else "none")
 
 
 @pytest.mark.parametrize("name", sorted(LARGER_FIELD_GROUPS) + CATALOG_GROUPS)

@@ -37,7 +37,7 @@ def _root(n, k=1):
     return sympy.exp(2 * sympy.pi * sympy.I * k / n)
 
 
-@pytest.mark.parametrize("n", list(range(1, 121)) + [1009, 1024])
+@pytest.mark.parametrize("n", list(range(1, 301)) + [720, 840, 1009, 1020, 1024])
 def test_cyclotomic_polynomial_matches_sympy(n):
     expected = sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()[::-1]
     assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected)
