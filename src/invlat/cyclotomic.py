@@ -413,9 +413,11 @@ class CycNum:
         if isinstance(coeffs, (int, Fraction)):
             coeffs = [coeffs]
         n = int(conductor)
-        qs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
-        den = lcm(*{q.denominator for q in qs})
-        nums = [q.numerator * (den // q.denominator) for q in qs]
+        # each coefficient read once, as (numerator, denominator)
+        pairs = [(c, 1) if type(c) is int else
+                 (c if type(c) is Fraction else Fraction(c)).as_integer_ratio() for c in coeffs]
+        den = lcm(*{q for _, q in pairs})
+        nums = [p for p, _ in pairs] if den == 1 else [p * (den // q) for p, q in pairs]
         if n != 1 or len(nums) != 1:
             n, nums = _canonical(n, nums)
         x = _make(n, nums, den)

@@ -2,13 +2,14 @@
 
 Rational routines (rref, Span, inverse) take rows of ints and Fractions and
 return Fractions.  Each row is cleared to integers by the lcm of its
-denominators, and the elimination stays on the integers.  `rref` runs
-fraction-free Gauss-Jordan elimination (Bareiss 1968): each step replaces
-every other row by (row * p - a * pivot row) // previous pivot, which
-Sylvester's identity makes exact, and each kept row is divided by its pivot
-once at the end.  A step writes only the live entries: the columns past the
-pivot and the earlier columns that got no pivot, since every earlier pivot
-column already reads 0, or the pivot in its own row.  `Span` is the one
+denominators, and the elimination stays on the integers.  `rref` runs one
+fraction-free forward elimination (Bareiss 1968): each step replaces every
+row below the pivot row by (row * p - a * pivot row) // previous pivot,
+which Sylvester's identity makes exact.  The pivot columns of the result
+are unit columns, so a fraction-free back-substitution (Nakos, Turner and
+Williams 1997) solves only the free columns, on the integers, as D times
+the result with D the last pivot.  `inverse` is the right half of the rref
+of [mat | I], whose identity block is n free columns.  `Span` is the one
 route for span membership and coordinates: it keeps the rows added so far
 in echelon form, each a primitive integer row over its own pivot, so a
 fixed basis is reduced once and every later question costs one reduction
@@ -55,63 +56,65 @@ def identity(n):
 
 
 def rref(rows):
-    """Reduced row echelon form of rows of ints and Fractions, by
-    fraction-free Gauss-Jordan.  Returns (nonzero rows, pivot column list),
-    with Fraction entries.
+    """Reduced row echelon form of rows of ints and Fractions.  Returns
+    (nonzero rows, pivot column list), with Fraction entries.
 
-    Each row is cleared to integers by the lcm of its denominators.  At a
-    pivot p, every other row becomes (row * p - a * pivot row) // prev, with a
-    its entry in the pivot column and prev the pivot before p (1 at first).
-    By Sylvester's identity every entry is then a minor of the cleared
-    matrix, so the division is exact, and every pivot row holds p at its
-    pivot; the kept rows are divided by the last pivot once at the end.
-
-    A step writes only the entries it can change.  In an earlier pivot
-    column every row already holds 0, or prev in that pivot's own row, so
-    such a row gets p there and the others keep 0; column c becomes 0 off
-    the pivot row.  That leaves the columns past c, and the earlier columns
-    that got no pivot, where only the rows above the pivot row can be
-    nonzero and the pivot row is 0, so those entries are scaled by p/prev."""
+    Each row is cleared to integers by the lcm of its denominators.  One
+    fraction-free forward elimination (Bareiss 1968) makes the echelon rows
+    U: at a pivot p, every row below becomes (row * p - a * pivot row) //
+    prev, with a its entry in the pivot column and prev the pivot before p
+    (1 at first), exact by Sylvester's identity.  The pivot columns of the
+    result are unit columns, so only the free columns are solved, by
+    fraction-free back-substitution (Nakos, Turner and Williams 1997): with
+    D the last pivot and p_k the pivot of U[k], for each free column f,
+    x_i = (D * U[i][f] - sum over k > i of U[i][p_k] * x_k) // U[i][p_i]
+    is an exact division: x is adj(B) times column f, for B the pivot
+    columns of the rows that gave the pivots, and det B = D.  Entry (i, f)
+    of the result is x_i / D."""
     rows = [_cleared(row)[0] for row in rows]
     if not rows or not rows[0]:
         return [], []
-    pivots = []
-    free = []  # the columns before c that got no pivot
+    pivots, free = [], []
     prev = 1
-    r = 0
     for c in range(len(rows[0])):
+        r = len(pivots)
         pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             free.append(c)
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pivot_row = rows[r]
-        p = pivot_row[c]
-        tail = pivot_row[c + 1:]
-        for i, row in enumerate(rows):
-            if i == r:
-                continue
+        p = rows[r][c]
+        tail = rows[r][c + 1:]
+        # columns up to c are not read again
+        for row in rows[r + 1:]:
             a = row[c]
             if a:
-                row[c] = 0
                 row[c + 1:] = [(x * p - a * y) // prev for x, y in zip(row[c + 1:], tail)]
             elif p != prev:
                 row[c + 1:] = [x * p // prev for x in row[c + 1:]]
-            else:
-                continue
-            if i < r:
-                row[pivots[i]] = p
-                for f in free:
-                    if row[f]:
-                        row[f] = row[f] * p // prev
         prev = p
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
+    # solved[i]: x at the free columns past pivots[i], the only nonzero ones
+    solved = [None] * len(pivots)
+    for i in range(len(pivots) - 1, -1, -1):
+        row = rows[i]
+        acc = [prev * row[f] for f in free if f > pivots[i]]
+        for k in range(i + 1, len(pivots)):
+            a, xs = row[pivots[k]], solved[k]
+            if a and xs:
+                cut = len(acc) - len(xs)
+                acc[cut:] = [s - a * x for s, x in zip(acc[cut:], xs)]
+        solved[i] = [s // row[pivots[i]] for s in acc]
     zero, one = Fraction(0), Fraction(1)
-    return [[zero if not x else one if x == prev else Fraction(x, prev) for x in row]
-            for row in rows[:r]], pivots
+    out = []
+    for c, xs in zip(pivots, solved):
+        row = [zero] * len(rows[0])
+        row[c] = one
+        for f, x in zip(free[len(free) - len(xs):], xs):
+            if x:
+                row[f] = Fraction(x, prev)
+        out.append(row)
+    return out, pivots
 
 
 def _forward(rows):

@@ -175,14 +175,15 @@ def _spin(group: GroupRep, vector, conductor: int):
 
 
 def _orbit_span(group: GroupRep, vector, conductor: int):
-    """Basis (rational rref rows) of the rational span of the G-orbit of a
-    nonzero vector, closed by `_spin`.  The reduced row echelon form is
-    unique for the subspace."""
+    """(basis, spin): the rational rref rows of the span of the G-orbit of a
+    nonzero vector, and the `_spin` that closed it, which `_split` reads.
+    The reduced row echelon form is unique for the subspace."""
     width = group.dimension * len(CycNum.rational(0).coords_at(conductor))
-    reduced, _ = linalg.rref(_spin(group, vector, conductor)[0].rows)
+    spin = _spin(group, vector, conductor)
+    reduced, _ = linalg.rref(spin[0].rows)
     if any(len(r) != width for r in reduced):
         raise InternalConsistencyError("orbit-span row has the wrong width")
-    return [tuple(r) for r in reduced]
+    return [tuple(r) for r in reduced], spin
 
 
 def _kernel(rows, width):
@@ -201,15 +202,16 @@ def _kernel(rows, width):
 def _integral(mat):
     """The rational matrix times the lcm of its denominators, as ints."""
     d = lcm(*(x.denominator for row in mat for x in row))
-    return [[int(x * d) for x in row] for row in mat]
+    return [[x.numerator * (d // x.denominator) for x in row] for row in mat]
 
 
-def _split(group: GroupRep, vector, basis, conductor):
-    """A nonzero vector of a proper G-stable subspace of U, the orbit span of
-    vector with rref rows basis, or None when no candidate splits U.
+def _split(group: GroupRep, spin, basis, conductor):
+    """A nonzero vector of a proper G-stable subspace of U, the orbit span
+    that `spin` closed, with rref rows basis, or None when no candidate
+    splits U.
 
     A map X of U is the matrix whose row i holds the basis coordinates of
-    X(basis row i).  X in E = End_Q[G](U) is fixed by w = X(vector), as
+    X(basis row i).  X in E = End_Q[G](U) is fixed by w = X(spun[0]), as
     X(spun[k]) = word_k(w) (`_spin`), and w qualifies when each relation
     g spun[k] = sum r_j spun[j] holds for the words applied to w: u = dim U
     unknowns, not the u^2 of X A_g = A_g X, whose kernel basis, E reduced
@@ -219,7 +221,7 @@ def _split(group: GroupRep, vector, basis, conductor):
     nor U, for x in the basis of E, then its pairwise sums, then its
     pairwise products, gives the vector."""
     n, u = group.dimension, len(basis)
-    _, spun, tree, relations = _spin(group, vector, conductor)
+    _, spun, tree, relations = spin
     words = [spun]  # words[k][i] = word_k(spun[i])
     for k, g in tree:
         words.append([apply(g, x) for x in words[k]])
@@ -292,11 +294,10 @@ def schur_index(
     if len(start) != n or all(x.is_zero() for x in start):
         raise InvalidInputError("starting vector must be nonzero of matching length")
     conductor = _expansion_conductor(group, start)
-    basis = _orbit_span(group, start, conductor)
+    basis, spin = _orbit_span(group, start, conductor)
     smallest = (known_index or 1) * degree * n
-    vec = start
-    while len(basis) > smallest and (vec := _split(group, vec, basis, conductor)) is not None:
-        basis = _orbit_span(group, vec, conductor)
+    while len(basis) > smallest and (vec := _split(group, spin, basis, conductor)) is not None:
+        basis, spin = _orbit_span(group, vec, conductor)
     dim = len(basis)
     if dim % (degree * n):
         raise InternalConsistencyError(

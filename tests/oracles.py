@@ -102,7 +102,7 @@ def schur_index_by_descent(group, degree, start=None, seed=0, known_index=None):
     if start is None:
         start = tuple(CycNum.rational(1 if k == 0 else 0) for k in range(n))
     conductor = _expansion_conductor(group, start)
-    basis = _orbit_span(group, start, conductor)
+    basis = _orbit_span(group, start, conductor)[0]
     smallest = (known_index or 1) * degree * n
     rng = random.Random(seed)
     stable = 0
@@ -121,7 +121,7 @@ def schur_index_by_descent(group, degree, start=None, seed=0, known_index=None):
         for vec in candidates:
             if all(x.is_zero() for x in vec):
                 continue
-            span = _orbit_span(group, vec, conductor)
+            span = _orbit_span(group, vec, conductor)[0]
             if len(span) < len(basis):
                 basis = span
                 improved = True
@@ -245,8 +245,8 @@ def mat_mul(a, b):
 def rref_divide_each_entry(rows):
     """(nonzero rows, pivot columns) of the reduced row echelon form, with the
     pivot row divided by its pivot entry by entry and every row eliminated
-    over all columns.  The library takes one reciprocal per pivot and touches
-    only the pivot row's nonzero columns."""
+    over all columns.  The library eliminates on the integers, forward only,
+    and solves the free columns by fraction-free back-substitution."""
     mat = [list(r) for r in rows]
     if not mat:
         return [], []
@@ -273,8 +273,9 @@ def rref_divide_each_entry(rows):
 def rref_full_width(rows):
     """(nonzero rows, pivot columns) of the reduced row echelon form of rows
     of ints and Fractions, by fraction-free Gauss-Jordan that rewrites every
-    other row across its full width at each pivot.  The library writes only
-    the columns a step can change."""
+    other row across its full width at each pivot: the retired route.  The
+    library eliminates forward only, below each pivot, and solves the free
+    columns by fraction-free back-substitution."""
     mat = []
     for row in rows:
         d = lcm(*(x.denominator for x in row))

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -595,6 +596,36 @@ def test_fast_paths_match_the_fraction_oracle(pairs):
         assert (got == op(y, x)) is (want == op(big_y, big_x)), op.__name__
     assert (x == y) is (big_x == big_y)
     assert (x != y) is not (big_x == big_y)
+
+
+def _mixed_coefficients(rng, n, kinds):
+    """A seeded dense coefficient list at conductor n, each entry an int, a
+    bool, a Fraction or a str of a Fraction, drawn from kinds; about a third of
+    the entries are zero."""
+    out = []
+    for _ in range(rng.randint(1, n)):
+        q = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4))) if rng.random() < 0.7 else 0
+        kind = rng.choice(kinds)
+        out.append({"int": q.numerator, "bool": bool(q), "Fraction": q, "str": str(q)}[kind])
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_construction_from_mixed_coefficients_matches_the_fraction_oracle(n):
+    # the constructor reads each coefficient once as (numerator,
+    # denominator); all-int and all-bool lists take the lcm-1 path
+    rng = random.Random(6100 + n)
+    values = []
+    for kinds in (["int"], ["int", "bool"], ["int", "Fraction"], ["Fraction", "str"],
+                  ["int", "bool", "Fraction", "str"], ["int", "bool", "Fraction", "str"]):
+        coeffs = _mixed_coefficients(rng, n, kinds)
+        x, big_x = CycNum(n, coeffs), FractionCycNum(n, coeffs)
+        assert _structure(x) == _structure(big_x), coeffs
+        assert hash(x) == _oracle_hash(big_x), coeffs
+        assert x == CycNum(n, [Fraction(c) for c in coeffs])
+        values.append((x, big_x))
+    for (x, big_x), (y, big_y) in itertools.product(values, repeat=2):
+        assert (x == y) is (big_x == big_y)
 
 
 def _count_new(monkeypatch):

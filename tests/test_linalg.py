@@ -596,6 +596,109 @@ def test_rref_matches_full_width_oracle(mat):
     assert linalg.rref(mat) == rref_full_width(mat)
 
 
+# rref is a forward elimination that updates only the rows below each pivot,
+# then a back-substitution that solves only the free columns.  These shapes
+# put free columns before, between and after the pivots, and rows that the
+# forward pass leaves zero.
+
+PLANTED_SHAPES = ["leading zero columns", "free columns", "zero and duplicate rows",
+                  "more rows than columns"]
+
+
+@st.composite
+def planted_echelon(draw):
+    """(rows, planted pivots): integer combinations of echelon rows with unit
+    columns at the planted pivots and rational entries in the free columns
+    past each pivot.  The rref's pivots are among the planted ones, and are
+    all of them when the combinations have full rank."""
+    shape = draw(st.sampled_from(PLANTED_SHAPES))
+    r = draw(st.integers(1, 4))
+    column = draw(st.integers(1 if shape == "leading zero columns" else 0, 2))
+    pivots = []
+    # each gap is the run of free columns after a pivot, the last the tail
+    for gap in draw(st.lists(st.integers(shape == "free columns", 2), min_size=r, max_size=r)):
+        pivots.append(column)
+        column += 1 + gap
+    n = column
+    basis = []
+    for p in pivots:
+        row = [0] * n
+        row[p] = 1
+        for f in range(p + 1, n):
+            if f not in pivots:
+                row[f] = draw(rational_entries)
+        basis.append(row)
+    m = draw(st.integers(n + 1, n + 3) if shape == "more rows than columns"
+             else st.integers(1, r + 2))
+    combos = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+                           min_size=m, max_size=m))
+    rows = [[sum(c * b[j] for c, b in zip(combo, basis)) for j in range(n)] for combo in combos]
+    if shape == "zero and duplicate rows":
+        rows += [[0] * n, list(draw(st.sampled_from(rows)))]
+        rows = draw(st.permutations(rows))
+    return rows, pivots
+
+
+@given(planted_echelon())
+@settings(max_examples=300)
+def test_rref_matches_both_oracles_on_planted_shapes(case):
+    rows, planted = case
+    reduced, pivots = linalg.rref(rows)
+    assert (reduced, pivots) == rref_full_width(rows)
+    assert (reduced, pivots) == rref_divide_each_entry(frac_rows(rows))
+    assert set(pivots) <= set(planted)
+    assert len(pivots) == linalg.rank(frac_rows(rows))
+
+
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(rational_entries, min_size=k, max_size=k), min_size=k, max_size=k)))
+@settings(max_examples=150)
+def test_rref_matches_both_oracles_on_matrix_beside_identity(mat):
+    # [M | I] has at least n free columns, past every pivot of M
+    k = len(mat)
+    rows = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(mat)]
+    assert linalg.rref(rows) == rref_full_width(rows)
+    assert linalg.rref(rows) == rref_divide_each_entry(frac_rows(rows))
+
+
+@st.composite
+def square_up_to_8(draw):
+    """A k x k matrix of ints and Fractions, k <= 8; singular half the time,
+    one row a combination of the others."""
+    k = draw(st.integers(1, 8))
+    mat = draw(st.lists(st.lists(rational_entries, min_size=k, max_size=k),
+                        min_size=k, max_size=k))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, k - 1))
+        combo = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        mat[i] = [sum(c * row[j] for c, row, h in zip(combo, mat, range(k)) if h != i)
+                  for j in range(k)]
+    return mat
+
+
+@given(square_up_to_8())
+@settings(max_examples=120, deadline=None)
+def test_inverse_matches_rref_oracle(mat):
+    inv = linalg.inverse(mat)
+    assert inv == inverse_by_rref(mat)
+    assert (inv is None) == (linalg.det(frac_rows(mat)) == 0)
+
+
+@given(planted_echelon())
+@settings(max_examples=150, deadline=None)
+def test_schur_kernel_matches_sympy_nullspace(case):
+    # one basis vector per free column, 1 there and 0 at the other free
+    # columns, as sympy's nullspace gives it
+    sympy = pytest.importorskip("sympy")
+    from invlat.schur import _kernel
+
+    rows, _ = case
+    width = len(rows[0])
+    expected = [[Fraction(int(x.p), int(x.q)) for x in v]
+                for v in sympy.Matrix(rows).nullspace()]
+    assert _kernel(rows, width) == expected
+
+
 @given(shaped_matrix(ints))
 @settings(max_examples=300)
 def test_hermite_matches_first_pivot_oracle(mat):

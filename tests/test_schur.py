@@ -146,6 +146,22 @@ def test_split_runs_only_where_the_orbit_span_is_too_large(monkeypatch):
         assert bool(splits) == (not name.endswith("-1")), name
 
 
+@pytest.mark.parametrize("obj", [F21, dihedral(11)], ids=["F21", "G(11,11,2)"])
+def test_each_split_round_spins_once(obj, monkeypatch):
+    # `_split` reads the spin that closed the span it splits, so from e1
+    # each round spins one vector: the start, then each vector a split gives
+    spins, found = [], []
+    real_spin, real_split = schur._spin, schur._split
+    monkeypatch.setattr(schur, "_spin", lambda *a: spins.append(a[1]) or real_spin(*a))
+    monkeypatch.setattr(schur, "_split", lambda *a: found.append(real_split(*a)) or found[-1])
+    group = group_from_json(obj)
+    assert schur_index(group, classify_character_field(group).degree).index == 1
+    rounds = 1 + sum(vec is not None for vec in found)
+    assert rounds > 1 and len(spins) == rounds
+    assert spins[0][0] == 1 and not any(spins[0][1:])
+    assert spins[1:] == [vec for vec in found if vec is not None]
+
+
 def test_split_index_matches_the_seeded_descent(oracle_groups, family_oracle_groups):
     # the retired random descent, kept as an oracle, gives the split's witness
     # on every oracle group, and an index never below the split's elsewhere:
@@ -455,7 +471,7 @@ CATALOG_GROUPS = [
 
 def assert_spans_agree(group, start):
     conductor = _expansion_conductor(group, start)
-    assert _orbit_span(group, start, conductor) == orbit_span_all_elements(
+    assert _orbit_span(group, start, conductor)[0] == orbit_span_all_elements(
         group, start, conductor
     )
 
@@ -509,7 +525,7 @@ def test_orbit_span_row_reduces_fewer_rows_than_the_group_order(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
     start = five_starts(group.dimension)[3]
-    span = _orbit_span(group, start, group.conductor)
+    span, _ = _orbit_span(group, start, group.conductor)
     bound = group.dimension * euler_phi(group.conductor)
     assert sizes and max(sizes) <= bound < group.order
     assert len(span) <= bound
