@@ -7,7 +7,8 @@ Verbs:
   decompose NAME      reflection-torus decomposition of the rank-2n lattice
 
 Exit codes: 0 success, 1 stdout closed before the output was written,
-2 invalid input (a bad argument such as --cap below 1, or a bad group),
+2 invalid input (a bad argument such as --cap below 1 or above 100000, or a
+bad group),
 3 closure cap exceeded, 4 internal consistency failure.
 """
 
@@ -26,7 +27,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidInputError,
 )
-from .groups import DEFAULT_CAP
+from .groups import DEFAULT_CAP, MAX_CAP
 from .report import GroupAnalysis, analyze, render_json
 
 
@@ -259,6 +260,8 @@ def _closure_cap(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > MAX_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_CAP}, got {value}")
     return value
 
 
@@ -279,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
         p.add_argument(
             "--cap", type=_closure_cap, default=DEFAULT_CAP,
-            help=f"group closure size limit, at least 1 (default {DEFAULT_CAP})",
+            help=f"group closure size limit, 1 to {MAX_CAP} (default {DEFAULT_CAP})",
         )
 
     p_an = sub.add_parser("analyze", help="full report for one input")

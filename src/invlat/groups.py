@@ -32,6 +32,9 @@ MAX_GENERATORS = 64
 # The default closure cap: the most elements a closure builds before it
 # raises CapExceededError.
 DEFAULT_CAP = 10000
+# The largest closure cap the CLI accepts: a closure keeps every element it
+# builds, so a larger cap would let one large group fill the memory.
+MAX_CAP = 100_000
 
 
 def as_matrix(rows):

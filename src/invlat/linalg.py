@@ -24,11 +24,16 @@ division: `rank` counts its pivots, and `det` is its signed last pivot.
 Integer routines share one Hermite elimination that pivots in a given
 number of leading columns, each on the smallest nonzero entry of its column:
 a row whose entry the pivot divides is cleared by one row subtraction, any
-other by the two-row xgcd update.  `hnf` runs it on the matrix alone, and
+other by the two-row xgcd update.  The entries are not bounded: rows whose
+HNF entries have 2 bits can pass through entries of thousands of bits.
 `hnf_with_transform` runs it on the rows [mat | I], whose right-hand block
 ends as the unimodular transform; `int_kernel` reads the left kernel off
-that transform.  `hnf_coords` writes an integer vector in echelon integer
-rows by back-substitution, with a divisibility test at each pivot.
+that transform.  `hnf` of m x n rows with m >= n first takes `_hnf_modulus`,
+a multiple R of the lattice determinant that is 0 exactly when the rank is
+below n; for R > 0 it runs the same steps mod R (`_hermite_mod`), so no
+entry reaches R.  Rows with m < n or R = 0 take the plain elimination.
+`hnf_coords` writes an integer vector in echelon integer rows by
+back-substitution, with a divisibility test at each pivot.
 """
 
 from __future__ import annotations
@@ -297,7 +302,9 @@ def _hermite(a, n):
     row whose entry the pivot divides is cleared by subtracting one multiple
     of the pivot row; any other row is cleared by the unimodular two-row
     update of xgcd, which leaves the gcd of the two entries as the pivot.
-    Small pivots curb the growth of the entries."""
+    The smallest pivot saves xgcd updates but does not bound the entries,
+    which can grow to thousands of bits on rows whose HNF has small ones;
+    `_hermite_mod` avoids that when the rows have full column rank."""
     m = len(a)
     r = 0
     for c in range(n):
@@ -349,10 +356,124 @@ def hnf_with_transform(mat):
     return [row[:n] for row in aug], [row[n:] for row in aug]
 
 
+def _hnf_modulus(a):
+    """A positive multiple of the determinant of the lattice spanned by the
+    m x n integer rows a, or 0 exactly when their rank is below n.
+
+    The gcd of some n x n minors: one Bareiss forward pass, as in `rref`,
+    over the first n - 2 columns leaves every other row i with x_i and y_i
+    in the last two columns, each a minor on the pivot rows and row i.  By
+    Sylvester's identity (x_i * y_j - x_j * y_i) // prev, with prev the last
+    pivot, is the n x n minor on the pivot rows and rows i and j.  The gcd
+    stops as soon as it reaches 1.  For n = 1 it is the gcd of the column.
+    a is not changed."""
+    n = len(a[0])
+    if n == 1:
+        return gcd(*(row[0] for row in a))
+    rows = a
+    prev = 1
+    for _ in range(n - 2):
+        pr = next((i for i, row in enumerate(rows) if row[0]), None)
+        if pr is None:
+            return 0
+        p, *tail = rows[pr]
+        lower = []
+        # each row keeps only the columns after the pivot column
+        for row in rows[:pr] + rows[pr + 1:]:
+            b = row[0]
+            if b:
+                lower.append([(x * p - b * y) // prev for x, y in zip(row[1:], tail)])
+            elif p != prev:
+                lower.append([x * p // prev for x in row[1:]])
+            else:
+                lower.append(row[1:])
+        rows = lower
+        prev = p
+    r = 0
+    for i, (x, y) in enumerate(rows):
+        for u, v in rows[i + 1:]:
+            r = gcd(r, (x * v - u * y) // prev)
+            if r == 1:
+                return 1
+    return r
+
+
+def _hermite_mod(a, r):
+    """Canonical row HNF of the m x n integer rows a of rank n, given r, a
+    positive multiple of the determinant of their lattice L, so that r * Z^n
+    lies in L (Domich, Kannan and Trotter 1987; Cohen 1993, Alg. 2.4.8).
+
+    L is spanned by the rows mod r and r * Z^n, so the entries stay in
+    [0, r).  Column c folds every other row into the pivot row, the one
+    with the smallest entry there, by the steps of `_hermite` mod r; the
+    pivot entry itself stays exact, the gcd g of the column (0 when every
+    entry there is 0 mod r).  With d = gcd(g, r) = u * g + v * r, the HNF
+    row is u * (pivot row) mod r with d on the diagonal.  The lattice of
+    the other rows and r * Z^(n-c-1) has determinant dividing r / d, so r
+    becomes r / d.  Once r is 1 the rows left are unit rows.  Last, the
+    entries above each pivot are reduced."""
+    n = len(a[0])
+    rows = [[x % r for x in row] for row in a] if r != 1 else []
+    out = []
+    for c in range(n):
+        if r == 1:
+            break
+        pr = min((i for i, row in enumerate(rows) if row[0]), key=lambda i: rows[i][0],
+                 default=None)
+        if pr is None:
+            p, top = 0, [0] * (n - c - 1)
+        else:
+            p, *top = rows.pop(pr)
+        lower = []
+        # each row keeps only the columns after column c
+        for row in rows:
+            b = row[0]
+            if not b:
+                lower.append(row[1:])
+                continue
+            q, rem = divmod(b, p)
+            if not rem:
+                lower.append([(y - q * x) % r for x, y in zip(top, row[1:])])
+                continue
+            g, u, v = xgcd(p, b)
+            s, t = p // g, b // g
+            low = row[1:]
+            lower.append([(s * y - t * x) % r for x, y in zip(top, low)])
+            top = [(u * x + v * y) % r for x, y in zip(top, low)]
+            p = g
+        d, u, _ = xgcd(p, r)
+        out.append([0] * c + [d] + [u * x % r for x in top])
+        if d != 1:
+            r //= d
+            lower = [[x % r for x in row] for row in lower]
+        rows = lower
+    done = len(out)
+    # the unit rows from column done on clear those columns above them
+    for row in out:
+        row[done:] = [0] * (n - done)
+    for c in range(1, done):
+        pivot_row = out[c][c:]
+        d = pivot_row[0]
+        for row in out[:c]:
+            q = row[c] // d
+            if q:
+                row[c:] = [x - q * y for x, y in zip(row[c:], pivot_row)]
+    for c in range(done, n):
+        out.append([0] * n)
+        out[c][c] = 1
+    return out
+
+
 def hnf(mat):
-    """Canonical row HNF with zero rows dropped."""
+    """Canonical row HNF with zero rows dropped.  Rows of full column rank
+    take the modular route `_hermite_mod`; fewer rows than columns, or a
+    zero `_hnf_modulus`, take `_hermite`."""
     a = [[int(x) for x in row] for row in mat]
-    return [row for row in _hermite(a, len(a[0]) if a else 0) if any(row)]
+    n = len(a[0]) if a else 0
+    r = _hnf_modulus(a) if 0 < n <= len(a) else 0
+    if r:
+        return _hermite_mod(a, r)
+    return [row for row in _hermite(a, n) if any(row)]
 
 
 def int_kernel(mat):

@@ -739,3 +739,64 @@ def test_int_kernel_rows_are_unchanged():
             assert linalg.hnf(kernel) == kernel
             assert linalg.matmul(kernel, mat) == [[0] * len(mat[0])] * len(kernel)
             assert _saturated(kernel)
+
+
+# hnf of rows with full column rank runs mod a multiple R of the lattice
+# determinant; the first-pivot oracle takes no modulus, so it shares nothing
+# with that route
+
+
+@st.composite
+def tall_matrix(draw):
+    """m x n rows with n <= m <= n + 5, one column scaled by 2..30 so that
+    the lattice determinant, and with it R, can be large."""
+    n = draw(st.integers(1, 10))
+    mat = draw(int_matrix(draw(st.integers(n, n + 5)), n))
+    col, scale = draw(st.integers(0, n - 1)), draw(st.integers(2, 30))
+    return [[x * scale if j == col else x for j, x in enumerate(row)] for row in mat]
+
+
+# R = 2 and column 0 is even; R = 3 and column 1 is 0 mod 3: those columns
+# have no nonzero entry mod R and pivot on R itself
+PIVOT_COLUMN_ZERO_MOD_R = [
+    ([[2, 1], [4, 3], [6, 5]], 2),
+    ([[1, 0, 0], [0, 3, 0], [0, 0, 1], [0, 6, 3]], 3),
+]
+
+
+@given(tall_matrix())
+@settings(max_examples=300)
+def test_modular_hnf_matches_first_pivot_oracle(mat):
+    by_pairs = hermite_by_pairs([list(row) for row in mat], len(mat[0]))
+    assert linalg.hnf(mat) == [row for row in by_pairs if any(row)]
+
+
+@pytest.mark.parametrize("mat,modulus", PIVOT_COLUMN_ZERO_MOD_R)
+def test_a_pivot_column_that_is_zero_mod_r_pivots_on_r(mat, modulus):
+    assert linalg._hnf_modulus(mat) == modulus
+    by_pairs = hermite_by_pairs([list(row) for row in mat], len(mat[0]))
+    assert linalg.hnf(mat) == [row for row in by_pairs if any(row)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_modular_hnf_on_kernel_workload_shapes(seed):
+    # the kernels benchmark's 16 x 12 shape: these seeds give R = 1, R a
+    # proper multiple of a determinant 1 and of a determinant 2
+    rng = random.Random(500 + seed)
+    mat = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(16)]
+    h = linalg.hnf(mat)
+    assert h == [row for row in hermite_by_pairs([list(row) for row in mat], 12) if any(row)]
+    assert linalg._hnf_modulus(mat) % math.prod(row[i] for i, row in enumerate(h)) == 0
+
+
+@given(st.one_of(tall_matrix(), shaped_matrix(ints)))
+@settings(max_examples=300)
+def test_hnf_modulus_is_a_multiple_of_the_determinant(mat):
+    n = len(mat[0])
+    modulus = linalg._hnf_modulus(mat)
+    if linalg.rank(frac_rows(mat)) < n:
+        assert modulus == 0
+    else:
+        by_pairs = hermite_by_pairs([list(row) for row in mat], n)
+        assert modulus > 0
+        assert modulus % math.prod(row[i] for i, row in enumerate(by_pairs[:n])) == 0

@@ -720,6 +720,27 @@ def test_cli_rejects_a_cap_below_1_with_exit_2(capsys, argv, cap):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("cap", ["100001", str(10**12)])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "S3-standard"],
+    ["construct", "S3-standard", "--recipe", "Zn"],
+    ["decompose", "WeylB2"],
+])
+def test_cli_rejects_a_cap_above_max_cap_with_exit_2(capsys, argv, cap):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cap", cap])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--cap" in captured.err and f"at most 100000, got {cap}" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_accepts_a_cap_of_max_cap(capsys):
+    assert groups.MAX_CAP == 100_000
+    code, out, _ = run_cli(capsys, "analyze", "S3-standard", "--cap", str(groups.MAX_CAP))
+    assert code == 0 and out
+
+
 def test_cli_ends_quietly_with_exit_1_on_a_closed_stdout():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
