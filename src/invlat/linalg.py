@@ -2,13 +2,21 @@
 
 Rational routines (rref, Span, inverse) take rows of ints and Fractions and
 return Fractions.  Each row is cleared to integers by the lcm of its
-denominators, and the elimination stays on the integers.  `rref` runs one
-fraction-free forward elimination (Bareiss 1968): each step replaces every
-row below the pivot row by (row * p - a * pivot row) // previous pivot,
-which Sylvester's identity makes exact.  The pivot columns of the result
-are unit columns, so a fraction-free back-substitution (Nakos, Turner and
-Williams 1997) solves only the free columns, on the integers, as D times
-the result with D the last pivot.  `inverse` is the right half of the rref
+denominators, and the elimination stays on the integers.  `rref` and
+`_hnf_modulus` share one fraction-free forward elimination, `_bareiss`
+(Bareiss 1968): each step replaces every row below the pivot row by
+(row * p - a * pivot row) // previous pivot, which Sylvester's identity
+makes exact.  With enough steps to pay for it, each row is packed into one
+int, column j in the w-bit slot j as a balanced residue, so a step is two
+multiplications, a subtraction and one exact division of ints: every slot
+is divisible by the previous pivot, so the integer quotient is the
+slot-wise one whatever the carries.  Every entry is a minor, so by
+Hadamard's inequality w is one bit more than the square root of the
+product of the rows' squared norms (each taken as at least 1) needs.  The
+entry in column c is read off slot c once the slots below it are 0.  The
+pivot columns of the rref are unit columns, so a fraction-free
+back-substitution (Nakos, Turner and Williams 1997) solves only the free
+columns, on the integers, as D times the result with D the last pivot.  `inverse` is the right half of the rref
 of [mat | I], whose identity block is n free columns.  `Span` is the one
 route for span membership and coordinates: it keeps the rows added so far
 in echelon form, each a primitive integer row over its own pivot, so a
@@ -39,15 +47,19 @@ back-substitution, with a divisibility test at each pivot.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from math import gcd, isqrt, lcm, prod
+from operator import lshift, mul
 
 
 def _cleared(row):
     """(integer row, d): a row of ints and Fractions is the integer row / d,
-    with d the lcm of its denominators."""
-    d = lcm(*(x.denominator for x in row))
-    return [x.numerator * (d // x.denominator) for x in row], d
+    with d the lcm of its denominators.  Each entry is read once, as
+    `as_integer_ratio()`, and the row is not rescaled when d is 1."""
+    pairs = [x.as_integer_ratio() for x in row]
+    d = lcm(*{q for _, q in pairs})
+    if d == 1:
+        return [p for p, _ in pairs], 1
+    return [p * (d // q) for p, q in pairs], d
 
 
 def matmul(a, b):
@@ -60,60 +72,153 @@ def identity(n):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+# The fewest elimination steps for which `_bareiss` packs its rows: below
+# this, packing and the slot width cost more than the packed steps save.
+# Packing breaks even near 4 steps on dense rows of one-digit entries, and
+# near 6 on sparse rows of 0 and +-1, the rows the analyses eliminate.
+_PACKED_STEPS = 6
+
+
+def _bareiss(rows, n, stop):
+    """(upper, pivots, rest, prev, w): one fraction-free forward elimination
+    (Bareiss 1968) over the columns before stop of the m x n integer rows,
+    which are not changed.
+
+    upper holds the pivot rows in order, pivots their pivot columns, rest the
+    other rows, and prev the last pivot (1 when there is none).  A step with
+    pivot row P and pivot p replaces each row v below by
+    (v * p - b * P) // prev, with b its entry in the pivot column, an exact
+    division by Sylvester's identity; every entry ever held is a minor of
+    the rows.  A pivot row holds the columns from its pivot on, a row of
+    rest those from stop on; `_unpack` reads them.
+
+    With at least _PACKED_STEPS steps, each row is one int with w-bit
+    balanced slots, column j in slot j: v = sum a_j * 2**(w*j), |a_j| <
+    2**(w-1), and a zero row is dropped.  A step is then two
+    multiplications, a subtraction and one division of ints: every slot of
+    v * p - b * P is divisible by prev, so the integer quotient is the
+    slot-wise one whatever the carries.  Once the columns before c are
+    eliminated their slots are 0, and the entry in column c is the balanced
+    residue of (v >> w*c) mod 2**w.  By Hadamard's inequality every minor is
+    at most the square root of the product over the rows of
+    max(1, squared norm), and w is one bit more than that root has.  With
+    fewer steps the rows are lists that drop each column once it is passed,
+    and w is 0."""
+    if min(stop, n - 1, len(rows) - 1) >= _PACKED_STEPS:
+        w = isqrt(prod(max(1, sum(map(mul, row, row))) for row in rows)).bit_length() + 1
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        shifts = range(0, w * n, w)
+        rest = [v for v in (sum(map(lshift, row, shifts)) for row in rows) if v]
+    else:
+        w = 0
+        rest = rows
+    upper, pivots = [], []
+    prev = 1
+    for c in range(stop):
+        # the pivot row is the first row that is nonzero in column c
+        if w:
+            s = w * c
+            for pr, v in enumerate(rest):
+                if v >> s & mask:
+                    break
+            else:
+                continue
+        else:
+            for pr, row in enumerate(rest):
+                if row[0]:
+                    break
+            else:
+                rest = [row[1:] for row in rest]
+                continue
+        top = rest[pr]
+        rest = rest[:pr] + rest[pr + 1:]
+        p = ((top >> s & mask) ^ half) - half if w else top[0]
+        upper.append(top)
+        pivots.append(c)
+        if c + 1 == n:
+            # every row left becomes 0
+            prev, rest = p, []
+            break
+        lower = []
+        if w:
+            for v in rest:
+                b = ((v >> s & mask) ^ half) - half
+                if b:
+                    v = (v * p - b * top) // prev
+                elif p != prev:
+                    v = v * p // prev
+                if v:
+                    lower.append(v)
+        else:
+            tail = top[1:]
+            for row in rest:
+                b = row[0]
+                if b:
+                    lower.append([(x * p - b * y) // prev for x, y in zip(row[1:], tail)])
+                elif p != prev:
+                    lower.append([x * p // prev for x in row[1:]])
+                else:
+                    lower.append(row[1:])
+        rest = lower
+        prev = p
+    return upper, pivots, rest, prev, w
+
+
+def _unpack(v, w, c, n):
+    """The entries in columns c ... n - 1 of a row of `_bareiss`, with c the
+    first column it holds: the row itself when w is 0, else the balanced
+    residue of each w-bit slot from slot c on."""
+    if not w:
+        return v
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    v >>= w * c
+    out = []
+    for _ in range(c, n):
+        x = ((v & mask) ^ half) - half
+        out.append(x)
+        v = (v - x) >> w
+    return out
+
+
 def rref(rows):
     """Reduced row echelon form of rows of ints and Fractions.  Returns
     (nonzero rows, pivot column list), with Fraction entries.
 
-    Each row is cleared to integers by the lcm of its denominators.  One
-    fraction-free forward elimination (Bareiss 1968) makes the echelon rows
-    U: at a pivot p, every row below becomes (row * p - a * pivot row) //
-    prev, with a its entry in the pivot column and prev the pivot before p
-    (1 at first), exact by Sylvester's identity.  The pivot columns of the
-    result are unit columns, so only the free columns are solved, by
-    fraction-free back-substitution (Nakos, Turner and Williams 1997): with
-    D the last pivot and p_k the pivot of U[k], for each free column f,
+    Each row is cleared to integers by the lcm of its denominators, and the
+    fraction-free forward elimination `_bareiss` makes the echelon rows U.
+    The pivot columns of the result are unit columns, so only the free
+    columns are solved, by fraction-free back-substitution (Nakos, Turner
+    and Williams 1997): with D the last pivot and p_k the pivot of U[k], for
+    each free column f,
     x_i = (D * U[i][f] - sum over k > i of U[i][p_k] * x_k) // U[i][p_i]
     is an exact division: x is adj(B) times column f, for B the pivot
     columns of the rows that gave the pivots, and det B = D.  Entry (i, f)
-    of the result is x_i / D."""
+    of the result is x_i / D.  U is unpacked only for the rows with a free
+    column past their pivot."""
     rows = [_cleared(row)[0] for row in rows]
     if not rows or not rows[0]:
         return [], []
-    pivots, free = [], []
-    prev = 1
-    for c in range(len(rows[0])):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            free.append(c)
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        p = rows[r][c]
-        tail = rows[r][c + 1:]
-        # columns up to c are not read again
-        for row in rows[r + 1:]:
-            a = row[c]
-            if a:
-                row[c + 1:] = [(x * p - a * y) // prev for x, y in zip(row[c + 1:], tail)]
-            elif p != prev:
-                row[c + 1:] = [x * p // prev for x in row[c + 1:]]
-        prev = p
-        pivots.append(c)
+    n = len(rows[0])
+    upper, pivots, _, prev, w = _bareiss(rows, n, n)
+    free = [c for c in range(n) if c not in pivots]
     # solved[i]: x at the free columns past pivots[i], the only nonzero ones
-    solved = [None] * len(pivots)
+    solved = [[]] * len(pivots)
     for i in range(len(pivots) - 1, -1, -1):
-        row = rows[i]
-        acc = [prev * row[f] for f in free if f > pivots[i]]
+        o = pivots[i]
+        if not free or o > free[-1]:
+            continue
+        row = _unpack(upper[i], w, o, n)  # row[j - o] is U[i][j]
+        acc = [prev * row[f - o] for f in free if f > o]
         for k in range(i + 1, len(pivots)):
-            a, xs = row[pivots[k]], solved[k]
+            a, xs = row[pivots[k] - o], solved[k]
             if a and xs:
                 cut = len(acc) - len(xs)
                 acc[cut:] = [s - a * x for s, x in zip(acc[cut:], xs)]
-        solved[i] = [s // row[pivots[i]] for s in acc]
+        solved[i] = [s // row[0] for s in acc]
     zero, one = Fraction(0), Fraction(1)
     out = []
     for c, xs in zip(pivots, solved):
-        row = [zero] * len(rows[0])
+        row = [zero] * n
         row[c] = one
         for f, x in zip(free[len(free) - len(xs):], xs):
             if x:
@@ -360,35 +465,20 @@ def _hnf_modulus(a):
     """A positive multiple of the determinant of the lattice spanned by the
     m x n integer rows a, or 0 exactly when their rank is below n.
 
-    The gcd of some n x n minors: one Bareiss forward pass, as in `rref`,
-    over the first n - 2 columns leaves every other row i with x_i and y_i
-    in the last two columns, each a minor on the pivot rows and row i.  By
-    Sylvester's identity (x_i * y_j - x_j * y_i) // prev, with prev the last
-    pivot, is the n x n minor on the pivot rows and rows i and j.  The gcd
-    stops as soon as it reaches 1.  For n = 1 it is the gcd of the column.
-    a is not changed."""
+    The gcd of some n x n minors: the forward elimination `_bareiss` over
+    the first n - 2 columns, as in `rref`, leaves every other row i with x_i
+    and y_i in the last two columns, each a minor on the pivot rows and row
+    i.  By Sylvester's identity (x_i * y_j - x_j * y_i) // prev, with prev
+    the last pivot, is the n x n minor on the pivot rows and rows i and j.
+    The gcd stops as soon as it reaches 1.  For n = 1 it is the gcd of the
+    column.  a is not changed."""
     n = len(a[0])
     if n == 1:
         return gcd(*(row[0] for row in a))
-    rows = a
-    prev = 1
-    for _ in range(n - 2):
-        pr = next((i for i, row in enumerate(rows) if row[0]), None)
-        if pr is None:
-            return 0
-        p, *tail = rows[pr]
-        lower = []
-        # each row keeps only the columns after the pivot column
-        for row in rows[:pr] + rows[pr + 1:]:
-            b = row[0]
-            if b:
-                lower.append([(x * p - b * y) // prev for x, y in zip(row[1:], tail)])
-            elif p != prev:
-                lower.append([x * p // prev for x in row[1:]])
-            else:
-                lower.append(row[1:])
-        rows = lower
-        prev = p
+    _, pivots, rest, prev, w = _bareiss(a, n, n - 2)
+    if len(pivots) < n - 2:
+        return 0
+    rows = [_unpack(v, w, n - 2, n) for v in rest]
     r = 0
     for i, (x, y) in enumerate(rows):
         for u, v in rows[i + 1:]:

@@ -320,7 +320,12 @@ def geom_report(
     cycle scan runs to `default_cycle_bound(n)`.  Every cycle multiplier is
     a product of simple-cycle multipliers, of length at most n, so a longer
     scan never changes `cm` or the geom-iii tag: `cm` is exact for n <= 6,
-    where the bound is at least n, and a bounded search for n >= 7.
+    where the bound is at least n, and a bounded search for n >= 7.  Every
+    cycle multiplier lies in the character field, so a rational field gives
+    `cm` None at any n.  The smallest irreducible reflection group of rank
+    n >= 7 with a non-rational character field is G(3,3,7), of order
+    3^6 * 7! = 3,674,160, above `groups.MAX_CAP`; so on every group the
+    CLI's cap admits, `cm` is exact.
     """
     n = group.dimension
     if lattice.rank != 2 * n:

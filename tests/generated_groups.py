@@ -1,11 +1,12 @@
 """Reflection groups generated in code, written as group JSON.
 
 These exercise the paths the catalog does not reach with a nontrivial
-group order: the Weyl group B3 from its Cartan matrix, and the imprimitive
-groups G(m,1,n) of Shephard-Todd, which run the O, saturate, split and CM
-steps; the dihedral groups, as G(m,m,2) and as I2(m) from the Coxeter
-diagram; and the extraspecial group 2^{1+4}_- = Q8 o D8 in dimension 4,
-the only group input with Schur index 2 besides Q8.  Run this file to rewrite the byte snapshots in
+group order: the Weyl groups B_n and D_n from their Cartan matrices, and
+the imprimitive groups G(m,p,n) of Shephard-Todd, whose G(m,1,n) run the
+O, saturate, split and CM steps; the dihedral groups, as G(m,m,2) and as
+I2(m) from the Coxeter diagram; and the extraspecial group
+2^{1+4}_- = Q8 o D8 in dimension 4, the only group input with Schur index
+2 besides Q8.  Run this file to rewrite the byte snapshots in
 tests/golden/generated/ (only for a change that alters report bytes on
 purpose):
 
@@ -50,6 +51,47 @@ def imprimitive(m: int, n: int) -> dict:
             for k in range(n)
         ]
     )
+    return {"conductor": m, "dimension": n, "generators": gens}
+
+
+def cartan_b(n: int):
+    """Cartan matrix of B_n, n >= 2 (Bourbaki labelling, alpha_n short)."""
+    return [[2 if i == j else -2 if (i, j) == (n - 2, n - 1) else -1 if abs(i - j) == 1 else 0
+             for j in range(n)] for i in range(n)]
+
+
+def cartan_d(n: int):
+    """Cartan matrix of D_n, n >= 4: the chain alpha_1 ... alpha_(n-1), and
+    alpha_n joined to alpha_(n-2)."""
+    def joined(i, j):
+        i, j = min(i, j), max(i, j)
+        return (j == i + 1 < n - 1) or (i, j) == (n - 3, n - 1)
+
+    return [[2 if i == j else -1 if joined(i, j) else 0 for j in range(n)] for i in range(n)]
+
+
+def imprimitive_mpn(m: int, p: int, n: int) -> dict:
+    """G(m,p,n), p | m, n >= 2: the adjacent transpositions,
+    [[0, zeta_m^-1], [zeta_m, 0]] on the first two coordinates, and
+    diag(zeta_m^p, 1, ..., 1) when p < m.  Its order is m^n n! / p."""
+    def power(k):
+        k %= m
+        return "1" if k == 0 else f"z{m}" if k == 1 else f"z{m}^{k}"
+
+    gens = []
+    for i in range(n - 1):
+        swap = {i: i + 1, i + 1: i}
+        gens.append(
+            [["1" if swap.get(k, k) == j else "0" for j in range(n)] for k in range(n)]
+        )
+    flip = [["1" if k == j >= 2 else "0" for j in range(n)] for k in range(n)]
+    flip[0][1], flip[1][0] = power(-1), power(1)
+    gens.append(flip)
+    if p < m:
+        gens.append(
+            [[(power(p) if k == 0 else "1") if k == j else "0" for j in range(n)]
+             for k in range(n)]
+        )
     return {"conductor": m, "dimension": n, "generators": gens}
 
 

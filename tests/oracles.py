@@ -339,6 +339,50 @@ def hermite_by_pairs(a, n):
     return a
 
 
+def hnf_modulus_unpacked(a):
+    """A positive multiple of the determinant of the lattice spanned by the
+    m x n integer rows a, or 0 exactly when their rank is below n, on list
+    rows: the retired route.  The library runs the same Bareiss pass on rows
+    packed into one int each once it has enough steps.
+
+    The gcd of some n x n minors: one Bareiss forward pass, as in `rref`,
+    over the first n - 2 columns leaves every other row i with x_i and y_i
+    in the last two columns, each a minor on the pivot rows and row i.  By
+    Sylvester's identity (x_i * y_j - x_j * y_i) // prev, with prev the last
+    pivot, is the n x n minor on the pivot rows and rows i and j.  The gcd
+    stops as soon as it reaches 1.  For n = 1 it is the gcd of the column.
+    a is not changed."""
+    n = len(a[0])
+    if n == 1:
+        return gcd(*(row[0] for row in a))
+    rows = a
+    prev = 1
+    for _ in range(n - 2):
+        pr = next((i for i, row in enumerate(rows) if row[0]), None)
+        if pr is None:
+            return 0
+        p, *tail = rows[pr]
+        lower = []
+        # each row keeps only the columns after the pivot column
+        for row in rows[:pr] + rows[pr + 1:]:
+            b = row[0]
+            if b:
+                lower.append([(x * p - b * y) // prev for x, y in zip(row[1:], tail)])
+            elif p != prev:
+                lower.append([x * p // prev for x in row[1:]])
+            else:
+                lower.append(row[1:])
+        rows = lower
+        prev = p
+    r = 0
+    for i, (x, y) in enumerate(rows):
+        for u, v in rows[i + 1:]:
+            r = gcd(r, (x * v - u * y) // prev)
+            if r == 1:
+                return 1
+    return r
+
+
 def _field_rows(mat):
     """mat with each int entry made a Fraction, so that division is exact."""
     return [[Fraction(x) if isinstance(x, int) else x for x in row] for row in mat]

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     det_by_cofactors,
     euler_phi,
     hermite_by_pairs,
+    hnf_modulus_unpacked,
     inverse_by_rref,
     kernel_right,
     matvec,
@@ -773,7 +775,7 @@ def test_modular_hnf_matches_first_pivot_oracle(mat):
 
 @pytest.mark.parametrize("mat,modulus", PIVOT_COLUMN_ZERO_MOD_R)
 def test_a_pivot_column_that_is_zero_mod_r_pivots_on_r(mat, modulus):
-    assert linalg._hnf_modulus(mat) == modulus
+    assert linalg._hnf_modulus(mat) == modulus == hnf_modulus_unpacked(mat)
     by_pairs = hermite_by_pairs([list(row) for row in mat], len(mat[0]))
     assert linalg.hnf(mat) == [row for row in by_pairs if any(row)]
 
@@ -786,7 +788,9 @@ def test_modular_hnf_on_kernel_workload_shapes(seed):
     mat = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(16)]
     h = linalg.hnf(mat)
     assert h == [row for row in hermite_by_pairs([list(row) for row in mat], 12) if any(row)]
-    assert linalg._hnf_modulus(mat) % math.prod(row[i] for i, row in enumerate(h)) == 0
+    modulus = linalg._hnf_modulus(mat)
+    assert modulus == hnf_modulus_unpacked(mat)
+    assert modulus % math.prod(row[i] for i, row in enumerate(h)) == 0
 
 
 @given(st.one_of(tall_matrix(), shaped_matrix(ints)))
@@ -800,3 +804,145 @@ def test_hnf_modulus_is_a_multiple_of_the_determinant(mat):
         by_pairs = hermite_by_pairs([list(row) for row in mat], n)
         assert modulus > 0
         assert modulus % math.prod(row[i] for i, row in enumerate(by_pairs[:n])) == 0
+
+
+# rref and _hnf_modulus share one forward pass, `_bareiss`.  From
+# _PACKED_STEPS elimination steps on it packs each row into one int with
+# w-bit balanced slots; below that it keeps lists.  `packed_from(0)` packs
+# every pass and `packed_from(math.inf)` none, so each case below runs
+# through both routes, and each must match the list-row oracles.
+
+
+@contextmanager
+def packed_from(steps):
+    saved = linalg._PACKED_STEPS
+    linalg._PACKED_STEPS = steps
+    try:
+        yield
+    finally:
+        linalg._PACKED_STEPS = saved
+
+
+def on_both_routes(call, *args):
+    """call(*args) with every pass packed and with none packed; the two must
+    agree."""
+    with packed_from(0):
+        packed = call(*args)
+    with packed_from(math.inf):
+        lists = call(*args)
+    assert packed == lists
+    return packed
+
+
+def check_against_oracles(mat):
+    """rref, _hnf_modulus and hnf of the integer rows mat on both routes,
+    against the list-row oracles."""
+    assert on_both_routes(linalg.rref, mat) == rref_full_width(mat)
+    modulus = on_both_routes(linalg._hnf_modulus, mat)
+    assert modulus == hnf_modulus_unpacked(mat)
+    by_pairs = hermite_by_pairs([list(row) for row in mat], len(mat[0]))
+    assert on_both_routes(linalg.hnf, mat) == [row for row in by_pairs if any(row)]
+
+
+def sylvester_hadamard(k):
+    """The Sylvester-Hadamard matrix of order k, a power of 2: H_2k is
+    [[H_k, H_k], [H_k, -H_k]].  Its determinant k**(k/2) meets Hadamard's
+    bound, so it fills a slot of the packed pass but the sign bit."""
+    h = [[1]]
+    while len(h) < k:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def hadamard_cases():
+    cases = []
+    for k in (4, 8, 16):
+        h = sylvester_hadamard(k)
+        cases += [
+            (f"H{k}", h),
+            # a dependent row, a zero row and a repeated row
+            (f"H{k}+rows", h + [[x + y for x, y in zip(h[1], h[2])], [0] * k, h[0]]),
+            # a free column in the middle and a zero column at the end
+            (f"H{k}|free|0", [row[:2] + [row[0] - row[1]] + row[2:] + [0] for row in h]),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("name,mat", hadamard_cases(), ids=[c[0] for c in hadamard_cases()])
+def test_packed_pass_on_sylvester_hadamard_matrices(name, mat):
+    check_against_oracles(mat)
+
+
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_hadamard_determinant_is_read_from_a_full_slot(k):
+    # every column pivots on the first row left, so the last pivot is the
+    # determinant, k**(k/2) > 0, which needs every bit of a slot but the
+    # sign bit: with one bit less it would read as negative
+    h = sylvester_hadamard(k)
+    with packed_from(0):
+        upper, pivots, rest, prev, w = linalg._bareiss(h, k, k)
+    assert pivots == list(range(k)) and rest == []
+    assert prev == k ** (k // 2) == linalg.det(frac_rows(h))
+    assert prev.bit_length() == w - 1
+    assert on_both_routes(lambda: linalg._bareiss(h, k, k)[3]) == prev
+
+
+def edge_rows(x, n, at):
+    """n x n unit rows with x in place of the 1 in row `at`: Hadamard's
+    bound is |x|, so |x| = 2**(w-1) - 1 is the largest entry a slot holds."""
+    return [[(x if i == at else 1) if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("bits", [1, 2, 7, 8, 31, 63, 64, 65, 130])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_entries_at_the_edge_of_a_slot(bits, sign):
+    x = sign * (2 ** bits - 1)
+    n = 8
+    for at in (0, n // 2, n - 1):
+        rows = edge_rows(x, n, at)
+        with packed_from(0):
+            upper, _, _, _, w = linalg._bareiss(rows, n, n)
+            assert w == bits + 1
+            # each pivot is a leading minor: 1 before row `at`, x from it on
+            assert [linalg._unpack(v, w, c, n)[0] for c, v in enumerate(upper)] == \
+                [x if c >= at else 1 for c in range(n)]
+        check_against_oracles(rows)
+        # row `at` with a 1 in a last, free column: |x| still bounds the
+        # minors, and the rref divides by x
+        free = [row + [int(i == at)] for i, row in enumerate(rows)]
+        assert on_both_routes(linalg.rref, free) == rref_full_width(free)
+        assert on_both_routes(linalg._hnf_modulus, rows) == abs(x)
+
+
+big_ints = st.builds(lambda sign, low: sign * (2 ** 100 + low),
+                     st.sampled_from((1, -1)), st.integers(0, 2 ** 40))
+
+
+@given(st.one_of(shaped_matrix(ints), shaped_matrix(big_ints), tall_matrix()))
+@settings(max_examples=300, deadline=None)
+def test_packed_pass_matches_list_oracles(mat):
+    # zero rows and columns, free columns, products of low rank, m < n,
+    # m = n and m > n, with small and 100-bit entries
+    check_against_oracles(mat)
+
+
+@given(shaped_matrix(st.one_of(ints, big_ints)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_both_routes_give_the_same_pass(mat, data):
+    n = len(mat[0])
+    stop = data.draw(st.integers(0, n))
+    passes = []
+    for steps in (0, math.inf):
+        with packed_from(steps):
+            upper, pivots, rest, prev, w = linalg._bareiss(mat, n, stop)
+        assert (w > 0) == (steps == 0)
+        upper = [linalg._unpack(v, w, c, n) for c, v in zip(pivots, upper)]
+        # the packed route drops zero rows, the list route keeps them
+        rest = [row for row in (linalg._unpack(v, w, stop, n) for v in rest) if any(row)]
+        passes.append((upper, pivots, rest, prev))
+    assert passes[0] == passes[1]
+    upper, pivots, rest, prev = passes[0]
+    assert len(pivots) <= linalg.rank(frac_rows(mat))
+    assert all(row[0] for row in upper)
+    if pivots:
+        assert prev == upper[-1][0]

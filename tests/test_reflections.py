@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from invlat import groups, lattices, reflections
@@ -323,6 +325,19 @@ def test_default_cycle_bound_fits_the_scan_limit():
         if bound < n + 1:
             assert scan_size(n, bound + 1) > MAX_CYCLES
     assert default_cycle_bound(MAX_CYCLES + 1) == 1
+
+
+def test_cm_is_exact_under_the_largest_cap():
+    # A rational character field gives cm None, since every cycle multiplier
+    # lies in it.  The smallest irreducible reflection group of rank 7 or more
+    # with a non-rational field is G(3,3,7), of order m^(n-1) n! for m = 3,
+    # n = 7; under MAX_CAP every other input has rank at most 6, where the
+    # scan bound is at least the rank and cm is exact.
+    m, n = 3, 7
+    order = m ** (n - 1) * math.factorial(n)
+    assert order == 3_674_160
+    assert groups.MAX_CAP < order
+    assert all(default_cycle_bound(k) >= k for k in range(1, 7))
 
 
 def test_geom_report_scans_to_the_default_bound(b2, b2_lattice, monkeypatch):

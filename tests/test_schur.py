@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -27,7 +27,18 @@ from invlat.schur import (
 )
 
 
-from generated_groups import F21, GENERATED, SAME_GROUP_TWO_WAYS, SD16, coxeter_i2, dihedral
+from generated_groups import (
+    F21,
+    GENERATED,
+    SAME_GROUP_TWO_WAYS,
+    SD16,
+    cartan_b,
+    cartan_d,
+    coxeter_i2,
+    dihedral,
+    imprimitive_mpn,
+    weyl_from_cartan,
+)
 from oracles import (
     averaged_bilinear_form,
     euler_phi,
@@ -583,6 +594,24 @@ def test_coxeter_diagram_and_monomial_dihedral_groups_agree(m):
         for r in reports
     ]
     assert facts[0] == facts[1] == (2 * m, 1, facts[1][2], "c-i" if m in (3, 4, 6) else "none")
+
+
+# B_n from its Cartan matrix (root basis) and G(2,1,n) (signed permutations),
+# D_n and G(2,2,n) (even sign changes): the same groups, so order, number of
+# reflections, field kind, Schur index and clause must agree.  Each analysis
+# takes about 10-120 ms.
+@pytest.mark.parametrize("family, n, p", [("B", 3, 1), ("B", 4, 1), ("D", 4, 2), ("D", 5, 2)])
+def test_weyl_groups_from_cartan_matrices_agree_with_g_2_p_n(family, n, p):
+    cartan = cartan_b(n) if family == "B" else cartan_d(n)
+    reports = [analyze(obj) for obj in (weyl_from_cartan(cartan), imprimitive_mpn(2, p, n))]
+    facts = [
+        (r["group"]["order"], r["group"]["reflections"], r["profile"]["character_field"]["kind"],
+         r["profile"]["schur_index"], r["verdict"]["clause"])
+        for r in reports
+    ]
+    order = 2 ** n * factorial(n) // p
+    reflections = n * n if family == "B" else n * (n - 1)
+    assert facts[0] == facts[1] == (order, reflections, "rational", 1, "c-i")
 
 
 @pytest.mark.parametrize("name", sorted(LARGER_FIELD_GROUPS) + CATALOG_GROUPS)
