@@ -10,18 +10,24 @@ makes exact.  With enough steps to pay for it, each row is packed into one
 int, column j in the w-bit slot j as a balanced residue, so a step is two
 multiplications, a subtraction and one exact division of ints: every slot
 is divisible by the previous pivot, so the integer quotient is the
-slot-wise one whatever the carries.  Every entry is a minor, so by
-Hadamard's inequality w is one bit more than the square root of the
-product of the rows' squared norms (each taken as at least 1) needs.  The
-entry in column c is read off slot c once the slots below it are 0.  The
-pivot columns of the rref are unit columns, so a fraction-free
-back-substitution (Nakos, Turner and Williams 1997) solves only the free
-columns, on the integers, as D times the result with D the last pivot.  `inverse` is the right half of the rref
+slot-wise one whatever the carries.  Every entry is a minor on at most
+k = min(stop, n - 1) + 1 rows, so by Hadamard's inequality w is one bit more
+than the square root of the product of the k largest squared row norms
+(each taken as at least 1) needs.  The entry in column c is read off slot c
+once the slots below it are 0.  The pivot columns of the rref are unit
+columns, so a fraction-free back-substitution (Nakos, Turner and Williams
+1997) solves only the free columns, on the integers, as D times the result
+with D the last pivot.  `inverse` is the right half of the rref
 of [mat | I], whose identity block is n free columns.  `Span` is the one
 route for span membership and coordinates: it keeps the rows added so far
 in echelon form, each a primitive integer row over its own pivot, so a
 fixed basis is reduced once and every later question costs one reduction
 of the asked row, one cross-multiplication per echelon row.
+
+`integral` clears a whole matrix by the lcm of its denominators.
+`upper_inverse` inverts an upper triangular integer matrix, as an integer
+matrix over one denominator, by back-substitution, and `abs_det` reads the
+absolute determinant of a square integer matrix off `_bareiss`.
 
 `rank` and `det` take any element type with +, -, *, / and a truth value
 that means "nonzero", cyclotomic numbers included.  They share one
@@ -62,6 +68,15 @@ def _cleared(row):
     return [p * (d // q) for p, q in pairs], d
 
 
+def integral(mat):
+    """(integer matrix, d): the matrix of ints and Fractions is the integer
+    matrix / d, with d the lcm of its denominators, `_cleared` on all its
+    entries at once."""
+    n = len(mat[0]) if mat else 0
+    flat, d = _cleared([x for row in mat for x in row])
+    return [flat[i * n:(i + 1) * n] for i in range(len(mat))], d
+
+
 def matmul(a, b):
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
@@ -99,13 +114,18 @@ def _bareiss(rows, n, stop):
     v * p - b * P is divisible by prev, so the integer quotient is the
     slot-wise one whatever the carries.  Once the columns before c are
     eliminated their slots are 0, and the entry in column c is the balanced
-    residue of (v >> w*c) mod 2**w.  By Hadamard's inequality every minor is
-    at most the square root of the product over the rows of
-    max(1, squared norm), and w is one bit more than that root has.  With
-    fewer steps the rows are lists that drop each column once it is passed,
-    and w is 0."""
+    residue of (v >> w*c) mod 2**w.  A step at column n - 1 updates no row,
+    so every entry is a minor on k = min(stop, n - 1) + 1 rows or fewer, and
+    by Hadamard's inequality at most the square root of the product of the k
+    largest max(1, squared norm); w is one bit more than that root has.  The
+    norms are sorted only when k < m.  With fewer steps the rows are lists
+    that drop each column once it is passed, and w is 0."""
     if min(stop, n - 1, len(rows) - 1) >= _PACKED_STEPS:
-        w = isqrt(prod(max(1, sum(map(mul, row, row))) for row in rows)).bit_length() + 1
+        norms = [max(1, sum(map(mul, row, row))) for row in rows]
+        k = min(stop, n - 1) + 1
+        if k < len(norms):
+            norms = sorted(norms)[-k:]
+        w = isqrt(prod(norms)).bit_length() + 1
         half, mask = 1 << (w - 1), (1 << w) - 1
         shifts = range(0, w * n, w)
         rest = [v for v in (sum(map(lshift, row, shifts)) for row in rows) if v]
@@ -380,6 +400,37 @@ def inverse(mat):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]
+
+
+def upper_inverse(h, scale=1):
+    """(X, d) with scale * h^-1 = X / d in lowest terms, X integer and d > 0,
+    for an upper triangular integer matrix h with a nonzero diagonal.
+
+    Back-substitution solves h X = scale * det(h) * I on the integers, one
+    column at a time from the diagonal up; each division by a diagonal entry
+    is exact, as the solution is scale * adj(h)."""
+    n = len(h)
+    det = prod(h[i][i] for i in range(n))
+    cols = []
+    for j in range(n):
+        x = [0] * (j + 1)
+        x[j] = scale * det // h[j][j]
+        for i in range(j - 1, -1, -1):
+            x[i] = -sum(map(mul, h[i][i + 1:j + 1], x[i + 1:])) // h[i][i]
+        cols.append(x + [0] * (n - j - 1))
+    g = gcd(det, *(x for col in cols for x in col))
+    if det < 0:
+        g = -g
+    return [[col[i] // g for col in cols] for i in range(n)], det // g
+
+
+def abs_det(mat):
+    """|det| of a square integer matrix: the last pivot of `_bareiss`, the
+    minor of the whole matrix up to the sign of the row order, or 0 when the
+    rank is short."""
+    n = len(mat)
+    _, pivots, _, prev, _ = _bareiss(mat, n, n)
+    return abs(prev) if len(pivots) == n else 0
 
 
 def xgcd(a: int, b: int):

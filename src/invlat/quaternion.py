@@ -7,18 +7,25 @@ structure classification (order in a definite quaternion algebra versus
 order in two-by-two matrices over an imaginary quadratic field).  The ring
 is computed in the lattice basis, as the integer matrices that commute with
 the conjugated complex structure.  That structure is the one irrational
-object: it is split once into rational layers, each conjugated into an
-integer matrix K_t, and everything after runs on int, with Fractions only
-where a rational scalar is needed.  One integer kernel of the equations
-M K_t = K_t M gives the ring's Z-basis as HNF rows; the ring is classified
-from the integer multiplication table of that basis, whose coordinates come
-from back-substitution against the HNF rows.
+object: it is split once into rational layers, read off its integer
+numerators, each conjugated into an integer matrix K_t.  Every other matrix
+is an integer matrix over one denominator: the lattice basis W and W^-1
+come from the lattice's triangular integer HNF rows, and integral algebra
+parameters enter every product as ints.  One integer kernel of the
+equations M K_t = K_t M gives the ring's Z-basis as HNF rows; the ring is
+classified from the integer multiplication table of that basis, whose
+coordinates come from back-substitution against the HNF rows, and the
+order test and the splitting certificate run on integer matrices, with
+Fractions only for the center's quadratic relation and the certificate's
+scalar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import linalg
 from .cyclotomic import CycNum, as_cycnum, common_conductor
@@ -44,6 +51,12 @@ class QuatAlgebra(Record):
     def definite(self) -> bool:
         return self.a < 0 and self.b < 0
 
+    @cached_property
+    def params(self):
+        """(a, b) for the products: each an int when it is integral, as it
+        is in every preset, else the Fraction."""
+        return tuple(x.numerator if x.denominator == 1 else x for x in (self.a, self.b))
+
     def element(self, coords) -> "QuatElement":
         return QuatElement(self, tuple(as_cycnum(x) for x in coords))
 
@@ -67,8 +80,7 @@ class QuatElement(Record):
     def __mul__(self, other):
         self._require_same(other)
         return QuatElement(
-            self.algebra,
-            _product(self.algebra.a, self.algebra.b, self.coords, other.coords),
+            self.algebra, _product(*self.algebra.params, self.coords, other.coords)
         )
 
     def pure_part(self):
@@ -140,7 +152,7 @@ def _left_mult(a, b, x):
 
 def right_mult_matrix(x: QuatElement):
     """Matrix of y -> y x on coefficient columns: column j is e_j x."""
-    a, b = x.algebra.a, x.algebra.b
+    a, b = x.algebra.params
     return tuple(zip(*(_product(a, b, e, x.coords) for e in _UNITS)))
 
 
@@ -157,7 +169,13 @@ def build_quat_torus(algebra: QuatAlgebra, lattice: ZLattice, c: QuatElement) ->
     if lattice.conductor != 1:
         raise InvalidInputError("the lattice basis must have rational coordinates")
     j = right_mult_matrix(c)
-    j2 = linalg.matmul([list(r) for r in j], [list(r) for r in j])
+    # J^2 summed over the products of two nonzero entries only: J is sparse
+    # when c lies in a coordinate plane, as in every preset
+    zero = CycNum.rational(0)
+    j2 = [
+        [sum((x * y for x, y in zip(row, col) if x and y), zero) for col in zip(*j)]
+        for row in j
+    ]
     n_ident = [[CycNum.rational(-1 if p == q else 0) for q in range(4)] for p in range(4)]
     if j2 != n_ident:
         raise InternalConsistencyError("right-multiplication square is not -id")
@@ -199,12 +217,6 @@ class EndomorphismRing(Record):
     detail: str
 
 
-def _integral(mat):
-    """The rational matrix times the lcm of its denominators, as ints."""
-    scale = lcm(*(x.denominator for row in mat for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in mat]
-
-
 def _stack(blocks):
     """4x4 blocks one over the other."""
     return [row for block in blocks for row in block]
@@ -220,20 +232,42 @@ def _split_side(mat):
     return [[row[4 * t:4 * t + 4] for row in mat] for t in range(len(mat[0]) // 4)]
 
 
+def _basis_matrices(lattice):
+    """(w_int, inv_int, d): the lattice basis W, as columns, is
+    w_int / lattice.den, and W^-1 is inv_int / d in lowest terms.
+
+    At conductor 1 the lattice's rows are den times its basis in Hermite
+    normal form: 4 x 4, upper triangular with a positive diagonal.  So
+    w_int is their transpose H^T, and one back-substitution on H gives
+    W^-1 = den (H^-1)^T on the integers."""
+    h = lattice.rows
+    if not all(h[i][i] for i in range(4)):
+        raise InternalConsistencyError("lattice basis is singular")
+    x, d = linalg.upper_inverse(h, lattice.den)
+    return [list(col) for col in zip(*h)], [list(col) for col in zip(*x)], d
+
+
 def _integer_layers(j_matrix, w_int, inv_int):
-    """K_t = inv_int (s_t J_t) w_int for each nonzero layer J_t of J.
+    """K_t = inv_int (s J_t) w_int for the layers J_t of J that span all of
+    them.
 
     J_t holds the coordinates t of J's entries in the power basis of their
-    common cyclotomic field, and s_t > 0 clears its denominators.  Those
+    common cyclotomic field, and s, the lcm of the entries' denominators,
+    clears them: s J_t is read off the entries' integer numerators.  Those
     powers are independent over Q, so a rational matrix commutes with J
-    exactly when it commutes with every J_t."""
+    exactly when it commutes with every J_t, and so with every J_t of a
+    basis of their span: the first layers that are independent of the ones
+    before them."""
     conductor = common_conductor(x for row in j_matrix for x in row)
-    coords = [[x.coords_at(conductor) for x in row] for row in j_matrix]
+    parts = [[x.numerators_at(conductor) for x in row] for row in j_matrix]
+    s = lcm(*(den for row in parts for _, den in row))
+    nums = [[[c * (s // den) for c in coords] for coords, den in row] for row in parts]
+    span = linalg.Span()
     layers = [
-        _integral([[x[t] for x in row] for row in coords])
-        for t in range(len(coords[0][0]))
+        layer
+        for layer in ([[x[t] for x in row] for row in nums] for t in range(len(nums[0][0])))
+        if span.add([x for row in layer for x in row])
     ]
-    layers = [layer for layer in layers if any(any(row) for row in layer)]
     left = linalg.matmul(inv_int, _side_by_side(layers))
     ks = linalg.matmul(_stack(_split_side(left)), w_int)
     return [ks[4 * t:4 * t + 4] for t in range(len(layers))]
@@ -243,8 +277,9 @@ def _commuting_integer_matrices(ks):
     """Z-basis (HNF rows) of the integer 4x4 matrices M, flattened row by row,
     with M K = K M for every K in ks: entry (i, j) of M K - K M is
     sum_p M[i][p] K[p][j] - K[i][p] M[p][j], one integer equation, and one
-    integer kernel solves them all."""
-    columns = []
+    integer kernel solves them all.  Zero and repeated equations are
+    dropped, as they do not change the kernel."""
+    columns = {}
     for i in range(4):
         for jj in range(4):
             for k in ks:
@@ -253,28 +288,14 @@ def _commuting_integer_matrices(ks):
                     col[i * 4 + p] += k[p][jj]
                     col[p * 4 + jj] -= k[i][p]
                 if any(col):
-                    columns.append(col)
+                    columns[tuple(col)] = None
     return linalg.int_kernel([list(row) for row in zip(*columns)])
 
 
-def torus_endomorphisms(torus: QuatTorus) -> EndomorphismRing:
-    """Exact endomorphism ring of V/Λ, computed in the lattice basis.
-
-    With W holding the (rational) lattice basis as columns, End(V/Λ) is
-    exactly the ring of integer matrices that commute with J' = W^-1 J W.
-    J is the one irrational input: it is split once into rational layers
-    J_t, and M commutes with J' exactly when it commutes with every integer
-    layer K_t, W^-1 J_t W scaled to integers.  One integer kernel of those
-    equations gives the ring's Z-basis E_1..E_r as HNF rows, and one block
-    product gives the multiplication table T[i][j], the integer coordinates
-    of E_i E_j by back-substitution against those rows, off which the
-    identity, closure and center questions are read.
-    """
-    w_mat = [[x.as_fraction() for x in row] for row in zip(*torus.lattice.vectors())]
-    w_inv = linalg.inverse(w_mat)
-    if w_inv is None:
-        raise InternalConsistencyError("lattice basis is singular")
-    w_int, inv_int = _integral(w_mat), _integral(w_inv)
+def _ring_basis(torus: QuatTorus, w_int, inv_int):
+    """(ends, table, identity): the Z-basis E_1..E_r of End(V/Λ) as 4 x 4
+    integer matrices in the lattice basis, table[i][j] the integer
+    coordinates of E_i E_j and identity those of the identity."""
     ks = _integer_layers(torus.j_matrix, w_int, inv_int)
     flats = _commuting_integer_matrices(ks)
     r = len(flats)
@@ -310,27 +331,49 @@ def torus_endomorphisms(torus: QuatTorus) -> EndomorphismRing:
         ]
         for i in range(r)
     ]
+    return ends, table, identity
 
+
+def torus_endomorphisms(torus: QuatTorus) -> EndomorphismRing:
+    """Exact endomorphism ring of V/Λ, computed in the lattice basis.
+
+    With W holding the lattice basis as columns, End(V/Λ) is exactly the
+    ring of integer matrices that commute with J' = W^-1 J W.  W and W^-1
+    are integer matrices over one denominator each, read off the lattice's
+    triangular HNF rows.  J is the one irrational input: it is split once
+    into rational layers J_t, and M commutes with J' exactly when it
+    commutes with every integer layer K_t, W^-1 J_t W scaled to integers.
+    One integer kernel of those equations gives the ring's Z-basis E_1..E_r
+    as HNF rows, and one block product gives the multiplication table
+    T[i][j], the integer coordinates of E_i E_j by back-substitution against
+    those rows, off which the identity, closure and center questions are
+    read.  The classification runs on the same integer matrices.
+    """
+    w_int, inv_int, d = _basis_matrices(torus.lattice)
+    ends, table, identity = _ring_basis(torus, w_int, inv_int)
+    r = len(ends)
     if r == 4:
-        return _classify_rank4(torus, ends, w_int, inv_int, w_inv)
+        return _classify_rank4(torus, ends, w_int, inv_int, d)
     if r == 8:
-        return _classify_rank8(torus, ends, table, identity, w_mat, w_inv)
+        return _classify_rank8(torus, ends, table, identity, w_int, inv_int, d)
     return EndomorphismRing(
         r, "other", None, None, None,
         f"commutant rank {r} outside the expected dichotomy",
     )
 
 
-def _classify_rank4(torus: QuatTorus, ends, w_int, inv_int, w_inv) -> EndomorphismRing:
-    """ends: the ring's Z-basis in the lattice basis.
+def _classify_rank4(torus: QuatTorus, ends, w_int, inv_int, d) -> EndomorphismRing:
+    """ends: the ring's Z-basis in the lattice basis; W^-1 = inv_int / d.
 
     In the coefficient basis E_i acts as W E_i W^-1, a rational multiple of
     w_int E_i inv_int.  When each is the left multiplication by its first
     column y_i, E -> y is a ring map, so the identity coordinates and the
-    closed table already show that the y_i span an order.  That order is the input lattice exactly when the
-    lattice coordinates of the y_i, W^-1 y_i = E_i W^-1 1, form a unimodular
-    integer matrix."""
-    a, b = torus.algebra.a, torus.algebra.b
+    closed table already show that the y_i span an order.  That order is
+    the input lattice exactly when the lattice coordinates of the y_i,
+    W^-1 y_i = E_i W^-1 1, form a unimodular integer matrix: the integer
+    rows E_i inv_int 1 are d times them, so each entry is divisible by d and
+    their determinant is +-d^4."""
+    a, b = torus.algebra.params
     images = linalg.matmul(
         _stack(_split_side(linalg.matmul(w_int, _side_by_side(ends)))), inv_int
     )
@@ -341,11 +384,11 @@ def _classify_rank4(torus: QuatTorus, ends, w_int, inv_int, w_inv) -> Endomorphi
                 4, "other", None, None, None,
                 "rank-4 ring is not made of left multiplications",
             )
-    one = [row[0] for row in w_inv]
-    coords = [[sum(x * y for x, y in zip(row, one)) for row in e] for e in ends]
+    one = [row[0] for row in inv_int]
+    coords = [[sum(map(mul, row, one)) for row in e] for e in ends]
     matches = (
-        all(x.denominator == 1 for col in coords for x in col)
-        and abs(linalg.det(coords)) == 1
+        all(x % d == 0 for col in coords for x in col)
+        and linalg.abs_det(coords) == d ** 4
     )
     if torus.algebra.definite:
         return EndomorphismRing(
@@ -360,17 +403,24 @@ def _classify_rank4(torus: QuatTorus, ends, w_int, inv_int, w_inv) -> Endomorphi
 
 
 def _classify_rank8(
-    torus: QuatTorus, ends, table, identity, w_mat, w_inv
+    torus: QuatTorus, ends, table, identity, w_int, inv_int, d
 ) -> EndomorphismRing:
     """ends: the Z-basis in the lattice basis; table[i][j]: integer
-    coordinates of E_i E_j; identity: integer coordinates of the identity."""
+    coordinates of E_i E_j; identity: integer coordinates of the identity;
+    W = w_int / den and W^-1 = inv_int / d."""
     r = len(ends)
     # a is central when sum_i a_i [E_i, E_j] = 0 for every j, and [E_i, E_j]
-    # has coordinates T[i][j] - T[j][i]
-    center = linalg.int_kernel(
-        [[table[i][j][k] - table[j][i][k] for j in range(r) for k in range(r)]
-         for i in range(r)]
-    )
+    # has coordinates T[i][j] - T[j][i]: one equation per (j, k), of which
+    # the zero and repeated ones are dropped
+    equations = {
+        col: None
+        for col in (
+            tuple(table[i][j][k] - table[j][i][k] for i in range(r))
+            for j in range(r) for k in range(r)
+        )
+        if any(col)
+    }
+    center = linalg.int_kernel([list(row) for row in zip(*equations)])
     if len(center) != 2:
         return EndomorphismRing(
             r, "other", None, None, None, f"center has rank {len(center)}, not 2"
@@ -379,11 +429,21 @@ def _classify_rank8(
     z = next((vec for vec in center if scalars.coords(vec) is None), None)
     if z is None:
         raise InternalConsistencyError("center of a rank-8 ring is scalar")
-    z2 = [
-        sum(z[i] * z[j] * table[i][j][k] for i in range(r) for j in range(r))
-        for k in range(r)
-    ]
-    sol = linalg.Span([z, identity]).coords(z2)
+
+    def combine(coeffs):
+        """The matrix sum_i coeffs[i] E_i."""
+        return [
+            [sum(c * e[p][s] for c, e in zip(coeffs, ends)) for s in range(4)]
+            for p in range(4)
+        ]
+
+    # z^2 has the coordinates of the square of the matrix sum_i z_i E_i
+    z_mat = combine(z)
+    z2 = linalg.hnf_coords(
+        [[x for row in e for x in row] for e in ends],
+        [x for row in linalg.matmul(z_mat, z_mat) for x in row],
+    )
+    sol = None if z2 is None else linalg.Span([z, identity]).coords(z2)
     if sol is None:
         raise InternalConsistencyError("center element has no quadratic relation")
     p_coef, q_coef = sol
@@ -399,26 +459,36 @@ def _classify_rank8(
     )
     zero_divisor_ok = False
     if torus.direction is not None:
-        a, b = torus.algebra.a, torus.algebra.b
-        r1, r2, r3 = torus.direction
+        a, b = torus.algebra.params
+        # scaling u by a rational scales t_u by its square and eta by its
+        # sign, so the certificate reads u cleared to integers
+        (r1, r2, r3), = linalg.integral([torus.direction])[0]
         t_u = a * r1 * r1 + b * r2 * r2 - a * b * r3 * r3
         ratio = t_u / t_center
         num, den = ratio.numerator, ratio.denominator
         if num > 0 and isqrt(num) ** 2 == num and isqrt(den) ** 2 == den:
-            s_val = Fraction(isqrt(num), isqrt(den))
-            # eta = L_u (z - p/2) / (s t) squares to 1; conjugation by W keeps
-            # that and keeps eta != +-1, so the certificate is checked here
-            l_u = linalg.matmul(linalg.matmul(w_inv, _left_mult(a, b, (0, r1, r2, r3))), w_mat)
-            zeta0 = [x - p_coef / 2 * y for x, y in zip(z, identity)]
-            zeta0_mat = [
-                [sum(c * e[p][s] for c, e in zip(zeta0, ends)) for s in range(4)]
-                for p in range(4)
-            ]
-            scale = 1 / (s_val * t_center)
-            eta = [[x * scale for x in row] for row in linalg.matmul(l_u, zeta0_mat)]
-            one = linalg.identity(4)
-            minus_one = [[-x for x in row] for row in one]
-            zero_divisor_ok = linalg.matmul(eta, eta) == one and eta not in (one, minus_one)
+            # eta = L_u (z - p/2) / (s t), with s^2 = t_u / t, squares to 1;
+            # conjugation by W keeps that and keeps eta != +-1.  With
+            # W = w_int / den(W), W^-1 = inv_int / d and p = pn / pd, eta is
+            # P / D for the integer matrix P = inv_int L_u w_int Z0, where
+            # Z0 = 2 pd z - pn 1 on the basis, and D = 2 pd d den(W) s t.
+            # P^2 = D^2 makes D^2 an eigenvalue of an integer matrix, so a D
+            # that is not an integer fails the certificate
+            pn, pd = p_coef.numerator, p_coef.denominator
+            scale = Fraction(isqrt(num), isqrt(den)) * t_center * (2 * pd * d * torus.lattice.den)
+            if scale.denominator == 1:
+                z0 = combine([2 * pd * x - pn * y for x, y in zip(z, identity)])
+                big_p = linalg.matmul(
+                    linalg.matmul(inv_int, _left_mult(a, b, (0, r1, r2, r3))),
+                    linalg.matmul(w_int, z0),
+                )
+                big_d = scale.numerator
+                scalar = [[big_d if p == s else 0 for s in range(4)] for p in range(4)]
+                zero_divisor_ok = (
+                    linalg.matmul(big_p, big_p) == [[big_d * x for x in row] for row in scalar]
+                    and big_p != scalar
+                    and big_p != [[-x for x in row] for row in scalar]
+                )
     if not zero_divisor_ok:
         detail = (
             "endomorphism algebra is 8-dimensional with imaginary-quadratic center; "

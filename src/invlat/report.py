@@ -9,7 +9,7 @@ read off a `GroupAnalysis`, whose stages are each computed once, on first read.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 
 from .catalog import CatalogEntry, get_entry, quaternion_preset
@@ -326,19 +326,27 @@ class GroupAnalysis(Record):
         }
 
 
+@cache
+def _q8_profile():
+    """Q8's character profile, closed and computed once per process; it is
+    a frozen record, and every report reads it without changing it."""
+    return character_profile(get_entry("Q8").group())
+
+
 def quaternion_report(name: str) -> dict:
     """Analyze one quaternion-torus preset: endomorphisms and the verdict.
 
     The profile is Q8's, whose indicator -1 fixes Schur index 2, so no
     split runs.  Q8 is a fixed reference of order 8, closed under the
-    default cap: the input names no group for a cap to bound."""
+    default cap, since the input names no group for a cap to bound, and
+    profiled once per process for every preset."""
     entry = get_entry(name)
     algebra, lattice, c = quaternion_preset(name)
     torus = build_quat_torus(algebra, lattice, c)
     endos = torus_endomorphisms(torus)
     subfield = imaginary_quadratic_subfield(algebra)
 
-    profile = character_profile(get_entry("Q8").group())
+    profile = _q8_profile()
     rverdict = ratl_verdict(profile, 2, evidence=endos)
 
     quaternion = {

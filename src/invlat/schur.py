@@ -199,12 +199,6 @@ def _kernel(rows, width):
     return basis
 
 
-def _integral(mat):
-    """The rational matrix times the lcm of its denominators, as ints."""
-    d = lcm(*(x.denominator for row in mat for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in mat]
-
-
 def _split(group: GroupRep, spin, basis, conductor):
     """A nonzero vector of a proper G-stable subspace of U, the orbit span
     that `spin` closed, with rref rows basis, or None when no candidate
@@ -236,11 +230,11 @@ def _split(group: GroupRep, spin, basis, conductor):
                 columns = [[a - rj * b for a, b in zip(col, f)] for col, f in zip(columns, row)]
         equations += map(list, zip(*columns))
     pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
-    to_spun = _integral([spun_span.coords(row) for row in basis])
+    to_spun, _ = linalg.integral([spun_span.coords(row) for row in basis])
     flipped = []  # each element of E as one row, read from its last entry
     for y in _kernel(equations, u):
         images = [[sum(c * f[p] for c, f in zip(y, row) if c) for p in pivots] for row in flat]
-        mat = linalg.matmul(to_spun, _integral(images))
+        mat = linalg.matmul(to_spun, linalg.integral(images)[0])
         flipped.append([x for row in mat for x in row][::-1])
     reduced = [y[::-1] for y in linalg.rref(flipped)[0][::-1]]
     e_basis = [[y[i * u:(i + 1) * u] for i in range(u)] for y in reduced]

@@ -1371,6 +1371,94 @@ def endomorphisms_by_commutant(torus):
     )
 
 
+
+def classify_on_fractions(torus, ends, table, identity):
+    """(rank, structure_tag, abelian, matches_input_lattice,
+    center_discriminant, detail) of the ring with Z-basis ends (4 x 4
+    integer matrices in the lattice basis), multiplication table table and
+    identity coordinates identity, classified on Fraction matrices: W from
+    the basis vectors' rational values, W^-1 by `linalg.inverse`, the
+    rank-4 order test as a rational determinant and the rank-8 certificate
+    as a rational matrix eta.  The library runs the same tests on integer
+    matrices over one denominator each."""
+    from invlat.quaternion import _left_mult
+
+    w_mat = [[x.as_fraction() for x in row] for row in zip(*torus.lattice.vectors())]
+    w_inv = linalg.inverse(w_mat)
+    w_int, _ = linalg.integral(w_mat)
+    inv_int, _ = linalg.integral(w_inv)
+    a, b = torus.algebra.a, torus.algebra.b
+    r = len(ends)
+    if r == 4:
+        for e in ends:
+            mat = linalg.matmul(linalg.matmul(w_int, e), inv_int)
+            if [list(row) for row in _left_mult(a, b, [row[0] for row in mat])] != mat:
+                return (4, "other", None, None, None,
+                        "rank-4 ring is not made of left multiplications")
+        one = [row[0] for row in w_inv]
+        coords = [[sum(x * y for x, y in zip(row, one)) for row in e] for e in ends]
+        matches = (
+            all(x.denominator == 1 for col in coords for x in col)
+            and abs(linalg.det(coords)) == 1
+        )
+        if torus.algebra.definite:
+            return (
+                4, "order-in-definite-quaternion", False, matches, None,
+                "endomorphisms are left multiplications by an order in a definite "
+                "quaternion algebra; no abelian surface has such an endomorphism ring",
+            )
+        return (4, "other", None, matches, None,
+                "left multiplications by an order in an indefinite quaternion algebra")
+    if r != 8:
+        return (r, "other", None, None, None,
+                f"commutant rank {r} outside the expected dichotomy")
+    center = linalg.int_kernel(
+        [[table[i][j][k] - table[j][i][k] for j in range(r) for k in range(r)]
+         for i in range(r)]
+    )
+    if len(center) != 2:
+        return (r, "other", None, None, None, f"center has rank {len(center)}, not 2")
+    scalars = linalg.Span([identity])
+    z = next(vec for vec in center if scalars.coords(vec) is None)
+    z2 = [
+        sum(z[i] * z[j] * table[i][j][k] for i in range(r) for j in range(r))
+        for k in range(r)
+    ]
+    p_coef, q_coef = linalg.Span([z, identity]).coords(z2)
+    t_center = q_coef + p_coef * p_coef / 4
+    if t_center >= 0:
+        return (r, "other", None, None, None, "center is a real quadratic field")
+    disc = fundamental_discriminant(t_center.numerator * t_center.denominator)
+    certified = False
+    if torus.direction is not None:
+        r1, r2, r3 = torus.direction
+        ratio = (a * r1 * r1 + b * r2 * r2 - a * b * r3 * r3) / t_center
+        num, den = ratio.numerator, ratio.denominator
+        if num > 0 and isqrt(num) ** 2 == num and isqrt(den) ** 2 == den:
+            s_val = Fraction(isqrt(num), isqrt(den))
+            l_u = linalg.matmul(linalg.matmul(w_inv, _left_mult(a, b, (0, r1, r2, r3))), w_mat)
+            zeta0 = [x - p_coef / 2 * y for x, y in zip(z, identity)]
+            zeta0_mat = [
+                [sum(c * e[p][s] for c, e in zip(zeta0, ends)) for s in range(4)]
+                for p in range(4)
+            ]
+            scale = 1 / (s_val * t_center)
+            eta = [[x * scale for x in row] for row in linalg.matmul(l_u, zeta0_mat)]
+            one = linalg.identity(4)
+            minus_one = [[-x for x in row] for row in one]
+            certified = linalg.matmul(eta, eta) == one and eta not in (one, minus_one)
+    if not certified:
+        return (
+            r, "other", None, None, disc,
+            "endomorphism algebra is 8-dimensional with imaginary-quadratic center; "
+            "matrix-algebra certificate not established",
+        )
+    return (
+        r, "order-in-M2-of-imaginary-quadratic", True, None, disc,
+        "endomorphism algebra is 8-dimensional with imaginary-quadratic center; "
+        "zero-divisor certificate splits it as 2x2 matrices over that field",
+    )
+
 # -- the Fraction-per-coefficient cyclotomic kernel ------------------------------
 
 def fraction_reduce_mod_phi(dense, n):

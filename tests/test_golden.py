@@ -11,6 +11,7 @@ import pytest
 
 from generated_groups import GENERATED
 from invlat.catalog import catalog_names
+from invlat import report
 from invlat.report import analyze, render_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -33,3 +34,15 @@ def test_generated_report_bytes_match_snapshot(name):
     report = analyze(obj)
     assert report["group"]["order"] == order
     assert render_json(report) == expected
+
+
+@pytest.mark.parametrize("first,second", [
+    ("example-non-generic", "example-non-ci"),
+    ("example-non-ci", "example-non-generic"),
+])
+def test_quaternion_presets_keep_their_bytes_when_analyzed_again(first, second):
+    # both presets read one Q8 profile per process, which no report may change
+    report._q8_profile.cache_clear()
+    for name in (first, second, "Q8", first, second, "Q8"):
+        expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        assert render_json(analyze(name)) == expected

@@ -887,6 +887,43 @@ def test_hadamard_determinant_is_read_from_a_full_slot(k):
     assert on_both_routes(lambda: linalg._bareiss(h, k, k)[3]) == prev
 
 
+@pytest.mark.parametrize("k", [8, 16])
+@pytest.mark.parametrize("extra", [2, 5])
+def test_tall_hadamard_determinant_fills_the_slot_of_the_largest_rows(k, extra):
+    # extra rows of squared norm 2 below H_k: a minor holds at most k rows,
+    # so w is taken over the k largest norms, those of H_k alone, and the
+    # determinant k**(k/2) still needs every bit of a slot but the sign bit;
+    # the width over all rows is wider
+    h = sylvester_hadamard(k)
+    mat = h + [[int(j in (i, i + 1)) for j in range(k)] for i in range(extra)]
+    assert len(mat) > k + 1
+    with packed_from(0):
+        upper, pivots, rest, prev, w = linalg._bareiss(mat, k, k)
+    assert pivots == list(range(k)) and rest == []
+    assert prev == k ** (k // 2) and prev.bit_length() == w - 1
+    every_row = math.prod(max(1, sum(x * x for x in row)) for row in mat)
+    assert math.isqrt(every_row).bit_length() + 1 > w
+    check_against_oracles(mat)
+
+
+@pytest.mark.parametrize("bits", [7, 64])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_tall_entries_at_the_edge_of_a_slot(bits, sign):
+    # the edge rows of `edge_rows` with copies of rows 0 and 1 below them, and
+    # an early stop: a minor holds at most stop + 1 rows, so w is taken over
+    # the stop + 1 largest norms, and |x| still fills a slot
+    x = sign * (2 ** bits - 1)
+    n = 8
+    rows = edge_rows(x, n, 0) + [[1] + [0] * (n - 1), [0, 1] + [0] * (n - 2)] * 2
+    for stop in (3, n):
+        assert len(rows) > stop + 1
+        with packed_from(0):
+            upper, pivots, _, _, w = linalg._bareiss(rows, n, stop)
+        assert w == bits + 1
+        assert [linalg._unpack(v, w, c, n)[0] for c, v in zip(pivots, upper)] == [x] * stop
+    check_against_oracles(rows)
+
+
 def edge_rows(x, n, at):
     """n x n unit rows with x in place of the 1 in row `at`: Hadamard's
     bound is |x|, so |x| = 2**(w-1) - 1 is the largest entry a slot holds."""
@@ -946,3 +983,30 @@ def test_both_routes_give_the_same_pass(mat, data):
     assert all(row[0] for row in upper)
     if pivots:
         assert prev == upper[-1][0]
+
+
+def test_integral_clears_a_matrix_by_one_denominator():
+    mat = [[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(0)]]
+    assert linalg.integral(mat) == ([[3, 18], [-4, 0]], 6)
+    assert linalg.integral([[1, -2], [0, 5]]) == ([[1, -2], [0, 5]], 1)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_upper_inverse_matches_the_rational_inverse(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    h = [[(rng.choice([-1, 1]) * rng.randint(1, 9) if i == j else rng.randint(-20, 20))
+          if j >= i else 0 for j in range(n)] for i in range(n)]
+    scale = rng.choice([1, 2, 6, 35])
+    x, d = linalg.upper_inverse(h, scale)
+    assert d > 0 and math.gcd(d, *(v for row in x for v in row)) == 1
+    inv = linalg.inverse(frac_rows(h))
+    assert [[Fraction(v, d) for v in row] for row in x] == [[scale * v for v in row] for row in inv]
+
+
+@given(shaped_matrix(ints))
+@settings(max_examples=100, deadline=None)
+def test_abs_det_matches_det(mat):
+    n = min(len(mat), len(mat[0]))
+    square = [row[:n] for row in mat[:n]]
+    assert linalg.abs_det(square) == abs(linalg.det(frac_rows(square)))

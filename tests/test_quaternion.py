@@ -10,8 +10,10 @@ from invlat.cyclotomic import CycNum, as_cycnum, sqrt_rational, zeta
 from invlat.errors import InvalidInputError
 from invlat.forge import ImaginaryQuadraticOrder, extend_rank_2n, split_as_order_module
 from invlat.lattices import lattice_from_generators
+from invlat import quaternion
 from invlat.quaternion import (
     QuatAlgebra,
+    QuatTorus,
     build_quat_torus,
     imaginary_quadratic_subfield,
     lipschitz_lattice,
@@ -22,6 +24,7 @@ from invlat.quaternion import (
 from invlat.schur import character_profile
 
 from oracles import (
+    classify_on_fractions,
     endomorphisms_by_commutant,
     is_order,
     left_mult_matrix,
@@ -47,6 +50,14 @@ def test_definiteness():
     assert QuatAlgebra(Fraction(-1), Fraction(-3)).definite
     assert not QuatAlgebra(Fraction(1), Fraction(-1)).definite
     assert not QuatAlgebra(Fraction(2), Fraction(3)).definite
+
+
+def test_integral_parameters_enter_the_products_as_ints():
+    assert hamilton().params == (-1, -1)
+    assert all(type(x) is int for x in hamilton().params)
+    half = QuatAlgebra(Fraction(-1, 2), Fraction(-3))
+    assert half.params == (Fraction(-1, 2), -3)
+    assert [type(x) for x in half.params] == [Fraction, int]
 
 
 def test_hamilton_multiplication_table():
@@ -262,6 +273,8 @@ ORACLE_TORI = {
     },
     "(1,-1) c=j": ((1, -1), None, (0, 0, 1, 0)),
     "(-1,-3) c=i": ((-1, -3), None, (0, 1, 0, 0)),
+    # a parameter that is no integer, so the products run on its Fraction
+    "(-1/2,-3) c=sqrt(2)i": ((Fraction(-1, 2), -3), None, (0, sqrt_rational(2), 0, 0)),
 }
 
 
@@ -292,9 +305,27 @@ def scaled_basis_torus(seed):
     return build_quat_torus(alg, lat, alg.element([0] + [as_cycnum(x) / root for x in u]))
 
 
+# name -> (torus, the rational direction its record is given in place of
+# c's): a rank-8 ring whose zero-divisor certificate is tried on another
+# axis.  It holds when t_u / t is a rational square and fails otherwise.
+FORGED_DIRECTIONS = {
+    "example-non-ci u=(0,1,0)": ("example-non-ci", (0, 1, 0)),
+    "example-non-ci u=(1,1,0)": ("example-non-ci", (1, 1, 0)),
+    "(-1,-3) c=i u=(0,0,1)": ("(-1,-3) c=i", (0, 0, 1)),
+    # a direction that is no primitive integer vector holds as its multiples do
+    "example-non-ci u=(1/4,1/3,0)": ("example-non-ci", (Fraction(1, 4), Fraction(1, 3), 0)),
+    "example-non-ci u=(1/2,1/2,0)": ("example-non-ci", (Fraction(1, 2), Fraction(1, 2), 0)),
+}
+
+
 def oracle_torus(name):
     if name in ("example-non-generic", "example-non-ci"):
         return build_quat_torus(*quaternion_preset(name))
+    if name in FORGED_DIRECTIONS:
+        base, direction = FORGED_DIRECTIONS[name]
+        t = oracle_torus(base)
+        return QuatTorus(t.algebra, t.lattice, t.c, t.j_matrix, True,
+                         tuple(map(Fraction, direction)), t.field_discriminant)
     if name.startswith("scaled seed="):
         return scaled_basis_torus(int(name.removeprefix("scaled seed=")))
     (a, b), rows, c = ORACLE_TORI[name]
@@ -318,6 +349,39 @@ def test_endomorphisms_match_commutant_oracle(name):
         endos.matches_input_lattice, endos.center_discriminant, endos.detail,
     )
     assert got == endomorphisms_by_commutant(torus)
+
+
+CLASSIFIED = ["example-non-generic", "example-non-ci", *ORACLE_TORI, *FORGED_DIRECTIONS,
+              *(f"scaled seed={seed}" for seed in range(30))]
+
+
+def fields(endos):
+    return (endos.rank, endos.structure_tag, endos.abelian,
+            endos.matches_input_lattice, endos.center_discriminant, endos.detail)
+
+
+@pytest.mark.parametrize("name", CLASSIFIED)
+def test_integer_classification_matches_fraction_oracle(name):
+    torus = oracle_torus(name)
+    w_int, inv_int, _ = quaternion._basis_matrices(torus.lattice)
+    ring = quaternion._ring_basis(torus, w_int, inv_int)
+    assert fields(torus_endomorphisms(torus)) == classify_on_fractions(torus, *ring)
+
+
+def test_classified_tori_reach_every_outcome_of_both_tests():
+    # the rank-4 order test and the rank-8 certificate each pass and fail
+    seen = {fields(torus_endomorphisms(oracle_torus(name)))[2:4] for name in CLASSIFIED}
+    # (abelian, matches): rank 4 matching or not, rank 8 certified or not
+    assert seen == {(False, True), (False, False), (True, None), (None, None)}
+
+
+def test_basis_matrices_invert_the_lattice_basis():
+    for name in CLASSIFIED:
+        lattice = oracle_torus(name).lattice
+        w_int, inv_int, d = quaternion._basis_matrices(lattice)
+        w_mat = [[x.as_fraction() for x in row] for row in zip(*lattice.vectors())]
+        assert linalg.integral(w_mat) == (w_int, lattice.den)
+        assert linalg.integral(linalg.inverse(w_mat)) == (inv_int, d)
 
 
 def test_coarser_lattice_is_not_the_order():
@@ -344,8 +408,7 @@ def test_endomorphisms_make_few_matrix_products(monkeypatch):
 
 @pytest.mark.parametrize("name", ["example-non-generic", "example-non-ci"])
 def test_endomorphisms_need_no_cyclotomic_products(monkeypatch, name):
-    # J is split into rational layers once; everything after runs on int and
-    # Fraction
+    # J is split into rational layers once; everything after runs on int
     torus = oracle_torus(name)
     calls = []
     real = CycNum.__mul__
@@ -364,3 +427,21 @@ def test_scaled_bases_cover_both_directions():
     # an irrational direction gives the rank-4 ring, a rational one rank 8
     kinds = {scaled_basis_torus(seed).rational_direction for seed in range(30)}
     assert kinds == {False, True}
+
+
+@pytest.mark.parametrize("name", ["example-non-generic", "example-non-ci"])
+def test_endomorphisms_build_few_fractions(monkeypatch, name):
+    # W, W^-1, the layers and both classifications are integer matrices over
+    # one denominator; only the center's quadratic relation and the
+    # certificate's scalars are Fractions
+    torus = oracle_torus(name)
+    calls = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    torus_endomorphisms(torus)
+    assert len(calls) <= 16

@@ -699,6 +699,24 @@ def test_cli_has_no_cycle_bound_option(capsys, monkeypatch, command):
     assert "--cycle-bound" in err
 
 
+def test_q8_is_closed_and_profiled_once_for_both_quaternion_presets(monkeypatch):
+    calls = []
+    real = report.character_profile
+
+    def counting(group):
+        calls.append(group.order)
+        return real(group)
+
+    monkeypatch.setattr(report, "character_profile", counting)
+    report._q8_profile.cache_clear()
+    try:
+        for name in ("example-non-generic", "example-non-ci", "example-non-generic"):
+            assert analyze(name)["profile"]["schur_index"] == 2
+    finally:
+        report._q8_profile.cache_clear()
+    assert calls == [8]
+
+
 def test_cli_cap_propagates(capsys):
     code, _, err = run_cli(capsys, "analyze", "S4-standard", "--cap", "10")
     assert code == 3
