@@ -1,7 +1,7 @@
 """Exact linear algebra helpers.
 
-Rational routines (rref, Span, inverse) take rows of ints and Fractions and
-return Fractions.  Each row is cleared to integers by the lcm of its
+Rational routines (rref, Span) take rows of ints and Fractions and return
+Fractions.  Each row is cleared to integers by the lcm of its
 denominators, and the elimination stays on the integers.  `rref` and
 `_hnf_modulus` share one fraction-free forward elimination, `_bareiss`
 (Bareiss 1968): each step replaces every row below the pivot row by
@@ -17,12 +17,11 @@ than the square root of the product of the k largest squared row norms
 once the slots below it are 0.  The pivot columns of the rref are unit
 columns, so a fraction-free back-substitution (Nakos, Turner and Williams
 1997) solves only the free columns, on the integers, as D times the result
-with D the last pivot.  `inverse` is the right half of the rref
-of [mat | I], whose identity block is n free columns.  `Span` is the one
-route for span membership and coordinates: it keeps the rows added so far
-in echelon form, each a primitive integer row over its own pivot, so a
-fixed basis is reduced once and every later question costs one reduction
-of the asked row, one cross-multiplication per echelon row.
+with D the last pivot.  `Span` is the one route for span membership and
+coordinates: it keeps the rows added so far in echelon form, each a
+primitive integer row over its own pivot, so a fixed basis is reduced once
+and every later question costs one reduction of the asked row, one
+cross-multiplication per echelon row.
 
 `integral` clears a whole matrix by the lcm of its denominators.
 `upper_inverse` inverts an upper triangular integer matrix, as an integer
@@ -35,19 +34,20 @@ fraction-free forward elimination on the same Bareiss rule as `rref`, with
 one reciprocal of the previous pivot per pivot in place of the exact integer
 division: `rank` counts its pivots, and `det` is its signed last pivot.
 
-Integer routines share one Hermite elimination that pivots in a given
-number of leading columns, each on the smallest nonzero entry of its column:
-a row whose entry the pivot divides is cleared by one row subtraction, any
-other by the two-row xgcd update.  The entries are not bounded: rows whose
-HNF entries have 2 bits can pass through entries of thousands of bits.
-`hnf_with_transform` runs it on the rows [mat | I], whose right-hand block
-ends as the unimodular transform; `int_kernel` reads the left kernel off
-that transform.  `hnf` of m x n rows with m >= n first takes `_hnf_modulus`,
+The plain Hermite elimination `_hermite` pivots in a given number of
+leading columns and clears each by Euclid's reduction: every other row
+that is nonzero there is reduced by the row with the smallest nonzero
+entry, by the rounded quotient, until one row is left.  `int_kernel` runs
+it on the rows [mat | I], pivoting in mat's columns only, so the
+right-hand block ends as a unimodular transform whose rows beside the zero
+rows span the left kernel.  Its entries have no proven bound; on the
+scaled quaternion tori of the tests the kernel rows of that block have at
+most 28 bits.  `hnf` of m x n rows with m >= n first takes `_hnf_modulus`,
 a multiple R of the lattice determinant that is 0 exactly when the rank is
-below n; for R > 0 it runs the same steps mod R (`_hermite_mod`), so no
-entry reaches R.  Rows with m < n or R = 0 take the plain elimination.
-`hnf_coords` writes an integer vector in echelon integer rows by
-back-substitution, with a divisibility test at each pivot.
+below n; for R > 0 it folds each column into its smallest entry mod R
+(`_hermite_mod`), so no entry reaches R.  Rows with m < n or R = 0 take
+`_hermite`.  `hnf_coords` writes an integer vector in echelon integer rows
+by back-substitution, with a divisibility test at each pivot.
 """
 
 from __future__ import annotations
@@ -80,11 +80,6 @@ def integral(mat):
 def matmul(a, b):
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def identity(n):
-    one, zero = Fraction(1), Fraction(0)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 # The fewest elimination steps for which `_bareiss` packs its rows: below
@@ -392,16 +387,6 @@ class Span:
         return out
 
 
-def inverse(mat):
-    """Inverse of a square matrix of ints and Fractions, or None if singular."""
-    n = len(mat)
-    aug = [list(row) + ident for row, ident in zip(mat, identity(n))]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]
-
-
 def upper_inverse(h, scale=1):
     """(X, d) with scale * h^-1 = X / d in lowest terms, X integer and d > 0,
     for an upper triangular integer matrix h with a nonzero diagonal.
@@ -454,43 +439,37 @@ def _hermite(a, n):
     reduced into [0, pivot), zero rows (in those columns) at the bottom.
     Columns past n take the same row operations and never pivot.
 
-    Each column pivots on its smallest nonzero entry in absolute value.  A
-    row whose entry the pivot divides is cleared by subtracting one multiple
-    of the pivot row; any other row is cleared by the unimodular two-row
-    update of xgcd, which leaves the gcd of the two entries as the pivot.
-    The smallest pivot saves xgcd updates but does not bound the entries,
-    which can grow to thousands of bits on rows whose HNF has small ones;
-    `_hermite_mod` avoids that when the rows have full column rank."""
+    Each column is cleared by Euclid's reduction: every other row that is
+    nonzero there is reduced by the one with the smallest entry, by the
+    rounded quotient of the two, until one row is left; it is the pivot
+    row.  Every step subtracts a multiple of one row from another, so the
+    steps are unimodular, and the rounded quotient at least halves each
+    reduced entry."""
     m = len(a)
     r = 0
     for c in range(n):
-        pr = min((i for i in range(r, m) if a[i][c]), key=lambda i: abs(a[i][c]),
-                 default=None)
-        if pr is None:
+        live = [i for i in range(r, m) if a[i][c]]
+        if not live:
             continue
+        while len(live) > 1:
+            pr = min(live, key=lambda i: abs(a[i][c]))
+            # rows r and below are zero in the columns before c
+            top = a[pr][c:]
+            p = top[0]
+            for i in live:
+                if i != pr:
+                    row = a[i]
+                    q = (2 * row[c] + p) // (2 * p)
+                    row[c:] = [y - q * x for x, y in zip(top, row[c:])]
+            live = [i for i in live if a[i][c]]
+        pr = live[0]
         a[r], a[pr] = a[pr], a[r]
-        # rows r and below are zero in the columns before c
         top = a[r][c:]
         p = top[0]
-        for i in range(r + 1, m):
-            row = a[i]
-            b = row[c]
-            if not b:
-                continue
-            q, rem = divmod(b, p)
-            if not rem:
-                row[c:] = [y - q * x for x, y in zip(top, row[c:])]
-                continue
-            g, u, v = xgcd(p, b)
-            s, t = p // g, b // g
-            low = row[c:]
-            row[c:] = [s * y - t * x for x, y in zip(top, low)]
-            top = [u * x + v * y for x, y in zip(top, low)]
-            p = g
         if p < 0:
             top = [-x for x in top]
             p = -p
-        a[r][c:] = top
+            a[r][c:] = top
         for i in range(r):
             q = a[i][c] // p
             if q:
@@ -499,17 +478,6 @@ def _hermite(a, n):
         if r == m:
             break
     return a
-
-
-def hnf_with_transform(mat):
-    """Row Hermite normal form with transform: returns (H, T), T unimodular,
-    T @ mat == H, pivots positive, entries above each pivot reduced into
-    [0, pivot).  Zero rows of H sit at the bottom."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug = _hermite([[int(x) for x in row] + [int(i == j) for j in range(m)]
-                    for i, row in enumerate(mat)], n)
-    return [row[:n] for row in aug], [row[n:] for row in aug]
 
 
 def _hnf_modulus(a):
@@ -546,9 +514,11 @@ def _hermite_mod(a, r):
 
     L is spanned by the rows mod r and r * Z^n, so the entries stay in
     [0, r).  Column c folds every other row into the pivot row, the one
-    with the smallest entry there, by the steps of `_hermite` mod r; the
-    pivot entry itself stays exact, the gcd g of the column (0 when every
-    entry there is 0 mod r).  With d = gcd(g, r) = u * g + v * r, the HNF
+    with the smallest entry there, mod r: a row whose entry the pivot
+    divides by one subtraction, any other by the two-row xgcd update, which
+    leaves the gcd of the two entries as the pivot.  The pivot entry itself
+    stays exact, the gcd g of the column (0 when every entry there is 0
+    mod r).  With d = gcd(g, r) = u * g + v * r, the HNF
     row is u * (pivot row) mod r with d on the diagonal.  The lattice of
     the other rows and r * Z^(n-c-1) has determinant dividing r / d, so r
     becomes r / d.  Once r is 1 the rows left are unit rows.  Last, the
@@ -618,9 +588,16 @@ def hnf(mat):
 
 
 def int_kernel(mat):
-    """Basis (canonical HNF rows) of {x integer row : x @ mat = 0}."""
-    h, t = hnf_with_transform(mat)
-    ker = [trow for hrow, trow in zip(h, t) if not any(hrow)]
+    """Basis (canonical HNF rows) of {x integer row : x @ mat = 0}.
+
+    `_hermite` of the rows [mat | I] pivots in mat's n columns only, so the
+    right-hand block ends as a unimodular T with T @ mat the HNF; the rows
+    of T beside its zero rows are a basis of the left kernel."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    aug = _hermite([[int(x) for x in row] + [int(i == j) for j in range(m)]
+                    for i, row in enumerate(mat)], n)
+    ker = [row[n:] for row in aug if not any(row[:n])]
     return hnf(ker) if ker else []
 
 

@@ -308,11 +308,20 @@ def rref_full_width(rows):
     return [[Fraction(x, prev) for x in row] for row in mat[:r]], pivots
 
 
+def extended_gcd(a, b):
+    """(g, u, v) with u*a + v*b = g = gcd(a, b) >= 0, by the recursive
+    extended Euclid.  The library's `xgcd` iterates."""
+    if b == 0:
+        return abs(a), -1 if a < 0 else 1, 0
+    g, u, v = extended_gcd(b, a % b)
+    return g, v, u - a // b * v
+
+
 def hermite_by_pairs(a, n):
     """Row Hermite normal form of the integer rows a, in place, pivoting in
     the first n columns on the first nonzero entry and clearing every row
-    below it by the xgcd two-row update.  The library pivots on the
-    smallest entry and clears a row the pivot divides by one subtraction."""
+    below it by the two-row update of `extended_gcd`.  The library clears
+    each column by Euclid's reduction against its smallest entry."""
     m = len(a)
     r = 0
     for c in range(n):
@@ -322,7 +331,7 @@ def hermite_by_pairs(a, n):
         a[r], a[pr] = a[pr], a[r]
         for i in range(r + 1, m):
             if a[i][c] != 0:
-                g, u, v = linalg.xgcd(a[r][c], a[i][c])
+                g, u, v = extended_gcd(a[r][c], a[i][c])
                 p, q = a[r][c] // g, a[i][c] // g
                 top, low = a[r][c:], a[i][c:]
                 a[r][c:] = [u * x + v * y for x, y in zip(top, low)]
@@ -337,6 +346,17 @@ def hermite_by_pairs(a, n):
         if r == m:
             break
     return a
+
+
+def hnf_with_transform(mat):
+    """(H, T) with T unimodular and T @ mat == H, the row HNF with its zero
+    rows at the bottom: the library's `_hermite` on the rows [mat | I], the
+    route `int_kernel` takes, split into its two blocks."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    aug = linalg._hermite([list(row) + [int(i == j) for j in range(m)]
+                           for i, row in enumerate(mat)], n)
+    return [row[:n] for row in aug], [row[n:] for row in aug]
 
 
 def hnf_modulus_unpacked(a):
@@ -420,6 +440,23 @@ def inverse_by_rref(mat):
     zero = one * 0
     aug = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(rows)]
     red, pivots = rref_divide_each_entry(aug)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def fraction_identity(n):
+    """The n x n identity matrix with Fraction entries."""
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def inverse(mat):
+    """Inverse of a square matrix of ints and Fractions, or None if
+    singular: the right half of the library's `rref` of [mat | I], whose
+    identity block is n free columns."""
+    n = len(mat)
+    red, pivots = linalg.rref([list(row) + ident
+                               for row, ident in zip(mat, fraction_identity(n))])
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]
@@ -1377,14 +1414,14 @@ def classify_on_fractions(torus, ends, table, identity):
     center_discriminant, detail) of the ring with Z-basis ends (4 x 4
     integer matrices in the lattice basis), multiplication table table and
     identity coordinates identity, classified on Fraction matrices: W from
-    the basis vectors' rational values, W^-1 by `linalg.inverse`, the
+    the basis vectors' rational values, W^-1 by `inverse`, the
     rank-4 order test as a rational determinant and the rank-8 certificate
     as a rational matrix eta.  The library runs the same tests on integer
     matrices over one denominator each."""
     from invlat.quaternion import _left_mult
 
     w_mat = [[x.as_fraction() for x in row] for row in zip(*torus.lattice.vectors())]
-    w_inv = linalg.inverse(w_mat)
+    w_inv = inverse(w_mat)
     w_int, _ = linalg.integral(w_mat)
     inv_int, _ = linalg.integral(w_inv)
     a, b = torus.algebra.a, torus.algebra.b
@@ -1444,7 +1481,7 @@ def classify_on_fractions(torus, ends, table, identity):
             ]
             scale = 1 / (s_val * t_center)
             eta = [[x * scale for x in row] for row in linalg.matmul(l_u, zeta0_mat)]
-            one = linalg.identity(4)
+            one = fraction_identity(4)
             minus_one = [[-x for x in row] for row in one]
             certified = linalg.matmul(eta, eta) == one and eta not in (one, minus_one)
     if not certified:

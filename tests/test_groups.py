@@ -183,10 +183,9 @@ def test_reflection_scan_ranks_no_matrix(monkeypatch):
     assert len(factored) == 15
 
 
-def test_closure_inverts_no_matrix(monkeypatch):
-    monkeypatch.setattr(
-        groups_module.linalg, "inverse", lambda mat: pytest.fail("matrix inverted")
-    )
+def test_closure_inverts_no_matrix():
+    # the library has no matrix inverse, so no closure can call one
+    assert not hasattr(groups_module.linalg, "inverse")
     for obj, order in GENERATED.values():
         assert group_from_json(obj).order == order
     for name in CATALOG_GROUPS:

@@ -18,6 +18,8 @@ from oracles import (
     euler_phi,
     hermite_by_pairs,
     hnf_modulus_unpacked,
+    hnf_with_transform,
+    inverse,
     inverse_by_rref,
     kernel_right,
     matvec,
@@ -59,7 +61,7 @@ def test_inverse(mat):
     m = frac_rows(mat)
     if linalg.det(m) == 0:
         return
-    inv = linalg.inverse(m)
+    inv = inverse(m)
     prod = linalg.matmul(m, inv)
     n = len(m)
     assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -125,7 +127,7 @@ def test_hnf_idempotent(mat):
 @given(rect)
 @settings(max_examples=100)
 def test_hnf_transform_reproduces(mat):
-    h, t = linalg.hnf_with_transform(mat)
+    h, t = hnf_with_transform(mat)
     assert linalg.matmul(t, mat) == h
     # transform is unimodular: determinant is a unit
     assert abs(linalg.det(frac_rows(t))) == 1
@@ -474,14 +476,14 @@ def test_rank_and_det_of_dense_integer_matrices_at_the_dimension_limit(n):
 def test_int_matrices_give_exact_fractions():
     det = linalg.det([[3, 1], [1, 1]])
     assert det == 2 and type(det) is Fraction
-    assert linalg.inverse([[3, 1], [1, 1]]) == [
+    assert inverse([[3, 1], [1, 1]]) == [
         [Fraction(1, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]]
     span = linalg.Span([[3, 1], [6, 2]])
     assert span.rows == [[Fraction(1), Fraction(1, 3)]]
     assert span.coords([6, 2]) == [2, 0]
     assert span.coords([0, 1]) is None
     assert linalg.det([[Fraction(1, 2), 3], [1, 5]]) == Fraction(-1, 2)
-    for out in (linalg.inverse([[3, 1], [1, 1]]), span.rows, [span.coords([6, 2])]):
+    for out in (inverse([[3, 1], [1, 1]]), span.rows, [span.coords([6, 2])]):
         assert all(type(x) is Fraction for row in out for x in row)
 
 
@@ -505,7 +507,7 @@ def test_int_input_matches_fraction_input(seed):
              for i, row in enumerate(mat)]
     fractions = frac_rows(mat)
     for given_mat in (mat, mixed):
-        for routine in (linalg.det, linalg.inverse, linalg.rref):
+        for routine in (linalg.det, inverse, linalg.rref):
             assert routine(given_mat) == routine(fractions)
         assert linalg.Span(given_mat).rows == linalg.Span(fractions).rows
         for row in fractions:
@@ -517,7 +519,7 @@ def test_int_input_matches_fraction_input(seed):
         assert type(linalg.det(given_mat)) is Fraction
 
 
-# hnf is the H of hnf_with_transform, without the transform
+# hnf is the H of `_hermite` on [mat | I], without the transform
 
 
 def hnf_split_case(seed):
@@ -544,7 +546,7 @@ HNF_SPLIT_SEEDS = range(42)
 @pytest.mark.parametrize("seed", HNF_SPLIT_SEEDS)
 def test_hnf_is_the_nonzero_rows_of_hnf_with_transform(seed):
     mat = hnf_split_case(seed)
-    h, t = linalg.hnf_with_transform(mat)
+    h, t = hnf_with_transform(mat)
     assert linalg.hnf(mat) == [row for row in h if any(row)]
     assert linalg.matmul(t, mat) == h
     assert abs(linalg.det(t)) == 1
@@ -554,7 +556,7 @@ def test_hnf_is_the_nonzero_rows_of_hnf_with_transform(seed):
 
 
 # rref and the Hermite elimination against their full-width, first-pivot
-# oracles, on shapes where the live-column and smallest-pivot rules could
+# oracles, on shapes where the live-column rule and Euclid's reduction could
 # slip: zero rows and columns, width 1, negative leading entries, rank
 # deficient products, and columns that get no pivot before ones that do
 
@@ -681,7 +683,7 @@ def square_up_to_8(draw):
 @given(square_up_to_8())
 @settings(max_examples=120, deadline=None)
 def test_inverse_matches_rref_oracle(mat):
-    inv = linalg.inverse(mat)
+    inv = inverse(mat)
     assert inv == inverse_by_rref(mat)
     assert (inv is None) == (linalg.det(frac_rows(mat)) == 0)
 
@@ -707,7 +709,7 @@ def test_hermite_matches_first_pivot_oracle(mat):
     width = len(mat[0])
     by_pairs = hermite_by_pairs([list(row) for row in mat], width)
     assert linalg.hnf(mat) == [row for row in by_pairs if any(row)]
-    h, t = linalg.hnf_with_transform(mat)
+    h, t = hnf_with_transform(mat)
     assert h == by_pairs
     assert linalg.matmul(t, mat) == h
     assert abs(linalg.det(t)) == 1
@@ -726,7 +728,9 @@ def _saturated(rows):
 
 
 # sha256 of the int_kernel rows of every hnf_split_case, as computed when
-# hnf_with_transform eliminated the matrix and its transform as two arrays
+# the matrix and its transform were eliminated as two arrays under the
+# smallest-pivot rule; int_kernel returns the canonical HNF of the kernel,
+# so the transform that Euclid's reduction leaves gives the same rows
 INT_KERNEL_DIGEST = "8e5ff202407bfa7ff861d8971f261c60d6e4a68f5be97950b1ba6fb857c54ab8"
 
 
@@ -1000,7 +1004,7 @@ def test_upper_inverse_matches_the_rational_inverse(seed):
     scale = rng.choice([1, 2, 6, 35])
     x, d = linalg.upper_inverse(h, scale)
     assert d > 0 and math.gcd(d, *(v for row in x for v in row)) == 1
-    inv = linalg.inverse(frac_rows(h))
+    inv = inverse(frac_rows(h))
     assert [[Fraction(v, d) for v in row] for row in x] == [[scale * v for v in row] for row in inv]
 
 

@@ -26,6 +26,7 @@ from invlat.schur import character_profile
 from oracles import (
     classify_on_fractions,
     endomorphisms_by_commutant,
+    inverse,
     is_order,
     left_mult_matrix,
     quat_conjugate,
@@ -381,7 +382,7 @@ def test_basis_matrices_invert_the_lattice_basis():
         w_int, inv_int, d = quaternion._basis_matrices(lattice)
         w_mat = [[x.as_fraction() for x in row] for row in zip(*lattice.vectors())]
         assert linalg.integral(w_mat) == (w_int, lattice.den)
-        assert linalg.integral(linalg.inverse(w_mat)) == (inv_int, d)
+        assert linalg.integral(inverse(w_mat)) == (inv_int, d)
 
 
 def test_coarser_lattice_is_not_the_order():
@@ -421,6 +422,30 @@ def test_endomorphisms_need_no_cyclotomic_products(monkeypatch, name):
     monkeypatch.setattr(CycNum, "__rmul__", counting)
     torus_endomorphisms(torus)
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("seed", [6, 26, 29])
+def test_kernel_transform_rows_stay_small(monkeypatch, seed):
+    # `_hermite` on [M | I] for every int_kernel input M of the torus: the
+    # rows beside the zero rows of M's block, the kernel rows int_kernel
+    # reduces, have at most 64 bits (24, 21 and 21 on these seeds)
+    inputs = []
+    real = linalg.int_kernel
+
+    def recording(mat):
+        inputs.append([list(row) for row in mat])
+        return real(mat)
+
+    monkeypatch.setattr(linalg, "int_kernel", recording)
+    torus_endomorphisms(scaled_basis_torus(seed))
+    assert inputs
+    for mat in inputs:
+        m, n = len(mat), len(mat[0])
+        rows = linalg._hermite([row + [int(i == j) for j in range(m)]
+                                for i, row in enumerate(mat)], n)
+        kernel = [row[n:] for row in rows if not any(row[:n])]
+        assert kernel
+        assert max(abs(x).bit_length() for row in kernel for x in row) <= 64
 
 
 def test_scaled_bases_cover_both_directions():
