@@ -464,12 +464,10 @@ def _hermite(a, n):
             live = [i for i in live if a[i][c]]
         pr = live[0]
         a[r], a[pr] = a[pr], a[r]
+        if a[r][c] < 0:
+            a[r][c:] = [-x for x in a[r][c:]]
         top = a[r][c:]
         p = top[0]
-        if p < 0:
-            top = [-x for x in top]
-            p = -p
-            a[r][c:] = top
         for i in range(r):
             q = a[i][c] // p
             if q:
