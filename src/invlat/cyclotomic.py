@@ -48,6 +48,9 @@ polynomials kept primitive, O(phi(N)^2).
 `splitting_prime(n)` gives a prime l = 1 mod n and a g of order n modulo l,
 so that z_n -> g maps Z[z_n] onto F_l; a rank over the field can then be
 certified by a rank over F_l (lattices._check_discrete).
+`multiplication_rows` gives the integer matrix of multiplication by an
+element of Z[z_n], so a product with it can act on integer rows of
+coordinates (lattices.intersect_with_line).
 
 `squarefree_part` is the one square-class routine, read by every quadratic
 discriminant and by `sqrt_rational`.  Facts about one value come from its
@@ -124,6 +127,25 @@ def _reduce_mod_phi(dense, n):
     del p[deg:]
     p += [0] * (deg - len(p))
     return p
+
+
+def multiplication_rows(nums, n):
+    """The matrix of multiplication by x = sum nums[k] z_n^k, for integer
+    coordinates nums at conductor n: row k holds the coordinates of
+    z_n^k * x, so a row of coordinates times the matrix gives those of its
+    product with x.  Each row is the one before times z_n, a shift with the
+    top coordinate folded back by Phi_n."""
+    deg, tail = _phi_tail(n)
+    row = list(nums)
+    rows = [row]
+    for _ in range(deg - 1):
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            for off, a in tail:
+                row[deg + off] -= top * a
+        rows.append(row)
+    return rows
 
 
 def _fold(dense, n):

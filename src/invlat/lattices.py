@@ -11,8 +11,11 @@ builds it, on rows read off each entry's integer numerators.  Every
 question is answered from these rows: integer coordinates come from
 back-substitution against them, with a divisibility test at each pivot and
 an exact zero residual.  The points on the complex line of a root r are
-one integer left kernel: with p the first nonzero entry of r, v lies on
-the line exactly when r_p * v_j - r_j * v_p = 0 for every j != p.
+one integer left kernel on the basis's integer rows: with p the first
+nonzero entry of r, v lies on the line exactly when
+r_p * v_j - r_j * v_p = 0 for every j != p, and each product is a block of
+the entries' multiplication matrices; the kernel rows are the line's
+coordinates in the lattice basis, and they combine the lattice's rows.
 
 Discreteness is decided on the basis vectors: each vector v is extended by
 its conjugate to (v | conj v), which stays inside the cyclotomic field, and
@@ -34,7 +37,6 @@ and norm of tau: the CM order of an elliptic-curve factor, or the order a
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
@@ -42,7 +44,8 @@ from operator import mul
 
 from . import linalg
 from .cyclotomic import (
-    CycNum, as_cycnum, common_conductor, cyc_to_json, splitting_prime, squarefree_part,
+    CycNum, as_cycnum, common_conductor, cyc_to_json, multiplication_rows, splitting_prime,
+    squarefree_part,
 )
 from .errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
 from .groups import apply
@@ -78,11 +81,6 @@ def _integer_rows(vectors, conductor):
     den = lcm(1, *(d for vec in parts for _, d in vec))
     rows = [[c * (den // d) for nums, d in vec for c in nums] for vec in parts]
     return rows, den
-
-
-def _pivots(rows):
-    """The column of the first nonzero entry of each echelon row."""
-    return [next(k for k, x in enumerate(row) if x) for row in rows]
 
 
 class ZLattice(Record):
@@ -267,60 +265,61 @@ def lattice_sum(a: ZLattice, b: ZLattice) -> ZLattice:
     return _lattice_from_rows(a.dim, conductor, rows, den)
 
 
-def intersect_with_line(lattice: ZLattice, root) -> ZLattice:
-    """Lattice points on the complex line of the nonzero vector root.
+def intersect_with_line(lattice: ZLattice, root):
+    """(line lattice, coords): the lattice points on the complex line of the
+    nonzero vector root, and the canonical HNF rows coords of the integer
+    combinations of the basis that lie on it.
 
     With p the first nonzero entry of root, v lies on the line exactly when
-    root_p * v_j - root_j * v_p = 0 for every j != p.  Those n - 1 values of
-    each basis vector, flattened to integers, give the integer combinations
-    of the basis that lie on the line as one integer left kernel."""
+    root_p * v_j - root_j * v_p = 0 for every j != p; root is first scaled
+    by its common denominator, which keeps its line.  At N, the lcm of the
+    two conductors, each product is a block of `multiplication_rows`, so on
+    the integer rows R of the basis the condition is one integer matrix
+    R @ C, and coords is its left kernel.  The line lattice is spanned by
+    coords @ rows over den, the lattice's own rows, and its least den is den
+    over the gcd of den and their entries.  Its entries lie in the lattice's
+    field; when their least conductor is below the lattice's, it is rebuilt
+    from its vectors at that conductor."""
     root = [as_cycnum(x) for x in root]
-    vecs = lattice.vectors()
-    if len(root) == 1 or not vecs:
-        return lattice
-    p = next(k for k, x in enumerate(root) if not x.is_zero())
-    values = [
-        [root[p] * v[j] - root[j] * v[p] for j in range(len(root)) if j != p]
-        for v in vecs
-    ]
-    int_rows, _ = _integer_rows(values, common_conductor(x for row in values for x in row))
-    gens = []
-    for krow in linalg.int_kernel(int_rows):
-        acc = [0] * len(lattice.rows[0])
-        for coeff, row in zip(krow, lattice.rows):
-            if coeff:
-                acc = [a + coeff * x for a, x in zip(acc, row)]
-        gens.append(lattice._vector(acc))
-    return lattice_from_generators(gens, dim=lattice.dim, allow_zero=True)
-
-
-def lattice_index(big: ZLattice, small: ZLattice):
-    """Index [big : small] for small a sublattice of big; math.inf when the
-    ranks differ.
-
-    Once containment is certified and the ranks agree, both lattices have
-    the same rational span and so the same pivot columns, and the index is
-    the ratio of their covolumes in the pivot coordinates: the products of
-    the pivots, each over its denominator to the rank."""
-    if any(big.basis_coords(vec) is None for vec in small.vectors()):
-        raise InvalidInputError("second lattice is not contained in the first")
-    if small.rank < big.rank:
-        return math.inf
-    if small.rank > big.rank:
-        raise InvalidInputError("containment with larger rank is impossible")
-    pivots = _pivots(big.rows)
-    if (small.conductor, _pivots(small.rows)) != (big.conductor, pivots):
-        raise InternalConsistencyError(
-            "lattices of equal rank, one inside the other, have different spans"
-        )
-    num, den = big.den ** big.rank, small.den ** small.rank
-    for p, small_row, big_row in zip(pivots, small.rows, big.rows):
-        num *= small_row[p]
-        den *= big_row[p]
-    index, rest = divmod(num, den)
-    if rest:
-        raise InternalConsistencyError(f"lattice index {num}/{den} is not an integer")
-    return index
+    dim = lattice.dim
+    if len(root) == 1 or not lattice.rows:
+        return lattice, [[int(i == j) for j in range(lattice.rank)] for i in range(lattice.rank)]
+    conductor = lcm(lattice.conductor, common_conductor(root))
+    (flat,), _ = _integer_rows([root], conductor)
+    width = len(flat) // dim
+    entries = [flat[k : k + width] for k in range(0, len(flat), width)]
+    p = next(j for j, x in enumerate(entries) if any(x))
+    # the columns of each nonzero entry's multiplication matrix
+    columns = [list(zip(*multiplication_rows(x, conductor))) if any(x) else None
+               for x in entries]
+    rows, _ = lattice._rows_at(conductor)
+    condition = []
+    for row in rows:
+        v = [row[k : k + width] for k in range(0, len(row), width)]
+        out = []
+        for j in range(dim):
+            if j == p:
+                continue
+            block = [sum(map(mul, v[j], col)) for col in columns[p]]
+            if columns[j] is not None:
+                block = [x - sum(map(mul, v[p], col)) for x, col in zip(block, columns[j])]
+            out.extend(block)
+        condition.append(out)
+    coords = linalg.int_kernel(condition)
+    if not coords:
+        return ZLattice(dim, 1, (), 1), coords
+    gens = linalg.matmul(coords, lattice.rows)
+    shrink = gcd(lattice.den, *(x for row in gens for x in row))
+    if shrink != 1:
+        gens = [[x // shrink for x in row] for row in gens]
+    basis = tuple(tuple(row) for row in linalg.hnf(gens))
+    line = ZLattice(dim, lattice.conductor, basis, lattice.den // shrink)
+    if lattice.conductor > 1 and common_conductor(
+        x for vec in line.vectors() for x in vec
+    ) < lattice.conductor:
+        return lattice_from_generators(line.vectors(), dim=dim), coords
+    _check_discrete(line)
+    return line, coords
 
 
 def scale_lattice(scalar, lattice: ZLattice) -> ZLattice:

@@ -8,15 +8,15 @@ factorizations id - r = alpha * phi recorded by the reflection scan, through
 the root functional matrix A[k][j] = phi_k(alpha_j), built once per
 decomposition; none rebuilds id - r.  The reflections are chosen by the rank
 of their roots and tested for generation on element indices, each root line
-is cut from the lattice by `intersect_with_line`, and det s = det A, so no
-stage row reduces over the cyclotomic field.
+is cut from the lattice by `intersect_with_line`, the index of the line
+lattices' sum is |det| of their kernel coordinates stacked, and
+det s = det A, so no stage row reduces over the cyclotomic field.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations, product
-from math import inf
 
 from . import linalg
 from .cyclotomic import CycNum
@@ -27,8 +27,6 @@ from .lattices import (
     RankTwoLattice,
     ZLattice,
     intersect_with_line,
-    lattice_index,
-    lattice_sum,
     multiplier_ring,
 )
 from .records import Record
@@ -103,8 +101,7 @@ class ReflectionDecomposition(Record):
     ambient: ZLattice
     reflections: tuple
     lines: tuple  # LineLattice per root line
-    sublattice: ZLattice  # sum of the line lattices
-    index: int  # [ambient : sublattice]
+    index: int  # [ambient : sum of the line lattices]
     s_det: CycNum  # det of s = sum of (id - r_j) = sum of alpha_j phi_j
     functionals: tuple  # the root functional matrix A[k][j] = phi_k(alpha_j)
 
@@ -122,14 +119,19 @@ def line_lattice_decomposition(lattice: ZLattice, refs) -> ReflectionDecompositi
 
     s is R Phi, with the roots as the columns of R and the functionals as
     the rows of Phi, and the root functional matrix A is Phi R, so det s is
-    det A."""
+    det A.  The root lines are independent, so the line lattices' sum is
+    direct, and it has finite index exactly when the coordinates of their
+    bases in the lattice basis, stacked, make a square matrix of nonzero
+    determinant; the index is its absolute value (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4.3)."""
     n = lattice.dim
     refs = tuple(refs)
     if len(refs) != n or linalg.rank([list(r.root) for r in refs]) != n:
         raise InvalidInputError("need n reflections with spanning root lines")
-    lines = []
+    lines, coords = [], []
     for j, ref in enumerate(refs):
-        piece = intersect_with_line(lattice, ref.root)
+        piece, kernel = intersect_with_line(lattice, ref.root)
+        coords += kernel
         scalars = None
         ring = None
         if piece.rank == 2:
@@ -145,17 +147,14 @@ def line_lattice_decomposition(lattice: ZLattice, refs) -> ReflectionDecompositi
         raise InternalConsistencyError(
             "rank-2n lattice met a root line in rank != 2"
         )
-    sub = lines[0].lattice
-    for line in lines[1:]:
-        sub = lattice_sum(sub, line.lattice)
-    index = lattice_index(lattice, sub)
-    if index is inf:
+    index = linalg.abs_det(coords) if len(coords) == lattice.rank else 0
+    if not index:
         raise InternalConsistencyError("line-lattice sum has deficient rank")
     a = root_functional_matrix(refs)
     s_det = linalg.det(a)
     if s_det.is_zero():
         raise InternalConsistencyError("sum of (id - r_j) is degenerate")
-    return ReflectionDecomposition(lattice, refs, tuple(lines), sub, index, s_det, a)
+    return ReflectionDecomposition(lattice, refs, tuple(lines), index, s_det, a)
 
 
 def root_functional_matrix(refs):

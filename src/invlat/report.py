@@ -327,10 +327,12 @@ class GroupAnalysis(Record):
 
 
 @cache
-def _q8_profile():
-    """Q8's character profile, closed and computed once per process; it is
-    a frozen record, and every report reads it without changing it."""
-    return character_profile(get_entry("Q8").group())
+def _q8_analysis() -> GroupAnalysis:
+    """Q8's analysis, closed under the default cap once per process: the
+    catalog entry's report and both quaternion presets' profile read it.
+    Its stages are computed on first read, and no report changes them."""
+    entry = get_entry("Q8")
+    return GroupAnalysis(entry.group(), entry=entry)
 
 
 def quaternion_report(name: str) -> dict:
@@ -346,7 +348,7 @@ def quaternion_report(name: str) -> dict:
     endos = torus_endomorphisms(torus)
     subfield = imaginary_quadratic_subfield(algebra)
 
-    profile = _q8_profile()
+    profile = _q8_analysis().profile
     rverdict = ratl_verdict(profile, 2, evidence=endos)
 
     quaternion = {
@@ -395,6 +397,9 @@ def analyze(target, *, cap: int = DEFAULT_CAP) -> dict:
         entry = get_entry(target)
         if entry.kind == "quaternion-torus":
             return quaternion_report(target)
+        if entry.name == "Q8" and cap >= entry.expected_order:
+            # every cap that admits the order closes the same group
+            return _q8_analysis().report()
         return GroupAnalysis(entry.group(cap=cap), entry=entry).report()
     if isinstance(target, dict):
         return GroupAnalysis(group_from_json(target, cap=cap)).report()

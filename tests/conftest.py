@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+from invlat import report
 from invlat.catalog import catalog_names, get_entry
 from invlat.groups import group_from_json
 
@@ -15,6 +16,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("exact")
+
+
+@pytest.fixture(autouse=True)
+def fresh_q8_analysis():
+    """Each test starts as a fresh process does, with no Q8 analysis kept,
+    so a test that patches a stage sees it run."""
+    report._q8_analysis.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Shared independent oracles for the test suite."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +40,6 @@ from invlat.lattices import (
     flatten,
     fundamental_discriminant,
     lattice_from_generators,
-    lattice_index,
     lattice_sum,
     lattice_to_json,
     reassemble,
@@ -484,6 +484,68 @@ def intersect_with_subspace(lattice, span_vectors):
         for krow in kernel
     ]
     return lattice_from_generators(gens, dim=lattice.dim, allow_zero=True)
+
+
+def intersect_with_line_by_values(lattice, root):
+    """Lattice points on the complex line of the nonzero vector root, from
+    the values root_p * v_j - root_j * v_p (j != p, p the first nonzero entry
+    of root) of each basis vector v as CycNum products, flattened to
+    integers, and their integer left kernel; the line lattice is rebuilt
+    from CycNum combinations of the basis vectors.  The library multiplies
+    the basis's integer rows by the roots' multiplication matrices and
+    combines the rows themselves."""
+    root = [as_cycnum(x) for x in root]
+    vecs = lattice.vectors()
+    if len(root) == 1 or not vecs:
+        return lattice
+    p = next(k for k, x in enumerate(root) if not x.is_zero())
+    values = [
+        [root[p] * v[j] - root[j] * v[p] for j in range(len(root)) if j != p]
+        for v in vecs
+    ]
+    conductor = common_conductor(x for row in values for x in row)
+    int_rows, _ = linalg.integral([flatten(row, conductor) for row in values])
+    gens = [
+        tuple(sum((c * v[i] for c, v in zip(krow, vecs)), CycNum.rational(0))
+              for i in range(lattice.dim))
+        for krow in linalg.int_kernel(int_rows)
+    ]
+    return lattice_from_generators(gens, dim=lattice.dim, allow_zero=True)
+
+
+def lattice_index(big: ZLattice, small: ZLattice):
+    """Index [big : small] for small a sublattice of big; math.inf when the
+    ranks differ.
+
+    Once containment is certified and the ranks agree, both lattices have
+    the same rational span and so the same pivot columns, and the index is
+    the ratio of their covolumes in the pivot coordinates: the products of
+    the pivots, each over its denominator to the rank.  The library reads
+    the index of the root lines' sum as the determinant of their kernel
+    coordinates."""
+    if any(big.basis_coords(vec) is None for vec in small.vectors()):
+        raise InvalidInputError("second lattice is not contained in the first")
+    if small.rank < big.rank:
+        return math.inf
+    if small.rank > big.rank:
+        raise InvalidInputError("containment with larger rank is impossible")
+
+    def pivots(rows):
+        return [next(k for k, x in enumerate(row) if x) for row in rows]
+
+    big_pivots = pivots(big.rows)
+    if (small.conductor, pivots(small.rows)) != (big.conductor, big_pivots):
+        raise InternalConsistencyError(
+            "lattices of equal rank, one inside the other, have different spans"
+        )
+    num, den = big.den ** big.rank, small.den ** small.rank
+    for p, small_row, big_row in zip(big_pivots, small.rows, big.rows):
+        num *= small_row[p]
+        den *= big_row[p]
+    index, rest = divmod(num, den)
+    if rest:
+        raise InternalConsistencyError(f"lattice index {num}/{den} is not an integer")
+    return index
 
 
 def generating_reflections_by_echelon(group):

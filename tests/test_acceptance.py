@@ -24,7 +24,7 @@ from invlat.lattices import (
     RankTwoLattice,
     invariance_check,
     lattice_from_generators,
-    lattice_index,
+    lattice_sum,
     multiplier_ring,
     scale_lattice,
 )
@@ -55,6 +55,7 @@ from oracles import (
     five_starts,
     invariant_hermitian,
     isogeny_test,
+    lattice_index,
     mat_mul,
     order_saturate,
     sparse,
@@ -178,8 +179,12 @@ def test_acceptance_5_reflection_pipeline():
             # every line lattice has rank two and the sum has finite index
             assert all(line.lattice.rank == 2 for line in dec.lines)
             assert dec.index >= 1
+            sublattice = dec.lines[0].lattice
+            for line in dec.lines[1:]:
+                sublattice = lattice_sum(sublattice, line.lattice)
+            assert dec.index == lattice_index(lattice, sublattice)
             if dec.index <= 64:
-                assert dec.index == coset_count(lattice, dec.sublattice)
+                assert dec.index == coset_count(lattice, sublattice)
             assert not dec.s_det.is_zero()
             assert geom.graph.connected
 

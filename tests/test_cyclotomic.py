@@ -776,3 +776,16 @@ def test_importing_the_cli_leaves_mpmath_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 12, 15, 60])
+def test_multiplication_rows_multiply_coordinates(n):
+    # the coordinates of y times the matrix of x are those of x * y
+    rng = random.Random(3800 + n)
+    for _ in range(10):
+        x = CycNum(n, [rng.randint(-4, 4) for _ in range(n)])
+        y = CycNum(n, [rng.randint(-4, 4) for _ in range(n)])
+        (nums, _), (ys, _) = x.numerators_at(n), y.numerators_at(n)
+        rows = cyclotomic.multiplication_rows(nums, n)
+        product = [sum(map(mul, ys, col)) for col in zip(*rows)]
+        assert product == list((x * y).numerators_at(n)[0])

@@ -20,7 +20,6 @@ from invlat.lattices import (
     fundamental_discriminant,
     invariance_check,
     lattice_from_generators,
-    lattice_index,
     scale_lattice,
 )
 from invlat.groups import group_from_json
@@ -33,6 +32,7 @@ from invlat.schur import (
 from generated_groups import GENERATED
 from oracles import (
     five_starts,
+    lattice_index,
     orbit_lattice_all_elements,
     orbit_lattice_by_rebuilding,
     order_saturate,

@@ -42,7 +42,7 @@ def test_generated_report_bytes_match_snapshot(name):
 ])
 def test_quaternion_presets_keep_their_bytes_when_analyzed_again(first, second):
     # both presets read one Q8 profile per process, which no report may change
-    report._q8_profile.cache_clear()
+    report._q8_analysis.cache_clear()
     for name in (first, second, "Q8", first, second, "Q8"):
         expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
         assert render_json(analyze(name)) == expected

@@ -25,7 +25,6 @@ from invlat.lattices import (
     intersect_with_line,
     invariance_check,
     lattice_from_generators,
-    lattice_index,
     lattice_sum,
     lattice_to_json,
     multiplier_ring,
@@ -58,10 +57,12 @@ from oracles import (
     basis_coords_by_spans,
     check_discrete_by_field_rank,
     coset_count,
+    intersect_with_line_by_values,
     intersect_with_subspace,
     is_discrete_by_vector_split,
     isogeny_test,
     lattice_from_json,
+    lattice_index,
     lattice_json_by_pivot_hnf,
     multiplier_ring_by_minpoly,
     rank_two_coords_by_span,
@@ -137,13 +138,13 @@ def test_sum_and_intersect_basics():
     b = zlattice([[1, 0], [0, 3]])
     assert lattice_sum(a, b) == zlattice([[1, 0], [0, 1]])
     axis = cyc_rows([[1, 0]])
-    assert intersect_with_line(a, axis[0]) == zlattice([[2, 0]])
-    assert intersect_with_line(lattice_sum(a, b), axis[0]) == zlattice([[1, 0]])
+    assert intersect_with_line(a, axis[0]) == (zlattice([[2, 0]]), [[1, 0]])
+    assert intersect_with_line(lattice_sum(a, b), axis[0])[0] == zlattice([[1, 0]])
 
 
 def test_intersect_with_subspace():
     lat = zlattice([[1, 0], [0, 1]])
-    line = intersect_with_line(lat, cyc_rows([[1, 1]])[0])
+    line, _ = intersect_with_line(lat, cyc_rows([[1, 1]])[0])
     assert line.rank == 1
     assert line.contains(cyc_rows([[2, 2]])[0])
     assert not line.contains(cyc_rows([[1, 0]])[0])
@@ -155,7 +156,7 @@ def test_intersect_with_complex_span():
     lat = lattice_from_generators(
         [(one, nil), (i4, nil), (nil, one), (nil, i4)]
     )
-    complex_line = intersect_with_line(lat, (one, i4))
+    complex_line, _ = intersect_with_line(lat, (one, i4))
     assert complex_line.rank == 2
 
 
@@ -514,7 +515,7 @@ def test_every_builder_rejects_a_dense_span(monkeypatch):
         rejected_after_one_exact_rank(lattice_sum, dense, dense)
         rejected_after_one_exact_rank(lambda lat: lattice_from_json(lattice_to_json(lat)), dense)
     rejected_after_one_exact_rank(intersect_with_line, dense_plane, (one, nil))
-    assert is_discrete_by_vector_split(intersect_with_line(plane, (one, nil)))
+    assert is_discrete_by_vector_split(intersect_with_line(plane, (one, nil))[0])
 
 
 def test_no_analysis_reaches_the_exact_discreteness_check(monkeypatch):
@@ -687,7 +688,7 @@ def test_one_hnf_matches_the_pivot_coordinate_route(conductor):
     for scalar in (Fraction(2, 3), zeta(4), 1 + zeta(3)):
         scaled = [tuple(scalar * x for x in vec) for vec in line_gens + other_gens]
         assert lattice_to_json(scale_lattice(scalar, plane)) == lattice_json_by_pivot_hnf(scaled)
-    assert lattice_to_json(intersect_with_line(plane, u)) == lattice_to_json(line)
+    assert lattice_to_json(intersect_with_line(plane, u)[0]) == lattice_to_json(line)
     assert lattice_index(plane, line) == math.inf
     multiples = [rng.randint(1, 3) for _ in plane.vectors()]
     sub = lattice_from_generators(
@@ -733,11 +734,37 @@ def test_intersect_with_line_matches_the_kernel_oracle(conductor):
     ranks = set()
     for k in range(16):
         lattice, root = _line_case(rng, conductor, 1 + k % 3)
-        line = intersect_with_line(lattice, root)
+        line, coords = intersect_with_line(lattice, root)
         assert line == intersect_with_subspace(lattice, [root]), k
+        assert line == intersect_with_line_by_values(lattice, root), k
         p = next(j for j, x in enumerate(root) if not x.is_zero())
         for vec in line.vectors():
             assert lattice.contains(vec)
             assert all((root[p] * x - r * vec[p]).is_zero() for x, r in zip(vec, root))
+        # coords are the canonical coordinates of a basis of the line lattice
+        assert coords == linalg.hnf(coords) and len(coords) == line.rank
+        vecs = lattice.vectors()
+        combos = [tuple(sum((c * v[i] for c, v in zip(row, vecs)), CycNum.rational(0))
+                        for i in range(lattice.dim)) for row in coords]
+        assert lattice_from_generators(combos, dim=lattice.dim, allow_zero=True) == line
         ranks.add(line.rank)
     assert len(ranks) > 1
+
+
+def test_a_line_in_a_smaller_field_takes_its_least_conductor():
+    # the line (0, 1) meets these lattices in Z and in Z + Z zeta3, inside
+    # fields smaller than the lattices' own; the root's own field is Q(zeta5)
+    one, nil = CycNum.rational(1), CycNum.rational(0)
+    root = (nil, zeta(5) + 2)
+    cases = [
+        ([(one, nil), (zeta(4), nil)], [(nil, one)], 4),
+        ([(one, nil), (zeta(12), nil)], [(nil, one), (nil, zeta(3))], 12),
+    ]
+    for off_line, on_line, conductor in cases:
+        lattice = lattice_from_generators(off_line + on_line)
+        line, coords = intersect_with_line(lattice, root)
+        assert lattice.conductor == conductor
+        assert line == lattice_from_generators(on_line)
+        assert line == intersect_with_line_by_values(lattice, root)
+        assert line.conductor < conductor
+        assert len(coords) == line.rank

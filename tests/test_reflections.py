@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ from invlat.forge import (
     orbit_lattice_over_order,
 )
 from invlat.groups import close_group, group_from_json
-from invlat.lattices import lattice_from_generators, scale_lattice
+from invlat.lattices import lattice_from_generators, lattice_sum, scale_lattice
 from invlat.reflections import (
     MAX_CYCLES,
     choose_generating_reflections,
@@ -29,11 +30,14 @@ from invlat.schur import classify_character_field
 
 from generated_groups import CARTAN_A4, GENERATED, weyl_from_cartan
 from oracles import (
+    coset_count,
     cycle_multiplier_by_matrices,
     generating_reflections_by_echelon,
     gram_edges,
+    intersect_with_line_by_values,
     isogeny_edges_by_images,
     lattice_from_json,
+    lattice_index,
     mat_identity,
     order_saturate,
     replace,
@@ -374,12 +378,11 @@ def test_isogeny_graph_builds_no_lattice(g4, g4_lattice, monkeypatch):
     dec = line_lattice_decomposition(g4_lattice, choose_generating_reflections(g4))
     for module, name in [
         (lattices, "lattice_from_generators"),
-        (lattices, "lattice_index"),
-        (reflections, "lattice_index"),
         (lattices.ZLattice, "contains"),
     ]:
         monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(name))
     assert not hasattr(reflections, "lattice_from_generators")
+    assert not hasattr(lattices, "lattice_index") and not hasattr(reflections, "lattice_index")
     graph = isogeny_graph(dec)
     assert graph.connected
     assert {(e.source, e.target) for e in graph.edges} == {(0, 1), (1, 0)}
@@ -424,3 +427,66 @@ def test_s_det_is_the_det_of_the_rebuilt_s(reflection_cases):
         dec = line_lattice_decomposition(lattice, refs)
         assert dec.functionals == root_functional_matrix(refs), name
         assert dec.s_det == s_det_by_cofactors(refs), name
+
+
+def test_line_lattices_and_index_match_the_value_route(reflection_cases):
+    # each line lattice is the old route's, cut on CycNum values, and the
+    # index is [lattice : sum of the line lattices] by the pivot products
+    for name, group, lattice in reflection_cases:
+        if lattice is None:
+            continue
+        dec = line_lattice_decomposition(lattice, choose_generating_reflections(group))
+        total = dec.lines[0].lattice
+        for line in dec.lines:
+            root = line.reflection.root
+            assert line.lattice == intersect_with_line_by_values(lattice, root), name
+            total = lattice_sum(total, line.lattice)
+        assert dec.index == lattice_index(lattice, total), name
+
+
+def test_decomposition_sums_no_lattices(b2, b2_lattice, g4, g4_lattice, monkeypatch):
+    # the index is one determinant of the lines' kernel coordinates
+    monkeypatch.setattr(lattices, "lattice_sum", lambda *a: pytest.fail("lattice_sum"))
+    assert not hasattr(reflections, "lattice_sum")
+    assert not hasattr(lattices, "lattice_index") and not hasattr(reflections, "lattice_index")
+    for group, lattice, index in [(b2, b2_lattice, 1), (g4, g4_lattice, 1)]:
+        dec = line_lattice_decomposition(lattice, choose_generating_reflections(group))
+        assert dec.index == index
+        assert not hasattr(dec, "sublattice")
+
+
+def test_a_deficient_line_stack_is_an_internal_error(b2, b2_lattice, monkeypatch):
+    # a line that lost its coordinates leaves the stack short, and a
+    # repeated one makes it singular
+    refs = choose_generating_reflections(b2)
+    real = reflections.intersect_with_line
+    for damage in (lambda coords: coords[:1], lambda coords: coords[:1] * 2):
+
+        def damaged(lattice, root, damage=damage):
+            line, coords = real(lattice, root)
+            return line, damage(coords)
+
+        monkeypatch.setattr(reflections, "intersect_with_line", damaged)
+        with pytest.raises(InternalConsistencyError, match="deficient rank"):
+            line_lattice_decomposition(b2_lattice, refs)
+
+
+def test_index_of_a_lattice_finer_than_its_lines(b2, b2_lattice, g4, g4_lattice):
+    # adding v / k for a lattice vector v off the root lines refines the
+    # lattice more than its lines, so the index grows past 1
+    indices = set()
+    for group, base in [(b2, b2_lattice), (g4, g4_lattice)]:
+        refs = choose_generating_reflections(group)
+        vecs = base.vectors()
+        for k in (2, 3, 4):
+            for v in (vecs[0], tuple(x + y for x, y in zip(vecs[0], vecs[-1]))):
+                lattice = lattice_from_generators(
+                    list(vecs) + [tuple(Fraction(1, k) * x for x in v)]
+                )
+                dec = line_lattice_decomposition(lattice, refs)
+                total = dec.lines[0].lattice
+                for line in dec.lines[1:]:
+                    total = lattice_sum(total, line.lattice)
+                assert dec.index == lattice_index(lattice, total) == coset_count(lattice, total)
+                indices.add(dec.index)
+    assert max(indices) > 1

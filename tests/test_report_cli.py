@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invlat import cli, cyclotomic, groups, reflections, report, schur
+from invlat import catalog, cli, cyclotomic, groups, reflections, report, schur
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, parse_scalar
 from invlat.cli import main
@@ -104,7 +104,9 @@ def test_ds_preset_is_checked_once(monkeypatch):
 
     monkeypatch.setattr(report, "invariance_check", counting)
     analyze("Q8")
+    analyze("Q8")  # a process keeps one Q8 analysis
     assert calls == [4]
+    report._q8_analysis.cache_clear()  # the failing check runs on a fresh one
     monkeypatch.setattr(report, "invariance_check", lambda lattice, matrices: False)
     with pytest.raises(InvalidInputError, match="preset doubling lattice is not invariant"):
         analyze("Q8")
@@ -708,13 +710,34 @@ def test_q8_is_closed_and_profiled_once_for_both_quaternion_presets(monkeypatch)
         return real(group)
 
     monkeypatch.setattr(report, "character_profile", counting)
-    report._q8_profile.cache_clear()
+    report._q8_analysis.cache_clear()
     try:
         for name in ("example-non-generic", "example-non-ci", "example-non-generic"):
             assert analyze(name)["profile"]["schur_index"] == 2
     finally:
-        report._q8_profile.cache_clear()
+        report._q8_analysis.cache_clear()
     assert calls == [8]
+
+
+def test_q8_is_closed_once_for_its_entry_and_both_quaternion_presets(monkeypatch, capsys):
+    closed = []
+    real = catalog.close_group
+
+    def counting(generators, cap):
+        group = real(generators, cap=cap)
+        closed.append(group.order)
+        return group
+
+    monkeypatch.setattr(catalog, "close_group", counting)
+    for name in ("example-non-generic", "Q8", "example-non-ci", "Q8"):
+        assert analyze(name)["profile"]["schur_index"] == 2
+    assert closed == [8]
+    # a cap that admits order 8 reads the same analysis; a smaller one
+    # closes anew and fails as before
+    assert render_json(analyze("Q8", cap=8)) == render_json(analyze("Q8"))
+    assert closed == [8]
+    code, _, err = run_cli(capsys, "analyze", "Q8", "--json", "--cap", "7")
+    assert code == 3 and "cap of 7" in err
 
 
 def test_cli_cap_propagates(capsys):
