@@ -6,6 +6,14 @@ Verbs:
   construct NAME      build one invariant lattice by a named recipe
   decompose NAME      reflection-torus decomposition of the rank-2n lattice
 
+The verbs and their options are declared once, in the table `VERBS`.  A plain
+command line (a verb, its target, then each option at most once, spelled in
+full, with a value that does not start with '-') is read straight from the
+table by `_parse_plain`.  Any other line goes to the argparse parser that
+`build_parser` builds from the same table, so help, abbreviations,
+`--flag=value` and every rejection keep argparse's messages and exit code 2;
+argparse is imported only then.
+
 Exit codes: 0 success, 1 stdout closed before the output was written,
 2 invalid input (a bad argument such as --cap below 1 or above 100000, or a
 bad group),
@@ -14,11 +22,11 @@ bad group),
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .catalog import CATALOG, get_entry
 from .cyclotomic import parse_scalar
@@ -254,21 +262,119 @@ def _cmd_decompose(args) -> int:
 
 
 def _closure_cap(text: str) -> int:
+    """The --cap value; a ValueError carries the message argparse prints."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise ValueError(f"must be at least 1, got {value}")
     if value > MAX_CAP:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_CAP}, got {value}")
+        raise ValueError(f"must be at most {MAX_CAP}, got {value}")
     return value
 
 
+_JSON = {"action": "store_true", "help": "emit canonical JSON"}
+_CAP = {
+    "type": _closure_cap, "default": DEFAULT_CAP,
+    "help": f"group closure size limit, 1 to {MAX_CAP} (default {DEFAULT_CAP})",
+}
+
+# verb -> (handler, help, the target's help or None, {option: argparse keywords}),
+# the options in their order on the help page.  Both parsers read this table.
+VERBS = {
+    "analyze": (
+        _cmd_analyze, "full report for one input",
+        "catalog name or path to a group JSON file",
+        {"--json": _JSON, "--cap": _CAP},
+    ),
+    "catalog": (_cmd_catalog, "list built-in entries", None, {"--json": _JSON}),
+    "construct": (
+        _cmd_construct, "build one lattice by recipe", "catalog name",
+        {
+            "--recipe": {
+                "required": True, "choices": ["Zn", "ds", "O", "saturate"],
+                "help": "construction recipe",
+            },
+            "--c": {
+                "default": None,
+                "help": "doubling scalar for the ds recipe (for example z4)",
+            },
+            "--json": _JSON,
+            "--cap": _CAP,
+        },
+    ),
+    "decompose": (
+        _cmd_decompose, "reflection-torus decomposition", "catalog name",
+        {"--json": _JSON, "--cap": _CAP},
+    ),
+}
+
+
+def _parse_plain(argv):
+    """The namespace argparse gives for a plain command line, or None.
+
+    Plain: a verb, then its target (not starting with '-'), then each of the
+    verb's options at most once, spelled in full, as `--json` or `--flag
+    value` with a value that does not start with '-'; every value passes its
+    check and every required option is present.  argparse reads anything
+    else, so help, abbreviations and every rejection keep its messages.
+    """
+    if not argv or argv[0] not in VERBS:
+        return None
+    func, _, target_help, options = VERBS[argv[0]]
+    values = {"verb": argv[0], "func": func}
+    rest = iter(argv[1:])  # a missing target or value reads as "-"
+    if target_help is not None:
+        target = next(rest, "-")
+        if target.startswith("-"):
+            return None
+        values["target"] = target
+    given = {}
+    for flag in rest:
+        keywords = options.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(rest, "-")
+        choices = keywords.get("choices")
+        if value.startswith("-") or (choices is not None and value not in choices):
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        given[flag] = value
+    for flag, keywords in options.items():
+        if flag in given:
+            value = given[flag]
+        elif keywords.get("required"):
+            return None
+        elif keywords.get("action") == "store_true":
+            value = False
+        else:
+            value = keywords.get("default")
+        values[flag[2:]] = value
+    return SimpleNamespace(**values)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, and each call of `main` gets a fresh namespace."""
+def build_parser():
+    """The argparse parser of the verb table, built once per process: parsing
+    leaves it unchanged, and each call of `main` gets a fresh namespace."""
+    import argparse
+
+    def checked(convert):
+        def value(text):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
     parser = argparse.ArgumentParser(
         prog="invlat",
         description=(
@@ -277,47 +383,24 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit canonical JSON")
-        p.add_argument(
-            "--cap", type=_closure_cap, default=DEFAULT_CAP,
-            help=f"group closure size limit, 1 to {MAX_CAP} (default {DEFAULT_CAP})",
-        )
-
-    p_an = sub.add_parser("analyze", help="full report for one input")
-    p_an.add_argument("target", help="catalog name or path to a group JSON file")
-    common(p_an)
-    p_an.set_defaults(func=_cmd_analyze)
-
-    p_cat = sub.add_parser("catalog", help="list built-in entries")
-    p_cat.add_argument("--json", action="store_true", help="emit canonical JSON")
-    p_cat.set_defaults(func=_cmd_catalog)
-
-    p_con = sub.add_parser("construct", help="build one lattice by recipe")
-    p_con.add_argument("target", help="catalog name")
-    p_con.add_argument(
-        "--recipe", required=True, choices=["Zn", "ds", "O", "saturate"],
-        help="construction recipe",
-    )
-    p_con.add_argument(
-        "--c", default=None,
-        help="doubling scalar for the ds recipe (for example z4)",
-    )
-    common(p_con)
-    p_con.set_defaults(func=_cmd_construct)
-
-    p_dec = sub.add_parser("decompose", help="reflection-torus decomposition")
-    p_dec.add_argument("target", help="catalog name")
-    common(p_dec)
-    p_dec.set_defaults(func=_cmd_decompose)
-
+    for verb, (func, help_text, target_help, options) in VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        if target_help is not None:
+            p.add_argument("target", help=target_help)
+        for flag, keywords in options.items():
+            if "type" in keywords:
+                keywords = {**keywords, "type": checked(keywords["type"])}
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that went away shows here, not at exit

@@ -864,6 +864,12 @@ def _parse_rational(part, text):
 def parse_scalar(text: str) -> CycNum:
     """Parse compact scalar syntax: 'p/q', 'zN', 'zetaN', 'zN^k', or sums like
     '2*z3 + 1' with integer or p/q coefficients.  Inverse to str()."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return CycNum.rational(int(text))
+        except ValueError:
+            pass  # over int()'s digit limit: the general route rejects it
     total = CycNum.rational(0)
     stripped = text.replace("-", "+-").replace(" ", "")
     parts = stripped.split("+")

@@ -371,18 +371,20 @@ class RankTwoLattice:
     those x and y are rational.
     """
 
-    __slots__ = ("g1", "g2", "_tau", "_skew_inverse")
+    __slots__ = ("g1", "g2", "_g1_inverse", "_tau", "_skew_inverse")
 
     def __init__(self, g1, g2):
         g1, g2 = as_cycnum(g1), as_cycnum(g2)
         if g1.is_zero() or g2.is_zero():
             raise InvalidInputError("rank-two lattice needs nonzero generators")
-        tau = g2 / g1
+        g1_inverse = g1.inverse()
+        tau = g2 * g1_inverse
         skew = tau - tau.conjugate()
         if skew.is_zero():
             raise NotDiscreteError("generators are dependent over the reals")
         self.g1 = g1
         self.g2 = g2
+        self._g1_inverse = g1_inverse
         self._tau = tau
         self._skew_inverse = skew.inverse()
 
@@ -391,7 +393,7 @@ class RankTwoLattice:
 
     def coords_of(self, value):
         """Rational [x, y] with value = x*g1 + y*g2, or None."""
-        w = as_cycnum(value) / self.g1
+        w = as_cycnum(value) * self._g1_inverse
         y = (w - w.conjugate()) * self._skew_inverse
         if not y.is_rational():
             return None

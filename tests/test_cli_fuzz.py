@@ -6,11 +6,15 @@ values and missing keys mixed in.  Monomial generators (a permutation times a
 diagonal of roots of unity) make finite groups, so the analysis itself runs
 as well as the input checks and the closure cap.
 
-A second fuzz draws the arguments instead: `analyze`, `decompose` and
-`construct` on catalog entries, with integers and junk text for `--cap`, and
-recipes and scalars for `--recipe` and `--c`.  An argument argparse rejects
-ends in SystemExit(2), which counts as exit code 2.  `--seed`, which the
-module search no longer takes, is such an argument on every verb.
+A second fuzz draws the arguments instead: the four verbs on catalog
+entries, with integers and junk text for `--cap`, and recipes and scalars for
+`--recipe` and `--c`.  Some lines put options before the target or after
+`--`, repeat a flag, abbreviate one (`--js`, `--ca 5`) or join it to its
+value (`--cap=5`), and many values start with a dash (`--cap -5`,
+`--c -z3`).  An argument argparse rejects ends in SystemExit(2), which counts
+as exit code 2.  `--seed`, which the module search no longer takes, is such
+an argument on every verb.  The same lines check that the plain-line parser
+either declines a line or gives argparse's namespace for it.
 
 A last test takes one dense generator at dimension 24 and at
 `MAX_DIMENSION` under `--cap 1`: its rank check must be quick, so it exits 3
@@ -27,6 +31,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invlat import cli
 from invlat.catalog import catalog_names
 from invlat.cli import main
 from invlat.groups import MAX_DIMENSION
@@ -122,20 +127,39 @@ numbers = st.one_of(
 int_args = st.one_of(numbers.map(str), mostly(st.text(max_size=4), st.just("")))
 
 
+rarely = st.integers(0, 3).map(lambda k: k == 0)  # True one time in four
+
+ABBREVIATIONS = {"--json": "--js", "--cap": "--ca", "--recipe": "--rec"}
+
+
 @st.composite
 def command_lines(draw):
-    verb = draw(st.sampled_from(["analyze", "decompose", "construct"]))
-    argv = [verb, draw(st.sampled_from(catalog_names()))]
-    options = {"--cap": int_args}
+    verb = draw(st.sampled_from(["analyze", "decompose", "construct", "catalog"]))
+    options = {} if verb == "catalog" else {"--cap": int_args}
     if verb == "construct":
         options["--recipe"] = mostly(st.sampled_from(["Zn", "ds", "O", "saturate"]),
                                      st.text(max_size=4))
         options["--c"] = mostly(st.one_of(scalars.map(str), roots), st.text(max_size=6))
-    for flag, values in options.items():
-        if draw(st.booleans()):
-            argv += [flag, draw(values)]
+    words = [[flag, draw(values)] for flag, values in options.items() if draw(st.booleans())]
     if draw(st.booleans()):
-        argv.append("--json")
+        words.append(["--json"])
+    if words and draw(rarely):
+        words.append(list(draw(st.sampled_from(words))))  # a repeated flag
+    for word in words:
+        if not draw(rarely):
+            continue
+        if draw(st.booleans()):
+            word[0] = ABBREVIATIONS.get(word[0], word[0])
+        elif len(word) == 2:
+            word[:] = [f"{word[0]}={word[1]}"]
+    argv = [verb] + [w for word in draw(st.permutations(words)) for w in word]
+    if verb != "catalog" or draw(rarely):
+        target = [draw(st.sampled_from(catalog_names()))]
+        if draw(rarely):
+            target.insert(0, "--")
+        # the target goes first, or after some of the options
+        at = draw(st.integers(1, len(argv))) if draw(rarely) else 1
+        argv[at:at] = target
     return argv
 
 
@@ -149,6 +173,20 @@ def test_commands_exit_0_2_or_3_on_any_arguments(argv):
             code = exc.code
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+@given(command_lines())
+@settings(max_examples=400)
+def test_plain_parse_matches_argparse(argv):
+    plain = cli._parse_plain(argv)
+    if plain is None:
+        return
+    with redirect_stderr(io.StringIO()) as err:
+        try:
+            expected = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse rejects the plain line {argv}: {err.getvalue()}")
+    assert vars(plain) == vars(expected), argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -249,6 +249,24 @@ def test_parse_scalar_rejects_junk():
             parse_scalar(bad)
 
 
+@pytest.mark.parametrize("text,value", [
+    ("0", 0), ("1", 1), ("-1", -1), ("2", 2), ("007", 7), ("-0", 0), ("+5", 5),
+    (" 5", 5), ("5 ", 5), ("-12", -12), (str(10**40), 10**40),
+])
+def test_plain_integers_parse_as_the_general_route_does(text, value):
+    # text + " + 0" is no plain integer, so it takes the general route
+    general = parse_scalar(text + " + 0")
+    parsed = parse_scalar(text)
+    assert parsed == general == CycNum.rational(value)
+    assert (str(parsed), parsed.conductor) == (str(general), general.conductor)
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "-" + "1" * 5000, "1e10000000", "-", "\u0663"])
+def test_integer_like_junk_is_bad_scalar_syntax(text):
+    with pytest.raises(InvalidInputError, match="bad scalar syntax"):
+        parse_scalar(text)
+
+
 def test_inputs_beyond_the_conductor_bound_are_rejected():
     assert MAX_CONDUCTOR >= 1009  # the largest conductor the suite parses
     for text in ["z4000", "2*zeta4000^3 + 1", "z0"]:

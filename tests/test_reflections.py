@@ -388,6 +388,15 @@ def test_isogeny_graph_builds_no_lattice(g4, g4_lattice, monkeypatch):
     assert {(e.source, e.target) for e in graph.edges} == {(0, 1), (1, 0)}
 
 
+def test_isogeny_graph_inverts_nothing(reflection_cases, monkeypatch):
+    # each line lattice keeps the inverse of g1 it formed tau with
+    decs = [line_lattice_decomposition(lattice, choose_generating_reflections(group))
+            for _, group, lattice in reflection_cases if lattice is not None]
+    monkeypatch.setattr(CycNum, "inverse", lambda self: pytest.fail("inverse"))
+    for dec in decs:
+        isogeny_graph(dec)
+
+
 def test_isogeny_graph_needs_rank_two_lines(b2, b2_lattice):
     dec = line_lattice_decomposition(b2_lattice, choose_generating_reflections(b2))
     rank_one = replace(dec.lines[1], scalars=None, multiplier=None)
