@@ -5,17 +5,24 @@ doubling a rank-n lattice by a non-real scalar, and the orbit span over an
 imaginary-quadratic order, which is already order-stable), plus splitting an
 order-stable lattice into a free module over a euclidean order.
 
-An order Z[omega] reads the coordinates (u, v) of x = u + v*omega from its
-rank-two lattice Z + Z*omega (`lattices.RankTwoLattice`).  A split writes the
-lattice as O*v_1 + ... + O*v_k, so every factor O*v_i is the order itself:
-the torus is isomorphic to the product of k copies of C/O.
+An order Z[omega], built once per discriminant, takes membership from its
+rank-two lattice Z + Z*omega (`lattices.RankTwoLattice`) and writes
+a + b*omega as the integer pair (a, b).  A split writes the lattice as
+O*v_1 + ... + O*v_k, so every factor O*v_i is the order itself: the torus is
+isomorphic to the product of k copies of C/O.  It runs on integer
+coordinates in the lattice basis: omega acts there as the integer matrix M
+of `lattices.multiplication_matrix`, which exists exactly when the lattice
+is order-stable, the Euclidean reduction divides integer pairs, and the
+rows c_s and c_s M of the basis vectors v_s and omega*v_s, stacked, have
+|det| 1 exactly when they span the lattice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from math import floor, lcm
+from functools import cache, cached_property
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .cyclotomic import CycNum, as_cycnum, common_conductor, sqrt_rational
@@ -32,6 +39,7 @@ from .lattices import (
     fundamental_discriminant,
     lattice_from_generators,
     lattice_sum,
+    multiplication_matrix,
     scale_lattice,
 )
 from .records import Record
@@ -41,14 +49,22 @@ EUCLIDEAN_DISCRIMINANTS = (-3, -4, -7, -8, -11)
 
 
 class ImaginaryQuadraticOrder(Record):
-    """The order Z[omega] of the stated discriminant, omega realized exactly."""
+    """The order Z[omega] of the stated discriminant, omega realized exactly.
+
+    omega^2 = t*omega - n, with t = 1 and n = (1 - disc) / 4 when
+    disc = 1 mod 4, and t = 0 and n = -disc / 4 when disc = 0 mod 4, so an
+    element a + b*omega is the integer pair (a, b), and its norm is
+    a^2 + t*a*b + n*b^2.
+    """
 
     discriminant: int
     generator: CycNum
     euclidean: bool
 
     @classmethod
+    @cache
     def from_discriminant(cls, disc: int) -> "ImaginaryQuadraticOrder":
+        """The order of the discriminant, built once per discriminant."""
         if disc >= 0 or disc % 4 not in (0, 1):
             raise InvalidInputError(
                 f"{disc} is not the discriminant of an imaginary quadratic order"
@@ -67,46 +83,52 @@ class ImaginaryQuadraticOrder(Record):
         """The order as the rank-two lattice Z + Z*omega."""
         return RankTwoLattice(1, self.generator)
 
-    def field_coords(self, x):
-        """Rational [u, v] with x = u + v*omega, or None if x is outside the field."""
-        return self.lattice.coords_of(x)
-
     def contains(self, x) -> bool:
         return self.lattice.contains(x)
 
-    def norm(self, x) -> Fraction:
-        x = as_cycnum(x)
-        value = x * x.conjugate()
-        if not value.is_rational():
-            raise InvalidInputError("norm argument is outside the field")
-        return value.as_fraction()
+    @property
+    def _trace_norm(self):
+        """(t, n) with omega^2 = t*omega - n."""
+        t = self.discriminant % 2
+        return t, (t - self.discriminant) // 4
 
-    def euclid_divmod(self, alpha, beta):
-        """Quotient q in the order and remainder r = alpha - q*beta, N(r) < N(beta).
+    def pair_norm(self, x) -> int:
+        """The norm of the element x = (a, b), a + b*omega."""
+        a, b = x
+        t, n = self._trace_norm
+        return a * a + t * a * b + n * b * b
 
-        Nearest-point rounding in the (1, omega) basis; the remainder bound
-        holds exactly for each of the five euclidean discriminants.
+    def pair_product(self, x, y):
+        """The product of the elements x and y, as an integer pair."""
+        (a, b), (c, d) = x, y
+        t, n = self._trace_norm
+        return a * c - n * b * d, a * d + b * c + t * b * d
+
+    def pair_divmod(self, alpha, beta):
+        """(q, r) with alpha = q*beta + r and N(r) < N(beta), on integer pairs.
+
+        The exact quotient is alpha * conj(beta) / N(beta), with
+        conj(c + d*omega) = (c + t*d) - d*omega; q rounds it to the nearest
+        point in the (1, omega) basis, by floor division.  The remainder
+        bound holds exactly for each of the five euclidean discriminants.
         """
-        alpha, beta = as_cycnum(alpha), as_cycnum(beta)
-        if beta.is_zero():
+        c, d = beta
+        t, _ = self._trace_norm
+        norm = self.pair_norm(beta)
+        if not norm:
             raise InvalidInputError("division by zero")
-        exact = alpha / beta
-        coords = self.field_coords(exact)
-        if coords is None:
-            raise InvalidInputError("quotient is outside the field")
-        u, v = coords
-        half = Fraction(1, 2)
-        b = floor(v + half)
-        if self.discriminant % 4 == 0:
-            a = floor(u + half)
+        u, v = self.pair_product(alpha, (c + t * d, -d))
+        twice = 2 * norm
+        y = (2 * v + norm) // twice
+        if t:
+            x = (2 * u + v - y * norm + norm) // twice
         else:
-            a = floor(u + (v - b) * half + half)
-        quotient = CycNum.rational(a) + self.generator * b
-        remainder = alpha - quotient * beta
-        if not remainder.is_zero():
-            if self.norm(remainder) >= self.norm(beta):
-                raise InternalConsistencyError("euclidean division failed to shrink")
-        return quotient, remainder
+            x = (2 * u + norm) // twice
+        qc, qd = self.pair_product((x, y), beta)
+        r = (alpha[0] - qc, alpha[1] - qd)
+        if any(r) and self.pair_norm(r) >= norm:
+            raise InternalConsistencyError("euclidean division failed to shrink")
+        return (x, y), r
 
 
 def _scale_vector(scalar, vector):
@@ -176,8 +198,9 @@ def orbit_lattice_over_order(
     """Order-span of the G-orbit of a vector; order-stable and G-invariant.
 
     `field` is the group's character field class, from its profile.  The
-    check that omega maps every basis vector into the lattice certifies
-    that the lattice is its own saturation L + omega*L.
+    integer matrix of omega in the lattice basis (`multiplication_matrix`)
+    certifies that omega maps the lattice into itself, so that it is its
+    own saturation L + omega*L.
     """
     if field.kind != "imaginary-quadratic":
         raise InvalidInputError(
@@ -190,11 +213,9 @@ def orbit_lattice_over_order(
     vector = tuple(as_cycnum(x) for x in vector)
     if all(x.is_zero() for x in vector):
         raise InvalidInputError("starting vector must be nonzero")
-    omega = order.generator
-    lattice = _orbit_lattice(group, [vector, _scale_vector(omega, vector)])
-    for v in lattice.vectors():
-        if not lattice.contains(_scale_vector(omega, v)):
-            raise InternalConsistencyError("orbit lattice is not order-stable")
+    lattice = _orbit_lattice(group, [vector, _scale_vector(order.generator, vector)])
+    if multiplication_matrix(lattice, order.generator) is None:
+        raise InternalConsistencyError("orbit lattice is not order-stable")
     return lattice
 
 
@@ -206,92 +227,92 @@ class OrderSplit(Record):
 
 
 def split_as_order_module(lattice: ZLattice, order: ImaginaryQuadraticOrder) -> OrderSplit:
-    """Free-module basis of an order-stable lattice over a euclidean order."""
+    """Free-module basis of an order-stable lattice over a euclidean order.
+
+    Everything runs on integer coordinates in the lattice basis, where omega
+    acts as the integer matrix M of `multiplication_matrix`, whose existence
+    certifies that the lattice is order-stable.  A basis vector b_i joins the
+    field basis when it is outside the rational span of the b_f and omega*b_f
+    kept so far, the rows e_f and M_f; every other one is written there as
+    sum (a_f + b_f*omega) b_f, with den clearing the denominators.  Euclidean
+    division over the order, on the integer pairs (a, b), reduces those
+    coordinates to k rows, and each row gives a vector v_s with integer
+    coordinates c_s.  The v_s and omega*v_s, rows c_s and c_s M, span the
+    lattice exactly when that square integer matrix has |det| 1.
+    """
     if not order.euclidean:
         raise OutOfScopeError(
             f"order of discriminant {order.discriminant} is not euclidean; "
             "only discriminants -3, -4, -7, -8, -11 are supported"
         )
-    omega = order.generator
-    for v in lattice.vectors():
-        if not lattice.contains(_scale_vector(omega, v)):
-            raise InvalidInputError("lattice is not stable under the order")
+    omega = multiplication_matrix(lattice, order.generator)
+    if omega is None:
+        raise InvalidInputError("lattice is not stable under the order")
     if lattice.rank % 2:
         raise InternalConsistencyError("order-stable lattice of odd rank")
-    k = lattice.rank // 2
-    gens = list(lattice.vectors())
-    conductor = common_conductor(
-        [x for v in gens for x in v] + [omega]
-    )
+    rank = lattice.rank
+    k = rank // 2
 
-    # rational span of u and omega*u over the field basis vectors u found; den
-    # clears the denominators of the coordinates (a, b) of every a + b*omega
+    # the (a, b) coordinates of each basis vector over the field basis
     span = linalg.Span()
     field_basis = []
-    rows = []
+    sols = []
     den = 1
-    for w in gens:
-        row = flatten(w, conductor)
-        sol = span.coords(row)
+    for i in range(rank):
+        unit = [0] * rank
+        unit[i] = 1
+        sol = span.coords(unit)
         if sol is None:
-            field_basis.append(w)
-            span.add(row)
-            span.add(flatten(_scale_vector(omega, w), conductor))
-            rows.append(None)
+            sol = [0] * (2 * len(field_basis)) + [1, 0]
+            field_basis.append(i)
+            span.add(unit)
+            span.add(omega[i])
         else:
             den = lcm(den, *(c.denominator for c in sol))
-            rows.append(
-                [CycNum.rational(a) + omega * b for a, b in zip(sol[::2], sol[1::2])]
-            )
+        sols.append(sol)
     if len(field_basis) != k:
         raise InternalConsistencyError(
             f"field span has dimension {len(field_basis)}, expected {k}"
         )
-    zero, one = CycNum.rational(0), CycNum.rational(1)
-    mat = []
-    seen = 0
-    for w, coords in zip(gens, rows):
-        if coords is None:
-            row = [zero] * k
-            row[seen] = one
-            seen += 1
-        else:
-            row = list(coords) + [zero] * (k - len(coords))
-        mat.append(row)
-    mat = [[x * den for x in row] for row in mat]
+    mat = [
+        [(int(a * den), int(b * den)) for a, b in zip(sol[::2], sol[1::2])]
+        + [(0, 0)] * (k - len(sol) // 2)
+        for sol in sols
+    ]
 
     pivot_row = 0
     for col in range(k):
         while True:
-            live = [
-                r for r in range(pivot_row, len(mat)) if not mat[r][col].is_zero()
-            ]
+            live = [r for r in range(pivot_row, rank) if any(mat[r][col])]
             if len(live) <= 1:
                 break
-            live.sort(key=lambda r: order.norm(mat[r][col]))
-            base = live[0]
+            live.sort(key=lambda r: order.pair_norm(mat[r][col]))
+            base = mat[live[0]]
             for r in live[1:]:
-                q, _ = order.euclid_divmod(mat[r][col], mat[base][col])
-                mat[r] = [x - q * y for x, y in zip(mat[r], mat[base])]
-        live = [r for r in range(pivot_row, len(mat)) if not mat[r][col].is_zero()]
-        if live:
-            r = live[0]
+                q, _ = order.pair_divmod(mat[r][col], base[col])
+                mat[r] = [(a - c, b - d) for (a, b), (c, d)
+                          in zip(mat[r], (order.pair_product(q, y) for y in base))]
+        r = next((r for r in range(pivot_row, rank) if any(mat[r][col])), None)
+        if r is not None:
             mat[pivot_row], mat[r] = mat[r], mat[pivot_row]
             pivot_row += 1
-    reduced = [row for row in mat[:pivot_row]]
-    if len(reduced) != k:
+    if pivot_row != k:
         raise InternalConsistencyError("euclidean reduction lost rank")
 
-    basis = []
-    for row in reduced:
-        vec = tuple(
-            sum((row[i] * field_basis[i][p] for i in range(k)), zero) / den
-            for p in range(lattice.dim)
-        )
-        basis.append(vec)
-    regenerated = lattice_from_generators(
-        [v for b in basis for v in (b, _scale_vector(omega, b))], dim=lattice.dim
-    )
-    if regenerated != lattice:
+    # the coordinates c_s of each v_s, and c_s M of omega*v_s
+    coords = []
+    for row in mat[:k]:
+        c = [0] * rank
+        for f, (a, b) in zip(field_basis, row):
+            c[f] += a
+            if b:
+                c = [x + b * m for x, m in zip(c, omega[f])]
+        if any(x % den for x in c):
+            raise InternalConsistencyError(
+                "order-module basis does not regenerate the lattice"
+            )
+        coords.append([x // den for x in c])
+    images = [[sum(map(mul, c, col)) for col in zip(*omega)] for c in coords]
+    if linalg.abs_det(coords + images) != 1:
         raise InternalConsistencyError("order-module basis does not regenerate the lattice")
-    return OrderSplit(order, tuple(basis))
+    return OrderSplit(order, tuple(lattice.combination(c) for c in coords))

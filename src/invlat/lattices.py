@@ -16,6 +16,9 @@ nonzero entry of r, v lies on the line exactly when
 r_p * v_j - r_j * v_p = 0 for every j != p, and each product is a block of
 the entries' multiplication matrices; the kernel rows are the line's
 coordinates in the lattice basis, and they combine the lattice's rows.
+Multiplication by a number x is one integer matrix in the lattice basis
+(`multiplication_matrix`): the rows times x's multiplication matrix, read
+back by the same back-substitution, or None when x*L is not inside L.
 
 Discreteness is decided on the basis vectors: each vector v is extended by
 its conjugate to (v | conj v), which stays inside the cyclotomic field, and
@@ -29,7 +32,7 @@ RankTwoLattice is a lattice of rank 2 inside the complex line, the lattice of
 an elliptic-curve factor.  It is the one place that writes a number in a
 rank-two basis: the real coordinates of w = x + y*tau are read off by a
 closed formula, since tau is not real.  An imaginary-quadratic order
-(`forge.ImaginaryQuadraticOrder`) takes its coordinates from one, and
+(`forge.ImaginaryQuadraticOrder`) takes its membership test from one, and
 `multiplier_ring` gives the order of multipliers of one, read off the trace
 and norm of tau: the CM order of an elliptic-curve factor, or the order a
 `ds` doubling scalar generates.
@@ -120,6 +123,11 @@ class ZLattice(Record):
     def vectors(self):
         """The canonical basis vectors of the lattice, as cyclotomic vectors."""
         return self._vectors
+
+    def combination(self, coords):
+        """The vector sum coords[i] * b_i of the basis vectors b_i, for
+        integer coordinates coords."""
+        return self._vector([sum(map(mul, coords, col)) for col in zip(*self.rows)])
 
     def _rows_at(self, conductor):
         """(integer rows, den) of the basis vectors at a multiple of the
@@ -320,6 +328,39 @@ def intersect_with_line(lattice: ZLattice, root):
         return lattice_from_generators(line.vectors(), dim=dim), coords
     _check_discrete(line)
     return line, coords
+
+
+def multiplication_matrix(lattice: ZLattice, x):
+    """The integer matrix M of v -> x*v in the lattice basis, so that
+    x * b_i = sum_j M[i][j] * b_j for the basis vectors b_i, or None when
+    x*L is not inside L.
+
+    Each entry block of a row of the lattice, times the matrix of
+    `multiplication_rows` of x's numerators at the conductor, is that block
+    of the row of x * b_i times x's denominator; after that division the row
+    has integer coordinates in the rows exactly when x * b_i lies in L.  An
+    x outside the field of the conductor moves every nonzero vector out of
+    it."""
+    x = as_cycnum(x)
+    conductor, rows = lattice.conductor, lattice.rows
+    if conductor % x.conductor:
+        return None if rows else []
+    nums, den = x.numerators_at(conductor)
+    columns = list(zip(*multiplication_rows(nums, conductor)))
+    width = len(columns)
+    out = []
+    for row in rows:
+        image = [sum(map(mul, row[k : k + width], col))
+                 for k in range(0, len(row), width) for col in columns]
+        if den != 1:
+            if any(c % den for c in image):
+                return None
+            image = [c // den for c in image]
+        coords = linalg.hnf_coords(rows, image)
+        if coords is None:
+            return None
+        out.append(coords)
+    return out
 
 
 def scale_lattice(scalar, lattice: ZLattice) -> ZLattice:

@@ -23,7 +23,7 @@ scalar.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -87,8 +87,10 @@ class QuatElement(Record):
         return self.coords[1:]
 
 
+@cache
 def lipschitz_lattice() -> ZLattice:
-    """The integer-coordinate lattice in the 4-dimensional coefficient space."""
+    """The integer-coordinate lattice in the 4-dimensional coefficient space,
+    built once per process."""
     rows = [tuple(CycNum.rational(1 if p == q else 0) for q in range(4)) for p in range(4)]
     return lattice_from_generators(rows)
 

@@ -16,7 +16,7 @@ det s = det A, so no stage row reduces over the cyclotomic field.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations, product
+from itertools import combinations
 
 from . import linalg
 from .cyclotomic import CycNum
@@ -27,6 +27,7 @@ from .lattices import (
     RankTwoLattice,
     ZLattice,
     intersect_with_line,
+    multiplication_matrix,
     multiplier_ring,
 )
 from .records import Record
@@ -200,15 +201,35 @@ def scan_cycle_multipliers(a, bound: int):
 
     The multiplier of (j1 ... jm) is the eigenvalue of
     (id - r_{j1})(id - r_{jm})...(id - r_{j2}) on root j1.  Each factor is
-    alpha_k phi_k, so it is the cyclic product of a[j_{i+1}][j_i].
+    alpha_k phi_k, so it is the cyclic product of a[j_{i+1}][j_i]: the
+    closing entry a[j1][jm] times the prefix product P(j1 ... jm) of
+    a[j_{i+1}][j_i] for i < m.  The cycles of each length come in
+    lexicographic order, those of length m being the ones of length m - 1,
+    in their order, each extended by every index; so each prefix product
+    is the one before times one factor, and a zero prefix stays zero.
     """
-    out = []
-    for length in range(1, bound + 1):
-        for cycle in product(range(len(a)), repeat=length):
-            value = a[cycle[0]][cycle[-1]]
-            for j, k in zip(cycle, cycle[1:]):
-                value = value * a[k][j]
-            out.append((cycle, value))
+    n = len(a)
+    zero = CycNum.rational(0)
+    out = [((j,), a[j][j]) for j in range(n)]
+    prefixes = [((j,), None) for j in range(n)]  # None: the empty product 1
+    for length in range(2, bound + 1):
+        grown = []
+        for cycle, p in prefixes:
+            last, closing = cycle[-1], a[cycle[0]]
+            for k in range(n):
+                step = a[k][last]
+                if p is None:
+                    q = step
+                elif p.is_zero() or step.is_zero():
+                    q = zero
+                else:
+                    q = p * step
+                extended = cycle + (k,)
+                c = closing[k]
+                out.append((extended, zero if q.is_zero() or c.is_zero() else c * q))
+                if length < bound:
+                    grown.append((extended, q))
+        prefixes = grown
     return out
 
 
@@ -226,11 +247,10 @@ def cm_from_scan(dec: ReflectionDecomposition, scanned):
         if value.is_rational():
             continue
         line = dec.lines[cycle[0]]
-        for v in line.lattice.vectors():
-            if not line.lattice.contains(tuple(value * x for x in v)):
-                raise InternalConsistencyError(
-                    "non-rational multiplier does not preserve its line lattice"
-                )
+        if multiplication_matrix(line.lattice, value) is None:
+            raise InternalConsistencyError(
+                "non-rational multiplier does not preserve its line lattice"
+            )
         if line.scalars is None:
             raise InternalConsistencyError("CM line lattice has rank != 2")
         return CmRecord(cycle, value, cycle[0], line.multiplier)

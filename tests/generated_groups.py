@@ -54,6 +54,11 @@ def imprimitive(m: int, n: int) -> dict:
     return {"conductor": m, "dimension": n, "generators": gens}
 
 
+def cartan_a(n: int):
+    """Cartan matrix of A_n, n >= 1: the chain alpha_1 ... alpha_n."""
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+
+
 def cartan_b(n: int):
     """Cartan matrix of B_n, n >= 2 (Bourbaki labelling, alpha_n short)."""
     return [[2 if i == j else -2 if (i, j) == (n - 2, n - 1) else -1 if abs(i - j) == 1 else 0

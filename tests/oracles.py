@@ -5,7 +5,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -20,7 +20,9 @@ from invlat.cyclotomic import (
     cyc_to_json,
     cyclotomic_polynomial,
 )
-from invlat.errors import InternalConsistencyError, InvalidInputError, NotDiscreteError
+from invlat.errors import (
+    InternalConsistencyError, InvalidInputError, NotDiscreteError, OutOfScopeError,
+)
 from invlat.groups import (
     SparseMatrix,
     apply,
@@ -32,6 +34,7 @@ from invlat.groups import (
     find_reflections,
     trace,
 )
+from invlat.forge import OrderSplit
 from invlat.schur import SchurWitness, _expansion_conductor, _orbit_span
 from invlat.lattices import (
     MultiplierRing,
@@ -176,6 +179,147 @@ def order_saturate(lattice, order):
             "saturation changed the rank: lattice is not commensurable "
             "with an order-stable one"
         )
+    return out
+
+
+def field_coords(order, x):
+    """Rational [u, v] with x = u + v*omega, or None if x is outside the
+    field, read off the order's rank-two lattice Z + Z*omega."""
+    return order.lattice.coords_of(x)
+
+
+def field_norm(x) -> Fraction:
+    """x * conj(x) of a number of an imaginary quadratic field."""
+    x = as_cycnum(x)
+    value = x * x.conjugate()
+    if not value.is_rational():
+        raise InvalidInputError("norm argument is outside the field")
+    return value.as_fraction()
+
+
+def euclid_divmod(order, alpha, beta):
+    """Quotient q in the order and remainder r = alpha - q*beta, N(r) < N(beta),
+    on CycNum values: the exact quotient alpha / beta (one inverse), rounded
+    to the nearest point in the (1, omega) basis.  The library divides
+    integer pairs (a, b) for a + b*omega."""
+    alpha, beta = as_cycnum(alpha), as_cycnum(beta)
+    if beta.is_zero():
+        raise InvalidInputError("division by zero")
+    coords = field_coords(order, alpha / beta)
+    if coords is None:
+        raise InvalidInputError("quotient is outside the field")
+    u, v = coords
+    half = Fraction(1, 2)
+    b = math.floor(v + half)
+    if order.discriminant % 4 == 0:
+        a = math.floor(u + half)
+    else:
+        a = math.floor(u + (v - b) * half + half)
+    quotient = CycNum.rational(a) + order.generator * b
+    remainder = alpha - quotient * beta
+    if not remainder.is_zero():
+        if field_norm(remainder) >= field_norm(beta):
+            raise InternalConsistencyError("euclidean division failed to shrink")
+    return quotient, remainder
+
+
+def split_as_order_module_by_values(lattice, order):
+    """Free-module basis of an order-stable lattice over a euclidean order,
+    on CycNum values: omega-stability by `contains`, the field basis from
+    flattened vectors, Euclidean reduction on a + b*omega values, and a
+    rebuild of the lattice from the basis compared with the input.  The
+    library runs the same reduction on integer coordinates in the lattice
+    basis and certifies regeneration by one determinant."""
+    if not order.euclidean:
+        raise OutOfScopeError(
+            f"order of discriminant {order.discriminant} is not euclidean; "
+            "only discriminants -3, -4, -7, -8, -11 are supported"
+        )
+    omega = order.generator
+    for v in lattice.vectors():
+        if not lattice.contains(tuple(omega * x for x in v)):
+            raise InvalidInputError("lattice is not stable under the order")
+    if lattice.rank % 2:
+        raise InternalConsistencyError("order-stable lattice of odd rank")
+    k = lattice.rank // 2
+    gens = list(lattice.vectors())
+    conductor = common_conductor([x for v in gens for x in v] + [omega])
+    span = linalg.Span()
+    field_basis = []
+    rows = []
+    den = 1
+    for w in gens:
+        row = flatten(w, conductor)
+        sol = span.coords(row)
+        if sol is None:
+            field_basis.append(w)
+            span.add(row)
+            span.add(flatten(tuple(omega * x for x in w), conductor))
+            rows.append(None)
+        else:
+            den = lcm(den, *(c.denominator for c in sol))
+            rows.append(
+                [CycNum.rational(a) + omega * b for a, b in zip(sol[::2], sol[1::2])]
+            )
+    if len(field_basis) != k:
+        raise InternalConsistencyError(
+            f"field span has dimension {len(field_basis)}, expected {k}"
+        )
+    zero, one = CycNum.rational(0), CycNum.rational(1)
+    mat = []
+    seen = 0
+    for coords in rows:
+        if coords is None:
+            row = [zero] * k
+            row[seen] = one
+            seen += 1
+        else:
+            row = list(coords) + [zero] * (k - len(coords))
+        mat.append(row)
+    mat = [[x * den for x in row] for row in mat]
+    pivot_row = 0
+    for col in range(k):
+        while True:
+            live = [r for r in range(pivot_row, len(mat)) if not mat[r][col].is_zero()]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda r: field_norm(mat[r][col]))
+            base = live[0]
+            for r in live[1:]:
+                q, _ = euclid_divmod(order, mat[r][col], mat[base][col])
+                mat[r] = [x - q * y for x, y in zip(mat[r], mat[base])]
+        live = [r for r in range(pivot_row, len(mat)) if not mat[r][col].is_zero()]
+        if live:
+            r = live[0]
+            mat[pivot_row], mat[r] = mat[r], mat[pivot_row]
+            pivot_row += 1
+    if pivot_row != k:
+        raise InternalConsistencyError("euclidean reduction lost rank")
+    basis = [
+        tuple(sum((row[i] * field_basis[i][p] for i in range(k)), zero) / den
+              for p in range(lattice.dim))
+        for row in mat[:k]
+    ]
+    regenerated = lattice_from_generators(
+        [v for b in basis for v in (b, tuple(omega * x for x in b))], dim=lattice.dim
+    )
+    if regenerated != lattice:
+        raise InternalConsistencyError("order-module basis does not regenerate the lattice")
+    return OrderSplit(order, tuple(basis))
+
+
+def scan_cycle_multipliers_by_cycle(a, bound: int):
+    """All cycle multipliers for index tuples of length 1..bound, in order,
+    each multiplied from scratch: the cyclic product of a[j_{i+1}][j_i],
+    m - 1 products for a cycle of length m.  The library extends the
+    product of each cycle's prefix by one factor."""
+    out = []
+    for length in range(1, bound + 1):
+        for cycle in product(range(len(a)), repeat=length):
+            value = a[cycle[0]][cycle[-1]]
+            for j, k in zip(cycle, cycle[1:]):
+                value = value * a[k][j]
+            out.append((cycle, value))
     return out
 
 

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invlat import forge
+from invlat import forge, report
 from invlat.catalog import catalog_names, get_entry
-from invlat.cyclotomic import CycNum, sqrt_rational, zeta
-from invlat.errors import InvalidInputError, OutOfScopeError
+from invlat.cyclotomic import CycNum, parse_scalar, sqrt_rational, zeta
+from invlat.errors import InternalConsistencyError, InvalidInputError, OutOfScopeError
 from invlat.forge import (
     EUCLIDEAN_DISCRIMINANTS,
     ImaginaryQuadraticOrder,
@@ -17,20 +17,26 @@ from invlat.forge import (
 )
 from invlat.lattices import (
     RankTwoLattice,
+    ZLattice,
     fundamental_discriminant,
     invariance_check,
     lattice_from_generators,
+    multiplication_matrix,
+    multiplier_ring,
     scale_lattice,
 )
-from invlat.groups import group_from_json
+from invlat.groups import DEFAULT_CAP, group_from_json
 from invlat.report import GroupAnalysis
 from invlat.schur import (
     classify_character_field,
     schur_index,
 )
 
-from generated_groups import GENERATED
+from generated_groups import GENERATED, imprimitive_mpn
 from oracles import (
+    euclid_divmod,
+    field_coords,
+    field_norm,
     five_starts,
     lattice_index,
     orbit_lattice_all_elements,
@@ -38,6 +44,7 @@ from oracles import (
     order_saturate,
     rank_two_coords_by_span,
     sparse,
+    split_as_order_module_by_values,
 )
 
 
@@ -88,7 +95,7 @@ def test_field_coords_and_contains():
     omega = order.generator
     assert order.contains(omega * omega)  # omega^2 = omega - 1
     x = omega * 2 - CycNum.rational(5)
-    a, b = order.field_coords(x)
+    a, b = field_coords(order, x)
     assert a == Fraction(-5) and b == Fraction(2)
     assert order.contains(x)
     assert not order.contains(omega / 2)
@@ -111,40 +118,57 @@ def test_field_coords_match_span_oracle(disc, u, v, outside):
     x = CycNum.rational(u) + omega * v
     if outside is not None:
         x = x + outside
-    coords = order.field_coords(x)
+    coords = field_coords(order, x)
     assert coords == rank_two_coords_by_span(CycNum.rational(1), omega, x)
     assert coords == ([u, v] if outside is None else None)
     assert order.contains(x) == (outside is None and u.denominator == v.denominator == 1)
-    assert order.field_coords(0) == [0, 0]
+    assert field_coords(order, 0) == [0, 0]
+
+
+def test_orders_are_built_once_per_discriminant():
+    for disc in EUCLIDEAN_DISCRIMINANTS + (-15, -20):
+        order = ImaginaryQuadraticOrder.from_discriminant(disc)
+        assert ImaginaryQuadraticOrder.from_discriminant(disc) is order
+        assert order.discriminant == disc
+    # a rejected discriminant raises on every call
+    for disc in [-5, 5, -5, 5]:
+        with pytest.raises(InvalidInputError):
+            ImaginaryQuadraticOrder.from_discriminant(disc)
+
+
+pair_entries = st.integers(-60, 60)
 
 
 @given(
     st.sampled_from(EUCLIDEAN_DISCRIMINANTS),
-    st.integers(-9, 9), st.integers(-9, 9),
-    st.integers(-9, 9), st.integers(-9, 9),
+    pair_entries, pair_entries, pair_entries, pair_entries,
 )
-@settings(max_examples=150)
-def test_euclid_divmod_shrinks_norm(disc, a1, a2, b1, b2):
+@settings(max_examples=300, deadline=None)
+def test_pair_divmod_shrinks_norm_and_matches_the_oracle(disc, a1, a2, b1, b2):
     order = ImaginaryQuadraticOrder.from_discriminant(disc)
     omega = order.generator
-    x = CycNum.rational(a1) + omega * a2
-    y = CycNum.rational(b1) + omega * b2
-    if y.is_zero():
+
+    def value(pair):
+        return CycNum.rational(pair[0]) + omega * pair[1]
+
+    alpha, beta = (a1, a2), (b1, b2)
+    if beta == (0, 0):
+        with pytest.raises(InvalidInputError):
+            order.pair_divmod(alpha, beta)
         return
-    q, r = order.euclid_divmod(x, y)
-    assert order.contains(q)
-    assert x == q * y + r
-    assert order.norm(r) < order.norm(y)
+    q, r = order.pair_divmod(alpha, beta)
+    assert value(alpha) == value(q) * value(beta) + value(r)
+    assert order.pair_norm(beta) == field_norm(value(beta))
+    assert order.pair_norm(r) == field_norm(value(r)) < order.pair_norm(beta)
+    assert euclid_divmod(order, value(alpha), value(beta)) == (value(q), value(r))
 
 
 def test_divmod_known_value():
     order = ImaginaryQuadraticOrder.from_discriminant(-4)
+    assert order.pair_divmod((7, 3), (2, 1)) == ((3, 0), (1, 0))
     i4 = zeta(4)
-    x = CycNum.rational(7) + i4 * 3
-    y = CycNum.rational(2) + i4
-    q, r = order.euclid_divmod(x, y)
-    assert q == CycNum.rational(3) + i4 * 0
-    assert r == CycNum.rational(1)
+    q, r = euclid_divmod(order, CycNum.rational(7) + i4 * 3, CycNum.rational(2) + i4)
+    assert q == CycNum.rational(3) and r == CycNum.rational(1)
 
 
 def test_construct_rank_n_s3(s3):
@@ -261,6 +285,15 @@ def test_orbit_lattice_g4(g4):
         assert lat.contains(vec)
 
 
+def test_orbit_lattice_certifies_order_stability(g4, monkeypatch):
+    # a closure that is not omega-stable has no integer matrix of omega
+    monkeypatch.setattr(forge, "_orbit_lattice", lambda group, seeds: std_lattice(2))
+    with pytest.raises(InternalConsistencyError, match="not order-stable"):
+        orbit_lattice_over_order(g4, ImaginaryQuadraticOrder.from_discriminant(-3),
+                                 (CycNum.rational(1), CycNum.rational(0)),
+                                 classify_character_field(g4))
+
+
 def test_orbit_lattice_c3():
     group = get_entry("C3-zeta3").group()
     order = ImaginaryQuadraticOrder.from_discriminant(-3)
@@ -364,3 +397,117 @@ def test_split_requires_stability():
     lat = std_lattice(2)  # rank 2, not i-stable
     with pytest.raises(InvalidInputError):
         split_as_order_module(lat, order)
+
+
+# Z + Z*c is the maximal order of discriminant -3, -4, -7, -8, -11
+EUCLIDEAN_SCALARS = ["z3", "z4", "z7+z7^2+z7^4", "z8+z8^3", "z11+z11^3+z11^4+z11^5+z11^9"]
+C_I_ORDERS = [(m, p, n) for m in (3, 4, 6, 8, 12) for p in range(1, m + 1) if m % p == 0
+              for n in (2, 3) if m**n * (2 if n == 2 else 6) // p <= DEFAULT_CAP]
+
+
+@pytest.fixture(scope="module")
+def split_cases():
+    """(name, lattice, order) for every split the report makes on the catalog,
+    the generated groups, the groups G(m,p,n) for m in 3, 4, 6, 8, 12 and
+    n <= 3 within the default cap, and S3 doubled by a scalar outside its
+    ring, plus the splits of the tests' own lattices."""
+    cases = []
+    real = report.split_as_order_module
+
+    def recording(lattice, order):
+        cases.append((name, lattice, order))
+        return real(lattice, order)
+
+    targets = [(name, name) for name in catalog_names()]
+    targets += [(name, obj) for name, (obj, _) in GENERATED.items()]
+    targets += [(f"G({m},{p},{n})", imprimitive_mpn(m, p, n)) for m, p, n in C_I_ORDERS]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "split_as_order_module", recording)
+        for name, target in targets:
+            report.analyze(target)
+        name = "S3-standard ds 1/2+1/2*z4"
+        entry = get_entry("S3-standard")
+        GroupAnalysis(entry.group(), entry=entry,
+                      doubling_scalar=parse_scalar("1/2+1/2*z4")).lattices
+    # bases doubled by one scalar of each euclidean discriminant, as the
+    # `ds` splits of test_report_cli are
+    for name, group in [("S3-standard", get_entry("S3-standard").group()),
+                        ("WeylB3", group_from_json(GENERATED["WeylB3"][0]))]:
+        base = construct_rank_n(group, GroupAnalysis(group).witness.basis)
+        for c in EUCLIDEAN_SCALARS:
+            scalar = parse_scalar(c)
+            disc = multiplier_ring(RankTwoLattice(1, scalar)).discriminant
+            cases.append((f"{name} doubled by {c}", extend_rank_2n(base, scalar),
+                          ImaginaryQuadraticOrder.from_discriminant(disc)))
+    g4 = get_entry("G4").group()
+    order = ImaginaryQuadraticOrder.from_discriminant(-3)
+    one, nil = CycNum.rational(1), CycNum.rational(0)
+    g4_orbit = orbit_lattice_over_order(g4, order, (one, nil), classify_character_field(g4))
+    cases.append(("G4 saturated orbit", order_saturate(g4_orbit, order), order))
+    cases.append(("Gaussian square", extend_rank_2n(std_lattice(2), zeta(4)),
+                  ImaginaryQuadraticOrder.from_discriminant(-4)))
+    return cases
+
+
+def test_the_split_cases_cover_every_source(split_cases):
+    names = [name for name, _, _ in split_cases]
+    for name in ["G4", "C3-zeta3", "C4-zeta4", "G3-1-3", "G(6,3,3)", "G(4,2,3)",
+                 "S3-standard ds 1/2+1/2*z4", "Gaussian square"]:
+        assert name in names
+    assert {order.discriminant for _, _, order in split_cases} == set(EUCLIDEAN_DISCRIMINANTS)
+    assert {lattice.rank for _, lattice, _ in split_cases} == {2, 4, 6}
+
+
+def test_split_matches_the_value_oracle(split_cases):
+    for name, lattice, order in split_cases:
+        split = split_as_order_module(lattice, order)
+        assert split == split_as_order_module_by_values(lattice, order), name
+        assert len(split.basis) == lattice.rank // 2, name
+
+
+def _same_error(lattice, order, error):
+    with pytest.raises(error) as raised:
+        split_as_order_module(lattice, order)
+    with pytest.raises(error) as expected:
+        split_as_order_module_by_values(lattice, order)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_split_errors_match_the_value_oracle(monkeypatch):
+    order = ImaginaryQuadraticOrder.from_discriminant(-15)
+    _same_error(lattice_from_generators([(CycNum.rational(1),), (order.generator,)]),
+                order, OutOfScopeError)
+    gaussian = ImaginaryQuadraticOrder.from_discriminant(-4)
+    _same_error(std_lattice(2), gaussian, InvalidInputError)
+    # an odd rank is never order-stable, so both stability checks are passed over
+    monkeypatch.setattr(forge, "multiplication_matrix", lambda lattice, x: [[1]])
+    monkeypatch.setattr(ZLattice, "contains", lambda self, vector: True)
+    _same_error(std_lattice(1), gaussian, InternalConsistencyError)
+
+
+def test_split_inverts_and_divides_nothing(split_cases, monkeypatch):
+    monkeypatch.setattr(CycNum, "inverse", lambda self: pytest.fail("inverse"))
+    monkeypatch.setattr(CycNum, "__truediv__", lambda self, other: pytest.fail("division"))
+    for name, lattice, order in split_cases:
+        assert len(split_as_order_module(lattice, order).basis) == lattice.rank // 2, name
+
+
+def test_split_certifies_regeneration_by_one_determinant(split_cases, monkeypatch):
+    # no lattice is rebuilt and compared: a unimodular check fails the split
+    monkeypatch.setattr(forge, "lattice_from_generators", lambda *a, **k: pytest.fail("rebuilt"))
+    monkeypatch.setattr(forge.linalg, "abs_det", lambda mat: 2)
+    _, lattice, order = split_cases[0]
+    with pytest.raises(InternalConsistencyError, match="does not regenerate"):
+        split_as_order_module(lattice, order)
+
+
+def test_multiplication_matrix_certifies_stability(split_cases):
+    # the rows of M are the coordinates of omega * b_i; None off the order
+    for name, lattice, order in split_cases:
+        omega = order.generator
+        matrix = multiplication_matrix(lattice, omega)
+        for vec, row in zip(lattice.vectors(), matrix):
+            assert lattice.basis_coords(tuple(omega * x for x in vec)) == row, name
+        assert multiplication_matrix(lattice, omega / 2) is None, name
+        assert multiplication_matrix(lattice, zeta(5)) is None, name
+    assert multiplication_matrix(std_lattice(2), zeta(4)) is None

@@ -23,7 +23,9 @@ from invlat.groups import (
 from invlat.report import analyze
 from invlat.schur import frobenius_schur_indicator
 
-from generated_groups import GENERATED, imprimitive, in_generic_basis, weyl_from_cartan
+from generated_groups import (
+    GENERATED, cartan_a, imprimitive, in_generic_basis, weyl_from_cartan,
+)
 from oracles import (
     character,
     character_norm_by_inverses,
@@ -330,7 +332,7 @@ def test_generic_basis_closure_keeps_n_row_indices_per_element():
     # Weyl A5 in a generic basis: its 5 basis rows have 426 orbit points,
     # so one permutation of that orbit per element would take 720 * 426
     # entries, over 2 MiB in pointers alone
-    obj = in_generic_basis(weyl_from_cartan(_cartan_a(5)))
+    obj = in_generic_basis(weyl_from_cartan(cartan_a(5)))
     gens = [matrix_from_json(g, 5) for g in obj["generators"]]
     tracemalloc.start()
     try:
@@ -342,16 +344,9 @@ def test_generic_basis_closure_keeps_n_row_indices_per_element():
     assert peak < 2 * 2**20
 
 
-def _cartan_a(n):
-    return tuple(
-        tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n))
-        for i in range(n)
-    )
-
-
 def test_conjugacy_classes_match_dense_oracle(oracle_groups):
     extra = [
-        ("WeylA6", group_from_json(weyl_from_cartan(_cartan_a(6)))),
+        ("WeylA6", group_from_json(weyl_from_cartan(cartan_a(6)))),
         ("G4-1-3", group_from_json(imprimitive(4, 3))),
     ]
     for name, group in oracle_groups + extra:
@@ -366,7 +361,7 @@ def test_conjugacy_classes_match_dense_oracle(oracle_groups):
         (GENERATED["G4-1-2"][0], 14),
         (GENERATED["G6-1-2"][0], 27),
         (GENERATED["G3-1-3"][0], 22),
-        (weyl_from_cartan(_cartan_a(6)), 15),  # the partitions of 7
+        (weyl_from_cartan(cartan_a(6)), 15),  # the partitions of 7
     ],
 )
 def test_known_class_counts(obj, classes):

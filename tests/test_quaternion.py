@@ -179,6 +179,15 @@ def test_lipschitz_is_order():
     assert is_order(hamilton(), lipschitz_lattice())
 
 
+def test_both_presets_read_one_lipschitz_lattice():
+    lattice = lipschitz_lattice()
+    assert lattice == lattice_from_generators(
+        [tuple(CycNum.rational(int(p == q)) for q in range(4)) for p in range(4)]
+    )
+    for name in ["example-non-generic", "example-non-ci"]:
+        assert quaternion_preset(name)[1] is lattice
+
+
 def test_build_torus_rejects_non_square_root():
     alg = hamilton()
     not_root = alg.element((0, 1, 1, 0))  # squares to -2

@@ -28,7 +28,7 @@ from invlat.reflections import (
 from invlat.report import GroupAnalysis, analyze, render_json
 from invlat.schur import classify_character_field
 
-from generated_groups import CARTAN_A4, GENERATED, weyl_from_cartan
+from generated_groups import CARTAN_A4, GENERATED, cartan_a, weyl_from_cartan
 from oracles import (
     coset_count,
     cycle_multiplier_by_matrices,
@@ -43,6 +43,7 @@ from oracles import (
     replace,
     root_functional_matrix_by_factoring,
     s_det_by_cofactors,
+    scan_cycle_multipliers_by_cycle,
 )
 
 
@@ -168,6 +169,13 @@ def test_cm_detect_g4(g4, g4_lattice):
         assert line.contains(vec)
 
 
+def test_cm_from_scan_rejects_a_multiplier_off_its_line_lattice(g4, g4_lattice):
+    dec = line_lattice_decomposition(g4_lattice, choose_generating_reflections(g4))
+    # z3 / 2 is not rational and maps no rank-two lattice into itself
+    with pytest.raises(InternalConsistencyError, match="does not preserve"):
+        cm_from_scan(dec, [((0,), zeta(3) * Fraction(1, 2))])
+
+
 def test_cm_detect_none_for_weyl(b2, b2_lattice):
     refs = choose_generating_reflections(b2)
     dec = line_lattice_decomposition(b2_lattice, refs)
@@ -247,6 +255,32 @@ def test_scan_matches_matrix_product_oracle(reflection_cases):
         a = root_functional_matrix(refs)
         for cycle, value in scan_cycle_multipliers(a, group.dimension + 1):
             assert value == cycle_multiplier_by_matrices(refs, cycle), (name, cycle)
+
+
+def test_prefix_scan_matches_the_per_cycle_oracle(reflection_cases, monkeypatch):
+    # every decomposition, and Weyl A6 (55,986 cycles), at the default bound
+    weyl_a6 = group_from_json(weyl_from_cartan(cartan_a(6)))
+    cases = [(name, group) for name, group, _ in reflection_cases] + [("WeylA6", weyl_a6)]
+    products = []
+    real = CycNum.__mul__
+
+    def counting(self, other):
+        products.append(None)
+        return real(self, other)
+
+    for name, group in cases:
+        a = root_functional_matrix(choose_generating_reflections(group))
+        bound = default_cycle_bound(group.dimension)
+        expected = scan_cycle_multipliers_by_cycle(a, bound)
+        del products[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(CycNum, "__mul__", counting)
+            scanned = scan_cycle_multipliers(a, bound)
+        assert scanned == expected, name
+        # at most two products per cycle: the prefix times one factor, and
+        # the closing entry times the prefix
+        assert len(products) <= 2 * len(scanned), name
+    assert len(scanned) == 55_986
 
 
 def test_isogeny_graph_matches_gram_oracle(reflection_cases):
