@@ -3,25 +3,27 @@
 Three construction recipes (integral span of a rational form's orbit,
 doubling a rank-n lattice by a non-real scalar, and the orbit span over an
 imaginary-quadratic order, which is already order-stable), plus splitting an
-order-stable lattice into a free module over a euclidean order.
+order-stable lattice into a free module over a euclidean order.  The
+doubling L + c*L is one HNF of integer rows: those of L beside those of
+c*L, which are L's rows times the blocks of c's multiplication matrix.
 
-An order Z[omega], built once per discriminant, takes membership from its
-rank-two lattice Z + Z*omega (`lattices.RankTwoLattice`) and writes
-a + b*omega as the integer pair (a, b).  A split writes the lattice as
-O*v_1 + ... + O*v_k, so every factor O*v_i is the order itself: the torus is
-isomorphic to the product of k copies of C/O.  It runs on integer
-coordinates in the lattice basis: omega acts there as the integer matrix M
-of `lattices.multiplication_matrix`, which exists exactly when the lattice
-is order-stable, the Euclidean reduction divides integer pairs, and the
-rows c_s and c_s M of the basis vectors v_s and omega*v_s, stacked, have
-|det| 1 exactly when they span the lattice.
+An order Z[omega], built once per discriminant, writes a + b*omega as the
+integer pair (a, b); its rank-two lattice Z + Z*omega
+(`lattices.RankTwoLattice`) is the factor a split renders.  A split writes
+the lattice as O*v_1 + ... + O*v_k, so every factor O*v_i is the order
+itself: the torus is isomorphic to the product of k copies of C/O.  It runs
+on integer coordinates in the lattice basis: omega acts there as the
+integer matrix M of `lattices.multiplication_matrix`, which exists exactly
+when the lattice is order-stable, the Euclidean reduction divides integer
+pairs, and the rows c_s and c_s M of the basis vectors v_s and omega*v_s,
+stacked, have |det| 1 exactly when they span the lattice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg
@@ -35,12 +37,12 @@ from .groups import GroupRep, apply
 from .lattices import (
     RankTwoLattice,
     ZLattice,
+    _lattice_from_rows,
+    _times_rows,
     flatten,
     fundamental_discriminant,
     lattice_from_generators,
-    lattice_sum,
     multiplication_matrix,
-    scale_lattice,
 )
 from .records import Record
 from .schur import CharacterFieldClass
@@ -74,7 +76,8 @@ class ImaginaryQuadraticOrder(Record):
         else:
             omega = (1 + sqrt_rational(Fraction(disc))) / 2
         order = cls(disc, omega, disc in EUCLIDEAN_DISCRIMINANTS)
-        if not order.contains(omega * omega):
+        t, n = order._trace_norm
+        if omega * omega != t * omega - n:
             raise InternalConsistencyError("omega^2 escaped Z[omega]")
         return order
 
@@ -82,9 +85,6 @@ class ImaginaryQuadraticOrder(Record):
     def lattice(self) -> RankTwoLattice:
         """The order as the rank-two lattice Z + Z*omega."""
         return RankTwoLattice(1, self.generator)
-
-    def contains(self, x) -> bool:
-        return self.lattice.contains(x)
 
     @property
     def _trace_norm(self):
@@ -179,11 +179,27 @@ def construct_rank_n(group: GroupRep, witness) -> ZLattice:
 
 
 def extend_rank_2n(lattice: ZLattice, c) -> ZLattice:
-    """The lattice plus c times itself; doubles the rank for non-real c."""
+    """The lattice plus c times itself; doubles the rank for non-real c.
+
+    At N = lcm of the two conductors, with R the rows of the lattice over
+    den and d the denominator of c, the rows of c*L are R times the blocks of
+    c's multiplication matrix over den*d, and those of L are R*d over den*d.
+    One HNF of the stacked rows, divided by the gcd of den*d and their
+    entries, builds the sum.  The field of its entries holds those of L and
+    c, the ratio c*x / x for an entry x != 0 of L, so N is its least
+    conductor."""
     c = as_cycnum(c)
     if (c - c.conjugate()).is_zero():
         raise InvalidInputError("scalar must be non-real")
-    out = lattice_sum(lattice, scale_lattice(c, lattice))
+    if not lattice.rows:
+        raise InvalidInputError("no nonzero generators")
+    conductor = lcm(lattice.conductor, c.conductor)
+    rows, den = lattice._rows_at(conductor)
+    nums, d = c.numerators_at(conductor)
+    rows = [[x * d for x in row] for row in rows] + _times_rows(rows, nums, conductor)
+    shrink = gcd(den * d, *(x for row in rows for x in row))
+    out = _lattice_from_rows(lattice.dim, conductor,
+                             [[x // shrink for x in row] for row in rows], den * d // shrink)
     if out.rank != 2 * lattice.rank:
         raise InternalConsistencyError("extension did not double the rank")
     return out

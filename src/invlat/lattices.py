@@ -18,7 +18,9 @@ the entries' multiplication matrices; the kernel rows are the line's
 coordinates in the lattice basis, and they combine the lattice's rows.
 Multiplication by a number x is one integer matrix in the lattice basis
 (`multiplication_matrix`): the rows times x's multiplication matrix, read
-back by the same back-substitution, or None when x*L is not inside L.
+back by the same back-substitution, or None when x*L is not inside L.  The
+same block product gives the rows of c*L that `forge.extend_rank_2n` stacks
+with those of L.
 
 Discreteness is decided on the basis vectors: each vector v is extended by
 its conjugate to (v | conj v), which stays inside the cyclotomic field, and
@@ -29,13 +31,11 @@ l = 1 mod N, through the ring map z_N -> g onto F_l, on the integer rows;
 only a rank-deficient image goes on to the exact rank over the field.
 
 RankTwoLattice is a lattice of rank 2 inside the complex line, the lattice of
-an elliptic-curve factor.  It is the one place that writes a number in a
-rank-two basis: the real coordinates of w = x + y*tau are read off by a
-closed formula, since tau is not real.  An imaginary-quadratic order
-(`forge.ImaginaryQuadraticOrder`) takes its membership test from one, and
-`multiplier_ring` gives the order of multipliers of one, read off the trace
-and norm of tau: the CM order of an elliptic-curve factor, or the order a
-`ds` doubling scalar generates.
+an elliptic-curve factor, kept as its generators g1, g2 and tau = g2/g1,
+which is not real.  `multiplier_ring` gives the order of multipliers of one,
+read off the trace and norm of tau: the CM order of an elliptic-curve
+factor, or the order a `ds` doubling scalar generates.  Coordinates in a
+line lattice come from `ZLattice.basis_coords`, as in any other lattice.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ class ZLattice(Record):
         return self.basis_coords(vector) is not None
 
 
-def lattice_from_generators(vectors, dim=None, allow_zero=False):
+def lattice_from_generators(vectors, dim=None):
     """Canonical ZLattice spanned over the integers by the given vectors.
 
     Raises NotDiscreteError when the integer span is dense in some real
@@ -177,8 +177,6 @@ def lattice_from_generators(vectors, dim=None, allow_zero=False):
     if any(len(v) != dim for v in vectors):
         raise InvalidInputError("mixed vector lengths")
     if not vectors:
-        if allow_zero:
-            return ZLattice(dim, 1, (), 1)
         raise InvalidInputError("no nonzero generators")
     conductor = common_conductor(x for vec in vectors for x in vec)
     # every generator lies in the lattice, so their least common denominator
@@ -258,21 +256,6 @@ def _check_discrete_exactly(lattice):
         )
 
 
-def lattice_sum(a: ZLattice, b: ZLattice) -> ZLattice:
-    """a + b.  Both lie in a + b, so the lcm of their dens is the least den
-    of the sum, and one HNF of the two row sets, scaled to it, builds it."""
-    if a.dim != b.dim:
-        raise InvalidInputError("ambient dimensions differ")
-    conductor = lcm(a.conductor, b.conductor)
-    (rows_a, den_a), (rows_b, den_b) = a._rows_at(conductor), b._rows_at(conductor)
-    den = lcm(den_a, den_b)
-    rows = [[x * (den // den_a) for x in row] for row in rows_a]
-    rows += [[x * (den // den_b) for x in row] for row in rows_b]
-    if not rows:
-        raise InvalidInputError("no nonzero generators")
-    return _lattice_from_rows(a.dim, conductor, rows, den)
-
-
 def intersect_with_line(lattice: ZLattice, root):
     """(line lattice, coords): the lattice points on the complex line of the
     nonzero vector root, and the canonical HNF rows coords of the integer
@@ -330,6 +313,16 @@ def intersect_with_line(lattice: ZLattice, root):
     return line, coords
 
 
+def _times_rows(rows, nums, conductor):
+    """x times each integer row, for x = sum nums[k] z^k with integer nums
+    at the conductor: every entry block of the row times the matrix of
+    `multiplication_rows`."""
+    columns = list(zip(*multiplication_rows(nums, conductor)))
+    width = len(columns)
+    return [[sum(map(mul, row[k : k + width], col))
+             for k in range(0, len(row), width) for col in columns] for row in rows]
+
+
 def multiplication_matrix(lattice: ZLattice, x):
     """The integer matrix M of v -> x*v in the lattice basis, so that
     x * b_i = sum_j M[i][j] * b_j for the basis vectors b_i, or None when
@@ -346,12 +339,8 @@ def multiplication_matrix(lattice: ZLattice, x):
     if conductor % x.conductor:
         return None if rows else []
     nums, den = x.numerators_at(conductor)
-    columns = list(zip(*multiplication_rows(nums, conductor)))
-    width = len(columns)
     out = []
-    for row in rows:
-        image = [sum(map(mul, row[k : k + width], col))
-                 for k in range(0, len(row), width) for col in columns]
+    for image in _times_rows(rows, nums, conductor):
         if den != 1:
             if any(c % den for c in image):
                 return None
@@ -361,12 +350,6 @@ def multiplication_matrix(lattice: ZLattice, x):
             return None
         out.append(coords)
     return out
-
-
-def scale_lattice(scalar, lattice: ZLattice) -> ZLattice:
-    scalar = as_cycnum(scalar)
-    scaled = [tuple(scalar * x for x in vec) for vec in lattice.vectors()]
-    return lattice_from_generators(scaled, dim=lattice.dim)
 
 
 def invariance_check(lattice: ZLattice, matrices) -> bool:
@@ -404,48 +387,24 @@ def lattice_to_json(lat: ZLattice) -> dict:
 
 
 class RankTwoLattice:
-    """Z g1 + Z g2 inside the complex plane, with tau = g2/g1 not real.
+    """Z g1 + Z g2 inside the complex plane, with tau = g2/g1 not real, so
+    that g1 and g2 are independent over the reals."""
 
-    A complex number w is w = x + y*tau for unique real x and y: conjugating
-    gives w - conj(w) = y * (tau - conj(tau)), and tau - conj(tau) is not
-    zero.  So value / g1 lies in the rational span of 1 and tau exactly when
-    those x and y are rational.
-    """
-
-    __slots__ = ("g1", "g2", "_g1_inverse", "_tau", "_skew_inverse")
+    __slots__ = ("g1", "g2", "_tau")
 
     def __init__(self, g1, g2):
         g1, g2 = as_cycnum(g1), as_cycnum(g2)
         if g1.is_zero() or g2.is_zero():
             raise InvalidInputError("rank-two lattice needs nonzero generators")
-        g1_inverse = g1.inverse()
-        tau = g2 * g1_inverse
-        skew = tau - tau.conjugate()
-        if skew.is_zero():
+        tau = g2 / g1
+        if (tau - tau.conjugate()).is_zero():
             raise NotDiscreteError("generators are dependent over the reals")
         self.g1 = g1
         self.g2 = g2
-        self._g1_inverse = g1_inverse
         self._tau = tau
-        self._skew_inverse = skew.inverse()
 
     def tau(self) -> CycNum:
         return self._tau
-
-    def coords_of(self, value):
-        """Rational [x, y] with value = x*g1 + y*g2, or None."""
-        w = as_cycnum(value) * self._g1_inverse
-        y = (w - w.conjugate()) * self._skew_inverse
-        if not y.is_rational():
-            return None
-        x = w - y * self._tau
-        if not x.is_rational():
-            return None
-        return [x.as_fraction(), y.as_fraction()]
-
-    def contains(self, value) -> bool:
-        coords = self.coords_of(value)
-        return coords is not None and all(c.denominator == 1 for c in coords)
 
     def __eq__(self, other):
         if not isinstance(other, RankTwoLattice):

@@ -275,10 +275,10 @@ def isogeny_graph(dec: ReflectionDecomposition) -> IsogenyGraph:
     phi_k(alpha_j) is a nonzero multiple of <alpha_k, alpha_j>: the edges join
     the non-orthogonal root lines, and the zero pattern of A is symmetric.
     id - r_k maps a*alpha_j to a*A[k][j]*alpha_k, so the image of line j is
-    A[k][j] times its scalar lattice, read along root k.  The edge's
-    containment and index come from the coordinates of the two image
-    scalars in line k's scalar lattice: both integral, and the index is the
-    absolute 2x2 determinant.
+    spanned by (A[k][j]*g)*alpha_k for the generators g of its scalar
+    lattice.  The edge's containment and index come from the integer
+    coordinates of those two vectors in line k's lattice basis: both exist,
+    and the index is the absolute 2x2 determinant.
     """
     if any(line.scalars is None for line in dec.lines):
         raise InvalidInputError("isogeny graph needs line lattices of rank 2")
@@ -295,14 +295,14 @@ def isogeny_graph(dec: ReflectionDecomposition) -> IsogenyGraph:
         for k in range(n):
             if j == k or a[k][j].is_zero():
                 continue
-            target = dec.lines[k].scalars
-            rows = [target.coords_of(a[k][j] * g) for g in (source.g1, source.g2)]
-            if any(r is None or any(c.denominator != 1 for c in r) for r in rows):
+            target, root = dec.lines[k].lattice, dec.reflections[k].root
+            rows = [target.basis_coords(tuple(s * x for x in root))
+                    for s in (a[k][j] * source.g1, a[k][j] * source.g2)]
+            if None in rows:
                 raise InternalConsistencyError(
                     "reflection image left the target line lattice"
                 )
-            (x1, y1), (x2, y2) = rows
-            idx = abs(int(x1 * y2 - x2 * y1))
+            idx = linalg.abs_det(rows)
             if idx == 0:
                 raise InternalConsistencyError("isogeny witness dropped rank")
             edges.append(IsogenyEdge(j, k, idx))

@@ -159,10 +159,12 @@ def _doubled(base: ZLattice, c: CycNum):
     When base is G-invariant, so is the doubled lattice, by linearity:
     g(b + c*b') = g(b) + c*g(b').  The basis b_1..b_n of base is a C-basis,
     so the doubled lattice is the direct sum of the (Z + Zc)*b_j:
-    `extend_rank_2n` checked that the rank doubled.  When c lies in the
-    multiplier ring O of Z + Zc, Z + Zc is O and the base basis is the split;
-    otherwise Z + Zc is a fractional ideal of O, split by Euclidean reduction
-    when O is Euclidean.
+    `extend_rank_2n` checked that the rank doubled.  The multiplier ring O
+    of Z + Zc is Z[f*c], f the least integer that makes c^2 = p*c + q
+    integral, and its generator is f*c.  c lies in O exactly when c is
+    integral, that is when f = 1 and the generator is c; then Z + Zc is O
+    and the base basis is the split.  Otherwise Z + Zc is a fractional ideal
+    of O, split by Euclidean reduction when O is Euclidean.
     """
     doubled = extend_rank_2n(base, c)
     entry = _lattice_entry("ds", doubled, scalar=str(c))
@@ -170,7 +172,7 @@ def _doubled(base: ZLattice, c: CycNum):
     ring = multiplier_ring(RankTwoLattice(1, c))
     if ring.kind != "Z":
         order = ImaginaryQuadraticOrder.from_discriminant(ring.discriminant)
-        if order.contains(c):
+        if ring.generator == c:
             split = OrderSplit(order, base.vectors())
         elif order.euclidean:
             split = split_as_order_module(doubled, order)

@@ -43,10 +43,8 @@ from invlat.lattices import (
     flatten,
     fundamental_discriminant,
     lattice_from_generators,
-    lattice_sum,
     lattice_to_json,
     reassemble,
-    scale_lattice,
 )
 
 
@@ -171,6 +169,53 @@ def sparse(matrices):
     return [SparseMatrix(as_matrix(mat)) for mat in matrices]
 
 
+def scale_lattice(scalar, lattice: ZLattice) -> ZLattice:
+    """scalar * lattice, built from the CycNum products of its basis vectors.
+    The library multiplies the lattice's integer rows by the blocks of the
+    scalar's multiplication matrix."""
+    scalar = as_cycnum(scalar)
+    scaled = [tuple(scalar * x for x in vec) for vec in lattice.vectors()]
+    return lattice_from_generators(scaled, dim=lattice.dim)
+
+
+def lattice_sum(a: ZLattice, b: ZLattice) -> ZLattice:
+    """a + b, built from the basis vectors of both.  The library stacks
+    integer rows over one denominator."""
+    if a.dim != b.dim:
+        raise InvalidInputError("ambient dimensions differ")
+    return lattice_from_generators(a.vectors() + b.vectors(), dim=a.dim)
+
+
+def span_or_zero(vectors, dim):
+    """The lattice spanned by the vectors, or the zero lattice when none of
+    them is nonzero."""
+    if all(x.is_zero() for vec in vectors for x in vec):
+        return ZLattice(dim, 1, (), 1)
+    return lattice_from_generators(vectors, dim=dim)
+
+
+def rank_two_coords(gamma: RankTwoLattice, value):
+    """Rational [x, y] with value = x*g1 + y*g2, or None, by a closed
+    formula: w = value / g1 is x + y*tau, so w - conj(w) = y*(tau - conj(tau)),
+    and tau is not real.  The library reads coordinates along a root line
+    off the line lattice's integer rows (`ZLattice.basis_coords`)."""
+    w = as_cycnum(value) * gamma.g1.inverse()
+    tau = gamma.tau()
+    y = (w - w.conjugate()) * (tau - tau.conjugate()).inverse()
+    if not y.is_rational():
+        return None
+    x = w - y * tau
+    if not x.is_rational():
+        return None
+    return [x.as_fraction(), y.as_fraction()]
+
+
+def rank_two_contains(gamma: RankTwoLattice, value) -> bool:
+    """Whether value lies in Z g1 + Z g2."""
+    coords = rank_two_coords(gamma, value)
+    return coords is not None and all(c.denominator == 1 for c in coords)
+
+
 def order_saturate(lattice, order):
     """Smallest order-stable lattice containing the input: L + omega*L."""
     out = lattice_sum(lattice, scale_lattice(order.generator, lattice))
@@ -185,7 +230,7 @@ def order_saturate(lattice, order):
 def field_coords(order, x):
     """Rational [u, v] with x = u + v*omega, or None if x is outside the
     field, read off the order's rank-two lattice Z + Z*omega."""
-    return order.lattice.coords_of(x)
+    return rank_two_coords(order.lattice, x)
 
 
 def field_norm(x) -> Fraction:
@@ -627,7 +672,7 @@ def intersect_with_subspace(lattice, span_vectors):
               for i in range(lattice.dim))
         for krow in kernel
     ]
-    return lattice_from_generators(gens, dim=lattice.dim, allow_zero=True)
+    return span_or_zero(gens, lattice.dim)
 
 
 def intersect_with_line_by_values(lattice, root):
@@ -654,7 +699,7 @@ def intersect_with_line_by_values(lattice, root):
               for i in range(lattice.dim))
         for krow in linalg.int_kernel(int_rows)
     ]
-    return lattice_from_generators(gens, dim=lattice.dim, allow_zero=True)
+    return span_or_zero(gens, lattice.dim)
 
 
 def lattice_index(big: ZLattice, small: ZLattice):

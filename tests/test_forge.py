@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invlat import forge, report
+from invlat import forge, lattices, report
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, parse_scalar, sqrt_rational, zeta
 from invlat.errors import InternalConsistencyError, InvalidInputError, OutOfScopeError
@@ -23,7 +23,6 @@ from invlat.lattices import (
     lattice_from_generators,
     multiplication_matrix,
     multiplier_ring,
-    scale_lattice,
 )
 from invlat.groups import DEFAULT_CAP, group_from_json
 from invlat.report import GroupAnalysis
@@ -39,10 +38,13 @@ from oracles import (
     field_norm,
     five_starts,
     lattice_index,
+    lattice_sum,
     orbit_lattice_all_elements,
     orbit_lattice_by_rebuilding,
     order_saturate,
+    rank_two_contains,
     rank_two_coords_by_span,
+    scale_lattice,
     sparse,
     split_as_order_module_by_values,
 )
@@ -93,12 +95,12 @@ def test_maximal_order_from_field_discriminant():
 def test_field_coords_and_contains():
     order = ImaginaryQuadraticOrder.from_discriminant(-3)
     omega = order.generator
-    assert order.contains(omega * omega)  # omega^2 = omega - 1
+    assert rank_two_contains(order.lattice, omega * omega)  # omega^2 = omega - 1
     x = omega * 2 - CycNum.rational(5)
     a, b = field_coords(order, x)
     assert a == Fraction(-5) and b == Fraction(2)
-    assert order.contains(x)
-    assert not order.contains(omega / 2)
+    assert rank_two_contains(order.lattice, x)
+    assert not rank_two_contains(order.lattice, omega / 2)
 
 
 # numbers outside every imaginary-quadratic field
@@ -121,7 +123,8 @@ def test_field_coords_match_span_oracle(disc, u, v, outside):
     coords = field_coords(order, x)
     assert coords == rank_two_coords_by_span(CycNum.rational(1), omega, x)
     assert coords == ([u, v] if outside is None else None)
-    assert order.contains(x) == (outside is None and u.denominator == v.denominator == 1)
+    integral = outside is None and u.denominator == v.denominator == 1
+    assert rank_two_contains(order.lattice, x) == integral
     assert field_coords(order, 0) == [0, 0]
 
 
@@ -269,8 +272,96 @@ def test_extend_rank_2n(s3):
 
 
 def test_extend_rejects_real_scalar():
-    with pytest.raises(InvalidInputError):
-        extend_rank_2n(std_lattice(2), CycNum.rational(2))
+    for c in (CycNum.rational(2), sqrt_rational(2), zeta(5) + zeta(5).conjugate()):
+        with pytest.raises(InvalidInputError, match="non-real"):
+            extend_rank_2n(std_lattice(2), c)
+
+
+def test_extend_rejects_the_zero_lattice_like_the_sum_oracle():
+    zero = ZLattice(2, 1, (), 1)
+    with pytest.raises(InvalidInputError, match="no nonzero generators"):
+        lattice_sum(zero, scale_lattice(zeta(4), zero))
+    with pytest.raises(InvalidInputError, match="no nonzero generators"):
+        extend_rank_2n(zero, zeta(4))
+
+
+@pytest.fixture(scope="module")
+def ds_cases():
+    """(name, base, c) for every `ds` doubling that the catalog and the
+    generated groups make, the scalars of test_report_cli on the
+    S3-standard and WeylB3 bases, scalars whose conductor does not divide
+    the base's, and scalars with denominators."""
+    cases = []
+    real = report.extend_rank_2n
+
+    def recording(lattice, c):
+        cases.append((name, lattice, c))
+        return real(lattice, c)
+
+    report._q8_analysis.cache_clear()  # Q8's ds lattice is built afresh
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "extend_rank_2n", recording)
+        for name in catalog_names():
+            report.analyze(name)
+        for name, (obj, _) in GENERATED.items():
+            report.analyze(obj)
+    assert {name for name, _, _ in cases} >= {"Q8", "S3-standard", "WeylB3"}
+    z3, one, nil = zeta(3), CycNum.rational(1), CycNum.rational(0)
+    bases = [(name, construct_rank_n(group, GroupAnalysis(group).witness.basis))
+             for name, group in [("S3-standard", get_entry("S3-standard").group()),
+                                 ("WeylB3", group_from_json(GENERATED["WeylB3"][0]))]]
+    bases.append(("conductor 3", lattice_from_generators([(one, z3), (z3, one)])))
+    # rows that a prime of c's denominator divides: the stacked rows shrink
+    bases.append(("6 Z^2", lattice_from_generators([(6 * one, nil), (nil, 6 * one)])))
+    scalars = [parse_scalar(c) for c in EUCLIDEAN_SCALARS + ["2*z4", "1+2*z4", "2*z3"]]
+    scalars += [zeta(4), (1 + sqrt_rational(-7)) / 2, (1 + zeta(4)) / 2, z3 / 3]
+    cases += [(f"{name} doubled by {c}", base, c) for name, base in bases for c in scalars]
+    return cases
+
+
+def test_extend_rank_2n_matches_the_sum_oracle(ds_cases):
+    conductors, dens = set(), set()
+    for name, base, c in ds_cases:
+        doubled = extend_rank_2n(base, c)
+        assert doubled == lattice_sum(base, scale_lattice(c, base)), name
+        conductors.add((base.conductor, c.conductor, doubled.conductor))
+        _, d = c.numerators_at(c.conductor)
+        dens.add((base.den * d, doubled.den))
+    # conductors of the scalar that do not divide the base's
+    assert {(3, 4, 12), (1, 7, 7), (3, 7, 21)} <= conductors
+    # the least den of the sum: den * d kept, and divided by a common factor
+    assert {(2, 2), (3, 3), (2, 1), (3, 1)} <= dens
+
+
+def test_extend_rank_2n_runs_one_hnf_on_integer_rows(ds_cases, monkeypatch):
+    hnf_calls = []
+    real_hnf = forge.linalg.hnf
+    monkeypatch.setattr(forge.linalg, "hnf", lambda rows: hnf_calls.append(rows) or real_hnf(rows))
+    for module in (forge, lattices):
+        monkeypatch.setattr(module, "lattice_from_generators",
+                            lambda *a, **k: pytest.fail("lattice_from_generators"))
+    monkeypatch.setattr(CycNum, "inverse", lambda self: pytest.fail("inverse"))
+    for name, base, c in ds_cases:
+        hnf_calls.clear()
+        assert extend_rank_2n(base, c).rank == 2 * base.rank, name
+        assert len(hnf_calls) == 1, name
+
+
+@given(
+    st.sampled_from([-3, -4, -7, -8, -11, -15, -20]),
+    st.integers(-6, 6), st.integers(-6, 6).filter(bool), st.integers(1, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_scalar_lies_in_its_ring_exactly_when_it_is_the_generator(disc, a, b, q):
+    """For c = a + b*omega/q, the report reads "c lies in the multiplier ring
+    O of Z + Zc" as O's generator being c; the oracle writes c in the
+    rank-two lattice Z + Z*omega of O.  The discriminants are fundamental,
+    so c is integral exactly when q divides b."""
+    omega = ImaginaryQuadraticOrder.from_discriminant(disc).generator
+    c = a + omega * Fraction(b, q)
+    ring = multiplier_ring(RankTwoLattice(1, c))
+    order = ImaginaryQuadraticOrder.from_discriminant(ring.discriminant)
+    assert (ring.generator == c) == rank_two_contains(order.lattice, c) == (b % q == 0)
 
 
 def test_orbit_lattice_g4(g4):

@@ -21,14 +21,13 @@ from invlat.groups import group_from_json
 from invlat.report import analyze
 from invlat.lattices import (
     RankTwoLattice,
+    ZLattice,
     fundamental_discriminant,
     intersect_with_line,
     invariance_check,
     lattice_from_generators,
-    lattice_sum,
     lattice_to_json,
     multiplier_ring,
-    scale_lattice,
 )
 from invlat.schur import schur_index
 
@@ -64,8 +63,12 @@ from oracles import (
     lattice_from_json,
     lattice_index,
     lattice_json_by_pivot_hnf,
+    lattice_sum,
     multiplier_ring_by_minpoly,
+    rank_two_contains,
+    rank_two_coords,
     rank_two_coords_by_span,
+    scale_lattice,
     sparse,
     vectors_by_cycnum_combination,
 )
@@ -225,7 +228,7 @@ def test_rank_two_coords_match_span_oracle(disc, g1, x, y, extra):
         value = CycNum.rational(0)
     elif extra is not None:
         value = value + extra
-    coords = gamma.coords_of(value)
+    coords = rank_two_coords(gamma, value)
     assert coords == rank_two_coords_by_span(gamma.g1, gamma.g2, value)
     if extra is None:
         assert coords == [x, y]
@@ -294,7 +297,7 @@ def test_multiplier_ring_box_oracle(tau):
     for u in range(-2, 3):
         for v in range(-2, 3):
             x = CycNum.rational(u) + tau * v
-            if gamma.contains(x * tau):
+            if rank_two_contains(gamma, x * tau):
                 found.append((u, v, x))
     for u, v, x in found:
         if v == 0:
@@ -302,13 +305,13 @@ def test_multiplier_ring_box_oracle(tau):
         assert ring.kind == "order", f"missed multiplier {u} + {v}*tau"
         gen = ring.generator
         # x must lie in Z + Z*gen
-        coords = RankTwoLattice(CycNum.rational(1), gen).coords_of(x)
+        coords = rank_two_coords(RankTwoLattice(CycNum.rational(1), gen), x)
         assert coords is not None
         assert all(c.denominator == 1 for c in coords)
     if ring.kind == "order":
         gen = ring.generator
-        assert gamma.contains(gen * tau)
-        assert gamma.contains(gen * CycNum.rational(1))
+        assert rank_two_contains(gamma, gen * tau)
+        assert rank_two_contains(gamma, gen * CycNum.rational(1))
 
 
 # non-real taus of degree above 2, besides the quadratic ones
@@ -355,7 +358,7 @@ def test_isogeny_test_scalar():
     beta = isogeny_test(a, b)
     assert beta is not None
     # beta carries the span of b onto the span of a
-    assert a.contains(beta * b.g1) or b.contains(beta.inverse() * a.g1)
+    assert rank_two_contains(a, beta * b.g1) or rank_two_contains(b, beta.inverse() * a.g1)
 
 
 def test_isogeny_test_distinct_fields():
@@ -512,6 +515,7 @@ def test_every_builder_rejects_a_dense_span(monkeypatch):
         assert not is_discrete_by_vector_split(dense)
         for scalar in (2, zeta(4), ROOT2):
             rejected_after_one_exact_rank(scale_lattice, scalar, dense)
+        rejected_after_one_exact_rank(extend_rank_2n, dense, zeta(4))
         rejected_after_one_exact_rank(lattice_sum, dense, dense)
         rejected_after_one_exact_rank(lambda lat: lattice_from_json(lattice_to_json(lat)), dense)
     rejected_after_one_exact_rank(intersect_with_line, dense_plane, (one, nil))
@@ -746,7 +750,10 @@ def test_intersect_with_line_matches_the_kernel_oracle(conductor):
         vecs = lattice.vectors()
         combos = [tuple(sum((c * v[i] for c, v in zip(row, vecs)), CycNum.rational(0))
                         for i in range(lattice.dim)) for row in coords]
-        assert lattice_from_generators(combos, dim=lattice.dim, allow_zero=True) == line
+        if combos:
+            assert lattice_from_generators(combos, dim=lattice.dim) == line
+        else:
+            assert line == ZLattice(lattice.dim, 1, (), 1)
         ranks.add(line.rank)
     assert len(ranks) > 1
 

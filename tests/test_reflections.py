@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from invlat import groups, lattices, reflections
+from invlat import groups, lattices, linalg, reflections
 from invlat.catalog import catalog_names, get_entry
 from invlat.cyclotomic import CycNum, zeta
 from invlat.errors import InternalConsistencyError, InvalidInputError, OutOfScopeError
@@ -13,7 +13,7 @@ from invlat.forge import (
     orbit_lattice_over_order,
 )
 from invlat.groups import close_group, group_from_json
-from invlat.lattices import lattice_from_generators, lattice_sum, scale_lattice
+from invlat.lattices import lattice_from_generators
 from invlat.reflections import (
     MAX_CYCLES,
     choose_generating_reflections,
@@ -38,11 +38,14 @@ from oracles import (
     isogeny_edges_by_images,
     lattice_from_json,
     lattice_index,
+    lattice_sum,
     mat_identity,
     order_saturate,
+    rank_two_coords,
     replace,
     root_functional_matrix_by_factoring,
     s_det_by_cofactors,
+    scale_lattice,
     scan_cycle_multipliers_by_cycle,
 )
 
@@ -408,6 +411,31 @@ def test_isogeny_graph_matches_dense_image_oracle(reflection_cases):
         assert edges == isogeny_edges_by_images(dec), name
 
 
+def test_isogeny_rows_match_the_rank_two_oracle(reflection_cases, monkeypatch):
+    # each edge's 2x2 integer rows, read in line k's lattice basis, are the
+    # CycNum closed form's coordinates of A[k][j] * g in line k's scalars
+    real = linalg.abs_det
+    edges = 0
+    for name, group, lattice in reflection_cases:
+        if lattice is None:
+            continue
+        dec = line_lattice_decomposition(lattice, choose_generating_reflections(group))
+        rows = []
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "abs_det", lambda mat: rows.append(mat) or real(mat))
+            graph = isogeny_graph(dec)
+        assert len(rows) == len(graph.edges), name
+        for edge, got in zip(graph.edges, rows):
+            source, target = (dec.lines[i].scalars for i in (edge.source, edge.target))
+            a = dec.functionals[edge.target][edge.source]
+            expected = [rank_two_coords(target, a * g) for g in (source.g1, source.g2)]
+            assert got == expected, name
+            (x1, y1), (x2, y2) = expected
+            assert edge.index == abs(x1 * y2 - x2 * y1), name
+            edges += 1
+    assert edges > 20
+
+
 def test_isogeny_graph_builds_no_lattice(g4, g4_lattice, monkeypatch):
     dec = line_lattice_decomposition(g4_lattice, choose_generating_reflections(g4))
     for module, name in [
@@ -423,7 +451,7 @@ def test_isogeny_graph_builds_no_lattice(g4, g4_lattice, monkeypatch):
 
 
 def test_isogeny_graph_inverts_nothing(reflection_cases, monkeypatch):
-    # each line lattice keeps the inverse of g1 it formed tau with
+    # the edges read integer coordinates in the target line lattice
     decs = [line_lattice_decomposition(lattice, choose_generating_reflections(group))
             for _, group, lattice in reflection_cases if lattice is not None]
     monkeypatch.setattr(CycNum, "inverse", lambda self: pytest.fail("inverse"))
@@ -487,10 +515,10 @@ def test_line_lattices_and_index_match_the_value_route(reflection_cases):
         assert dec.index == lattice_index(lattice, total), name
 
 
-def test_decomposition_sums_no_lattices(b2, b2_lattice, g4, g4_lattice, monkeypatch):
-    # the index is one determinant of the lines' kernel coordinates
-    monkeypatch.setattr(lattices, "lattice_sum", lambda *a: pytest.fail("lattice_sum"))
-    assert not hasattr(reflections, "lattice_sum")
+def test_decomposition_sums_no_lattices(b2, b2_lattice, g4, g4_lattice):
+    # the index is one determinant of the lines' kernel coordinates, and no
+    # lattice sum is defined in the library at all
+    assert not hasattr(lattices, "lattice_sum") and not hasattr(reflections, "lattice_sum")
     assert not hasattr(lattices, "lattice_index") and not hasattr(reflections, "lattice_index")
     for group, lattice, index in [(b2, b2_lattice, 1), (g4, g4_lattice, 1)]:
         dec = line_lattice_decomposition(lattice, choose_generating_reflections(group))
